@@ -22,18 +22,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .data import GlobalExample, GroundAtom, fragment
 from .errors import DomainError
 from .expansion import expand
-from .logic import Formula, evaluate, holds
-from .stats import ModelA, ModelKind, formula_width, statistic, universal_parts
+from .logic import Formula
+from .stats import (
+    ModelKind,
+    check_formula,
+    formula_width,
+    grounding_test,
+    normalizer,
+    statistic,
+)
 
 
 def sample_subexample(example: GlobalExample, m: int, rng: random.Random) -> GlobalExample:
@@ -103,29 +108,21 @@ def disjoint_sample_estimator(
     statistics, substitution satisfaction for the injective-grounding kind,
     whose index sets are ordered.
     """
+    check_formula(f, example.vocabulary())
     constants = example.constants
     n = len(constants)
-    k = formula_width(kind, f)
-    if not 1 <= k <= n:
-        raise DomainError(f"width {k} outside 1..{n}")
+    normalizer(f, kind, n)  # width/variable-count validation
     universe = n if universe_size is None else universe_size
     if universe < n:
         raise DomainError(f"universe size {universe} below |constants| = {n}")
+    k = formula_width(kind, f)
     q = n // k
-    ordered = not isinstance(kind, ModelA)
     index_sets = [tuple(rng.sample(range(universe), k)) for _ in range(q)]
     union = sorted(set(itertools.chain.from_iterable(index_sets)))
     image = rng.sample(constants, len(union))
     g = dict(zip(union, image))
-    hits = 0
-    if ordered:
-        vs, matrix = universal_parts(f)
-        for idx in index_sets:
-            env = {v.name: g[i] for v, i in zip(vs, idx)}
-            hits += holds(matrix, example.atoms, constants, env)
-    else:
-        for idx in index_sets:
-            hits += evaluate(f, fragment(example, (g[i] for i in idx)))
+    test = grounding_test(f, kind)
+    hits = sum(test(example.atoms, tuple(g[i] for i in idx)) for idx in index_sets)
     return Fraction(hits, q)
 
 
@@ -198,36 +195,12 @@ class ErrorReport:
     passed: bool
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RELMARG_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"RELMARG_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise DomainError(f"RELMARG_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _map_trials(fn: Callable[[int], tuple], trials: int) -> list[tuple]:
-    """Run trials, in a thread pool when RELMARG_THREADS asks for one; the
-    result order is by trial index either way."""
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
     """Measure |exact ground-truth statistic - adjusted estimate| over
     ``cfg.trials`` independent draws, one report per formula.
 
-    Every trial derives its own RNG from (seed, trial index), so reports are
-    reproducible regardless of thread scheduling; errors are exact rationals
-    and the reduction is order-independent.
+    Every trial derives its own RNG from (seed, trial index), so each trial
+    is reproducible on its own; errors are exact rationals.
     """
     exact = [statistic(f, cfg.ground_truth, cfg.kind) for f in cfg.formulas]
 
@@ -239,7 +212,7 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
             for i, f in enumerate(cfg.formulas)
         )
 
-    rows = _map_trials(one_trial, cfg.trials)
+    rows = [one_trial(t) for t in range(cfg.trials)]
     reports = []
     for i, f in enumerate(cfg.formulas):
         errors = tuple(row[i] for row in rows)

@@ -393,14 +393,6 @@ def vars_of(f: Formula) -> frozenset[Var]:
     return frozenset(out)
 
 
-def bound_vars(f: Formula) -> frozenset[Var]:
-    out = set()
-    for g in _walk(f):
-        if isinstance(g, (Forall, Exists)):
-            out.update(g.vars)
-    return frozenset(out)
-
-
 def free_vars(f: Formula) -> frozenset[Var]:
     if isinstance(f, PredAtom):
         return frozenset(t for t in f.args if isinstance(t, Var))
@@ -463,11 +455,6 @@ def strip_foralls(f: Formula) -> tuple[tuple[Var, ...], Formula]:
 
 # ---------------------------------------------------------------------------
 # substitution
-
-def is_injective(theta: Mapping[Var, Const]) -> bool:
-    values = list(theta.values())
-    return len(set(values)) == len(values)
-
 
 def apply_substitution(f: Formula, theta: Mapping[Var, Const]) -> Formula:
     """Replace covered variable occurrences by their constants.

@@ -20,6 +20,7 @@ kept around to cross-check the dual route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -97,6 +98,22 @@ def _features(constraints, space, kind):
     return counts, norms, theta
 
 
+def _distribution(counts: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log partition function and world probabilities of the model at ``w``."""
+    scores = counts @ w
+    lse = float(logsumexp(scores))
+    return lse, np.exp(scores - lse)
+
+
+def _dual_value(counts: np.ndarray, target: np.ndarray, w: np.ndarray) -> float:
+    # no probabilities: the line search calls this once per trial step
+    return float(w @ target) - float(logsumexp(counts @ w))
+
+
+def _dual_gradient(counts: np.ndarray, target: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return target - counts.T @ _distribution(counts, w)[1]
+
+
 def dual_objective(
     w: Sequence[float], constraints: Sequence[MarginalConstraint], space: WorldSpace, kind: ModelKind
 ) -> tuple[float, np.ndarray]:
@@ -105,12 +122,8 @@ def dual_objective(
         raise DomainError("empty world space (hard rules unsatisfiable)")
     counts, norms, theta = _features(constraints, space, kind)
     w = np.asarray(w, dtype=float)
-    scores = counts @ w
-    lse = float(logsumexp(scores))
-    p = np.exp(scores - lse)
-    value = float(w @ (theta * norms)) - lse
-    grad = theta * norms - counts.T @ p
-    return value, grad
+    target = theta * norms
+    return _dual_value(counts, target, w), _dual_gradient(counts, target, w)
 
 
 def solve_maxent(
@@ -139,14 +152,8 @@ def solve_maxent(
         raise DomainError("empty world space (hard rules unsatisfiable)")
     counts, norms, theta = _features(constraints, space, kind)
     target = theta * norms
-
-    def value_at(w: np.ndarray) -> float:
-        return float(w @ target) - float(logsumexp(counts @ w))
-
-    def grad_at(w: np.ndarray) -> np.ndarray:
-        scores = counts @ w
-        p = np.exp(scores - logsumexp(scores))
-        return target - counts.T @ p
+    value_at = functools.partial(_dual_value, counts, target)
+    grad_at = functools.partial(_dual_gradient, counts, target)
 
     ascent_tol = max(tol, 1e-6)
     w = np.zeros(len(constraints))
@@ -181,8 +188,7 @@ def solve_maxent(
         if grad_norm < tol:
             break
         iterations += 1
-        scores = counts @ w
-        p = np.exp(scores - logsumexp(scores))
+        _, p = _distribution(counts, w)
         mean = counts.T @ p
         cov = (counts * p[:, None]).T @ counts - np.outer(mean, mean)
         cov[np.diag_indices_from(cov)] += 1e-14 * (1.0 + cov.diagonal())
@@ -202,9 +208,7 @@ def solve_maxent(
             _raise_not_realizable(constraints, space, kind, weight_cap)
     if grad_norm >= tol:
         _raise_not_realizable(constraints, space, kind, weight_cap, stalled=True)
-    scores = counts @ w
-    lse = float(logsumexp(scores))
-    p = np.exp(scores - lse)
+    lse, p = _distribution(counts, w)
     grad = target - counts.T @ p
     achieved = tuple(float(x) for x in (counts.T @ p) / norms)
     return MaxEntModel(
@@ -254,8 +258,7 @@ def model_probability(model: MaxEntModel, world) -> float:
 
 def model_distribution(model: MaxEntModel) -> ExplicitDistribution:
     counts = model.space.count_matrix(model.formulas, model.kind)
-    scores = counts.astype(float) @ model.weights
-    p = np.exp(scores - logsumexp(scores))
+    _, p = _distribution(counts.astype(float), model.weights)
     p = p / p.sum()
     return ExplicitDistribution(model.space, tuple(float(x) for x in p))
 
@@ -395,14 +398,12 @@ def log_likelihood_duality_check(
             exc.boundary,
             str(exc),
         )
-    counts, norms, _ = _features(constraints, space, kind)
+    counts, norms, theta_f = _features(constraints, space, kind)
     train_counts = counts[space.world_index(space.encode(train))]
-    scores = counts @ model.weights
-    lse = float(logsumexp(scores))
-    p = np.exp(scores - lse)
+    lse, p = _distribution(counts, model.weights)
     ll = float(train_counts @ model.weights) - lse
     ll_grad = train_counts - counts.T @ p
-    dual_value = float(model.weights @ (np.array([float(t) for t in theta]) * norms)) - lse
+    dual_value = float(model.weights @ (theta_f * norms)) - lse
     return DualityReport(
         theta,
         tuple(float(x) for x in model.weights),
@@ -452,12 +453,17 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
 
 
 def distribution_statistic(dist: ExplicitDistribution, f: Formula, kind: ModelKind):
-    """Mixture statistic E_dist[statistic(f, world)]; exact for exact inputs."""
+    """Mixture statistic E_dist[statistic(f, world)]; exact for exact inputs.
+
+    Per-world counts come from the space's cached count matrix.
+    """
+    counts = dist.space.count_matrix((f,), kind)[:, 0]
+    norm = int(dist.space.normalizers((f,), kind)[0])
     total = 0
-    for idx, p in enumerate(dist.probs):
+    for p, count in zip(dist.probs, counts):
         if p == 0:
             continue
-        total += p * statistic(f, dist.space.world_example(int(dist.space.worlds[idx])), kind)
+        total += p * Fraction(int(count), norm)
     return total
 
 

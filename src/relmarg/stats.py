@@ -11,19 +11,23 @@ Two sampling models, and the asymmetry between them is the whole point:
   constant set whose grounded body holds.  Only injective assignments count,
   and only universally quantified formulas are admitted.
 
-All statistics are computed by exhaustive enumeration and returned as
-``fractions.Fraction``; convert at the boundary if floats are wanted.
+Both are the fraction of a formula's groundings that hold; they differ only
+in what a grounding is.  ``normalizer``, ``groundings`` and ``grounding_test``
+are the only code that knows, and every statistic in the package goes
+through them.  All statistics are computed by exhaustive enumeration and
+returned as ``fractions.Fraction``; convert at the boundary if floats are
+wanted.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .data import CanonicalForm, GlobalExample, as_local, canonicalize, fragment
 from .errors import DomainError, FormulaSyntaxError
@@ -70,12 +74,13 @@ def formula_width(kind: ModelKind, f: Formula) -> int:
     return len(vars_of(f))
 
 
-def _validate_formula(f: Formula, example: GlobalExample):
+def check_formula(f: Formula, vocabulary: Mapping[str, int]):
+    """Raise unless ``f`` is closed, constant-free and fits ``vocabulary``."""
     if free_vars(f):
         raise DomainError(f"formula is not closed: {format_formula(f)}")
     if constants_of(f):
         raise DomainError(f"formula must be constant-free: {format_formula(f)}")
-    merge_vocabulary(vocabulary_of(f), example.vocabulary())
+    merge_vocabulary(vocabulary_of(f), vocabulary)
 
 
 def universal_parts(f: Formula) -> tuple[tuple[Var, ...], Formula]:
@@ -95,26 +100,63 @@ def universal_parts(f: Formula) -> tuple[tuple[Var, ...], Formula]:
 
 
 # ---------------------------------------------------------------------------
-# Model A
+# groundings: the only code that knows what Model A and Model B sample
 
-def count_fragments_satisfying(f: Formula, example: GlobalExample, k: int) -> int:
-    """Number of size-k constant subsets whose fragment satisfies ``f``."""
-    _validate_formula(f, example)
-    if not 1 <= k <= len(example.constants):
-        raise DomainError(f"width {k} outside 1..{len(example.constants)}")
-    return count_fragments_over(f, example.atoms, example.constants, k)
+def normalizer(f: Formula, kind: ModelKind, n: int) -> int:
+    """Number of groundings of ``f`` over ``n`` constants: C(n, k) size-k
+    subsets for Model A, P(n, v) injective substitutions of the v prefix
+    variables for Model B."""
+    if isinstance(kind, ModelA):
+        if not 1 <= kind.width <= n:
+            raise DomainError(f"width {kind.width} outside 1..{n}")
+        return math.comb(n, kind.width)
+    v = len(universal_parts(f)[0])
+    if v > n:
+        raise DomainError(f"formula has {v} variables but the domain has {n} constants")
+    return math.perm(n, v)
 
 
-def count_fragments_over(f, atoms, constants, k) -> int:
-    # atoms within a subset agree with the fragment's atoms, so evaluating
-    # over the subset as domain avoids building fragment objects
-    return sum(1 for s in itertools.combinations(constants, k) if holds(f, atoms, s))
+def groundings(
+    f: Formula, kind: ModelKind, constants: Sequence[str]
+) -> Iterator[tuple[str, ...]]:
+    """The groundings ``normalizer`` counts, in a fixed order."""
+    if isinstance(kind, ModelA):
+        return itertools.combinations(constants, kind.width)
+    return itertools.permutations(constants, len(universal_parts(f)[0]))
+
+
+def grounding_test(f: Formula, kind: ModelKind) -> Callable[[frozenset, tuple[str, ...]], bool]:
+    """``test(atoms, grounding)``: whether ``f`` holds at one grounding.
+
+    Model A evaluates ``f`` with the subset as the domain: atoms inside the
+    subset are exactly the fragment's atoms, so no fragment is built.  Model
+    B evaluates the matrix under the substitution.
+    """
+    if isinstance(kind, ModelA):
+        return functools.partial(holds, f)
+    vs, matrix = universal_parts(f)
+    names = [v.name for v in vs]
+    return lambda atoms, combo: holds(matrix, atoms, (), dict(zip(names, combo)))
+
+
+def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
+    """The marginal statistic of ``f`` under the chosen model: the fraction
+    of its groundings in ``example`` that hold."""
+    check_formula(f, example.vocabulary())
+    total = normalizer(f, kind, len(example.constants))
+    test, atoms = grounding_test(f, kind), example.atoms
+    hits = sum(1 for g in groundings(f, kind, example.constants) if test(atoms, g))
+    return Fraction(hits, total)
 
 
 def prob_model_a(f: Formula, example: GlobalExample, k: int) -> Fraction:
     """Probability that the fragment over a uniform size-k subset satisfies ``f``."""
-    count = count_fragments_satisfying(f, example, k)
-    return Fraction(count, math.comb(len(example.constants), k))
+    return statistic(f, example, ModelA(k))
+
+
+def prob_model_b(f: Formula, example: GlobalExample) -> Fraction:
+    """Fraction of injective substitutions under which the matrix holds."""
+    return statistic(f, example, MODEL_B)
 
 
 def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalForm, Fraction]:
@@ -136,102 +178,22 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
 
 
 # ---------------------------------------------------------------------------
-# Model B
-
-def count_true_groundings(f: Formula, example: GlobalExample) -> int:
-    """Number of injective groundings of the matrix that hold in ``example``."""
-    _validate_formula(f, example)
-    vs, matrix = universal_parts(f)
-    if len(vs) > len(example.constants):
-        raise DomainError(
-            f"formula has {len(vs)} variables but the domain has {len(example.constants)} constants"
-        )
-    return count_injective_groundings(matrix, vs, example.atoms, example.constants)
-
-
-def count_injective_groundings(matrix, vs, atoms, constants) -> int:
-    names = [v.name for v in vs]
-    count = 0
-    for combo in itertools.permutations(constants, len(names)):
-        if holds(matrix, atoms, (), env=dict(zip(names, combo))):
-            count += 1
-    return count
-
-
-def num_injective_substitutions(domain_size: int, var_count: int) -> int:
-    return math.perm(domain_size, var_count)
-
-
-def prob_model_b(f: Formula, example: GlobalExample) -> Fraction:
-    """Fraction of injective substitutions under which the matrix holds."""
-    vs, _ = universal_parts(f)
-    count = count_true_groundings(f, example)
-    return Fraction(count, num_injective_substitutions(len(example.constants), len(vs)))
-
-
-# ---------------------------------------------------------------------------
-# shared entry points
-
-def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
-    """The marginal statistic of ``f`` under the chosen model."""
-    if isinstance(kind, ModelA):
-        return prob_model_a(f, example, kind.width)
-    return prob_model_b(f, example)
-
-
-def monte_carlo_estimate(
-    f: Formula,
-    example: GlobalExample,
-    kind: ModelKind,
-    samples: int,
-    rng: random.Random,
-) -> Fraction:
-    """Unbiased sampling estimate of ``statistic(f, example, kind)``."""
-    _validate_formula(f, example)
-    if samples < 1:
-        raise DomainError("sample count must be positive")
-    constants = example.constants
-    hits = 0
-    if isinstance(kind, ModelA):
-        if not 1 <= kind.width <= len(constants):
-            raise DomainError(f"width {kind.width} outside 1..{len(constants)}")
-        for _ in range(samples):
-            subset = rng.sample(constants, kind.width)
-            if holds(f, example.atoms, subset):
-                hits += 1
-    else:
-        vs, matrix = universal_parts(f)
-        names = [v.name for v in vs]
-        if len(names) > len(constants):
-            raise DomainError("more variables than constants")
-        for _ in range(samples):
-            combo = rng.sample(constants, len(names))
-            if holds(matrix, example.atoms, (), env=dict(zip(names, combo))):
-                hits += 1
-    return Fraction(hits, samples)
-
-
-# ---------------------------------------------------------------------------
 # constraint sets
 
 @dataclass(frozen=True)
 class MarginalConstraint:
     """A formula paired with its target marginal value.
 
-    ``theta`` is an exact ``Fraction`` when given as p/q and a float when
-    given as a decimal.
+    ``theta`` is an exact ``Fraction`` when read from text (``p/q``, an
+    integer, or a decimal, which converts exactly) and a float when given as
+    a JSON number.
     """
 
     formula: Formula
     theta: Fraction | float
 
     def __post_init__(self):
-        if free_vars(self.formula):
-            raise DomainError(f"constraint formula is not closed: {format_formula(self.formula)}")
-        if constants_of(self.formula):
-            raise DomainError(
-                f"constraint formula must be constant-free: {format_formula(self.formula)}"
-            )
+        check_formula(self.formula, {})
         if not 0 <= self.theta <= 1:
             raise DomainError(f"theta {self.theta} outside [0, 1]")
 
@@ -255,12 +217,8 @@ def parse_constraints(text: str, source: str = "<constraints>") -> list[Marginal
             entries = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormulaSyntaxError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno, source)
-        out = []
-        for entry in entries:
-            theta = entry["theta"]
-            theta = parse_theta(theta) if isinstance(theta, str) else float(theta)
-            out.append(MarginalConstraint(parse_formula(entry["formula"], source=source), theta))
-        return out
+        return [_json_constraint(entry, f"{source}: entry {i}")
+                for i, entry in enumerate(entries, start=1)]
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -272,6 +230,25 @@ def parse_constraints(text: str, source: str = "<constraints>") -> list[Marginal
         f = parse_formula(formula_text.strip(), source=f"{source}:{lineno}")
         out.append(MarginalConstraint(f, parse_theta(theta_text)))
     return out
+
+
+def _json_constraint(entry, where: str) -> MarginalConstraint:
+    try:
+        if not isinstance(entry, dict):
+            raise DomainError("expected an object with 'formula' and 'theta' fields")
+        formula, theta = entry.get("formula"), entry.get("theta")
+        if not isinstance(formula, str):
+            raise DomainError("'formula' must be a string")
+        if isinstance(theta, str):
+            theta = parse_theta(theta)
+        elif isinstance(theta, (int, float)) and not isinstance(theta, bool):
+            theta = float(theta)
+        else:
+            got = json.dumps(theta) if "theta" in entry else "nothing"
+            raise DomainError(f"'theta' must be a number or a string, got {got}")
+        return MarginalConstraint(parse_formula(formula, source=where), theta)
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from None
 
 
 def format_constraints(constraints: Iterable[MarginalConstraint]) -> str:

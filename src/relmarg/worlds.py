@@ -11,7 +11,6 @@ in it by design.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -21,13 +20,7 @@ import numpy as np
 from .data import GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
 from .logic import Formula, constants_of, free_vars, holds, merge_vocabulary, vocabulary_of
-from .stats import (
-    ModelA,
-    ModelKind,
-    count_fragments_over,
-    count_injective_groundings,
-    universal_parts,
-)
+from .stats import ModelKind, check_formula, grounding_test, groundings, normalizer
 
 DEFAULT_ATOM_CAP = 24
 
@@ -82,21 +75,8 @@ class WorldSpace:
     def normalizers(self, formulas: Sequence[Formula], kind: ModelKind) -> np.ndarray:
         """Statistic denominators: subset count for Model A, injective
         substitution count per formula for Model B."""
-        m = len(self.constants)
-        out = []
-        for f in formulas:
-            if isinstance(kind, ModelA):
-                if not 1 <= kind.width <= m:
-                    raise DomainError(f"width {kind.width} outside 1..{m}")
-                out.append(math.comb(m, kind.width))
-            else:
-                vs, _ = universal_parts(f)
-                if len(vs) > m:
-                    raise DomainError(
-                        f"formula has {len(vs)} variables but the domain has {m} constants"
-                    )
-                out.append(math.perm(m, len(vs)))
-        return np.array(out, dtype=np.int64)
+        n = len(self.constants)
+        return np.array([normalizer(f, kind, n) for f in formulas], dtype=np.int64)
 
     def count_matrix(self, formulas: Sequence[Formula], kind: ModelKind) -> np.ndarray:
         """Unnormalized statistic counts, one row per world, one column per formula."""
@@ -105,20 +85,17 @@ class WorldSpace:
         if cached is not None:
             return cached
         for f in formulas:
-            if free_vars(f):
-                raise DomainError("constraint formulas must be closed")
-            merge_vocabulary(vocabulary_of(f), self.vocabulary)
+            check_formula(f, self.vocabulary)
         self.normalizers(formulas, kind)  # width/variable-count validation
-        parts = None if isinstance(kind, ModelA) else [universal_parts(f) for f in formulas]
+        plans = [
+            (grounding_test(f, kind), tuple(groundings(f, kind, self.constants)))
+            for f in formulas
+        ]
         out = np.zeros((len(self.worlds), len(formulas)), dtype=np.int64)
         for w, bits in enumerate(self.worlds):
             atoms = self.world_atoms(int(bits))
-            for j, f in enumerate(formulas):
-                if isinstance(kind, ModelA):
-                    out[w, j] = count_fragments_over(f, atoms, self.constants, kind.width)
-                else:
-                    vs, matrix = parts[j]
-                    out[w, j] = count_injective_groundings(matrix, vs, atoms, self.constants)
+            for j, (test, grounds) in enumerate(plans):
+                out[w, j] = sum(1 for g in grounds if test(atoms, g))
         self._counts[key] = out
         return out
 

@@ -187,6 +187,18 @@ def test_maxent_writes_model_json(capsys, files, tmp_path):
     assert model["grad_norm"] < 1e-9
 
 
+def test_maxent_malformed_json_constraints_exit_1(capsys, files, tmp_path):
+    facts = files("r.facts", R_FACTS)
+    cons = files("bad.json", '[{"formula": "exists X: r(X)", "theta": null}]')
+    code, out, err = run_cli(
+        capsys, "maxent", "--facts", facts, "--constraints", cons,
+        "--model", "A", "--width", "1", "--out", str(tmp_path / "never.json"),
+    )
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and "bad.json: entry 1: 'theta'" in err
+
+
 def test_maxent_unrealizable_emits_diagnosis_and_exits_2(capsys, files, tmp_path):
     facts = files("pg.facts", "@constants c1, c2, c3\nr(c1)\n")
     cons = files("pg.constraints", "1 ; exists X, Y: X != Y & r(X) & ~r(Y)\n")

@@ -1,10 +1,14 @@
 """Sampling estimators, their error bounds, and experiment plumbing."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_stats import B_POOL
 
 from relmarg.errors import DomainError
 from relmarg.estimation import (
@@ -17,7 +21,7 @@ from relmarg.estimation import (
     run_error_experiment,
     sample_subexample,
 )
-from relmarg.logic import parse_formula
+from relmarg.logic import Const, apply_substitution, evaluate, parse_formula
 from relmarg.stats import MODEL_B, ModelA, statistic
 
 
@@ -147,6 +151,41 @@ def test_disjoint_sample_estimator_is_unbiased_on_average():
     assert abs(total / n - exact) < Fraction(1, 25)
 
 
+def _replayed_substitution_estimate(example, f, rng, universe):
+    """Replays the estimator's draws for a ``forall`` formula, grounds each
+    substitution with ``apply_substitution`` and evaluates it on the whole
+    structure."""
+    vs = f.vars
+    q = len(example.constants) // len(vs)
+    index_sets = [tuple(rng.sample(range(universe), len(vs))) for _ in range(q)]
+    union = sorted(set(itertools.chain.from_iterable(index_sets)))
+    g = dict(zip(union, rng.sample(example.constants, len(union))))
+    hits = sum(
+        evaluate(apply_substitution(f, {v: Const(g[i]) for v, i in zip(vs, idx)}), example)
+        for idx in index_sets
+    )
+    return Fraction(hits, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(B_POOL),
+    st.integers(3, 7),
+    st.integers(0, 5),
+)
+def test_disjoint_sample_estimator_substitutions_match_replayed_oracle(
+    seed, text, n, extra
+):
+    f = parse_formula(text)
+    truth = random_structure(n, {"r": 1, "e": 2}, 0.5, random.Random(seed))
+    got = disjoint_sample_estimator(
+        truth, f, MODEL_B, random.Random(seed), universe_size=n + extra
+    )
+    want = _replayed_substitution_estimate(truth, f, random.Random(seed), n + extra)
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # random structures
 
@@ -201,23 +240,6 @@ def test_experiment_respects_bound_on_easy_instance():
     assert report.mean_error == sum(report.trial_errors, Fraction(0)) / 200
     assert float(report.mean_error) <= report.bound
     assert report.passed
-
-
-def test_experiment_thread_count_invariance(monkeypatch):
-    monkeypatch.setenv("RELMARG_THREADS", "3")
-    threaded = run_error_experiment(_config())
-    monkeypatch.delenv("RELMARG_THREADS")
-    serial = run_error_experiment(_config())
-    assert threaded == serial
-
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("RELMARG_THREADS", "zero")
-    with pytest.raises(DomainError):
-        run_error_experiment(_config())
-    monkeypatch.setenv("RELMARG_THREADS", "0")
-    with pytest.raises(DomainError):
-        run_error_experiment(_config())
 
 
 def test_experiment_config_validation():

@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_stats import A_POOL, B_POOL
 
 from relmarg.data import GlobalExample
 from relmarg.errors import DomainError, NotRealizableError
@@ -302,3 +305,33 @@ def test_distribution_statistic_is_mixture_of_world_statistics():
     point[SPACE_R3.world_index(SPACE_R3.encode(target))] = Fraction(1)
     dist = ExplicitDistribution(SPACE_R3, tuple(point))
     assert distribution_statistic(dist, f, ModelA(2)) == statistic(f, target, ModelA(2))
+
+
+SPACE_RE2 = enumerate_worlds(["a", "b"], {"r": 1, "e": 2})
+
+
+def _per_world_mixture(dist, f, kind):
+    """The definition: sum over worlds of p(world) * statistic(f, world)."""
+    space = dist.space
+    return sum(
+        (p * statistic(f, space.world_example(int(bits)), kind)
+         for p, bits in zip(dist.probs, space.worlds)),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=len(SPACE_RE2), max_size=len(SPACE_RE2)).filter(any),
+    st.sampled_from(
+        [(t, ModelA(k)) for t in A_POOL for k in (1, 2)]
+        + [(t, MODEL_B) for t in B_POOL if "Z" not in t]
+    ),
+)
+def test_distribution_statistic_matches_per_world_definition(weights, case):
+    text, kind = case
+    f = parse_formula(text)
+    dist = ExplicitDistribution(
+        SPACE_RE2, tuple(Fraction(w, sum(weights)) for w in weights)
+    )
+    assert distribution_statistic(dist, f, kind) == _per_world_mixture(dist, f, kind)

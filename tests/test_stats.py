@@ -15,10 +15,8 @@ from relmarg.stats import (
     MODEL_B,
     MarginalConstraint,
     ModelA,
-    count_true_groundings,
     format_constraints,
     marginal_distribution_a,
-    monte_carlo_estimate,
     parse_constraints,
     parse_theta,
     prob_model_a,
@@ -104,10 +102,6 @@ def test_full_width_subset_stat_is_plain_evaluation():
 def test_width_one_substitution_counts_satisfied_singletons():
     f = parse_formula("forall X: sm(X)")
     assert prob_model_b(f, FRIENDS) == Fraction(1, 3)
-
-
-def test_count_true_groundings():
-    assert count_true_groundings(ALPHA, FRIENDS) == 3  # of perm(3,2) = 6
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +224,6 @@ def test_statistics_are_probabilities(seed):
 
 
 # ---------------------------------------------------------------------------
-# monte carlo
-
-def test_monte_carlo_estimate_converges():
-    rng = random.Random(7)
-    est = monte_carlo_estimate(ALPHA, FRIENDS, ModelA(2), 4000, rng)
-    assert abs(est - Fraction(1, 3)) < Fraction(1, 20)
-    rng = random.Random(7)
-    est_b = monte_carlo_estimate(BETA, FRIENDS, MODEL_B, 4000, rng)
-    assert abs(est_b - Fraction(2, 3)) < Fraction(1, 20)
-
-
-def test_monte_carlo_is_seed_deterministic():
-    a = monte_carlo_estimate(ALPHA, FRIENDS, ModelA(2), 100, random.Random(3))
-    b = monte_carlo_estimate(ALPHA, FRIENDS, ModelA(2), 100, random.Random(3))
-    assert a == b
-
-
-# ---------------------------------------------------------------------------
 # constraint files
 
 def test_parse_theta_forms():
@@ -294,3 +270,33 @@ def test_constraint_theta_must_be_probability():
 def test_bad_constraint_line_is_reported_with_position():
     with pytest.raises((DomainError, FormulaSyntaxError)):
         parse_constraints("1/3 exists X: r(X)")
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ('[{"formula": "exists X: r(X)"}]', "got nothing"),
+        ('[{"formula": "exists X: r(X)", "theta": null}]', "got null"),
+        ('[{"formula": "exists X: r(X)", "theta": true}]', "got true"),
+        ('[{"formula": "exists X: r(X)", "theta": "1/2"}, 7]', "entry 2: expected an object"),
+        ('[{"theta": "1/2"}]', "'formula' must be a string"),
+        ('[{"formula": "exists X: r(X)", "theta": "x"}]', "bad theta value"),
+        ('[{"formula": "exists X: r(X)", "theta": 2}]', "outside [0, 1]"),
+    ],
+)
+def test_malformed_json_constraints_name_source_and_entry(text, fragment):
+    with pytest.raises(DomainError) as exc:
+        parse_constraints(text, source="t.json")
+    message = str(exc.value)
+    assert message.startswith("t.json: entry ")
+    assert fragment in message
+
+
+def test_json_constraint_numbers_are_floats_and_strings_exact():
+    text = (
+        '[{"formula": "exists X: r(X)", "theta": 0.4},'
+        ' {"formula": "forall X: r(X)", "theta": "0.4"}]'
+    )
+    number, string = parse_constraints(text)
+    assert number.theta == 0.4 and isinstance(number.theta, float)
+    assert string.theta == Fraction(2, 5)

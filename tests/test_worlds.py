@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_stats import A_POOL, B_POOL
 
 from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
@@ -142,6 +145,30 @@ def test_count_matrix_validates_formulas():
     # arity conflict with the space's vocabulary
     with pytest.raises(VocabularyError):
         space.count_matrix([parse_formula("forall X, Y: r(X, Y)")], MODEL_B)
+    # constant-bearing formulas have no statistic, so they have no counts either
+    space3 = enumerate_worlds(["c1", "c2", "c3"], {"r": 1})
+    with pytest.raises(DomainError):
+        space3.count_matrix([parse_formula("exists X: r(X) & r(c1)")], ModelA(1))
+
+
+POOL_SPACE = enumerate_worlds(["c0", "c1", "c2"], {"r": 1, "e": 2})
+POOL_FORMULAS = {
+    "A": tuple(parse_formula(t) for t in A_POOL),
+    "B": tuple(parse_formula(t) for t in B_POOL),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["A1", "A2", "A3", "B"]), st.integers(0, len(POOL_SPACE) - 1))
+def test_count_matrix_rows_are_scaled_statistics(kind_name, idx):
+    kind = MODEL_B if kind_name == "B" else ModelA(int(kind_name[1]))
+    formulas = POOL_FORMULAS[kind_name[0]]
+    row = POOL_SPACE.count_matrix(formulas, kind)[idx]
+    norms = POOL_SPACE.normalizers(formulas, kind)
+    world = POOL_SPACE.world_example(int(POOL_SPACE.worlds[idx]))
+    assert [int(c) for c in row] == [
+        statistic(f, world, kind) * int(n) for f, n in zip(formulas, norms)
+    ]
 
 
 def test_count_matrix_is_cached():
