@@ -58,13 +58,13 @@ def _value(x) -> dict:
     return {"decimal": float(f), "rational": str(f)}
 
 
-def _model_kind(model: str, width: int | None) -> ModelKind:
+def _model_kind(model: str, width: int | None, flag: str = "--width") -> ModelKind:
     if model == "A":
         if width is None:
-            raise ToolkitError("model A needs --width")
+            raise ToolkitError(f"model A needs {flag}")
         return ModelA(width)
     if width is not None:
-        raise ToolkitError("model B derives widths from formulas; drop --width")
+        raise ToolkitError(f"model B derives widths from formulas; drop {flag}")
     return MODEL_B
 
 
@@ -91,7 +91,7 @@ def _csv_table(header, rows) -> str:
     return buf.getvalue()
 
 
-def _target_space(constants, vocab, kind, formulas, hard=()):
+def _target_space(constants, vocab, formulas, hard=()):
     merged = merge_vocabulary(vocab, *(vocabulary_of(f) for f in formulas))
     for rule in hard:
         merged = merge_vocabulary(merged, vocabulary_of(rule))
@@ -187,7 +187,6 @@ def cmd_maxent(args) -> int:
     space = _target_space(
         example.constants,
         example.vocabulary(),
-        kind,
         [c.formula for c in constraints],
         hard,
     )
@@ -230,7 +229,7 @@ def cmd_polytope(args) -> int:
     kind = _model_kind(args.model, args.width)
     formulas = [c.formula for c in constraints]
     constants = [f"c{i}" for i in range(1, args.size + 1)]
-    space = _target_space(constants, vocab_example.vocabulary(), kind, formulas)
+    space = _target_space(constants, vocab_example.vocabulary(), formulas)
     poly = polytope_vertices(formulas, space, kind)
     theta = [c.theta for c in constraints]
     verdict = realizability_check(theta, formulas, space, kind)
@@ -260,14 +259,7 @@ def cmd_polytope(args) -> int:
 def cmd_estimate(args) -> int:
     truth = read_facts(args.ground_truth)
     constraints = read_constraints(args.constraints)
-    if args.model == "A":
-        if args.k is None:
-            raise ToolkitError("model A needs --k")
-        kind: ModelKind = ModelA(args.k)
-    else:
-        if args.k is not None:
-            raise ToolkitError("model B derives widths from formulas; drop --k")
-        kind = MODEL_B
+    kind = _model_kind(args.model, args.k, "--k")
     cfg = ExperimentConfig(
         truth,
         args.m,
@@ -368,7 +360,7 @@ def cmd_pipeline(args) -> int:
     )
     constants = [f"c{i}" for i in range(1, n + 1)]
     try:
-        space = _target_space(constants, train.vocabulary(), kind, formulas)
+        space = _target_space(constants, train.vocabulary(), formulas)
     except CapExceededError as exc:
         payload["note"] = (
             f"{exc}; reduce the target size or the vocabulary to solve exactly"

@@ -79,9 +79,6 @@ class GlobalExample:
             vocab[atom.pred] = len(atom.args)
         return vocab
 
-    def index(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.constants)}
-
     def __str__(self):
         atoms = ", ".join(str(a) for a in sorted(self.atoms, key=lambda a: (a.pred, a.args)))
         return f"({{{atoms}}}, {{{', '.join(self.constants)}}})"
@@ -180,45 +177,6 @@ def as_local(example: GlobalExample) -> LocalExample:
     relabel = {c: i for i, c in enumerate(example.constants, start=1)}
     atoms = frozenset((a.pred, tuple(relabel[arg] for arg in a.args)) for a in example.atoms)
     return LocalExample(len(example.constants), atoms)
-
-
-def local_class(example: GlobalExample, subset: Iterable[str]) -> frozenset[LocalExample]:
-    """All local examples isomorphic to the fragment over ``subset``.
-
-    Every bijection subset -> {1..k} contributes one labelling; the class size
-    is k! divided by the fragment's automorphism count.
-    """
-    frag = fragment(example, subset)
-    k = len(frag.constants)
-    _check_width(k)
-    out = set()
-    for perm in itertools.permutations(range(1, k + 1)):
-        relabel = dict(zip(frag.constants, perm))
-        atoms = frozenset(
-            (a.pred, tuple(relabel[arg] for arg in a.args)) for a in frag.atoms
-        )
-        out.add(LocalExample(k, atoms))
-    return frozenset(out)
-
-
-def is_isomorphic(a: GlobalExample, b: GlobalExample, cap: int = ISO_WIDTH_CAP) -> bool:
-    """Exhaustive isomorphism test between two global examples (width-capped)."""
-    if len(a.constants) != len(b.constants):
-        return False
-    if len(a.constants) > cap:
-        raise CapExceededError(
-            f"isomorphism search over width {len(a.constants)} exceeds cap {cap}",
-            len(a.constants),
-            cap,
-        )
-    if len(a.atoms) != len(b.atoms):
-        return False
-    for perm in itertools.permutations(b.constants):
-        relabel = dict(zip(a.constants, perm))
-        image = {GroundAtom(t.pred, tuple(relabel[arg] for arg in t.args)) for t in a.atoms}
-        if image == b.atoms:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 from .data import CanonicalForm, GlobalExample, GroundAtom
 from .errors import DomainError
+from .stats import ModelA, formula_width
 
 
 def congruent(i: int, j: int, n: int) -> bool:
@@ -72,8 +73,6 @@ def required_expansion_level(kind, formulas: Iterable) -> int:
     For fragment statistics this is the subset width; for substitution
     statistics, the largest variable count among the formulas.
     """
-    from .stats import ModelA, formula_width
-
     if isinstance(kind, ModelA):
         return kind.width
     widths = [formula_width(kind, f) for f in formulas]

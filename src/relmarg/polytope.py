@@ -2,10 +2,11 @@
 
 The polytope is the convex hull of the per-world normalized statistic
 vectors; a target vector is realizable by some distribution over worlds iff
-it lies in the hull.  Distances are computed with a nearest-point iteration
-over the vertex set (Frank-Wolfe steps with away steps and an affine polish
-on the active support), so membership queries are reliable down to the 1e-8
-declaration threshold.
+it lies in the hull.  Distances come from Wolfe's nearest-point algorithm
+(Wolfe 1976), which is finite and exact up to floating-point rounding: it
+walks through affinely independent vertex subsets, each time projecting onto
+the subset's affine hull, so membership queries are reliable well below the
+1e-8 declaration threshold.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .stats import ModelKind
 from .worlds import WorldSpace
 
 MEMBERSHIP_TOL = 1e-8
-GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,38 +75,16 @@ def polytope_vertices(
     )
 
 
-def _affine_polish(vs: np.ndarray, p: np.ndarray, weights: dict[int, float], x: np.ndarray):
-    """Minimize over the affine hull of the active vertices; accept the result
-    only if it stays a convex combination and does not increase the distance."""
-    active = sorted(weights)
-    base = vs[active[0]]
-    if len(active) == 1:
-        return x, weights
-    d = (vs[active[1:]] - base).T
-    alpha, *_ = np.linalg.lstsq(d, p - base, rcond=None)
-    lam = np.concatenate(([1.0 - alpha.sum()], alpha))
-    if lam.min() < -1e-10:
-        return x, weights
-    lam = np.clip(lam, 0.0, None)
-    total = lam.sum()
-    if total <= 0:
-        return x, weights
-    lam /= total
-    candidate = (lam[None, :] @ vs[active]).ravel()
-    if np.linalg.norm(candidate - p) <= np.linalg.norm(x - p) + 1e-15:
-        new_weights = {a: float(l) for a, l in zip(active, lam) if l > 1e-15}
-        if new_weights:
-            return candidate, new_weights
-    return x, weights
+def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
+    """Euclidean distance from ``point`` to the convex hull of the vertices.
 
-
-def hull_distance(
-    point: Sequence[float],
-    polytope: MarginalPolytope,
-    gap_tol: float = GAP_TOL,
-    max_iter: int = 20000,
-) -> float:
-    """Euclidean distance from ``point`` to the convex hull of the vertices."""
+    Wolfe's nearest-point algorithm on the vertices shifted by ``point``: a
+    corral of vertices with convex weights ``lam`` holds the current point x.
+    A major step adds the vertex that most decreases the linear bound; minor
+    steps move x to the affine nearest point of the corral, dropping vertices
+    whose weight would turn non-positive.  The loop ends when no vertex
+    improves on x or |x|^2 stops decreasing.
+    """
     if len(point) != polytope.dim:
         raise DomainError(
             f"point has dimension {len(point)}, polytope has {polytope.dim}"
@@ -114,46 +92,49 @@ def hull_distance(
     if polytope.dim == 0:
         return 0.0
     p = np.array([float(c) for c in point], dtype=float)
-    vs = np.array(polytope.vertices, dtype=float)
-    start = int(np.argmin(((vs - p) ** 2).sum(axis=1)))
-    x = vs[start].copy()
-    weights: dict[int, float] = {start: 1.0}
-    for it in range(max_iter):
-        g = x - p
-        scores = vs @ g
-        s = int(np.argmin(scores))
-        here = float(g @ x)
-        gap = here - float(scores[s])
-        if gap < gap_tol:
+    vs = np.array(polytope.vertices, dtype=float) - p
+    sq = (vs * vs).sum(axis=1)
+    tol = 1e-12 * float(sq.max())
+    corral = [int(np.argmin(sq))]
+    lam = np.ones(1)
+    x = vs[corral[0]]
+    best = float(x @ x)
+    while True:
+        scores = vs @ x
+        j = int(np.argmin(scores))
+        if best - float(scores[j]) <= tol or j in corral:
             break
-        away = max(weights, key=lambda i: scores[i])
-        if gap >= float(scores[away]) - here or len(weights) == 1:
-            direction = vs[s] - x
-            t_max = 1.0
-            target, is_fw = s, True
-        else:
-            direction = x - vs[away]
-            wa = weights[away]
-            t_max = wa / (1.0 - wa) if wa < 1.0 else 1.0
-            target, is_fw = away, False
-        denom = float(direction @ direction)
-        if denom <= 0:
+        corral.append(j)
+        lam = np.append(lam, 0.0)
+        while True:
+            k = len(corral)
+            s = vs[corral]
+            system = np.ones((k + 1, k + 1))
+            system[:k, :k] = s @ s.T
+            system[k, k] = 0.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            mu = np.linalg.lstsq(system, rhs, rcond=None)[0][:k]
+            if (mu > 0).all():
+                lam = mu
+                break
+            # step toward mu until the first weight reaches zero; a weight
+            # that is zero already (the vertex just added) gives a step of 0
+            blocking = np.flatnonzero(mu <= 0)
+            steps = lam[blocking] / np.maximum(lam[blocking] - mu[blocking], 1e-300)
+            first = int(np.argmin(steps))
+            theta = float(steps[first])
+            lam = lam + theta * (mu - lam)
+            lam[blocking[first]] = 0.0
+            keep = lam > 0
+            corral = [c for c, kept in zip(corral, keep) if kept]
+            lam = lam[keep]
+        y = lam @ vs[corral]
+        norm = float(y @ y)
+        if norm >= best:
             break
-        t = min(max(-float(g @ direction) / denom, 0.0), t_max)
-        if t <= 0:
-            break
-        x = x + t * direction
-        if is_fw:
-            weights = {i: w * (1.0 - t) for i, w in weights.items()}
-            weights[target] = weights.get(target, 0.0) + t
-        else:
-            weights = {i: w * (1.0 + t) for i, w in weights.items()}
-            weights[target] -= t
-        weights = {i: w for i, w in weights.items() if w > 1e-15}
-        if (it + 1) % 50 == 0:
-            x, weights = _affine_polish(vs, p, weights, x)
-    x, _ = _affine_polish(vs, p, weights, x)
-    return float(np.linalg.norm(x - p))
+        x, best = y, norm
+    return float(np.linalg.norm(x))
 
 
 def is_member(point: Sequence[float], polytope: MarginalPolytope) -> bool:

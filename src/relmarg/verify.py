@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .data import GlobalExample, GroundAtom, fragment
-from .errors import NotRealizableError
-from .expansion import expand, expansion_diff_bound, gamma, mixture_residual
+from .errors import DomainError, NotRealizableError
+from .expansion import expand, expansion_diff_bound, gamma, mixture_residual, noisy_expand
 from .fixtures import load_constraints, load_example
 from .logic import evaluate, parse_formula, unsatisfied_rules
 from .maxent import (
@@ -717,8 +717,6 @@ def _suite_determinism() -> list[CheckResult]:
         and repr(runs[0].log_partition) == repr(runs[1].log_partition)
     )
     _check(out, "solver output is bitwise reproducible", same, repr(list(runs[0].weights)))
-    from .expansion import noisy_expand
-
     base = load_example("path")
     n1 = noisy_expand(base, 2, 0.4, random.Random(99))
     n2 = noisy_expand(base, 2, 0.4, random.Random(99))
@@ -748,8 +746,6 @@ def available_suites() -> tuple[str, ...]:
 
 def run_suite(name: str) -> SuiteResult:
     if name not in _SUITES:
-        from .errors import DomainError
-
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(_SUITES)}"
         )

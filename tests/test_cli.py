@@ -306,9 +306,10 @@ def test_estimate_model_flag_validation(capsys, files):
         "--constraints", cons, "--trials", "2",
     )
     code_a, _, err_a = run_cli(capsys, *base, "--model", "A")
-    assert code_a == 1 and "--k" in err_a
+    assert code_a == 1 and err_a == "error: model A needs --k\n"
     code_b, _, err_b = run_cli(capsys, *base, "--model", "B", "--k", "1")
-    assert code_b == 1 and "--k" in err_b
+    assert code_b == 1
+    assert err_b == "error: model B derives widths from formulas; drop --k\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Hull geometry: distances, membership, interiority margins, realizability."""
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relmarg.errors import DomainError
 from relmarg.logic import parse_formula
@@ -38,6 +45,9 @@ def test_distance_on_a_segment():
     assert hull_distance([0.5], poly) == pytest.approx(0.0, abs=1e-12)
     assert hull_distance([1.0], poly) == pytest.approx(1 / 3, abs=1e-9)
     assert hull_distance([-0.25], poly) == pytest.approx(0.25, abs=1e-9)
+    single = _poly([(Fraction(2, 3),)])
+    assert hull_distance([2 / 3], single) == 0.0
+    assert hull_distance([1.0], single) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_distance_to_unit_square():
@@ -52,6 +62,8 @@ def test_distance_to_triangle_face():
     # closest point on the hypotenuse of the simplex
     poly = _poly([(0, 0), (1, 0), (0, 1)])
     assert hull_distance([1.0, 1.0], poly) == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
+    # a point exactly on that facet
+    assert hull_distance([0.25, 0.75], poly) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_convex_combinations_are_members():
@@ -82,6 +94,74 @@ def test_distance_lower_bounds_via_separating_plane():
             g /= n
             certificate = float(g @ p) - max(float(g @ v) for v in vs)
             assert certificate <= d + 1e-9
+
+
+def _oracle_distance(point, vs):
+    # the nearest point is a convex combination of some affinely independent
+    # vertex subset, where it is also the affine projection onto that subset
+    best = math.inf
+    for r in range(1, len(vs) + 1):
+        for subset in itertools.combinations(range(len(vs)), r):
+            base, rest = vs[subset[0]], vs[list(subset[1:])]
+            alpha = np.linalg.lstsq((rest - base).T, point - base, rcond=None)[0]
+            if 1.0 - alpha.sum() >= -1e-12 and (alpha >= -1e-12).all():
+                projection = base + alpha @ (rest - base)
+                best = min(best, float(np.linalg.norm(projection - point)))
+    return best
+
+
+@st.composite
+def hull_queries(draw):
+    d = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([1, 2, 3, 4]))
+    lattice = st.tuples(*[st.integers(-2 * den, 2 * den)] * d).map(
+        lambda v: tuple(Fraction(c, den) for c in v)
+    )
+    vertices = draw(st.lists(lattice, min_size=1, max_size=5))
+    index = st.integers(0, len(vertices) - 1)
+    if draw(st.booleans()):
+        vertices.append(vertices[draw(index)])
+    if draw(st.booleans()):
+        a, b = vertices[draw(index)], vertices[draw(index)]
+        t = draw(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(2)]))
+        vertices.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    vs = np.array(vertices, dtype=float)
+    pick = st.integers(0, len(vs) - 1)
+    kind = draw(st.sampled_from(["vertex", "midpoint", "lattice", "uniform"]))
+    if kind == "vertex":
+        point = vs[draw(pick)]
+    elif kind == "midpoint":
+        point = (vs[draw(pick)] + vs[draw(pick)]) / 2
+    elif kind == "lattice":
+        point = np.array(draw(lattice), dtype=float)
+    else:
+        point = np.array(draw(st.tuples(*[st.floats(-3, 3)] * d)))
+    return vertices, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_queries())
+def test_distance_matches_subset_projection_oracle(query):
+    vertices, point = query
+    poly = _poly(vertices)
+    oracle = _oracle_distance(point, np.array(vertices, dtype=float))
+    assert abs(hull_distance(point, poly) - oracle) <= 1e-9
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # hull_distance is numpy only: scipy.optimize alone costs ~21 MiB of RSS
+    # and ~0.2 s of import time
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, relmarg; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_distance_validates_dimension():
