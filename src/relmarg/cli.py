@@ -30,7 +30,7 @@ from .estimation import ExperimentConfig, run_error_experiment
 from .expansion import expand, noisy_expand
 from .logic import format_formula, merge_vocabulary, unsatisfied_rules, vocabulary_of
 from .maxent import solve_maxent
-from .polytope import polytope_vertices, realizability_check
+from .polytope import realizability_check
 from .stats import (
     MODEL_B,
     MarginalConstraint,
@@ -230,9 +230,9 @@ def cmd_polytope(args) -> int:
     formulas = [c.formula for c in constraints]
     constants = [f"c{i}" for i in range(1, args.size + 1)]
     space = _target_space(constants, vocab_example.vocabulary(), formulas)
-    poly = polytope_vertices(formulas, space, kind)
     theta = [c.theta for c in constraints]
     verdict = realizability_check(theta, formulas, space, kind)
+    poly = verdict.polytope
     payload = {
         "vertices": [[_value(c) for c in v] for v in poly.vertices],
         "dim_rank": poly.rank(),
@@ -403,7 +403,7 @@ def _add_model_flags(p, width_flag="--width"):
 
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=20000)
+    p.add_argument("--max-iter", type=int, default=20000, help="Newton iteration cap")
     p.add_argument("--weight-cap", type=float, default=50.0)
 
 

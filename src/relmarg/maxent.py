@@ -10,8 +10,10 @@ and fitting marginal targets theta_i means maximizing the concave dual
 
 where N_i is the statistic normalizer (subset count or substitution count).
 The gradient is theta_i * N_i - E_w[s_i], so a stationary point matches the
-targets exactly.  Weights that run away signal a target on or outside the
-marginal polytope; the raised error carries the hull diagnosis.
+targets exactly, and the Hessian is minus the covariance of the counts.  The
+dual has one weight per constraint, so ``solve_maxent`` runs plain damped
+Newton on it from w = 0.  Weights that run away signal a target on or outside
+the marginal polytope; the raised error carries the hull diagnosis.
 
 A deliberately independent primal oracle (mirror ascent on the penalized
 entropy objective, plus an exact projection onto the constraint plane) is
@@ -20,7 +22,6 @@ kept around to cross-check the dual route.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import GlobalExample
 from .errors import CapExceededError, DomainError, InfeasibleError, NotRealizableError
@@ -101,17 +101,10 @@ def _features(constraints, space, kind):
 def _distribution(counts: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     """Log partition function and world probabilities of the model at ``w``."""
     scores = counts @ w
-    lse = float(logsumexp(scores))
-    return lse, np.exp(scores - lse)
-
-
-def _dual_value(counts: np.ndarray, target: np.ndarray, w: np.ndarray) -> float:
-    # no probabilities: the line search calls this once per trial step
-    return float(w @ target) - float(logsumexp(counts @ w))
-
-
-def _dual_gradient(counts: np.ndarray, target: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return target - counts.T @ _distribution(counts, w)[1]
+    shift = scores.max()
+    weights = np.exp(scores - shift)
+    total = weights.sum()
+    return float(shift + np.log(total)), weights / total
 
 
 def dual_objective(
@@ -123,7 +116,8 @@ def dual_objective(
     counts, norms, theta = _features(constraints, space, kind)
     w = np.asarray(w, dtype=float)
     target = theta * norms
-    return _dual_value(counts, target, w), _dual_gradient(counts, target, w)
+    lse, p = _distribution(counts, w)
+    return float(w @ target) - lse, target - counts.T @ p
 
 
 def solve_maxent(
@@ -134,17 +128,24 @@ def solve_maxent(
     max_iter: int = 20000,
     weight_cap: float = WEIGHT_CAP,
 ) -> MaxEntModel:
-    """Fit weights by gradient ascent on the dual, finished with damped Newton.
+    """Fit weights by damped Newton on the dual, starting from w = 0.
 
-    The ascent phase uses an Armijo line search whose trial step starts from
-    the previously accepted step and is expanded while the test keeps passing,
-    so flat exponential tails (targets on or near the polytope boundary)
-    overrun the weight cap quickly instead of creeping.  Armijo compares dual
-    values, which lose resolution once the gradient is ~1e-8, so the ascent
-    only carries the iterate to 1e-6; damped Newton steps (the Hessian is the
-    feature covariance), accepted on gradient-norm decrease, close the gap to
-    ``tol``.
+    The dual's Hessian is minus the feature covariance, so the Newton
+    direction (a least-squares solve, which tolerates dependent features)
+    lowers the gradient norm; a step is accepted when it does.  Until the
+    gradient's max-norm falls below ``tol`` the step is halved up to 60
+    times; after that only full steps are tried, which polishes interior
+    fits to rounding level and lets fits at the polytope boundary run on
+    until the gradient underflows.  The loop stops at a zero gradient, when
+    no tried step helps, or after ``max_iter`` iterations.  Weights beyond
+    ``weight_cap``, or a gradient left at ``tol`` or above, raise
+    ``NotRealizableError`` with the hull diagnosis.
     """
+    if not (tol > 0 and max_iter >= 1 and weight_cap > 0):
+        raise DomainError(
+            "solver needs tol > 0, max_iter >= 1 and weight_cap > 0; "
+            f"got tol={tol}, max_iter={max_iter}, weight_cap={weight_cap}"
+        )
     constraints = tuple(constraints)
     if not constraints:
         raise DomainError("no constraints to fit")
@@ -152,65 +153,33 @@ def solve_maxent(
         raise DomainError("empty world space (hard rules unsatisfiable)")
     counts, norms, theta = _features(constraints, space, kind)
     target = theta * norms
-    value_at = functools.partial(_dual_value, counts, target)
-    grad_at = functools.partial(_dual_gradient, counts, target)
 
-    ascent_tol = max(tol, 1e-6)
     w = np.zeros(len(constraints))
-    step = 1.0
+    lse, p = _distribution(counts, w)
+    mean = counts.T @ p
+    grad = target - mean
     iterations = 0
-    for _ in range(max_iter):
-        grad = grad_at(w)
-        if float(np.abs(grad).max()) < ascent_tol:
-            break
-        iterations += 1
-        value = value_at(w)
-        gg = float(grad @ grad)
-        t = max(step, 1.0)
-        # backtrack to an acceptable step, then expand while it keeps helping
-        while t > 1e-18 and value_at(w + t * grad) < value + 1e-4 * t * gg:
-            t *= 0.5
-        if t <= 1e-18:
-            break
-        while t < 2**40 and 1e-4 * t * gg > 1e-13 * (1.0 + abs(value)):
-            t2 = 2.0 * t
-            v2 = value_at(w + t2 * grad)
-            if v2 < value + 1e-4 * t2 * gg or v2 <= value_at(w + t * grad):
-                break
-            t = t2
-        w = w + t * grad
-        step = t
-        if float(np.abs(w).max()) > weight_cap:
-            _raise_not_realizable(constraints, space, kind, weight_cap)
-    grad = grad_at(w)
-    grad_norm = float(np.abs(grad).max())
-    for _ in range(200):
-        if grad_norm < tol:
-            break
-        iterations += 1
-        _, p = _distribution(counts, w)
-        mean = counts.T @ p
+    while iterations < max_iter and grad.any():
         cov = (counts * p[:, None]).T @ counts - np.outer(mean, mean)
-        cov[np.diag_indices_from(cov)] += 1e-14 * (1.0 + cov.diagonal())
-        direction = np.linalg.solve(cov, grad)
-        accepted = False
-        for _ in range(60):
-            trial = grad_at(w + direction)
-            if float(np.abs(trial).max()) < grad_norm:
-                w = w + direction
-                grad, grad_norm = trial, float(np.abs(trial).max())
-                accepted = True
+        direction = np.linalg.lstsq(cov, grad, rcond=None)[0]
+        norm = np.linalg.norm(grad)
+        for _ in range(60 if np.abs(grad).max() >= tol else 1):
+            trial_lse, trial_p = _distribution(counts, w + direction)
+            trial_mean = counts.T @ trial_p
+            if np.linalg.norm(target - trial_mean) < norm:
                 break
             direction = direction / 2.0
-        if not accepted:
+        else:
             break
+        iterations += 1
+        w = w + direction
+        lse, p, mean = trial_lse, trial_p, trial_mean
+        grad = target - mean
         if float(np.abs(w).max()) > weight_cap:
             _raise_not_realizable(constraints, space, kind, weight_cap)
+    grad_norm = float(np.abs(grad).max())
     if grad_norm >= tol:
         _raise_not_realizable(constraints, space, kind, weight_cap, stalled=True)
-    lse, p = _distribution(counts, w)
-    grad = target - counts.T @ p
-    achieved = tuple(float(x) for x in (counts.T @ p) / norms)
     return MaxEntModel(
         kind,
         constraints,
@@ -218,8 +187,8 @@ def solve_maxent(
         w,
         lse,
         iterations,
-        float(np.abs(grad).max()),
-        achieved,
+        grad_norm,
+        tuple(float(x) for x in mean / norms),
     )
 
 
@@ -259,7 +228,6 @@ def model_probability(model: MaxEntModel, world) -> float:
 def model_distribution(model: MaxEntModel) -> ExplicitDistribution:
     counts = model.space.count_matrix(model.formulas, model.kind)
     _, p = _distribution(counts.astype(float), model.weights)
-    p = p / p.sum()
     return ExplicitDistribution(model.space, tuple(float(x) for x in p))
 
 

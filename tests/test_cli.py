@@ -231,6 +231,36 @@ def test_maxent_hard_rules_restrict_the_space(capsys, files, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["maxent", "pipeline"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ("--tol", "0"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--max-iter", "0"),
+        ("--weight-cap", "0"),
+        ("--weight-cap", "-3"),
+        ("--weight-cap", "nan"),
+    ],
+)
+def test_solver_flags_are_validated(capsys, files, tmp_path, command, flag):
+    # the target 2/3 is interior, so no diagnosis may be reported for it
+    facts = files("r.facts", R_FACTS)
+    if command == "maxent":
+        source = ("--facts", facts, "--constraints",
+                  files("r.constraints", "2/3 ; exists X: r(X)\n"),
+                  "--out", str(tmp_path / "never.json"))
+    else:
+        source = ("--facts", facts, "--formulas", files("p.formulas", "exists X: r(X)\n"),
+                  "--target-n", "4")
+    code, out, err = run_cli(capsys, command, *source, "--model", "A", "--width", "2", *flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: solver needs tol > 0, max_iter >= 1 and weight_cap > 0")
+    assert not (tmp_path / "never.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # polytope
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from relmarg.maxent import (
     solve_maxent,
     total_variation,
 )
+from relmarg.polytope import realizability_check
 from relmarg.stats import MODEL_B, MarginalConstraint, ModelA, statistic
 from relmarg.worlds import enumerate_worlds
 
@@ -80,7 +82,8 @@ def test_solver_frozen_reference_instances():
     assert model.realizable
     assert model.grad_norm < 1e-9
     assert abs(model.achieved_marginals[0] - 2 / 3) < 1e-8
-    assert model.weights[0] == pytest.approx(-0.231049060186836, abs=1e-9)
+    # Z = 1 + 3e^{2w} + 4e^{3w} and a mean count of 2 give e^{3w} = 1/2
+    assert model.weights[0] == pytest.approx(-math.log(2) / 3, abs=1e-14)
     assert model.log_partition == pytest.approx(1.5871680853694907, abs=1e-9)
 
     cons_b = _constraints([("forall X: r(X)", Fraction(2, 3))])
@@ -155,7 +158,7 @@ def test_solver_respects_hard_rules():
 
 def test_boundary_target_raises_when_weights_escape():
     # theta = 1 forces the point mass on the all-true world; with a low cap
-    # the ascent overruns it and the diagnosis recognizes a boundary target
+    # the Newton steps overrun it and the diagnosis recognizes a boundary target
     cons = _constraints([("forall X: r(X)", Fraction(1))])
     with pytest.raises(NotRealizableError) as exc:
         solve_maxent(cons, SPACE_R3, MODEL_B, weight_cap=20.0)
@@ -191,6 +194,67 @@ def test_weight_cap_controls_escape():
     cons = _constraints([("forall X: r(X)", Fraction(1))])
     with pytest.raises(NotRealizableError):
         solve_maxent(cons, SPACE_R3, MODEL_B, weight_cap=10.0)
+
+
+VERDICT_SPACES = [
+    SPACE_R3,
+    SPACE_E2,
+    enumerate_worlds(["a", "b"], {"r": 1, "e": 2}),
+    enumerate_worlds([f"c{i}" for i in range(8)], {"r": 1}),
+]
+
+
+@st.composite
+def verdict_cases(draw):
+    """A space of at most 2^8 worlds, 1-3 formulas over its vocabulary, and a
+    target: a full-support mixture of world statistics, a lattice point, or
+    one world's statistics."""
+    space = draw(st.sampled_from(VERDICT_SPACES))
+    n = len(space.constants)
+    if draw(st.booleans()):
+        kind, pool = ModelA(draw(st.integers(1, min(n, 3)))), A_POOL
+    else:
+        kind, pool = MODEL_B, [t for t in B_POOL if n >= 3 or "Z" not in t]
+    pool = [t for t in pool if set(re.findall(r"(\w+)\(", t)) <= set(space.vocabulary)]
+    formulas = [parse_formula(t) for t in
+                draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))]
+    counts = space.count_matrix(formulas, kind)
+    norms = space.normalizers(formulas, kind)
+    shape = draw(st.sampled_from(["mixture", "lattice", "vertex"]))
+    if shape == "mixture":
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(space), max_size=len(space)))
+        theta = [
+            Fraction(sum(w * int(c) for w, c in zip(weights, counts[:, i])),
+                     sum(weights) * int(norms[i]))
+            for i in range(len(formulas))
+        ]
+    elif shape == "lattice":
+        theta = [Fraction(draw(st.integers(0, 12)), 12) for _ in formulas]
+    else:
+        row = counts[draw(st.integers(0, len(space) - 1))]
+        theta = [Fraction(int(c), int(nm)) for c, nm in zip(row, norms)]
+    return space, kind, formulas, theta, shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(verdict_cases())
+def test_solver_verdicts_follow_the_polytope(case):
+    space, kind, formulas, theta, shape = case
+    cons = tuple(MarginalConstraint(f, t) for f, t in zip(formulas, theta))
+    distance = realizability_check(theta, formulas, space, kind).distance
+    try:
+        model = solve_maxent(cons, space, kind)
+    except NotRealizableError as exc:
+        assert shape != "mixture"
+        if distance > 1e-6:
+            assert not exc.boundary
+        if shape == "vertex":
+            assert exc.boundary
+        return
+    assert distance <= 1e-6
+    assert model.grad_norm < 1e-9
+    if shape == "mixture":
+        assert model.iterations <= 100
 
 
 # ---------------------------------------------------------------------------

@@ -150,18 +150,22 @@ def test_distance_matches_subset_projection_oracle(query):
 
 def test_import_leaves_scipy_optimize_unloaded():
     # hull_distance is numpy only: scipy.optimize alone costs ~21 MiB of RSS
-    # and ~0.2 s of import time
+    # and ~0.2 s of import time; the package as a whole imports no scipy
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, relmarg; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, relmarg; print('scipy.optimize' in sys.modules); "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    optimize_loaded, scipy_modules = result.stdout.splitlines()
+    assert optimize_loaded == "False"
+    assert scipy_modules == "[]"
 
 
 def test_distance_validates_dimension():
