@@ -137,9 +137,11 @@ def solve_maxent(
     times; after that only full steps are tried, which polishes interior
     fits to rounding level and lets fits at the polytope boundary run on
     until the gradient underflows.  The loop stops at a zero gradient, when
-    no tried step helps, or after ``max_iter`` iterations.  Weights beyond
-    ``weight_cap``, or a gradient left at ``tol`` or above, raise
-    ``NotRealizableError`` with the hull diagnosis.
+    no tried step helps, after ``max_iter`` iterations, or when a full step
+    from an iterate that meets ``tol`` would leave ``weight_cap``; that
+    iterate is returned.  Weights beyond ``weight_cap`` before ``tol`` is met,
+    or a gradient left at ``tol`` or above, raise ``NotRealizableError`` with
+    the hull diagnosis.
     """
     if not (tol > 0 and max_iter >= 1 and weight_cap > 0):
         raise DomainError(
@@ -163,7 +165,8 @@ def solve_maxent(
         cov = (counts * p[:, None]).T @ counts - np.outer(mean, mean)
         direction = np.linalg.lstsq(cov, grad, rcond=None)[0]
         norm = np.linalg.norm(grad)
-        for _ in range(60 if np.abs(grad).max() >= tol else 1):
+        polishing = np.abs(grad).max() < tol
+        for _ in range(1 if polishing else 60):
             trial_lse, trial_p = _distribution(counts, w + direction)
             trial_mean = counts.T @ trial_p
             if np.linalg.norm(target - trial_mean) < norm:
@@ -171,12 +174,14 @@ def solve_maxent(
             direction = direction / 2.0
         else:
             break
+        if float(np.abs(w + direction).max()) > weight_cap:
+            if polishing:
+                break  # the current iterate already meets tol under the cap
+            _raise_not_realizable(constraints, space, kind, weight_cap)
         iterations += 1
         w = w + direction
         lse, p, mean = trial_lse, trial_p, trial_mean
         grad = target - mean
-        if float(np.abs(w).max()) > weight_cap:
-            _raise_not_realizable(constraints, space, kind, weight_cap)
     grad_norm = float(np.abs(grad).max())
     if grad_norm >= tol:
         _raise_not_realizable(constraints, space, kind, weight_cap, stalled=True)

@@ -11,6 +11,7 @@ the subset's affine hull, so membership queries are reliable well below the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,11 +39,16 @@ class MarginalPolytope:
     def dim(self) -> int:
         return len(self.formulas)
 
+    @functools.cached_property
+    def float_vertices(self) -> np.ndarray:
+        """The vertices as a float array, one row per vertex, converted once."""
+        return np.array(self.vertices, dtype=float)
+
     def rank(self) -> int:
         """Rank of the vertex set around its centroid (dim iff full-dimensional)."""
         if not self.vertices or self.dim == 0:
             return 0
-        v = np.array(self.vertices, dtype=float)
+        v = self.float_vertices
         return int(np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-12))
 
     def full_dimensional(self) -> bool:
@@ -52,7 +58,8 @@ class MarginalPolytope:
 def polytope_vertices(
     formulas: Sequence[Formula], space: WorldSpace, kind: ModelKind
 ) -> MarginalPolytope:
-    """Candidate vertex set: distinct normalized statistic vectors over the space.
+    """Candidate vertex set: distinct normalized statistic vectors over the space,
+    in order of first appearance, each with the first world that has it.
 
     Interior duplicates are kept; membership tests do not care.
     """
@@ -60,18 +67,16 @@ def polytope_vertices(
     if len(space) == 0:
         raise DomainError("empty world space (hard rules unsatisfiable)")
     counts = space.count_matrix(formulas, kind)
-    norms = space.normalizers(formulas, kind)
-    seen: dict[tuple[Fraction, ...], int] = {}
-    for idx, bits in enumerate(space.worlds):
-        vec = tuple(Fraction(int(c), int(n)) for c, n in zip(counts[idx], norms))
-        if vec not in seen:
-            seen[vec] = int(bits)
+    norms = [int(n) for n in space.normalizers(formulas, kind)]
+    # equal count rows are equal statistic vectors: deduplicate the integers
+    # and build Fractions for the distinct rows only
+    first = sorted(np.unique(counts, axis=0, return_index=True)[1])
     return MarginalPolytope(
         formulas,
         kind,
         len(space.constants),
-        tuple(seen.keys()),
-        tuple(seen.values()),
+        tuple(tuple(Fraction(int(c), n) for c, n in zip(counts[i], norms)) for i in first),
+        tuple(int(space.worlds[i]) for i in first),
     )
 
 
@@ -92,7 +97,7 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     if polytope.dim == 0:
         return 0.0
     p = np.array([float(c) for c in point], dtype=float)
-    vs = np.array(polytope.vertices, dtype=float) - p
+    vs = polytope.float_vertices - p
     sq = (vs * vs).sum(axis=1)
     tol = 1e-12 * float(sq.max())
     corral = [int(np.argmin(sq))]

@@ -17,6 +17,13 @@ are the only code that knows, and every statistic in the package goes
 through them.  All statistics are computed by exhaustive enumeration and
 returned as ``fractions.Fraction``; convert at the boundary if floats are
 wanted.
+
+Two evaluators sit under the groundings.  ``grounding_test`` walks the
+formula with ``logic.holds`` on one structure, for the statistic of a single
+example.  ``grounding_columns`` is its vector twin for world spaces: it
+evaluates the formula over every world at once, as numpy boolean columns, and
+``WorldSpace.count_matrix`` and the hard-rule filter in ``enumerate_worlds``
+go through it.
 """
 
 from __future__ import annotations
@@ -25,14 +32,23 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .data import CanonicalForm, GlobalExample, as_local, canonicalize, fragment
+import numpy as np
+
+from .data import CanonicalForm, GlobalExample, GroundAtom, as_local, canonicalize, fragment
 from .errors import DomainError, FormulaSyntaxError
 from .logic import (
+    And,
+    Eq,
+    Exists,
     Formula,
+    Not,
+    Or,
+    PredAtom,
     Var,
     constants_of,
     format_formula,
@@ -137,6 +153,82 @@ def grounding_test(f: Formula, kind: ModelKind) -> Callable[[frozenset, tuple[st
     vs, matrix = universal_parts(f)
     names = [v.name for v in vs]
     return lambda atoms, combo: holds(matrix, atoms, (), dict(zip(names, combo)))
+
+
+class WorldColumns:
+    """Boolean columns over an array of worlds (int bit patterns over the
+    atom positions in ``index``): the vector counterpart of an atom set.
+
+    ``atom(a)`` is true at the worlds that contain ``a`` and is built once; an
+    atom outside ``index`` is false everywhere.  Columns are shared, so
+    callers never modify them in place.
+    """
+
+    def __init__(self, worlds: np.ndarray, index: Mapping[GroundAtom, int]):
+        self.worlds = worlds
+        self.index = index
+        self.false = np.zeros(len(worlds), dtype=bool)
+        self.true = ~self.false
+        self._atoms: dict[GroundAtom, np.ndarray] = {}
+
+    def atom(self, atom: GroundAtom) -> np.ndarray:
+        column = self._atoms.get(atom)
+        if column is None:
+            i = self.index.get(atom)
+            column = self.false if i is None else (self.worlds >> i & 1).astype(bool)
+            self._atoms[atom] = column
+        return column
+
+
+def holds_columns(
+    f: Formula, columns: WorldColumns, domain: Iterable[str], env: dict[str, str] | None = None
+) -> np.ndarray:
+    """Vector twin of ``logic.holds``: whether ``f`` holds in each world of
+    ``columns``, as one boolean column.
+
+    Connectives become ``~ & |``, equality a constant column, and a
+    quantifier reduces its body's columns over ``domain`` with ``|`` or ``&``.
+    """
+    dom = tuple(domain)
+    env = {} if env is None else env
+
+    def ev(g: Formula) -> np.ndarray:
+        if isinstance(g, PredAtom):
+            names = tuple(env[t.name] if isinstance(t, Var) else t.name for t in g.args)
+            return columns.atom(GroundAtom(g.pred.name, names))
+        if isinstance(g, Eq):
+            l = env[g.left.name] if isinstance(g.left, Var) else g.left.name
+            r = env[g.right.name] if isinstance(g.right, Var) else g.right.name
+            return columns.true if l == r else columns.false
+        if isinstance(g, Not):
+            return ~ev(g.sub)
+        if isinstance(g, And):
+            return functools.reduce(operator.and_, map(ev, g.parts))
+        if isinstance(g, Or):
+            return functools.reduce(operator.or_, map(ev, g.parts))
+        names = [v.name for v in g.vars]
+        exists = isinstance(g, Exists)
+        out = columns.false if exists else columns.true
+        for combo in itertools.product(dom, repeat=len(names)):
+            env.update(zip(names, combo))
+            out = out | ev(g.body) if exists else out & ev(g.body)
+        for n in names:
+            env.pop(n, None)
+        return out
+
+    return ev(f)
+
+
+def grounding_columns(
+    f: Formula, kind: ModelKind, columns: WorldColumns
+) -> Callable[[tuple[str, ...]], np.ndarray]:
+    """Vector twin of ``grounding_test``: ``column(grounding)`` is true at the
+    worlds of ``columns`` where ``f`` holds at that grounding."""
+    if isinstance(kind, ModelA):
+        return functools.partial(holds_columns, f, columns)
+    vs, matrix = universal_parts(f)
+    names = [v.name for v in vs]
+    return lambda combo: holds_columns(matrix, columns, (), dict(zip(names, combo)))
 
 
 def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:

@@ -6,6 +6,12 @@ pattern satisfying the hard rules, in ascending pattern order, and caches the
 per-world statistic counts that the max-entropy solver and the polytope code
 share.  The atom count is capped because everything downstream is exponential
 in it by design.
+
+Nothing here walks one world at a time: the hard-rule filter
+(``stats.holds_columns``) and ``count_matrix`` (``stats.grounding_columns``)
+evaluate a formula over all patterns at once, as numpy boolean columns.
+Single structures, such as one world's ``GlobalExample``, are evaluated by
+``logic.holds`` through ``stats.statistic``.
 """
 
 from __future__ import annotations
@@ -19,8 +25,16 @@ import numpy as np
 
 from .data import GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
-from .logic import Formula, constants_of, free_vars, holds, merge_vocabulary, vocabulary_of
-from .stats import ModelKind, check_formula, grounding_test, groundings, normalizer
+from .logic import Formula, constants_of, free_vars, merge_vocabulary, vocabulary_of
+from .stats import (
+    ModelKind,
+    WorldColumns,
+    check_formula,
+    grounding_columns,
+    groundings,
+    holds_columns,
+    normalizer,
+)
 
 DEFAULT_ATOM_CAP = 24
 
@@ -87,15 +101,12 @@ class WorldSpace:
         for f in formulas:
             check_formula(f, self.vocabulary)
         self.normalizers(formulas, kind)  # width/variable-count validation
-        plans = [
-            (grounding_test(f, kind), tuple(groundings(f, kind, self.constants)))
-            for f in formulas
-        ]
+        columns = WorldColumns(self.worlds, self._index)
         out = np.zeros((len(self.worlds), len(formulas)), dtype=np.int64)
-        for w, bits in enumerate(self.worlds):
-            atoms = self.world_atoms(int(bits))
-            for j, (test, grounds) in enumerate(plans):
-                out[w, j] = sum(1 for g in grounds if test(atoms, g))
+        for j, f in enumerate(formulas):
+            column = grounding_columns(f, kind, columns)
+            for g in groundings(f, kind, self.constants):
+                out[:, j] += column(g)
         self._counts[key] = out
         return out
 
@@ -143,19 +154,8 @@ def enumerate_worlds(
         if unknown:
             raise DomainError(f"hard rule uses unknown constant(s): {', '.join(sorted(unknown))}")
         merge_vocabulary(vocabulary_of(rule), vocabulary)
-    accepted = []
-    for bits in range(1 << n_atoms):
-        if hard_rules:
-            world = frozenset(a for i, a in enumerate(atoms) if bits >> i & 1)
-            if not all(holds(r, world, constants) for r in hard_rules):
-                continue
-        accepted.append(bits)
-    space = WorldSpace(
-        constants,
-        vocabulary,
-        hard_rules,
-        tuple(atoms),
-        np.array(accepted, dtype=np.int64),
-    )
-    space._index = {a: i for i, a in enumerate(atoms)}
-    return space
+    index = {a: i for i, a in enumerate(atoms)}
+    worlds = np.arange(1 << n_atoms, dtype=np.int64)
+    for rule in hard_rules:
+        worlds = worlds[holds_columns(rule, WorldColumns(worlds, index), constants)]
+    return WorldSpace(constants, vocabulary, hard_rules, tuple(atoms), worlds, index)

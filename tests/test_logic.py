@@ -297,45 +297,38 @@ def test_is_proper(text, want):
 # ---------------------------------------------------------------------------
 # randomized cross-checks
 
-_VOCAB_ATOMS = st.one_of(
-    st.builds(
-        PredAtom,
-        st.just(Predicate("r", 1)),
-        st.tuples(st.sampled_from([Var("X"), Var("Y"), Const("a"), Const("b")])),
-    ),
-    st.builds(
-        PredAtom,
-        st.just(Predicate("e", 2)),
-        st.tuples(
-            st.sampled_from([Var("X"), Var("Y"), Const("a"), Const("b")]),
-            st.sampled_from([Var("X"), Var("Y"), Const("a"), Const("b")]),
-        ),
-    ),
-    st.builds(
-        Eq,
-        st.sampled_from([Var("X"), Var("Y"), Const("a"), Const("b")]),
-        st.sampled_from([Var("X"), Var("Y"), Const("a"), Const("b")]),
-    ),
-)
+def _vocab_atoms(terms):
+    terms = st.sampled_from(terms)
+    return st.one_of(
+        st.builds(PredAtom, st.just(Predicate("r", 1)), st.tuples(terms)),
+        st.builds(PredAtom, st.just(Predicate("e", 2)), st.tuples(terms, terms)),
+        st.builds(Eq, terms, terms),
+    )
 
-_MATRIX = st.recursive(
-    _VOCAB_ATOMS,
-    lambda sub: st.one_of(
-        st.builds(Not, sub),
-        st.builds(lambda a, b: And((a, b)), sub, sub),
-        st.builds(lambda a, b: Or((a, b)), sub, sub),
-    ),
-    max_leaves=8,
-)
+
+def _matrices(terms):
+    return st.recursive(
+        _vocab_atoms(terms),
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.builds(lambda a, b: And((a, b)), sub, sub),
+            st.builds(lambda a, b: Or((a, b)), sub, sub),
+        ),
+        max_leaves=8,
+    )
 
 
 @st.composite
-def closed_formulas(draw):
-    matrix = draw(_MATRIX)
+def closed_formulas(draw, constants=("a", "b"), quantifiers=(Forall, Exists)):
+    """A quantifier-free matrix over r/1, e/2, equality, the variables X and Y
+    and ``constants``, closed by one quantifier (from ``quantifiers``) over
+    its free variables."""
+    terms = [Var("X"), Var("Y")] + [Const(c) for c in constants]
+    matrix = draw(_matrices(terms))
     opened = sorted(free_vars(matrix), key=lambda v: v.name)
     if not opened:
         return matrix
-    quant = draw(st.sampled_from([Forall, Exists]))
+    quant = draw(st.sampled_from(quantifiers))
     return quant(tuple(opened), matrix)
 
 

@@ -153,6 +153,21 @@ def test_solver_respects_hard_rules():
         )
 
 
+def test_solver_fits_a_twenty_atom_space():
+    # 16 e-atoms and 4 r-atoms; the rule removes one of 32 patterns per
+    # constant, leaving 31^4 worlds
+    rule = parse_formula("forall X: r(X) | (exists Y: e(X,Y))")
+    space = enumerate_worlds(["c1", "c2", "c3", "c4"], {"e": 2, "r": 1}, [rule])
+    assert len(space.atoms) == 20
+    assert len(space) == 31 ** 4
+    cons = _constraints([
+        ("exists X, Y: e(X,Y) & r(Y)", Fraction(1, 2)),
+        ("forall X, Y: ~e(X,Y) | e(Y,X)", Fraction(1, 3)),
+    ])
+    model = solve_maxent(cons, space, ModelA(2))
+    assert model.achieved_marginals == pytest.approx((0.5, 1 / 3), abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # unrealizable targets
 
@@ -194,6 +209,18 @@ def test_weight_cap_controls_escape():
     cons = _constraints([("forall X: r(X)", Fraction(1))])
     with pytest.raises(NotRealizableError):
         solve_maxent(cons, SPACE_R3, MODEL_B, weight_cap=10.0)
+
+
+@pytest.mark.parametrize("kind", [ModelA(1), MODEL_B])
+def test_zero_target_keeps_the_last_iterate_under_the_cap(kind):
+    # theta = 0 drives the weight to -infinity and the gradient never reaches
+    # exactly zero; once it is below tol the iterate under the cap is the fit
+    cons = _constraints([("forall X: r(X)" if kind == MODEL_B else "exists X: r(X)", 0)])
+    model = solve_maxent(cons, SPACE_R3, kind)
+    assert model.realizable
+    assert model.grad_norm < 1e-9
+    assert -50.0 <= model.weights[0] < -20
+    assert model.achieved_marginals[0] == pytest.approx(0.0, abs=1e-12)
 
 
 VERDICT_SPACES = [

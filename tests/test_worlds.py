@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_logic import closed_formulas
 from test_stats import A_POOL, B_POOL
 
 from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
-from relmarg.logic import evaluate, holds, parse_formula
-from relmarg.stats import MODEL_B, ModelA, statistic
+from relmarg.logic import Forall, evaluate, holds, parse_formula
+from relmarg.stats import MODEL_B, ModelA, grounding_test, groundings, statistic
 from relmarg.worlds import DEFAULT_ATOM_CAP, enumerate_worlds
 
 
@@ -169,6 +170,78 @@ def test_count_matrix_rows_are_scaled_statistics(kind_name, idx):
     assert [int(c) for c in row] == [
         statistic(f, world, kind) * int(n) for f, n in zip(formulas, norms)
     ]
+
+
+# spaces of at most 2^8 worlds over constants that include the a and b of
+# closed_formulas(); some lack e or r, so formulas may name absent predicates
+ORACLE_SHAPES = [
+    (("a", "b"), {"r": 1, "e": 2}),
+    (("a", "b"), {"e": 2}),
+    (("a", "b", "c"), {"r": 1}),
+    (("a", "b", "c"), {"r": 1, "s": 1}),
+    (tuple("abcdefgh"), {"r": 1}),
+]
+
+
+def per_world_counts(space, formulas, kind):
+    """The per-world grounding loop, one holds call per grounding."""
+    rows = []
+    for bits in space.worlds:
+        atoms = space.world_atoms(int(bits))
+        rows.append([
+            sum(grounding_test(f, kind)(atoms, g) for g in groundings(f, kind, space.constants))
+            for f in formulas
+        ])
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_count_matrix_matches_per_world_holds(data):
+    constants, vocab = data.draw(st.sampled_from(ORACLE_SHAPES))
+    rules = data.draw(st.lists(closed_formulas(), max_size=1))
+    space = enumerate_worlds(constants, vocab, rules)
+    n = len(constants)
+    if data.draw(st.booleans()):
+        kind = ModelA(data.draw(st.integers(1, min(n, 3))))
+        formulas = data.draw(st.lists(closed_formulas(()), min_size=1, max_size=3))
+    else:
+        kind = MODEL_B
+        formulas = data.draw(st.lists(closed_formulas((), (Forall,)), min_size=1, max_size=3))
+    counts = space.count_matrix(formulas, kind)
+    assert counts.shape == (len(space), len(formulas))
+    assert counts.tolist() == per_world_counts(space, formulas, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_SHAPES), st.lists(closed_formulas(), max_size=3))
+def test_hard_rule_filter_matches_holds(shape, rules):
+    constants, vocab = shape
+    space = enumerate_worlds(constants, vocab, rules)
+    free = enumerate_worlds(constants, vocab)
+    expected = [
+        bits
+        for bits in range(1 << len(free.atoms))
+        if all(holds(r, free.world_atoms(bits), constants) for r in rules)
+    ]
+    assert space.worlds.dtype == np.int64
+    assert space.worlds.tolist() == expected
+
+
+def test_predicates_absent_from_the_space_are_false_everywhere():
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1})
+    formulas = [
+        parse_formula("exists X, Y: e(X,Y) | r(X)"),
+        parse_formula("forall X, Y: ~e(X,Y)"),
+    ]
+    counts = space.count_matrix(formulas, ModelA(2))
+    assert counts.tolist() == per_world_counts(space, formulas, ModelA(2))
+    assert counts[:, 1].tolist() == [3] * len(space)
+    b_counts = space.count_matrix([parse_formula("forall X, Y: e(X,Y) | X = Y")], MODEL_B)
+    assert b_counts[:, 0].tolist() == [0] * len(space)
+    # hard rules over an absent predicate keep every world or none
+    assert len(enumerate_worlds(["a", "b"], {"r": 1}, [parse_formula("forall X: ~e(X,X)")])) == 4
+    assert len(enumerate_worlds(["a", "b"], {"r": 1}, [parse_formula("exists X: e(X,X)")])) == 0
 
 
 def test_count_matrix_is_cached():
