@@ -14,7 +14,6 @@ from relmarg import (
     ModelA,
     enumerate_worlds,
     model_distribution,
-    model_probability,
     parse_formula,
     solve_maxent,
 )
@@ -43,8 +42,8 @@ for idx, bits in enumerate(space.worlds):
 # distribution with these marginals has higher entropy
 counts = space.count_matrix(model.formulas, model.kind)
 check = max(
-    abs(model_probability(model, int(b)) - math.exp(float(counts[i] @ model.weights) - model.log_partition))
-    for i, b in enumerate(space.worlds)
+    abs(dist.probs[i] - math.exp(float(counts[i] @ model.weights) - model.log_partition))
+    for i in range(len(space))
 )
 print(f"\nmax deviation from the exponential form: {check:.2e}")
 print(f"entropy of the fit: {dist.entropy():.6f} nats")

@@ -237,7 +237,3 @@ def read_facts(path) -> GlobalExample:
     with open(path, encoding="utf-8") as fh:
         return parse_facts(fh.read(), source=str(path))
 
-
-def write_facts(path, example: GlobalExample):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_facts(example))

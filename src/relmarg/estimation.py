@@ -30,14 +30,15 @@ from typing import Mapping
 from .data import GlobalExample, GroundAtom, fragment
 from .errors import DomainError
 from .expansion import expand
-from .logic import Formula
+from .logic import Formula, vocabulary_of
 from .stats import (
     ModelKind,
     check_formula,
+    count_groundings,
     formula_width,
-    grounding_test,
     normalizer,
     statistic,
+    structure_tables,
 )
 
 
@@ -109,8 +110,7 @@ def disjoint_sample_estimator(
     whose index sets are ordered.
     """
     check_formula(f, example.vocabulary())
-    constants = example.constants
-    n = len(constants)
+    n = len(example.constants)
     normalizer(f, kind, n)  # width/variable-count validation
     universe = n if universe_size is None else universe_size
     if universe < n:
@@ -119,11 +119,12 @@ def disjoint_sample_estimator(
     q = n // k
     index_sets = [tuple(rng.sample(range(universe), k)) for _ in range(q)]
     union = sorted(set(itertools.chain.from_iterable(index_sets)))
-    image = rng.sample(constants, len(union))
-    g = dict(zip(union, image))
-    test = grounding_test(f, kind)
-    hits = sum(test(example.atoms, tuple(g[i] for i in idx)) for idx in index_sets)
-    return Fraction(hits, q)
+    # sampling positions draws exactly what sampling the constants would
+    g = dict(zip(union, rng.sample(range(n), len(union))))
+    rows = [[g[i] for i in idx] for idx in index_sets]
+    tables = structure_tables(example, vocabulary_of(f))
+    hits = count_groundings(f, kind, rows, tables, 1)[0]
+    return Fraction(int(hits), q)
 
 
 def random_structure(

@@ -19,8 +19,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .data import CanonicalForm, GlobalExample, GroundAtom
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .stats import ModelA, formula_width
+
+# constants, atoms and noise slots one expansion may materialise
+EXPANSION_CAP = 1_000_000
 
 
 def congruent(i: int, j: int, n: int) -> bool:
@@ -42,6 +45,21 @@ def _extended_names(constants: tuple[str, ...], level: int) -> list[str]:
     return names
 
 
+def _check_size(example: GlobalExample, level: int, noise_slots: int = 0):
+    """Raise ``CapExceededError`` before building an expansion with more than
+    ``EXPANSION_CAP`` constants, atoms (each atom has level^(distinct
+    arguments) copies) and noise slots together."""
+    size = level * len(example.constants) + noise_slots
+    size += sum(level ** len(set(atom.args)) for atom in example.atoms)
+    if size > EXPANSION_CAP:
+        raise CapExceededError(
+            f"a level-{level} expansion of {len(example.constants)} constants would "
+            f"build {size} constants, atoms and noise slots, over the cap of {EXPANSION_CAP}",
+            size,
+            EXPANSION_CAP,
+        )
+
+
 def expand(example: GlobalExample, level: int) -> GlobalExample:
     """The ``level``-fold expansion of ``example``.
 
@@ -54,6 +72,7 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
         raise DomainError("cannot expand an empty constant set")
     if level == 1:
         return example
+    _check_size(example, level)
     n = len(example.constants)
     names = _extended_names(example.constants, level)
     index = {c: i for i, c in enumerate(example.constants)}  # 0-based residues
@@ -100,9 +119,10 @@ def noisy_expand(
         raise DomainError(
             f"expansion level {level} too small; minimum admissible level is {min_level}"
         )
-    expanded = expand(example, level)
     n = len(example.constants)
     vocab = example.vocabulary()
+    _check_size(example, level, sum(n * level**arity for arity in vocab.values()))
+    expanded = expand(example, level)
     atoms = set(expanded.atoms)
     for pred in sorted(vocab):
         arity = vocab[pred]

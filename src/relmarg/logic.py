@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .data import GroundAtom
-from .errors import (
-    CapExceededError,
-    DomainError,
-    FormulaSyntaxError,
-    VocabularyError,
-)
-
-PROPERNESS_ATOM_CAP = 20
+from .errors import DomainError, FormulaSyntaxError, VocabularyError
 
 
 @dataclass(frozen=True)
@@ -557,82 +550,3 @@ def unsatisfied_rules(rules: Iterable[Formula], example) -> list[Formula]:
     """The subset of ``rules`` that ``example`` violates."""
     return [r for r in rules if not evaluate(r, example)]
 
-
-# ---------------------------------------------------------------------------
-# properness
-
-def _set_partitions(items: tuple) -> Iterator[list[list]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _eval_ground(f: Formula, truth: Mapping[PredAtom, bool]) -> bool:
-    if isinstance(f, PredAtom):
-        return truth[f]
-    if isinstance(f, Eq):
-        return f.left.name == f.right.name
-    if isinstance(f, Not):
-        return not _eval_ground(f.sub, truth)
-    if isinstance(f, And):
-        return all(_eval_ground(p, truth) for p in f.parts)
-    return any(_eval_ground(p, truth) for p in f.parts)
-
-
-def _is_tautology(ground: Formula, max_atoms: int) -> bool:
-    atoms = sorted(
-        {g for g in _walk(ground) if isinstance(g, PredAtom)},
-        key=lambda a: (a.pred.name, tuple(t.name for t in a.args)),
-    )
-    if len(atoms) > max_atoms:
-        raise CapExceededError(
-            f"properness truth table needs {len(atoms)} distinct atoms (cap {max_atoms})",
-            len(atoms),
-            max_atoms,
-        )
-    for values in itertools.product((False, True), repeat=len(atoms)):
-        if not _eval_ground(ground, dict(zip(atoms, values))):
-            return False
-    return True
-
-
-def is_proper(f: Formula, max_atoms: int = PROPERNESS_ATOM_CAP) -> bool:
-    """Whether every non-injective grounding of ``f``'s matrix is trivially true.
-
-    ``f`` must be a universally quantified formula with a quantifier-free
-    matrix.  Non-injective substitutions are grouped by the variable partition
-    they induce; for each non-trivial partition the collapsed matrix must be a
-    propositional tautology once equality literals are resolved.
-    """
-    vs, body = strip_foralls(f)
-    if not vs or not quantifier_free(body):
-        raise DomainError(
-            "properness is defined for universally quantified formulas with a quantifier-free matrix"
-        )
-    if len(vs) < 2:
-        return True
-    body_consts = sorted(constants_of(body))
-    for partition in _set_partitions(vs):
-        if all(len(block) == 1 for block in partition):
-            continue
-        # a block may collapse onto a fresh constant or onto one named in the
-        # matrix; distinct blocks always denote distinct constants
-        options: list[list[str]] = []
-        for i in range(len(partition)):
-            options.append([f"__fresh_{i}__"] + body_consts)
-        for targets in itertools.product(*options):
-            if len(set(targets)) != len(targets):
-                continue
-            theta = {
-                v: Const(target)
-                for block, target in zip(partition, targets)
-                for v in block
-            }
-            if not _is_tautology(apply_substitution(body, theta), max_atoms):
-                return False
-    return True

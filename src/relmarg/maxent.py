@@ -222,14 +222,6 @@ def _raise_not_realizable(constraints, space, kind, weight_cap, stalled=False):
     )
 
 
-def model_probability(model: MaxEntModel, world) -> float:
-    """Probability the fitted model assigns to one world of its space."""
-    bits = world if isinstance(world, int) else model.space.encode(world)
-    idx = model.space.world_index(bits)
-    counts = model.space.count_matrix(model.formulas, model.kind)
-    return float(math.exp(float(counts[idx] @ model.weights) - model.log_partition))
-
-
 def model_distribution(model: MaxEntModel) -> ExplicitDistribution:
     counts = model.space.count_matrix(model.formulas, model.kind)
     _, p = _distribution(counts.astype(float), model.weights)

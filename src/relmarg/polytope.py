@@ -142,10 +142,6 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     return float(np.linalg.norm(x))
 
 
-def is_member(point: Sequence[float], polytope: MarginalPolytope) -> bool:
-    return hull_distance(point, polytope) < MEMBERSHIP_TOL
-
-
 @dataclass(frozen=True)
 class EtaVerdict:
     """Probe-based interiority verdict: rejection is sound, acceptance only

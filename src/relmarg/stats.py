@@ -12,18 +12,21 @@ Two sampling models, and the asymmetry between them is the whole point:
   and only universally quantified formulas are admitted.
 
 Both are the fraction of a formula's groundings that hold; they differ only
-in what a grounding is.  ``normalizer``, ``groundings`` and ``grounding_test``
-are the only code that knows, and every statistic in the package goes
-through them.  All statistics are computed by exhaustive enumeration and
-returned as ``fractions.Fraction``; convert at the boundary if floats are
-wanted.
+in what a grounding is.  ``normalizer`` and ``groundings`` are the only code
+that knows, and ``holds_over`` is the only code that decides whether a
+formula holds at a grounding: every statistic in the package goes through
+them.  All statistics are computed by exhaustive enumeration and returned as
+``fractions.Fraction``; convert at the boundary if floats are wanted.
 
-Two evaluators sit under the groundings.  ``grounding_test`` walks the
-formula with ``logic.holds`` on one structure, for the statistic of a single
-example.  ``grounding_columns`` is its vector twin for world spaces: it
-evaluates the formula over every world at once, as numpy boolean columns, and
-``WorldSpace.count_matrix`` and the hard-rule filter in ``enumerate_worlds``
-go through it.
+``holds_over`` evaluates a formula over a batch of (grounding, structure)
+pairs at once.  A grounding is a row of constant positions, a structure is a
+column of the per-predicate truth tables, and an atom is a gather from those
+tables.  One example has one column (``structure_tables``); a world space has
+one per world (``worlds.world_tables``).  ``count_groundings`` runs it in
+blocks of groundings for ``statistic``, ``WorldSpace.count_matrix`` and the
+index-set estimator; the hard-rule filter of ``enumerate_worlds`` calls it
+at a rule's one grounding.  ``logic.holds`` walks one structure and one
+grounding at a time; it backs ``logic.evaluate`` and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .data import CanonicalForm, GlobalExample, GroundAtom, as_local, canonicalize, fragment
-from .errors import DomainError, FormulaSyntaxError
+from .data import CanonicalForm, GlobalExample, as_local, canonicalize, fragment
+from .errors import CapExceededError, DomainError, FormulaSyntaxError
 from .logic import (
     And,
     Eq,
@@ -53,7 +56,6 @@ from .logic import (
     constants_of,
     format_formula,
     free_vars,
-    holds,
     merge_vocabulary,
     parse_formula,
     quantifier_free,
@@ -132,123 +134,138 @@ def normalizer(f: Formula, kind: ModelKind, n: int) -> int:
     return math.perm(n, v)
 
 
-def groundings(
-    f: Formula, kind: ModelKind, constants: Sequence[str]
-) -> Iterator[tuple[str, ...]]:
-    """The groundings ``normalizer`` counts, in a fixed order."""
+def groundings(f: Formula, kind: ModelKind, n: int) -> Iterator[tuple[int, ...]]:
+    """The groundings ``normalizer`` counts, as tuples of constant positions
+    in a fixed order: size-k subsets for Model A, injective substitutions of
+    the prefix variables for Model B."""
     if isinstance(kind, ModelA):
-        return itertools.combinations(constants, kind.width)
-    return itertools.permutations(constants, len(universal_parts(f)[0]))
+        return itertools.combinations(range(n), kind.width)
+    return itertools.permutations(range(n), len(universal_parts(f)[0]))
 
 
-def grounding_test(f: Formula, kind: ModelKind) -> Callable[[frozenset, tuple[str, ...]], bool]:
-    """``test(atoms, grounding)``: whether ``f`` holds at one grounding.
+# ---------------------------------------------------------------------------
+# the evaluator: one formula over a batch of (grounding, structure) pairs
+
+# (grounding, structure) cells evaluated at once, and the dense-table budget
+# of one structure
+BLOCK_CELLS = 1 << 20
+TABLE_CELL_CAP = 1 << 26
+
+
+def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> dict[str, np.ndarray]:
+    """Truth tables of one structure for the predicates in ``vocabulary``:
+    ``tables[p][i, j, ..., 0]`` is whether ``p`` holds of the constants at
+    positions i, j, ...  Raises ``CapExceededError`` when the tables would
+    have more than ``TABLE_CELL_CAP`` cells."""
+    n = len(example.constants)
+    cells = sum(n**arity for arity in vocabulary.values())
+    if cells > TABLE_CELL_CAP:
+        raise CapExceededError(
+            f"truth tables of {cells} cells over {n} constants exceed the cap of "
+            f"{TABLE_CELL_CAP}",
+            cells,
+            TABLE_CELL_CAP,
+        )
+    position = {c: i for i, c in enumerate(example.constants)}
+    tables = {p: np.zeros((n,) * arity + (1,), dtype=bool) for p, arity in vocabulary.items()}
+    for atom in example.atoms:
+        table = tables.get(atom.pred)
+        if table is not None:
+            table[tuple(position[c] for c in atom.args) + (0,)] = True
+    return tables
+
+
+def holds_over(
+    f: Formula,
+    tables: Mapping[str, np.ndarray],
+    shape: tuple[int, int],
+    domain: Sequence[np.ndarray],
+    env: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Whether ``f`` holds at each of G groundings in each of S structures,
+    as a bool array of ``shape`` = (G, S).
+
+    ``env`` binds free variables (and constants, by name) to position arrays
+    of length G, and quantifiers range over the position arrays in
+    ``domain``.  An atom gathers ``tables[p]`` (shape ``(n,)*arity + (S,)``)
+    at its argument positions; a predicate without a table is false
+    everywhere.  Equality compares positions, the connectives are ``~ & |``,
+    and a quantifier reduces its body from all-false (exists) or all-true
+    (forall).
+    """
+    return np.broadcast_to(_holds(f, tables, shape, domain, env), shape)
+
+
+def _holds(g, tables, shape, domain, env) -> np.ndarray:
+    if isinstance(g, PredAtom):
+        table = tables.get(g.pred.name)
+        if table is None:
+            return np.zeros(shape, dtype=bool)
+        return table[tuple(env[t.name] for t in g.args)]
+    if isinstance(g, Eq):
+        return (env[g.left.name] == env[g.right.name])[:, None]
+    if isinstance(g, Not):
+        return ~_holds(g.sub, tables, shape, domain, env)
+    if isinstance(g, (And, Or)):
+        parts = (_holds(p, tables, shape, domain, env) for p in g.parts)
+        return functools.reduce(operator.and_ if isinstance(g, And) else operator.or_, parts)
+    names = [v.name for v in g.vars]
+    exists = isinstance(g, Exists)
+    out = np.full(shape, not exists)
+    for combo in itertools.product(domain, repeat=len(names)):
+        env.update(zip(names, combo))
+        if exists:
+            out |= _holds(g.body, tables, shape, domain, env)
+        else:
+            out &= _holds(g.body, tables, shape, domain, env)
+    for name in names:
+        env.pop(name, None)
+    return out
+
+
+def count_groundings(
+    f: Formula,
+    kind: ModelKind,
+    rows: Iterable[Sequence[int]],
+    tables: Mapping[str, np.ndarray],
+    structures: int,
+) -> np.ndarray:
+    """How many of the grounding ``rows`` of ``f`` (constant positions, as
+    from ``groundings``) hold in each structure, as an int array of length
+    ``structures``.  Rows are evaluated in blocks of at most ``BLOCK_CELLS``
+    (grounding, structure) cells, so memory does not grow with their number.
 
     Model A evaluates ``f`` with the subset as the domain: atoms inside the
     subset are exactly the fragment's atoms, so no fragment is built.  Model
-    B evaluates the matrix under the substitution.
+    B binds the prefix variables and evaluates the matrix.
     """
     if isinstance(kind, ModelA):
-        return functools.partial(holds, f)
-    vs, matrix = universal_parts(f)
-    names = [v.name for v in vs]
-    return lambda atoms, combo: holds(matrix, atoms, (), dict(zip(names, combo)))
-
-
-class WorldColumns:
-    """Boolean columns over an array of worlds (int bit patterns over the
-    atom positions in ``index``): the vector counterpart of an atom set.
-
-    ``atom(a)`` is true at the worlds that contain ``a`` and is built once; an
-    atom outside ``index`` is false everywhere.  Columns are shared, so
-    callers never modify them in place.
-    """
-
-    def __init__(self, worlds: np.ndarray, index: Mapping[GroundAtom, int]):
-        self.worlds = worlds
-        self.index = index
-        self.false = np.zeros(len(worlds), dtype=bool)
-        self.true = ~self.false
-        self._atoms: dict[GroundAtom, np.ndarray] = {}
-
-    def atom(self, atom: GroundAtom) -> np.ndarray:
-        column = self._atoms.get(atom)
-        if column is None:
-            i = self.index.get(atom)
-            column = self.false if i is None else (self.worlds >> i & 1).astype(bool)
-            self._atoms[atom] = column
-        return column
-
-
-def holds_columns(
-    f: Formula, columns: WorldColumns, domain: Iterable[str], env: dict[str, str] | None = None
-) -> np.ndarray:
-    """Vector twin of ``logic.holds``: whether ``f`` holds in each world of
-    ``columns``, as one boolean column.
-
-    Connectives become ``~ & |``, equality a constant column, and a
-    quantifier reduces its body's columns over ``domain`` with ``|`` or ``&``.
-    """
-    dom = tuple(domain)
-    env = {} if env is None else env
-
-    def ev(g: Formula) -> np.ndarray:
-        if isinstance(g, PredAtom):
-            names = tuple(env[t.name] if isinstance(t, Var) else t.name for t in g.args)
-            return columns.atom(GroundAtom(g.pred.name, names))
-        if isinstance(g, Eq):
-            l = env[g.left.name] if isinstance(g.left, Var) else g.left.name
-            r = env[g.right.name] if isinstance(g.right, Var) else g.right.name
-            return columns.true if l == r else columns.false
-        if isinstance(g, Not):
-            return ~ev(g.sub)
-        if isinstance(g, And):
-            return functools.reduce(operator.and_, map(ev, g.parts))
-        if isinstance(g, Or):
-            return functools.reduce(operator.or_, map(ev, g.parts))
-        names = [v.name for v in g.vars]
-        exists = isinstance(g, Exists)
-        out = columns.false if exists else columns.true
-        for combo in itertools.product(dom, repeat=len(names)):
-            env.update(zip(names, combo))
-            out = out | ev(g.body) if exists else out & ev(g.body)
-        for n in names:
-            env.pop(n, None)
-        return out
-
-    return ev(f)
-
-
-def grounding_columns(
-    f: Formula, kind: ModelKind, columns: WorldColumns
-) -> Callable[[tuple[str, ...]], np.ndarray]:
-    """Vector twin of ``grounding_test``: ``column(grounding)`` is true at the
-    worlds of ``columns`` where ``f`` holds at that grounding."""
-    if isinstance(kind, ModelA):
-        return functools.partial(holds_columns, f, columns)
-    vs, matrix = universal_parts(f)
-    names = [v.name for v in vs]
-    return lambda combo: holds_columns(matrix, columns, (), dict(zip(names, combo)))
+        vs, width = (), kind.width
+    else:
+        vs, f = universal_parts(f)
+        width = len(vs)
+    step = max(1, BLOCK_CELLS // max(structures, 1))
+    counts = np.zeros(structures, dtype=np.int64)
+    rows = iter(rows)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(rows, step))
+        block = np.fromiter(flat, dtype=np.intp).reshape(-1, width)
+        if not len(block):
+            return counts
+        columns = list(block.T)
+        env = {v.name: c for v, c in zip(vs, columns)}
+        counts += holds_over(f, tables, (len(block), structures), columns, env).sum(axis=0)
 
 
 def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
     """The marginal statistic of ``f`` under the chosen model: the fraction
     of its groundings in ``example`` that hold."""
     check_formula(f, example.vocabulary())
-    total = normalizer(f, kind, len(example.constants))
-    test, atoms = grounding_test(f, kind), example.atoms
-    hits = sum(1 for g in groundings(f, kind, example.constants) if test(atoms, g))
-    return Fraction(hits, total)
-
-
-def prob_model_a(f: Formula, example: GlobalExample, k: int) -> Fraction:
-    """Probability that the fragment over a uniform size-k subset satisfies ``f``."""
-    return statistic(f, example, ModelA(k))
-
-
-def prob_model_b(f: Formula, example: GlobalExample) -> Fraction:
-    """Fraction of injective substitutions under which the matrix holds."""
-    return statistic(f, example, MODEL_B)
+    n = len(example.constants)
+    total = normalizer(f, kind, n)
+    tables = structure_tables(example, vocabulary_of(f))
+    hits = count_groundings(f, kind, groundings(f, kind, n), tables, 1)[0]
+    return Fraction(int(hits), total)
 
 
 def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalForm, Fraction]:
@@ -341,11 +358,6 @@ def _json_constraint(entry, where: str) -> MarginalConstraint:
         return MarginalConstraint(parse_formula(formula, source=where), theta)
     except DomainError as exc:
         raise DomainError(f"{where}: {exc}") from None
-
-
-def format_constraints(constraints: Iterable[MarginalConstraint]) -> str:
-    lines = [f"{c.theta} ; {format_formula(c.formula)}" for c in constraints]
-    return "\n".join(lines) + "\n"
 
 
 def read_constraints(path) -> list[MarginalConstraint]:

@@ -7,11 +7,12 @@ per-world statistic counts that the max-entropy solver and the polytope code
 share.  The atom count is capped because everything downstream is exponential
 in it by design.
 
-Nothing here walks one world at a time: the hard-rule filter
-(``stats.holds_columns``) and ``count_matrix`` (``stats.grounding_columns``)
-evaluate a formula over all patterns at once, as numpy boolean columns.
-Single structures, such as one world's ``GlobalExample``, are evaluated by
-``logic.holds`` through ``stats.statistic``.
+Nothing here walks one world at a time.  ``world_tables`` reads each
+predicate's truth table off the bit patterns, one column per world, and the
+evaluator that also serves single examples (``stats.holds_over``) decides a
+formula over every world at once: the hard-rule filter evaluates each rule at
+its one grounding, and ``count_matrix`` counts each formula's true groundings
+with ``stats.count_groundings``.
 """
 
 from __future__ import annotations
@@ -19,24 +20,41 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .data import GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
 from .logic import Formula, constants_of, free_vars, merge_vocabulary, vocabulary_of
-from .stats import (
-    ModelKind,
-    WorldColumns,
-    check_formula,
-    grounding_columns,
-    groundings,
-    holds_columns,
-    normalizer,
-)
+from .stats import ModelKind, check_formula, count_groundings, groundings, holds_over, normalizer
 
 DEFAULT_ATOM_CAP = 24
+
+
+def world_tables(
+    worlds: np.ndarray, n: int, vocabulary: Mapping[str, int], named: Container[str]
+) -> dict[str, np.ndarray]:
+    """Truth tables over an array of bit patterns, for the predicates in
+    ``named``: ``tables[p][i, j, ..., w]`` is bit ``offset(p) + (i, j, ...)``
+    of world w.  Atoms are ordered by sorted predicate, then by argument
+    tuples in product order, which is row-major, so each predicate's bits
+    reshape into its table directly."""
+    # atom bit k is bit k % 8 of byte k // 8 of the little-endian pattern
+    n_bytes = (sum(n**arity for arity in vocabulary.values()) + 7) // 8
+    octets = worlds.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    octets = np.ascontiguousarray(octets.T[:n_bytes])
+    tables = {}
+    offset = 0
+    for pred in sorted(vocabulary):
+        size = n ** vocabulary[pred]
+        if pred in named:
+            table = np.empty((size, len(worlds)), dtype=bool)
+            for i, k in enumerate(range(offset, offset + size)):
+                np.not_equal(octets[k // 8] & (1 << k % 8), 0, out=table[i])
+            tables[pred] = table.reshape((n,) * vocabulary[pred] + (len(worlds),))
+        offset += size
+    return tables
 
 
 @dataclass
@@ -101,12 +119,12 @@ class WorldSpace:
         for f in formulas:
             check_formula(f, self.vocabulary)
         self.normalizers(formulas, kind)  # width/variable-count validation
-        columns = WorldColumns(self.worlds, self._index)
-        out = np.zeros((len(self.worlds), len(formulas)), dtype=np.int64)
+        n, w = len(self.constants), len(self.worlds)
+        named = {p for f in formulas for p in vocabulary_of(f)}
+        tables = world_tables(self.worlds, n, self.vocabulary, named)
+        out = np.zeros((w, len(formulas)), dtype=np.int64)
         for j, f in enumerate(formulas):
-            column = grounding_columns(f, kind, columns)
-            for g in groundings(f, kind, self.constants):
-                out[:, j] += column(g)
+            out[:, j] = count_groundings(f, kind, groundings(f, kind, n), tables, w)
         self._counts[key] = out
         return out
 
@@ -154,8 +172,14 @@ def enumerate_worlds(
         if unknown:
             raise DomainError(f"hard rule uses unknown constant(s): {', '.join(sorted(unknown))}")
         merge_vocabulary(vocabulary_of(rule), vocabulary)
-    index = {a: i for i, a in enumerate(atoms)}
+    # a hard rule is evaluated at its one grounding: every constant's
+    # position is in the domain, and the rule's constants are bound by name
+    n = len(constants)
+    positions = [np.array([i]) for i in range(n)]
     worlds = np.arange(1 << n_atoms, dtype=np.int64)
     for rule in hard_rules:
-        worlds = worlds[holds_columns(rule, WorldColumns(worlds, index), constants)]
+        tables = world_tables(worlds, n, vocabulary, vocabulary_of(rule))
+        env = dict(zip(constants, positions))
+        worlds = worlds[holds_over(rule, tables, (1, len(worlds)), positions, env)[0]]
+    index = {a: i for i, a in enumerate(atoms)}
     return WorldSpace(constants, vocabulary, hard_rules, tuple(atoms), worlds, index)

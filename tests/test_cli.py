@@ -406,6 +406,26 @@ def test_pipeline_cap_exceeded_keeps_constraints_and_exits_3(capsys, files):
     assert payload["constraints"][0]["theta"]["rational"] == "8/15"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--level", "1000000"),
+        ("expand", "--level", "1000000", "--noise", "0.5"),
+        ("pipeline", "--target-n", "10000000", "--model", "A", "--width", "2"),
+    ],
+)
+def test_oversized_expansions_exit_3_before_building(capsys, files, argv):
+    # a million-fold path has 3 million constants and 2 trillion atoms
+    src = resources.files("relmarg.fixtures").joinpath("path.facts").read_text()
+    facts = files("path.facts", src)
+    formulas = files("p.formulas", "exists X, Y: X != Y & e(X,Y)\n")
+    extra = ("--formulas", formulas) if argv[0] == "pipeline" else ()
+    code, out, err = run_cli(capsys, argv[0], "--facts", facts, *extra, *argv[1:])
+    assert code == 3
+    assert err.startswith("error:") and "cap" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

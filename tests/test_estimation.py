@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_stats import B_POOL
+from test_stats import A_POOL, B_POOL
 
 from relmarg.errors import DomainError
 from relmarg.estimation import (
@@ -21,7 +21,8 @@ from relmarg.estimation import (
     run_error_experiment,
     sample_subexample,
 )
-from relmarg.logic import Const, apply_substitution, evaluate, parse_formula
+from relmarg.data import fragment
+from relmarg.logic import Const, apply_substitution, evaluate, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 
 
@@ -151,38 +152,46 @@ def test_disjoint_sample_estimator_is_unbiased_on_average():
     assert abs(total / n - exact) < Fraction(1, 25)
 
 
-def _replayed_substitution_estimate(example, f, rng, universe):
-    """Replays the estimator's draws for a ``forall`` formula, grounds each
+def _replayed_estimate(example, f, kind, rng, universe):
+    """Replays the estimator's draws.  Model A evaluates ``f`` on the
+    fragment over each index set's constants; Model B grounds each
     substitution with ``apply_substitution`` and evaluates it on the whole
     structure."""
-    vs = f.vars
-    q = len(example.constants) // len(vs)
-    index_sets = [tuple(rng.sample(range(universe), len(vs))) for _ in range(q)]
+    vs = strip_foralls(f)[0]
+    k = kind.width if isinstance(kind, ModelA) else len(vs)
+    q = len(example.constants) // k
+    index_sets = [tuple(rng.sample(range(universe), k)) for _ in range(q)]
     union = sorted(set(itertools.chain.from_iterable(index_sets)))
     g = dict(zip(union, rng.sample(example.constants, len(union))))
-    hits = sum(
-        evaluate(apply_substitution(f, {v: Const(g[i]) for v, i in zip(vs, idx)}), example)
-        for idx in index_sets
-    )
+    if isinstance(kind, ModelA):
+        hits = sum(evaluate(f, fragment(example, [g[i] for i in idx])) for idx in index_sets)
+    else:
+        hits = sum(
+            evaluate(apply_substitution(f, {v: Const(g[i]) for v, i in zip(vs, idx)}), example)
+            for idx in index_sets
+        )
     return Fraction(hits, q)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 10_000),
-    st.sampled_from(B_POOL),
+    st.sampled_from([(t, None) for t in B_POOL] + [(t, k) for t in A_POOL for k in (1, 2, 3)]),
     st.integers(3, 7),
     st.integers(0, 5),
 )
 def test_disjoint_sample_estimator_substitutions_match_replayed_oracle(
-    seed, text, n, extra
+    seed, case, n, extra
 ):
+    # a width of None is Model B; index sets of Model A are fragments
+    text, width = case
     f = parse_formula(text)
+    kind = MODEL_B if width is None else ModelA(width)
     truth = random_structure(n, {"r": 1, "e": 2}, 0.5, random.Random(seed))
     got = disjoint_sample_estimator(
-        truth, f, MODEL_B, random.Random(seed), universe_size=n + extra
+        truth, f, kind, random.Random(seed), universe_size=n + extra
     )
-    want = _replayed_substitution_estimate(truth, f, random.Random(seed), n + extra)
+    want = _replayed_estimate(truth, f, kind, random.Random(seed), n + extra)
     assert got == want
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from relmarg.data import GlobalExample, fragment
-from relmarg.errors import DomainError
+from relmarg import expansion
+from relmarg.errors import CapExceededError, DomainError
 from relmarg.expansion import (
     congruent,
     expand,
@@ -229,6 +230,27 @@ def test_noisy_expand_validates_noise_and_level():
         noisy_expand(PATH3, 2, 1.5, random.Random(0))
     with pytest.raises(DomainError):
         noisy_expand(PATH3, 2, 0.1, random.Random(0), min_level=3)
+
+
+def test_expansions_over_the_cap_are_refused_before_building(monkeypatch):
+    # level 2 of PATH3: 6 constants and 2 atoms with 2 distinct arguments
+    # (2^2 copies each) make 14; noise adds 3 residues x 2^2 slots = 12 more
+    monkeypatch.setattr(expansion, "EXPANSION_CAP", 14)
+    assert len(expand(PATH3, 2).atoms) == 8
+    with pytest.raises(CapExceededError) as exc:
+        expand(PATH3, 3)
+    assert exc.value.size == 9 + 2 * 3**2 and exc.value.cap == 14
+    monkeypatch.setattr(expansion, "EXPANSION_CAP", 26)
+    assert noisy_expand(PATH3, 2, 0.5, random.Random(5)) == noisy_expand(
+        PATH3, 2, 0.5, random.Random(5)
+    )
+    monkeypatch.setattr(expansion, "EXPANSION_CAP", 25)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(CapExceededError) as exc:
+        noisy_expand(PATH3, 2, 0.5, rng)
+    assert exc.value.size == 26
+    assert rng.getstate() == state  # no draw was made
 
 
 def test_required_expansion_level():

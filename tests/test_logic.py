@@ -26,7 +26,6 @@ from relmarg.logic import (
     format_formula,
     free_vars,
     holds,
-    is_proper,
     parse_formula,
     quantifier_free,
     strip_foralls,
@@ -277,24 +276,6 @@ def test_unsatisfied_rules_filters():
 
 
 # ---------------------------------------------------------------------------
-# properness
-
-@pytest.mark.parametrize(
-    "text, want",
-    [
-        ("forall X, Y: X = Y | e(X,Y)", True),
-        ("forall X: r(X)", True),
-        ("forall X, Y: r(X) | r(Y)", False),
-        ("forall X, Y: X != Y | e(X,Y)", False),
-        ("forall X, Y, Z: X = Y | Y = Z | X = Z | e(X,Y)", True),
-        ("forall X, Y, Z: X = Y | e(X,Z)", False),
-    ],
-)
-def test_is_proper(text, want):
-    assert is_proper(parse_formula(text)) is want
-
-
-# ---------------------------------------------------------------------------
 # randomized cross-checks
 
 def _vocab_atoms(terms):
@@ -319,17 +300,27 @@ def _matrices(terms):
 
 
 @st.composite
-def closed_formulas(draw, constants=("a", "b"), quantifiers=(Forall, Exists)):
-    """A quantifier-free matrix over r/1, e/2, equality, the variables X and Y
-    and ``constants``, closed by one quantifier (from ``quantifiers``) over
-    its free variables."""
-    terms = [Var("X"), Var("Y")] + [Const(c) for c in constants]
-    matrix = draw(_matrices(terms))
+def closed_formulas(draw, constants=("a", "b"), quantifiers=(Forall, Exists), prenex=False):
+    """A formula over r/1, e/2, equality, the variables X and Y and
+    ``constants``, with quantifiers from ``quantifiers``.  A quantifier-free
+    matrix is closed by one quantifier over its free variables or by one
+    quantifier per variable (``Q1 X: Q2 Y: m``); unless ``prenex``, Y may
+    instead be bound in an inner scope (``Q1 X: m1 | (Q2 Y: m2)``, or with
+    ``&``)."""
+    x, y = Var("X"), Var("Y")
+    consts = [Const(c) for c in constants]
+    quant = st.sampled_from(quantifiers)
+    if not prenex and draw(st.booleans()):
+        scope = draw(quant)((y,), draw(_matrices([x, y] + consts)))
+        joined = draw(st.sampled_from((And, Or)))((draw(_matrices([x] + consts)), scope))
+        return draw(quant)((x,), joined) if free_vars(joined) else joined
+    matrix = draw(_matrices([x, y] + consts))
     opened = sorted(free_vars(matrix), key=lambda v: v.name)
     if not opened:
         return matrix
-    quant = draw(st.sampled_from(quantifiers))
-    return quant(tuple(opened), matrix)
+    if len(opened) == 2 and draw(st.booleans()):
+        return draw(quant)((opened[0],), draw(quant)((opened[1],), matrix))
+    return draw(quant)(tuple(opened), matrix)
 
 
 @st.composite

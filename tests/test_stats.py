@@ -7,20 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_logic import closed_formulas
 
+from relmarg import stats
 from relmarg.data import GlobalExample, fragment
-from relmarg.errors import DomainError, FormulaSyntaxError
-from relmarg.logic import evaluate, parse_formula
+from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
+from relmarg.logic import Forall, evaluate, parse_formula, strip_foralls
 from relmarg.stats import (
     MODEL_B,
     MarginalConstraint,
     ModelA,
-    format_constraints,
     marginal_distribution_a,
     parse_constraints,
     parse_theta,
-    prob_model_a,
-    prob_model_b,
     statistic,
 )
 
@@ -49,14 +48,14 @@ def brute_subset_stat(f, example, k):
 def brute_substitution_stat(f, example):
     """Oracle: ground the matrix over every injective variable assignment and
     evaluate on the full structure."""
-    assert f.__class__.__name__ == "Forall"
-    names = [v.name for v in f.vars]
+    vs, matrix = strip_foralls(f)
+    names = [v.name for v in vs]
     total = 0
     hits = 0
     for combo in itertools.permutations(example.constants, len(names)):
         total += 1
         env = dict(zip(names, combo))
-        if _ground_true(f.body, example, env):
+        if _ground_true(matrix, example, env):
             hits += 1
     return Fraction(hits, total)
 
@@ -80,13 +79,13 @@ def _ground_true(f, example, env):
 # frozen worked values
 
 def test_subset_statistics_match_frozen_values():
-    assert prob_model_a(ALPHA, FRIENDS, 2) == Fraction(1, 3)
-    assert prob_model_a(BETA, FRIENDS, 2) == Fraction(2, 3)
+    assert statistic(ALPHA, FRIENDS, ModelA(2)) == Fraction(1, 3)
+    assert statistic(BETA, FRIENDS, ModelA(2)) == Fraction(2, 3)
 
 
 def test_substitution_statistics_match_frozen_values():
-    assert prob_model_b(ALPHA, FRIENDS) == Fraction(1, 2)
-    assert prob_model_b(BETA, FRIENDS) == Fraction(2, 3)
+    assert statistic(ALPHA, FRIENDS, MODEL_B) == Fraction(1, 2)
+    assert statistic(BETA, FRIENDS, MODEL_B) == Fraction(2, 3)
 
 
 def test_statistic_dispatches_on_kind():
@@ -96,12 +95,12 @@ def test_statistic_dispatches_on_kind():
 
 def test_full_width_subset_stat_is_plain_evaluation():
     for f in (ALPHA, BETA):
-        assert prob_model_a(f, FRIENDS, 3) == Fraction(int(evaluate(f, FRIENDS)))
+        assert statistic(f, FRIENDS, ModelA(3)) == Fraction(int(evaluate(f, FRIENDS)))
 
 
 def test_width_one_substitution_counts_satisfied_singletons():
     f = parse_formula("forall X: sm(X)")
-    assert prob_model_b(f, FRIENDS) == Fraction(1, 3)
+    assert statistic(f, FRIENDS, MODEL_B) == Fraction(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +108,16 @@ def test_width_one_substitution_counts_satisfied_singletons():
 
 def test_subset_width_must_fit_domain():
     with pytest.raises(DomainError):
-        prob_model_a(ALPHA, FRIENDS, 4)
+        statistic(ALPHA, FRIENDS, ModelA(4))
     with pytest.raises(DomainError):
-        prob_model_a(ALPHA, FRIENDS, 0)
+        statistic(ALPHA, FRIENDS, ModelA(0))
 
 
 def test_substitution_requires_universal_formula():
     with pytest.raises(DomainError):
-        prob_model_b(parse_formula("exists X: sm(X)"), FRIENDS)
+        statistic(parse_formula("exists X: sm(X)"), FRIENDS, MODEL_B)
     with pytest.raises(DomainError):
-        prob_model_b(parse_formula("forall X: exists Y: fr(X,Y)"), FRIENDS)
+        statistic(parse_formula("forall X: exists Y: fr(X,Y)"), FRIENDS, MODEL_B)
 
 
 def test_formulas_must_be_closed_and_constant_free():
@@ -158,7 +157,7 @@ def test_marginal_distribution_reproduces_statistics():
         part = fragment(FRIENDS, subset)
         cf = canonicalize(as_local(part))
         assert cf in dist
-    assert total == prob_model_a(ALPHA, FRIENDS, 2)
+    assert total == statistic(ALPHA, FRIENDS, ModelA(2))
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +181,15 @@ A_POOL = [
     "exists X, Y: X != Y & e(X,Y)",
     "forall X, Y: ~e(X,Y) | e(Y,X)",
     "exists X, Y: e(X,Y) & ~r(X)",
+    "exists X: forall Y: ~e(X,Y) | r(Y)",
+    "forall X: r(X) | (exists Y: e(X,Y))",
 ]
 B_POOL = [
     "forall X: r(X)",
     "forall X, Y: ~e(X,Y) | e(Y,X)",
     "forall X, Y: X = Y | e(X,Y) | ~r(X)",
     "forall X, Y, Z: ~e(X,Y) | ~e(Y,Z) | e(X,Z)",
+    "forall X: forall Y: X = Y | ~e(X,Y) | r(Y)",
 ]
 
 
@@ -196,9 +198,9 @@ B_POOL = [
 def test_subset_stat_matches_brute_force(seed, data):
     rng = random.Random(seed)
     example = _random_structure(rng, rng.randint(2, 5))
-    f = parse_formula(data.draw(st.sampled_from(A_POOL)))
+    f = data.draw(st.sampled_from(A_POOL).map(parse_formula) | closed_formulas(()))
     k = data.draw(st.integers(min_value=1, max_value=len(example.constants)))
-    assert prob_model_a(f, example, k) == brute_subset_stat(f, example, k)
+    assert statistic(f, example, ModelA(k)) == brute_subset_stat(f, example, k)
 
 
 @settings(max_examples=120, deadline=None)
@@ -206,8 +208,11 @@ def test_subset_stat_matches_brute_force(seed, data):
 def test_substitution_stat_matches_brute_force(seed, data):
     rng = random.Random(seed)
     example = _random_structure(rng, rng.randint(3, 5))
-    f = parse_formula(data.draw(st.sampled_from(B_POOL)))
-    assert prob_model_b(f, example) == brute_substitution_stat(f, example)
+    f = data.draw(
+        st.sampled_from(B_POOL).map(parse_formula)
+        | closed_formulas((), (Forall,), prenex=True)
+    )
+    assert statistic(f, example, MODEL_B) == brute_substitution_stat(f, example)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,11 +221,38 @@ def test_statistics_are_probabilities(seed):
     rng = random.Random(seed)
     example = _random_structure(rng, rng.randint(3, 4))
     for text in A_POOL:
-        v = prob_model_a(parse_formula(text), example, 2)
+        v = statistic(parse_formula(text), example, ModelA(2))
         assert 0 <= v <= 1
     for text in B_POOL:
-        v = prob_model_b(parse_formula(text), example)
+        v = statistic(parse_formula(text), example, MODEL_B)
         assert 0 <= v <= 1
+
+
+def test_statistic_is_the_same_in_blocks(monkeypatch):
+    # 7 constants: C(7,3) = 35 subsets and P(7,3) = 210 substitutions, split
+    # into blocks of 4 groundings with a short last block
+    example = _random_structure(random.Random(3), 7)
+    cases = [(parse_formula(t), ModelA(3)) for t in A_POOL]
+    cases += [(parse_formula(t), MODEL_B) for t in B_POOL]
+    want = [statistic(f, example, kind) for f, kind in cases]
+    monkeypatch.setattr(stats, "BLOCK_CELLS", 4)
+    assert [statistic(f, example, kind) for f, kind in cases] == want
+
+
+def test_structures_over_the_table_cap_are_refused(monkeypatch):
+    # e/2 over 8,193 constants needs 8,193^2 > 2^26 table cells; nothing is
+    # allocated before the check
+    wide = GlobalExample([f"c{i}" for i in range(8193)], [], {"e": 2})
+    with pytest.raises(CapExceededError) as exc:
+        statistic(parse_formula("exists X: e(X,X)"), wide, ModelA(1))
+    assert exc.value.size == 8193**2 and exc.value.cap == stats.TABLE_CELL_CAP
+    # only the predicates a formula names get tables: e/2 over 3 constants
+    # fits a cap of 9 cells, e/2 with r/1 does not
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", 9)
+    small = _random_structure(random.Random(4), 3)
+    assert 0 <= statistic(parse_formula("exists X: e(X,X)"), small, ModelA(2)) <= 1
+    with pytest.raises(CapExceededError):
+        statistic(parse_formula("exists X: e(X,X) & r(X)"), small, ModelA(2))
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +281,6 @@ def test_parse_constraints_json_format():
     text = '[{"formula": "exists X: r(X)", "theta": "2/3"}]'
     cons = parse_constraints(text)
     assert cons[0].theta == Fraction(2, 3)
-
-
-def test_constraints_round_trip():
-    cons = [
-        MarginalConstraint(parse_formula("exists X: r(X)"), Fraction(1, 3)),
-        MarginalConstraint(parse_formula("forall X: r(X)"), Fraction(1)),
-    ]
-    again = parse_constraints(format_constraints(cons))
-    assert again == cons
 
 
 def test_constraint_theta_must_be_probability():

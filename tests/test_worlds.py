@@ -12,8 +12,9 @@ from test_stats import A_POOL, B_POOL
 
 from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
-from relmarg.logic import Forall, evaluate, holds, parse_formula
-from relmarg.stats import MODEL_B, ModelA, grounding_test, groundings, statistic
+from relmarg import stats
+from relmarg.logic import Forall, evaluate, holds, parse_formula, strip_foralls
+from relmarg.stats import MODEL_B, ModelA, statistic
 from relmarg.worlds import DEFAULT_ATOM_CAP, enumerate_worlds
 
 
@@ -184,14 +185,25 @@ ORACLE_SHAPES = [
 
 
 def per_world_counts(space, formulas, kind):
-    """The per-world grounding loop, one holds call per grounding."""
+    """The per-world grounding loop, one holds call per grounding: Model A
+    evaluates the formula with the subset as the domain, Model B evaluates
+    the matrix under the substitution."""
     rows = []
     for bits in space.worlds:
         atoms = space.world_atoms(int(bits))
-        rows.append([
-            sum(grounding_test(f, kind)(atoms, g) for g in groundings(f, kind, space.constants))
-            for f in formulas
-        ])
+        row = []
+        for f in formulas:
+            if isinstance(kind, ModelA):
+                subsets = itertools.combinations(space.constants, kind.width)
+                row.append(sum(holds(f, atoms, subset) for subset in subsets))
+            else:
+                vs, matrix = strip_foralls(f)
+                combos = itertools.permutations(space.constants, len(vs))
+                row.append(sum(
+                    holds(matrix, atoms, (), {v.name: c for v, c in zip(vs, combo)})
+                    for combo in combos
+                ))
+        rows.append(row)
     return rows
 
 
@@ -207,7 +219,9 @@ def test_count_matrix_matches_per_world_holds(data):
         formulas = data.draw(st.lists(closed_formulas(()), min_size=1, max_size=3))
     else:
         kind = MODEL_B
-        formulas = data.draw(st.lists(closed_formulas((), (Forall,)), min_size=1, max_size=3))
+        formulas = data.draw(
+            st.lists(closed_formulas((), (Forall,), prenex=True), min_size=1, max_size=3)
+        )
     counts = space.count_matrix(formulas, kind)
     assert counts.shape == (len(space), len(formulas))
     assert counts.tolist() == per_world_counts(space, formulas, kind)
@@ -242,6 +256,32 @@ def test_predicates_absent_from_the_space_are_false_everywhere():
     # hard rules over an absent predicate keep every world or none
     assert len(enumerate_worlds(["a", "b"], {"r": 1}, [parse_formula("forall X: ~e(X,X)")])) == 4
     assert len(enumerate_worlds(["a", "b"], {"r": 1}, [parse_formula("exists X: e(X,X)")])) == 0
+
+
+def test_hard_rules_over_an_empty_domain():
+    # one world, the empty one: a forall holds vacuously and an exists fails
+    for text, worlds in [
+        ("forall X: r(X)", 1),
+        ("exists X: r(X)", 0),
+        ("forall X: exists Y: r(X) & r(Y)", 1),
+        ("exists X: forall Y: r(Y)", 0),
+    ]:
+        space = enumerate_worlds([], {"r": 1}, [parse_formula(text)])
+        assert space.worlds.tolist() == [0] * worlds
+
+
+@pytest.mark.parametrize("cells", [1, 2 * 2**12 + 1, 4 * 2**12])
+def test_count_matrix_is_the_same_in_blocks(monkeypatch, cells):
+    # 2^12 worlds: every block holds 1, 2 or 4 groundings, so the last block
+    # of C(3,2) = 3 subsets or P(3,3) = 6 substitutions is a short one
+    vocab = {"r": 1, "e": 2}
+    kinds = {ModelA(2): POOL_FORMULAS["A"], MODEL_B: POOL_FORMULAS["B"]}
+    whole = enumerate_worlds(["c0", "c1", "c2"], vocab)
+    want = {kind: whole.count_matrix(fs, kind).tolist() for kind, fs in kinds.items()}
+    monkeypatch.setattr(stats, "BLOCK_CELLS", cells)
+    blocked = enumerate_worlds(["c0", "c1", "c2"], vocab)
+    for kind, fs in kinds.items():
+        assert blocked.count_matrix(fs, kind).tolist() == want[kind]
 
 
 def test_count_matrix_is_cached():
