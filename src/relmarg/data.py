@@ -140,7 +140,9 @@ class CanonicalForm:
         return math.factorial(self.width) // self.automorphisms
 
 
-def _check_width(width: int):
+def check_iso_width(width: int):
+    """Raise ``CapExceededError`` for an isomorphism search wider than
+    ``ISO_WIDTH_CAP``."""
     if width > ISO_WIDTH_CAP:
         raise CapExceededError(
             f"isomorphism search over width {width} exceeds cap {ISO_WIDTH_CAP}",
@@ -155,7 +157,7 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
     Minimizes the sorted atom tuple over all k! relabellings; the number of
     relabellings attaining the minimum equals the automorphism group size.
     """
-    _check_width(local.width)
+    check_iso_width(local.width)
     order = range(1, local.width + 1)
     best: tuple[LocalAtom, ...] | None = None
     hits = 0
@@ -169,14 +171,6 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
         elif image == best:
             hits += 1
     return CanonicalForm(local.width, best, hits)
-
-
-def as_local(example: GlobalExample) -> LocalExample:
-    """Relabel a global example onto 1..k following its constant order."""
-    _check_width(len(example.constants))
-    relabel = {c: i for i, c in enumerate(example.constants, start=1)}
-    atoms = frozenset((a.pred, tuple(relabel[arg] for arg in a.args)) for a in example.atoms)
-    return LocalExample(len(example.constants), atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -50,21 +50,23 @@ def sample_subexample(example: GlobalExample, m: int, rng: random.Random) -> Glo
     return fragment(example, rng.sample(example.constants, m))
 
 
-def adjusted_estimate(
-    example: GlobalExample, f: Formula, kind: ModelKind, target_size: int
-) -> Fraction:
-    """Statistic of the fragment's expansion, leveled to reach ``target_size``.
-
-    The expansion level is ceil(target_size / |constants|), so the expanded
-    domain is at least as large as the target; level 1 (no growth) when the
-    fragment already reaches it.
-    """
-    n = len(example.constants)
+def expansion_level(n: int, target_size: int) -> int:
+    """Level at which the expansion of ``n`` constants reaches ``target_size``:
+    ceil(target_size / n), so the expanded domain is at least as large as the
+    target; level 1 (no growth) when the ``n`` constants already reach it."""
     if n == 0:
         raise DomainError("cannot estimate from an empty structure")
     if target_size < 1:
         raise DomainError(f"target size {target_size} must be positive")
-    level = max(1, math.ceil(target_size / n))
+    return max(1, math.ceil(target_size / n))
+
+
+def adjusted_estimate(
+    example: GlobalExample, f: Formula, kind: ModelKind, target_size: int
+) -> Fraction:
+    """Statistic of the fragment's expansion, leveled to reach ``target_size``
+    (see ``expansion_level``)."""
+    level = expansion_level(len(example.constants), target_size)
     return statistic(f, expand(example, level), kind)
 
 
@@ -201,16 +203,18 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
     ``cfg.trials`` independent draws, one report per formula.
 
     Every trial derives its own RNG from (seed, trial index), so each trial
-    is reproducible on its own; errors are exact rationals.
+    is reproducible on its own; errors are exact rationals.  A trial expands
+    its sample once and reads every formula's ``adjusted_estimate`` off that
+    one expansion.
     """
     exact = [statistic(f, cfg.ground_truth, cfg.kind) for f in cfg.formulas]
+    level = expansion_level(cfg.sample_size, cfg.target_size)
 
     def one_trial(t: int) -> tuple[Fraction, ...]:
         rng = random.Random(f"{cfg.seed}:{t}")
-        sub = sample_subexample(cfg.ground_truth, cfg.sample_size, rng)
+        grown = expand(sample_subexample(cfg.ground_truth, cfg.sample_size, rng), level)
         return tuple(
-            abs(exact[i] - adjusted_estimate(sub, f, cfg.kind, cfg.target_size))
-            for i, f in enumerate(cfg.formulas)
+            abs(exact[i] - statistic(f, grown, cfg.kind)) for i, f in enumerate(cfg.formulas)
         )
 
     rows = [one_trial(t) for t in range(cfg.trials)]

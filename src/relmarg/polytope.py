@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .logic import Formula
-from .stats import ModelKind
+from .stats import ModelKind, distinct_rows
 from .worlds import WorldSpace
 
 MEMBERSHIP_TOL = 1e-8
@@ -70,7 +70,7 @@ def polytope_vertices(
     norms = [int(n) for n in space.normalizers(formulas, kind)]
     # equal count rows are equal statistic vectors: deduplicate the integers
     # and build Fractions for the distinct rows only
-    first = sorted(np.unique(counts, axis=0, return_index=True)[1])
+    first = distinct_rows(counts, [n + 1 for n in norms])[0]
     return MarginalPolytope(
         formulas,
         kind,

@@ -27,6 +27,11 @@ blocks of groundings for ``statistic``, ``WorldSpace.count_matrix`` and the
 index-set estimator; the hard-rule filter of ``enumerate_worlds`` calls it
 at a rule's one grounding.  ``logic.holds`` walks one structure and one
 grounding at a time; it backs ``logic.evaluate`` and is the tests' oracle.
+
+``marginal_distribution_a`` reads the Model A marginal off the same truth
+tables without building fragments: one gather per local atom gives every
+size-k subset's bit pattern, ``distinct_rows`` counts equal patterns, and
+each distinct pattern is canonicalized once.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .data import CanonicalForm, GlobalExample, as_local, canonicalize, fragment
+from .data import CanonicalForm, GlobalExample, LocalExample, canonicalize, check_iso_width
 from .errors import CapExceededError, DomainError, FormulaSyntaxError
 from .logic import (
     And,
@@ -244,17 +249,24 @@ def count_groundings(
     else:
         vs, f = universal_parts(f)
         width = len(vs)
-    step = max(1, BLOCK_CELLS // max(structures, 1))
     counts = np.zeros(structures, dtype=np.int64)
-    rows = iter(rows)
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(rows, step))
-        block = np.fromiter(flat, dtype=np.intp).reshape(-1, width)
-        if not len(block):
-            return counts
+    for block in _blocks(rows, width, BLOCK_CELLS // max(structures, 1)):
         columns = list(block.T)
         env = {v.name: c for v, c in zip(vs, columns)}
         counts += holds_over(f, tables, (len(block), structures), columns, env).sum(axis=0)
+    return counts
+
+
+def _blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
+    """``rows`` of ``width`` positions as int arrays of at most ``step`` (at
+    least one) rows each."""
+    rows = iter(rows)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(rows, max(1, step)))
+        block = np.fromiter(flat, dtype=np.intp).reshape(-1, width)
+        if not len(block):
+            return
+        yield block
 
 
 def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
@@ -268,21 +280,71 @@ def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
     return Fraction(int(hits), total)
 
 
+def distinct_rows(rows: np.ndarray, radix: int | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """First index and multiplicity of each distinct row of ``rows``, in
+    order of first appearance.
+
+    Entries of column j are integers in ``0..radix[j]-1`` (an int radix
+    serves every column).  Each row is keyed by one mixed-radix integer, so
+    ``np.unique`` sorts a single column; when the key would overflow int64
+    the rows are compared whole with ``axis=0``.
+    """
+    radices = [radix] * rows.shape[1] if isinstance(radix, int) else [int(r) for r in radix]
+    if math.prod(radices) <= np.iinfo(np.int64).max:
+        place = np.array([math.prod(radices[:j]) for j in range(len(radices))], dtype=np.int64)
+        key = rows.astype(np.int64, copy=False) @ place
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    else:
+        _, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalForm, Fraction]:
     """Distribution over canonical width-k local examples induced by Model A.
 
     Each size-k subset contributes 1/C(n,k) of mass to the isomorphism class
     of its fragment; within a class the mass splits uniformly over the
     ``class_size`` labellings.
+
+    No fragment is built: a subset's fragment is its bit pattern over the
+    local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, one gather
+    per local atom from the truth tables over a block of subsets.  Blocks
+    hold at most ``BLOCK_CELLS`` (subset, local atom) cells, so memory does
+    not grow with C(n,k).  Equal patterns are counted together, and each
+    distinct pattern is canonicalized once; classes appear in the order of
+    their first subset.  A width over ``ISO_WIDTH_CAP`` raises
+    ``CapExceededError`` before anything is built, as do truth tables over
+    ``TABLE_CELL_CAP`` (see ``structure_tables``).
     """
     n = len(example.constants)
     if not 1 <= k <= n:
         raise DomainError(f"width {k} outside 1..{n}")
+    check_iso_width(k)
+    vocabulary = example.vocabulary()
+    tables = structure_tables(example, vocabulary)
+    local = [
+        (p, args) for p in sorted(vocabulary)
+        for args in itertools.product(range(k), repeat=vocabulary[p])
+    ]
+    patterns: dict[bytes, int] = {}  # one byte per local atom -> subsets
+    subsets = itertools.combinations(range(n), k)
+    for block in _blocks(subsets, k, BLOCK_CELLS // max(len(local), 1)):
+        columns = block.T
+        bits = np.empty((len(block), len(local)), dtype=bool)
+        for j, (p, args) in enumerate(local):
+            bits[:, j] = tables[p][tuple(columns[a] for a in args) + (0,)]
+        for i, count in zip(*distinct_rows(bits, 2)):
+            pattern = bits[i].tobytes()
+            patterns[pattern] = patterns.get(pattern, 0) + int(count)
+    total = math.comb(n, k)
     dist: dict[CanonicalForm, Fraction] = {}
-    share = Fraction(1, math.comb(n, k))
-    for subset in itertools.combinations(example.constants, k):
-        cf = canonicalize(as_local(fragment(example, subset)))
-        dist[cf] = dist.get(cf, Fraction(0)) + share
+    for pattern, count in patterns.items():
+        atoms = frozenset(
+            (p, tuple(a + 1 for a in args)) for (p, args), bit in zip(local, pattern) if bit
+        )
+        cf = canonicalize(LocalExample(k, atoms))
+        dist[cf] = dist.get(cf, Fraction(0)) + Fraction(count, total)
     return dist
 
 

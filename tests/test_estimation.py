@@ -268,6 +268,32 @@ def test_experiment_config_validation():
         )
 
 
+@pytest.mark.parametrize("kind_name", ["subset", "substitution"])
+def test_experiment_trial_errors_replay_adjusted_estimates(kind_name):
+    # each trial's error is |exact - adjusted_estimate| on the sample that
+    # trial's own RNG draws, for every formula
+    truth = random_structure(10, {"r": 1, "e": 2}, 0.4, random.Random(8))
+    if kind_name == "subset":
+        kind, texts = ModelA(2), A_POOL[:4]
+    else:
+        kind, texts = MODEL_B, B_POOL[:3]
+    cfg = ExperimentConfig(
+        ground_truth=truth,
+        sample_size=4,
+        target_size=10,
+        formulas=tuple(parse_formula(t) for t in texts),
+        kind=kind,
+        trials=8,
+        seed=17,
+    )
+    reports = run_error_experiment(cfg)
+    for t in range(cfg.trials):
+        sub = sample_subexample(truth, cfg.sample_size, random.Random(f"{cfg.seed}:{t}"))
+        for report, f in zip(reports, cfg.formulas):
+            estimate = adjusted_estimate(sub, f, kind, cfg.target_size)
+            assert report.trial_errors[t] == abs(statistic(f, truth, kind) - estimate)
+
+
 def test_experiment_multi_formula_widths():
     truth = random_structure(8, {"e": 2}, 0.4, random.Random(30))
     cfg = ExperimentConfig(

@@ -4,14 +4,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_logic import closed_formulas
+from test_structures import local_of
 
 from relmarg import stats
-from relmarg.data import GlobalExample, fragment
+from relmarg.data import ISO_WIDTH_CAP, GlobalExample, canonicalize, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
+from relmarg.expansion import expand
 from relmarg.logic import Forall, evaluate, parse_formula, strip_foralls
 from relmarg.stats import (
     MODEL_B,
@@ -144,8 +147,6 @@ def test_marginal_distribution_sums_to_one():
 def test_marginal_distribution_reproduces_statistics():
     # a universal formula's subset statistic is the mass of the classes
     # whose members satisfy it
-    from relmarg.data import as_local, canonicalize
-
     dist = marginal_distribution_a(FRIENDS, 2)
     total = Fraction(0)
     for subset in itertools.combinations(FRIENDS.constants, 2):
@@ -155,9 +156,100 @@ def test_marginal_distribution_reproduces_statistics():
     by_class = Fraction(0)
     for subset in itertools.combinations(FRIENDS.constants, 2):
         part = fragment(FRIENDS, subset)
-        cf = canonicalize(as_local(part))
+        cf = canonicalize(local_of(part))
         assert cf in dist
     assert total == statistic(ALPHA, FRIENDS, ModelA(2))
+
+
+def brute_marginal_a(example, k):
+    """Oracle: canonicalize the relabelled fragment of every size-k subset."""
+    subsets = list(itertools.combinations(example.constants, k))
+    dist = {}
+    for s in subsets:
+        cf = canonicalize(local_of(fragment(example, s)))
+        dist[cf] = dist.get(cf, Fraction(0)) + Fraction(1, len(subsets))
+    return dist
+
+
+@st.composite
+def marginal_cases(draw):
+    """A structure with predicates of arity 1-3 (some declared without
+    atoms), possibly expanded, and a width 1-4 that fits it."""
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    empty = draw(st.sets(st.sampled_from(sorted(vocab))))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    consts = [f"c{i}" for i in range(n)]
+    atoms = [
+        (p, args)
+        for p in sorted(set(vocab) - empty)
+        for args in itertools.product(consts, repeat=vocab[p])
+        if rng.random() < density
+    ]
+    example = GlobalExample(consts, atoms, vocab)
+    level = draw(st.integers(1, max(1, 8 // n)))
+    example = expand(example, level)
+    k = draw(st.integers(1, min(4, len(example.constants))))
+    return example, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginal_cases())
+def test_marginal_distribution_matches_per_subset_canonicalize(case):
+    example, k = case
+    # equal as dicts and in the order the classes first appear
+    assert list(marginal_distribution_a(example, k).items()) == list(
+        brute_marginal_a(example, k).items()
+    )
+
+
+def test_marginal_distribution_is_the_same_in_blocks(monkeypatch):
+    # 8 constants, width 3: 56 subsets over 3 + 9 local atoms, in blocks of
+    # one subset, of 5 subsets with a short last block, and in one block
+    example = expand(_random_structure(random.Random(5), 4), 2)
+    want = brute_marginal_a(example, 3)
+    for cells in (1, 60, 1 << 20):
+        monkeypatch.setattr(stats, "BLOCK_CELLS", cells)
+        assert list(marginal_distribution_a(example, 3).items()) == list(want.items())
+
+
+def test_marginal_distribution_width_checks_come_first(monkeypatch):
+    # C(40, 9) is about 2.7e8 subsets: the width cap is checked before any
+    # table is built or any subset is enumerated
+    def refuse(*args):
+        raise AssertionError("truth tables built before the width check")
+
+    monkeypatch.setattr(stats, "structure_tables", refuse)
+    wide = GlobalExample([f"c{i}" for i in range(40)], [], {"e": 2})
+    with pytest.raises(CapExceededError) as exc:
+        marginal_distribution_a(wide, ISO_WIDTH_CAP + 1)
+    assert exc.value.size == ISO_WIDTH_CAP + 1 and exc.value.cap == ISO_WIDTH_CAP
+    # a width outside 1..n is a domain error even when it is over the cap
+    with pytest.raises(DomainError):
+        marginal_distribution_a(FRIENDS, ISO_WIDTH_CAP + 1)
+    with pytest.raises(DomainError):
+        marginal_distribution_a(FRIENDS, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5))
+def test_distinct_rows_keyed_matches_whole_row_comparison(seed, columns, radix):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, radix, size=(rng.integers(1, 40), columns))
+    first, counts = stats.distinct_rows(rows, radix)
+    # a radix too large for an int64 key falls back to np.unique(axis=0)
+    assert [first.tolist(), counts.tolist()] == [
+        a.tolist() for a in stats.distinct_rows(rows, [2**40] * columns)
+    ]
+    # first appearances in order, with their multiplicities
+    seen = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        seen.setdefault(row, [i, 0])[1] += 1
+    assert [first.tolist(), counts.tolist()] == [
+        [i for i, _ in seen.values()], [c for _, c in seen.values()]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 from relmarg.data import (
     GlobalExample,
     GroundAtom,
-    as_local,
+    LocalExample,
     canonicalize,
     format_facts,
     fragment,
     parse_facts,
 )
-from relmarg.errors import DomainError, FactsSyntaxError
+from relmarg.errors import CapExceededError, DomainError, FactsSyntaxError
+
+
+def local_of(example: GlobalExample) -> LocalExample:
+    """Relabel an example onto 1..k following its constant order."""
+    relabel = {c: i for i, c in enumerate(example.constants, start=1)}
+    atoms = frozenset((a.pred, tuple(relabel[arg] for arg in a.args)) for a in example.atoms)
+    return LocalExample(len(example.constants), atoms)
 
 
 def test_atoms_coerce_from_pairs():
@@ -79,20 +86,20 @@ def _relabelings(example: GlobalExample):
 
 def test_canonical_form_is_relabeling_invariant():
     ex = GlobalExample(["x", "y", "z"], [("e", ("x", "y")), ("e", ("y", "z"))])
-    forms = {canonicalize(as_local(g)) for g in _relabelings(ex)}
+    forms = {canonicalize(local_of(g)) for g in _relabelings(ex)}
     assert len(forms) == 1
 
 
 def test_class_size_counts_distinct_labelings():
     # single directed edge on two constants: two labelings, no symmetry
     edge = GlobalExample(["x", "y"], [("e", ("x", "y"))])
-    cf = canonicalize(as_local(edge))
+    cf = canonicalize(local_of(edge))
     assert cf.class_size == 2
     # symmetric pair: the swap is an automorphism
     both = GlobalExample(["x", "y"], [("e", ("x", "y")), ("e", ("y", "x"))])
-    assert canonicalize(as_local(both)).class_size == 1
+    assert canonicalize(local_of(both)).class_size == 1
     empty = GlobalExample(["x", "y"], [])
-    assert canonicalize(as_local(empty)).class_size == 1
+    assert canonicalize(local_of(empty)).class_size == 1
 
 
 def test_class_sizes_sum_to_labelings():
@@ -103,14 +110,14 @@ def test_class_sizes_sum_to_labelings():
         for i, pair in enumerate(pairs):
             if bits >> i & 1:
                 atoms.append(("e", pair))
-        cf = canonicalize(as_local(GlobalExample(["x", "y"], atoms)))
+        cf = canonicalize(local_of(GlobalExample(["x", "y"], atoms)))
         assert math.factorial(2) % cf.class_size == 0
 
 
 def test_canonicalize_width_cap():
     wide = GlobalExample([f"c{i}" for i in range(9)], [])
-    with pytest.raises(Exception):
-        canonicalize(as_local(wide))
+    with pytest.raises(CapExceededError):
+        canonicalize(local_of(wide))
 
 
 # ---------------------------------------------------------------------------
@@ -181,4 +188,4 @@ def test_facts_round_trip_random(ex):
 @given(random_examples())
 def test_canonical_form_stable_under_constant_shuffle(ex):
     relabeled = next(iter(_relabelings(ex)))
-    assert canonicalize(as_local(ex)) == canonicalize(as_local(relabeled))
+    assert canonicalize(local_of(ex)) == canonicalize(local_of(relabeled))
