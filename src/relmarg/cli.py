@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .errors import (
     NotRealizableError,
     ToolkitError,
 )
-from .estimation import ExperimentConfig, run_error_experiment
+from .estimation import ExperimentConfig, expansion_level, run_error_experiment
 from .expansion import expand, noisy_expand
 from .logic import format_formula, merge_vocabulary, unsatisfied_rules, vocabulary_of
 from .maxent import solve_maxent
@@ -337,7 +336,7 @@ def cmd_pipeline(args) -> int:
     base_size = len(train.constants)
     if base_size == 0:
         raise ToolkitError("training structure has no constants")
-    level = max(1, math.ceil(n / base_size))
+    level = expansion_level(base_size, n)
     if args.noise is not None:
         grown = noisy_expand(train, level, args.noise, random.Random(args.seed))
     else:

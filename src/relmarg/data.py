@@ -61,17 +61,26 @@ class GlobalExample:
             object.__setattr__(self, "vocab", dict(self.vocab))
         if len(set(self.constants)) != len(self.constants):
             raise DomainError("duplicate constants")
+        if self._atom_error(self.atoms) is not None:
+            # report the first offending atom in sorted order, whichever one
+            # the set order met first
+            raise self._atom_error(sorted(self.atoms, key=lambda a: (a.pred, a.args)))
+
+    def _atom_error(self, atoms: Iterable[GroundAtom]) -> DomainError | VocabularyError | None:
+        """The error for the first atom, in the order of ``atoms``, that uses
+        a constant outside the constant set or a second arity."""
         cset = set(self.constants)
         arity: dict[str, int] = dict(self.vocab or {})
-        for atom in sorted(self.atoms, key=lambda a: (a.pred, a.args)):
+        for atom in atoms:
             for arg in atom.args:
                 if arg not in cset:
-                    raise DomainError(f"atom {atom} uses constant {arg!r} outside the constant set")
+                    return DomainError(f"atom {atom} uses constant {arg!r} outside the constant set")
             seen = arity.setdefault(atom.pred, len(atom.args))
             if seen != len(atom.args):
-                raise VocabularyError(
+                return VocabularyError(
                     f"predicate {atom.pred!r} used with arities {seen} and {len(atom.args)}"
                 )
+        return None
 
     def vocabulary(self) -> dict[str, int]:
         vocab = dict(self.vocab or {})

@@ -27,9 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .data import GlobalExample, GroundAtom, fragment
 from .errors import DomainError
-from .expansion import expand
+from .expansion import expanded_statistic, representative_tables, residue_groundings, weighted_hits
 from .logic import Formula, vocabulary_of
 from .stats import (
     ModelKind,
@@ -37,13 +39,14 @@ from .stats import (
     count_groundings,
     formula_width,
     normalizer,
-    statistic,
     structure_tables,
+    table_statistic,
 )
 
 
 def sample_subexample(example: GlobalExample, m: int, rng: random.Random) -> GlobalExample:
-    """Fragment on a uniformly chosen size-m constant subset."""
+    """Fragment on a uniformly chosen size-m constant subset.
+    ``run_error_experiment`` makes the same draw over constant positions."""
     n = len(example.constants)
     if not 0 <= m <= n:
         raise DomainError(f"sample size {m} outside 0..{n}")
@@ -65,9 +68,10 @@ def adjusted_estimate(
     example: GlobalExample, f: Formula, kind: ModelKind, target_size: int
 ) -> Fraction:
     """Statistic of the fragment's expansion, leveled to reach ``target_size``
-    (see ``expansion_level``)."""
+    (see ``expansion_level``).  The expansion is not built
+    (``expanded_statistic``), so any target size is admissible."""
     level = expansion_level(len(example.constants), target_size)
-    return statistic(f, expand(example, level), kind)
+    return expanded_statistic(f, example, kind, level)
 
 
 def effective_sample_size(m: int, k: int) -> int:
@@ -203,18 +207,39 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
     ``cfg.trials`` independent draws, one report per formula.
 
     Every trial derives its own RNG from (seed, trial index), so each trial
-    is reproducible on its own; errors are exact rationals.  A trial expands
-    its sample once and reads every formula's ``adjusted_estimate`` off that
-    one expansion.
+    is reproducible on its own; errors are exact rationals.  The formulas
+    are checked and the ground truth's truth tables built once.  A trial
+    draws the sample's positions as ``sample_subexample`` does and reads
+    every formula's ``adjusted_estimate`` off one set of representative
+    tables sliced from the ground truth's (see ``expanded_statistic``):
+    neither the sample nor its expansion is built.
     """
-    exact = [statistic(f, cfg.ground_truth, cfg.kind) for f in cfg.formulas]
-    level = expansion_level(cfg.sample_size, cfg.target_size)
+    truth, kind, m = cfg.ground_truth, cfg.kind, cfg.sample_size
+    n = len(truth.constants)
+    vocabulary = truth.vocabulary()
+    for f in cfg.formulas:
+        check_formula(f, vocabulary)
+        normalizer(f, kind, n)
+    # a predicate the ground truth lacks gets no table: it is false everywhere
+    used = set().union(*map(vocabulary_of, cfg.formulas))
+    tables = structure_tables(truth, {p: a for p, a in vocabulary.items() if p in used})
+    exact = [table_statistic(f, kind, tables, n) for f in cfg.formulas]
+    level = expansion_level(m, cfg.target_size)
+    widths = [formula_width(kind, f) for f in cfg.formulas]
+    residues = {k: residue_groundings(kind, k, m, level) for k in set(widths)}
+    plans = [
+        (f, truth_value, residues[k], normalizer(f, kind, m * level))
+        for f, truth_value, k in zip(cfg.formulas, exact, widths)
+    ]
+    copies = min(level, max(widths))
 
     def one_trial(t: int) -> tuple[Fraction, ...]:
         rng = random.Random(f"{cfg.seed}:{t}")
-        grown = expand(sample_subexample(cfg.ground_truth, cfg.sample_size, rng), level)
+        positions = np.array(sorted(rng.sample(range(n), m)))
+        grown = representative_tables(tables, positions, copies)
         return tuple(
-            abs(exact[i] - statistic(f, grown, cfg.kind)) for i, f in enumerate(cfg.formulas)
+            abs(truth_value - Fraction(weighted_hits(f, kind, rows, weights, grown), total))
+            for f, truth_value, (rows, weights), total in plans
         )
 
     rows = [one_trial(t) for t in range(cfg.trials)]

@@ -8,6 +8,14 @@ statistics of the result stay within a closed-form bound of the original's,
 and adding independent noise on the congruent atom slots keeps every local
 example possible, which is what pushes estimated marginals into the interior
 of the polytope.
+
+A statistic of an expansion needs no expansion: permuting the copies of a
+residue class is an automorphism, so ``expanded_statistic`` evaluates one
+representative grounding per residue multiset (Model A) or residue sequence
+(Model B) on the truth tables of the first few copies, weighted by the number
+of groundings it stands for.  Its cost does not grow with the level.
+``expand`` and ``noisy_expand`` materialise an expansion for the CLI, the
+pipeline, the noisy path and the tests' oracles, under ``EXPANSION_CAP``.
 """
 
 from __future__ import annotations
@@ -18,9 +26,21 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .data import CanonicalForm, GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
-from .stats import ModelA, formula_width
+from .logic import Formula, vocabulary_of
+from .stats import (
+    ModelA,
+    ModelKind,
+    check_formula,
+    check_table_cells,
+    formula_width,
+    grounding_truths,
+    normalizer,
+    structure_tables,
+)
 
 # constants, atoms and noise slots one expansion may materialise
 EXPANSION_CAP = 1_000_000
@@ -84,6 +104,108 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
             relabel = dict(zip(distinct, picks))
             atoms.add(GroundAtom(atom.pred, tuple(relabel[a] for a in atom.args)))
     return GlobalExample(tuple(names), frozenset(atoms), example.vocab)
+
+
+# ---------------------------------------------------------------------------
+# statistics of an expansion, without building it
+
+def residue_groundings(
+    kind: ModelKind, width: int, n: int, level: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """One representative per class of interchangeable groundings of the
+    level-``level`` expansion of ``n`` constants, and the number of groundings
+    each stands for.
+
+    Position ``r + t*n`` of the expansion is copy t of residue r.  Permuting
+    the copies of a residue is an automorphism of the expansion, so a Model A
+    subset holds or fails with its residue multiset and a Model B
+    substitution with its residue sequence (its matrix is quantifier-free and
+    injectivity gives equal residues distinct copies).  The representative
+    gives the i-th argument of residue r copy i, so it lies in the first
+    ``min(level, width)`` copies; it stands for prod_r C(level, c_r) subsets
+    or prod_r P(level, c_r) substitutions, c_r arguments having residue r,
+    and by Vandermonde the counts sum to ``normalizer`` over ``n * level``
+    constants.  Counts are Python ints: at large levels they overflow int64.
+    """
+    if isinstance(kind, ModelA):
+        patterns = itertools.combinations_with_replacement(range(n), width)
+        ways = math.comb
+    else:
+        patterns = itertools.product(range(n), repeat=width)
+        ways = math.perm
+    rows, weights = [], []
+    for residues in patterns:
+        copies: dict[int, int] = {}
+        row = []
+        for r in residues:
+            row.append(r + copies.get(r, 0) * n)
+            copies[r] = copies.get(r, 0) + 1
+        weight = math.prod(ways(level, c) for c in copies.values())
+        if weight:  # no residue used more than ``level`` times
+            rows.append(tuple(row))
+            weights.append(weight)
+    return rows, weights
+
+
+def representative_tables(
+    tables: Mapping[str, np.ndarray], positions: np.ndarray, copies: int
+) -> dict[str, np.ndarray]:
+    """Truth tables of the first ``copies`` copies of an expansion, read off
+    the base ``tables`` at the base constants' ``positions``.
+
+    As ``expand`` builds it, an atom holds at expanded positions iff the base
+    atom holds at their residues and arguments with equal residue are the
+    same copy.  Raises ``CapExceededError`` when the tables would have more
+    than ``TABLE_CELL_CAP`` cells.
+    """
+    n = len(positions)
+    size = n * copies
+    check_table_cells((table.ndim - 1 for table in tables.values()), size)
+    copy, residue = np.divmod(np.arange(size), n)
+    out = {}
+    for pred, table in tables.items():
+        arity = table.ndim - 1
+        grid = np.ix_(*[residue] * arity)
+        held = table[tuple(positions[g] for g in grid)]
+        if arity > 1:
+            copy_grid = np.ix_(*[copy] * arity)
+            for i, j in itertools.combinations(range(arity), 2):
+                held = held & ((grid[i] != grid[j]) | (copy_grid[i] == copy_grid[j]))[..., None]
+        out[pred] = held
+    return out
+
+
+def weighted_hits(
+    f: Formula,
+    kind: ModelKind,
+    rows: list[tuple[int, ...]],
+    weights: list[int],
+    tables: Mapping[str, np.ndarray],
+) -> int:
+    """Sum of ``weights`` over the grounding ``rows`` at which ``f`` holds."""
+    held = itertools.chain.from_iterable(
+        block[:, 0] for block in grounding_truths(f, kind, rows, tables, 1)
+    )
+    return sum(itertools.compress(weights, held))
+
+
+def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, level: int) -> Fraction:
+    """``statistic(f, expand(example, level), kind)``, without building the
+    expansion: one evaluation per representative of ``residue_groundings``
+    on the tables of ``representative_tables``, so the cost does not grow
+    with ``level`` and no ``EXPANSION_CAP`` applies."""
+    if level < 1:
+        raise DomainError("expansion level must be at least 1")
+    if not example.constants:
+        raise DomainError("cannot expand an empty constant set")
+    check_formula(f, example.vocabulary())
+    n = len(example.constants)
+    total = normalizer(f, kind, n * level)
+    k = formula_width(kind, f)
+    base = structure_tables(example, vocabulary_of(f))
+    tables = representative_tables(base, np.arange(n), min(level, k))
+    rows, weights = residue_groundings(kind, k, n, level)
+    return Fraction(weighted_hits(f, kind, rows, weights, tables), total)
 
 
 def required_expansion_level(kind, formulas: Iterable) -> int:

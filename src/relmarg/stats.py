@@ -22,10 +22,11 @@ them.  All statistics are computed by exhaustive enumeration and returned as
 pairs at once.  A grounding is a row of constant positions, a structure is a
 column of the per-predicate truth tables, and an atom is a gather from those
 tables.  One example has one column (``structure_tables``); a world space has
-one per world (``worlds.world_tables``).  ``count_groundings`` runs it in
-blocks of groundings for ``statistic``, ``WorldSpace.count_matrix`` and the
-index-set estimator; the hard-rule filter of ``enumerate_worlds`` calls it
-at a rule's one grounding.  ``logic.holds`` walks one structure and one
+one per world (``worlds.world_tables``).  ``grounding_truths`` runs it in
+blocks of groundings; ``count_groundings`` counts them for ``statistic``,
+``WorldSpace.count_matrix`` and the index-set estimator, and
+``expansion.expanded_statistic`` weights them.  The hard-rule filter of
+``enumerate_worlds`` calls it at a rule's one grounding.  ``logic.holds`` walks one structure and one
 grounding at a time; it backs ``logic.evaluate`` and is the tests' oracle.
 
 ``marginal_distribution_a`` reads the Model A marginal off the same truth
@@ -163,14 +164,7 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
     positions i, j, ...  Raises ``CapExceededError`` when the tables would
     have more than ``TABLE_CELL_CAP`` cells."""
     n = len(example.constants)
-    cells = sum(n**arity for arity in vocabulary.values())
-    if cells > TABLE_CELL_CAP:
-        raise CapExceededError(
-            f"truth tables of {cells} cells over {n} constants exceed the cap of "
-            f"{TABLE_CELL_CAP}",
-            cells,
-            TABLE_CELL_CAP,
-        )
+    check_table_cells(vocabulary.values(), n)
     position = {c: i for i, c in enumerate(example.constants)}
     tables = {p: np.zeros((n,) * arity + (1,), dtype=bool) for p, arity in vocabulary.items()}
     for atom in example.atoms:
@@ -178,6 +172,20 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
         if table is not None:
             table[tuple(position[c] for c in atom.args) + (0,)] = True
     return tables
+
+
+def check_table_cells(arities: Iterable[int], n: int):
+    """Raise ``CapExceededError`` when truth tables of the given predicate
+    ``arities`` over ``n`` constants would have more than ``TABLE_CELL_CAP``
+    cells."""
+    cells = sum(n**arity for arity in arities)
+    if cells > TABLE_CELL_CAP:
+        raise CapExceededError(
+            f"truth tables of {cells} cells over {n} constants exceed the cap of "
+            f"{TABLE_CELL_CAP}",
+            cells,
+            TABLE_CELL_CAP,
+        )
 
 
 def holds_over(
@@ -244,17 +252,31 @@ def count_groundings(
     subset are exactly the fragment's atoms, so no fragment is built.  Model
     B binds the prefix variables and evaluates the matrix.
     """
+    counts = np.zeros(structures, dtype=np.int64)
+    for held in grounding_truths(f, kind, rows, tables, structures):
+        counts += held.sum(axis=0)
+    return counts
+
+
+def grounding_truths(
+    f: Formula,
+    kind: ModelKind,
+    rows: Iterable[Sequence[int]],
+    tables: Mapping[str, np.ndarray],
+    structures: int,
+) -> Iterator[np.ndarray]:
+    """Whether ``f`` holds at each grounding row in each structure, as
+    consecutive (rows, ``structures``) bool blocks of at most ``BLOCK_CELLS``
+    cells; ``count_groundings`` sums them."""
     if isinstance(kind, ModelA):
         vs, width = (), kind.width
     else:
         vs, f = universal_parts(f)
         width = len(vs)
-    counts = np.zeros(structures, dtype=np.int64)
     for block in _blocks(rows, width, BLOCK_CELLS // max(structures, 1)):
         columns = list(block.T)
         env = {v.name: c for v, c in zip(vs, columns)}
-        counts += holds_over(f, tables, (len(block), structures), columns, env).sum(axis=0)
-    return counts
+        yield holds_over(f, tables, (len(block), structures), columns, env)
 
 
 def _blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
@@ -274,10 +296,16 @@ def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
     of its groundings in ``example`` that hold."""
     check_formula(f, example.vocabulary())
     n = len(example.constants)
-    total = normalizer(f, kind, n)
-    tables = structure_tables(example, vocabulary_of(f))
+    normalizer(f, kind, n)  # width/variable-count validation before the tables
+    return table_statistic(f, kind, structure_tables(example, vocabulary_of(f)), n)
+
+
+def table_statistic(f: Formula, kind: ModelKind, tables: Mapping[str, np.ndarray], n: int) -> Fraction:
+    """``statistic`` of ``f`` (already checked) in the structure on ``n``
+    constants whose truth tables are ``tables``: callers that read several
+    formulas off one structure build its tables once."""
     hits = count_groundings(f, kind, groundings(f, kind, n), tables, 1)[0]
-    return Fraction(int(hits), total)
+    return Fraction(int(hits), normalizer(f, kind, n))
 
 
 def distinct_rows(rows: np.ndarray, radix: int | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

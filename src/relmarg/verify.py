@@ -22,7 +22,14 @@ import numpy as np
 
 from .data import GlobalExample, GroundAtom, fragment
 from .errors import DomainError, NotRealizableError
-from .expansion import expand, expansion_diff_bound, gamma, mixture_residual, noisy_expand
+from .expansion import (
+    expand,
+    expanded_statistic,
+    expansion_diff_bound,
+    gamma,
+    mixture_residual,
+    noisy_expand,
+)
 from .fixtures import load_constraints, load_example
 from .logic import evaluate, parse_formula, unsatisfied_rules
 from .maxent import (
@@ -435,6 +442,7 @@ def _suite_expansion_sweep() -> list[CheckResult]:
     fb = [parse_formula(t) for t in _SWEEP_B_TEXTS]
     bound_violations = 0
     residual_violations = 0
+    residue_mismatches = 0
     ran = 0
     for _ in range(1000):
         n = rng.randrange(2, 6)
@@ -449,6 +457,8 @@ def _suite_expansion_sweep() -> list[CheckResult]:
             kind = MODEL_B
         before = statistic(f, base, kind)
         after = statistic(f, grown, kind)
+        if expanded_statistic(f, base, kind, level) != after:
+            residue_mismatches += 1
         if abs(before - after) > expansion_diff_bound(n, formula_width(kind, f)):
             bound_violations += 1
         if isinstance(kind, ModelA) and kind.width <= n:
@@ -476,6 +486,12 @@ def _suite_expansion_sweep() -> list[CheckResult]:
         "mixture residual is a distribution in every sampled case",
         residual_violations == 0,
         f"{residual_violations} violations",
+    )
+    _check(
+        out,
+        "statistic from residue counts equals the materialised expansion on 1000 random cases",
+        ran == 1000 and residue_mismatches == 0,
+        f"{residue_mismatches} mismatches",
     )
     return out
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -342,6 +343,31 @@ def test_estimate_model_flag_validation(capsys, files):
     assert err_b == "error: model B derives widths from formulas; drop --k\n"
 
 
+def test_estimate_reaches_a_billion_constants_without_expanding(capsys, files):
+    # the level-5e8 expansion of a 2-constant sample is far over the
+    # expansion cap, but its width-2 statistic is exact: a sample on the
+    # edge c1->c2 or c2->c3 holds on the l^2 cross-residue pairs of its
+    # C(2l, 2), the sample {c1, c3} on none, and the truth is 2/3
+    src = resources.files("relmarg.fixtures").joinpath("path.facts").read_text()
+    facts = files("path.facts", src)
+    cons = files("est.constraints", "1/2 ; exists X, Y: e(X,Y)\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--ground-truth", facts, "--m", "2", "--k", "2",
+        "--target-n", "1000000000", "--constraints", cons, "--trials", "6",
+        "--seed", "1", "--model", "A",
+    )
+    assert code == 0 and err == ""
+    l = 500_000_000
+    errors = []
+    for t in range(6):
+        sample = set(random.Random(f"1:{t}").sample(("c1", "c2", "c3"), 2))
+        edge = sample != {"c1", "c3"}
+        estimate = Fraction(l * l, l * (2 * l - 1)) if edge else Fraction(0)
+        errors.append(abs(Fraction(2, 3) - estimate))
+    (report,) = json.loads(out)["reports"]
+    assert report["mean_error"]["rational"] == str(sum(errors) / 6)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -404,6 +430,18 @@ def test_pipeline_cap_exceeded_keeps_constraints_and_exits_3(capsys, files):
     assert "note" in payload
     assert "cap" in payload["note"]
     assert payload["constraints"][0]["theta"]["rational"] == "8/15"
+
+
+@pytest.mark.parametrize("target", ["0", "-1"])
+def test_pipeline_rejects_a_target_size_below_one(capsys, files, target):
+    facts = files("path.facts", PATH_FACTS)
+    formulas = files("p.formulas", "exists X, Y: e(X,Y)\n")
+    code, out, err = run_cli(
+        capsys, "pipeline", "--facts", facts, "--formulas", formulas,
+        "--target-n", target, "--model", "A", "--width", "2",
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: target size {target} must be positive\n"
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,14 @@ from relmarg.estimation import (
     adjusted_estimate,
     disjoint_sample_estimator,
     effective_sample_size,
+    expansion_level,
     expected_error_bound,
     random_structure,
     run_error_experiment,
     sample_subexample,
 )
 from relmarg.data import fragment
+from relmarg.expansion import expand
 from relmarg.logic import Const, apply_substitution, evaluate, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 
@@ -82,13 +84,25 @@ def test_adjusted_estimate_levels_to_target():
     # target below the fragment size: no expansion, plain statistic
     assert adjusted_estimate(truth, f, ModelA(2), 3) == statistic(f, truth, ModelA(2))
     # target 10 on 4 constants: level 3 expansion, 12 constants
-    from relmarg.expansion import expand
-
     assert adjusted_estimate(truth, f, ModelA(2), 10) == statistic(
         f, expand(truth, 3), ModelA(2)
     )
     with pytest.raises(DomainError):
         adjusted_estimate(truth, f, ModelA(2), 0)
+
+
+def test_adjusted_estimate_at_a_billion_constants_keeps_singleton_statistics():
+    # a width-1 subset or a one-variable substitution sees one constant, and
+    # every copy of a constant looks like it: the statistic at any level is
+    # the base statistic, although the expansion would have 2.5e8 constants
+    # per base constant, far over the expansion cap
+    truth = random_structure(4, {"r": 1, "e": 2}, 0.5, random.Random(3))
+    for text, kind in (
+        ("exists X: r(X) | ~e(X,X)", ModelA(1)),
+        ("forall X: r(X) | e(X,X)", MODEL_B),
+    ):
+        f = parse_formula(text)
+        assert adjusted_estimate(truth, f, kind, 10**9) == statistic(f, truth, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +301,12 @@ def test_experiment_trial_errors_replay_adjusted_estimates(kind_name):
         seed=17,
     )
     reports = run_error_experiment(cfg)
+    level = expansion_level(cfg.sample_size, cfg.target_size)
     for t in range(cfg.trials):
         sub = sample_subexample(truth, cfg.sample_size, random.Random(f"{cfg.seed}:{t}"))
+        grown = expand(sub, level)  # the materialised expansion is the oracle
         for report, f in zip(reports, cfg.formulas):
-            estimate = adjusted_estimate(sub, f, kind, cfg.target_size)
+            estimate = statistic(f, grown, kind)
             assert report.trial_errors[t] == abs(statistic(f, truth, kind) - estimate)
 
 

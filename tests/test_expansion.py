@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relmarg.data import GlobalExample, fragment
-from relmarg import expansion
+from relmarg import expansion, stats
 from relmarg.errors import CapExceededError, DomainError
 from relmarg.expansion import (
     congruent,
     expand,
+    expanded_statistic,
     expansion_diff_bound,
     gamma,
     mixture_residual,
@@ -268,3 +271,128 @@ def test_statistics_drift_under_expansion_respects_bound():
     for level in (2, 3, 4):
         grown_val = statistic(f, expand(PATH3, level), ModelA(2))
         assert abs(grown_val - base_val) <= expansion_diff_bound(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# statistics of an expansion without building it
+
+_VARS = ("X", "Y", "Z")
+
+
+def _matrix(rng, vocab, names, depth=0):
+    """A quantifier-free formula over ``vocab`` and the variables ``names``,
+    as text: 1-3 literals (atoms, or equalities between two variables),
+    each possibly a nested group, joined by ``&`` or ``|``."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        if depth < 1 and rng.random() < 0.25:
+            parts.append("(" + _matrix(rng, vocab, names, depth + 1) + ")")
+            continue
+        if len(names) > 1 and rng.random() < 0.25:
+            text = "{} = {}".format(*rng.sample(names, 2))
+        else:
+            pred = rng.choice(sorted(vocab))
+            arity = vocab[pred]
+            if arity <= len(names) and rng.random() < 0.5:  # distinct arguments
+                args = rng.sample(names, arity)
+            else:
+                args = [rng.choice(names) for _ in range(arity)]
+            text = f"{pred}({','.join(args)})"
+        parts.append("~" + text if rng.random() < 0.5 else text)
+    return rng.choice([" & ", " | "]).join(parts)
+
+
+@st.composite
+def expansion_cases(draw):
+    """A base structure on 1-4 constants with one predicate of each arity
+    1-3 (up to two declared without atoms), a level 1-4, and a formula with
+    its model: Model A closes a matrix over 1-3 variables with one
+    quantifier per variable, or over an inner scope, each ``forall`` or
+    ``exists``; Model B prefixes a matrix with ``forall``."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    n, level = rng.randint(1, 4), rng.randint(1, 4)
+    vocab = {f"p{i}": a for i, a in enumerate(rng.sample([1, 2, 3], 3))}
+    empty = set(rng.sample(sorted(vocab), rng.randint(0, 2)))
+    density = rng.choice([0.2, 0.5, 0.8, 1.0])
+    consts = [f"c{i}" for i in range(n)]
+    atoms = [
+        (p, args)
+        for p in sorted(set(vocab) - empty)
+        for args in itertools.product(consts, repeat=vocab[p])
+        if rng.random() < density
+    ]
+    base = GlobalExample(consts, atoms, vocab)
+    names = _VARS[: rng.randint(1, min(3, n * level))]
+    if draw(st.booleans()):
+        text = f"forall {', '.join(names)}: ({_matrix(rng, vocab, names)})"
+        return base, level, text, stats.MODEL_B
+    quantifiers = [rng.choice(["forall", "exists"]) for _ in names]
+    if len(names) > 1 and rng.random() < 0.5:
+        text = (
+            f"{quantifiers[0]} {names[0]}: ({_matrix(rng, vocab, names[:1])}) | "
+            f"({quantifiers[1]} {', '.join(names[1:])}: {_matrix(rng, vocab, names)})"
+        )
+    else:
+        text = _matrix(rng, vocab, names)
+        for q, x in reversed(list(zip(quantifiers, names))):
+            text = f"{q} {x}: ({text})"
+    width = rng.randint(1, min(3, n * level))
+    return base, level, text, ModelA(width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases())
+def test_expanded_statistic_equals_the_materialised_expansion(case):
+    base, level, text, kind = case
+    f = parse_formula(text)
+    assert expanded_statistic(f, base, kind, level) == statistic(f, expand(base, level), kind)
+
+
+def test_expanded_statistic_is_the_same_in_blocks(monkeypatch):
+    # level 3 of a 4-constant base: Model A width 3 has 20 residue
+    # multisets, Model B over 3 variables 64 residue sequences; in blocks of
+    # one row, of 7 rows with a short last block, and in one block
+    base = GlobalExample(
+        ["c1", "c2", "c3", "c4"],
+        [("e", ("c1", "c2")), ("e", ("c2", "c2")), ("e", ("c3", "c1")), ("r", ("c4",))],
+        {"r": 1, "e": 2},
+    )
+    cases = [
+        ("exists X: forall Y: ~e(X,Y) | r(Y) | X = Y", ModelA(3)),
+        ("forall X, Y, Z: ~e(X,Y) | ~e(Y,Z) | e(X,Z) | X = Z", stats.MODEL_B),
+    ]
+    grown = expand(base, 3)
+    want = [statistic(parse_formula(t), grown, kind) for t, kind in cases]
+    for cells in (1, 7, 1 << 20):
+        monkeypatch.setattr(stats, "BLOCK_CELLS", cells)
+        got = [expanded_statistic(parse_formula(t), base, kind, 3) for t, kind in cases]
+        assert got == want
+
+
+def test_expanded_statistic_needs_no_expansion():
+    # a billion-fold expansion of PATH3 has 3e9 constants; its statistic is
+    # read off the 3 residues (width 1: one copy) or 3 + 3 copies (width 2)
+    f1 = parse_formula("forall X: ~e(X,X)")
+    assert expanded_statistic(f1, PATH3, ModelA(1), 10**9) == 1
+    f2 = parse_formula("exists X, Y: e(X,Y)")
+    l, n = 10**9, 3
+    # a pair holds iff it is a copy of e(c1,c2) or e(c2,c3): 2 * l^2 pairs
+    assert expanded_statistic(f2, PATH3, ModelA(2), l) == Fraction(2 * l * l, l * n * (l * n - 1) // 2)
+    with pytest.raises(DomainError):
+        expanded_statistic(f1, PATH3, ModelA(1), 0)
+    with pytest.raises(DomainError):
+        expanded_statistic(f1, GlobalExample([], []), ModelA(1), 2)
+    with pytest.raises(DomainError):
+        expanded_statistic(f2, PATH3, MODEL_B, 2)  # not universal
+
+
+def test_expanded_statistic_table_cap(monkeypatch):
+    # 3 residues in 2 copies: one binary table of 6^2 = 36 cells
+    f = parse_formula("exists X, Y: e(X,Y)")
+    want = statistic(f, expand(PATH3, 5), ModelA(2))
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", 36)
+    assert expanded_statistic(f, PATH3, ModelA(2), 5) == want
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", 35)
+    with pytest.raises(CapExceededError) as exc:
+        expanded_statistic(f, PATH3, ModelA(2), 5)
+    assert exc.value.size == 36 and exc.value.cap == 35

@@ -16,7 +16,7 @@ from relmarg.data import (
     fragment,
     parse_facts,
 )
-from relmarg.errors import CapExceededError, DomainError, FactsSyntaxError
+from relmarg.errors import CapExceededError, DomainError, FactsSyntaxError, VocabularyError
 
 
 def local_of(example: GlobalExample) -> LocalExample:
@@ -41,6 +41,21 @@ def test_constants_keep_order_and_reject_duplicates():
 def test_atoms_must_use_known_constants():
     with pytest.raises(DomainError):
         GlobalExample(["a"], [("e", ("a", "zz"))])
+
+
+def test_atom_errors_name_the_first_offending_atom_in_sorted_order():
+    # atoms are checked in set order, which varies with string hashing; the
+    # message names the first offender in (predicate, arguments) order
+    with pytest.raises(DomainError) as exc:
+        GlobalExample(["a"], [("e", ("a", "zz")), ("d", ("yy",)), ("r", ("a",))])
+    assert str(exc.value) == "atom d(yy) uses constant 'yy' outside the constant set"
+    with pytest.raises(VocabularyError) as exc:
+        GlobalExample(["a"], [("p", ("a", "a")), ("p", ("a",)), ("q", ("a", "a", "a"))])
+    assert str(exc.value) == "predicate 'p' used with arities 1 and 2"
+    # a declared arity comes first
+    with pytest.raises(VocabularyError) as exc:
+        GlobalExample(["a"], [("p", ("a", "a")), ("p", ("a",))], {"p": 3})
+    assert str(exc.value) == "predicate 'p' used with arities 3 and 1"
 
 
 def test_vocabulary_collects_arities():
