@@ -26,7 +26,7 @@ from .errors import (
     ToolkitError,
 )
 from .estimation import ExperimentConfig, expansion_level, run_error_experiment
-from .expansion import expand, noisy_expand
+from .expansion import expand, expanded_statistic, noisy_expand, required_expansion_level
 from .logic import format_formula, merge_vocabulary, unsatisfied_rules, vocabulary_of
 from .maxent import solve_maxent
 from .polytope import realizability_check
@@ -40,7 +40,7 @@ from .stats import (
     statistic,
 )
 from .verify import available_suites, run_verification
-from .worlds import enumerate_worlds
+from .worlds import check_atom_cap, enumerate_worlds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,11 +90,16 @@ def _csv_table(header, rows) -> str:
     return buf.getvalue()
 
 
-def _target_space(constants, vocab, formulas, hard=()):
+def _target_space(domain, vocab, formulas, hard=()):
+    """World space over ``domain``: constant names, or a size N for c1..cN,
+    whose atom cap is checked before any constant is named."""
     merged = merge_vocabulary(vocab, *(vocabulary_of(f) for f in formulas))
     for rule in hard:
         merged = merge_vocabulary(merged, vocabulary_of(rule))
-    return enumerate_worlds(constants, merged, hard_rules=tuple(hard))
+    if isinstance(domain, int):
+        check_atom_cap(domain, merged)
+        domain = [f"c{i}" for i in range(1, domain + 1)]
+    return enumerate_worlds(domain, merged, hard_rules=tuple(hard))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +232,7 @@ def cmd_polytope(args) -> int:
     constraints = read_constraints(args.constraints)
     kind = _model_kind(args.model, args.width)
     formulas = [c.formula for c in constraints]
-    constants = [f"c{i}" for i in range(1, args.size + 1)]
-    space = _target_space(constants, vocab_example.vocabulary(), formulas)
+    space = _target_space(args.size, vocab_example.vocabulary(), formulas)
     theta = [c.theta for c in constraints]
     verdict = realizability_check(theta, formulas, space, kind)
     poly = verdict.polytope
@@ -292,11 +296,7 @@ def cmd_estimate(args) -> int:
         for r in reports
         for t, e in enumerate(r.trial_errors)
     ]
-    table = _csv_table(["formula", "trial", "error"], trial_rows)
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write(table)
-    _emit(args, payload, table)
+    _emit(args, payload, _csv_table(["formula", "trial", "error"], trial_rows))
     return 0
 
 
@@ -338,10 +338,11 @@ def cmd_pipeline(args) -> int:
         raise ToolkitError("training structure has no constants")
     level = expansion_level(base_size, n)
     if args.noise is not None:
+        level = max(level, required_expansion_level(kind, formulas))
         grown = noisy_expand(train, level, args.noise, random.Random(args.seed))
+        thetas = [statistic(f, grown, kind) for f in formulas]
     else:
-        grown = expand(train, level)
-    thetas = [statistic(f, grown, kind) for f in formulas]
+        thetas = [expanded_statistic(f, train, kind, level) for f in formulas]
     payload: dict = {
         "constraints": [
             {"formula": format_formula(f), "theta": _value(t)}
@@ -357,14 +358,14 @@ def cmd_pipeline(args) -> int:
         ["formula", "theta_rational", "theta_decimal"],
         [[format_formula(f), str(t), float(t)] for f, t in zip(formulas, thetas)],
     )
-    constants = [f"c{i}" for i in range(1, n + 1)]
     try:
-        space = _target_space(constants, train.vocabulary(), formulas)
+        space = _target_space(n, train.vocabulary(), formulas)
     except CapExceededError as exc:
         payload["note"] = (
             f"{exc}; reduce the target size or the vocabulary to solve exactly"
         )
         _emit(args, payload, table)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     verdict = realizability_check(thetas, formulas, space, kind)
     payload["hull_distance"] = float(verdict.distance)
@@ -455,7 +456,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", required=True, choices=("A", "B"))
-    p.add_argument("--csv-out", help="also write per-trial errors as CSV")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)

@@ -82,18 +82,12 @@ def effective_sample_size(m: int, k: int) -> int:
     return m // k
 
 
-def expected_error_bound(m: int, k: int, interior: bool = False) -> float:
-    """Closed-form bound on the expected absolute estimation error.
-
-    ``interior`` selects the sharper variant that applies when the statistic
-    is read off the fragment itself with no expansion step (the distortion
-    term drops).
-    """
+def expected_error_bound(m: int, k: int) -> float:
+    """Closed-form bound on the expected absolute estimation error: the
+    expansion distortion plus the sampling term."""
     if not 1 <= k <= m:
         raise DomainError(f"need 1 <= width <= sample size, got k={k}, m={m}")
     sampling = math.sqrt((1.0 + 2.0 * math.log(2.0)) / (4.0 * (m // k)))
-    if interior:
-        return sampling
     distortion = 1.0 - ((m - k + 1) / m) ** (k - 1)
     return distortion + sampling
 

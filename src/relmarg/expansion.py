@@ -14,8 +14,9 @@ residue class is an automorphism, so ``expanded_statistic`` evaluates one
 representative grounding per residue multiset (Model A) or residue sequence
 (Model B) on the truth tables of the first few copies, weighted by the number
 of groundings it stands for.  Its cost does not grow with the level.
-``expand`` and ``noisy_expand`` materialise an expansion for the CLI, the
-pipeline, the noisy path and the tests' oracles, under ``EXPANSION_CAP``.
+``expand`` and ``noisy_expand`` materialise an expansion for the CLI
+``expand`` command, the noisy pipeline and the oracles of the verification
+suites and tests, under ``EXPANSION_CAP``.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ from .stats import (
 
 # constants, atoms and noise slots one expansion may materialise
 EXPANSION_CAP = 1_000_000
-
-
-def congruent(i: int, j: int, n: int) -> bool:
-    """Whether 1-based constant positions i and j are congruent modulo n."""
-    if n < 1 or i < 1 or j < 1:
-        raise DomainError("positions and modulus must be positive")
-    return (i - j) % n == 0
 
 
 def _extended_names(constants: tuple[str, ...], level: int) -> list[str]:
@@ -211,8 +205,11 @@ def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, leve
 def required_expansion_level(kind, formulas: Iterable) -> int:
     """Smallest noisy-expansion level that makes every width reachable.
 
-    For fragment statistics this is the subset width; for substitution
-    statistics, the largest variable count among the formulas.
+    Noise lands only on atoms over pairwise-congruent constants, so every
+    width-k local example is reachable only when k constants can share a
+    congruence class: level >= k.  For fragment statistics k is the subset
+    width; for substitution statistics, the largest variable count among the
+    formulas.
     """
     if isinstance(kind, ModelA):
         return kind.width
@@ -227,20 +224,15 @@ def noisy_expand(
     level: int,
     eps: float,
     rng: random.Random,
-    min_level: int | None = None,
 ) -> GlobalExample:
     """Expand, then add each absent atom over pairwise-congruent constants
     independently with probability ``eps``.
 
-    ``min_level`` (from :func:`required_expansion_level`) guards the level
-    needed for the statistics that will be read off the result.
+    Every width-k local example is reachable only at level >= k (see
+    :func:`required_expansion_level`); callers choose the level.
     """
     if not 0 <= eps <= 1:
         raise DomainError(f"noise probability {eps} outside [0, 1]")
-    if min_level is not None and level < min_level:
-        raise DomainError(
-            f"expansion level {level} too small; minimum admissible level is {min_level}"
-        )
     n = len(example.constants)
     vocab = example.vocabulary()
     _check_size(example, level, sum(n * level**arity for arity in vocab.values()))

@@ -147,11 +147,10 @@ def _tokenize(text: str, source: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source: str, vocab: Mapping[str, int] | None):
+    def __init__(self, tokens: list[_Token], source: str):
         self.tokens = tokens
         self.pos = 0
         self.source = source
-        self.vocab = vocab
         self.seen_arity: dict[str, int] = {}
 
     def peek(self) -> _Token:
@@ -266,15 +265,6 @@ class _Parser:
         seen = self.seen_arity.setdefault(name, arity)
         if seen != arity:
             self.fail(f"predicate {name!r} used with arity {arity} and {seen}", name_tok)
-        if self.vocab is not None:
-            declared = self.vocab.get(name)
-            if declared is None:
-                self.fail(f"predicate {name!r} is not in the declared vocabulary", name_tok)
-            if declared != arity:
-                self.fail(
-                    f"predicate {name!r} has declared arity {declared}, used with {arity}",
-                    name_tok,
-                )
         return PredAtom(Predicate(name, arity), tuple(args))
 
     def term(self) -> Term:
@@ -286,15 +276,15 @@ class _Parser:
         return Var(tok.value) if tok.value[0].isupper() else Const(tok.value)
 
 
-def parse_formula(
-    text: str, vocab: Mapping[str, int] | None = None, source: str = "<formula>"
-) -> Formula:
+def parse_formula(text: str, source: str = "<formula>") -> Formula:
     """Parse ``text`` into a formula tree.
 
-    When ``vocab`` (predicate name -> arity) is given, predicate uses are
-    checked against it.  Errors carry line and column numbers.
+    A predicate used with two arities is a syntax error; arities are checked
+    against a structure's vocabulary where the formula is used
+    (``stats.check_formula``, ``merge_vocabulary``).  Errors carry line and
+    column numbers.
     """
-    f = _Parser(_tokenize(text, source), source, vocab).parse()
+    f = _Parser(_tokenize(text, source), source).parse()
     _check_bindings(f, frozenset(), source)
     return f
 

@@ -235,7 +235,6 @@ def primal_solve_oracle(
     constraints: Sequence[MarginalConstraint],
     space: WorldSpace,
     kind: ModelKind,
-    tol: float = 1e-8,
 ) -> ExplicitDistribution:
     """Independent primal route: maximize entropy subject to the marginal
     constraints directly over the probability simplex.
@@ -302,7 +301,7 @@ def primal_solve_oracle(
     p = np.clip(p, 0.0, None)
     p /= p.sum()
     final = float(np.abs(a @ p - theta).max())
-    if final > max(tol, 1e-9):
+    if final > 1e-8:
         raise InfeasibleError(f"projected distribution misses the target by {final:.3g}")
     return ExplicitDistribution(space, tuple(float(x) for x in p))
 

@@ -25,6 +25,7 @@ from .stats import ModelKind, distinct_rows
 from .worlds import WorldSpace
 
 MEMBERSHIP_TOL = 1e-8
+ETA_PROBES = 16  # random directions eta_interior probes beyond the axes
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,6 @@ class MarginalPolytope:
             return 0
         v = self.float_vertices
         return int(np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-12))
-
-    def full_dimensional(self) -> bool:
-        return self.rank() == self.dim
 
 
 def polytope_vertices(
@@ -157,11 +155,10 @@ def eta_interior(
     point: Sequence[float],
     eta: float,
     polytope: MarginalPolytope,
-    probes: int = 16,
-    seed: int = 0,
 ) -> EtaVerdict:
     """Check that the eta-ball around ``point`` sits inside the hull, by probing
-    the 2*dim coordinate directions plus ``probes`` random unit directions."""
+    the 2*dim coordinate directions plus ``ETA_PROBES`` random unit directions
+    drawn from a generator seeded with 0, so a verdict is reproducible."""
     if eta < 0:
         raise DomainError("eta must be non-negative")
     d = polytope.dim
@@ -173,8 +170,8 @@ def eta_interior(
         e = np.zeros(d)
         e[i] = 1.0
         directions.extend((e, -e))
-    rng = np.random.default_rng(seed)
-    for _ in range(probes):
+    rng = np.random.default_rng(0)
+    for _ in range(ETA_PROBES):
         v = rng.standard_normal(d)
         norm = np.linalg.norm(v)
         if norm > 1e-12:

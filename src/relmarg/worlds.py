@@ -92,10 +92,6 @@ class WorldSpace:
             bits |= 1 << i
         return bits
 
-    def contains(self, bits: int) -> bool:
-        i = int(np.searchsorted(self.worlds, bits))
-        return i < len(self.worlds) and int(self.worlds[i]) == bits
-
     def world_index(self, bits: int) -> int:
         i = int(np.searchsorted(self.worlds, bits))
         if i >= len(self.worlds) or int(self.worlds[i]) != bits:
@@ -139,11 +135,24 @@ class WorldSpace:
         return tuple(Fraction(int(c), int(n)) for c, n in zip(counts, norms))
 
 
+def check_atom_cap(n: int, vocabulary: Mapping[str, int]) -> int:
+    """The number of ground atoms over ``n`` constants; raises
+    ``CapExceededError`` when it exceeds ``DEFAULT_ATOM_CAP``.  Needs only the
+    domain size, so callers can check before naming any constant."""
+    n_atoms = sum(n**arity for arity in vocabulary.values())
+    if n_atoms > DEFAULT_ATOM_CAP:
+        raise CapExceededError(
+            f"{n_atoms} ground atoms exceed the enumeration cap of {DEFAULT_ATOM_CAP}",
+            n_atoms,
+            DEFAULT_ATOM_CAP,
+        )
+    return n_atoms
+
+
 def enumerate_worlds(
     constants: Iterable[str],
     vocabulary: Mapping[str, int],
     hard_rules: Iterable[Formula] = (),
-    cap: int = DEFAULT_ATOM_CAP,
 ) -> WorldSpace:
     """Build the world space over ``constants`` filtered by ``hard_rules``.
 
@@ -154,11 +163,7 @@ def enumerate_worlds(
     if len(set(constants)) != len(constants):
         raise DomainError("duplicate constants")
     vocabulary = dict(vocabulary)
-    n_atoms = sum(len(constants) ** arity for arity in vocabulary.values())
-    if n_atoms > cap:
-        raise CapExceededError(
-            f"{n_atoms} ground atoms exceed the enumeration cap of {cap}", n_atoms, cap
-        )
+    n_atoms = check_atom_cap(len(constants), vocabulary)
     atoms = []
     for pred in sorted(vocabulary):
         for args in itertools.product(constants, repeat=vocabulary[pred]):

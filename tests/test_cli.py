@@ -3,12 +3,17 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from relmarg.cli import main
+from relmarg.data import parse_facts
+from relmarg.expansion import expand
+from relmarg.logic import parse_formula
+from relmarg.stats import MODEL_B, ModelA, statistic
 
 FRIENDS_FACTS = """\
 @constants alice, bob, eve
@@ -188,6 +193,24 @@ def test_maxent_writes_model_json(capsys, files, tmp_path):
     assert model["grad_norm"] < 1e-9
 
 
+def test_maxent_csv_has_one_row_per_constraint(capsys, files, tmp_path):
+    facts = files("r.facts", R_FACTS)
+    cons = files("r.constraints", "2/3 ; exists X: r(X)\n1/3 ; forall X: r(X)\n")
+    dest = tmp_path / "model.json"
+    code, out, _ = run_cli(
+        capsys, "maxent", "--facts", facts, "--constraints", cons,
+        "--model", "A", "--width", "2", "--out", str(dest), "--format", "csv",
+    )
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "formula,theta,weight,achieved_marginal"
+    model = json.loads(dest.read_text())
+    assert [r.split(",")[:2] for r in rows] == [
+        [f, t["rational"]] for f, t in zip(model["formulas"], model["theta"])
+    ]
+    assert [float(r.split(",")[3]) for r in rows] == model["achieved_marginals"]
+
+
 def test_maxent_malformed_json_constraints_exit_1(capsys, files, tmp_path):
     facts = files("r.facts", R_FACTS)
     cons = files("bad.json", '[{"formula": "exists X: r(X)", "theta": null}]')
@@ -297,6 +320,24 @@ def test_polytope_reports_unrealizable_query(capsys, files):
     assert query["distance"] == pytest.approx(1 / 3, abs=1e-9)
 
 
+def test_polytope_over_the_atom_cap_exits_3_before_naming_constants(capsys, files):
+    # a million named constants alone would take about 100 MiB
+    facts = files("r.facts", R_FACTS)
+    cons = files("r.constraints", "1/3 ; forall X: r(X)\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "polytope", "--facts-vocab", facts, "--size", "1000000",
+            "--constraints", cons, "--model", "B",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err == "error: 1000000 ground atoms exceed the enumeration cap of 24\n"
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -306,12 +347,12 @@ def test_estimate_json_and_csv(capsys, files, tmp_path):
         "@constants c1, c2, c3, c4, c5, c6\nr(c1)\nr(c3)\nr(c5)\n",
     )
     cons = files("est.constraints", "1/2 ; exists X: r(X)\n")
-    csv_dest = tmp_path / "trials.csv"
-    code, out, _ = run_cli(
-        capsys, "estimate", "--ground-truth", facts, "--m", "3", "--k", "1",
+    args = (
+        "estimate", "--ground-truth", facts, "--m", "3", "--k", "1",
         "--target-n", "6", "--constraints", cons, "--trials", "20",
-        "--seed", "4", "--model", "A", "--csv-out", str(csv_dest),
+        "--seed", "4", "--model", "A",
     )
+    code, out, _ = run_cli(capsys, *args)
     assert code == 0
     payload = json.loads(out)
     assert payload["m"] == 3 and payload["target_n"] == 6 and payload["trials"] == 20
@@ -324,6 +365,9 @@ def test_estimate_json_and_csv(capsys, files, tmp_path):
     assert report["bound"] == pytest.approx(
         math.sqrt((1 + 2 * math.log(2)) / 12), abs=1e-12
     )
+    csv_dest = tmp_path / "trials.csv"
+    code, out, _ = run_cli(capsys, *args, "--format", "csv", "--out", str(csv_dest))
+    assert code == 0 and out == ""
     lines = csv_dest.read_text().splitlines()
     assert lines[0] == "formula,trial,error"
     assert len(lines) == 21
@@ -430,6 +474,109 @@ def test_pipeline_cap_exceeded_keeps_constraints_and_exits_3(capsys, files):
     assert "note" in payload
     assert "cap" in payload["note"]
     assert payload["constraints"][0]["theta"]["rational"] == "8/15"
+    assert err == "error: 36 ground atoms exceed the enumeration cap of 24\n"
+
+
+@pytest.mark.parametrize("target", [10_000_000, 1_000_000_000])
+def test_pipeline_reads_huge_targets_without_expanding(capsys, files, target):
+    # the level-l expansion of the path has l^2 edges on each of its two
+    # residue pairs among C(3l, 2) pairs: theta = 4l / (3(3l - 1)), exact,
+    # and the world space over the target size is far over the atom cap
+    src = resources.files("relmarg.fixtures").joinpath("path.facts").read_text()
+    facts = files("path.facts", src)
+    formulas = files("p.formulas", "exists X, Y: X != Y & e(X,Y)\n")
+    code, out, err = run_cli(
+        capsys, "pipeline", "--facts", facts, "--formulas", formulas,
+        "--target-n", str(target), "--model", "A", "--width", "2",
+    )
+    assert code == 3
+    assert err.startswith("error:") and "cap" in err
+    payload = json.loads(out)
+    l = math.ceil(target / 3)
+    assert payload["level"] == l
+    assert f"{target**2} ground atoms exceed the enumeration cap of 24" in payload["note"]
+    theta = payload["constraints"][0]["theta"]["rational"]
+    assert Fraction(theta) == Fraction(4 * l, 3 * (3 * l - 1))
+
+
+PIPELINE_FORMULAS = {
+    "example1.facts": (
+        ["exists X, Y: X != Y & fr(X,Y)", "forall X, Y: ~fr(X,Y) | sm(Y)", "exists X: sm(X)"],
+        ["forall X, Y: ~fr(X,Y) | sm(Y)", "forall X: sm(X)"],
+    ),
+    "path.facts": (
+        ["exists X, Y: e(X,Y)", "forall X: exists Y: X = Y | e(X,Y) | e(Y,X)"],
+        ["forall X, Y: e(X,Y) | e(Y,X)", "forall X, Y, Z: ~e(X,Y) | ~e(Y,Z)"],
+    ),
+    "three_color.facts": (
+        ["exists X: r(X) | g(X)", "forall X, Y: X = Y | e(X,Y)"],
+        ["forall X, Y: ~e(X,Y) | ~r(X) | ~r(Y)"],
+    ),
+    "pigeonhole.facts": (
+        ["exists X: r(X)", "exists X, Y: X != Y & ~r(X) & ~r(Y)"],
+        ["forall X: r(X)", "forall X, Y: r(X) | r(Y)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PIPELINE_FORMULAS))
+def test_pipeline_targets_equal_the_materialised_expansion(capsys, files, fixture):
+    src = resources.files("relmarg.fixtures").joinpath(fixture).read_text()
+    facts = files(fixture, src)
+    train = parse_facts(src)
+    a_texts, b_texts = PIPELINE_FORMULAS[fixture]
+    for texts, model, kind in [
+        (a_texts, ("--model", "A", "--width", "1"), ModelA(1)),
+        (a_texts, ("--model", "A", "--width", "2"), ModelA(2)),
+        (b_texts, ("--model", "B"), MODEL_B),
+    ]:
+        formulas = files("p.formulas", "\n".join(texts) + "\n")
+        code, out, _ = run_cli(
+            capsys, "pipeline", "--facts", facts, "--formulas", formulas,
+            "--target-n", "8", *model,
+        )
+        assert code in (0, 2, 3)
+        payload = json.loads(out)
+        level = math.ceil(8 / len(train.constants))
+        assert payload["level"] == level
+        grown = expand(train, level)
+        want = [str(statistic(parse_formula(t), grown, kind)) for t in texts]
+        assert [c["theta"]["rational"] for c in payload["constraints"]] == want
+
+
+def test_pipeline_noise_is_seeded(capsys, files):
+    facts = files("r.facts", R_FACTS)
+    formulas = files("p.formulas", "exists X: r(X)\n")
+    args = (
+        "pipeline", "--facts", facts, "--formulas", formulas, "--target-n", "4",
+        "--model", "A", "--width", "2", "--noise", "0.3", "--seed", "2",
+    )
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["model"] is not None
+
+
+@pytest.mark.parametrize(
+    "formula, model, level",
+    [
+        ("exists X, Y: X != Y & e(X,Y)", ("--model", "A", "--width", "2"), 2),
+        ("forall X, Y, Z: ~e(X,Y) | ~e(Y,Z)", ("--model", "B"), 3),
+    ],
+)
+def test_pipeline_noise_raises_the_level_to_the_width(capsys, files, formula, model, level):
+    # the 3-constant path reaches target size 3 at level 1, but noise on
+    # congruent slots reaches every width-k example only from level k on
+    src = resources.files("relmarg.fixtures").joinpath("path.facts").read_text()
+    facts = files("path.facts", src)
+    formulas = files("p.formulas", formula + "\n")
+    code, out, _ = run_cli(
+        capsys, "pipeline", "--facts", facts, "--formulas", formulas,
+        "--target-n", "3", *model, "--noise", "0.3",
+    )
+    assert code in (0, 2)
+    assert json.loads(out)["level"] == level
 
 
 @pytest.mark.parametrize("target", ["0", "-1"])
@@ -449,7 +596,7 @@ def test_pipeline_rejects_a_target_size_below_one(capsys, files, target):
     [
         ("expand", "--level", "1000000"),
         ("expand", "--level", "1000000", "--noise", "0.5"),
-        ("pipeline", "--target-n", "10000000", "--model", "A", "--width", "2"),
+        ("pipeline", "--target-n", "10000000", "--model", "A", "--width", "2", "--noise", "0.5"),
     ],
 )
 def test_oversized_expansions_exit_3_before_building(capsys, files, argv):

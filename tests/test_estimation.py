@@ -40,9 +40,6 @@ def test_effective_sample_size():
 
 def test_expected_error_bound_frozen_values():
     assert expected_error_bound(10, 2) == pytest.approx(0.44541962604344665, abs=1e-15)
-    # interior variant keeps only the sampling term
-    sampling = math.sqrt((1 + 2 * math.log(2)) / (4 * 5))
-    assert expected_error_bound(10, 2, interior=True) == pytest.approx(sampling, abs=1e-15)
     # width 1 has no distortion term at all
     assert expected_error_bound(9, 1) == pytest.approx(
         math.sqrt((1 + 2 * math.log(2)) / 36), abs=1e-15

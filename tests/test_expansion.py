@@ -12,7 +12,6 @@ from relmarg.data import GlobalExample, fragment
 from relmarg import expansion, stats
 from relmarg.errors import CapExceededError, DomainError
 from relmarg.expansion import (
-    congruent,
     expand,
     expanded_statistic,
     expansion_diff_bound,
@@ -28,17 +27,6 @@ PATH3 = GlobalExample(
     ["c1", "c2", "c3"],
     [("e", ("c1", "c2")), ("e", ("c2", "c3"))],
 )
-
-
-def test_congruence_relation():
-    assert congruent(1, 4, 3)
-    assert congruent(4, 1, 3)
-    assert congruent(2, 2, 3)
-    assert not congruent(1, 2, 3)
-    with pytest.raises(DomainError):
-        congruent(0, 1, 3)
-    with pytest.raises(DomainError):
-        congruent(1, 1, 0)
 
 
 def test_level_one_expansion_is_identity():
@@ -232,7 +220,7 @@ def test_noisy_expand_validates_noise_and_level():
     with pytest.raises(DomainError):
         noisy_expand(PATH3, 2, 1.5, random.Random(0))
     with pytest.raises(DomainError):
-        noisy_expand(PATH3, 2, 0.1, random.Random(0), min_level=3)
+        noisy_expand(PATH3, 0, 0.1, random.Random(0))
 
 
 def test_expansions_over_the_cap_are_refused_before_building(monkeypatch):

@@ -12,7 +12,7 @@ from test_stats import A_POOL, B_POOL
 
 from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
-from relmarg import stats
+from relmarg import stats, worlds
 from relmarg.logic import Forall, evaluate, holds, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 from relmarg.worlds import DEFAULT_ATOM_CAP, enumerate_worlds
@@ -60,15 +60,18 @@ def test_hard_rule_validation():
         enumerate_worlds(["a", "a"], {"r": 1})
 
 
-def test_cap_guards_enumeration():
+def test_cap_guards_enumeration(monkeypatch):
     # 3 constants, arity 3: 27 atoms > 24
     with pytest.raises(CapExceededError) as exc:
         enumerate_worlds(["a", "b", "c"], {"t": 3})
     assert exc.value.size == 27
     assert exc.value.cap == DEFAULT_ATOM_CAP
-    # explicit cap override admits it
-    space = enumerate_worlds(["a", "b", "c"], {"e": 2}, cap=9)
-    assert len(space) == 2 ** 9
+    # the cap is read when enumerating: 9 atoms fit a cap of 9, 12 do not
+    monkeypatch.setattr(worlds, "DEFAULT_ATOM_CAP", 9)
+    assert len(enumerate_worlds(["a", "b", "c"], {"e": 2})) == 2 ** 9
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_worlds(["a", "b", "c"], {"e": 2, "r": 1})
+    assert (exc.value.size, exc.value.cap) == (12, 9)
 
 
 def test_encode_and_round_trip():
@@ -78,7 +81,6 @@ def test_encode_and_round_trip():
     assert space.world_atoms(bits) == ex.atoms
     assert space.world_example(bits) == ex
     assert space.world_index(bits) == bits  # unconstrained: index == pattern
-    assert space.contains(bits)
 
 
 def test_encode_rejects_foreign_input():
@@ -260,14 +262,14 @@ def test_predicates_absent_from_the_space_are_false_everywhere():
 
 def test_hard_rules_over_an_empty_domain():
     # one world, the empty one: a forall holds vacuously and an exists fails
-    for text, worlds in [
+    for text, n_worlds in [
         ("forall X: r(X)", 1),
         ("exists X: r(X)", 0),
         ("forall X: exists Y: r(X) & r(Y)", 1),
         ("exists X: forall Y: r(Y)", 0),
     ]:
         space = enumerate_worlds([], {"r": 1}, [parse_formula(text)])
-        assert space.worlds.tolist() == [0] * worlds
+        assert space.worlds.tolist() == [0] * n_worlds
 
 
 @pytest.mark.parametrize("cells", [1, 2 * 2**12 + 1, 4 * 2**12])
