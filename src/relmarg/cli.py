@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -407,7 +408,10 @@ def _add_solver_flags(p):
     p.add_argument("--weight-cap", type=float, default=50.0)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``relmarg`` parser, built once per process: parsing does not
+    change it, so every ``main`` call in a process can share it."""
     parser = _Parser(prog="relmarg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

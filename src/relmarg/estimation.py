@@ -29,6 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import stats
 from .data import GlobalExample, GroundAtom, fragment
 from .errors import DomainError
 from .expansion import expanded_statistic, representative_tables, residue_groundings, weighted_hits
@@ -202,11 +203,13 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
 
     Every trial derives its own RNG from (seed, trial index), so each trial
     is reproducible on its own; errors are exact rationals.  The formulas
-    are checked and the ground truth's truth tables built once.  A trial
-    draws the sample's positions as ``sample_subexample`` does and reads
-    every formula's ``adjusted_estimate`` off one set of representative
-    tables sliced from the ground truth's (see ``expanded_statistic``):
-    neither the sample nor its expansion is built.
+    are checked and the ground truth's truth tables built once.  Every trial
+    first draws its sample's positions as ``sample_subexample`` does; then
+    each formula's ``adjusted_estimate`` is read off representative tables
+    sliced from the ground truth's, one structure column per trial (see
+    ``expanded_statistic``), so a formula is evaluated once for a block of
+    trials, and neither a sample nor its expansion is built.  Blocks keep
+    their tables within ``TABLE_CELL_CAP`` cells.
     """
     truth, kind, m = cfg.ground_truth, cfg.kind, cfg.sample_size
     n = len(truth.constants)
@@ -226,31 +229,32 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
         for f, truth_value, k in zip(cfg.formulas, exact, widths)
     ]
     copies = min(level, max(widths))
-
-    def one_trial(t: int) -> tuple[Fraction, ...]:
-        rng = random.Random(f"{cfg.seed}:{t}")
-        positions = np.array(sorted(rng.sample(range(n), m)))
-        grown = representative_tables(tables, positions, copies)
-        return tuple(
-            abs(truth_value - Fraction(weighted_hits(f, kind, rows, weights, grown), total))
-            for f, truth_value, (rows, weights), total in plans
-        )
-
-    rows = [one_trial(t) for t in range(cfg.trials)]
+    positions = np.array(
+        [sorted(random.Random(f"{cfg.seed}:{t}").sample(range(n), m)) for t in range(cfg.trials)],
+        dtype=np.intp,
+    )
+    # trials per block, so that their representative tables fit the cap together
+    cells = sum((m * copies) ** (t.ndim - 1) for t in tables.values())
+    step = max(1, stats.TABLE_CELL_CAP // max(cells, 1))
+    errors: list[list[Fraction]] = [[] for _ in plans]
+    for start in range(0, cfg.trials, step):
+        block = positions[start:start + step]
+        grown = representative_tables(tables, block, copies)
+        for out, (f, truth_value, (rows, weights), total) in zip(errors, plans):
+            hits = weighted_hits(f, kind, rows, weights, grown, len(block))
+            out.extend(abs(truth_value - Fraction(h, total)) for h in hits)
     reports = []
-    for i, f in enumerate(cfg.formulas):
-        errors = tuple(row[i] for row in rows)
-        mean = sum(errors, Fraction(0)) / len(errors)
-        k = formula_width(cfg.kind, f)
-        bound = expected_error_bound(cfg.sample_size, k)
+    for f, k, trial_errors in zip(cfg.formulas, widths, errors):
+        mean = sum(trial_errors, Fraction(0)) / len(trial_errors)
+        bound = expected_error_bound(m, k)
         reports.append(
             ErrorReport(
                 f,
                 k,
-                errors,
+                tuple(trial_errors),
                 mean,
                 bound,
-                effective_sample_size(cfg.sample_size, k),
+                effective_sample_size(m, k),
                 float(mean) <= bound,
             )
         )

@@ -13,7 +13,10 @@ A statistic of an expansion needs no expansion: permuting the copies of a
 residue class is an automorphism, so ``expanded_statistic`` evaluates one
 representative grounding per residue multiset (Model A) or residue sequence
 (Model B) on the truth tables of the first few copies, weighted by the number
-of groundings it stands for.  Its cost does not grow with the level.
+of groundings it stands for.  Its cost does not grow with the level.  The
+tables of ``representative_tables`` hold one structure column per expansion,
+so ``estimation.run_error_experiment`` evaluates a formula once for a block
+of trials' samples; ``expanded_statistic`` is the one-column case.
 ``expand`` and ``noisy_expand`` materialise an expansion for the CLI
 ``expand`` command, the noisy pipeline and the oracles of the verification
 suites and tests, under ``EXPANSION_CAP``.
@@ -144,25 +147,32 @@ def residue_groundings(
 def representative_tables(
     tables: Mapping[str, np.ndarray], positions: np.ndarray, copies: int
 ) -> dict[str, np.ndarray]:
-    """Truth tables of the first ``copies`` copies of an expansion, read off
-    the base ``tables`` at the base constants' ``positions``.
+    """Truth tables of the first ``copies`` copies of T expansions, one
+    structure column each, read off the base ``tables``: row t of the
+    (T, m) ``positions`` lists the base constants of expansion t, and
+    expanded position ``r + c*m`` is copy c of ``positions[t, r]``.
 
     As ``expand`` builds it, an atom holds at expanded positions iff the base
     atom holds at their residues and arguments with equal residue are the
-    same copy.  Raises ``CapExceededError`` when the tables would have more
-    than ``TABLE_CELL_CAP`` cells.
+    same copy.  Raises ``CapExceededError`` when the T tables together would
+    have more than ``TABLE_CELL_CAP`` cells.
     """
-    n = len(positions)
-    size = n * copies
-    check_table_cells((table.ndim - 1 for table in tables.values()), size)
-    copy, residue = np.divmod(np.arange(size), n)
+    structures, m = positions.shape
+    size = m * copies
+    check_table_cells(structures * sum(size ** (t.ndim - 1) for t in tables.values()), size)
+    copy, residue = np.divmod(np.arange(size), m)
+    at = positions.T[residue]  # (size, T): base position of each expanded one
     out = {}
     for pred, table in tables.items():
         arity = table.ndim - 1
-        grid = np.ix_(*[residue] * arity)
-        held = table[tuple(positions[g] for g in grid)]
+        # argument a varies along axis a, the structure along the last axis
+        args = tuple(
+            at.reshape((1,) * a + (size,) + (1,) * (arity - 1 - a) + (structures,))
+            for a in range(arity)
+        )
+        held = table[args + (0,)]
         if arity > 1:
-            copy_grid = np.ix_(*[copy] * arity)
+            grid, copy_grid = np.ix_(*[residue] * arity), np.ix_(*[copy] * arity)
             for i, j in itertools.combinations(range(arity), 2):
                 held = held & ((grid[i] != grid[j]) | (copy_grid[i] == copy_grid[j]))[..., None]
         out[pred] = held
@@ -175,19 +185,26 @@ def weighted_hits(
     rows: list[tuple[int, ...]],
     weights: list[int],
     tables: Mapping[str, np.ndarray],
-) -> int:
-    """Sum of ``weights`` over the grounding ``rows`` at which ``f`` holds."""
-    held = itertools.chain.from_iterable(
-        block[:, 0] for block in grounding_truths(f, kind, rows, tables, 1)
-    )
-    return sum(itertools.compress(weights, held))
+    structures: int,
+) -> list[int]:
+    """Sum of ``weights`` over the grounding ``rows`` at which ``f`` holds,
+    one Python int per structure column of ``tables``."""
+    sums = [0] * structures
+    start = 0
+    for held in grounding_truths(f, kind, rows, tables, structures):
+        block = weights[start:start + len(held)]
+        for t, column in enumerate(held.T):
+            sums[t] += sum(itertools.compress(block, column))
+        start += len(held)
+    return sums
 
 
 def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, level: int) -> Fraction:
     """``statistic(f, expand(example, level), kind)``, without building the
     expansion: one evaluation per representative of ``residue_groundings``
     on the tables of ``representative_tables``, so the cost does not grow
-    with ``level`` and no ``EXPANSION_CAP`` applies."""
+    with ``level`` and no ``EXPANSION_CAP`` applies.  It is the one-structure
+    case of the trials of ``estimation.run_error_experiment``."""
     if level < 1:
         raise DomainError("expansion level must be at least 1")
     if not example.constants:
@@ -197,9 +214,9 @@ def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, leve
     total = normalizer(f, kind, n * level)
     k = formula_width(kind, f)
     base = structure_tables(example, vocabulary_of(f))
-    tables = representative_tables(base, np.arange(n), min(level, k))
+    tables = representative_tables(base, np.arange(n)[None], min(level, k))
     rows, weights = residue_groundings(kind, k, n, level)
-    return Fraction(weighted_hits(f, kind, rows, weights, tables), total)
+    return Fraction(weighted_hits(f, kind, rows, weights, tables, 1)[0], total)
 
 
 def required_expansion_level(kind, formulas: Iterable) -> int:

@@ -22,17 +22,23 @@ them.  All statistics are computed by exhaustive enumeration and returned as
 pairs at once.  A grounding is a row of constant positions, a structure is a
 column of the per-predicate truth tables, and an atom is a gather from those
 tables.  One example has one column (``structure_tables``); a world space has
-one per world (``worlds.world_tables``).  ``grounding_truths`` runs it in
-blocks of groundings; ``count_groundings`` counts them for ``statistic``,
-``WorldSpace.count_matrix`` and the index-set estimator, and
-``expansion.expanded_statistic`` weights them.  The hard-rule filter of
-``enumerate_worlds`` calls it at a rule's one grounding.  ``logic.holds`` walks one structure and one
-grounding at a time; it backs ``logic.evaluate`` and is the tests' oracle.
+one per world (``worlds.world_tables``), and the expansions of an error
+experiment's samples one per trial (``expansion.representative_tables``).
+``grounding_truths`` runs it in blocks of groundings; ``count_groundings``
+counts them for ``statistic``, ``WorldSpace.count_matrix`` and the index-set
+estimator, and ``expansion.weighted_hits`` weights them.  The hard-rule
+filter of ``enumerate_worlds`` calls it at a rule's one grounding.
+``logic.holds`` walks one structure and one grounding at a time; it backs
+``logic.evaluate`` and is the tests' oracle.
 
 ``marginal_distribution_a`` reads the Model A marginal off the same truth
 tables without building fragments: one gather per local atom gives every
 size-k subset's bit pattern, ``distinct_rows`` counts equal patterns, and
-each distinct pattern is canonicalized once.
+each distinct pattern is canonicalized once.  ``canonical_patterns`` does
+that for all of them together: one gather through a (permutation, local
+atom) index array gives every relabelled image, and a column-by-column
+reduction keeps the canonical one and counts the automorphisms.
+``data.canonicalize`` stays the tests' oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .data import CanonicalForm, GlobalExample, LocalExample, canonicalize, check_iso_width
+from .data import CanonicalForm, GlobalExample, check_iso_width
 from .errors import CapExceededError, DomainError, FormulaSyntaxError
 from .logic import (
     And,
@@ -164,7 +170,7 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
     positions i, j, ...  Raises ``CapExceededError`` when the tables would
     have more than ``TABLE_CELL_CAP`` cells."""
     n = len(example.constants)
-    check_table_cells(vocabulary.values(), n)
+    check_table_cells(sum(n**arity for arity in vocabulary.values()), n)
     position = {c: i for i, c in enumerate(example.constants)}
     tables = {p: np.zeros((n,) * arity + (1,), dtype=bool) for p, arity in vocabulary.items()}
     for atom in example.atoms:
@@ -174,11 +180,9 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
     return tables
 
 
-def check_table_cells(arities: Iterable[int], n: int):
-    """Raise ``CapExceededError`` when truth tables of the given predicate
-    ``arities`` over ``n`` constants would have more than ``TABLE_CELL_CAP``
-    cells."""
-    cells = sum(n**arity for arity in arities)
+def check_table_cells(cells: int, n: int):
+    """Raise ``CapExceededError`` when truth tables of ``cells`` cells over
+    ``n`` constants exceed ``TABLE_CELL_CAP``."""
     if cells > TABLE_CELL_CAP:
         raise CapExceededError(
             f"truth tables of {cells} cells over {n} constants exceed the cap of "
@@ -337,13 +341,15 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
 
     No fragment is built: a subset's fragment is its bit pattern over the
     local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, one gather
-    per local atom from the truth tables over a block of subsets.  Blocks
-    hold at most ``BLOCK_CELLS`` (subset, local atom) cells, so memory does
-    not grow with C(n,k).  Equal patterns are counted together, and each
-    distinct pattern is canonicalized once; classes appear in the order of
-    their first subset.  A width over ``ISO_WIDTH_CAP`` raises
-    ``CapExceededError`` before anything is built, as do truth tables over
-    ``TABLE_CELL_CAP`` (see ``structure_tables``).
+    per local atom from the truth tables over a block of subsets.  Equal
+    patterns are counted together, and each distinct pattern is
+    canonicalized once, all of them by one relabelling gather
+    (``canonical_patterns``).  Blocks hold at most ``BLOCK_CELLS`` cells, so
+    memory does not grow with C(n,k).  A class's mass is its subset count
+    over C(n,k), and classes appear in the order of their first subset.  A
+    width over ``ISO_WIDTH_CAP`` raises ``CapExceededError`` before anything
+    is built, as do truth tables over ``TABLE_CELL_CAP`` (see
+    ``structure_tables``).
     """
     n = len(example.constants)
     if not 1 <= k <= n:
@@ -351,6 +357,7 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     check_iso_width(k)
     vocabulary = example.vocabulary()
     tables = structure_tables(example, vocabulary)
+    # sorted, so a sorted atom tuple lists its atoms' indices in increasing order
     local = [
         (p, args) for p in sorted(vocabulary)
         for args in itertools.product(range(k), repeat=vocabulary[p])
@@ -365,15 +372,79 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
         for i, count in zip(*distinct_rows(bits, 2)):
             pattern = bits[i].tobytes()
             patterns[pattern] = patterns.get(pattern, 0) + int(count)
+    distinct = np.frombuffer(b"".join(patterns), dtype=bool).reshape(len(patterns), len(local))
+    images, automorphisms = canonical_patterns(distinct, vocabulary, k)
+    forms: dict[bytes, CanonicalForm] = {}  # canonical image -> class
+    mass: dict[bytes, int] = {}  # canonical image -> subsets
+    for image, autos, count in zip(images, automorphisms, patterns.values()):
+        key = image.tobytes()
+        if key not in forms:
+            atoms = tuple(
+                (p, tuple(a + 1 for a in args)) for (p, args), bit in zip(local, image) if bit
+            )
+            forms[key] = CanonicalForm(k, atoms, int(autos))
+            mass[key] = 0
+        mass[key] += count
     total = math.comb(n, k)
-    dist: dict[CanonicalForm, Fraction] = {}
-    for pattern, count in patterns.items():
-        atoms = frozenset(
-            (p, tuple(a + 1 for a in args)) for (p, args), bit in zip(local, pattern) if bit
-        )
-        cf = canonicalize(LocalExample(k, atoms))
-        dist[cf] = dist.get(cf, Fraction(0)) + Fraction(count, total)
-    return dist
+    return {forms[key]: Fraction(count, total) for key, count in mass.items()}
+
+
+def canonical_patterns(
+    patterns: np.ndarray, vocabulary: Mapping[str, int], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical image and automorphism count of each width-``k`` local
+    example in ``patterns``, as ``canonicalize`` would give them.
+
+    Column j of the (P, M) bool ``patterns`` is the j-th local atom
+    ``p(a1, ..., ar)``: predicates in sorted order, then argument positions
+    in ``itertools.product`` order, which is the order of the atom tuples.
+    Of two atom sets of one size, the sorted tuple that is smaller is the
+    one holding the first atom where they differ, so the least sorted image
+    ``canonicalize`` keeps is the lexicographically greatest image pattern,
+    and every image of a pattern has its size.  Row i of a (permutations,
+    M) gather holds the index of each local atom's image under permutation
+    i, so ``pattern[gather]`` is every image at once; the greatest is found
+    column by column, and the permutations that reach it are the
+    automorphisms.  Blocks of patterns and permutations hold at most
+    ``BLOCK_CELLS`` (pattern, permutation, atom) cells, at least one pattern
+    and one permutation each; the best image of earlier permutations joins
+    each block as candidate 0 (all-false, with no hits, before the first
+    block of permutations, so it wins only for the empty pattern and then
+    adds nothing).
+    """
+    m = patterns.shape[1]
+    best = np.zeros_like(patterns)
+    hits = np.zeros(len(patterns), dtype=np.int64)
+    perms = itertools.permutations(range(k))
+    while chunk := list(itertools.islice(perms, max(1, BLOCK_CELLS // max(m, 1)))):
+        gather = _relabel_gather(vocabulary, k, np.array(chunk, dtype=np.intp))
+        step = max(1, BLOCK_CELLS // (len(chunk) * max(m, 1)))
+        for start in range(0, len(patterns), step):
+            block = slice(start, start + step)
+            images = np.concatenate([best[block, None], patterns[block][:, gather]], axis=1)
+            alive = np.ones(images.shape[:2], dtype=bool)
+            for j in range(m):
+                column = images[:, :, j]
+                alive &= column | ~(column & alive).any(axis=1, keepdims=True)
+            best[block] = images[np.arange(len(images)), alive.argmax(axis=1)]
+            hits[block] = alive[:, 1:].sum(axis=1) + np.where(alive[:, 0], hits[block], 0)
+    return best, hits
+
+
+def _relabel_gather(vocabulary: Mapping[str, int], k: int, perms: np.ndarray) -> np.ndarray:
+    """(len(perms), M) array whose row i holds, for each local atom in the
+    order of ``canonical_patterns``, the index of its image when positions
+    are relabelled by ``perms[i]``."""
+    parts, offset = [np.empty((len(perms), 0), dtype=np.intp)], 0
+    for p in sorted(vocabulary):
+        arity = vocabulary[p]
+        args = np.indices((k,) * arity).reshape(arity, k**arity)
+        index = np.full((len(perms), k**arity), offset, dtype=np.intp)
+        for i in range(arity):
+            index += perms[:, args[i]] * k ** (arity - 1 - i)
+        parts.append(index)
+        offset += k**arity
+    return np.concatenate(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from importlib import resources
 
 import pytest
 
-from relmarg.cli import main
+from relmarg.cli import build_parser, main
 from relmarg.data import parse_facts
 from relmarg.expansion import expand
 from relmarg.logic import parse_formula
 from relmarg.stats import MODEL_B, ModelA, statistic
+from relmarg.verify import available_suites
 
 FRIENDS_FACTS = """\
 @constants alice, bob, eve
@@ -427,6 +428,30 @@ def test_verify_single_suite_json_is_byte_stable(capsys):
     assert suite["name"] == "worked-example"
     assert all(c["passed"] for c in suite["checks"])
     assert "worked-example" in err1
+
+
+def test_repeated_main_calls_match_a_fresh_parser(capsys):
+    # main shares one parser across the calls of a process: a repeatable
+    # --suite or a --format given in one call must not carry into the next
+    calls = [
+        ("verify", "--suite", "worked-example"),
+        ("verify",),
+        ("verify", "--suite", "expansion-example", "--format", "csv"),
+        ("verify", "--suite", "expansion-example"),
+    ]
+    assert build_parser() is build_parser()
+    shared = [run_cli(capsys, *argv)[:2] for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0] * 4
+    one, every = (json.loads(out)["suites"] for _, out in shared[:2])
+    assert [s["name"] for s in one] == ["worked-example"]
+    assert [s["name"] for s in every] == list(available_suites())
+    assert shared[2][1].startswith("suite,passed,")
+    assert json.loads(shared[3][1])["suites"][0]["name"] == "expansion-example"
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stats import A_POOL, B_POOL
 
-from relmarg.errors import DomainError
+from relmarg import estimation, stats
+from relmarg.errors import CapExceededError, DomainError
 from relmarg.estimation import (
     ExperimentConfig,
     adjusted_estimate,
@@ -23,7 +25,7 @@ from relmarg.estimation import (
     sample_subexample,
 )
 from relmarg.data import fragment
-from relmarg.expansion import expand
+from relmarg.expansion import expand, representative_tables
 from relmarg.logic import Const, apply_substitution, evaluate, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 
@@ -305,6 +307,48 @@ def test_experiment_trial_errors_replay_adjusted_estimates(kind_name):
         for report, f in zip(reports, cfg.formulas):
             estimate = statistic(f, grown, kind)
             assert report.trial_errors[t] == abs(statistic(f, truth, kind) - estimate)
+
+
+@pytest.mark.parametrize("kind_name", ["subset", "substitution"])
+def test_experiment_trials_are_the_same_in_blocks(monkeypatch, kind_name):
+    # the ground truth's tables have 10 + 10^2 = 110 cells; sampled at 4
+    # and grown to level 3, two copies of 4 residues serve width 2, so one
+    # trial's tables have 8 + 8^2 = 72 cells: a cap of 3 trials' cells
+    # splits 8 trials into blocks of 3, 3 and 2, and a cap under 2 trials'
+    # into 8 blocks
+    truth = random_structure(10, {"r": 1, "e": 2}, 0.4, random.Random(8))
+    if kind_name == "subset":
+        kind, texts = ModelA(2), A_POOL[:4]
+    else:
+        kind, texts = MODEL_B, B_POOL[:3]
+    cfg = ExperimentConfig(
+        ground_truth=truth,
+        sample_size=4,
+        target_size=10,
+        formulas=tuple(parse_formula(t) for t in texts),
+        kind=kind,
+        trials=8,
+        seed=17,
+    )
+    want = run_error_experiment(cfg)
+    blocks = []
+
+    def recording(tables, positions, copies):
+        blocks.append(len(positions))
+        return representative_tables(tables, positions, copies)
+
+    monkeypatch.setattr(estimation, "representative_tables", recording)
+    for cap, sizes in [(3 * 72, [3, 3, 2]), (120, [1] * 8), (stats.TABLE_CELL_CAP, [8])]:
+        monkeypatch.setattr(stats, "TABLE_CELL_CAP", cap)
+        blocks.clear()
+        assert run_error_experiment(cfg) == want
+        assert blocks == sizes
+    # a sample of 8 grown to level 2 has 16 + 16^2 = 272 cells per trial: one
+    # trial over the cap is refused, as a single expansion's tables are
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", 271)
+    with pytest.raises(CapExceededError) as exc:
+        run_error_experiment(replace(cfg, sample_size=8, target_size=16))
+    assert exc.value.size == 272 and exc.value.cap == 271
 
 
 def test_experiment_multi_formula_widths():

@@ -1,8 +1,10 @@
 """Fragment and substitution statistics against independent counting oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from test_logic import closed_formulas
 from test_structures import local_of
 
 from relmarg import stats
-from relmarg.data import ISO_WIDTH_CAP, GlobalExample, canonicalize, fragment
+from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, canonicalize, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
 from relmarg.expansion import expand
 from relmarg.logic import Forall, evaluate, parse_formula, strip_foralls
@@ -213,6 +215,85 @@ def test_marginal_distribution_is_the_same_in_blocks(monkeypatch):
     for cells in (1, 60, 1 << 20):
         monkeypatch.setattr(stats, "BLOCK_CELLS", cells)
         assert list(marginal_distribution_a(example, 3).items()) == list(want.items())
+
+
+def _check_canonical_patterns(vocab, k, patterns, cells):
+    """Oracle: ``canonicalize`` each pattern on its own.  Columns are the
+    local atoms over 1..k in the order of ``canonical_patterns``."""
+    local = [
+        (p, args) for p in sorted(vocab)
+        for args in itertools.product(range(1, k + 1), repeat=vocab[p])
+    ]
+    with mock.patch.object(stats, "BLOCK_CELLS", cells):
+        images, automorphisms = stats.canonical_patterns(patterns, vocab, k)
+    assert images.shape == patterns.shape and len(automorphisms) == len(patterns)
+    for pattern, image, autos in zip(patterns, images, automorphisms):
+        cf = canonicalize(LocalExample(k, [a for a, bit in zip(local, pattern) if bit]))
+        assert tuple(a for a, bit in zip(local, image) if bit) == cf.atoms
+        assert autos == cf.automorphisms
+
+
+@st.composite
+def pattern_cases(draw):
+    """Bit patterns over the local atoms of up to 3 predicates of arity 0-3
+    (some never set) at widths 1-5, and a block size of one cell, a few
+    cells or the default."""
+    k = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3 if k < 5 else 2), max_size=3))
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    unset = draw(st.sets(st.sampled_from(sorted(vocab)))) if vocab else set()
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    rows = draw(st.integers(1, 4))
+    patterns = rng.random((rows, sum(k**a for a in arities))) < density
+    offset = 0
+    for p in sorted(vocab):
+        width = k ** vocab[p]
+        if p in unset:
+            patterns[:, offset:offset + width] = False
+        offset += width
+    cells = draw(st.sampled_from([1, 50, stats.BLOCK_CELLS]))
+    return vocab, k, patterns, cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_cases())
+def test_canonical_patterns_match_canonicalize(case):
+    _check_canonical_patterns(*case)
+
+
+@pytest.mark.parametrize("cells", [1, 50, stats.BLOCK_CELLS])
+@pytest.mark.parametrize(
+    "vocab, k",
+    [
+        ({"t": 3}, 3),  # 27 local atoms
+        ({"e": 2, "r": 1}, 4),  # 20 local atoms
+        ({"e": 2, "r": 1, "t": 3}, 3),  # 39 local atoms
+        ({"e": 2}, 5),
+        ({"q": 0, "e": 2}, 3),
+        ({}, 4),
+    ],
+)
+def test_canonical_patterns_over_many_local_atoms(vocab, k, cells):
+    # past 15 local atoms a sorted-index key would no longer fit one int64;
+    # the patterns include the empty and the full one, whose images are
+    # themselves, with every relabelling an automorphism
+    m = sum(k**a for a in vocab.values())
+    rng = np.random.default_rng(k * 100 + m)
+    patterns = np.vstack([np.zeros(m, bool), np.ones(m, bool), rng.random((6, m)) < 0.3])
+    _check_canonical_patterns(vocab, k, patterns, cells)
+    images, automorphisms = stats.canonical_patterns(patterns[:2], vocab, k)
+    assert (images == patterns[:2]).all()
+    assert list(automorphisms) == [math.factorial(k)] * 2
+
+
+def test_marginal_distribution_of_an_empty_vocabulary():
+    # one class, the empty width-k example, fixed by all k! relabellings
+    bare = GlobalExample([f"c{i}" for i in range(6)], [])
+    for k in range(1, 6):
+        ((form, mass),) = marginal_distribution_a(bare, k).items()
+        assert (form.atoms, form.automorphisms, form.class_size) == ((), math.factorial(k), 1)
+        assert mass == 1
 
 
 def test_marginal_distribution_width_checks_come_first(monkeypatch):
