@@ -9,11 +9,12 @@ represented by a lexicographically minimal canonical form.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import CapExceededError, DomainError, FactsSyntaxError, VocabularyError
 
@@ -124,9 +125,15 @@ class LocalExample:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", frozenset(self.atoms))
-        for pred, args in self.atoms:
+        arity: dict[str, int] = {}
+        for pred, args in sorted(self.atoms):
             if not all(1 <= a <= self.width for a in args):
                 raise DomainError(f"local atom {pred}{args} outside width {self.width}")
+            seen = arity.setdefault(pred, len(args))
+            if seen != len(args):
+                raise VocabularyError(
+                    f"predicate {pred!r} used with arities {seen} and {len(args)}"
+                )
 
     def __str__(self):
         atoms = ", ".join(
@@ -165,21 +172,22 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
 
     Minimizes the sorted atom tuple over all k! relabellings; the number of
     relabellings attaining the minimum equals the automorphism group size.
+    This is ``stats.canonical_patterns`` on one pattern: the atoms are
+    encoded over the local atoms in its order (``stats.local_atoms``), and
+    the canonical image is decoded back to atoms.
     """
+    # stats imports this module, so the kernel is imported at call time
+    from . import stats
+
     check_iso_width(local.width)
-    order = range(1, local.width + 1)
-    best: tuple[LocalAtom, ...] | None = None
-    hits = 0
-    for perm in itertools.permutations(order):
-        relabel = dict(zip(order, perm))
-        image = tuple(
-            sorted((p, tuple(relabel[a] for a in args)) for p, args in local.atoms)
-        )
-        if best is None or image < best:
-            best, hits = image, 1
-        elif image == best:
-            hits += 1
-    return CanonicalForm(local.width, best, hits)
+    vocabulary = {p: len(args) for p, args in local.atoms}
+    order = [
+        (p, tuple(a + 1 for a in args)) for p, args in stats.local_atoms(vocabulary, local.width)
+    ]
+    pattern = np.array([[atom in local.atoms for atom in order]], dtype=bool)
+    images, automorphisms = stats.canonical_patterns(pattern, vocabulary, local.width)
+    atoms = tuple(atom for atom, bit in zip(order, images[0]) if bit)
+    return CanonicalForm(local.width, atoms, int(automorphisms[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ identifiers are constants or predicate names.  ``a -> b`` desugars to
 ``~a | b`` and ``a != b`` to ``~(a = b)`` at parse time, so the tree has no
 implication or inequality nodes.  Equality is decided by name identity
 (unique-names assumption).
+
+This module decides no formula itself: ``holds``, and through it
+``evaluate`` and ``unsatisfied_rules``, build one structure's truth tables
+and call ``stats.holds_over``, the evaluator behind every statistic, count
+matrix and hard-rule filter.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .data import GroundAtom
+import numpy as np
+
+from .data import GlobalExample, GroundAtom
 from .errors import DomainError, FormulaSyntaxError, VocabularyError
 
 
@@ -437,43 +444,6 @@ def strip_foralls(f: Formula) -> tuple[tuple[Var, ...], Formula]:
 
 
 # ---------------------------------------------------------------------------
-# substitution
-
-def apply_substitution(f: Formula, theta: Mapping[Var, Const]) -> Formula:
-    """Replace covered variable occurrences by their constants.
-
-    Quantified variables covered by ``theta`` are removed from their prefix;
-    the quantifier survives over the remaining ones (and is dropped when none
-    remain).
-    """
-    for target in theta.values():
-        if not isinstance(target, Const):
-            raise DomainError("substitution targets must be constants")
-
-    def sub_term(t: Term) -> Term:
-        return theta.get(t, t) if isinstance(t, Var) else t
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, PredAtom):
-            return PredAtom(g.pred, tuple(sub_term(t) for t in g.args))
-        if isinstance(g, Eq):
-            return Eq(sub_term(g.left), sub_term(g.right))
-        if isinstance(g, Not):
-            return Not(go(g.sub))
-        if isinstance(g, And):
-            return And(tuple(go(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(go(p) for p in g.parts))
-        remaining = tuple(v for v in g.vars if v not in theta)
-        body = go(g.body)
-        if not remaining:
-            return body
-        return type(g)(remaining, body)
-
-    return go(f)
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 def holds(
@@ -482,43 +452,32 @@ def holds(
     domain: Iterable[str],
     env: dict[str, str] | None = None,
 ) -> bool:
-    """Raw Tarskian evaluation engine, no validation.
+    """Tarskian evaluation, no validation.
 
     Quantifiers range over ``domain``; a predicate atom is true iff the
     corresponding ground atom is in ``atoms``.  Free variables must be covered
     by ``env`` (variable name -> constant name).
+
+    This is ``stats.holds_over`` at one grounding of one structure, whose
+    constants are the names in ``domain``, ``env``, ``f`` and the atoms of
+    ``f``'s predicates; constants are bound by name, as in the hard-rule
+    filter of ``enumerate_worlds``.  Truth tables over
+    ``stats.TABLE_CELL_CAP`` cells raise ``CapExceededError``.
     """
+    # stats imports this module, so the kernel is imported at call time
+    from . import stats
+
+    vocabulary = vocabulary_of(f)
+    kept = [a for a in atoms if vocabulary.get(a.pred) == len(a.args)]
     dom = tuple(domain)
     env = {} if env is None else env
-
-    def ev(g: Formula) -> bool:
-        if isinstance(g, PredAtom):
-            names = tuple(env[t.name] if isinstance(t, Var) else t.name for t in g.args)
-            return GroundAtom(g.pred.name, names) in atoms
-        if isinstance(g, Eq):
-            l = env[g.left.name] if isinstance(g.left, Var) else g.left.name
-            r = env[g.right.name] if isinstance(g.right, Var) else g.right.name
-            return l == r
-        if isinstance(g, Not):
-            return not ev(g.sub)
-        if isinstance(g, And):
-            return all(ev(p) for p in g.parts)
-        if isinstance(g, Or):
-            return any(ev(p) for p in g.parts)
-        names = [v.name for v in g.vars]
-        want = isinstance(g, Exists)
-        for combo in itertools.product(dom, repeat=len(names)):
-            for n, c in zip(names, combo):
-                env[n] = c
-            if ev(g.body) == want:
-                for n in names:
-                    del env[n]
-                return want
-        for n in names:
-            env.pop(n, None)
-        return not want
-
-    return ev(f)
+    names = tuple(dict.fromkeys(itertools.chain(
+        dom, env.values(), sorted(constants_of(f)), (c for a in kept for c in a.args)
+    )))
+    tables = stats.structure_tables(GlobalExample(names, kept), vocabulary)
+    position = {c: np.array([i]) for i, c in enumerate(names)}
+    bound = {**position, **{v: position[c] for v, c in env.items()}}
+    return bool(stats.holds_over(f, tables, (1, 1), [position[c] for c in dom], bound)[0, 0])
 
 
 def evaluate(f: Formula, example) -> bool:

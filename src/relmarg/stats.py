@@ -27,9 +27,9 @@ experiment's samples one per trial (``expansion.representative_tables``).
 ``grounding_truths`` runs it in blocks of groundings; ``count_groundings``
 counts them for ``statistic``, ``WorldSpace.count_matrix`` and the index-set
 estimator, and ``expansion.weighted_hits`` weights them.  The hard-rule
-filter of ``enumerate_worlds`` calls it at a rule's one grounding.
-``logic.holds`` walks one structure and one grounding at a time; it backs
-``logic.evaluate`` and is the tests' oracle.
+filter of ``enumerate_worlds`` calls it at a rule's one grounding, and
+``logic.holds`` (behind ``logic.evaluate``) at one grounding of one
+structure: no other code in the package decides a formula.
 
 ``marginal_distribution_a`` reads the Model A marginal off the same truth
 tables without building fragments: one gather per local atom gives every
@@ -38,7 +38,8 @@ each distinct pattern is canonicalized once.  ``canonical_patterns`` does
 that for all of them together: one gather through a (permutation, local
 atom) index array gives every relabelled image, and a column-by-column
 reduction keeps the canonical one and counts the automorphisms.
-``data.canonicalize`` stays the tests' oracle.
+``data.canonicalize`` is the same call on one pattern: no other code in the
+package searches relabellings.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .data import CanonicalForm, GlobalExample, check_iso_width
+from .data import CanonicalForm, GlobalExample, LocalAtom, check_iso_width
 from .errors import CapExceededError, DomainError, FormulaSyntaxError
 from .logic import (
     And,
@@ -357,11 +358,7 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     check_iso_width(k)
     vocabulary = example.vocabulary()
     tables = structure_tables(example, vocabulary)
-    # sorted, so a sorted atom tuple lists its atoms' indices in increasing order
-    local = [
-        (p, args) for p in sorted(vocabulary)
-        for args in itertools.product(range(k), repeat=vocabulary[p])
-    ]
+    local = local_atoms(vocabulary, k)
     patterns: dict[bytes, int] = {}  # one byte per local atom -> subsets
     subsets = itertools.combinations(range(n), k)
     for block in _blocks(subsets, k, BLOCK_CELLS // max(len(local), 1)):
@@ -389,18 +386,29 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     return {forms[key]: Fraction(count, total) for key, count in mass.items()}
 
 
+def local_atoms(vocabulary: Mapping[str, int], k: int) -> list[LocalAtom]:
+    """The width-``k`` local atoms ``(p, (a1, ..., ar))``, positions 0..k-1,
+    in the column order of ``canonical_patterns``: predicates sorted, so a
+    sorted atom tuple lists its atoms' indices in increasing order, then
+    argument positions in ``itertools.product`` order."""
+    return [
+        (p, args) for p in sorted(vocabulary)
+        for args in itertools.product(range(k), repeat=vocabulary[p])
+    ]
+
+
 def canonical_patterns(
     patterns: np.ndarray, vocabulary: Mapping[str, int], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical image and automorphism count of each width-``k`` local
-    example in ``patterns``, as ``canonicalize`` would give them.
+    example in ``patterns``: of its images under the k! relabellings, the
+    one whose sorted atom tuple is least, and how many relabellings reach it.
 
-    Column j of the (P, M) bool ``patterns`` is the j-th local atom
-    ``p(a1, ..., ar)``: predicates in sorted order, then argument positions
-    in ``itertools.product`` order, which is the order of the atom tuples.
+    Column j of the (P, M) bool ``patterns`` is the j-th of the
+    ``local_atoms``, whose order is the order of the atom tuples.
     Of two atom sets of one size, the sorted tuple that is smaller is the
     one holding the first atom where they differ, so the least sorted image
-    ``canonicalize`` keeps is the lexicographically greatest image pattern,
+    is the lexicographically greatest image pattern,
     and every image of a pattern has its size.  Row i of a (permutations,
     M) gather holds the index of each local atom's image under permutation
     i, so ``pattern[gather]`` is every image at once; the greatest is found

@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from relmarg.estimation import (
 )
 from relmarg.data import fragment
 from relmarg.expansion import expand, representative_tables
-from relmarg.logic import Const, apply_substitution, evaluate, parse_formula, strip_foralls
+from relmarg.logic import Const, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 
 
@@ -168,8 +169,8 @@ def test_disjoint_sample_estimator_is_unbiased_on_average():
 def _replayed_estimate(example, f, kind, rng, universe):
     """Replays the estimator's draws.  Model A evaluates ``f`` on the
     fragment over each index set's constants; Model B grounds each
-    substitution with ``apply_substitution`` and evaluates it on the whole
-    structure."""
+    substitution with ``oracles.apply_substitution`` and evaluates it on the
+    whole structure."""
     vs = strip_foralls(f)[0]
     k = kind.width if isinstance(kind, ModelA) else len(vs)
     q = len(example.constants) // k
@@ -177,10 +178,14 @@ def _replayed_estimate(example, f, kind, rng, universe):
     union = sorted(set(itertools.chain.from_iterable(index_sets)))
     g = dict(zip(union, rng.sample(example.constants, len(union))))
     if isinstance(kind, ModelA):
-        hits = sum(evaluate(f, fragment(example, [g[i] for i in idx])) for idx in index_sets)
+        hits = sum(
+            oracles.evaluate(f, fragment(example, [g[i] for i in idx])) for idx in index_sets
+        )
     else:
         hits = sum(
-            evaluate(apply_substitution(f, {v: Const(g[i]) for v, i in zip(vs, idx)}), example)
+            oracles.evaluate(
+                oracles.apply_substitution(f, {v: Const(g[i]) for v, i in zip(vs, idx)}), example
+            )
             for idx in index_sets
         )
     return Fraction(hits, q)

@@ -1,14 +1,15 @@
-"""Parser, printer, and evaluator tests, cross-checked against a standalone
-ground-expansion oracle."""
+"""Parser, printer, and evaluator tests, cross-checked against the
+tree-walking oracle in ``oracles``."""
 
-import itertools
+import tracemalloc
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relmarg.data import GlobalExample
-from relmarg.errors import DomainError, FormulaSyntaxError, VocabularyError
+from relmarg.data import GlobalExample, GroundAtom
+from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError, VocabularyError
 from relmarg.logic import (
     And,
     Const,
@@ -20,7 +21,6 @@ from relmarg.logic import (
     PredAtom,
     Predicate,
     Var,
-    apply_substitution,
     constants_of,
     evaluate,
     format_formula,
@@ -33,37 +33,6 @@ from relmarg.logic import (
     vars_of,
     vocabulary_of,
 )
-
-
-def oracle(f, true_atoms, domain, env):
-    """Reference evaluator: grounds quantifiers by explicit enumeration and
-    looks atoms up in a set of (pred, arg names) pairs."""
-    if isinstance(f, Forall):
-        names = [v.name for v in f.vars]
-        return all(
-            oracle(f.body, true_atoms, domain, {**env, **dict(zip(names, combo))})
-            for combo in itertools.product(domain, repeat=len(names))
-        )
-    if isinstance(f, Exists):
-        names = [v.name for v in f.vars]
-        return any(
-            oracle(f.body, true_atoms, domain, {**env, **dict(zip(names, combo))})
-            for combo in itertools.product(domain, repeat=len(names))
-        )
-    if isinstance(f, And):
-        return all(oracle(p, true_atoms, domain, env) for p in f.parts)
-    if isinstance(f, Or):
-        return any(oracle(p, true_atoms, domain, env) for p in f.parts)
-    if isinstance(f, Not):
-        return not oracle(f.sub, true_atoms, domain, env)
-    if isinstance(f, Eq):
-        left = env[f.left.name] if isinstance(f.left, Var) else f.left.name
-        right = env[f.right.name] if isinstance(f.right, Var) else f.right.name
-        return left == right
-    names = tuple(
-        env[t.name] if isinstance(t, Var) else t.name for t in f.args
-    )
-    return (f.pred.name, names) in true_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +177,7 @@ def test_vocabulary_of_merges_arities():
 
 def test_apply_substitution_grounds_variables():
     f = parse_formula("e(X, Y)")
-    grounded = apply_substitution(f, {Var("X"): Const("a"), Var("Y"): Const("b")})
+    grounded = oracles.apply_substitution(f, {Var("X"): Const("a"), Var("Y"): Const("b")})
     assert format_formula(grounded) == "e(a,b)"
 
 
@@ -259,6 +228,19 @@ def test_evaluate_rejects_unknown_constants():
 def test_evaluate_rejects_arity_mismatch_with_structure():
     with pytest.raises(VocabularyError):
         evaluate(parse_formula("exists X, Y: sm(X,Y)"), FRIENDS)
+
+
+def test_evaluate_over_the_table_cap_raises_before_allocating():
+    # an e/2 table over 8,193 constants has 8,193^2 > 2^26 cells (64 MiB)
+    example = GlobalExample([f"c{i}" for i in range(8193)], [("e", ("c0", "c1"))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            evaluate(parse_formula("exists X, Y: e(X,Y)"), example)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_holds_accepts_environment_for_free_variables():
@@ -340,9 +322,41 @@ def structures(draw):
 @settings(max_examples=300, deadline=None)
 @given(closed_formulas(), structures())
 def test_evaluate_matches_ground_expansion_oracle(f, example):
-    true_atoms = {(a.pred, a.args) for a in example.atoms}
-    want = oracle(f, true_atoms, example.constants, {})
-    assert evaluate(f, example) is want
+    assert evaluate(f, example) is oracles.evaluate(f, example)
+
+
+NAMES = ("a", "b", "c", "d")
+
+
+@st.composite
+def open_formulas(draw):
+    """A formula over r/1, e/2, equality, the variables X and Y and the
+    constants a and b, with each variable bound by a quantifier or free."""
+    x, y = Var("X"), Var("Y")
+    f = draw(_matrices([x, y, Const("a"), Const("b")]))
+    for v in draw(st.lists(st.sampled_from([x, y]), unique=True)):
+        f = draw(st.sampled_from((Forall, Exists)))((v,), f)
+    return f
+
+
+def _ground_atoms():
+    # r/2, s/1 and t/3 atoms are of predicates no formula here uses at that arity
+    names = st.sampled_from(NAMES)
+    return st.one_of(
+        st.builds(lambda p, a: GroundAtom(p, (a,)), st.sampled_from(("r", "s")), names),
+        st.builds(lambda p, *a: GroundAtom(p, a), st.sampled_from(("e", "r")), names, names),
+        st.builds(lambda *a: GroundAtom("t", a), names, names, names),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(open_formulas(), closed_formulas()), st.data())
+def test_holds_matches_the_tree_walker(f, data):
+    # the domain may leave out constants of the atoms, of f and of env
+    atoms = frozenset(data.draw(st.sets(_ground_atoms(), max_size=12)))
+    domain = data.draw(st.lists(st.sampled_from(NAMES), unique=True))
+    env = {v.name: data.draw(st.sampled_from(NAMES)) for v in sorted(free_vars(f), key=str)}
+    assert holds(f, atoms, domain, env) is oracles.holds(f, atoms, domain, env)
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,10 @@ from test_logic import closed_formulas
 from test_structures import local_of
 
 from relmarg import stats
-from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, canonicalize, fragment
+from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
 from relmarg.expansion import expand
-from relmarg.logic import Forall, evaluate, parse_formula, strip_foralls
+from relmarg.logic import Forall, parse_formula, strip_foralls
 from relmarg.stats import (
     MODEL_B,
     MarginalConstraint,
@@ -46,7 +47,7 @@ BETA = parse_formula("forall X, Y: ~fr(X,Y) | sm(X) | sm(Y)")
 def brute_subset_stat(f, example, k):
     """Oracle: evaluate the formula on every size-k fragment directly."""
     subsets = list(itertools.combinations(example.constants, k))
-    hits = sum(evaluate(f, fragment(example, s)) for s in subsets)
+    hits = sum(oracles.evaluate(f, fragment(example, s)) for s in subsets)
     return Fraction(hits, len(subsets))
 
 
@@ -100,7 +101,7 @@ def test_statistic_dispatches_on_kind():
 
 def test_full_width_subset_stat_is_plain_evaluation():
     for f in (ALPHA, BETA):
-        assert statistic(f, FRIENDS, ModelA(3)) == Fraction(int(evaluate(f, FRIENDS)))
+        assert statistic(f, FRIENDS, ModelA(3)) == Fraction(int(oracles.evaluate(f, FRIENDS)))
 
 
 def test_width_one_substitution_counts_satisfied_singletons():
@@ -153,12 +154,12 @@ def test_marginal_distribution_reproduces_statistics():
     total = Fraction(0)
     for subset in itertools.combinations(FRIENDS.constants, 2):
         part = fragment(FRIENDS, subset)
-        if evaluate(ALPHA, part):
+        if oracles.evaluate(ALPHA, part):
             total += Fraction(1, 3)
     by_class = Fraction(0)
     for subset in itertools.combinations(FRIENDS.constants, 2):
         part = fragment(FRIENDS, subset)
-        cf = canonicalize(local_of(part))
+        cf = oracles.canonicalize(local_of(part))
         assert cf in dist
     assert total == statistic(ALPHA, FRIENDS, ModelA(2))
 
@@ -168,7 +169,7 @@ def brute_marginal_a(example, k):
     subsets = list(itertools.combinations(example.constants, k))
     dist = {}
     for s in subsets:
-        cf = canonicalize(local_of(fragment(example, s)))
+        cf = oracles.canonicalize(local_of(fragment(example, s)))
         dist[cf] = dist.get(cf, Fraction(0)) + Fraction(1, len(subsets))
     return dist
 
@@ -218,8 +219,8 @@ def test_marginal_distribution_is_the_same_in_blocks(monkeypatch):
 
 
 def _check_canonical_patterns(vocab, k, patterns, cells):
-    """Oracle: ``canonicalize`` each pattern on its own.  Columns are the
-    local atoms over 1..k in the order of ``canonical_patterns``."""
+    """Oracle: canonicalize each pattern on its own by brute force.  Columns
+    are the local atoms over 1..k in the order of ``canonical_patterns``."""
     local = [
         (p, args) for p in sorted(vocab)
         for args in itertools.product(range(1, k + 1), repeat=vocab[p])
@@ -228,7 +229,7 @@ def _check_canonical_patterns(vocab, k, patterns, cells):
         images, automorphisms = stats.canonical_patterns(patterns, vocab, k)
     assert images.shape == patterns.shape and len(automorphisms) == len(patterns)
     for pattern, image, autos in zip(patterns, images, automorphisms):
-        cf = canonicalize(LocalExample(k, [a for a, bit in zip(local, pattern) if bit]))
+        cf = oracles.canonicalize(LocalExample(k, [a for a, bit in zip(local, pattern) if bit]))
         assert tuple(a for a, bit in zip(local, image) if bit) == cf.atoms
         assert autos == cf.automorphisms
 

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import random
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relmarg.data import (
@@ -51,6 +53,10 @@ def test_atom_errors_name_the_first_offending_atom_in_sorted_order():
     assert str(exc.value) == "atom d(yy) uses constant 'yy' outside the constant set"
     with pytest.raises(VocabularyError) as exc:
         GlobalExample(["a"], [("p", ("a", "a")), ("p", ("a",)), ("q", ("a", "a", "a"))])
+    assert str(exc.value) == "predicate 'p' used with arities 1 and 2"
+    # local examples too: their patterns key predicates by name alone
+    with pytest.raises(VocabularyError) as exc:
+        LocalExample(2, [("p", (1, 2)), ("p", (1,)), ("q", (1, 1, 1))])
     assert str(exc.value) == "predicate 'p' used with arities 1 and 2"
     # a declared arity comes first
     with pytest.raises(VocabularyError) as exc:
@@ -204,3 +210,28 @@ def test_facts_round_trip_random(ex):
 def test_canonical_form_stable_under_constant_shuffle(ex):
     relabeled = next(iter(_relabelings(ex)))
     assert canonicalize(local_of(ex)) == canonicalize(local_of(relabeled))
+
+
+@st.composite
+def local_examples(draw):
+    """A width 1-4 local example over up to three predicates of arity 1-3,
+    from empty to full."""
+    k = draw(st.integers(1, 4))
+    arities = draw(st.lists(st.integers(1, 3), max_size=3))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    atoms = [
+        (f"p{i}", args)
+        for i, arity in enumerate(arities)
+        for args in itertools.product(range(1, k + 1), repeat=arity)
+        if rng.random() < density
+    ]
+    return LocalExample(k, atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_examples())
+@example(LocalExample(1))
+@example(LocalExample(4))
+def test_canonicalize_matches_brute_force(local):
+    assert canonicalize(local) == oracles.canonicalize(local)

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from test_stats import A_POOL, B_POOL
 from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
 from relmarg import stats, worlds
-from relmarg.logic import Forall, evaluate, holds, parse_formula, strip_foralls
+from relmarg.logic import Forall, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 from relmarg.worlds import DEFAULT_ATOM_CAP, enumerate_worlds
 
@@ -45,7 +46,7 @@ def test_hard_rules_filter_matches_brute_force():
     expected = [
         int(bits)
         for bits in free.worlds
-        if holds(rule, free.world_atoms(int(bits)), free.constants)
+        if oracles.holds(rule, free.world_atoms(int(bits)), free.constants)
     ]
     assert list(space.worlds) == expected
     assert 0 < len(space) < len(free)
@@ -187,7 +188,7 @@ ORACLE_SHAPES = [
 
 
 def per_world_counts(space, formulas, kind):
-    """The per-world grounding loop, one holds call per grounding: Model A
+    """The per-world grounding loop, one oracle call per grounding: Model A
     evaluates the formula with the subset as the domain, Model B evaluates
     the matrix under the substitution."""
     rows = []
@@ -197,12 +198,12 @@ def per_world_counts(space, formulas, kind):
         for f in formulas:
             if isinstance(kind, ModelA):
                 subsets = itertools.combinations(space.constants, kind.width)
-                row.append(sum(holds(f, atoms, subset) for subset in subsets))
+                row.append(sum(oracles.holds(f, atoms, subset) for subset in subsets))
             else:
                 vs, matrix = strip_foralls(f)
                 combos = itertools.permutations(space.constants, len(vs))
                 row.append(sum(
-                    holds(matrix, atoms, (), {v.name: c for v, c in zip(vs, combo)})
+                    oracles.holds(matrix, atoms, (), {v.name: c for v, c in zip(vs, combo)})
                     for combo in combos
                 ))
         rows.append(row)
@@ -238,7 +239,7 @@ def test_hard_rule_filter_matches_holds(shape, rules):
     expected = [
         bits
         for bits in range(1 << len(free.atoms))
-        if all(holds(r, free.world_atoms(bits), constants) for r in rules)
+        if all(oracles.holds(r, free.world_atoms(bits), constants) for r in rules)
     ]
     assert space.worlds.dtype == np.int64
     assert space.worlds.tolist() == expected
@@ -306,7 +307,7 @@ def test_statistics_sum_identity_over_space():
         sat = sum(
             1
             for bits in range(4)
-            if evaluate(
+            if oracles.evaluate(
                 f,
                 GlobalExample(
                     subset,
