@@ -39,7 +39,7 @@ from .stats import (
     ModelA,
     ModelKind,
     check_formula,
-    check_table_cells,
+    check_cells,
     formula_width,
     grounding_truths,
     normalizer,
@@ -159,7 +159,8 @@ def representative_tables(
     """
     structures, m = positions.shape
     size = m * copies
-    check_table_cells(structures * sum(size ** (t.ndim - 1) for t in tables.values()), size)
+    cells = structures * sum(size ** (t.ndim - 1) for t in tables.values())
+    check_cells(cells, f"truth tables of {cells} cells over {size} constants")
     copy, residue = np.divmod(np.arange(size), m)
     at = positions.T[residue]  # (size, T): base position of each expanded one
     out = {}

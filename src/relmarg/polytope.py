@@ -7,11 +7,21 @@ it lies in the hull.  Distances come from Wolfe's nearest-point algorithm
 walks through affinely independent vertex subsets, each time projecting onto
 the subset's affine hull, so membership queries are reliable well below the
 1e-8 declaration threshold.
+
+Each polytope also has an exact H-representation, computed once from its
+rational vertices: the affine hull as integer equalities and the facets as
+primitive integer pairs (a, b) with a.x <= b.  ``rank`` reads the exact
+affine rank off it.  ``eta_interior`` uses it to decide its probe points
+without Wolfe: a probe that violates a constraint by clearly more than the
+membership threshold is outside, a probe that every facet of a
+full-dimensional polytope keeps at 1e-9 is inside, and only the rest go to
+``hull_distance``.  The verdicts are those of probing with Wolfe alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,11 +31,39 @@ import numpy as np
 
 from .errors import DomainError
 from .logic import Formula
-from .stats import ModelKind, distinct_rows
+from .stats import ModelKind, distinct_rows, index_blocks
 from .worlds import WorldSpace
 
 MEMBERSHIP_TOL = 1e-8
 ETA_PROBES = 16  # random directions eta_interior probes beyond the axes
+# integer products the facet search may make, about r * (n + r**3) for each
+# r-subset of n vertices: past this a polytope stores no facets, and every
+# eta probe goes to hull_distance
+FACET_WORK_CAP = 1 << 23
+# cells in one chunk of the facet search
+FACET_CHUNK_CELLS = 1 << 14
+# a probe is decided outside when a constraint puts it at least
+# MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN) from the hull, so that Wolfe's float
+# distance, which is never below the true one by more than rounding, would
+# also reach MEMBERSHIP_TOL; and inside when every facet keeps it
+# INSIDE_SLACK away
+OUTSIDE_MARGIN = 1e-4
+INSIDE_SLACK = 1e-9
+
+Constraint = tuple[tuple[int, ...], int]
+
+
+@dataclass(frozen=True)
+class HRepresentation:
+    """Exact constraints of the convex hull of a vertex set: every point x of
+    the hull has a.x = b for each equality and a.x <= b for each facet.  Each
+    (a, b) is a primitive integer vector and offset in the vertices' own
+    coordinates.  ``rank`` is the affine rank of the vertices.  ``facets`` is
+    None when the search would make more than ``FACET_WORK_CAP`` products."""
+
+    rank: int
+    equalities: tuple[Constraint, ...]
+    facets: tuple[Constraint, ...] | None
 
 
 @dataclass(frozen=True)
@@ -45,12 +83,193 @@ class MarginalPolytope:
         """The vertices as a float array, one row per vertex, converted once."""
         return np.array(self.vertices, dtype=float)
 
+    @functools.cached_property
+    def _affine_hull(self) -> tuple[list[list[int]], list[int], list[int], tuple[Constraint, ...]]:
+        """Integer vertex rows, their per-coordinate scales, the pivot
+        coordinates of the affine hull and its equalities."""
+        rows, scales = _integer_rows(self.vertices, self.dim)
+        return (rows, scales, *_pivots_and_equalities(rows, scales))
+
+    @functools.cached_property
+    def h_representation(self) -> HRepresentation:
+        """The exact H-representation, computed once."""
+        rows, scales, pivots, equalities = self._affine_hull
+        return HRepresentation(len(pivots), equalities, _facets(rows, scales, pivots))
+
+    @functools.cached_property
+    def _unit_constraints(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """Equalities, then facets, as float rows and offsets scaled to unit
+        normals, with the equality count; None without facets."""
+        h = self.h_representation
+        if h.facets is None:
+            return None
+        constraints = h.equalities + h.facets
+        rows = np.array([a for a, _ in constraints], dtype=float)
+        offsets = np.array([b for _, b in constraints], dtype=float)
+        norms = np.linalg.norm(rows, axis=1)
+        return rows / norms[:, None], offsets / norms, len(h.equalities)
+
     def rank(self) -> int:
-        """Rank of the vertex set around its centroid (dim iff full-dimensional)."""
-        if not self.vertices or self.dim == 0:
-            return 0
-        v = self.float_vertices
-        return int(np.linalg.matrix_rank(v - v.mean(axis=0), tol=1e-12))
+        """Exact affine rank of the vertex set (dim iff full-dimensional)."""
+        return len(self._affine_hull[2])
+
+
+def _integer_rows(vertices, d: int) -> tuple[list[list[int]], list[int]]:
+    """The rational vertices as integer rows: coordinate j is multiplied by
+    the lcm of its denominators, which is returned as its scale."""
+    scales = [math.lcm(*(v[j].denominator for v in vertices)) for j in range(d)]
+    rows = [[c.numerator * (s // c.denominator) for c, s in zip(v, scales)] for v in vertices]
+    return rows, scales
+
+
+def _primitive(values: list[int]) -> list[int]:
+    """``values`` divided by their gcd."""
+    g = math.gcd(*values)
+    return [x // g for x in values] if g > 1 else values
+
+
+def _pivots_and_equalities(
+    rows: list[list[int]], scales: list[int]
+) -> tuple[list[int], tuple[Constraint, ...]]:
+    """Pivot coordinates and equalities of the affine hull of integer rows.
+
+    Fraction-free elimination on the differences from the first row keeps a
+    basis of the difference space in reduced form: each basis row is zero at
+    every other row's pivot and positive at its own.  The projection onto
+    the pivot coordinates is then injective on the affine hull, and each
+    other coordinate f gives one equality, the null vector that is 1 at f
+    and 0 at the other non-pivots, scaled to integers and mapped back to the
+    unscaled coordinates.
+    """
+    d = len(scales)
+    basis: list[tuple[int, list[int]]] = []
+    origin = rows[0] if rows else [0] * d
+    for row in rows[1:]:
+        if len(basis) == d:
+            break
+        x = [a - b for a, b in zip(row, origin)]
+        for pivot, b in basis:
+            if x[pivot]:
+                x = [b[pivot] * xi - x[pivot] * bi for xi, bi in zip(x, b)]
+        lead = next((j for j, xi in enumerate(x) if xi), None)
+        if lead is None:
+            continue
+        x = _primitive([-xi for xi in x] if x[lead] < 0 else x)
+        basis = [
+            (p, _primitive([x[lead] * bi - b[lead] * xi for bi, xi in zip(b, x)]) if b[lead] else b)
+            for p, b in basis
+        ]
+        basis.append((lead, x))
+    basis.sort()
+    pivots = [p for p, _ in basis]
+    equalities = []
+    for f in range(d):
+        if f in pivots:
+            continue
+        scale = math.lcm(*(b[p] for p, b in basis if b[f]))
+        a = [0] * d
+        a[f] = scale
+        for p, b in basis:
+            a[p] = -b[f] * scale // b[p]
+        offset = sum(ai * oi for ai, oi in zip(a, origin))
+        *a, offset = _primitive([ai * s for ai, s in zip(a, scales)] + [offset])
+        equalities.append((tuple(a), offset))
+    return pivots, tuple(equalities)
+
+
+def _facets(
+    rows: list[list[int]], scales: list[int], pivots: list[int]
+) -> tuple[Constraint, ...] | None:
+    """Facets of the integer rows, from their projection onto the pivot
+    coordinates, where they span all r dimensions.
+
+    Every r-subset of rows spans a hyperplane whose normal is the vector of
+    signed (r-1)-minors of the subset's r-1 edge vectors (a min and a max
+    for r = 1, a cross product for r = 3).  A hyperplane with every row on
+    one side is a facet; repeats, from subsets of one facet, are dropped by
+    their primitive integer form.  Subsets are tested in chunks of at most
+    ``FACET_CHUNK_CELLS`` cells, and past ``FACET_WORK_CAP`` products in all
+    no facet is computed.
+    """
+    r, n = len(pivots), len(rows)
+    if r == 0:
+        return ()
+    # a subset's cells: its row sign tests and its r cofactor matrices; each
+    # cell takes at most r products
+    cells = n + r**3
+    if math.comb(n, r) * r * cells > FACET_WORK_CAP:
+        return None
+    projected = [[row[p] for p in pivots] for row in rows]
+    # the elimination multiplies two (r-2)-minors of edges with entries up to
+    # e, and the sign tests sum r coordinates times (r-1)-minors; by
+    # Hadamard's bound a k-minor is at most (k^k e^2k)^(1/2).  Past int64,
+    # compute in Python integers
+    big = max(abs(c) for row in projected for c in row)
+    e = 2 * big
+    low, high = max(r - 2, 0), r - 1
+    fits = low**low * e ** (2 * low) < 1 << 60 and (
+        (r * big) ** 2 * high**high * e ** (2 * high) < 1 << 124
+    )
+    ys = np.array(projected, dtype=np.int64 if fits else object)
+    signs = np.array([(-1) ** j for j in range(r)])
+    found: dict[Constraint, None] = {}
+    subsets = itertools.combinations(range(n), r)
+    for block in index_blocks(subsets, r, FACET_CHUNK_CELLS // cells):
+        points = ys[block]
+        edges = points[:, 1:] - points[:, :1]
+        minors = np.stack([np.delete(edges, j, axis=2) for j in range(r)], axis=1)
+        normals = signs * _det(minors.reshape(len(block) * r, r - 1, r - 1)).reshape(-1, r)
+        offsets = (normals * points[:, 0]).sum(axis=1)
+        sides = ys @ normals.T - offsets
+        below, above = (sides <= 0).all(axis=0), (sides >= 0).all(axis=0)
+        # a zero normal has every row on both sides
+        keep = below != above
+        sign = np.where(above[keep], -1, 1)
+        for normal, offset in zip((sign[:, None] * normals[keep]).tolist(),
+                                  (sign * offsets[keep]).tolist()):
+            a = [0] * len(scales)
+            for p, c in zip(pivots, normal):
+                a[p] = c * scales[p]
+            *a, offset = _primitive(a + [offset])
+            found[tuple(a), offset] = None
+    return tuple(found)
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of the stacked square integer matrices ``m`` (shape
+    ``(b, k, k)``), by fraction-free elimination (Bareiss 1968).  After the
+    step on column c, each entry right of and below the pivots is a
+    (c+2)-minor of its matrix, so every division is exact and no entry
+    outgrows the largest minor.  A matrix whose column has no pivot is
+    singular; it is replaced by the identity and its determinant set to 0."""
+    m = m.copy()
+    b, k = m.shape[0], m.shape[-1]
+    if k == 0:
+        return np.ones(b, dtype=m.dtype)
+    at = np.arange(b)
+    sign = np.ones(b, dtype=np.int64)
+    singular = np.zeros(b, dtype=bool)
+    previous = np.ones(b, dtype=m.dtype)
+    for c in range(k - 1):
+        nonzero = m[:, c:, c] != 0
+        dead = ~nonzero.any(axis=1)
+        if dead.any():
+            singular |= dead
+            m[dead] = np.eye(k, dtype=m.dtype)
+            previous[dead] = 1
+        pivot = c + nonzero.argmax(axis=1)
+        swap = pivot != c
+        if swap.any():
+            top = m[at, c].copy()
+            m[at, c] = m[at, pivot]
+            m[at, pivot] = top
+            sign[swap] = -sign[swap]
+        lead = m[:, c, c].copy()
+        m[:, c + 1:, c + 1:] = (
+            m[:, c + 1:, c + 1:] * lead[:, None, None] - m[:, c + 1:, c:c + 1] * m[:, c:c + 1, c + 1:]
+        ) // previous[:, None, None]
+        previous = lead
+    return np.where(singular, 0, sign * m[:, -1, -1])
 
 
 def polytope_vertices(
@@ -143,7 +362,10 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
 @dataclass(frozen=True)
 class EtaVerdict:
     """Probe-based interiority verdict: rejection is sound, acceptance only
-    says that no probe left the hull."""
+    says that no probe left the hull.  Probes are checked in order until one
+    leaves the hull; the polytope's H-representation decides most of them,
+    and ``hull_distance`` decides the rest, so the verdict is the one that
+    probing with ``hull_distance`` alone gives."""
 
     inside: bool
     eta: float
@@ -165,6 +387,21 @@ def eta_interior(
     if d == 0:
         return EtaVerdict(True, eta, None, 0)
     p = np.array([float(c) for c in point], dtype=float)
+    directions = _probe_directions(d)
+    probes = p + eta * directions
+    decided = _decide_probes(probes, polytope)
+    for checked, (direction, probe, side) in enumerate(zip(directions, probes, decided), 1):
+        if side == 0:
+            side = -1 if hull_distance(probe, polytope) >= MEMBERSHIP_TOL else 1
+        if side < 0:
+            return EtaVerdict(False, eta, tuple(float(c) for c in direction), checked)
+    return EtaVerdict(True, eta, None, len(directions))
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_directions(d: int) -> np.ndarray:
+    """The unit directions ``eta_interior`` probes in dimension d, in order:
+    +e_i and -e_i for each axis, then the random ones."""
     directions = []
     for i in range(d):
         e = np.zeros(d)
@@ -176,12 +413,28 @@ def eta_interior(
         norm = np.linalg.norm(v)
         if norm > 1e-12:
             directions.append(v / norm)
-    checked = 0
-    for direction in directions:
-        checked += 1
-        if hull_distance(p + eta * direction, polytope) >= MEMBERSHIP_TOL:
-            return EtaVerdict(False, eta, tuple(float(c) for c in direction), checked)
-    return EtaVerdict(True, eta, None, checked)
+    directions = np.array(directions)
+    directions.flags.writeable = False
+    return directions
+
+
+def _decide_probes(probes: np.ndarray, polytope: MarginalPolytope) -> np.ndarray:
+    """-1 for each probe the H-representation puts outside the hull, 1 for
+    each it puts inside, 0 for each it leaves to ``hull_distance``.
+
+    A constraint's normalized violation, (a.q - b)/|a| or |a.q - b|/|a| for
+    an equality, is a lower bound on the distance from q to the hull."""
+    constraints = polytope._unit_constraints
+    if constraints is None:
+        return np.zeros(len(probes), dtype=int)
+    rows, offsets, n_equalities = constraints
+    gaps = probes @ rows.T - offsets
+    gaps[:, :n_equalities] = np.abs(gaps[:, :n_equalities])
+    outside = gaps.max(axis=1) >= MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN)
+    # an equality's gap is never negative, so only a full-dimensional
+    # polytope decides a probe inside
+    inside = (gaps <= -INSIDE_SLACK).all(axis=1)
+    return np.where(outside, -1, np.where(inside, 1, 0))
 
 
 def interiority_margin(m: int, k: int, l: int, eta: float) -> float:

@@ -171,7 +171,8 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
     positions i, j, ...  Raises ``CapExceededError`` when the tables would
     have more than ``TABLE_CELL_CAP`` cells."""
     n = len(example.constants)
-    check_table_cells(sum(n**arity for arity in vocabulary.values()), n)
+    cells = sum(n**arity for arity in vocabulary.values())
+    check_cells(cells, f"truth tables of {cells} cells over {n} constants")
     position = {c: i for i, c in enumerate(example.constants)}
     tables = {p: np.zeros((n,) * arity + (1,), dtype=bool) for p, arity in vocabulary.items()}
     for atom in example.atoms:
@@ -181,16 +182,12 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
     return tables
 
 
-def check_table_cells(cells: int, n: int):
-    """Raise ``CapExceededError`` when truth tables of ``cells`` cells over
-    ``n`` constants exceed ``TABLE_CELL_CAP``."""
-    if cells > TABLE_CELL_CAP:
-        raise CapExceededError(
-            f"truth tables of {cells} cells over {n} constants exceed the cap of "
-            f"{TABLE_CELL_CAP}",
-            cells,
-            TABLE_CELL_CAP,
-        )
+def check_cells(size: int, what: str, cap: int | None = None):
+    """Raise ``CapExceededError`` when ``what``, of ``size`` cells or bytes,
+    exceed ``cap`` (``TABLE_CELL_CAP`` cells unless given)."""
+    cap = TABLE_CELL_CAP if cap is None else cap
+    if size > cap:
+        raise CapExceededError(f"{what} exceed the cap of {cap}", size, cap)
 
 
 def holds_over(
@@ -230,14 +227,15 @@ def _holds(g, tables, shape, domain, env) -> np.ndarray:
     names = [v.name for v in g.vars]
     exists = isinstance(g, Exists)
     out = np.full(shape, not exists)
+    # the body binds into a copy: a quantified variable may also be free
+    # outside this scope, where its binding must survive
+    inner = dict(env)
     for combo in itertools.product(domain, repeat=len(names)):
-        env.update(zip(names, combo))
+        inner.update(zip(names, combo))
         if exists:
-            out |= _holds(g.body, tables, shape, domain, env)
+            out |= _holds(g.body, tables, shape, domain, inner)
         else:
-            out &= _holds(g.body, tables, shape, domain, env)
-    for name in names:
-        env.pop(name, None)
+            out &= _holds(g.body, tables, shape, domain, inner)
     return out
 
 
@@ -278,13 +276,13 @@ def grounding_truths(
     else:
         vs, f = universal_parts(f)
         width = len(vs)
-    for block in _blocks(rows, width, BLOCK_CELLS // max(structures, 1)):
+    for block in index_blocks(rows, width, BLOCK_CELLS // max(structures, 1)):
         columns = list(block.T)
         env = {v.name: c for v, c in zip(vs, columns)}
         yield holds_over(f, tables, (len(block), structures), columns, env)
 
 
-def _blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
+def index_blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
     """``rows`` of ``width`` positions as int arrays of at most ``step`` (at
     least one) rows each."""
     rows = iter(rows)
@@ -361,7 +359,7 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     local = local_atoms(vocabulary, k)
     patterns: dict[bytes, int] = {}  # one byte per local atom -> subsets
     subsets = itertools.combinations(range(n), k)
-    for block in _blocks(subsets, k, BLOCK_CELLS // max(len(local), 1)):
+    for block in index_blocks(subsets, k, BLOCK_CELLS // max(len(local), 1)):
         columns = block.T
         bits = np.empty((len(block), len(local)), dtype=bool)
         for j, (p, args) in enumerate(local):

@@ -27,9 +27,23 @@ import numpy as np
 from .data import GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
 from .logic import Formula, constants_of, free_vars, merge_vocabulary, vocabulary_of
-from .stats import ModelKind, check_formula, count_groundings, groundings, holds_over, normalizer
+from .stats import (
+    TABLE_CELL_CAP,
+    ModelKind,
+    check_cells,
+    check_formula,
+    count_groundings,
+    groundings,
+    holds_over,
+    normalizer,
+)
 
 DEFAULT_ATOM_CAP = 24
+# bytes that the truth tables, and apart from them the count matrix, of one
+# world space may take: a matrix of TABLE_CELL_CAP int64 counts.  The truth
+# tables of every space enumerate_worlds admits, at most DEFAULT_ATOM_CAP
+# one-byte atoms by 2^DEFAULT_ATOM_CAP worlds, fit.
+WORLD_TABLE_BYTE_CAP = 8 * TABLE_CELL_CAP
 
 
 def world_tables(
@@ -107,7 +121,11 @@ class WorldSpace:
         return np.array([normalizer(f, kind, n) for f in formulas], dtype=np.int64)
 
     def count_matrix(self, formulas: Sequence[Formula], kind: ModelKind) -> np.ndarray:
-        """Unnormalized statistic counts, one row per world, one column per formula."""
+        """Unnormalized statistic counts, one row per world, one column per
+        formula.  Raises ``CapExceededError`` before allocating when the
+        truth tables (named atoms by worlds, one byte each) or the matrix
+        (worlds by formulas, eight bytes each) would take more than
+        ``WORLD_TABLE_BYTE_CAP`` bytes."""
         key = (tuple(formulas), kind)
         cached = self._counts.get(key)
         if cached is not None:
@@ -117,6 +135,16 @@ class WorldSpace:
         self.normalizers(formulas, kind)  # width/variable-count validation
         n, w = len(self.constants), len(self.worlds)
         named = {p for f in formulas for p in vocabulary_of(f)}
+        table_bytes = w * sum(n**a for p, a in self.vocabulary.items() if p in named)
+        check_cells(
+            table_bytes, f"truth tables of {table_bytes} bytes over {w} worlds", WORLD_TABLE_BYTE_CAP
+        )
+        matrix_bytes = 8 * w * len(formulas)
+        check_cells(
+            matrix_bytes,
+            f"counts of {w} worlds by {len(formulas)} formulas in {matrix_bytes} bytes",
+            WORLD_TABLE_BYTE_CAP,
+        )
         tables = world_tables(self.worlds, n, self.vocabulary, named)
         out = np.zeros((w, len(formulas)), dtype=np.int64)
         for j, f in enumerate(formulas):

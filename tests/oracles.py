@@ -7,14 +7,21 @@ A test that checks a kernel against one of them would check it against
 itself, so tests that need an independent answer use these instead: a tree
 walker that grounds each quantifier by explicit enumeration, a canonicaliser
 that tries every relabelling, and a substitution that rewrites the formula
-tree.
+tree.  For polytopes there is a facet enumeration over every vertex subset
+in Fractions, and the eta-interiority probe loop that asks
+``hull_distance`` about every probe.
 """
 
 import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
 
 from relmarg.data import CanonicalForm, GroundAtom, LocalExample
 from relmarg.errors import DomainError
 from relmarg.logic import And, Const, Eq, Exists, Not, Or, PredAtom, Var
+from relmarg.polytope import ETA_PROBES, MEMBERSHIP_TOL, EtaVerdict, hull_distance
 
 
 def holds(f, atoms, domain, env=None) -> bool:
@@ -90,3 +97,96 @@ def apply_substitution(f, theta):
         return type(g)(remaining, body) if remaining else body
 
     return go(f)
+
+
+def _dot(u, w):
+    return sum(a * b for a, b in zip(u, w))
+
+
+def _orthogonal_basis(vectors):
+    """Gram-Schmidt in Fractions: an orthogonal basis of the span of
+    ``vectors``, whose first members span the first vectors."""
+    basis = []
+    for v in vectors:
+        w = list(v)
+        for b in basis:
+            c = _dot(w, b) / _dot(b, b)
+            w = [x - c * y for x, y in zip(w, b)]
+        if any(w):
+            basis.append(w)
+    return basis
+
+
+def span_rank(vectors):
+    """Dimension of the span of rational ``vectors``."""
+    return len(_orthogonal_basis([[Fraction(c) for c in v] for v in vectors]))
+
+
+def primitive(values):
+    """The positive multiple of rational ``values`` that is a primitive
+    integer vector."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    ints = [int(Fraction(v) * scale) for v in values]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g else ints
+
+
+def hull_facets(vertices):
+    """Affine rank of ``vertices`` and their hull's facets, by trying every
+    vertex subset.
+
+    A subset F is a facet when its affine span has dimension rank - 1 and the
+    normal n of that span within the vertices' affine span has every vertex
+    on one side, with exactly F on the hyperplane.  Facets map their index
+    sets to the primitive integer (n, n.f) with n.x <= n.f on the hull.
+    """
+    vs = [[Fraction(c) for c in v] for v in vertices]
+
+    def edges(points):
+        return [[a - b for a, b in zip(p, points[0])] for p in points]
+
+    hull = _orthogonal_basis(edges(vs))
+    rank = len(hull)
+    facets = {}
+    for size in range(max(rank, 1), len(vs) + 1):
+        for subset in itertools.combinations(range(len(vs)), size):
+            face = _orthogonal_basis(edges([vs[i] for i in subset]))
+            if len(face) != rank - 1:
+                continue
+            normal = _orthogonal_basis(face + hull)[rank - 1]
+            sides = [_dot(normal, v) - _dot(normal, vs[subset[0]]) for v in vs]
+            if all(s >= 0 for s in sides):
+                normal = [-c for c in normal]
+            elif not all(s <= 0 for s in sides):
+                continue
+            if {i for i, s in enumerate(sides) if s == 0} == set(subset):
+                *a, b = primitive(normal + [_dot(normal, vs[subset[0]])])
+                facets[frozenset(subset)] = (tuple(a), b)
+    return rank, facets
+
+
+def eta_interior(point, eta, polytope):
+    """``polytope.eta_interior`` by asking ``hull_distance`` about every
+    probe: the 2*dim coordinate directions, then ``ETA_PROBES`` random unit
+    directions from a generator seeded with 0, until one leaves the hull."""
+    d = polytope.dim
+    if d == 0:
+        return EtaVerdict(True, eta, None, 0)
+    p = np.array([float(c) for c in point], dtype=float)
+    directions = []
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = 1.0
+        directions.extend((e, -e))
+    rng = np.random.default_rng(0)
+    for _ in range(ETA_PROBES):
+        v = rng.standard_normal(d)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            directions.append(v / norm)
+    checked = 0
+    for direction in directions:
+        checked += 1
+        if hull_distance(p + eta * direction, polytope) >= MEMBERSHIP_TOL:
+            return EtaVerdict(False, eta, tuple(float(c) for c in direction), checked)
+    return EtaVerdict(True, eta, None, checked)

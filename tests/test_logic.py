@@ -349,8 +349,29 @@ def _ground_atoms():
     )
 
 
+@st.composite
+def shadowing_formulas(draw):
+    """``m1 op (Q V: m2)`` or ``(Q V: m2) op m1`` with matrices over X, Y, a
+    and b: a variable that the inner quantifier binds may also be free in
+    ``m1``, before or after the scope."""
+    x, y = Var("X"), Var("Y")
+    terms = [x, y, Const("a"), Const("b")]
+    bound = draw(st.lists(st.sampled_from([x, y]), min_size=1, unique=True))
+    scope = draw(st.sampled_from((Forall, Exists)))(tuple(bound), draw(_matrices(terms)))
+    parts = draw(st.permutations([draw(_matrices(terms)), scope]))
+    return draw(st.sampled_from((And, Or)))(tuple(parts))
+
+
+def test_holds_restores_a_binding_that_a_quantifier_shadows():
+    f = parse_formula("(forall X: r(X)) | r(X)")
+    atoms = {GroundAtom("r", ("a",))}
+    for name, want in (("a", True), ("b", False)):
+        assert holds(f, atoms, ["a", "b"], {"X": name}) is want
+        assert oracles.holds(f, atoms, ["a", "b"], {"X": name}) is want
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(open_formulas(), closed_formulas()), st.data())
+@given(st.one_of(open_formulas(), closed_formulas(), shadowing_formulas()), st.data())
 def test_holds_matches_the_tree_walker(f, data):
     # the domain may leave out constants of the atoms, of f and of env
     atoms = frozenset(data.draw(st.sets(_ground_atoms(), max_size=12)))

@@ -287,6 +287,38 @@ def test_count_matrix_is_the_same_in_blocks(monkeypatch, cells):
         assert blocked.count_matrix(fs, kind).tolist() == want[kind]
 
 
+def test_count_matrix_over_the_byte_cap_raises_before_allocating(monkeypatch):
+    # 3 constants, {r/1, e/2}: 2^12 worlds; r names 3 atoms and e names 9
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+    unary = tuple(parse_formula(t) for t in (
+        "exists X: r(X)", "forall X: r(X)", "exists X, Y: X != Y & r(X)", "forall X, Y: r(X) | r(Y)"
+    ))
+    binary = (parse_formula("forall X: e(X,X)"),)
+    # truth tables: one byte per named atom and world
+    monkeypatch.setattr(worlds, "WORLD_TABLE_BYTE_CAP", 9 * 2**12)
+    assert space.count_matrix(binary, MODEL_B).shape == (2**12, 1)
+    monkeypatch.setattr(worlds, "WORLD_TABLE_BYTE_CAP", 9 * 2**12 - 1)
+    fresh = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+    with pytest.raises(CapExceededError) as exc:
+        fresh.count_matrix(binary, MODEL_B)
+    assert (exc.value.size, exc.value.cap) == (9 * 2**12, 9 * 2**12 - 1)
+    # the count matrix: eight bytes per world and formula, past the
+    # 3 * 2^12 bytes of r's tables
+    monkeypatch.setattr(worlds, "WORLD_TABLE_BYTE_CAP", 8 * 4 * 2**12)
+    assert fresh.count_matrix(unary, ModelA(2)).shape == (2**12, 4)
+    monkeypatch.setattr(worlds, "WORLD_TABLE_BYTE_CAP", 8 * 4 * 2**12 - 1)
+    fresh = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+    with pytest.raises(CapExceededError) as exc:
+        fresh.count_matrix(unary, ModelA(2))
+    assert (exc.value.size, exc.value.cap) == (8 * 4 * 2**12, 8 * 4 * 2**12 - 1)
+    assert fresh._counts == {}
+
+
+def test_the_byte_cap_holds_the_truth_tables_of_every_enumerable_space():
+    # at most DEFAULT_ATOM_CAP named atoms over 2^DEFAULT_ATOM_CAP worlds
+    assert DEFAULT_ATOM_CAP << DEFAULT_ATOM_CAP <= worlds.WORLD_TABLE_BYTE_CAP
+
+
 def test_count_matrix_is_cached():
     space = enumerate_worlds(["a", "b"], {"r": 1})
     formulas = (parse_formula("forall X: r(X)"),)
