@@ -18,11 +18,14 @@ the marginal polytope; the raised error carries the hull diagnosis.
 A deliberately independent primal oracle (mirror ascent on the penalized
 entropy objective, plus an exact projection onto the constraint plane) is
 kept around to cross-check the dual route.
+
+``shrink_distribution`` reads every size-m subset of every world as a
+target world with one gather (``stats.subset_patterns``), and both it and
+``distribution_statistic`` sum exact probabilities as integer numerators.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +37,9 @@ from .data import GlobalExample
 from .errors import CapExceededError, DomainError, InfeasibleError, NotRealizableError
 from .logic import Formula
 from .polytope import realizability_check
+from . import stats
 from .stats import MarginalConstraint, ModelKind, statistic
-from .worlds import WorldSpace, enumerate_worlds
+from .worlds import WorldSpace, enumerate_worlds, world_tables
 
 PRIMAL_WORLD_CAP = 1 << 16
 WEIGHT_CAP = 50.0
@@ -72,14 +76,12 @@ class ExplicitDistribution:
             raise DomainError(
                 f"{len(self.probs)} probabilities for {len(self.space)} worlds"
             )
-        if any(p < 0 for p in self.probs):
+        weights, denom = _weights(self.probs)
+        if (weights < 0).any():
             raise DomainError("negative probability")
-        total = sum(self.probs)
-        exact = all(isinstance(p, (Fraction, int)) for p in self.probs)
-        if exact and total != 1:
+        total = _ratio(weights.sum(), denom)
+        if abs(total - 1) > (0 if weights.dtype == object else 1e-9):
             raise DomainError(f"probabilities sum to {total}, not 1")
-        if not exact and abs(float(total) - 1.0) > 1e-9:
-            raise DomainError(f"probabilities sum to {float(total)}, not 1")
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(p) for p in self.probs], dtype=float)
@@ -91,6 +93,8 @@ class ExplicitDistribution:
 
 
 def _features(constraints, space, kind):
+    if len(space) == 0:
+        raise DomainError("empty world space (hard rules unsatisfiable)")
     formulas = tuple(c.formula for c in constraints)
     counts = space.count_matrix(formulas, kind).astype(float)
     norms = space.normalizers(formulas, kind).astype(float)
@@ -111,8 +115,6 @@ def dual_objective(
     w: Sequence[float], constraints: Sequence[MarginalConstraint], space: WorldSpace, kind: ModelKind
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the concave dual at ``w``."""
-    if len(space) == 0:
-        raise DomainError("empty world space (hard rules unsatisfiable)")
     counts, norms, theta = _features(constraints, space, kind)
     w = np.asarray(w, dtype=float)
     target = theta * norms
@@ -151,8 +153,6 @@ def solve_maxent(
     constraints = tuple(constraints)
     if not constraints:
         raise DomainError("no constraints to fit")
-    if len(space) == 0:
-        raise DomainError("empty world space (hard rules unsatisfiable)")
     counts, norms, theta = _features(constraints, space, kind)
     target = theta * norms
 
@@ -245,8 +245,6 @@ def primal_solve_oracle(
     show up as a residual that refuses to shrink.
     """
     constraints = tuple(constraints)
-    if len(space) == 0:
-        raise DomainError("empty world space (hard rules unsatisfiable)")
     if len(space) > PRIMAL_WORLD_CAP:
         raise CapExceededError(
             f"primal oracle supports up to {PRIMAL_WORLD_CAP} worlds, got {len(space)}",
@@ -389,46 +387,62 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     uniform size-m constant subset and relabelling the fragment onto the
     first m constants.  Exact when the input probabilities are exact; all
     width-<=m marginal statistics are preserved.
+
+    ``stats.subset_patterns`` reads each m-subset's bit pattern in every
+    world of nonzero probability off ``worlds.world_tables``, in blocks of
+    at most ``stats.BLOCK_CELLS`` cells.  The width-m local atoms are in the
+    target's atom order and the target has no hard rules, so a packed
+    pattern is its target world's index, where the world's probability goes.
     """
     src = dist.space
     n = len(src.constants)
     if not 1 <= m <= n:
         raise DomainError(f"target size {m} outside 1..{n}")
-    target_constants = src.constants[:m]
-    target = enumerate_worlds(target_constants, src.vocabulary)
-    zero = Fraction(0) if all(isinstance(p, (Fraction, int)) for p in dist.probs) else 0.0
-    out = [zero] * len(target)
-    denom = math.comb(n, m)
-    for idx, p in enumerate(dist.probs):
-        if p == 0:
-            continue
-        share = p / denom if isinstance(zero, float) else p * Fraction(1, denom)
-        atoms = src.world_atoms(int(src.worlds[idx]))
-        for combo in itertools.combinations(src.constants, m):
-            chosen = set(combo)
-            relabel = dict(zip(combo, target_constants))
-            frag = [
-                type(a)(a.pred, tuple(relabel[arg] for arg in a.args))
-                for a in atoms
-                if all(arg in chosen for arg in a.args)
-            ]
-            out[target.world_index(target.encode(frag))] += share
-    return ExplicitDistribution(target, tuple(out))
+    target = enumerate_worlds(src.constants[:m], src.vocabulary)
+    weights, denom = _weights(dist.probs)
+    live = np.flatnonzero(weights)
+    local = stats.local_atoms(src.vocabulary, m)
+    place = 1 << np.arange(len(local), dtype=np.int64)
+    mass = np.zeros(len(target), dtype=weights.dtype)
+    step = max(1, stats.BLOCK_CELLS // max(len(local), 1))
+    for start in range(0, len(live), step):
+        chunk = live[start:start + step]
+        tables = world_tables(src.worlds[chunk], n, src.vocabulary, src.vocabulary)
+        for bits in stats.subset_patterns(tables, local, n, m, len(chunk)):
+            # one value per index: numpy 2.4's add.at misreads broadcast values
+            np.add.at(mass, (bits @ place).ravel(), np.tile(weights[chunk], len(bits)))
+    total = denom * math.comb(n, m)
+    return ExplicitDistribution(target, tuple(_ratio(x, total) for x in mass.tolist()))
 
 
 def distribution_statistic(dist: ExplicitDistribution, f: Formula, kind: ModelKind):
     """Mixture statistic E_dist[statistic(f, world)]; exact for exact inputs.
 
-    Per-world counts come from the space's cached count matrix.
+    One dot product of the probabilities with the space's cached count
+    matrix column, over the statistic's normalizer.
     """
     counts = dist.space.count_matrix((f,), kind)[:, 0]
     norm = int(dist.space.normalizers((f,), kind)[0])
-    total = 0
-    for p, count in zip(dist.probs, counts):
-        if p == 0:
-            continue
-        total += p * Fraction(int(count), norm)
-    return total
+    weights, denom = _weights(dist.probs)
+    return _ratio(weights @ counts, denom * norm)
+
+
+def _weights(probs) -> tuple[np.ndarray, int]:
+    """``probs`` as an array and a common denominator: integer numerators
+    (object dtype) over the least common denominator when every entry is a
+    ``Fraction`` or an ``int``, floats over 1 otherwise."""
+    if all(isinstance(p, (Fraction, int)) for p in probs):
+        denom = math.lcm(*(p.denominator for p in probs))
+        numerators = [p.numerator * (denom // p.denominator) for p in probs]
+        return np.array(numerators, dtype=object), denom
+    return np.array([float(p) for p in probs], dtype=float), 1
+
+
+def _ratio(numerator, denominator: int):
+    """An exact ``Fraction`` for an int numerator, a float otherwise."""
+    if isinstance(numerator, int):
+        return Fraction(numerator, denominator)
+    return numerator / denominator
 
 
 def total_variation(a: ExplicitDistribution, b: ExplicitDistribution) -> float:

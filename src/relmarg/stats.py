@@ -31,10 +31,12 @@ filter of ``enumerate_worlds`` calls it at a rule's one grounding, and
 ``logic.holds`` (behind ``logic.evaluate``) at one grounding of one
 structure: no other code in the package decides a formula.
 
-``marginal_distribution_a`` reads the Model A marginal off the same truth
-tables without building fragments: one gather per local atom gives every
-size-k subset's bit pattern, ``distinct_rows`` counts equal patterns, and
-each distinct pattern is canonicalized once.  ``canonical_patterns`` does
+``subset_patterns`` gathers every size-k subset's bit pattern over the
+local atoms from the same truth tables.  ``maxent.shrink_distribution``
+reads those of a world space as worlds of a smaller space, and
+``marginal_distribution_a`` reads the Model A marginal without building
+fragments: ``distinct_rows`` counts equal patterns, and each distinct
+pattern is canonicalized once.  ``canonical_patterns`` does
 that for all of them together: one gather through a (permutation, local
 atom) index array gives every relabelled image, and a column-by-column
 reduction keeps the canonical one and counts the automorphisms.
@@ -339,8 +341,8 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     ``class_size`` labellings.
 
     No fragment is built: a subset's fragment is its bit pattern over the
-    local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, one gather
-    per local atom from the truth tables over a block of subsets.  Equal
+    local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, read in
+    blocks by ``subset_patterns``.  Equal
     patterns are counted together, and each distinct pattern is
     canonicalized once, all of them by one relabelling gather
     (``canonical_patterns``).  Blocks hold at most ``BLOCK_CELLS`` cells, so
@@ -358,12 +360,8 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     tables = structure_tables(example, vocabulary)
     local = local_atoms(vocabulary, k)
     patterns: dict[bytes, int] = {}  # one byte per local atom -> subsets
-    subsets = itertools.combinations(range(n), k)
-    for block in index_blocks(subsets, k, BLOCK_CELLS // max(len(local), 1)):
-        columns = block.T
-        bits = np.empty((len(block), len(local)), dtype=bool)
-        for j, (p, args) in enumerate(local):
-            bits[:, j] = tables[p][tuple(columns[a] for a in args) + (0,)]
+    for block in subset_patterns(tables, local, n, k, 1):
+        bits = block[:, 0]
         for i, count in zip(*distinct_rows(bits, 2)):
             pattern = bits[i].tobytes()
             patterns[pattern] = patterns.get(pattern, 0) + int(count)
@@ -382,6 +380,24 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
         mass[key] += count
     total = math.comb(n, k)
     return {forms[key]: Fraction(count, total) for key, count in mass.items()}
+
+
+def subset_patterns(
+    tables: Mapping[str, np.ndarray], local: Sequence[LocalAtom], n: int, k: int, structures: int
+) -> Iterator[np.ndarray]:
+    """Bit patterns of every size-``k`` subset of ``n`` positions over the
+    ``local`` atoms (``local_atoms`` of width ``k``) in each of
+    ``structures`` structures: (subsets, structures, atoms) bool blocks of at
+    most ``BLOCK_CELLS`` cells, at least one subset each, in
+    ``itertools.combinations`` order.  Local atom ``p(a1, ..., ar)`` of the
+    subset at positions ``s`` is the gather ``tables[p][s[a1], ..., s[ar]]``."""
+    subsets = itertools.combinations(range(n), k)
+    for block in index_blocks(subsets, k, BLOCK_CELLS // max(structures * len(local), 1)):
+        columns = block.T
+        bits = np.empty((len(block), structures, len(local)), dtype=bool)
+        for j, (p, args) in enumerate(local):
+            bits[:, :, j] = tables[p][tuple(columns[a] for a in args)]
+        yield bits
 
 
 def local_atoms(vocabulary: Mapping[str, int], k: int) -> list[LocalAtom]:

@@ -389,8 +389,8 @@ def _suite_shrink() -> list[CheckResult]:
     failures = []
     total = 0
     for space, a_texts, b_texts, reps in cases:
-        fa = [parse_formula(t) for t in a_texts]
-        fb = [parse_formula(t) for t in b_texts]
+        checks = [(parse_formula(t), ModelA(2), "subset") for t in a_texts]
+        checks += [(parse_formula(t), MODEL_B, "substitution") for t in b_texts]
         for _ in range(reps):
             total += 1
             dist = _random_fraction_distribution(space, rng)
@@ -398,16 +398,9 @@ def _suite_shrink() -> list[CheckResult]:
             if sum(small.probs, Fraction(0)) != 1:
                 failures.append("probabilities do not sum to 1")
                 continue
-            for f in fa:
-                before = distribution_statistic(dist, f, ModelA(2))
-                after = distribution_statistic(small, f, ModelA(2))
-                if before != after:
-                    failures.append(f"subset stat changed for {f}")
-            for f in fb:
-                before = distribution_statistic(dist, f, MODEL_B)
-                after = distribution_statistic(small, f, MODEL_B)
-                if before != after:
-                    failures.append(f"substitution stat changed for {f}")
+            for f, kind, label in checks:
+                if distribution_statistic(dist, f, kind) != distribution_statistic(small, f, kind):
+                    failures.append(f"{label} stat changed for {f}")
     _check(
         out,
         "width-2 statistics preserved exactly over 100 random distributions",
@@ -499,27 +492,31 @@ def _suite_expansion_sweep() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # interiority transfer
 
+def _margin_transfer(fs, vocab, kind, margin, eta, grid, denom):
+    """How many ``grid`` points (numerators over ``denom``) are inside the
+    size-3 polytope at ``margin``, and the (point..., size) of each of those
+    that is not eta-interior at size 4 or 5."""
+    polys = {
+        m: polytope_vertices(fs, enumerate_worlds([f"c{i}" for i in range(1, m + 1)], vocab), kind)
+        for m in (3, 4, 5)
+    }
+    passing, broken = 0, []
+    for point in grid:
+        theta = [Fraction(c, denom) for c in point]
+        if eta_interior(theta, margin, polys[3]).inside:
+            passing += 1
+            broken += [(*point, m) for m in (4, 5) if not eta_interior(theta, eta, polys[m]).inside]
+    return passing, broken
+
+
 def _suite_interiority_transfer() -> list[CheckResult]:
     out: list[CheckResult] = []
     eta = 0.05
     f = parse_formula("forall X, Y: r(X) | r(Y)")
-    polys = {
-        m: polytope_vertices(
-            [f], enumerate_worlds([f"c{i}" for i in range(1, m + 1)], {"r": 1}), ModelA(2)
-        )
-        for m in (3, 4, 5)
-    }
     margin = interiority_margin(3, 2, 1, eta)
-    passing = 0
-    broken = []
-    for j in range(0, 61):
-        theta = [Fraction(j, 60)]
-        if not eta_interior(theta, margin, polys[3]).inside:
-            continue
-        passing += 1
-        for m in (4, 5):
-            if not eta_interior(theta, eta, polys[m]).inside:
-                broken.append((j, m))
+    passing, broken = _margin_transfer(
+        [f], {"r": 1}, ModelA(2), margin, eta, itertools.product(range(61)), 60
+    )
     _check(
         out,
         "single-constraint margin transfer (sizes 3 to 4 and 5)",
@@ -527,26 +524,10 @@ def _suite_interiority_transfer() -> list[CheckResult]:
         f"{passing} grid points passed the margin test; failures {broken}",
     )
     fs = [parse_formula("forall X: r(X)"), parse_formula("forall X: s(X)")]
-    polys1 = {
-        m: polytope_vertices(
-            fs,
-            enumerate_worlds([f"c{i}" for i in range(1, m + 1)], {"r": 1, "s": 1}),
-            ModelA(1),
-        )
-        for m in (3, 4, 5)
-    }
     margin1 = interiority_margin(3, 1, 2, eta)
-    passing1 = 0
-    broken1 = []
-    for a in range(0, 13):
-        for b in range(0, 13):
-            theta = [Fraction(a, 12), Fraction(b, 12)]
-            if not eta_interior(theta, margin1, polys1[3]).inside:
-                continue
-            passing1 += 1
-            for m in (4, 5):
-                if not eta_interior(theta, eta, polys1[m]).inside:
-                    broken1.append((a, b, m))
+    passing1, broken1 = _margin_transfer(
+        fs, {"r": 1, "s": 1}, ModelA(1), margin1, eta, itertools.product(range(13), repeat=2), 12
+    )
     _check(
         out,
         "two-constraint width-1 margin transfer",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -90,16 +89,12 @@ class WorldSpace:
     def world_example(self, bits: int) -> GlobalExample:
         return GlobalExample(self.constants, self.world_atoms(bits), self.vocabulary)
 
-    def encode(self, world) -> int:
-        """Bit pattern of a GlobalExample or atom iterable; must be over this space."""
-        if isinstance(world, GlobalExample):
-            if set(world.constants) != set(self.constants):
-                raise DomainError("world is over a different constant set")
-            atoms = world.atoms
-        else:
-            atoms = world
+    def encode(self, world: GlobalExample) -> int:
+        """Bit pattern of a GlobalExample over this space's constants and atoms."""
+        if set(world.constants) != set(self.constants):
+            raise DomainError("world is over a different constant set")
         bits = 0
-        for atom in atoms:
+        for atom in world.atoms:
             i = self._index.get(atom)
             if i is None:
                 raise DomainError(f"atom {atom} does not exist in this world space")
@@ -125,7 +120,8 @@ class WorldSpace:
         formula.  Raises ``CapExceededError`` before allocating when the
         truth tables (named atoms by worlds, one byte each) or the matrix
         (worlds by formulas, eight bytes each) would take more than
-        ``WORLD_TABLE_BYTE_CAP`` bytes."""
+        ``WORLD_TABLE_BYTE_CAP`` bytes.  Matrices are cached; a new one that
+        would take the cache past that cap replaces all the cached ones."""
         key = (tuple(formulas), kind)
         cached = self._counts.get(key)
         if cached is not None:
@@ -149,18 +145,10 @@ class WorldSpace:
         out = np.zeros((w, len(formulas)), dtype=np.int64)
         for j, f in enumerate(formulas):
             out[:, j] = count_groundings(f, kind, groundings(f, kind, n), tables, w)
+        if out.nbytes + sum(c.nbytes for c in self._counts.values()) > WORLD_TABLE_BYTE_CAP:
+            self._counts.clear()
         self._counts[key] = out
         return out
-
-    def feature_vector(
-        self, world, formulas: Sequence[Formula], kind: ModelKind
-    ) -> tuple[Fraction, ...]:
-        """Normalized statistics of one world, exact."""
-        bits = world if isinstance(world, int) else self.encode(world)
-        idx = self.world_index(bits)
-        counts = self.count_matrix(tuple(formulas), kind)[idx]
-        norms = self.normalizers(formulas, kind)
-        return tuple(Fraction(int(c), int(n)) for c, n in zip(counts, norms))
 
 
 def check_atom_cap(n: int, vocabulary: Mapping[str, int]) -> int:

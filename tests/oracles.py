@@ -9,7 +9,9 @@ walker that grounds each quantifier by explicit enumeration, a canonicaliser
 that tries every relabelling, and a substitution that rewrites the formula
 tree.  For polytopes there is a facet enumeration over every vertex subset
 in Fractions, and the eta-interiority probe loop that asks
-``hull_distance`` about every probe.
+``hull_distance`` about every probe.  ``maxent.shrink_distribution``
+gathers every subset's bit pattern from truth tables; its reference walks
+each world's atoms subset by subset.
 """
 
 import itertools
@@ -18,10 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from relmarg.data import CanonicalForm, GroundAtom, LocalExample
+from relmarg.data import CanonicalForm, GlobalExample, GroundAtom, LocalExample
 from relmarg.errors import DomainError
 from relmarg.logic import And, Const, Eq, Exists, Not, Or, PredAtom, Var
 from relmarg.polytope import ETA_PROBES, MEMBERSHIP_TOL, EtaVerdict, hull_distance
+from relmarg.worlds import enumerate_worlds
 
 
 def holds(f, atoms, domain, env=None) -> bool:
@@ -70,6 +73,30 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
         elif image == best:
             hits += 1
     return CanonicalForm(local.width, best, hits)
+
+
+def shrink_probabilities(dist, m):
+    """Target space and probabilities of the size-``m`` shrink of the
+    ``ExplicitDistribution`` ``dist``: each world's probability split evenly
+    over its m-subsets, each subset's fragment relabelled onto the first m
+    constants and encoded atom by atom in the target space."""
+    src = dist.space
+    target_constants = src.constants[:m]
+    target = enumerate_worlds(target_constants, src.vocabulary)
+    subsets = math.comb(len(src.constants), m)
+    out = [0] * len(target)
+    for bits, p in zip(src.worlds, dist.probs):
+        atoms = src.world_atoms(int(bits))
+        for combo in itertools.combinations(src.constants, m):
+            relabel = dict(zip(combo, target_constants))
+            fragment = [
+                GroundAtom(a.pred, tuple(relabel[c] for c in a.args))
+                for a in atoms
+                if all(c in relabel for c in a.args)
+            ]
+            world = GlobalExample(target_constants, fragment, src.vocabulary)
+            out[target.world_index(target.encode(world))] += p / subsets
+    return target, out
 
 
 def apply_substitution(f, theta):

@@ -5,11 +5,14 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stats import A_POOL, B_POOL
 
+from relmarg import stats
 from relmarg.data import GlobalExample
 from relmarg.errors import DomainError, NotRealizableError
 from relmarg.logic import parse_formula
@@ -383,6 +386,69 @@ def test_shrink_validates_target_size():
         shrink_distribution(dist, 4)
 
 
+SHRINK_SPACES = [
+    enumerate_worlds(["a", "b", "c"], {"r": 1, "s": 1, "q": 0},
+                     [parse_formula("forall X: r(X) | s(X)")]),
+    enumerate_worlds(["a", "b"], {"e": 2, "q": 0}, [parse_formula("exists X: e(X,X)")]),
+    enumerate_worlds(["a", "b", "c"], {"e": 2}),
+    enumerate_worlds(["a", "b", "c", "d"], {"r": 1, "q": 0}, [parse_formula("exists X: r(X)")]),
+    enumerate_worlds(["a", "b"], {"r": 1, "e": 2, "q": 0},
+                     [parse_formula("forall X, Y: ~e(X,Y) | r(X)")]),
+]
+
+
+@st.composite
+def shrink_cases(draw):
+    """A space of ``SHRINK_SPACES``, a target size in 1..n, and integer
+    world weights with zeros among them."""
+    space = draw(st.sampled_from(SHRINK_SPACES))
+    m = draw(st.integers(1, len(space.constants)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(space), max_size=len(space)))
+    return space, m, weights
+
+
+def _distribution_of(space, weights, exact):
+    total = sum(weights)
+    return ExplicitDistribution(
+        space, tuple(Fraction(w, total) if exact else w / total for w in weights)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(shrink_cases().filter(lambda case: any(case[2])), st.booleans())
+def test_shrink_matches_the_atom_walk(case, exact):
+    space, m, weights = case
+    dist = _distribution_of(space, weights, exact)
+    small = shrink_distribution(dist, m)
+    target, expected = oracles.shrink_probabilities(dist, m)
+    assert np.array_equal(small.space.worlds, target.worlds)
+    assert small.space.atoms == target.atoms
+    if exact:
+        assert all(isinstance(p, Fraction) for p in small.probs)
+        assert list(small.probs) == expected
+    else:
+        assert max(abs(a - b) for a, b in zip(small.probs, expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+def test_blocked_shrink_matches_one_block(monkeypatch, cells):
+    rng = random.Random(cells)
+    for space in (SHRINK_SPACES[0], SHRINK_SPACES[3]):
+        weights = [rng.randrange(0, 3) for _ in space.worlds]
+        for exact in (True, False):
+            dist = _distribution_of(space, weights, exact)
+            sizes = range(1, len(space.constants) + 1)
+            whole = [shrink_distribution(dist, m).probs for m in sizes]
+            with monkeypatch.context() as patch:
+                patch.setattr(stats, "BLOCK_CELLS", cells)
+                blocked = [shrink_distribution(dist, m).probs for m in sizes]
+            for got, want in zip(blocked, whole):
+                if exact:
+                    assert got == want
+                else:
+                    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_total_variation_requires_shared_space():
     d1 = ExplicitDistribution(SPACE_R3, tuple(Fraction(1, 8) for _ in SPACE_R3.worlds))
     d2 = ExplicitDistribution(SPACE_E2, tuple(Fraction(1, 16) for _ in SPACE_E2.worlds))
@@ -420,11 +486,14 @@ def _per_world_mixture(dist, f, kind):
         [(t, ModelA(k)) for t in A_POOL for k in (1, 2)]
         + [(t, MODEL_B) for t in B_POOL if "Z" not in t]
     ),
+    st.booleans(),
 )
-def test_distribution_statistic_matches_per_world_definition(weights, case):
+def test_distribution_statistic_matches_per_world_definition(weights, case, exact):
     text, kind = case
     f = parse_formula(text)
-    dist = ExplicitDistribution(
-        SPACE_RE2, tuple(Fraction(w, sum(weights)) for w in weights)
-    )
-    assert distribution_statistic(dist, f, kind) == _per_world_mixture(dist, f, kind)
+    dist = _distribution_of(SPACE_RE2, weights, exact)
+    mixture = distribution_statistic(dist, f, kind)
+    if exact:
+        assert mixture == _per_world_mixture(dist, f, kind)
+    else:
+        assert abs(mixture - _per_world_mixture(dist, f, kind)) <= 1e-12

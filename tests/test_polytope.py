@@ -27,7 +27,7 @@ from relmarg.polytope import (
     polytope_vertices,
     realizability_check,
 )
-from relmarg.stats import MODEL_B, ModelA
+from relmarg.stats import MODEL_B, ModelA, statistic
 from relmarg.worlds import enumerate_worlds
 
 
@@ -222,7 +222,7 @@ def test_realizability_of_world_statistics():
     space = enumerate_worlds(["a", "b"], {"e": 2})
     f = parse_formula("forall X, Y: ~e(X,Y) | e(Y,X)")
     for bits in range(0, 16, 3):
-        theta = space.feature_vector(int(bits), [f], MODEL_B)
+        theta = [statistic(f, space.world_example(bits), MODEL_B)]
         verdict = realizability_check(theta, [f], space, MODEL_B)
         assert verdict.realizable
 

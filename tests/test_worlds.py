@@ -89,7 +89,7 @@ def test_encode_rejects_foreign_input():
     with pytest.raises(DomainError):
         space.encode(GlobalExample(["a", "c"], [("r", ("a",))], {"r": 1}))
     with pytest.raises(DomainError):
-        space.encode([("e", ("a", "b"))])
+        space.encode(GlobalExample(["a", "b"], [("e", ("a", "b"))]))
 
 
 def test_world_index_reports_filtered_patterns():
@@ -121,16 +121,6 @@ def test_count_matrix_against_per_world_statistics():
             for j, f in enumerate(formulas):
                 expected = statistic(f, ex, kind)
                 assert Fraction(int(counts[idx, j]), int(norms[j])) == expected
-
-
-def test_feature_vector_is_exact():
-    space = enumerate_worlds(["a", "b", "c"], {"e": 2})
-    f = parse_formula("exists X, Y: X != Y & e(X,Y)")
-    ex = GlobalExample(["a", "b", "c"], [("e", ("a", "b"))], {"e": 2})
-    vec = space.feature_vector(ex, [f], ModelA(2))
-    assert vec == (Fraction(1, 3),)
-    vec_b = space.feature_vector(ex, [parse_formula("forall X, Y: ~e(X,Y)")], MODEL_B)
-    assert vec_b == (Fraction(5, 6),)
 
 
 def test_normalizers():
@@ -324,6 +314,30 @@ def test_count_matrix_is_cached():
     formulas = (parse_formula("forall X: r(X)"),)
     first = space.count_matrix(formulas, MODEL_B)
     assert space.count_matrix(formulas, MODEL_B) is first
+
+
+def test_count_matrix_cache_stays_under_the_byte_cap(monkeypatch):
+    # 3 constants, {r/1, e/2}: 2^12 worlds, 8 * 2^12 bytes per formula column
+    column = 8 * 2**12
+    monkeypatch.setattr(worlds, "WORLD_TABLE_BYTE_CAP", 3 * column)
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+    one = (parse_formula("forall X: r(X)"),)
+    other = (parse_formula("forall X, Y: e(X,Y) | r(Y)"),)
+    both = one + other
+    requests = [
+        (one, ModelA(2)), (other, MODEL_B), (one, ModelA(2)), (both, ModelA(2)),
+        (other, MODEL_B), (both, ModelA(2)), (one, MODEL_B), (one, ModelA(2)),
+    ]
+    hits = []
+    for formulas, kind in requests:
+        cached = space._counts.get((formulas, kind))
+        counts = space.count_matrix(formulas, kind)
+        hits.append(counts is cached)
+        assert sum(c.nbytes for c in space._counts.values()) <= 3 * column
+        fresh = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+        assert np.array_equal(counts, fresh.count_matrix(formulas, kind))
+    # a new matrix empties the cache only when it would not fit beside it
+    assert hits == [False, False, True, False, False, True, False, False]
 
 
 def test_statistics_sum_identity_over_space():
