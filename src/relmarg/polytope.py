@@ -2,20 +2,39 @@
 
 The polytope is the convex hull of the per-world normalized statistic
 vectors; a target vector is realizable by some distribution over worlds iff
-it lies in the hull.  Distances come from Wolfe's nearest-point algorithm
-(Wolfe 1976), which is finite and exact up to floating-point rounding: it
-walks through affinely independent vertex subsets, each time projecting onto
-the subset's affine hull, so membership queries are reliable well below the
-1e-8 declaration threshold.
+it lies in the hull.
 
-Each polytope also has an exact H-representation, computed once from its
+Each polytope has an exact H-representation, computed once from its
 rational vertices: the affine hull as integer equalities and the facets as
 primitive integer pairs (a, b) with a.x <= b.  ``rank`` reads the exact
-affine rank off it.  ``eta_interior`` uses it to decide its probe points
-without Wolfe: a probe that violates a constraint by clearly more than the
-membership threshold is outside, a probe that every facet of a
-full-dimensional polytope keeps at 1e-9 is inside, and only the rest go to
-``hull_distance``.  The verdicts are those of probing with Wolfe alone.
+affine rank off it.
+
+``hull_distance`` answers most queries from these constraints by two
+projection certificates.  Project the point p onto the affine hull, giving
+p'; if every facet keeps p' at least ``INSIDE_SLACK`` inside, p' is the
+nearest point (for a full-dimensional polytope the distance is exactly 0.0).
+Otherwise move p' onto the facet it violates most, within the affine hull;
+if every other facet keeps that point q ``INSIDE_SLACK`` inside, q is the
+nearest point.  Either point is the nearest point of a set (the affine hull,
+or its intersection with one facet's half-space) that contains the
+polytope, so when it lies in the polytope it is the polytope's nearest
+point.  Points near a lower-dimensional face, and every point of a polytope
+past ``FACET_WORK_CAP``, which has no facets, go to Wolfe's nearest-point
+algorithm (Wolfe 1976).  It is finite and exact up to floating-point
+rounding: it walks through affinely independent vertex subsets, each time
+projecting onto the subset's affine hull, so membership queries are
+reliable well below the 1e-8 declaration threshold.
+
+``eta_interior`` uses the same constraints to decide its probe points: a
+probe that violates a constraint by clearly more than the membership
+threshold is outside, a probe that every facet of a full-dimensional
+polytope keeps at 1e-9 is inside, and only the rest go to ``hull_distance``.
+The verdicts are those of probing with ``hull_distance`` alone.
+
+``realizability_check`` builds a fresh polytope for one query, where the
+facet search costs more than the one Wolfe run it would save, so it runs
+Wolfe directly: with the certificates, the perfbench ``fit`` workload lost
+about 8% of its throughput and its 90th-percentile job time rose 19%.
 """
 
 from __future__ import annotations
@@ -25,7 +44,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +65,9 @@ FACET_CHUNK_CELLS = 1 << 14
 # MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN) from the hull, so that Wolfe's float
 # distance, which is never below the true one by more than rounding, would
 # also reach MEMBERSHIP_TOL; and inside when every facet keeps it
-# INSIDE_SLACK away
+# INSIDE_SLACK away.  A projection certificate of hull_distance holds when
+# every facet it checks keeps its point INSIDE_SLACK away, far more than
+# float rounding
 OUTSIDE_MARGIN = 1e-4
 INSIDE_SLACK = 1e-9
 
@@ -64,6 +85,24 @@ class HRepresentation:
     rank: int
     equalities: tuple[Constraint, ...]
     facets: tuple[Constraint, ...] | None
+
+
+class _UnitConstraints(NamedTuple):
+    """An H-representation as float arrays.  ``rows`` and ``offsets`` are
+    the equalities, then the facets, scaled to unit normals; the first
+    ``equalities`` rows are equalities.  ``basis`` holds orthonormal rows
+    that span the equality normals, and ``basis @ x == basis_offsets`` on the
+    affine hull.  ``normals`` and ``bounds`` are the facets as constraints
+    ``normals @ x <= bounds`` on the affine hull, with each facet normal
+    projected into the hull's direction space and scaled to unit length."""
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    equalities: int
+    basis: np.ndarray
+    basis_offsets: np.ndarray
+    normals: np.ndarray
+    bounds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,9 +136,9 @@ class MarginalPolytope:
         return HRepresentation(len(pivots), equalities, _facets(rows, scales, pivots))
 
     @functools.cached_property
-    def _unit_constraints(self) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Equalities, then facets, as float rows and offsets scaled to unit
-        normals, with the equality count; None without facets."""
+    def _unit_constraints(self) -> _UnitConstraints | None:
+        """The H-representation as float arrays (see ``_UnitConstraints``);
+        None without facets."""
         h = self.h_representation
         if h.facets is None:
             return None
@@ -107,7 +146,22 @@ class MarginalPolytope:
         rows = np.array([a for a, _ in constraints], dtype=float)
         offsets = np.array([b for _, b in constraints], dtype=float)
         norms = np.linalg.norm(rows, axis=1)
-        return rows / norms[:, None], offsets / norms, len(h.equalities)
+        rows, offsets = rows / norms[:, None], offsets / norms
+        k = len(h.equalities)
+        # the equalities E x = e as Q^T x = R^-T e, with E^T = Q R
+        q, r = np.linalg.qr(rows[:k].T)
+        basis = q.T
+        basis_offsets = np.linalg.solve(r.T, offsets[:k]) if k else np.zeros(0)
+        # on the affine hull, a.x = n.x + (Q^T a).(Q^T x) for the part n of a
+        # orthogonal to the equality normals
+        facets = rows[k:]
+        along = facets @ basis.T
+        normals = facets - along @ basis
+        bounds = offsets[k:] - along @ basis_offsets
+        lengths = np.linalg.norm(normals, axis=1)
+        return _UnitConstraints(
+            rows, offsets, k, basis, basis_offsets, normals / lengths[:, None], bounds / lengths
+        )
 
     def rank(self) -> int:
         """Exact affine rank of the vertex set (dim iff full-dimensional)."""
@@ -212,12 +266,14 @@ def _facets(
     )
     ys = np.array(projected, dtype=np.int64 if fits else object)
     signs = np.array([(-1) ** j for j in range(r)])
-    found: dict[Constraint, None] = {}
+    others = [[k for k in range(r) if k != j] for j in range(r)]
+    kept_normals, kept_offsets = [], []
     subsets = itertools.combinations(range(n), r)
     for block in index_blocks(subsets, r, FACET_CHUNK_CELLS // cells):
         points = ys[block]
         edges = points[:, 1:] - points[:, :1]
-        minors = np.stack([np.delete(edges, j, axis=2) for j in range(r)], axis=1)
+        # minors[:, j]: the edges without coordinate j
+        minors = edges[:, :, others].transpose(0, 2, 1, 3)
         normals = signs * _det(minors.reshape(len(block) * r, r - 1, r - 1)).reshape(-1, r)
         offsets = (normals * points[:, 0]).sum(axis=1)
         sides = ys @ normals.T - offsets
@@ -225,13 +281,38 @@ def _facets(
         # a zero normal has every row on both sides
         keep = below != above
         sign = np.where(above[keep], -1, 1)
-        for normal, offset in zip((sign[:, None] * normals[keep]).tolist(),
-                                  (sign * offsets[keep]).tolist()):
-            a = [0] * len(scales)
-            for p, c in zip(pivots, normal):
-                a[p] = c * scales[p]
-            *a, offset = _primitive(a + [offset])
-            found[tuple(a), offset] = None
+        kept_normals.append(sign[:, None] * normals[keep])
+        kept_offsets.append(sign * offsets[keep])
+    return _distinct_constraints(
+        np.concatenate(kept_normals), np.concatenate(kept_offsets), scales, pivots
+    )
+
+
+def _distinct_constraints(
+    normals: np.ndarray, offsets: np.ndarray, scales: list[int], pivots: list[int]
+) -> tuple[Constraint, ...]:
+    """The distinct primitive integer forms of the pivot-coordinate
+    constraints ``normals @ y <= offsets`` in the unscaled coordinates, in
+    order of first appearance.  On int64, when every scaled normal fits, the
+    rows are divided by their gcd in one array; otherwise in Python
+    integers."""
+    d = len(scales)
+    pivot_scales = [scales[p] for p in pivots]
+    if normals.dtype == np.int64 and (
+        int(np.abs(normals).max(initial=0)) * max(pivot_scales) < 1 << 63
+    ):
+        rows = np.zeros((len(normals), d + 1), dtype=np.int64)
+        rows[:, pivots] = normals * np.array(pivot_scales, dtype=np.int64)
+        rows[:, d] = offsets
+        rows //= np.gcd.reduce(rows, axis=1)[:, None]
+        return tuple((row[:d], row[d]) for row in dict.fromkeys(map(tuple, rows.tolist())))
+    found: dict[Constraint, None] = {}
+    for normal, offset in zip(normals.tolist(), offsets.tolist()):
+        a = [0] * d
+        for p, c, s in zip(pivots, normal, pivot_scales):
+            a[p] = c * s
+        *a, offset = _primitive(a + [offset])
+        found[tuple(a), offset] = None
     return tuple(found)
 
 
@@ -300,20 +381,60 @@ def polytope_vertices(
 def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     """Euclidean distance from ``point`` to the convex hull of the vertices.
 
-    Wolfe's nearest-point algorithm on the vertices shifted by ``point``: a
-    corral of vertices with convex weights ``lam`` holds the current point x.
-    A major step adds the vertex that most decreases the linear bound; minor
-    steps move x to the affine nearest point of the corral, dropping vertices
-    whose weight would turn non-positive.  The loop ends when no vertex
-    improves on x or |x|^2 stops decreasing.
+    The projection certificates of the module docstring answer the query
+    when the nearest point is the projection onto the affine hull (exactly
+    0.0 inside a full-dimensional polytope) or onto a single facet within
+    it.  Any other point, and every point of a polytope without facets,
+    goes to Wolfe's nearest-point loop.
     """
+    p = _query_point(point, polytope)
+    distance = _certified_distance(p, polytope) if polytope.dim else None
+    return _wolfe_distance(p, polytope) if distance is None else distance
+
+
+def _query_point(point: Sequence[float], polytope: MarginalPolytope) -> np.ndarray:
     if len(point) != polytope.dim:
         raise DomainError(
             f"point has dimension {len(point)}, polytope has {polytope.dim}"
         )
+    return np.array([float(c) for c in point], dtype=float)
+
+
+def _certified_distance(p: np.ndarray, polytope: MarginalPolytope) -> float | None:
+    """The distance from ``p`` to the hull when a projection certificate
+    gives it, else None."""
+    c = polytope._unit_constraints
+    if c is None:
+        return None
+    # p becomes its projection onto the affine hull, at distance off
+    off = 0.0
+    if c.equalities:
+        across = c.basis @ p - c.basis_offsets
+        p = p - across @ c.basis
+        off = float(np.linalg.norm(across))
+    gaps = c.normals @ p - c.bounds
+    if (gaps <= -INSIDE_SLACK).all():
+        return off
+    j = int(np.argmax(gaps))
+    step = float(gaps[j])
+    if step <= 0:
+        return None
+    # q: p moved onto facet j along its normal within the affine hull
+    inside = c.normals @ (p - step * c.normals[j]) - c.bounds <= -INSIDE_SLACK
+    inside[j] = True
+    return math.hypot(off, step) if inside.all() else None
+
+
+def _wolfe_distance(p: np.ndarray, polytope: MarginalPolytope) -> float:
+    """``hull_distance`` by Wolfe's nearest-point algorithm on the vertices
+    shifted by ``p``: a corral of vertices with convex weights ``lam`` holds
+    the current point x.  A major step adds the vertex that most decreases
+    the linear bound; minor steps move x to the affine nearest point of the
+    corral, dropping vertices whose weight would turn non-positive.  The loop
+    ends when no vertex improves on x or |x|^2 stops decreasing.
+    """
     if polytope.dim == 0:
         return 0.0
-    p = np.array([float(c) for c in point], dtype=float)
     vs = polytope.float_vertices - p
     sq = (vs * vs).sum(axis=1)
     tol = 1e-12 * float(sq.max())
@@ -427,9 +548,9 @@ def _decide_probes(probes: np.ndarray, polytope: MarginalPolytope) -> np.ndarray
     constraints = polytope._unit_constraints
     if constraints is None:
         return np.zeros(len(probes), dtype=int)
-    rows, offsets, n_equalities = constraints
-    gaps = probes @ rows.T - offsets
-    gaps[:, :n_equalities] = np.abs(gaps[:, :n_equalities])
+    gaps = probes @ constraints.rows.T - constraints.offsets
+    k = constraints.equalities
+    gaps[:, :k] = np.abs(gaps[:, :k])
     outside = gaps.max(axis=1) >= MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN)
     # an equality's gap is never negative, so only a full-dimensional
     # polytope decides a probe inside
@@ -461,7 +582,9 @@ def realizability_check(
     theta: Sequence, formulas: Sequence[Formula], space: WorldSpace, kind: ModelKind
 ) -> RealizabilityVerdict:
     """Whether the target vector is a mixture of world statistics, with the
-    hull distance as diagnosis."""
+    hull distance as diagnosis.  The distance comes from Wolfe's loop
+    without the projection certificates: the polytope is fresh, and its
+    facet search would cost more than the one Wolfe run it saves."""
     polytope = polytope_vertices(formulas, space, kind)
-    distance = hull_distance([float(t) for t in theta], polytope)
+    distance = _wolfe_distance(_query_point(theta, polytope), polytope)
     return RealizabilityVerdict(distance < MEMBERSHIP_TOL, distance, polytope)

@@ -57,6 +57,9 @@ def test_distance_to_unit_square():
     assert hull_distance([2.0, 0.5], poly) == pytest.approx(1.0, abs=1e-9)
     assert hull_distance([2.0, 2.0], poly) == pytest.approx(math.sqrt(2), abs=1e-9)
     assert hull_distance([0.5, -0.3], poly) == pytest.approx(0.3, abs=1e-9)
+    # (2, 2) moved onto the facet x <= 1 lands at (1, 2), outside y <= 1:
+    # no projection certificate holds, and the Wolfe loop answers
+    assert polytope._certified_distance(np.array([2.0, 2.0]), poly) is None
 
 
 def test_distance_to_triangle_face():
@@ -413,7 +416,7 @@ def _check_h_representation(vertices):
         assert set(h.facets) == set(facets.values())
 
 
-def test_facet_search_past_its_work_cap_leaves_probes_to_hull_distance():
+def _past_the_work_cap():
     # the 16 worlds of four unary atoms over one constant and 12 independent
     # conjunctions: rank 12, and the search over the C(16, 12) = 1,820
     # vertex 12-subsets would make more than FACET_WORK_CAP products
@@ -421,7 +424,11 @@ def test_facet_search_past_its_work_cap_leaves_probes_to_hull_distance():
     conjunctions = [c for size in (1, 2, 3) for c in itertools.combinations(preds, size)][:12]
     formulas = [parse_formula("forall X: " + " & ".join(f"{p}(X)" for p in c)) for c in conjunctions]
     space = enumerate_worlds(["a"], {p: 1 for p in preds})
-    poly = polytope_vertices(formulas, space, ModelA(1))
+    return polytope_vertices(formulas, space, ModelA(1))
+
+
+def test_facet_search_past_its_work_cap_leaves_probes_to_hull_distance():
+    poly = _past_the_work_cap()
     assert (len(poly.vertices), poly.rank()) == (16, 12)
     assert math.comb(16, 12) * 12 * (16 + 12**3) > polytope.FACET_WORK_CAP
     assert poly.h_representation.facets is None
@@ -442,20 +449,35 @@ def test_h_representation_past_int64_uses_python_integers():
     assert ((1, 1, -1), big) in h.facets
 
 
+def test_scaled_normals_past_int64_use_python_integers():
+    # the coordinates fit int64 and pass the elimination bounds, but an edge
+    # normal times its coordinate's scale, the denominator 2^40 + 1, does not
+    big, den = 1 << 29, (1 << 40) + 1
+    vertices = [(0, 0), (Fraction(big, den), 0), (0, Fraction(big - 1, den)),
+                (Fraction(3, den), Fraction(big, den))]
+    h = _poly(vertices).h_representation
+    assert max(abs(c) for a, _ in h.facets for c in a) > 1 << 63
+    rank, facets = oracles.hull_facets(vertices)
+    assert h.rank == rank == 2 and h.equalities == ()
+    assert set(h.facets) == set(facets.values())
+
+
 @st.composite
-def eta_queries(draw):
-    """A lattice polytope, a point and an eta.  Points are convex
-    combinations, points at most 1e-8 from the hyperplane of a facet (on
-    either side, most of them within 1e-9), points at most 2e-8 from a
-    vertex, where a probe can be 1e-8 from the hull while no facet is
-    violated by that much, or uniform."""
-    vertices = draw(lattice_sets())
+def near_points(draw, vertices, far=False):
+    """A point near the hull of lattice ``vertices``: a convex combination,
+    a point at most 1e-8 from the hyperplane of a facet (on either side,
+    most of them within 1e-9), a point at most 2e-8 from a vertex, where a
+    probe can be 1e-8 from the hull while no facet is violated by that
+    much, or a uniform point; with ``far``, also a point 2-100 away from a
+    vertex."""
     d = len(vertices[0])
-    kind = draw(st.sampled_from(["combination", "facet", "vertex", "uniform"]))
+    kinds = ["combination", "facet", "vertex", "uniform"] + (["far"] if far else [])
+    kind = draw(st.sampled_from(kinds))
     facets = oracles.hull_facets(vertices)[1]
-    if kind == "vertex":
+    if kind in ("vertex", "far"):
         direction = np.array(draw(st.tuples(*[st.integers(-3, 3)] * d)), dtype=float)
-        length = draw(st.sampled_from([5e-9, 1e-8, 1.2e-8, 1.5e-8, 2e-8]))
+        length = draw(st.sampled_from([5e-9, 1e-8, 1.2e-8, 1.5e-8, 2e-8]) if kind == "vertex"
+                      else st.floats(2, 100))
         point = np.array(draw(st.sampled_from(vertices)), dtype=float)
         if direction.any():
             point += length * direction / np.linalg.norm(direction)
@@ -474,6 +496,14 @@ def eta_queries(draw):
                           for j in range(d)], dtype=float)
     else:
         point = np.array(draw(st.tuples(*[st.floats(-3, 3)] * d)))
+    return point
+
+
+@st.composite
+def eta_queries(draw):
+    """A lattice polytope, a point near it (``near_points``) and an eta."""
+    vertices = draw(lattice_sets())
+    point = draw(near_points(vertices))
     eta = draw(st.one_of(st.sampled_from([0.0, 1e-10, 1e-9, 5e-9, 1e-8, 2e-8]),
                          st.floats(0, 1)))
     return vertices, point, eta
@@ -497,6 +527,51 @@ def test_eta_interior_without_facets_probes_with_hull_distance(query):
         if poly.rank() > 0:
             assert poly.h_representation.facets is None
         assert eta_interior(point, eta, poly) == oracles.eta_interior(point, eta, poly)
+
+
+@st.composite
+def distance_queries(draw):
+    """A lattice polytope, lower-dimensional ones included, and a point
+    near it or far from it."""
+    vertices = draw(lattice_sets())
+    return vertices, draw(near_points(vertices, far=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_queries())
+def test_hull_distance_matches_the_wolfe_loop(query):
+    vertices, point = query
+    poly = _poly(vertices)
+    distance = hull_distance(point, poly)
+    assert abs(distance - polytope._wolfe_distance(point, poly)) <= 1e-9
+    h = poly.h_representation
+    if h.rank == poly.dim:
+        # every facet keeps the point 1e-9 inside, with a relative margin
+        # for float rounding: the projection certificate answers exactly
+        exact = [Fraction(c) for c in point]
+        slacks = [(b - sum(x * y for x, y in zip(a, exact))) / math.sqrt(sum(x * x for x in a))
+                  for a, b in h.facets]
+        if min(slacks) >= polytope.INSIDE_SLACK * (1 + 1e-6):
+            assert distance == 0.0
+
+
+def test_hull_distance_past_the_work_cap_is_the_wolfe_loop():
+    poly = _past_the_work_cap()
+    assert poly.h_representation.facets is None
+    centre = poly.float_vertices.mean(axis=0)
+    for point in (centre, centre + 0.01, poly.float_vertices[3] - 0.5, np.full(poly.dim, 2.0)):
+        assert hull_distance(point, poly) == polytope._wolfe_distance(point, poly)
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 3)])
+def test_realizability_check_builds_no_facets(theta):
+    # one query on a fresh polytope: a facet search would cost more than
+    # the Wolfe run it saves
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1})
+    mixed = parse_formula("exists X, Y: X != Y & r(X) & ~r(Y)")
+    verdict = realizability_check([theta], [mixed], space, ModelA(2))
+    assert "h_representation" not in verdict.polytope.__dict__
+    assert verdict.distance == polytope._wolfe_distance(np.array([float(theta)]), verdict.polytope)
 
 
 # The target theta = (11/30, 16/30, 1/5) of these three formulas, Model A
