@@ -26,15 +26,18 @@ projecting onto the subset's affine hull, so membership queries are
 reliable well below the 1e-8 declaration threshold.
 
 ``eta_interior`` uses the same constraints to decide its probe points: a
-probe that violates a constraint by clearly more than the membership
-threshold is outside, a probe that every facet of a full-dimensional
-polytope keeps at 1e-9 is inside, and only the rest go to ``hull_distance``.
+probe whose distance to the affine hull and to one facet within it bound
+its distance to the hull clearly above the membership threshold is
+outside, a probe that every facet of a full-dimensional polytope keeps at
+1e-9 is inside, and only the rest go to ``hull_distance``.
 The verdicts are those of probing with ``hull_distance`` alone.
 
-``realizability_check`` builds a fresh polytope for one query, where the
-facet search costs more than the one Wolfe run it would save, so it runs
-Wolfe directly: with the certificates, the perfbench ``fit`` workload lost
-about 8% of its throughput and its 90th-percentile job time rose 19%.
+A polytope builds its facets at its second hull query, not its first: for
+one query the facet search costs more than the one Wolfe run it would
+save.  ``realizability_check`` makes one query on a fresh polytope, so it
+gets Wolfe's distance and builds no facets; when it used the certificates,
+the perfbench ``fit`` workload lost about 8% of its throughput and its
+90th-percentile job time rose 19%.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ ETA_PROBES = 16  # random directions eta_interior probes beyond the axes
 FACET_WORK_CAP = 1 << 23
 # cells in one chunk of the facet search
 FACET_CHUNK_CELLS = 1 << 14
-# a probe is decided outside when a constraint puts it at least
+# a probe is decided outside when the constraints put it at least
 # MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN) from the hull, so that Wolfe's float
 # distance, which is never below the true one by more than rounding, would
 # also reach MEMBERSHIP_TOL; and inside when every facet keeps it
@@ -88,17 +91,13 @@ class HRepresentation:
 
 
 class _UnitConstraints(NamedTuple):
-    """An H-representation as float arrays.  ``rows`` and ``offsets`` are
-    the equalities, then the facets, scaled to unit normals; the first
-    ``equalities`` rows are equalities.  ``basis`` holds orthonormal rows
-    that span the equality normals, and ``basis @ x == basis_offsets`` on the
-    affine hull.  ``normals`` and ``bounds`` are the facets as constraints
-    ``normals @ x <= bounds`` on the affine hull, with each facet normal
-    projected into the hull's direction space and scaled to unit length."""
+    """An H-representation as float arrays.  ``basis`` holds orthonormal
+    rows that span the equality normals, and ``basis @ x == basis_offsets``
+    on the affine hull.  ``normals`` and ``bounds`` are the facets as
+    constraints ``normals @ x <= bounds`` on the affine hull, with each facet
+    normal projected into the hull's direction space and scaled to unit
+    length."""
 
-    rows: np.ndarray
-    offsets: np.ndarray
-    equalities: int
     basis: np.ndarray
     basis_offsets: np.ndarray
     normals: np.ndarray
@@ -159,9 +158,17 @@ class MarginalPolytope:
         normals = facets - along @ basis
         bounds = offsets[k:] - along @ basis_offsets
         lengths = np.linalg.norm(normals, axis=1)
-        return _UnitConstraints(
-            rows, offsets, k, basis, basis_offsets, normals / lengths[:, None], bounds / lengths
-        )
+        return _UnitConstraints(basis, basis_offsets, normals / lengths[:, None], bounds / lengths)
+
+    def _facets_for_query(self) -> bool:
+        """Whether ``hull_distance`` reads the facets: once they are known,
+        and from the polytope's second query on.  The first query leaves a
+        mark in the instance dict, where ``cached_property`` keeps its
+        values too."""
+        if "h_representation" in self.__dict__ or "_queried" in self.__dict__:
+            return True
+        self.__dict__["_queried"] = True
+        return False
 
     def rank(self) -> int:
         """Exact affine rank of the vertex set (dim iff full-dimensional)."""
@@ -293,27 +300,21 @@ def _distinct_constraints(
 ) -> tuple[Constraint, ...]:
     """The distinct primitive integer forms of the pivot-coordinate
     constraints ``normals @ y <= offsets`` in the unscaled coordinates, in
-    order of first appearance.  On int64, when every scaled normal fits, the
-    rows are divided by their gcd in one array; otherwise in Python
-    integers."""
+    order of first appearance.  The rows are scaled and divided by their gcd
+    in one array: int64 when every scaled normal fits, Python integers
+    otherwise."""
     d = len(scales)
     pivot_scales = [scales[p] for p in pivots]
-    if normals.dtype == np.int64 and (
-        int(np.abs(normals).max(initial=0)) * max(pivot_scales) < 1 << 63
-    ):
-        rows = np.zeros((len(normals), d + 1), dtype=np.int64)
-        rows[:, pivots] = normals * np.array(pivot_scales, dtype=np.int64)
-        rows[:, d] = offsets
-        rows //= np.gcd.reduce(rows, axis=1)[:, None]
-        return tuple((row[:d], row[d]) for row in dict.fromkeys(map(tuple, rows.tolist())))
-    found: dict[Constraint, None] = {}
-    for normal, offset in zip(normals.tolist(), offsets.tolist()):
-        a = [0] * d
-        for p, c, s in zip(pivots, normal, pivot_scales):
-            a[p] = c * s
-        *a, offset = _primitive(a + [offset])
-        found[tuple(a), offset] = None
-    return tuple(found)
+    fits = normals.dtype == np.int64 and (
+        int(np.abs(normals).max(initial=1)) * max(pivot_scales) < 1 << 63
+    )
+    dtype = np.int64 if fits else object
+    rows = np.zeros((len(normals), d + 1), dtype=dtype)
+    rows[:, pivots] = normals * np.array(pivot_scales, dtype=dtype)
+    rows[:, d] = offsets
+    # a kept normal is never zero, so no gcd is
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    return tuple((row[:d], row[d]) for row in dict.fromkeys(map(tuple, rows.tolist())))
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -384,20 +385,20 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     The projection certificates of the module docstring answer the query
     when the nearest point is the projection onto the affine hull (exactly
     0.0 inside a full-dimensional polytope) or onto a single facet within
-    it.  Any other point, and every point of a polytope without facets,
-    goes to Wolfe's nearest-point loop.
+    it.  They read the facets, which are built at the polytope's second
+    query unless they are known already: a single query, as
+    ``realizability_check`` makes, does not pay for the facet search.  Any
+    other point, a first query, and every point of a polytope without
+    facets go to Wolfe's nearest-point loop.
     """
-    p = _query_point(point, polytope)
-    distance = _certified_distance(p, polytope) if polytope.dim else None
-    return _wolfe_distance(p, polytope) if distance is None else distance
-
-
-def _query_point(point: Sequence[float], polytope: MarginalPolytope) -> np.ndarray:
     if len(point) != polytope.dim:
         raise DomainError(
             f"point has dimension {len(point)}, polytope has {polytope.dim}"
         )
-    return np.array([float(c) for c in point], dtype=float)
+    p = np.array([float(c) for c in point], dtype=float)
+    certify = polytope.dim and polytope._facets_for_query()
+    distance = _certified_distance(p, polytope) if certify else None
+    return _wolfe_distance(p, polytope) if distance is None else distance
 
 
 def _certified_distance(p: np.ndarray, polytope: MarginalPolytope) -> float | None:
@@ -408,7 +409,7 @@ def _certified_distance(p: np.ndarray, polytope: MarginalPolytope) -> float | No
         return None
     # p becomes its projection onto the affine hull, at distance off
     off = 0.0
-    if c.equalities:
+    if len(c.basis):
         across = c.basis @ p - c.basis_offsets
         p = p - across @ c.basis
         off = float(np.linalg.norm(across))
@@ -543,18 +544,23 @@ def _decide_probes(probes: np.ndarray, polytope: MarginalPolytope) -> np.ndarray
     """-1 for each probe the H-representation puts outside the hull, 1 for
     each it puts inside, 0 for each it leaves to ``hull_distance``.
 
-    A constraint's normalized violation, (a.q - b)/|a| or |a.q - b|/|a| for
-    an equality, is a lower bound on the distance from q to the hull."""
-    constraints = polytope._unit_constraints
-    if constraints is None:
+    A probe q at distance ``off`` from the affine hull, whose projection
+    there is ``gap`` outside a facet, is sqrt(off^2 + gap^2) from the part of
+    the affine hull inside that facet, which contains the hull: a lower
+    bound on the distance from q to the hull."""
+    c = polytope._unit_constraints
+    if c is None:
         return np.zeros(len(probes), dtype=int)
-    gaps = probes @ constraints.rows.T - constraints.offsets
-    k = constraints.equalities
-    gaps[:, :k] = np.abs(gaps[:, :k])
-    outside = gaps.max(axis=1) >= MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN)
-    # an equality's gap is never negative, so only a full-dimensional
-    # polytope decides a probe inside
-    inside = (gaps <= -INSIDE_SLACK).all(axis=1)
+    # the normals are orthogonal to the basis, so these are also the gaps
+    # of the probes' projections onto the affine hull
+    gaps = probes @ c.normals.T - c.bounds
+    bound = gaps.max(axis=1, initial=0.0)
+    if len(c.basis):
+        bound = np.hypot(np.linalg.norm(probes @ c.basis.T - c.basis_offsets, axis=1), bound)
+    outside = bound >= MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN)
+    # the first projection certificate of a full-dimensional polytope,
+    # whose distance is 0.0
+    inside = (gaps <= -INSIDE_SLACK).all(axis=1) & (len(c.basis) == 0)
     return np.where(outside, -1, np.where(inside, 1, 0))
 
 
@@ -582,9 +588,8 @@ def realizability_check(
     theta: Sequence, formulas: Sequence[Formula], space: WorldSpace, kind: ModelKind
 ) -> RealizabilityVerdict:
     """Whether the target vector is a mixture of world statistics, with the
-    hull distance as diagnosis.  The distance comes from Wolfe's loop
-    without the projection certificates: the polytope is fresh, and its
-    facet search would cost more than the one Wolfe run it saves."""
+    hull distance as diagnosis.  The polytope is fresh, so ``hull_distance``
+    answers its one query by Wolfe's loop and builds no facets."""
     polytope = polytope_vertices(formulas, space, kind)
-    distance = _wolfe_distance(_query_point(theta, polytope), polytope)
+    distance = hull_distance(theta, polytope)
     return RealizabilityVerdict(distance < MEMBERSHIP_TOL, distance, polytope)

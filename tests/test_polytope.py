@@ -517,6 +517,19 @@ def test_eta_interior_matches_probing_with_hull_distance(query):
     assert eta_interior(point, eta, poly) == oracles.eta_interior(point, eta, poly)
 
 
+def test_probe_filter_near_a_lower_dimensional_hull():
+    # probes off the diagonal segment of the plane, beside its midpoint: the
+    # facets keep every projection inside, but only hull_distance may decide
+    # a probe within MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN) of the hull
+    poly = _poly([(0, 0), (1, 1)])
+    across = np.array([1.0, -1.0]) / math.sqrt(2)
+    offs = [0.0, 0.5e-8, 1.00005e-8, 2e-8, 0.1]
+    probes = np.array([0.5 + off * across for off in offs])
+    assert polytope._decide_probes(probes, poly).tolist() == [0, 0, 0, -1, -1]
+    assert [hull_distance(q, poly) >= polytope.MEMBERSHIP_TOL for q in probes] == [
+        False, False, True, True, True]
+
+
 @settings(max_examples=100, deadline=None)
 @given(eta_queries())
 def test_eta_interior_without_facets_probes_with_hull_distance(query):
@@ -542,9 +555,10 @@ def distance_queries(draw):
 def test_hull_distance_matches_the_wolfe_loop(query):
     vertices, point = query
     poly = _poly(vertices)
+    # known facets: the certificates answer from the first query on
+    h = poly.h_representation
     distance = hull_distance(point, poly)
     assert abs(distance - polytope._wolfe_distance(point, poly)) <= 1e-9
-    h = poly.h_representation
     if h.rank == poly.dim:
         # every facet keeps the point 1e-9 inside, with a relative margin
         # for float rounding: the projection certificate answers exactly
@@ -561,6 +575,16 @@ def test_hull_distance_past_the_work_cap_is_the_wolfe_loop():
     centre = poly.float_vertices.mean(axis=0)
     for point in (centre, centre + 0.01, poly.float_vertices[3] - 0.5, np.full(poly.dim, 2.0)):
         assert hull_distance(point, poly) == polytope._wolfe_distance(point, poly)
+
+
+def test_hull_distance_builds_facets_at_the_second_query():
+    poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert hull_distance([0.5, 0.5], poly) == polytope._wolfe_distance(np.array([0.5, 0.5]), poly)
+    assert "h_representation" not in poly.__dict__
+    # the centre of the square: certificate 1, exactly 0.0
+    assert hull_distance([0.5, 0.5], poly) == 0.0
+    assert "h_representation" in poly.__dict__
+    assert hull_distance([2.0, 0.5], poly) == 1.0
 
 
 @pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 3)])
