@@ -499,20 +499,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceededError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotRealizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, CapExceededError):
+            return 3
+        if isinstance(exc, (NotRealizableError, InfeasibleError)):
+            return 2
         return 1
 
 

@@ -1,7 +1,8 @@
 """Error types shared across the toolkit.
 
 The CLI maps these onto process exit codes: ToolkitError and its plain
-subclasses exit 1, NotRealizableError exits 2, CapExceededError exits 3.
+subclasses exit 1, NotRealizableError and InfeasibleError exit 2, and
+CapExceededError exits 3.  OSError exits 1 too.
 """
 
 

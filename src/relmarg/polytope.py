@@ -25,12 +25,10 @@ rounding: it walks through affinely independent vertex subsets, each time
 projecting onto the subset's affine hull, so membership queries are
 reliable well below the 1e-8 declaration threshold.
 
-``eta_interior`` uses the same constraints to decide its probe points: a
-probe whose distance to the affine hull and to one facet within it bound
-its distance to the hull clearly above the membership threshold is
-outside, a probe that every facet of a full-dimensional polytope keeps at
-1e-9 is inside, and only the rest go to ``hull_distance``.
-The verdicts are those of probing with ``hull_distance`` alone.
+``eta_interior`` applies the first certificate to all its probes at once:
+on a full-dimensional polytope, a probe that every facet keeps
+``INSIDE_SLACK`` inside is inside.  ``hull_distance`` decides every other
+probe, so the verdicts are those of probing with ``hull_distance`` alone.
 
 A polytope builds its facets at its second hull query, not its first: for
 one query the facet search costs more than the one Wolfe run it would
@@ -64,14 +62,8 @@ ETA_PROBES = 16  # random directions eta_interior probes beyond the axes
 FACET_WORK_CAP = 1 << 23
 # cells in one chunk of the facet search
 FACET_CHUNK_CELLS = 1 << 14
-# a probe is decided outside when the constraints put it at least
-# MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN) from the hull, so that Wolfe's float
-# distance, which is never below the true one by more than rounding, would
-# also reach MEMBERSHIP_TOL; and inside when every facet keeps it
-# INSIDE_SLACK away.  A projection certificate of hull_distance holds when
-# every facet it checks keeps its point INSIDE_SLACK away, far more than
-# float rounding
-OUTSIDE_MARGIN = 1e-4
+# a projection certificate of hull_distance holds when every facet it
+# checks keeps its point INSIDE_SLACK away, far more than float rounding
 INSIDE_SLACK = 1e-9
 
 Constraint = tuple[tuple[int, ...], int]
@@ -391,14 +383,19 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     other point, a first query, and every point of a polytope without
     facets go to Wolfe's nearest-point loop.
     """
+    p = _as_point(point, polytope)
+    certify = polytope.dim and polytope._facets_for_query()
+    distance = _certified_distance(p, polytope) if certify else None
+    return _wolfe_distance(p, polytope) if distance is None else distance
+
+
+def _as_point(point: Sequence[float], polytope: MarginalPolytope) -> np.ndarray:
+    """``point`` as a float array, after checking its dimension."""
     if len(point) != polytope.dim:
         raise DomainError(
             f"point has dimension {len(point)}, polytope has {polytope.dim}"
         )
-    p = np.array([float(c) for c in point], dtype=float)
-    certify = polytope.dim and polytope._facets_for_query()
-    distance = _certified_distance(p, polytope) if certify else None
-    return _wolfe_distance(p, polytope) if distance is None else distance
+    return np.array([float(c) for c in point], dtype=float)
 
 
 def _certified_distance(p: np.ndarray, polytope: MarginalPolytope) -> float | None:
@@ -485,8 +482,8 @@ def _wolfe_distance(p: np.ndarray, polytope: MarginalPolytope) -> float:
 class EtaVerdict:
     """Probe-based interiority verdict: rejection is sound, acceptance only
     says that no probe left the hull.  Probes are checked in order until one
-    leaves the hull; the polytope's H-representation decides most of them,
-    and ``hull_distance`` decides the rest, so the verdict is the one that
+    leaves the hull; the facets decide only the probes they keep inside, and
+    ``hull_distance`` decides the rest, so the verdict is the one that
     probing with ``hull_distance`` alone gives."""
 
     inside: bool
@@ -505,18 +502,21 @@ def eta_interior(
     drawn from a generator seeded with 0, so a verdict is reproducible."""
     if eta < 0:
         raise DomainError("eta must be non-negative")
+    p = _as_point(point, polytope)
     d = polytope.dim
     if d == 0:
         return EtaVerdict(True, eta, None, 0)
-    p = np.array([float(c) for c in point], dtype=float)
     directions = _probe_directions(d)
     probes = p + eta * directions
-    decided = _decide_probes(probes, polytope)
-    for checked, (direction, probe, side) in enumerate(zip(directions, probes, decided), 1):
-        if side == 0:
-            side = -1 if hull_distance(probe, polytope) >= MEMBERSHIP_TOL else 1
-        if side < 0:
-            return EtaVerdict(False, eta, tuple(float(c) for c in direction), checked)
+    # the first projection certificate of a full-dimensional polytope, whose
+    # distance is 0.0, for every probe at once
+    c = polytope._unit_constraints
+    inside = np.zeros(len(probes), dtype=bool)
+    if c is not None and not len(c.basis):
+        inside = (probes @ c.normals.T - c.bounds <= -INSIDE_SLACK).all(axis=1)
+    for checked, (direction, probe, kept) in enumerate(zip(directions, probes, inside), 1):
+        if not kept and hull_distance(probe, polytope) >= MEMBERSHIP_TOL:
+            return EtaVerdict(False, eta, tuple(float(x) for x in direction), checked)
     return EtaVerdict(True, eta, None, len(directions))
 
 
@@ -538,30 +538,6 @@ def _probe_directions(d: int) -> np.ndarray:
     directions = np.array(directions)
     directions.flags.writeable = False
     return directions
-
-
-def _decide_probes(probes: np.ndarray, polytope: MarginalPolytope) -> np.ndarray:
-    """-1 for each probe the H-representation puts outside the hull, 1 for
-    each it puts inside, 0 for each it leaves to ``hull_distance``.
-
-    A probe q at distance ``off`` from the affine hull, whose projection
-    there is ``gap`` outside a facet, is sqrt(off^2 + gap^2) from the part of
-    the affine hull inside that facet, which contains the hull: a lower
-    bound on the distance from q to the hull."""
-    c = polytope._unit_constraints
-    if c is None:
-        return np.zeros(len(probes), dtype=int)
-    # the normals are orthogonal to the basis, so these are also the gaps
-    # of the probes' projections onto the affine hull
-    gaps = probes @ c.normals.T - c.bounds
-    bound = gaps.max(axis=1, initial=0.0)
-    if len(c.basis):
-        bound = np.hypot(np.linalg.norm(probes @ c.basis.T - c.basis_offsets, axis=1), bound)
-    outside = bound >= MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN)
-    # the first projection certificate of a full-dimensional polytope,
-    # whose distance is 0.0
-    inside = (gaps <= -INSIDE_SLACK).all(axis=1) & (len(c.basis) == 0)
-    return np.where(outside, -1, np.where(inside, 1, 0))
 
 
 def interiority_margin(m: int, k: int, l: int, eta: float) -> float:

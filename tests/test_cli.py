@@ -9,8 +9,16 @@ from importlib import resources
 
 import pytest
 
+from relmarg import cli
 from relmarg.cli import build_parser, main
 from relmarg.data import parse_facts
+from relmarg.errors import (
+    CapExceededError,
+    DomainError,
+    InfeasibleError,
+    NotRealizableError,
+    ToolkitError,
+)
 from relmarg.expansion import expand
 from relmarg.logic import parse_formula
 from relmarg.stats import MODEL_B, ModelA, statistic
@@ -663,6 +671,27 @@ def test_missing_file_exits_1(capsys, files):
     )
     assert code == 1
     assert "error" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (CapExceededError("too many worlds", 10, 5), 3),
+        (NotRealizableError("no finite weights", (Fraction(1),), 0.5, False), 2),
+        (InfeasibleError("feasibility phase stalled"), 2),
+        (DomainError("bad width"), 1),
+        (ToolkitError("plain failure"), 1),
+        (FileNotFoundError("no such file"), 1),
+    ],
+)
+def test_errors_map_to_exit_codes(capsys, monkeypatch, exc, code):
+    def fail(args):
+        raise exc
+
+    # an uncached parser binds the subcommand to fail
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_cli(capsys, "verify") == (code, "", f"error: {exc}\n")
 
 
 def test_model_width_flag_validation(capsys, files):

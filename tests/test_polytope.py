@@ -517,17 +517,63 @@ def test_eta_interior_matches_probing_with_hull_distance(query):
     assert eta_interior(point, eta, poly) == oracles.eta_interior(point, eta, poly)
 
 
-def test_probe_filter_near_a_lower_dimensional_hull():
-    # probes off the diagonal segment of the plane, beside its midpoint: the
-    # facets keep every projection inside, but only hull_distance may decide
-    # a probe within MEMBERSHIP_TOL * (1 + OUTSIDE_MARGIN) of the hull
+SEGMENT_OFFSETS = [0.0, 0.5e-8, 1.00005e-8, 2e-8, 0.1]
+
+
+def test_eta_interior_near_a_lower_dimensional_hull():
+    # points off the diagonal segment of the plane, beside its midpoint: the
+    # facets keep every projection inside, so hull_distance decides them all
     poly = _poly([(0, 0), (1, 1)])
     across = np.array([1.0, -1.0]) / math.sqrt(2)
-    offs = [0.0, 0.5e-8, 1.00005e-8, 2e-8, 0.1]
-    probes = np.array([0.5 + off * across for off in offs])
-    assert polytope._decide_probes(probes, poly).tolist() == [0, 0, 0, -1, -1]
+    probes = [0.5 + off * across for off in SEGMENT_OFFSETS]
     assert [hull_distance(q, poly) >= polytope.MEMBERSHIP_TOL for q in probes] == [
         False, False, True, True, True]
+    for eta in SEGMENT_OFFSETS:
+        assert eta_interior([0.5, 0.5], eta, poly) == oracles.eta_interior([0.5, 0.5], eta, poly)
+
+
+def _counting_hull_distance(monkeypatch):
+    """Count the calls eta_interior makes to ``polytope.hull_distance``."""
+    calls = []
+    inner = polytope.hull_distance
+
+    def counted(point, poly):
+        calls.append(point)
+        return inner(point, poly)
+
+    monkeypatch.setattr(polytope, "hull_distance", counted)
+    return calls
+
+
+def test_eta_interior_keeps_probes_the_facets_hold_inside_from_hull_distance(monkeypatch):
+    calls = _counting_hull_distance(monkeypatch)
+    square = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
+    verdict = eta_interior([0.5, 0.5], 0.1, square)
+    assert verdict.inside and verdict.probes_checked == 20
+    assert calls == []
+    # the four axis probes lie on facets, less than INSIDE_SLACK inside
+    verdict = eta_interior([0.5, 0.5], 0.5, square)
+    assert verdict.inside and len(calls) == 4
+    # the first probe, (1.1, 0.5), is outside: hull_distance decides it
+    calls.clear()
+    verdict = eta_interior([0.5, 0.5], 0.6, square)
+    assert not verdict.inside and verdict.probes_checked == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eta", SEGMENT_OFFSETS)
+def test_eta_interior_asks_hull_distance_about_every_probe_of_a_segment(
+        monkeypatch, eta):
+    calls = _counting_hull_distance(monkeypatch)
+    verdict = eta_interior([0.5, 0.5], eta, _poly([(0, 0), (1, 1)]))
+    assert len(calls) == verdict.probes_checked
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5]])
+def test_eta_interior_validates_dimension(point):
+    poly = _poly([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(DomainError, match="point has dimension"):
+        eta_interior(point, 0.1, poly)
 
 
 @settings(max_examples=100, deadline=None)
