@@ -7,7 +7,9 @@ it lies in the hull.
 Each polytope has an exact H-representation, computed once from its
 rational vertices: the affine hull as integer equalities and the facets as
 primitive integer pairs (a, b) with a.x <= b.  ``rank`` reads the exact
-affine rank off it.
+affine rank off it.  The facets come from the double-description method in
+Python integers, whose work grows with the rays it holds, not with the
+number of vertex subsets.
 
 ``hull_distance`` answers most queries from these constraints by two
 projection certificates.  Project the point p onto the affine hull, giving
@@ -31,17 +33,14 @@ on a full-dimensional polytope, a probe that every facet keeps
 probe, so the verdicts are those of probing with ``hull_distance`` alone.
 
 A polytope builds its facets at its second hull query, not its first: for
-one query the facet search costs more than the one Wolfe run it would
+one query the H-representation costs more than the one Wolfe run it would
 save.  ``realizability_check`` makes one query on a fresh polytope, so it
-gets Wolfe's distance and builds no facets; when it used the certificates,
-the perfbench ``fit`` workload lost about 8% of its throughput and its
-90th-percentile job time rose 19%.
+gets Wolfe's distance and builds no facets.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,17 +50,15 @@ import numpy as np
 
 from .errors import DomainError
 from .logic import Formula
-from .stats import ModelKind, distinct_rows, index_blocks
+from .stats import ModelKind, distinct_rows
 from .worlds import WorldSpace
 
 MEMBERSHIP_TOL = 1e-8
 ETA_PROBES = 16  # random directions eta_interior probes beyond the axes
-# integer products the facet search may make, about r * (n + r**3) for each
-# r-subset of n vertices: past this a polytope stores no facets, and every
-# eta probe goes to hull_distance
+# steps the double description may take, counted as rays times (pair tests
+# plus rows) at each row it inserts: past this a polytope stores no facets,
+# and every eta probe goes to hull_distance
 FACET_WORK_CAP = 1 << 23
-# cells in one chunk of the facet search
-FACET_CHUNK_CELLS = 1 << 14
 # a projection certificate of hull_distance holds when every facet it
 # checks keeps its point INSIDE_SLACK away, far more than float rounding
 INSIDE_SLACK = 1e-9
@@ -74,8 +71,9 @@ class HRepresentation:
     """Exact constraints of the convex hull of a vertex set: every point x of
     the hull has a.x = b for each equality and a.x <= b for each facet.  Each
     (a, b) is a primitive integer vector and offset in the vertices' own
-    coordinates.  ``rank`` is the affine rank of the vertices.  ``facets`` is
-    None when the search would make more than ``FACET_WORK_CAP`` products."""
+    coordinates.  ``rank`` is the affine rank of the vertices.  ``facets`` are
+    sorted, and None when the double description would take more than
+    ``FACET_WORK_CAP`` steps."""
 
     rank: int
     equalities: tuple[Constraint, ...]
@@ -114,17 +112,20 @@ class MarginalPolytope:
         return np.array(self.vertices, dtype=float)
 
     @functools.cached_property
-    def _affine_hull(self) -> tuple[list[list[int]], list[int], list[int], tuple[Constraint, ...]]:
+    def _affine_hull(
+        self,
+    ) -> tuple[list[list[int]], list[int], list[int], tuple[Constraint, ...], list[int]]:
         """Integer vertex rows, their per-coordinate scales, the pivot
-        coordinates of the affine hull and its equalities."""
+        coordinates of the affine hull, its equalities and the indices of
+        rank + 1 affinely independent rows."""
         rows, scales = _integer_rows(self.vertices, self.dim)
         return (rows, scales, *_pivots_and_equalities(rows, scales))
 
     @functools.cached_property
     def h_representation(self) -> HRepresentation:
         """The exact H-representation, computed once."""
-        rows, scales, pivots, equalities = self._affine_hull
-        return HRepresentation(len(pivots), equalities, _facets(rows, scales, pivots))
+        rows, scales, pivots, equalities, start = self._affine_hull
+        return HRepresentation(len(pivots), equalities, _facets(rows, scales, pivots, start))
 
     @functools.cached_property
     def _unit_constraints(self) -> _UnitConstraints | None:
@@ -183,8 +184,10 @@ def _primitive(values: list[int]) -> list[int]:
 
 def _pivots_and_equalities(
     rows: list[list[int]], scales: list[int]
-) -> tuple[list[int], tuple[Constraint, ...]]:
-    """Pivot coordinates and equalities of the affine hull of integer rows.
+) -> tuple[list[int], tuple[Constraint, ...], list[int]]:
+    """Pivot coordinates and equalities of the affine hull of integer rows,
+    and the indices of the rows that span it: the first row and each row
+    that adds a basis vector.
 
     Fraction-free elimination on the differences from the first row keeps a
     basis of the difference space in reduced form: each basis row is zero at
@@ -197,7 +200,8 @@ def _pivots_and_equalities(
     d = len(scales)
     basis: list[tuple[int, list[int]]] = []
     origin = rows[0] if rows else [0] * d
-    for row in rows[1:]:
+    start = [0]
+    for i, row in enumerate(rows[1:], 1):
         if len(basis) == d:
             break
         x = [a - b for a, b in zip(row, origin)]
@@ -213,6 +217,7 @@ def _pivots_and_equalities(
             for p, b in basis
         ]
         basis.append((lead, x))
+        start.append(i)
     basis.sort()
     pivots = [p for p, _ in basis]
     equalities = []
@@ -227,123 +232,86 @@ def _pivots_and_equalities(
         offset = sum(ai * oi for ai, oi in zip(a, origin))
         *a, offset = _primitive([ai * s for ai, s in zip(a, scales)] + [offset])
         equalities.append((tuple(a), offset))
-    return pivots, tuple(equalities)
+    return pivots, tuple(equalities), start
 
 
 def _facets(
-    rows: list[list[int]], scales: list[int], pivots: list[int]
+    rows: list[list[int]], scales: list[int], pivots: list[int], start: list[int]
 ) -> tuple[Constraint, ...] | None:
-    """Facets of the integer rows, from their projection onto the pivot
+    """Facets of the integer rows, by the double-description method (Motzkin
+    et al. 1953; Fukuda & Prodon 1996) on their projection y onto the pivot
     coordinates, where they span all r dimensions.
 
-    Every r-subset of rows spans a hyperplane whose normal is the vector of
-    signed (r-1)-minors of the subset's r-1 edge vectors (a min and a max
-    for r = 1, a cross product for r = 3).  A hyperplane with every row on
-    one side is a facet; repeats, from subsets of one facet, are dropped by
-    their primitive integer form.  Subsets are tested in chunks of at most
-    ``FACET_CHUNK_CELLS`` cells, and past ``FACET_WORK_CAP`` products in all
-    no facet is computed.
+    The facets are the extreme rays of the cone of (a, b) with a.y <= b at
+    every row.  The r + 1 affinely independent ``start`` rows bound a
+    simplex, whose rays come from one elimination.  Each row in turn keeps
+    the rays that satisfy it and adds the ray s_p q - s_q p, tight at the
+    row, for each adjacent pair of a ray p that violates it by s_p > 0 and a
+    ray q that satisfies it strictly, s_q < 0.  A ray carries its zero set,
+    the rows it is tight at, as a bit mask; p and q are adjacent when their
+    common zero set has at least r - 1 rows and lies in no other ray's zero
+    set.  Past ``FACET_WORK_CAP`` steps no facet is computed.
     """
     r, n = len(pivots), len(rows)
     if r == 0:
         return ()
-    # a subset's cells: its row sign tests and its r cofactor matrices; each
-    # cell takes at most r products
-    cells = n + r**3
-    if math.comb(n, r) * r * cells > FACET_WORK_CAP:
-        return None
-    projected = [[row[p] for p in pivots] for row in rows]
-    # the elimination multiplies two (r-2)-minors of edges with entries up to
-    # e, and the sign tests sum r coordinates times (r-1)-minors; by
-    # Hadamard's bound a k-minor is at most (k^k e^2k)^(1/2).  Past int64,
-    # compute in Python integers
-    big = max(abs(c) for row in projected for c in row)
-    e = 2 * big
-    low, high = max(r - 2, 0), r - 1
-    fits = low**low * e ** (2 * low) < 1 << 60 and (
-        (r * big) ** 2 * high**high * e ** (2 * high) < 1 << 124
-    )
-    ys = np.array(projected, dtype=np.int64 if fits else object)
-    signs = np.array([(-1) ** j for j in range(r)])
-    others = [[k for k in range(r) if k != j] for j in range(r)]
-    kept_normals, kept_offsets = [], []
-    subsets = itertools.combinations(range(n), r)
-    for block in index_blocks(subsets, r, FACET_CHUNK_CELLS // cells):
-        points = ys[block]
-        edges = points[:, 1:] - points[:, :1]
-        # minors[:, j]: the edges without coordinate j
-        minors = edges[:, :, others].transpose(0, 2, 1, 3)
-        normals = signs * _det(minors.reshape(len(block) * r, r - 1, r - 1)).reshape(-1, r)
-        offsets = (normals * points[:, 0]).sum(axis=1)
-        sides = ys @ normals.T - offsets
-        below, above = (sides <= 0).all(axis=0), (sides >= 0).all(axis=0)
-        # a zero normal has every row on both sides
-        keep = below != above
-        sign = np.where(above[keep], -1, 1)
-        kept_normals.append(sign[:, None] * normals[keep])
-        kept_offsets.append(sign * offsets[keep])
-    return _distinct_constraints(
-        np.concatenate(kept_normals), np.concatenate(kept_offsets), scales, pivots
-    )
+    # a row y gives the constraint (a, b).(y, -1) <= 0
+    ys = [[row[p] for p in pivots] + [-1] for row in rows]
+    rays = _simplex_rays([ys[i] for i in start])
+    masks = [0] * len(rays)
+    work = 0
+    # the start rows first, which only mark the zero sets
+    for i in dict.fromkeys(start + list(range(n))):
+        slacks = [sum(a * c for a, c in zip(ray, ys[i])) for ray in rays]
+        out = [k for k, s in enumerate(slacks) if s > 0]
+        inside = [k for k, s in enumerate(slacks) if s < 0]
+        # each pair test scans the rays, whose zero sets have up to n bits
+        work += len(rays) * (len(out) * len(inside) + n)
+        if work > FACET_WORK_CAP:
+            return None
+        new_rays, new_masks = [], []
+        for p in out:
+            for q in inside:
+                common = masks[p] & masks[q]
+                if common.bit_count() >= r - 1 and sum(m & common == common for m in masks) == 2:
+                    new_rays.append(_primitive([
+                        slacks[p] * c - slacks[q] * d for c, d in zip(rays[q], rays[p])
+                    ]))
+                    new_masks.append(common | 1 << i)
+        kept = [k for k, s in enumerate(slacks) if s <= 0]
+        rays = [rays[k] for k in kept] + new_rays
+        masks = [masks[k] | 1 << i if slacks[k] == 0 else masks[k] for k in kept] + new_masks
+    facets = []
+    for *a, b in rays:
+        normal = [0] * len(scales)
+        for p, c in zip(pivots, a):
+            normal[p] = c * scales[p]
+        *normal, b = _primitive(normal + [b])
+        facets.append((tuple(normal), b))
+    return tuple(sorted(facets))
 
 
-def _distinct_constraints(
-    normals: np.ndarray, offsets: np.ndarray, scales: list[int], pivots: list[int]
-) -> tuple[Constraint, ...]:
-    """The distinct primitive integer forms of the pivot-coordinate
-    constraints ``normals @ y <= offsets`` in the unscaled coordinates, in
-    order of first appearance.  The rows are scaled and divided by their gcd
-    in one array: int64 when every scaled normal fits, Python integers
-    otherwise."""
-    d = len(scales)
-    pivot_scales = [scales[p] for p in pivots]
-    fits = normals.dtype == np.int64 and (
-        int(np.abs(normals).max(initial=1)) * max(pivot_scales) < 1 << 63
-    )
-    dtype = np.int64 if fits else object
-    rows = np.zeros((len(normals), d + 1), dtype=dtype)
-    rows[:, pivots] = normals * np.array(pivot_scales, dtype=dtype)
-    rows[:, d] = offsets
-    # a kept normal is never zero, so no gcd is
-    rows //= np.gcd.reduce(rows, axis=1)[:, None]
-    return tuple((row[:d], row[d]) for row in dict.fromkeys(map(tuple, rows.tolist())))
-
-
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of the stacked square integer matrices ``m`` (shape
-    ``(b, k, k)``), by fraction-free elimination (Bareiss 1968).  After the
-    step on column c, each entry right of and below the pivots is a
-    (c+2)-minor of its matrix, so every division is exact and no entry
-    outgrows the largest minor.  A matrix whose column has no pivot is
-    singular; it is replaced by the identity and its determinant set to 0."""
-    m = m.copy()
-    b, k = m.shape[0], m.shape[-1]
-    if k == 0:
-        return np.ones(b, dtype=m.dtype)
-    at = np.arange(b)
-    sign = np.ones(b, dtype=np.int64)
-    singular = np.zeros(b, dtype=bool)
-    previous = np.ones(b, dtype=m.dtype)
-    for c in range(k - 1):
-        nonzero = m[:, c:, c] != 0
-        dead = ~nonzero.any(axis=1)
-        if dead.any():
-            singular |= dead
-            m[dead] = np.eye(k, dtype=m.dtype)
-            previous[dead] = 1
-        pivot = c + nonzero.argmax(axis=1)
-        swap = pivot != c
-        if swap.any():
-            top = m[at, c].copy()
-            m[at, c] = m[at, pivot]
-            m[at, pivot] = top
-            sign[swap] = -sign[swap]
-        lead = m[:, c, c].copy()
-        m[:, c + 1:, c + 1:] = (
-            m[:, c + 1:, c + 1:] * lead[:, None, None] - m[:, c + 1:, c:c + 1] * m[:, c:c + 1, c + 1:]
-        ) // previous[:, None, None]
-        previous = lead
-    return np.where(singular, 0, sign * m[:, -1, -1])
+def _simplex_rays(ys: list[list[int]]) -> list[list[int]]:
+    """The extreme rays of the cone of x with ys[j].x <= 0 for the r + 1
+    independent rows ys: ray k solves ys[j].x = -[j == k], so it is tight at
+    every row but row k.  Fraction-free Gauss-Jordan elimination on
+    [ys | -I] leaves each row j as d_j x_j = its right-hand side."""
+    m = len(ys)
+    rows = [y + [-int(j == k) for k in range(m)] for j, y in enumerate(ys)]
+    for c in range(m):
+        pivot = next(j for j in range(c, m) if rows[j][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        rows = [
+            _primitive([top[c] * x - row[c] * t for x, t in zip(row, top)])
+            if j != c and row[c] else row
+            for j, row in enumerate(rows)
+        ]
+    scale = math.lcm(*(row[j] for j, row in enumerate(rows)))
+    return [
+        _primitive([row[m + k] * (scale // row[j]) for j, row in enumerate(rows)])
+        for k in range(m)
+    ]
 
 
 def polytope_vertices(
@@ -379,7 +347,7 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     0.0 inside a full-dimensional polytope) or onto a single facet within
     it.  They read the facets, which are built at the polytope's second
     query unless they are known already: a single query, as
-    ``realizability_check`` makes, does not pay for the facet search.  Any
+    ``realizability_check`` makes, does not pay for the facets.  Any
     other point, a first query, and every point of a polytope without
     facets go to Wolfe's nearest-point loop.
     """
@@ -565,7 +533,10 @@ def realizability_check(
 ) -> RealizabilityVerdict:
     """Whether the target vector is a mixture of world statistics, with the
     hull distance as diagnosis.  The polytope is fresh, so ``hull_distance``
-    answers its one query by Wolfe's loop and builds no facets."""
+    answers its one query by Wolfe's loop and builds no facets: over the 88
+    calls of the seed-1 perfbench ``fit`` list, the affine hulls and facets
+    took 27-44 ms and the Wolfe runs 12-20 ms (three runs on a 2-core
+    host)."""
     polytope = polytope_vertices(formulas, space, kind)
     distance = hull_distance(theta, polytope)
     return RealizabilityVerdict(distance < MEMBERSHIP_TOL, distance, polytope)

@@ -16,6 +16,7 @@ each world's atoms subset by subset.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -127,21 +128,27 @@ def apply_substitution(f, theta):
 
 
 def _dot(u, w):
-    return sum(a * b for a, b in zip(u, w))
+    return sum(map(operator.mul, u, w))
 
 
 def _orthogonal_basis(vectors):
-    """Gram-Schmidt in Fractions: an orthogonal basis of the span of
-    ``vectors``, whose first members span the first vectors."""
+    """Gram-Schmidt in integers: an orthogonal basis of the span of rational
+    ``vectors``, whose first members span the first vectors.  Each vector is
+    scaled to integers, and w - (w.b / b.b) b is kept as its positive
+    multiple (b.b) w - (w.b) b divided by its gcd."""
     basis = []
     for v in vectors:
-        w = list(v)
-        for b in basis:
-            c = _dot(w, b) / _dot(b, b)
-            w = [x - c * y for x, y in zip(w, b)]
+        scale = math.lcm(*(c.denominator for c in v))
+        w = [c.numerator * (scale // c.denominator) for c in v]
+        for b, bb in basis:
+            wb = _dot(w, b)
+            if wb:
+                w = [bb * x - wb * y for x, y in zip(w, b)]
+                g = math.gcd(*w)
+                w = [x // g for x in w] if g > 1 else w
         if any(w):
-            basis.append(w)
-    return basis
+            basis.append((w, _dot(w, w)))
+    return [b for b, _ in basis]
 
 
 def span_rank(vectors):
@@ -166,8 +173,11 @@ def hull_facets(vertices):
     normal n of that span within the vertices' affine span has every vertex
     on one side, with exactly F on the hyperplane.  Facets map their index
     sets to the primitive integer (n, n.f) with n.x <= n.f on the hull.
+    The vertices are scaled by the lcm of their denominators, so that the
+    search runs in integers.
     """
-    vs = [[Fraction(c) for c in v] for v in vertices]
+    scale = math.lcm(*(Fraction(c).denominator for v in vertices for c in v))
+    vs = [[int(Fraction(c) * scale) for c in v] for v in vertices]
 
     def edges(points):
         return [[a - b for a, b in zip(p, points[0])] for p in points]
@@ -187,7 +197,7 @@ def hull_facets(vertices):
             elif not all(s <= 0 for s in sides):
                 continue
             if {i for i, s in enumerate(sides) if s == 0} == set(subset):
-                *a, b = primitive(normal + [_dot(normal, vs[subset[0]])])
+                *a, b = primitive(normal + [Fraction(_dot(normal, vs[subset[0]]), scale)])
                 facets[frozenset(subset)] = (tuple(a), b)
     return rank, facets
 

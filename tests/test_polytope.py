@@ -355,7 +355,7 @@ def test_h_representation_matches_subset_enumeration(vertices):
 def high_rank_sets(draw):
     """k + 1 or k + 2 points spanning an affine subspace of dimension up to
     k, in dimension 5-8 with k >= d - 2.  Coordinates are small, or scaled
-    by 10^6 so that the facet search runs on Python integers."""
+    by 10^6 so that the double description's integers grow past int64."""
     d = draw(st.integers(5, 8))
     k = draw(st.integers(d - 2, d))
     scale = draw(st.sampled_from([1, 10**6]))
@@ -416,10 +416,56 @@ def _check_h_representation(vertices):
         assert set(h.facets) == set(facets.values())
 
 
-def _past_the_work_cap():
+@st.composite
+def grid_sets(draw):
+    """Up to 10 distinct points of a k-dimensional grid {0, 1, 2}^k, mapped
+    into dimension 2-4 by small integer spans, so that many points share a
+    plane (a face of the grid or a plane through it) or a line."""
+    d = draw(st.integers(2, 4))
+    small = st.integers(-2, 2)
+    origin = draw(st.tuples(*[small] * d))
+    spans = [draw(st.tuples(*[small] * d)) for _ in range(draw(st.integers(1, d)))]
+    steps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(spans)),
+                          min_size=1, max_size=10, unique=True))
+    points = [tuple(origin[j] + sum(t * g[j] for t, g in zip(step, spans)) for j in range(d))
+              for step in steps]
+    return list(dict.fromkeys(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_sets(), st.randoms(use_true_random=False))
+def test_facets_of_degenerate_sets_match_the_oracle_in_any_row_order(vertices, rng):
+    _check_h_representation(vertices)
+    shuffled = list(vertices)
+    rng.shuffle(shuffled)
+    assert _poly(shuffled).h_representation.facets == _poly(vertices).h_representation.facets
+
+
+TABLE_FORMULAS = ("exists X: r(X)", "exists X: s(X)", "exists X, Y: X != Y & r(X) & ~s(Y)")
+
+
+@pytest.mark.parametrize(("size", "rows", "facet_count"), [(6, 75, 9), (8, 154, 11)])
+def test_facets_of_polytopes_with_many_interior_rows(size, rows, facet_count):
+    # rank 3, with most count rows inside the hull
+    space = enumerate_worlds([f"c{i}" for i in range(size)], {"r": 1, "s": 1})
+    poly = polytope_vertices([parse_formula(t) for t in TABLE_FORMULAS], space, ModelA(2))
+    h = poly.h_representation
+    assert (len(poly.vertices), h.rank, len(h.facets)) == (rows, 3, facet_count)
+    for a, b in h.facets:
+        slacks = [b - sum(x * y for x, y in zip(a, v)) for v in poly.vertices]
+        assert min(slacks) == 0
+        tight = [v for v, slack in zip(poly.vertices, slacks) if slack == 0]
+        assert oracles.span_rank([[x - y for x, y in zip(v, tight[0])] for v in tight]) == 2
+    vertices = poly.float_vertices
+    centre = vertices.mean(axis=0)
+    for point in (centre, vertices[:3].mean(axis=0), centre + 0.05, vertices[-1] + 0.2,
+                  np.full(3, -0.5), np.full(3, 1.5)):
+        assert abs(hull_distance(point, poly) - polytope._wolfe_distance(point, poly)) <= 1e-9
+
+
+def _sixteen_vertices_at_rank_12():
     # the 16 worlds of four unary atoms over one constant and 12 independent
-    # conjunctions: rank 12, and the search over the C(16, 12) = 1,820
-    # vertex 12-subsets would make more than FACET_WORK_CAP products
+    # conjunctions: rank 12, with 48 facets
     preds = "pqrs"
     conjunctions = [c for size in (1, 2, 3) for c in itertools.combinations(preds, size)][:12]
     formulas = [parse_formula("forall X: " + " & ".join(f"{p}(X)" for p in c)) for c in conjunctions]
@@ -427,19 +473,19 @@ def _past_the_work_cap():
     return polytope_vertices(formulas, space, ModelA(1))
 
 
-def test_facet_search_past_its_work_cap_leaves_probes_to_hull_distance():
-    poly = _past_the_work_cap()
+def test_facets_of_sixteen_vertices_at_rank_12():
+    poly = _sixteen_vertices_at_rank_12()
     assert (len(poly.vertices), poly.rank()) == (16, 12)
-    assert math.comb(16, 12) * 12 * (16 + 12**3) > polytope.FACET_WORK_CAP
-    assert poly.h_representation.facets is None
+    _check_h_representation(poly.vertices)
+    assert len(poly.h_representation.facets) == 48
     centre = poly.float_vertices.mean(axis=0)
     for eta in (0.0, 0.01, 0.1):
         assert eta_interior(centre, eta, poly) == oracles.eta_interior(centre, eta, poly)
 
 
 def test_h_representation_past_int64_uses_python_integers():
-    # sign tests on these coordinates overflow int64, so the facet search
-    # runs on Python integers
+    # slacks on these coordinates overflow int64; the double description
+    # computes in Python integers throughout
     big = 10**7
     vertices = [(0, 0, 0), (big, 0, 0), (0, big, 0), (0, 0, big), (big, big, big), (1, 2, 3)]
     h = _poly(vertices).h_representation
@@ -450,8 +496,8 @@ def test_h_representation_past_int64_uses_python_integers():
 
 
 def test_scaled_normals_past_int64_use_python_integers():
-    # the coordinates fit int64 and pass the elimination bounds, but an edge
-    # normal times its coordinate's scale, the denominator 2^40 + 1, does not
+    # the coordinates fit int64, but a facet normal times its coordinate's
+    # scale, the denominator 2^40 + 1, does not
     big, den = 1 << 29, (1 << 40) + 1
     vertices = [(0, 0), (Fraction(big, den), 0), (0, Fraction(big - 1, den)),
                 (Fraction(3, den), Fraction(big, den))]
@@ -615,8 +661,9 @@ def test_hull_distance_matches_the_wolfe_loop(query):
             assert distance == 0.0
 
 
-def test_hull_distance_past_the_work_cap_is_the_wolfe_loop():
-    poly = _past_the_work_cap()
+def test_hull_distance_past_the_work_cap_is_the_wolfe_loop(monkeypatch):
+    monkeypatch.setattr(polytope, "FACET_WORK_CAP", 0)
+    poly = _sixteen_vertices_at_rank_12()
     assert poly.h_representation.facets is None
     centre = poly.float_vertices.mean(axis=0)
     for point in (centre, centre + 0.01, poly.float_vertices[3] - 0.5, np.full(poly.dim, 2.0)):
