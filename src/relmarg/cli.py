@@ -5,7 +5,8 @@ Reports are JSON with sorted keys (or flat CSV via --format csv); exact
 probabilities appear as {"rational": "p/q", "decimal": float} pairs.
 
 Exit codes: 0 success, 1 domain or usage error, 2 unrealizable marginals,
-3 enumeration cap exceeded.
+3 a size cap exceeded (any cap the README lists).  ``main`` prints every
+``error:`` line and picks the exit code of every error.
 """
 
 from __future__ import annotations
@@ -68,19 +69,21 @@ def _model_kind(model: str, width: int | None, flag: str = "--width") -> ModelKi
     return MODEL_B
 
 
-def _emit(args, payload: dict, csv_text: str | None) -> None:
-    if getattr(args, "format", "json") == "csv":
-        if csv_text is None:
-            raise ToolkitError("this subcommand has no CSV form")
-        text = csv_text
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(path: str | None, text: str) -> None:
+    """Write report text to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(args, payload: dict, csv_text: str) -> None:
+    _write(args.out, csv_text if args.format == "csv" else _json(payload))
 
 
 def _csv_table(header, rows) -> str:
@@ -146,12 +149,7 @@ def cmd_expand(args) -> int:
                 f"warning: expansion violates hard rule: {format_formula(rule)}",
                 file=sys.stderr,
             )
-    text = format_facts(grown)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, format_facts(grown))
     return 0
 
 
@@ -184,34 +182,28 @@ def _diagnosis_payload(exc: NotRealizableError) -> dict:
     }
 
 
+def _solve(args, constraints, space, kind):
+    return solve_maxent(
+        constraints, space, kind,
+        tol=args.tol, max_iter=args.max_iter, weight_cap=args.weight_cap,
+    )
+
+
 def cmd_maxent(args) -> int:
     example = read_facts(args.facts)
     constraints = read_constraints(args.constraints)
     kind = _model_kind(args.model, args.width)
     hard = read_formulas(args.hard) if args.hard else []
-    space = _target_space(
-        example.constants,
-        example.vocabulary(),
-        [c.formula for c in constraints],
-        hard,
-    )
+    formulas = [c.formula for c in constraints]
+    space = _target_space(example.constants, example.vocabulary(), formulas, hard)
     try:
-        model = solve_maxent(
-            constraints,
-            space,
-            kind,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            weight_cap=args.weight_cap,
-        )
+        model = _solve(args, constraints, space, kind)
     except NotRealizableError as exc:
-        text = json.dumps(_diagnosis_payload(exc), sort_keys=True, indent=2) + "\n"
-        sys.stdout.write(text)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # to stdout whatever --format says: --out is the model's destination
+        _write(None, _json(_diagnosis_payload(exc)))
+        raise
     payload = _model_payload(model)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(args.out, _json(payload))
     if args.format == "csv":
         rows = zip(
             payload["formulas"],
@@ -219,9 +211,7 @@ def cmd_maxent(args) -> int:
             payload["weights"],
             payload["achieved_marginals"],
         )
-        sys.stdout.write(
-            _csv_table(["formula", "theta", "weight", "achieved_marginal"], rows)
-        )
+        _write(None, _csv_table(["formula", "theta", "weight", "achieved_marginal"], rows))
     return 0
 
 
@@ -366,30 +356,20 @@ def cmd_pipeline(args) -> int:
             f"{exc}; reduce the target size or the vocabulary to solve exactly"
         )
         _emit(args, payload, table)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise
     verdict = realizability_check(thetas, formulas, space, kind)
     payload["hull_distance"] = float(verdict.distance)
     payload["realizable"] = bool(verdict.realizable)
     constraints = [MarginalConstraint(f, t) for f, t in zip(formulas, thetas)]
     try:
-        model = solve_maxent(
-            constraints,
-            space,
-            kind,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            weight_cap=args.weight_cap,
-        )
+        model = _solve(args, constraints, space, kind)
     except NotRealizableError as exc:
         payload["diagnosis"] = _diagnosis_payload(exc)
         _emit(args, payload, table)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise
     payload["model"] = _model_payload(model)
     if args.model_out:
-        with open(args.model_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload["model"], sort_keys=True, indent=2) + "\n")
+        _write(args.model_out, _json(payload["model"]))
     _emit(args, payload, table)
     return 0
 
@@ -400,6 +380,11 @@ def cmd_pipeline(args) -> int:
 def _add_model_flags(p, width_flag="--width"):
     p.add_argument("--model", required=True, choices=("A", "B"))
     p.add_argument(width_flag, type=int, default=None)
+
+
+def _add_output_flags(p):
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out")
 
 
 def _add_solver_flags(p):
@@ -419,8 +404,7 @@ def build_parser() -> _Parser:
     p.add_argument("--facts", required=True)
     p.add_argument("--formulas", required=True)
     _add_model_flags(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("expand", help="grow a structure by congruent copies")
@@ -447,8 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--constraints", required=True)
     _add_model_flags(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("estimate", help="error experiment against closed-form bounds")
@@ -460,8 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", required=True, choices=("A", "B"))
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("verify", help="run the built-in verification suites")
@@ -471,8 +453,7 @@ def build_parser() -> _Parser:
         choices=available_suites(),
         help="run one suite (repeatable); default runs all",
     )
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -487,8 +468,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
     p.add_argument("--model-out", help="also write the fitted model JSON here")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

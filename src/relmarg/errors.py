@@ -38,7 +38,7 @@ class DomainError(ToolkitError):
 
 
 class CapExceededError(ToolkitError):
-    """A configured enumeration cap would be exceeded."""
+    """An enumeration or size cap would be exceeded."""
 
     def __init__(self, message, size, cap):
         super().__init__(message)

@@ -55,10 +55,13 @@ from .worlds import WorldSpace
 
 MEMBERSHIP_TOL = 1e-8
 ETA_PROBES = 16  # random directions eta_interior probes beyond the axes
-# steps the double description may take, counted as rays times (pair tests
-# plus rows) at each row it inserts: past this a polytope stores no facets,
-# and every eta probe goes to hull_distance
-FACET_WORK_CAP = 1 << 23
+# steps the double description may take: at each row it inserts, r + 1
+# products per ray's slack, one per pair's zero-set count test, and one per
+# ray for each pair that passes the test and is checked for adjacency.  Past
+# this a polytope stores no facets, and every query goes to Wolfe's loop.
+# At 2^19 a refused run on small integers stops in about a tenth of a
+# second (2-core host, Python 3.11).
+FACET_WORK_CAP = 1 << 19
 # a projection certificate of hull_distance holds when every facet it
 # checks keeps its point INSIDE_SLACK away, far more than float rounding
 INSIDE_SLACK = 1e-9
@@ -250,6 +253,9 @@ def _facets(
     ray q that satisfies it strictly, s_q < 0.  A ray carries its zero set,
     the rows it is tight at, as a bit mask; p and q are adjacent when their
     common zero set has at least r - 1 rows and lies in no other ray's zero
+    set.  The steps are the work done: r + 1 products for each ray's slack
+    at each row, one step for each pair's count test, and one step per ray
+    for each pair that passes it and is checked against every ray's zero
     set.  Past ``FACET_WORK_CAP`` steps no facet is computed.
     """
     r, n = len(pivots), len(rows)
@@ -265,15 +271,21 @@ def _facets(
         slacks = [sum(a * c for a, c in zip(ray, ys[i])) for ray in rays]
         out = [k for k, s in enumerate(slacks) if s > 0]
         inside = [k for k, s in enumerate(slacks) if s < 0]
-        # each pair test scans the rays, whose zero sets have up to n bits
-        work += len(rays) * (len(out) * len(inside) + n)
+        # r + 1 products per slack, and one count test per pair
+        work += (r + 1) * len(rays) + len(out) * len(inside)
         if work > FACET_WORK_CAP:
             return None
         new_rays, new_masks = [], []
         for p in out:
             for q in inside:
                 common = masks[p] & masks[q]
-                if common.bit_count() >= r - 1 and sum(m & common == common for m in masks) == 2:
+                if common.bit_count() < r - 1:
+                    continue
+                # a pair that passes the count test scans every ray
+                work += len(rays)
+                if work > FACET_WORK_CAP:
+                    return None
+                if sum(m & common == common for m in masks) == 2:
                     new_rays.append(_primitive([
                         slacks[p] * c - slacks[q] * d for c, d in zip(rays[q], rays[p])
                     ]))
@@ -320,7 +332,7 @@ def polytope_vertices(
     """Candidate vertex set: distinct normalized statistic vectors over the space,
     in order of first appearance, each with the first world that has it.
 
-    Interior duplicates are kept; membership tests do not care.
+    Rows inside the hull are kept; membership tests do not care.
     """
     formulas = tuple(formulas)
     if len(space) == 0:

@@ -645,6 +645,86 @@ def test_oversized_expansions_exit_3_before_building(capsys, files, argv):
 
 
 # ---------------------------------------------------------------------------
+# failing runs that still write a payload
+
+PIGEONHOLE = ("pigeonhole.facts", "forall X: r(X)\nforall X, Y: r(X) | r(Y)\n",
+              ("--target-n", "8", "--model", "B"))
+PATH_AT_NINE = ("path.facts", "exists X, Y: X != Y & e(X,Y)\n",
+                ("--target-n", "9", "--model", "A", "--width", "2"))
+
+
+@pytest.mark.parametrize(
+    "command, source, code, key, to_file",
+    [
+        ("maxent", "json", 2, "boundary", False),
+        ("maxent", "csv", 2, "boundary", False),
+        ("pipeline", PIGEONHOLE, 2, "diagnosis", False),
+        ("pipeline", PIGEONHOLE, 2, "diagnosis", True),
+        ("pipeline", PATH_AT_NINE, 3, "note", False),
+        ("pipeline", PATH_AT_NINE, 3, "note", True),
+    ],
+    ids=["maxent-json", "maxent-csv", "pipeline-2", "pipeline-2-out", "pipeline-3",
+         "pipeline-3-out"],
+)
+def test_failing_runs_write_their_payload_and_one_error_line(
+    capsys, files, tmp_path, command, source, code, key, to_file
+):
+    model_dest = tmp_path / "never.json"
+    report = tmp_path / "report.json"
+    if command == "maxent":
+        # maxent's --out is the model file: the diagnosis goes to stdout,
+        # as JSON even under --format csv
+        facts = files("three.facts", R_FACTS)
+        src = resources.files("relmarg.fixtures").joinpath("pigeonhole.constraints").read_text()
+        cons = files("pigeonhole.constraints", src)
+        argv = ("maxent", "--facts", facts, "--constraints", cons, "--model", "A",
+                "--width", "2", "--out", str(model_dest), "--format", source)
+    else:
+        fixture, formulas, rest = source
+        src = resources.files("relmarg.fixtures").joinpath(fixture).read_text()
+        argv = ("pipeline", "--facts", files(fixture, src),
+                "--formulas", files("p.formulas", formulas), *rest,
+                "--model-out", str(model_dest))
+        argv += ("--out", str(report)) if to_file else ()
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert not model_dest.exists()
+    if to_file:
+        assert out == ""
+        payload = json.loads(report.read_text())
+    else:
+        payload = json.loads(out)
+    assert key in payload
+    if key == "boundary":
+        assert payload["boundary"] is False
+        message = payload["message"]
+    elif key == "diagnosis":
+        assert payload["model"] is None and payload["realizable"] is True
+        message = payload["diagnosis"]["message"]
+    else:
+        assert payload["model"] is None and payload["realizable"] is None
+        message = "81 ground atoms exceed the enumeration cap of 24"
+        assert payload["note"].startswith(message + "; ")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["maxent", "expand"])
+def test_an_unwritable_out_exits_1_with_one_error_line(capsys, files, tmp_path, command):
+    facts = files("r.facts", R_FACTS)
+    dest = tmp_path / "missing" / "out.txt"
+    if command == "maxent":
+        cons = files("r.constraints", "2/3 ; exists X: r(X)\n")
+        argv = ("maxent", "--facts", facts, "--constraints", cons,
+                "--model", "A", "--width", "2", "--out", str(dest))
+    else:
+        argv = ("expand", "--facts", facts, "--level", "2", "--out", str(dest))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(dest) in err
+    assert not dest.exists()
+
+
+# ---------------------------------------------------------------------------
 # usage errors
 
 @pytest.mark.parametrize(

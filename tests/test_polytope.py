@@ -463,6 +463,49 @@ def test_facets_of_polytopes_with_many_interior_rows(size, rows, facet_count):
         assert abs(hull_distance(point, poly) - polytope._wolfe_distance(point, poly)) <= 1e-9
 
 
+@pytest.mark.parametrize(("side", "rank"), [(40, 2), (10, 3), (6, 4)])
+def test_facets_of_low_rank_polytopes_with_many_rows(side, rank):
+    # 1,600, 1,000 and 1,296 grid points, nearly all inside the cube: most
+    # pairs of the double description stop at the zero-set count test, and
+    # the work cap charges them one step each.  The subset-enumeration
+    # oracle is too slow here, so the checks are structural.
+    vertices = list(itertools.product(range(side), repeat=rank))
+    poly = _poly(vertices)
+    facets = poly.h_representation.facets
+    assert facets is not None and len(facets) == 2 * rank
+    for a, b in facets:
+        slacks = [b - sum(x * y for x, y in zip(a, v)) for v in vertices]
+        assert min(slacks) == 0
+        tight = [v for v, slack in zip(vertices, slacks) if slack == 0]
+        assert oracles.span_rank([[x - y for x, y in zip(v, tight[0])] for v in tight]) == rank - 1
+    centre = np.full(rank, (side - 1) / 2)
+    for point in (centre, np.full(rank, 0.5), np.arange(rank, dtype=float),
+                  centre + side, np.full(rank, -1.0), np.array([-0.5] + [1.0] * (rank - 1))):
+        assert abs(hull_distance(point, poly) - polytope._wolfe_distance(point, poly)) <= 1e-9
+
+
+def test_points_in_general_position_stay_past_the_work_cap(monkeypatch):
+    # the double description of 300 random points in dimension 8 holds far
+    # more rays than the cap allows for
+    rng = random.Random(8)
+    poly = _poly([[Fraction(rng.randint(0, 1000), 1000) for _ in range(8)] for _ in range(300)])
+    assert poly.rank() == 8
+    assert poly.h_representation.facets is None
+    wolfe_distance = polytope._wolfe_distance
+    wolfe_calls = []
+
+    def wolfe(p, polytope_):
+        wolfe_calls.append(p)
+        return wolfe_distance(p, polytope_)
+
+    monkeypatch.setattr(polytope, "_wolfe_distance", wolfe)
+    centre = poly.float_vertices.mean(axis=0)
+    points = (centre, centre + 0.3, np.full(8, 2.0))
+    for point in points:
+        assert hull_distance(point, poly) == wolfe_distance(point, poly)
+    assert len(wolfe_calls) == len(points)
+
+
 def _sixteen_vertices_at_rank_12():
     # the 16 worlds of four unary atoms over one constant and 12 independent
     # conjunctions: rank 12, with 48 facets
