@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -33,15 +33,13 @@ from . import stats
 from .data import GlobalExample, GroundAtom, fragment
 from .errors import DomainError
 from .expansion import expanded_statistic, representative_tables, residue_groundings, weighted_hits
-from .logic import Formula, vocabulary_of
+from .logic import Formula
 from .stats import (
+    CheckedFormula,
     ModelKind,
-    check_formula,
+    check_formulas,
     count_groundings,
-    formula_width,
-    normalizer,
     structure_tables,
-    table_statistic,
 )
 
 
@@ -110,21 +108,20 @@ def disjoint_sample_estimator(
     statistics, substitution satisfaction for the injective-grounding kind,
     whose index sets are ordered.
     """
-    check_formula(f, example.vocabulary())
     n = len(example.constants)
-    normalizer(f, kind, n)  # width/variable-count validation
+    (checked,) = check_formulas((f,), example.vocabulary(), kind, n)
     universe = n if universe_size is None else universe_size
     if universe < n:
         raise DomainError(f"universe size {universe} below |constants| = {n}")
-    k = formula_width(kind, f)
+    k = checked.width
     q = n // k
     index_sets = [tuple(rng.sample(range(universe), k)) for _ in range(q)]
     union = sorted(set(itertools.chain.from_iterable(index_sets)))
     # sampling positions draws exactly what sampling the constants would
     g = dict(zip(union, rng.sample(range(n), len(union))))
     rows = [[g[i] for i in idx] for idx in index_sets]
-    tables = structure_tables(example, vocabulary_of(f))
-    hits = count_groundings(f, kind, rows, tables, 1)[0]
+    tables = structure_tables(example, checked.vocabulary)
+    hits = count_groundings(checked, rows, tables, 1)[0]
     return Fraction(int(hits), q)
 
 
@@ -153,7 +150,8 @@ def random_structure(
 class ExperimentConfig:
     """One estimation experiment: repeatedly sample a size-m fragment of the
     ground truth and score the expansion-adjusted estimate at the target
-    domain size against the exact ground-truth statistic."""
+    domain size against the exact ground-truth statistic.  ``checked`` holds
+    the formulas' records under the ground truth's vocabulary and ``kind``."""
 
     ground_truth: GlobalExample
     sample_size: int
@@ -162,6 +160,7 @@ class ExperimentConfig:
     kind: ModelKind
     trials: int = 100
     seed: int = 0
+    checked: tuple[CheckedFormula, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "formulas", tuple(self.formulas))
@@ -171,17 +170,17 @@ class ExperimentConfig:
             raise DomainError(f"trials {self.trials} must be >= 1")
         total = len(self.ground_truth.constants)
         if not 1 <= self.sample_size <= total:
-            raise DomainError(
-                f"sample size {self.sample_size} outside 1..{total}"
-            )
+            raise DomainError(f"sample size {self.sample_size} outside 1..{total}")
         if self.target_size < 1:
             raise DomainError(f"target size {self.target_size} must be positive")
+        vocabulary = self.ground_truth.vocabulary()
+        checked = []
         for f in self.formulas:
-            k = formula_width(self.kind, f)
-            if k > self.sample_size:
-                raise DomainError(
-                    f"width {k} exceeds the sample size {self.sample_size}"
-                )
+            (c,) = check_formulas((f,), vocabulary, self.kind)
+            if c.width > self.sample_size:
+                raise DomainError(f"width {c.width} exceeds the sample size {self.sample_size}")
+            checked.append(c)
+        object.__setattr__(self, "checked", tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -203,36 +202,30 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
 
     Every trial derives its own RNG from (seed, trial index), so each trial
     is reproducible on its own; errors are exact rationals.  The formulas
-    are checked and the ground truth's truth tables built once.  Every trial
-    first draws its sample's positions as ``sample_subexample`` does; then
-    each formula's ``adjusted_estimate`` is read off representative tables
-    sliced from the ground truth's, one structure column per trial (see
-    ``expanded_statistic``), so a formula is evaluated once for a block of
-    trials, and neither a sample nor its expansion is built.  Blocks keep
-    their tables within ``TABLE_CELL_CAP`` cells.
+    were checked with the configuration, and the ground truth's truth tables
+    are built once.  Every trial first draws its sample's positions as
+    ``sample_subexample`` does; then each formula's ``adjusted_estimate`` is
+    read off representative tables sliced from the ground truth's, one
+    structure column per trial (see ``expanded_statistic``), so a formula is
+    evaluated once for a block of trials, and neither a sample nor its
+    expansion is built.  Blocks keep their tables within ``TABLE_CELL_CAP``
+    cells.
     """
-    truth, kind, m = cfg.ground_truth, cfg.kind, cfg.sample_size
+    truth, m = cfg.ground_truth, cfg.sample_size
     n = len(truth.constants)
-    vocabulary = truth.vocabulary()
-    for f in cfg.formulas:
-        check_formula(f, vocabulary)
-        normalizer(f, kind, n)
     # a predicate the ground truth lacks gets no table: it is false everywhere
-    used = set().union(*map(vocabulary_of, cfg.formulas))
-    tables = structure_tables(truth, {p: a for p, a in vocabulary.items() if p in used})
-    exact = [table_statistic(f, kind, tables, n) for f in cfg.formulas]
+    used = set().union(*(c.vocabulary for c in cfg.checked))
+    tables = structure_tables(truth, {p: a for p, a in truth.vocabulary().items() if p in used})
     level = expansion_level(m, cfg.target_size)
-    widths = [formula_width(kind, f) for f in cfg.formulas]
-    residues = {k: residue_groundings(kind, k, m, level) for k in set(widths)}
+    widths = {c.width for c in cfg.checked}
+    residues = {k: residue_groundings(cfg.kind, k, m, level) for k in widths}
     plans = [
-        (f, truth_value, residues[k], normalizer(f, kind, m * level))
-        for f, truth_value, k in zip(cfg.formulas, exact, widths)
+        (c, c.statistic(tables, n), residues[c.width], c.count(m * level))
+        for c in cfg.checked
     ]
     copies = min(level, max(widths))
-    positions = np.array(
-        [sorted(random.Random(f"{cfg.seed}:{t}").sample(range(n), m)) for t in range(cfg.trials)],
-        dtype=np.intp,
-    )
+    draws = (random.Random(f"{cfg.seed}:{t}").sample(range(n), m) for t in range(cfg.trials))
+    positions = np.array([sorted(d) for d in draws], dtype=np.intp)
     # trials per block, so that their representative tables fit the cap together
     cells = sum((m * copies) ** (t.ndim - 1) for t in tables.values())
     step = max(1, stats.TABLE_CELL_CAP // max(cells, 1))
@@ -240,22 +233,15 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
     for start in range(0, cfg.trials, step):
         block = positions[start:start + step]
         grown = representative_tables(tables, block, copies)
-        for out, (f, truth_value, (rows, weights), total) in zip(errors, plans):
-            hits = weighted_hits(f, kind, rows, weights, grown, len(block))
+        for out, (c, truth_value, (rows, weights), total) in zip(errors, plans):
+            hits = weighted_hits(c, rows, weights, grown, len(block))
             out.extend(abs(truth_value - Fraction(h, total)) for h in hits)
     reports = []
-    for f, k, trial_errors in zip(cfg.formulas, widths, errors):
+    for f, c, trial_errors in zip(cfg.formulas, cfg.checked, errors):
         mean = sum(trial_errors, Fraction(0)) / len(trial_errors)
-        bound = expected_error_bound(m, k)
+        bound = expected_error_bound(m, c.width)
+        k_eff = effective_sample_size(m, c.width)
         reports.append(
-            ErrorReport(
-                f,
-                k,
-                tuple(trial_errors),
-                mean,
-                bound,
-                effective_sample_size(m, k),
-                float(mean) <= bound,
-            )
+            ErrorReport(f, c.width, tuple(trial_errors), mean, bound, k_eff, float(mean) <= bound)
         )
     return tuple(reports)

@@ -11,9 +11,10 @@ of the polytope.
 
 A statistic of an expansion needs no expansion: permuting the copies of a
 residue class is an automorphism, so ``expanded_statistic`` evaluates one
-representative grounding per residue multiset (Model A) or residue sequence
-(Model B) on the truth tables of the first few copies, weighted by the number
-of groundings it stands for.  Its cost does not grow with the level.  The
+representative grounding per residue pattern on the truth tables of the
+first few copies, weighted by the number of groundings it stands for.  The
+model kind lists the patterns and weights: multisets for Model A, sequences
+for Model B.  Its cost does not grow with the level.  The
 tables of ``representative_tables`` hold one structure column per expansion,
 so ``estimation.run_error_experiment`` evaluates a formula once for a block
 of trials' samples; ``expanded_statistic`` is the one-column case.
@@ -28,21 +29,19 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import CanonicalForm, GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
-from .logic import Formula, vocabulary_of
+from .logic import Formula
 from .stats import (
-    ModelA,
+    CheckedFormula,
     ModelKind,
-    check_formula,
     check_cells,
-    formula_width,
+    check_formulas,
     grounding_truths,
-    normalizer,
     structure_tables,
 )
 
@@ -117,27 +116,21 @@ def residue_groundings(
     the copies of a residue is an automorphism of the expansion, so a Model A
     subset holds or fails with its residue multiset and a Model B
     substitution with its residue sequence (its matrix is quantifier-free and
-    injectivity gives equal residues distinct copies).  The representative
-    gives the i-th argument of residue r copy i, so it lies in the first
-    ``min(level, width)`` copies; it stands for prod_r C(level, c_r) subsets
-    or prod_r P(level, c_r) substitutions, c_r arguments having residue r,
-    and by Vandermonde the counts sum to ``normalizer`` over ``n * level``
+    injectivity gives equal residues distinct copies): ``kind.residue_orders``.
+    The representative gives the i-th argument of residue r copy i, so it
+    lies in the first ``min(level, width)`` copies, and stands for prod_r
+    ``kind.ways(level, c_r)`` groundings, c_r arguments having residue r.  By
+    Vandermonde the counts sum to the groundings over ``n * level``
     constants.  Counts are Python ints: at large levels they overflow int64.
     """
-    if isinstance(kind, ModelA):
-        patterns = itertools.combinations_with_replacement(range(n), width)
-        ways = math.comb
-    else:
-        patterns = itertools.product(range(n), repeat=width)
-        ways = math.perm
     rows, weights = [], []
-    for residues in patterns:
+    for residues in kind.residue_orders(range(n), width):
         copies: dict[int, int] = {}
         row = []
         for r in residues:
             row.append(r + copies.get(r, 0) * n)
             copies[r] = copies.get(r, 0) + 1
-        weight = math.prod(ways(level, c) for c in copies.values())
+        weight = math.prod(kind.ways(level, c) for c in copies.values())
         if weight:  # no residue used more than ``level`` times
             rows.append(tuple(row))
             weights.append(weight)
@@ -181,18 +174,17 @@ def representative_tables(
 
 
 def weighted_hits(
-    f: Formula,
-    kind: ModelKind,
+    checked: CheckedFormula,
     rows: list[tuple[int, ...]],
     weights: list[int],
     tables: Mapping[str, np.ndarray],
     structures: int,
 ) -> list[int]:
-    """Sum of ``weights`` over the grounding ``rows`` at which ``f`` holds,
-    one Python int per structure column of ``tables``."""
+    """Sum of ``weights`` over the grounding ``rows`` at which a checked
+    formula holds, one Python int per structure column of ``tables``."""
     sums = [0] * structures
     start = 0
-    for held in grounding_truths(f, kind, rows, tables, structures):
+    for held in grounding_truths(checked, rows, tables, structures):
         block = weights[start:start + len(held)]
         for t, column in enumerate(held.T):
             sums[t] += sum(itertools.compress(block, column))
@@ -210,31 +202,24 @@ def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, leve
         raise DomainError("expansion level must be at least 1")
     if not example.constants:
         raise DomainError("cannot expand an empty constant set")
-    check_formula(f, example.vocabulary())
     n = len(example.constants)
-    total = normalizer(f, kind, n * level)
-    k = formula_width(kind, f)
-    base = structure_tables(example, vocabulary_of(f))
-    tables = representative_tables(base, np.arange(n)[None], min(level, k))
-    rows, weights = residue_groundings(kind, k, n, level)
-    return Fraction(weighted_hits(f, kind, rows, weights, tables, 1)[0], total)
+    (checked,) = check_formulas((f,), example.vocabulary(), kind, n * level)
+    base = structure_tables(example, checked.vocabulary)
+    tables = representative_tables(base, np.arange(n)[None], min(level, checked.width))
+    rows, weights = residue_groundings(kind, checked.width, n, level)
+    hits = weighted_hits(checked, rows, weights, tables, 1)[0]
+    return Fraction(hits, checked.count(n * level))
 
 
-def required_expansion_level(kind, formulas: Iterable) -> int:
+def required_expansion_level(kind: ModelKind, formulas: Sequence[Formula]) -> int:
     """Smallest noisy-expansion level that makes every width reachable.
 
     Noise lands only on atoms over pairwise-congruent constants, so every
     width-k local example is reachable only when k constants can share a
-    congruence class: level >= k.  For fragment statistics k is the subset
-    width; for substitution statistics, the largest variable count among the
-    formulas.
+    congruence class: level >= k for the widest grounding of the checked
+    formulas, the subset width (Model A) or the longest prefix (Model B).
     """
-    if isinstance(kind, ModelA):
-        return kind.width
-    widths = [formula_width(kind, f) for f in formulas]
-    if not widths:
-        raise DomainError("no formulas to derive a level from")
-    return max(widths)
+    return kind.widest([c.width for c in check_formulas(formulas, {}, kind)])
 
 
 def noisy_expand(

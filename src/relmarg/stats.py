@@ -12,10 +12,12 @@ Two sampling models, and the asymmetry between them is the whole point:
   and only universally quantified formulas are admitted.
 
 Both are the fraction of a formula's groundings that hold; they differ only
-in what a grounding is.  ``normalizer`` and ``groundings`` are the only code
-that knows, and ``holds_over`` is the only code that decides whether a
-formula holds at a grounding: every statistic in the package goes through
-them.  All statistics are computed by exhaustive enumeration and returned as
+in what a grounding is.  ``ModelA``, ``ModelB`` and the ``CheckedFormula``
+record of each formula (``check_formulas``) are the only code that knows
+which variables a grounding binds, which body it decides, its width, and
+how many and which groundings n constants have; ``holds_over`` is the only
+code that decides whether a formula holds at one.  Every statistic in the
+package goes through them, by exhaustive enumeration, and is returned as a
 ``fractions.Fraction``; convert at the boundary if floats are wanted.
 
 ``holds_over`` evaluates a formula over a batch of (grounding, structure)
@@ -51,7 +53,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -82,80 +84,127 @@ from .logic import (
 
 @dataclass(frozen=True)
 class ModelA:
-    """Fragment statistics at a fixed subset width."""
+    """Fragment statistics at a fixed subset width: a grounding is one of the
+    C(n, k) size-k subsets, whose atoms are its fragment's, and decides the
+    whole formula on it; an expansion's go by residue multiset, C(level, c)
+    ways each."""
 
     width: int
+    ways = math.comb
+    orders = itertools.combinations
+    residue_orders = itertools.combinations_with_replacement
 
     def __post_init__(self):
         if self.width < 1:
             raise DomainError("Model A width must be at least 1")
 
+    def bind(self, f: Formula) -> tuple[int, tuple[Var, ...], Formula]:
+        """A grounding's width, the variables it binds, the body it decides."""
+        return self.width, (), f
+
+    def count(self, width: int, n: int) -> int:
+        if width > n:
+            raise DomainError(f"width {width} outside 1..{n}")
+        return self.ways(n, width)
+
+    def widest(self, widths: Sequence[int]) -> int:
+        return self.width  # every grounding has the kind's width
+
 
 @dataclass(frozen=True)
 class ModelB:
-    """Injective-substitution statistics; width is per formula (its variable count)."""
+    """Injective-substitution statistics: a grounding is one of the P(n, v)
+    injective substitutions of the v prefix variables and decides the matrix;
+    an expansion's groundings go by residue sequence, P(level, c) ways each."""
+
+    ways = math.perm
+    orders = itertools.permutations
+    residue_orders = staticmethod(lambda pool, k: itertools.product(pool, repeat=k))
+
+    def bind(self, f: Formula) -> tuple[int, tuple[Var, ...], Formula]:
+        """The width (per formula: the prefix length), prefix and matrix of a
+        universal prefix over every variable, each bound once, and a
+        quantifier-free matrix."""
+        vs, matrix = strip_foralls(f)
+        if not vs or not quantifier_free(matrix) or vars_of(matrix) - set(vs):
+            need = "a universally quantified formula with a quantifier-free matrix"
+        elif len(set(vs)) < len(vs):
+            need = "a universal prefix that binds each variable once"
+        else:
+            return len(vs), vs, matrix
+        raise DomainError(f"Model B statistics require {need}, got: {format_formula(f)}")
+
+    def count(self, width: int, n: int) -> int:
+        if width > n:
+            raise DomainError(f"formula has {width} variables but the domain has {n} constants")
+        return self.ways(n, width)
+
+    def widest(self, widths: Sequence[int]) -> int:
+        if not widths:
+            raise DomainError("no formulas to derive a level from")
+        return max(widths)
 
 
 MODEL_B = ModelB()
 ModelKind = ModelA | ModelB
 
 
+@dataclass(frozen=True)
+class CheckedFormula:
+    """A formula checked under ``kind``: each grounding binds ``bound`` to
+    ``width`` constant positions and decides ``body``.  ``vocabulary`` is
+    the formula's own."""
+
+    kind: ModelKind
+    width: int
+    bound: tuple[Var, ...]
+    body: Formula
+    vocabulary: Mapping[str, int] = field(compare=False)
+
+    def count(self, n: int) -> int:
+        """Groundings over ``n`` constants; raises when there are none."""
+        return self.kind.count(self.width, n)
+
+    def rows(self, n: int) -> Iterator[tuple[int, ...]]:
+        """The groundings over ``n`` constants, as tuples of positions."""
+        return self.kind.orders(range(n), self.width)
+
+    def statistic(self, tables: Mapping[str, np.ndarray], n: int) -> Fraction:
+        """The fraction of the groundings that hold in the structure on ``n``
+        constants whose truth tables are ``tables``."""
+        return Fraction(int(count_groundings(self, self.rows(n), tables, 1)[0]), self.count(n))
+
+
+def check_formulas(
+    formulas: Sequence[Formula], vocabulary: Mapping[str, int], kind: ModelKind, n: int | None = None
+) -> tuple[CheckedFormula, ...]:
+    """The record of each formula: first every formula must pass
+    ``check_formula``, then each in turn must bind under ``kind`` and, given
+    ``n``, have groundings over ``n`` constants."""
+    vocabularies = [check_formula(f, vocabulary) for f in formulas]
+    out = []
+    for f, own in zip(formulas, vocabularies):
+        out.append(CheckedFormula(kind, *kind.bind(f), own))
+        if n is not None:
+            out[-1].count(n)
+    return tuple(out)
+
+
 def formula_width(kind: ModelKind, f: Formula) -> int:
-    """Subset width used by Model A, variable count used by Model B."""
-    if isinstance(kind, ModelA):
-        return kind.width
-    return len(vars_of(f))
+    """Subset width used by Model A, prefix length used by Model B."""
+    return check_formulas((f,), {}, kind)[0].width
 
 
-def check_formula(f: Formula, vocabulary: Mapping[str, int]):
-    """Raise unless ``f`` is closed, constant-free and fits ``vocabulary``."""
+def check_formula(f: Formula, vocabulary: Mapping[str, int]) -> dict[str, int]:
+    """Raise unless ``f`` is closed, constant-free and fits ``vocabulary``;
+    return its own vocabulary."""
     if free_vars(f):
         raise DomainError(f"formula is not closed: {format_formula(f)}")
     if constants_of(f):
         raise DomainError(f"formula must be constant-free: {format_formula(f)}")
-    merge_vocabulary(vocabulary_of(f), vocabulary)
-
-
-def universal_parts(f: Formula) -> tuple[tuple[Var, ...], Formula]:
-    """Prefix variables and matrix of a universally quantified formula.
-
-    Raises unless ``f`` is a chain of universal quantifiers over every
-    variable, with a quantifier-free matrix; Model B statistics are not
-    defined for anything else.
-    """
-    vs, matrix = strip_foralls(f)
-    if not vs or not quantifier_free(matrix) or vars_of(matrix) - set(vs):
-        raise DomainError(
-            "Model B statistics require a universally quantified formula "
-            f"with a quantifier-free matrix, got: {format_formula(f)}"
-        )
-    return vs, matrix
-
-
-# ---------------------------------------------------------------------------
-# groundings: the only code that knows what Model A and Model B sample
-
-def normalizer(f: Formula, kind: ModelKind, n: int) -> int:
-    """Number of groundings of ``f`` over ``n`` constants: C(n, k) size-k
-    subsets for Model A, P(n, v) injective substitutions of the v prefix
-    variables for Model B."""
-    if isinstance(kind, ModelA):
-        if not 1 <= kind.width <= n:
-            raise DomainError(f"width {kind.width} outside 1..{n}")
-        return math.comb(n, kind.width)
-    v = len(universal_parts(f)[0])
-    if v > n:
-        raise DomainError(f"formula has {v} variables but the domain has {n} constants")
-    return math.perm(n, v)
-
-
-def groundings(f: Formula, kind: ModelKind, n: int) -> Iterator[tuple[int, ...]]:
-    """The groundings ``normalizer`` counts, as tuples of constant positions
-    in a fixed order: size-k subsets for Model A, injective substitutions of
-    the prefix variables for Model B."""
-    if isinstance(kind, ModelA):
-        return itertools.combinations(range(n), kind.width)
-    return itertools.permutations(range(n), len(universal_parts(f)[0]))
+    own = vocabulary_of(f)
+    merge_vocabulary(own, vocabulary)
+    return own
 
 
 # ---------------------------------------------------------------------------
@@ -242,46 +291,35 @@ def _holds(g, tables, shape, domain, env) -> np.ndarray:
 
 
 def count_groundings(
-    f: Formula,
-    kind: ModelKind,
+    checked: CheckedFormula,
     rows: Iterable[Sequence[int]],
     tables: Mapping[str, np.ndarray],
     structures: int,
 ) -> np.ndarray:
-    """How many of the grounding ``rows`` of ``f`` (constant positions, as
-    from ``groundings``) hold in each structure, as an int array of length
-    ``structures``.  Rows are evaluated in blocks of at most ``BLOCK_CELLS``
-    (grounding, structure) cells, so memory does not grow with their number.
-
-    Model A evaluates ``f`` with the subset as the domain: atoms inside the
-    subset are exactly the fragment's atoms, so no fragment is built.  Model
-    B binds the prefix variables and evaluates the matrix.
-    """
+    """How many of the grounding ``rows`` of a checked formula (constant
+    positions, as from ``CheckedFormula.rows``) hold in each structure, as
+    an int array of length ``structures``; no fragment is built.  Rows are
+    evaluated in blocks of at most ``BLOCK_CELLS`` (grounding, structure)
+    cells, so memory does not grow with their number."""
     counts = np.zeros(structures, dtype=np.int64)
-    for held in grounding_truths(f, kind, rows, tables, structures):
+    for held in grounding_truths(checked, rows, tables, structures):
         counts += held.sum(axis=0)
     return counts
 
 
 def grounding_truths(
-    f: Formula,
-    kind: ModelKind,
+    checked: CheckedFormula,
     rows: Iterable[Sequence[int]],
     tables: Mapping[str, np.ndarray],
     structures: int,
 ) -> Iterator[np.ndarray]:
-    """Whether ``f`` holds at each grounding row in each structure, as
-    consecutive (rows, ``structures``) bool blocks of at most ``BLOCK_CELLS``
-    cells; ``count_groundings`` sums them."""
-    if isinstance(kind, ModelA):
-        vs, width = (), kind.width
-    else:
-        vs, f = universal_parts(f)
-        width = len(vs)
-    for block in index_blocks(rows, width, BLOCK_CELLS // max(structures, 1)):
+    """Whether a checked formula holds at each grounding row in each
+    structure, as consecutive (rows, ``structures``) bool blocks of at most
+    ``BLOCK_CELLS`` cells; ``count_groundings`` sums them."""
+    for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(structures, 1)):
         columns = list(block.T)
-        env = {v.name: c for v, c in zip(vs, columns)}
-        yield holds_over(f, tables, (len(block), structures), columns, env)
+        env = {v.name: c for v, c in zip(checked.bound, columns)}
+        yield holds_over(checked.body, tables, (len(block), structures), columns, env)
 
 
 def index_blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
@@ -299,18 +337,9 @@ def index_blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterat
 def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
     """The marginal statistic of ``f`` under the chosen model: the fraction
     of its groundings in ``example`` that hold."""
-    check_formula(f, example.vocabulary())
     n = len(example.constants)
-    normalizer(f, kind, n)  # width/variable-count validation before the tables
-    return table_statistic(f, kind, structure_tables(example, vocabulary_of(f)), n)
-
-
-def table_statistic(f: Formula, kind: ModelKind, tables: Mapping[str, np.ndarray], n: int) -> Fraction:
-    """``statistic`` of ``f`` (already checked) in the structure on ``n``
-    constants whose truth tables are ``tables``: callers that read several
-    formulas off one structure build its tables once."""
-    hits = count_groundings(f, kind, groundings(f, kind, n), tables, 1)[0]
-    return Fraction(int(hits), normalizer(f, kind, n))
+    (checked,) = check_formulas((f,), example.vocabulary(), kind, n)
+    return checked.statistic(structure_tables(example, checked.vocabulary), n)
 
 
 def distinct_rows(rows: np.ndarray, radix: int | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -30,11 +30,9 @@ from .stats import (
     TABLE_CELL_CAP,
     ModelKind,
     check_cells,
-    check_formula,
+    check_formulas,
     count_groundings,
-    groundings,
     holds_over,
-    normalizer,
 )
 
 DEFAULT_ATOM_CAP = 24
@@ -111,9 +109,9 @@ class WorldSpace:
 
     def normalizers(self, formulas: Sequence[Formula], kind: ModelKind) -> np.ndarray:
         """Statistic denominators: subset count for Model A, injective
-        substitution count per formula for Model B."""
+        substitution count per formula for Model B, as the kind counts them."""
         n = len(self.constants)
-        return np.array([normalizer(f, kind, n) for f in formulas], dtype=np.int64)
+        return np.array([kind.count(kind.bind(f)[0], n) for f in formulas], dtype=np.int64)
 
     def count_matrix(self, formulas: Sequence[Formula], kind: ModelKind) -> np.ndarray:
         """Unnormalized statistic counts, one row per world, one column per
@@ -126,11 +124,9 @@ class WorldSpace:
         cached = self._counts.get(key)
         if cached is not None:
             return cached
-        for f in formulas:
-            check_formula(f, self.vocabulary)
-        self.normalizers(formulas, kind)  # width/variable-count validation
         n, w = len(self.constants), len(self.worlds)
-        named = {p for f in formulas for p in vocabulary_of(f)}
+        checked = check_formulas(formulas, self.vocabulary, kind, n)
+        named = {p for c in checked for p in c.vocabulary}
         table_bytes = w * sum(n**a for p, a in self.vocabulary.items() if p in named)
         check_cells(
             table_bytes, f"truth tables of {table_bytes} bytes over {w} worlds", WORLD_TABLE_BYTE_CAP
@@ -143,8 +139,8 @@ class WorldSpace:
         )
         tables = world_tables(self.worlds, n, self.vocabulary, named)
         out = np.zeros((w, len(formulas)), dtype=np.int64)
-        for j, f in enumerate(formulas):
-            out[:, j] = count_groundings(f, kind, groundings(f, kind, n), tables, w)
+        for j, c in enumerate(checked):
+            out[:, j] = count_groundings(c, c.rows(n), tables, w)
         if out.nbytes + sum(c.nbytes for c in self._counts.values()) > WORLD_TABLE_BYTE_CAP:
             self._counts.clear()
         self._counts[key] = out

@@ -263,6 +263,22 @@ def test_eta_interior_validates_eta():
         eta_interior([0.5], -0.1, poly)
 
 
+def test_polytope_vertices_refuses_an_empty_world_space():
+    never = parse_formula("exists X: r(X) & ~r(X)")
+    space = enumerate_worlds(["a", "b"], {"r": 1}, hard_rules=[never])
+    assert len(space) == 0
+    with pytest.raises(DomainError, match="empty world space"):
+        polytope_vertices([parse_formula("exists X: r(X)")], space, ModelA(1))
+
+
+def test_eta_interior_of_a_polytope_without_formulas_is_inside_unprobed():
+    poly = polytope_vertices([], enumerate_worlds(["a", "b"], {"r": 1}), ModelA(1))
+    assert poly.dim == 0 and poly.vertices == ((),)
+    verdict = eta_interior([], 0.3, poly)
+    assert verdict.inside and verdict.probes_checked == 0
+    assert verdict.rejected_direction is None
+
+
 def test_eta_interior_is_seed_deterministic():
     poly = _poly([(0, 0), (1, 0), (0, 1)])
     a = eta_interior([0.2, 0.2], 0.15, poly)

@@ -17,8 +17,9 @@ from test_structures import local_of
 from relmarg import stats
 from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
-from relmarg.expansion import expand
-from relmarg.logic import Forall, parse_formula, strip_foralls
+from relmarg.estimation import ExperimentConfig, random_structure
+from relmarg.expansion import expand, expanded_statistic
+from relmarg.logic import Forall, PredAtom, Predicate, Var, parse_formula, strip_foralls
 from relmarg.stats import (
     MODEL_B,
     MarginalConstraint,
@@ -28,6 +29,7 @@ from relmarg.stats import (
     parse_theta,
     statistic,
 )
+from relmarg.worlds import enumerate_worlds
 
 FRIENDS = GlobalExample(
     ["alice", "bob", "eve"],
@@ -136,6 +138,47 @@ def test_formulas_must_be_closed_and_constant_free():
 def test_model_a_width_validation():
     with pytest.raises(DomainError):
         ModelA(0)
+
+
+def test_substitution_needs_a_constant_per_variable():
+    # three prefix variables have no injective substitution into two constants
+    f = parse_formula("forall X, Y, Z: ~e(X,Y) | e(Y,Z)")
+    two = GlobalExample(["a", "b"], [("e", ("a", "b"))])
+    message = "formula has 3 variables but the domain has 2 constants"
+    with pytest.raises(DomainError, match=message):
+        statistic(f, two, MODEL_B)
+    with pytest.raises(DomainError, match=message):
+        enumerate_worlds(["a", "b"], {"e": 2}).count_matrix([f], MODEL_B)
+
+
+def test_substitution_rejects_a_variable_bound_twice_in_the_prefix():
+    # the parser refuses this formula, so it is built from the syntax tree;
+    # with X bound twice, the prefix length (2) and the variable count (1)
+    # would disagree on what a grounding is
+    ex = random_structure(6, {"r": 1}, 0.5, random.Random(1))
+    f = Forall((Var("X"),), Forall((Var("X"),), PredAtom(Predicate("r", 1), (Var("X"),))))
+    calls = [
+        lambda: statistic(f, ex, MODEL_B),
+        lambda: expanded_statistic(f, ex, MODEL_B, 2),
+        lambda: enumerate_worlds(["a", "b"], {"r": 1}).count_matrix([f], MODEL_B),
+        lambda: ExperimentConfig(ex, 3, 6, (f,), MODEL_B, trials=4, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="binds each variable once"):
+            call()
+
+
+def test_checked_formula_records_what_a_grounding_is():
+    f = parse_formula("forall X, Y: e(X,Y) | r(Y)")
+    # Model A binds nothing and decides the whole formula on each subset
+    (a,) = stats.check_formulas([f], {"r": 1, "e": 2}, ModelA(2))
+    assert (a.width, a.bound, a.body, a.vocabulary) == (2, (), f, {"e": 2, "r": 1})
+    assert a.count(4) == 6 and list(a.rows(3)) == [(0, 1), (0, 2), (1, 2)]
+    # Model B binds the prefix and decides the matrix on each substitution
+    (b,) = stats.check_formulas([f], {}, MODEL_B)
+    assert (b.width, [v.name for v in b.bound]) == (2, ["X", "Y"])
+    assert b.body == parse_formula("e(X,Y) | r(Y)")
+    assert b.count(3) == 6 and list(b.rows(2)) == [(0, 1), (1, 0)]
 
 
 # ---------------------------------------------------------------------------
