@@ -20,12 +20,21 @@ if every other facet keeps that point q ``INSIDE_SLACK`` inside, q is the
 nearest point.  Either point is the nearest point of a set (the affine hull,
 or its intersection with one facet's half-space) that contains the
 polytope, so when it lies in the polytope it is the polytope's nearest
-point.  Points near a lower-dimensional face, and every point of a polytope
-past ``FACET_WORK_CAP``, which has no facets, go to Wolfe's nearest-point
+point.  Both certificates cost one matrix product with p.  The constraints
+are one stacked float array: orthonormal equality rows, then unit facet
+normals that lie in the affine hull's direction space.  So ``rows @ p -
+offsets`` gives p's offset from the affine hull and every facet gap of p'
+at once, and moving p' a step along facet j's normal shifts each gap by
+step times the two normals' dot product.
+
+Points near a lower-dimensional face, and every point of a polytope past
+``FACET_WORK_CAP``, which has no facets, go to Wolfe's nearest-point
 algorithm (Wolfe 1976).  It is finite and exact up to floating-point
 rounding: it walks through affinely independent vertex subsets, each time
 projecting onto the subset's affine hull, so membership queries are
-reliable well below the 1e-8 declaration threshold.
+reliable well below the 1e-8 declaration threshold.  It keeps the Gram
+matrix of its current subset and grows it by one row and column per added
+vertex, so each projection is one small linear solve.
 
 ``eta_interior`` applies the first certificate to all its probes at once:
 on a full-dimensional polytope, a probe that every facet keeps
@@ -57,7 +66,7 @@ MEMBERSHIP_TOL = 1e-8
 ETA_PROBES = 16  # random directions eta_interior probes beyond the axes
 # steps the double description may take (see ``_facets``).  Past this a
 # polytope stores no facets, and every query goes to Wolfe's loop.  At 2^19
-# a refused run stops in about 0.1 s on small integers, and in 0.06-0.32 s on
+# a refused run stops in about 0.1 s on small integers, and in 0.05-0.30 s on
 # 400 rational sphere points in dimensions 3-6 with 1,100-3,000-digit scaled
 # coordinates (2-core host, Python 3.11).
 FACET_WORK_CAP = 1 << 19
@@ -83,17 +92,17 @@ class HRepresentation:
 
 
 class _UnitConstraints(NamedTuple):
-    """An H-representation as float arrays.  ``basis`` holds orthonormal
-    rows that span the equality normals, and ``basis @ x == basis_offsets``
-    on the affine hull.  ``normals`` and ``bounds`` are the facets as
-    constraints ``normals @ x <= bounds`` on the affine hull, with each facet
-    normal projected into the hull's direction space and scaled to unit
-    length."""
+    """An H-representation as one float array, so that one product
+    ``rows @ x - offsets`` evaluates every constraint at x.  The first
+    ``equalities`` rows are orthonormal and span the equality normals: their
+    values are the offset of x from the affine hull.  The other rows are the
+    facet normals, projected into the hull's direction space and scaled to
+    unit length: their values are the facet gaps of x's projection onto the
+    affine hull, which is inside a facet where its gap is at most 0."""
 
-    basis: np.ndarray
-    basis_offsets: np.ndarray
-    normals: np.ndarray
-    bounds: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+    equalities: int
 
 
 @dataclass(frozen=True)
@@ -137,23 +146,28 @@ class MarginalPolytope:
         if h.facets is None:
             return None
         constraints = h.equalities + h.facets
-        rows = np.array([a for a, _ in constraints], dtype=float)
-        offsets = np.array([b for _, b in constraints], dtype=float)
+        # each row divided by a power of two that brings its largest entry
+        # below 2^64, so that long integers neither overflow a float nor
+        # square past its range
+        divisors = [1 << max(0, max(map(abs, a)).bit_length() - 64) for a, _ in constraints]
+        rows = np.array([[x / s for x in a] for (a, _), s in zip(constraints, divisors)])
+        offsets = np.array([b / s for (_, b), s in zip(constraints, divisors)])
         norms = np.linalg.norm(rows, axis=1)
         rows, offsets = rows / norms[:, None], offsets / norms
         k = len(h.equalities)
-        # the equalities E x = e as Q^T x = R^-T e, with E^T = Q R
-        q, r = np.linalg.qr(rows[:k].T)
-        basis = q.T
-        basis_offsets = np.linalg.solve(r.T, offsets[:k]) if k else np.zeros(0)
-        # on the affine hull, a.x = n.x + (Q^T a).(Q^T x) for the part n of a
-        # orthogonal to the equality normals
-        facets = rows[k:]
-        along = facets @ basis.T
-        normals = facets - along @ basis
-        bounds = offsets[k:] - along @ basis_offsets
-        lengths = np.linalg.norm(normals, axis=1)
-        return _UnitConstraints(basis, basis_offsets, normals / lengths[:, None], bounds / lengths)
+        if k:
+            # the equalities E x = e as Q^T x = R^-T e, with E^T = Q R
+            q, r = np.linalg.qr(rows[:k].T)
+            rows[:k], offsets[:k] = q.T, np.linalg.solve(r.T, offsets[:k])
+            # on the affine hull, a.x = n.x + (Q^T a).(Q^T x) for the part n
+            # of a orthogonal to the equality normals
+            along = rows[k:] @ q
+            rows[k:] -= along @ q.T
+            offsets[k:] -= along @ offsets[:k]
+        lengths = np.linalg.norm(rows[k:], axis=1)
+        rows[k:] /= lengths[:, None]
+        offsets[k:] /= lengths
+        return _UnitConstraints(rows, offsets, k)
 
     def _facets_for_query(self) -> bool:
         """Whether ``hull_distance`` reads the facets: once they are known,
@@ -253,10 +267,10 @@ def _facets(
     the rows it is tight at, as a bit mask; p and q are adjacent when their
     common zero set has at least r - 1 rows and lies in no other ray's zero
     set.  The steps are the work done: r + 1 products for each ray's slack
-    at each row, times the 64-bit limbs of the row's largest coordinate, one
-    step for each pair's count test, and one step per ray for each pair that
-    passes it and is checked against every ray's zero set.  Past
-    ``FACET_WORK_CAP`` steps no facet is computed.
+    at each row, each charged the 64-bit limbs of the row coordinate it
+    multiplies, one step for each pair's count test, and one step per ray
+    for each pair that passes it and is checked against every ray's zero
+    set.  Past ``FACET_WORK_CAP`` steps no facet is computed.
     """
     r, n = len(pivots), len(rows)
     if r == 0:
@@ -271,10 +285,10 @@ def _facets(
         slacks = [sum(a * c for a, c in zip(ray, ys[i])) for ray in rays]
         out = [k for k, s in enumerate(slacks) if s > 0]
         inside = [k for k, s in enumerate(slacks) if s < 0]
-        # r + 1 products per slack, as long as the row's largest entry, and
-        # one count test per pair
-        limbs = max(1, -(-max(abs(c) for c in ys[i]).bit_length() // 64))
-        work += (r + 1) * len(rays) * limbs + len(out) * len(inside)
+        # one product per coordinate of the row in each slack, as long as
+        # that coordinate, and one count test per pair
+        limbs = sum(max(1, -(-c.bit_length() // 64)) for c in ys[i])
+        work += len(rays) * limbs + len(out) * len(inside)
         if work > FACET_WORK_CAP:
             return None
         new_rays, new_masks = [], []
@@ -359,11 +373,13 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     The projection certificates of the module docstring answer the query
     when the nearest point is the projection onto the affine hull (exactly
     0.0 inside a full-dimensional polytope) or onto a single facet within
-    it.  They read the facets, which are built at the polytope's second
+    it.  Both come from one product of the stacked constraint rows with the
+    point.  They read the facets, which are built at the polytope's second
     query unless they are known already: a single query, as
     ``realizability_check`` makes, does not pay for the facets.  Any
     other point, a first query, and every point of a polytope without
-    facets go to Wolfe's nearest-point loop.
+    facets go to Wolfe's nearest-point loop, which grows its corral's Gram
+    matrix by one row and column per vertex.
     """
     p = _as_point(point, polytope)
     certify = polytope.dim and polytope._facets_for_query()
@@ -386,23 +402,26 @@ def _certified_distance(p: np.ndarray, polytope: MarginalPolytope) -> float | No
     c = polytope._unit_constraints
     if c is None:
         return None
-    # p becomes its projection onto the affine hull, at distance off
-    off = 0.0
-    if len(c.basis):
-        across = c.basis @ p - c.basis_offsets
-        p = p - across @ c.basis
-        off = float(np.linalg.norm(across))
-    gaps = c.normals @ p - c.bounds
-    if (gaps <= -INSIDE_SLACK).all():
+    k = c.equalities
+    values = c.rows @ p - c.offsets
+    # p lies at distance off from its projection p' onto the affine hull,
+    # and the facet normals are orthogonal to the step from p to p', so the
+    # gaps at p are the gaps at p'
+    off = math.sqrt(float(values[:k] @ values[:k])) if k else 0.0
+    gaps = values[k:]
+    # -inf for a single point, which has no facets
+    step = float(gaps.max(initial=-math.inf))
+    if step <= -INSIDE_SLACK:
         return off
-    j = int(np.argmax(gaps))
-    step = float(gaps[j])
     if step <= 0:
         return None
-    # q: p moved onto facet j along its normal within the affine hull
-    inside = c.normals @ (p - step * c.normals[j]) - c.bounds <= -INSIDE_SLACK
-    inside[j] = True
-    return math.hypot(off, step) if inside.all() else None
+    # q: p' moved by step onto facet j along its unit normal n_j, which
+    # shifts each facet's gap by -step * n.n_j
+    j = int(gaps.argmax())
+    normals = c.rows[k:]
+    shifted = gaps - step * (normals @ normals[j])
+    shifted[j] = -math.inf
+    return math.hypot(off, step) if shifted.max() <= -INSIDE_SLACK else None
 
 
 def _wolfe_distance(p: np.ndarray, polytope: MarginalPolytope) -> float:
@@ -412,32 +431,46 @@ def _wolfe_distance(p: np.ndarray, polytope: MarginalPolytope) -> float:
     the linear bound; minor steps move x to the affine nearest point of the
     corral, dropping vertices whose weight would turn non-positive.  The loop
     ends when no vertex improves on x or |x|^2 stops decreasing.
+
+    The affine nearest point solves the bordered system [[0, 1^T], [1, G]]
+    of the corral's Gram matrix G.  The loop keeps that system: a major step
+    grows it by the new vertex's row and column, a minor step drops the rows
+    of the vertices it drops.  ``np.linalg.solve`` solves it, and ``lstsq``
+    only when the matrix is singular.  The distance is the norm of the point
+    x itself, not lam^T G lam, which would cancel to about 1e-8 at interior
+    points.
     """
     if polytope.dim == 0:
         return 0.0
     vs = polytope.float_vertices - p
     sq = (vs * vs).sum(axis=1)
     tol = 1e-12 * float(sq.max())
-    corral = [int(np.argmin(sq))]
+    corral = [int(sq.argmin())]
     lam = np.ones(1)
     x = vs[corral[0]]
     best = float(x @ x)
+    system = np.array([[0.0, 1.0], [1.0, best]])
     while True:
         scores = vs @ x
-        j = int(np.argmin(scores))
+        j = int(scores.argmin())
         if best - float(scores[j]) <= tol or j in corral:
             break
+        k = len(corral)
+        grown = np.empty((k + 2, k + 2))
+        grown[:-1, :-1] = system
+        grown[-1, 1:-1] = grown[1:-1, -1] = vs[corral] @ vs[j]
+        grown[-1, 0] = grown[0, -1] = 1.0
+        grown[-1, -1] = sq[j]
+        system = grown
         corral.append(j)
         lam = np.append(lam, 0.0)
         while True:
-            k = len(corral)
-            s = vs[corral]
-            system = np.ones((k + 1, k + 1))
-            system[:k, :k] = s @ s.T
-            system[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            mu = np.linalg.lstsq(system, rhs, rcond=None)[0][:k]
+            rhs = np.zeros(len(system))
+            rhs[0] = 1.0
+            try:
+                mu = np.linalg.solve(system, rhs)[1:]
+            except np.linalg.LinAlgError:
+                mu = np.linalg.lstsq(system, rhs, rcond=None)[0][1:]
             if (mu > 0).all():
                 lam = mu
                 break
@@ -445,19 +478,21 @@ def _wolfe_distance(p: np.ndarray, polytope: MarginalPolytope) -> float:
             # that is zero already (the vertex just added) gives a step of 0
             blocking = np.flatnonzero(mu <= 0)
             steps = lam[blocking] / np.maximum(lam[blocking] - mu[blocking], 1e-300)
-            first = int(np.argmin(steps))
+            first = int(steps.argmin())
             theta = float(steps[first])
             lam = lam + theta * (mu - lam)
             lam[blocking[first]] = 0.0
             keep = lam > 0
             corral = [c for c, kept in zip(corral, keep) if kept]
             lam = lam[keep]
+            rows = np.append(True, keep)
+            system = system[np.ix_(rows, rows)]
         y = lam @ vs[corral]
         norm = float(y @ y)
         if norm >= best:
             break
         x, best = y, norm
-    return float(np.linalg.norm(x))
+    return math.sqrt(best)
 
 
 @dataclass(frozen=True)
@@ -494,11 +529,11 @@ def eta_interior(
     # distance is 0.0, for every probe at once
     c = polytope._unit_constraints
     inside = np.zeros(len(probes), dtype=bool)
-    if c is not None and not len(c.basis):
-        inside = (probes @ c.normals.T - c.bounds <= -INSIDE_SLACK).all(axis=1)
-    for checked, (direction, probe, kept) in enumerate(zip(directions, probes, inside), 1):
-        if not kept and hull_distance(probe, polytope) >= MEMBERSHIP_TOL:
-            return EtaVerdict(False, eta, tuple(float(x) for x in direction), checked)
+    if c is not None and not c.equalities:
+        inside = (probes @ c.rows.T - c.offsets <= -INSIDE_SLACK).all(axis=1)
+    for i in np.flatnonzero(~inside):
+        if hull_distance(probes[i], polytope) >= MEMBERSHIP_TOL:
+            return EtaVerdict(False, eta, tuple(float(x) for x in directions[i]), int(i) + 1)
     return EtaVerdict(True, eta, None, len(directions))
 
 
@@ -529,7 +564,7 @@ def interiority_margin(m: int, k: int, l: int, eta: float) -> float:
     if not 1 <= k <= m:
         raise DomainError(f"width {k} outside 1..{m}")
     if l < 1:
-        raise DomainError("level must be at least 1")
+        raise DomainError(f"target coordinate count {l} must be at least 1")
     if eta < 0:
         raise DomainError("eta must be non-negative")
     return eta + math.sqrt(l) * float(1 - Fraction(m - k + 1, m) ** (k - 1))
@@ -549,8 +584,8 @@ def realizability_check(
     hull distance as diagnosis.  The polytope is fresh, so ``hull_distance``
     answers its one query by Wolfe's loop and builds no facets: over the 88
     calls of the seed-1 perfbench ``fit`` list, the affine hulls and facets
-    took 27-44 ms and the Wolfe runs 12-20 ms (three runs on a 2-core
-    host)."""
+    took 43-52 ms and the Wolfe runs 10-12 ms (ten runs on a 2-core host,
+    Python 3.11)."""
     polytope = polytope_vertices(formulas, space, kind)
     distance = hull_distance(theta, polytope)
     return RealizabilityVerdict(distance < MEMBERSHIP_TOL, distance, polytope)

@@ -117,8 +117,12 @@ def _oracle_distance(point, vs):
 def hull_queries(draw):
     d = draw(st.integers(1, 3))
     den = draw(st.sampled_from([1, 2, 3, 4]))
+    # Wolfe's loop admits a vertex 1e-12 closer only when the polytope's
+    # squared radius about the point is below the point's distance, so some
+    # polytopes are small
+    size = draw(st.sampled_from([Fraction(1), Fraction(1, 50)]))
     lattice = st.tuples(*[st.integers(-2 * den, 2 * den)] * d).map(
-        lambda v: tuple(Fraction(c, den) for c in v)
+        lambda v: tuple(Fraction(c, den) * size for c in v)
     )
     vertices = draw(st.lists(lattice, min_size=1, max_size=5))
     index = st.integers(0, len(vertices) - 1)
@@ -128,6 +132,16 @@ def hull_queries(draw):
         a, b = vertices[draw(index)], vertices[draw(index)]
         t = draw(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(2)]))
         vertices.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    # near-singular Gram matrices for Wolfe's corral: a copy of a vertex
+    # moved by 1e-12, or a point 1e-12 off the line through two vertices
+    near = draw(st.sampled_from([None, "duplicate", "collinear"]))
+    if near is not None:
+        a, b = vertices[draw(index)], vertices[draw(index)]
+        t = Fraction(0) if near == "duplicate" else draw(
+            st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2)]))
+        axis = draw(st.integers(0, d - 1))
+        vertices.append(tuple(x + t * (y - x) + Fraction(1e-12) * (j == axis)
+                              for j, (x, y) in enumerate(zip(a, b))))
     vs = np.array(vertices, dtype=float)
     pick = st.integers(0, len(vs) - 1)
     kind = draw(st.sampled_from(["vertex", "midpoint", "lattice", "uniform"]))
@@ -169,6 +183,28 @@ def test_import_leaves_scipy_optimize_unloaded():
     optimize_loaded, scipy_modules = result.stdout.splitlines()
     assert optimize_loaded == "False"
     assert scipy_modules == "[]"
+
+
+def test_wolfe_distance_falls_back_to_lstsq_when_solve_raises(monkeypatch):
+    calls = []
+
+    def singular(a, b):
+        calls.append(len(a))
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    cases = [
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], [(2.0, 0.5), (2.0, 2.0), (0.3, -0.4), (0.5, 0.5)]),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+         [(1.0, 1.0, 1.0), (-0.5, 0.2, 0.2), (0.2, 0.2, 0.2), (0.5, 0.5, -1.0)]),
+    ]
+    for vertices, points in cases:
+        poly = _poly(vertices)
+        for point in points:
+            p = np.array(point)
+            oracle = _oracle_distance(p, np.array(vertices, dtype=float))
+            assert abs(polytope._wolfe_distance(p, poly) - oracle) <= 1e-9
+    assert calls
 
 
 def test_distance_validates_dimension():
@@ -305,7 +341,7 @@ def test_interiority_margin_shrinks_with_domain_size():
 def test_interiority_margin_validation():
     with pytest.raises(DomainError):
         interiority_margin(2, 3, 1, 0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="target coordinate count 0 must be at least 1"):
         interiority_margin(3, 2, 0, 0.1)
     with pytest.raises(DomainError):
         interiority_margin(3, 2, 1, -0.1)
@@ -479,13 +515,17 @@ def test_facets_of_polytopes_with_many_interior_rows(size, rows, facet_count):
         assert abs(hull_distance(point, poly) - polytope._wolfe_distance(point, poly)) <= 1e-9
 
 
-@pytest.mark.parametrize(("side", "rank"), [(40, 2), (10, 3), (6, 4)])
-def test_facets_of_low_rank_polytopes_with_many_rows(side, rank):
+@pytest.mark.parametrize(("side", "rank", "shift"), [
+    pytest.param(40, 2, 0, id="40-2"), pytest.param(10, 3, 0, id="10-3"),
+    pytest.param(6, 4, 0, id="6-4"), pytest.param(6, 4, Fraction(1, 3**400), id="6-4-shifted")])
+def test_facets_of_low_rank_polytopes_with_many_rows(side, rank, shift):
     # 1,600, 1,000 and 1,296 grid points, nearly all inside the cube: most
     # pairs of the double description stop at the zero-set count test, and
     # the work cap charges them one step each.  The subset-enumeration
-    # oracle is too slow here, so the checks are structural.
-    vertices = list(itertools.product(range(side), repeat=rank))
+    # oracle is too slow here, so the checks are structural.  The shift
+    # makes the first coordinates up to 637 bits long after scaling, and
+    # the work cap charges that length to their products, not to the row.
+    vertices = [(v[0] + shift, *v[1:]) for v in itertools.product(range(side), repeat=rank)]
     poly = _poly(vertices)
     facets = poly.h_representation.facets
     assert facets is not None and len(facets) == 2 * rank
@@ -495,6 +535,7 @@ def test_facets_of_low_rank_polytopes_with_many_rows(side, rank):
         tight = [v for v, slack in zip(vertices, slacks) if slack == 0]
         assert oracles.span_rank([[x - y for x, y in zip(v, tight[0])] for v in tight]) == rank - 1
     centre = np.full(rank, (side - 1) / 2)
+    assert polytope._certified_distance(centre, poly) == 0.0
     for point in (centre, np.full(rank, 0.5), np.arange(rank, dtype=float),
                   centre + side, np.full(rank, -1.0), np.array([-0.5] + [1.0] * (rank - 1))):
         assert abs(hull_distance(point, poly) - polytope._wolfe_distance(point, poly)) <= 1e-9
