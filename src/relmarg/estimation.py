@@ -4,7 +4,9 @@ The workflow mirrors the intended use: a ground-truth structure is too big to
 observe, a uniformly sampled size-m fragment is available, and the statistic
 at a target domain size is estimated from the fragment's periodic expansion.
 `run_error_experiment` measures the absolute estimation error over repeated
-draws and compares it against the closed-form expectation bound
+draws, reading every trial's estimate through `expansion.expanded_statistics`
+(the one reader of expanded statistics), and compares it against the
+closed-form expectation bound
 
     1 - ((m-k+1)/m)^(k-1)  +  sqrt((1 + 2 log 2) / (4 floor(m/k)))
 
@@ -29,10 +31,9 @@ from typing import Mapping
 
 import numpy as np
 
-from . import stats
 from .data import GlobalExample, GroundAtom, fragment
 from .errors import DomainError
-from .expansion import expanded_statistic, representative_tables, residue_groundings, weighted_hits
+from .expansion import expanded_statistic, expanded_statistics
 from .logic import Formula
 from .stats import (
     CheckedFormula,
@@ -43,13 +44,19 @@ from .stats import (
 )
 
 
+def sample_positions(n: int, m: int, rng: random.Random) -> list[int]:
+    """A uniformly chosen size-m subset of the positions 0..n-1, sorted: the
+    one draw of ``sample_subexample`` and of each trial of
+    ``run_error_experiment``."""
+    return sorted(rng.sample(range(n), m))
+
+
 def sample_subexample(example: GlobalExample, m: int, rng: random.Random) -> GlobalExample:
-    """Fragment on a uniformly chosen size-m constant subset.
-    ``run_error_experiment`` makes the same draw over constant positions."""
+    """Fragment on a uniformly chosen size-m constant subset."""
     n = len(example.constants)
     if not 0 <= m <= n:
         raise DomainError(f"sample size {m} outside 0..{n}")
-    return fragment(example, rng.sample(example.constants, m))
+    return fragment(example, [example.constants[i] for i in sample_positions(n, m, rng)])
 
 
 def expansion_level(n: int, target_size: int) -> int:
@@ -203,45 +210,26 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
     Every trial derives its own RNG from (seed, trial index), so each trial
     is reproducible on its own; errors are exact rationals.  The formulas
     were checked with the configuration, and the ground truth's truth tables
-    are built once.  Every trial first draws its sample's positions as
-    ``sample_subexample`` does; then each formula's ``adjusted_estimate`` is
-    read off representative tables sliced from the ground truth's, one
-    structure column per trial (see ``expanded_statistic``), so a formula is
-    evaluated once for a block of trials, and neither a sample nor its
-    expansion is built.  Blocks keep their tables within ``TABLE_CELL_CAP``
-    cells.
+    and exact statistics are computed once.  Every trial draws its sample's
+    positions (``sample_positions``), and one ``expanded_statistics`` call
+    reads each formula's ``adjusted_estimate`` for every trial off the
+    ground truth's tables, so neither a sample nor its expansion is built.
     """
     truth, m = cfg.ground_truth, cfg.sample_size
     n = len(truth.constants)
     # a predicate the ground truth lacks gets no table: it is false everywhere
     used = set().union(*(c.vocabulary for c in cfg.checked))
     tables = structure_tables(truth, {p: a for p, a in truth.vocabulary().items() if p in used})
+    rngs = (random.Random(f"{cfg.seed}:{t}") for t in range(cfg.trials))
+    positions = np.array([sample_positions(n, m, rng) for rng in rngs], dtype=np.intp)
     level = expansion_level(m, cfg.target_size)
-    widths = {c.width for c in cfg.checked}
-    residues = {k: residue_groundings(cfg.kind, k, m, level) for k in widths}
-    plans = [
-        (c, c.statistic(tables, n), residues[c.width], c.count(m * level))
-        for c in cfg.checked
-    ]
-    copies = min(level, max(widths))
-    draws = (random.Random(f"{cfg.seed}:{t}").sample(range(n), m) for t in range(cfg.trials))
-    positions = np.array([sorted(d) for d in draws], dtype=np.intp)
-    # trials per block, so that their representative tables fit the cap together
-    cells = sum((m * copies) ** (t.ndim - 1) for t in tables.values())
-    step = max(1, stats.TABLE_CELL_CAP // max(cells, 1))
-    errors: list[list[Fraction]] = [[] for _ in plans]
-    for start in range(0, cfg.trials, step):
-        block = positions[start:start + step]
-        grown = representative_tables(tables, block, copies)
-        for out, (c, truth_value, (rows, weights), total) in zip(errors, plans):
-            hits = weighted_hits(c, rows, weights, grown, len(block))
-            out.extend(abs(truth_value - Fraction(h, total)) for h in hits)
+    estimates = expanded_statistics(cfg.checked, tables, positions, level)
     reports = []
-    for f, c, trial_errors in zip(cfg.formulas, cfg.checked, errors):
+    for f, c, row in zip(cfg.formulas, cfg.checked, estimates):
+        exact = c.statistic(tables, n)
+        trial_errors = tuple(abs(exact - e) for e in row)
         mean = sum(trial_errors, Fraction(0)) / len(trial_errors)
         bound = expected_error_bound(m, c.width)
         k_eff = effective_sample_size(m, c.width)
-        reports.append(
-            ErrorReport(f, c.width, tuple(trial_errors), mean, bound, k_eff, float(mean) <= bound)
-        )
+        reports.append(ErrorReport(f, c.width, trial_errors, mean, bound, k_eff, float(mean) <= bound))
     return tuple(reports)

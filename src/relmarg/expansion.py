@@ -10,14 +10,14 @@ example possible, which is what pushes estimated marginals into the interior
 of the polytope.
 
 A statistic of an expansion needs no expansion: permuting the copies of a
-residue class is an automorphism, so ``expanded_statistic`` evaluates one
+residue class is an automorphism, so ``expanded_statistics`` evaluates one
 representative grounding per residue pattern on the truth tables of the
 first few copies, weighted by the number of groundings it stands for.  The
 model kind lists the patterns and weights: multisets for Model A, sequences
-for Model B.  Its cost does not grow with the level.  The
-tables of ``representative_tables`` hold one structure column per expansion,
-so ``estimation.run_error_experiment`` evaluates a formula once for a block
-of trials' samples; ``expanded_statistic`` is the one-column case.
+for Model B.  Its cost does not grow with the level.  It reads the
+expansions of many samples at once, one structure column each, and is the
+one reader of expanded statistics: ``expanded_statistic`` is its
+one-sample case and ``estimation.run_error_experiment`` its batch of trials.
 ``expand`` and ``noisy_expand`` materialise an expansion for the CLI
 ``expand`` command, the noisy pipeline and the oracles of the verification
 suites and tests, under ``EXPANSION_CAP``.
@@ -33,13 +33,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import stats
 from .data import CanonicalForm, GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
 from .logic import Formula
 from .stats import (
     CheckedFormula,
     ModelKind,
-    check_cells,
     check_formulas,
     grounding_truths,
     structure_tables,
@@ -147,13 +147,11 @@ def representative_tables(
 
     As ``expand`` builds it, an atom holds at expanded positions iff the base
     atom holds at their residues and arguments with equal residue are the
-    same copy.  Raises ``CapExceededError`` when the T tables together would
-    have more than ``TABLE_CELL_CAP`` cells.
+    same copy.  ``expanded_statistics`` sizes the blocks of ``positions``
+    so that their tables fit ``TABLE_CELL_CAP`` cells.
     """
     structures, m = positions.shape
     size = m * copies
-    cells = structures * sum(size ** (t.ndim - 1) for t in tables.values())
-    check_cells(cells, f"truth tables of {cells} cells over {size} constants")
     copy, residue = np.divmod(np.arange(size), m)
     at = positions.T[residue]  # (size, T): base position of each expanded one
     out = {}
@@ -173,31 +171,52 @@ def representative_tables(
     return out
 
 
-def weighted_hits(
-    checked: CheckedFormula,
-    rows: list[tuple[int, ...]],
-    weights: list[int],
+def expanded_statistics(
+    checked: Sequence[CheckedFormula],
     tables: Mapping[str, np.ndarray],
-    structures: int,
-) -> list[int]:
-    """Sum of ``weights`` over the grounding ``rows`` at which a checked
-    formula holds, one Python int per structure column of ``tables``."""
-    sums = [0] * structures
-    start = 0
-    for held in grounding_truths(checked, rows, tables, structures):
-        block = weights[start:start + len(held)]
-        for t, column in enumerate(held.T):
-            sums[t] += sum(itertools.compress(block, column))
-        start += len(held)
-    return sums
+    positions: np.ndarray,
+    level: int,
+) -> list[list[Fraction]]:
+    """The statistic of each checked formula in the level-``level``
+    expansion of each sample, one list per formula with one exact value per
+    row of the (T, m) ``positions`` into the base ``tables``.
+
+    Each width's ``residue_groundings`` are listed once, and each
+    representative is evaluated on ``representative_tables`` of the first
+    ``min(level, widest width)`` copies; the weights of the rows that hold
+    sum to the hits.  One sample's tables over ``TABLE_CELL_CAP`` cells
+    raise ``CapExceededError``; otherwise samples go in blocks whose tables
+    fit the cap together, so a formula is evaluated once per block.
+    """
+    structures, m = positions.shape
+    copies = min(level, max(c.width for c in checked))
+    size = m * copies
+    cells = sum(size ** (t.ndim - 1) for t in tables.values())
+    stats.check_cells(cells, f"truth tables of {cells} cells over {size} constants")
+    step = stats.TABLE_CELL_CAP // max(cells, 1)
+    residues = {
+        key: residue_groundings(*key, m, level) for key in {(c.kind, c.width) for c in checked}
+    }
+    hits = [[0] * structures for _ in checked]
+    for start in range(0, structures, step):
+        block = positions[start:start + step]
+        grown = representative_tables(tables, block, copies)
+        for sums, c in zip(hits, checked):
+            rows, weights = residues[c.kind, c.width]
+            first = 0
+            for held in grounding_truths(c, rows, grown, len(block)):
+                chunk = weights[first:first + len(held)]
+                for t, column in enumerate(held.T, start):
+                    sums[t] += sum(itertools.compress(chunk, column))
+                first += len(held)
+    totals = [c.count(m * level) for c in checked]
+    return [[Fraction(h, total) for h in sums] for sums, total in zip(hits, totals)]
 
 
 def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, level: int) -> Fraction:
     """``statistic(f, expand(example, level), kind)``, without building the
-    expansion: one evaluation per representative of ``residue_groundings``
-    on the tables of ``representative_tables``, so the cost does not grow
-    with ``level`` and no ``EXPANSION_CAP`` applies.  It is the one-structure
-    case of the trials of ``estimation.run_error_experiment``."""
+    expansion: the one-sample case of ``expanded_statistics``, whose cost
+    does not grow with ``level``, so no ``EXPANSION_CAP`` applies."""
     if level < 1:
         raise DomainError("expansion level must be at least 1")
     if not example.constants:
@@ -205,10 +224,7 @@ def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, leve
     n = len(example.constants)
     (checked,) = check_formulas((f,), example.vocabulary(), kind, n * level)
     base = structure_tables(example, checked.vocabulary)
-    tables = representative_tables(base, np.arange(n)[None], min(level, checked.width))
-    rows, weights = residue_groundings(kind, checked.width, n, level)
-    hits = weighted_hits(checked, rows, weights, tables, 1)[0]
-    return Fraction(hits, checked.count(n * level))
+    return expanded_statistics((checked,), base, np.arange(n)[None], level)[0][0]
 
 
 def required_expansion_level(kind: ModelKind, formulas: Sequence[Formula]) -> int:

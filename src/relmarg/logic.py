@@ -159,6 +159,7 @@ class _Parser:
         self.pos = 0
         self.source = source
         self.seen_arity: dict[str, int] = {}
+        self.bound: list[str] = []  # variables bound on the path to here
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -189,12 +190,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident" and tok.value in _KEYWORDS:
             self.next()
+            depth = len(self.bound)
             vs = [self.variable()]
             while self.peek().value == ",":
                 self.next()
                 vs.append(self.variable())
             self.expect(":")
             body = self.formula()
+            del self.bound[depth:]
             node = Forall if tok.value == "forall" else Exists
             return node(tuple(vs), body)
         return self.impl()
@@ -203,6 +206,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "ident" or not tok.value[0].isupper():
             self.fail("expected a variable (upper-case identifier)")
+        # a variable may be bound at most once on any root-to-leaf path
+        if tok.value in self.bound:
+            self.fail(f"variable {tok.value} is bound twice")
+        self.bound.append(tok.value)
         self.next()
         return Var(tok.value)
 
@@ -286,29 +293,13 @@ class _Parser:
 def parse_formula(text: str, source: str = "<formula>") -> Formula:
     """Parse ``text`` into a formula tree.
 
-    A predicate used with two arities is a syntax error; arities are checked
+    A predicate used with two arities is a syntax error, as is a variable
+    bound again inside its own scope; arities are checked
     against a structure's vocabulary where the formula is used
     (``stats.check_formula``, ``merge_vocabulary``).  Errors carry line and
     column numbers.
     """
-    f = _Parser(_tokenize(text, source), source).parse()
-    _check_bindings(f, frozenset(), source)
-    return f
-
-
-def _check_bindings(f: Formula, bound: frozenset[str], source: str):
-    # a variable may be bound at most once on any root-to-leaf path
-    if isinstance(f, (Forall, Exists)):
-        names = [v.name for v in f.vars]
-        for n in names:
-            if n in bound or names.count(n) > 1:
-                raise FormulaSyntaxError(f"variable {n} is bound twice", 1, 1, source)
-        _check_bindings(f.body, bound | frozenset(names), source)
-    elif isinstance(f, Not):
-        _check_bindings(f.sub, bound, source)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _check_bindings(p, bound, source)
+    return _Parser(_tokenize(text, source), source).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -390,9 +390,10 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
 
     ``stats.subset_patterns`` reads each m-subset's bit pattern in every
     world of nonzero probability off ``worlds.world_tables``, in blocks of
-    at most ``stats.BLOCK_CELLS`` cells.  The width-m local atoms are in the
-    target's atom order and the target has no hard rules, so a packed
-    pattern is its target world's index, where the world's probability goes.
+    at most ``stats.BLOCK_CELLS`` cells.  The target's atoms are
+    ``stats.local_atoms`` of width m read at its constants
+    (``enumerate_worlds``) and it has no hard rules, so a packed pattern is
+    its target world's index, where the world's probability goes.
     """
     src = dist.space
     n = len(src.constants)

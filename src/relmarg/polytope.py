@@ -58,6 +58,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .expansion import expansion_diff_bound
 from .logic import Formula
 from .stats import ModelKind, distinct_rows
 from .worlds import WorldSpace
@@ -561,13 +562,12 @@ def interiority_margin(m: int, k: int, l: int, eta: float) -> float:
     """Margin at size m that keeps an l-coordinate target eta-interior at every
     larger size: each coordinate moves at most the width-k shift bound under
     domain growth, so the vector moves at most sqrt(l) times that."""
-    if not 1 <= k <= m:
-        raise DomainError(f"width {k} outside 1..{m}")
+    shift = expansion_diff_bound(m, k)
     if l < 1:
         raise DomainError(f"target coordinate count {l} must be at least 1")
     if eta < 0:
         raise DomainError("eta must be non-negative")
-    return eta + math.sqrt(l) * float(1 - Fraction(m - k + 1, m) ** (k - 1))
+    return eta + math.sqrt(l) * float(shift)
 
 
 @dataclass(frozen=True)

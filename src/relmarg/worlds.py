@@ -17,7 +17,6 @@ with ``stats.count_groundings``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -33,6 +32,7 @@ from .stats import (
     check_formulas,
     count_groundings,
     holds_over,
+    local_atoms,
 )
 
 DEFAULT_ATOM_CAP = 24
@@ -48,9 +48,9 @@ def world_tables(
 ) -> dict[str, np.ndarray]:
     """Truth tables over an array of bit patterns, for the predicates in
     ``named``: ``tables[p][i, j, ..., w]`` is bit ``offset(p) + (i, j, ...)``
-    of world w.  Atoms are ordered by sorted predicate, then by argument
-    tuples in product order, which is row-major, so each predicate's bits
-    reshape into its table directly."""
+    of world w.  Atoms are in the order of ``stats.local_atoms(vocabulary,
+    n)``, sorted predicates with argument tuples in product order, which is
+    row-major, so each predicate's bits reshape into its table directly."""
     # atom bit k is bit k % 8 of byte k // 8 of the little-endian pattern
     n_bytes = (sum(n**arity for arity in vocabulary.values()) + 7) // 8
     octets = worlds.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
@@ -168,18 +168,19 @@ def enumerate_worlds(
 ) -> WorldSpace:
     """Build the world space over ``constants`` filtered by ``hard_rules``.
 
-    Worlds are int bit patterns over the deterministic atom order (predicates
-    sorted by name, argument tuples in product order over the constant order).
+    Worlds are int bit patterns over the atom order of
+    ``stats.local_atoms(vocabulary, n)`` read at the constants: predicates
+    sorted by name, argument tuples in product order over the constant order.
     """
     constants = tuple(constants)
     if len(set(constants)) != len(constants):
         raise DomainError("duplicate constants")
     vocabulary = dict(vocabulary)
     n_atoms = check_atom_cap(len(constants), vocabulary)
-    atoms = []
-    for pred in sorted(vocabulary):
-        for args in itertools.product(constants, repeat=vocabulary[pred]):
-            atoms.append(GroundAtom(pred, args))
+    atoms = [
+        GroundAtom(p, tuple(constants[i] for i in args))
+        for p, args in local_atoms(vocabulary, len(constants))
+    ]
     hard_rules = tuple(hard_rules)
     cset = set(constants)
     for rule in hard_rules:

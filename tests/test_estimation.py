@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stats import A_POOL, B_POOL
 
-from relmarg import estimation, stats
+from relmarg import expansion, stats
 from relmarg.errors import CapExceededError, DomainError
 from relmarg.estimation import (
     ExperimentConfig,
@@ -342,7 +342,7 @@ def test_experiment_trials_are_the_same_in_blocks(monkeypatch, kind_name):
         blocks.append(len(positions))
         return representative_tables(tables, positions, copies)
 
-    monkeypatch.setattr(estimation, "representative_tables", recording)
+    monkeypatch.setattr(expansion, "representative_tables", recording)
     for cap, sizes in [(3 * 72, [3, 3, 2]), (120, [1] * 8), (stats.TABLE_CELL_CAP, [8])]:
         monkeypatch.setattr(stats, "TABLE_CELL_CAP", cap)
         blocks.clear()

@@ -116,6 +116,25 @@ def test_arity_conflict_is_rejected_at_parse_time():
         parse_formula("r(a) & r(a,b)")
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("exists X: forall Y:\n  exists X: r(X,Y)", 2, 10),
+        ("forall X, X: r(X)", 1, 11),
+        ("forall X: (exists Y: r(Y)) & ~(exists X: r(X))", 1, 39),
+    ],
+)
+def test_a_variable_bound_twice_is_reported_at_the_repeat(text, line, col):
+    with pytest.raises(FormulaSyntaxError, match="variable X is bound twice") as exc:
+        parse_formula(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_sibling_scopes_may_bind_the_same_variable():
+    f = parse_formula("(exists X: r(X)) & (exists X: s(X)) & (forall X, Y: e(X,Y))")
+    assert [g.vars for g in f.parts] == [(Var("X"),), (Var("X"),), (Var("X"), Var("Y"))]
+
+
 def test_predicates_cannot_be_applied_to_nothing():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("r()")
