@@ -2,14 +2,15 @@
 
 The polytope is the convex hull of the per-world normalized statistic
 vectors; a target vector is realizable by some distribution over worlds iff
-it lies in the hull.
+it lies in the hull.  A polytope holds the distinct integer count rows; the
+statistic vectors are the rows divided by the normalizers.
 
-Each polytope has an exact H-representation, computed once from its
-rational vertices: the affine hull as integer equalities and the facets as
-primitive integer pairs (a, b) with a.x <= b.  ``rank`` reads the exact
-affine rank off it.  The facets come from the double-description method in
-Python integers, whose work grows with the rays it holds, not with the
-number of vertex subsets.
+Each polytope has an exact H-representation, computed once from its count
+rows: the affine hull as integer equalities and the facets as primitive
+integer pairs (a, b) with a.x <= b.  ``rank`` reads the exact affine rank
+off it.  The facets come from the double-description method in Python
+integers, whose work grows with the rays it holds, not with the number of
+vertex subsets.
 
 ``hull_distance`` answers most queries from these constraints by two
 projection certificates.  Project the point p onto the affine hull, giving
@@ -82,7 +83,7 @@ Constraint = tuple[tuple[int, ...], int]
 class HRepresentation:
     """Exact constraints of the convex hull of a vertex set: every point x of
     the hull has a.x = b for each equality and a.x <= b for each facet.  Each
-    (a, b) is a primitive integer vector and offset in the vertices' own
+    (a, b) is a primitive integer vector and offset in statistic
     coordinates.  ``rank`` is the affine rank of the vertices.  ``facets`` are
     sorted, and None when the double description would take more than
     ``FACET_WORK_CAP`` steps."""
@@ -106,38 +107,45 @@ class _UnitConstraints(NamedTuple):
     equalities: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalPolytope:
-    formulas: tuple[Formula, ...]
-    kind: ModelKind
-    domain_size: int
-    vertices: tuple[tuple[Fraction, ...], ...]
-    generators: tuple[int, ...]  # one witness world per distinct vertex
+    """Distinct count rows, the normalizers that divide their columns into
+    statistics, and one witness world per row.  Equality is identity."""
+
+    counts: np.ndarray  # int64 from count_matrix, or Python ints (dtype object)
+    norms: tuple[int, ...]
+    generators: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.formulas)
+        return len(self.norms)
+
+    @functools.cached_property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The statistic vectors as exact rationals, built when read."""
+        return tuple(
+            tuple(Fraction(c, n) for c, n in zip(row, self.norms)) for row in self.counts.tolist()
+        )
 
     @functools.cached_property
     def float_vertices(self) -> np.ndarray:
-        """The vertices as a float array, one row per vertex, converted once."""
-        return np.array(self.vertices, dtype=float)
+        """The statistic vectors as correctly rounded floats: int64 counts
+        and norms are exact floats, and Python int division rounds correctly."""
+        return np.asarray(self.counts / np.asarray(self.norms, dtype=self.counts.dtype), dtype=float)
 
     @functools.cached_property
-    def _affine_hull(
-        self,
-    ) -> tuple[list[list[int]], list[int], list[int], tuple[Constraint, ...], list[int]]:
-        """Integer vertex rows, their per-coordinate scales, the pivot
-        coordinates of the affine hull, its equalities and the indices of
-        rank + 1 affinely independent rows."""
-        rows, scales = _integer_rows(self.vertices, self.dim)
-        return (rows, scales, *_pivots_and_equalities(rows, scales))
+    def _affine_hull(self) -> tuple[list[list[int]], list[int], tuple[Constraint, ...], list[int]]:
+        """The count rows as Python integers, the pivot coordinates of their
+        affine hull, its equalities and the indices of rank + 1 affinely
+        independent rows."""
+        rows = self.counts.tolist()
+        return (rows, *_pivots_and_equalities(rows, self.norms))
 
     @functools.cached_property
     def h_representation(self) -> HRepresentation:
         """The exact H-representation, computed once."""
-        rows, scales, pivots, equalities, start = self._affine_hull
-        return HRepresentation(len(pivots), equalities, _facets(rows, scales, pivots, start))
+        rows, pivots, equalities, start = self._affine_hull
+        return HRepresentation(len(pivots), equalities, _facets(rows, self.norms, pivots, start))
 
     @functools.cached_property
     def _unit_constraints(self) -> _UnitConstraints | None:
@@ -182,15 +190,7 @@ class MarginalPolytope:
 
     def rank(self) -> int:
         """Exact affine rank of the vertex set (dim iff full-dimensional)."""
-        return len(self._affine_hull[2])
-
-
-def _integer_rows(vertices, d: int) -> tuple[list[list[int]], list[int]]:
-    """The rational vertices as integer rows: coordinate j is multiplied by
-    the lcm of its denominators, which is returned as its scale."""
-    scales = [math.lcm(*(v[j].denominator for v in vertices)) for j in range(d)]
-    rows = [[c.numerator * (s // c.denominator) for c, s in zip(v, scales)] for v in vertices]
-    return rows, scales
+        return len(self._affine_hull[1])
 
 
 def _primitive(values: list[int]) -> list[int]:
@@ -200,7 +200,7 @@ def _primitive(values: list[int]) -> list[int]:
 
 
 def _pivots_and_equalities(
-    rows: list[list[int]], scales: list[int]
+    rows: list[list[int]], scales: Sequence[int]
 ) -> tuple[list[int], tuple[Constraint, ...], list[int]]:
     """Pivot coordinates and equalities of the affine hull of integer rows,
     and the indices of the rows that span it: the first row and each row
@@ -211,8 +211,8 @@ def _pivots_and_equalities(
     every other row's pivot and positive at its own.  The projection onto
     the pivot coordinates is then injective on the affine hull, and each
     other coordinate f gives one equality, the null vector that is 1 at f
-    and 0 at the other non-pivots, scaled to integers and mapped back to the
-    unscaled coordinates.
+    and 0 at the other non-pivots, scaled to integers and mapped back to
+    statistic coordinates, coordinate j over ``scales[j]``.
     """
     d = len(scales)
     basis: list[tuple[int, list[int]]] = []
@@ -253,7 +253,7 @@ def _pivots_and_equalities(
 
 
 def _facets(
-    rows: list[list[int]], scales: list[int], pivots: list[int], start: list[int]
+    rows: list[list[int]], scales: Sequence[int], pivots: list[int], start: list[int]
 ) -> tuple[Constraint, ...] | None:
     """Facets of the integer rows, by the double-description method (Motzkin
     et al. 1953; Fukuda & Prodon 1996) on their projection y onto the pivot
@@ -346,8 +346,8 @@ def _simplex_rays(ys: list[list[int]]) -> list[list[int]]:
 def polytope_vertices(
     formulas: Sequence[Formula], space: WorldSpace, kind: ModelKind
 ) -> MarginalPolytope:
-    """Candidate vertex set: distinct normalized statistic vectors over the space,
-    in order of first appearance, each with the first world that has it.
+    """Candidate vertex set: the distinct count rows over the space, in order
+    of first appearance, each with the first world that has it.
 
     Rows inside the hull are kept; membership tests do not care.
     """
@@ -355,17 +355,9 @@ def polytope_vertices(
     if len(space) == 0:
         raise DomainError("empty world space (hard rules unsatisfiable)")
     counts = space.count_matrix(formulas, kind)
-    norms = [int(n) for n in space.normalizers(formulas, kind)]
-    # equal count rows are equal statistic vectors: deduplicate the integers
-    # and build Fractions for the distinct rows only
+    norms = tuple(int(n) for n in space.normalizers(formulas, kind))
     first = distinct_rows(counts, [n + 1 for n in norms])[0]
-    return MarginalPolytope(
-        formulas,
-        kind,
-        len(space.constants),
-        tuple(tuple(Fraction(int(c), n) for c, n in zip(counts[i], norms)) for i in first),
-        tuple(int(space.worlds[i]) for i in first),
-    )
+    return MarginalPolytope(counts[first], norms, tuple(int(space.worlds[i]) for i in first))
 
 
 def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
@@ -389,12 +381,16 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
 
 
 def _as_point(point: Sequence[float], polytope: MarginalPolytope) -> np.ndarray:
-    """``point`` as a float array, after checking its dimension."""
+    """``point`` as a float array, after checking its dimension and NaNs."""
     if len(point) != polytope.dim:
         raise DomainError(
             f"point has dimension {len(point)}, polytope has {polytope.dim}"
         )
-    return np.array([float(c) for c in point], dtype=float)
+    coords = [float(c) for c in point]
+    # on the Python floats: np.isnan(p).any() adds 5% to a geometry job
+    if any(math.isnan(c) for c in coords):
+        raise DomainError("point has a NaN coordinate")
+    return np.array(coords, dtype=float)
 
 
 def _certified_distance(p: np.ndarray, polytope: MarginalPolytope) -> float | None:
@@ -517,14 +513,17 @@ def eta_interior(
 ) -> EtaVerdict:
     """Check that the eta-ball around ``point`` sits inside the hull, by probing
     the 2*dim coordinate directions plus ``ETA_PROBES`` random unit directions
-    drawn from a generator seeded with 0, so a verdict is reproducible."""
-    if eta < 0:
+    drawn from a generator seeded with 0, so a verdict is reproducible.  The
+    first probe of an infinite eta leaves the hull."""
+    if not eta >= 0:
         raise DomainError("eta must be non-negative")
     p = _as_point(point, polytope)
     d = polytope.dim
     if d == 0:
         return EtaVerdict(True, eta, None, 0)
     directions = _probe_directions(d)
+    if math.isinf(eta):
+        return EtaVerdict(False, eta, tuple(float(x) for x in directions[0]), 1)
     probes = p + eta * directions
     # the first projection certificate of a full-dimensional polytope, whose
     # distance is 0.0, for every probe at once
@@ -565,7 +564,7 @@ def interiority_margin(m: int, k: int, l: int, eta: float) -> float:
     shift = expansion_diff_bound(m, k)
     if l < 1:
         raise DomainError(f"target coordinate count {l} must be at least 1")
-    if eta < 0:
+    if not eta >= 0:
         raise DomainError("eta must be non-negative")
     return eta + math.sqrt(l) * float(shift)
 
@@ -582,10 +581,10 @@ def realizability_check(
 ) -> RealizabilityVerdict:
     """Whether the target vector is a mixture of world statistics, with the
     hull distance as diagnosis.  The polytope is fresh, so ``hull_distance``
-    answers its one query by Wolfe's loop and builds no facets: over the 88
-    calls of the seed-1 perfbench ``fit`` list, the affine hulls and facets
-    took 43-52 ms and the Wolfe runs 10-12 ms (ten runs on a 2-core host,
-    Python 3.11)."""
+    answers its one query by Wolfe's loop over the float vertices and builds
+    neither the ``Fraction`` view nor the facets: over the 88 calls of the
+    seed-1 perfbench ``fit`` list, the affine hulls and facets took 43-52 ms
+    and the Wolfe runs 10-12 ms (ten runs on a 2-core host, Python 3.11)."""
     polytope = polytope_vertices(formulas, space, kind)
     distance = hull_distance(theta, polytope)
     return RealizabilityVerdict(distance < MEMBERSHIP_TOL, distance, polytope)

@@ -32,10 +32,14 @@ from relmarg.worlds import enumerate_worlds
 
 
 def _poly(vertices):
-    # dim comes from the formula count; the entries are never evaluated here
-    vs = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    # rational vertices as integer rows: column j is scaled by the lcm of its
+    # denominators, which serves as its normalizer
+    vs = [[Fraction(c) for c in v] for v in vertices]
     d = len(vs[0]) if vs else 0
-    return MarginalPolytope((None,) * d, ModelA(1), 0, vs, tuple(range(len(vs))))
+    norms = tuple(math.lcm(*(v[j].denominator for v in vs)) for j in range(d))
+    rows = [[c.numerator * (n // c.denominator) for c, n in zip(v, norms)] for v in vs]
+    counts = np.array(rows, dtype=object).reshape(len(vs), d)
+    return MarginalPolytope(counts, norms, tuple(range(len(vs))))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def test_distance_validates_dimension():
 
 
 def test_zero_dimensional_polytope():
-    poly = MarginalPolytope((), ModelA(1), 0, ((),), (0,))
+    poly = MarginalPolytope(np.zeros((1, 0), dtype=np.int64), (), (0,))
     assert hull_distance([], poly) == 0.0
 
 
@@ -297,6 +301,40 @@ def test_eta_interior_validates_eta():
     poly = _poly([(0,), (1,)])
     with pytest.raises(DomainError):
         eta_interior([0.5], -0.1, poly)
+
+
+@pytest.mark.parametrize(("point", "eta"), [([math.nan, 0.5], 0.05), ([0.5, 0.5], math.nan)])
+def test_eta_interior_refuses_nan(point, eta):
+    # every probe of a NaN point is NaN, and NaN >= MEMBERSHIP_TOL is false
+    poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(DomainError):
+        eta_interior(point, eta, poly)
+
+
+def test_hull_distance_and_realizability_check_refuse_a_nan_point():
+    poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
+    for _ in range(2):  # a first query goes to Wolfe, a second to the facets
+        with pytest.raises(DomainError, match="NaN coordinate"):
+            hull_distance([0.5, math.nan], poly)
+        hull_distance([0.5, 0.5], poly)
+    space = enumerate_worlds(["a", "b"], {"r": 1})
+    with pytest.raises(DomainError, match="NaN coordinate"):
+        realizability_check([math.nan], [parse_formula("exists X: r(X)")], space, ModelA(1))
+
+
+def test_interiority_margin_refuses_nan_eta():
+    with pytest.raises(DomainError):
+        interiority_margin(3, 2, 1, math.nan)
+
+
+def test_infinite_points_and_eta_are_outside():
+    poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
+    for point in ([math.inf, 0.5], [math.inf, 0.5], [-math.inf, math.inf]):
+        assert hull_distance(point, poly) == math.inf
+    assert not eta_interior([math.inf, 0.5], 0.1, poly).inside
+    verdict = eta_interior([0.5, 0.5], math.inf, poly)
+    assert not verdict.inside and verdict.rejected_direction == (1.0, 0.0)
+    assert interiority_margin(3, 2, 1, math.inf) == math.inf
 
 
 def test_polytope_vertices_refuses_an_empty_world_space():
@@ -491,6 +529,24 @@ def test_facets_of_degenerate_sets_match_the_oracle_in_any_row_order(vertices, r
     shuffled = list(vertices)
     rng.shuffle(shuffled)
     assert _poly(shuffled).h_representation.facets == _poly(vertices).h_representation.facets
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_sets(), st.booleans(), st.data())
+def test_scaling_a_column_and_its_norm_changes_neither_constraints_nor_floats(
+        vertices, int64, data):
+    # the H-representation is in statistic coordinates and each float is the
+    # correctly rounded quotient, so neither depends on the integers' scale:
+    # count rows over their normalizers give what lcm-scaled rows give
+    poly = _poly(vertices)
+    factors = data.draw(st.lists(st.integers(1, 1000), min_size=poly.dim, max_size=poly.dim))
+    counts = poly.counts * np.array(factors, dtype=object)
+    scaled = MarginalPolytope(counts.astype(np.int64) if int64 else counts,
+                              tuple(n * f for n, f in zip(poly.norms, factors)), poly.generators)
+    assert scaled.h_representation == poly.h_representation
+    assert scaled.float_vertices.dtype == poly.float_vertices.dtype == np.float64
+    assert scaled.float_vertices.tobytes() == poly.float_vertices.tobytes()
+    assert scaled.vertices == poly.vertices
 
 
 TABLE_FORMULAS = ("exists X: r(X)", "exists X: s(X)", "exists X, Y: X != Y & r(X) & ~s(Y)")
@@ -789,6 +845,23 @@ def test_realizability_check_builds_no_facets(theta):
     verdict = realizability_check([theta], [mixed], space, ModelA(2))
     assert "h_representation" not in verdict.polytope.__dict__
     assert verdict.distance == polytope._wolfe_distance(np.array([float(theta)]), verdict.polytope)
+
+
+def test_the_fit_path_builds_no_fraction_view():
+    # hull queries read the count rows and their floats; the exact
+    # rationals are built only when something reads vertices
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1})
+    mixed = parse_formula("exists X, Y: X != Y & r(X) & ~r(Y)")
+    poly = realizability_check([Fraction(1)], [mixed], space, ModelA(2)).polytope
+    assert "vertices" not in poly.__dict__
+    assert poly.h_representation.rank == 1
+    assert hull_distance([0.5], poly) == 0.0
+    assert "h_representation" in poly.__dict__ and "vertices" not in poly.__dict__
+    assert poly.vertices == ((Fraction(0),), (Fraction(2, 3),))
+    single = realizability_check([Fraction(1, 2)], [parse_formula("exists X: r(X)")], space,
+                                 ModelA(2)).polytope
+    assert "vertices" not in single.__dict__
+    assert set(single.vertices) == {(Fraction(0),), (Fraction(2, 3),), (Fraction(1),)}
 
 
 # The target theta = (11/30, 16/30, 1/5) of these three formulas, Model A
