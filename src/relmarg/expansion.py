@@ -122,7 +122,15 @@ def residue_groundings(
     ``kind.ways(level, c_r)`` groundings, c_r arguments having residue r.  By
     Vandermonde the counts sum to the groundings over ``n * level``
     constants.  Counts are Python ints: at large levels they overflow int64.
+    A listing of more than ``TABLE_CELL_CAP`` cells, ``kind.residue_count``
+    rows of ``width`` positions, raises ``CapExceededError`` before any row
+    is listed.
     """
+    listed = kind.residue_count(n, width)
+    stats.check_cells(
+        listed * width, f"residue groundings of {listed * width} cells "
+        f"({listed} rows of width {width} over {n} constants)"
+    )
     rows, weights = [], []
     for residues in kind.residue_orders(range(n), width):
         copies: dict[int, int] = {}
@@ -184,9 +192,10 @@ def expanded_statistics(
     Each width's ``residue_groundings`` are listed once, and each
     representative is evaluated on ``representative_tables`` of the first
     ``min(level, widest width)`` copies; the weights of the rows that hold
-    sum to the hits.  One sample's tables over ``TABLE_CELL_CAP`` cells
-    raise ``CapExceededError``; otherwise samples go in blocks whose tables
-    fit the cap together, so a formula is evaluated once per block.
+    sum to the hits.  One sample's tables or one width's residue listing
+    over ``TABLE_CELL_CAP`` cells raise ``CapExceededError``; otherwise
+    samples go in blocks whose tables fit the cap together, so a formula is
+    evaluated once per block.
     """
     structures, m = positions.shape
     copies = min(level, max(c.width for c in checked))
@@ -301,8 +310,9 @@ def mixture_residual(
     """
     if g == 0:
         raise DomainError("gamma is zero; the residual is undefined")
-    keys = set(base) | set(expanded)
+    keep = 1 - g
     zero = Fraction(0)
     return {
-        key: (expanded.get(key, zero) - (1 - g) * base.get(key, zero)) / g for key in keys
+        key: (expanded.get(key, zero) - keep * base.get(key, zero)) / g
+        for key in dict.fromkeys([*base, *expanded])
     }

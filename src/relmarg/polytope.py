@@ -374,23 +374,28 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     facets go to Wolfe's nearest-point loop, which grows its corral's Gram
     matrix by one row and column per vertex.
     """
-    p = _as_point(point, polytope)
+    p, finite = _as_point(point, polytope)
+    if not finite:
+        return math.inf
     certify = polytope.dim and polytope._facets_for_query()
     distance = _certified_distance(p, polytope) if certify else None
     return _wolfe_distance(p, polytope) if distance is None else distance
 
 
-def _as_point(point: Sequence[float], polytope: MarginalPolytope) -> np.ndarray:
-    """``point`` as a float array, after checking its dimension and NaNs."""
+def _as_point(point: Sequence[float], polytope: MarginalPolytope) -> tuple[np.ndarray, bool]:
+    """``point`` as a float array, after checking its dimension and NaNs,
+    and whether every coordinate is finite: an infinite point lies at
+    infinite distance, and a product with it would make 0 * inf = NaN."""
     if len(point) != polytope.dim:
         raise DomainError(
             f"point has dimension {len(point)}, polytope has {polytope.dim}"
         )
     coords = [float(c) for c in point]
     # on the Python floats: np.isnan(p).any() adds 5% to a geometry job
-    if any(math.isnan(c) for c in coords):
+    finite = all(map(math.isfinite, coords))
+    if not finite and any(map(math.isnan, coords)):
         raise DomainError("point has a NaN coordinate")
-    return np.array(coords, dtype=float)
+    return np.array(coords, dtype=float), finite
 
 
 def _certified_distance(p: np.ndarray, polytope: MarginalPolytope) -> float | None:
@@ -514,15 +519,16 @@ def eta_interior(
     """Check that the eta-ball around ``point`` sits inside the hull, by probing
     the 2*dim coordinate directions plus ``ETA_PROBES`` random unit directions
     drawn from a generator seeded with 0, so a verdict is reproducible.  The
-    first probe of an infinite eta leaves the hull."""
+    first probe of an infinite eta or around an infinite point leaves the
+    hull."""
     if not eta >= 0:
         raise DomainError("eta must be non-negative")
-    p = _as_point(point, polytope)
+    p, finite = _as_point(point, polytope)
     d = polytope.dim
     if d == 0:
         return EtaVerdict(True, eta, None, 0)
     directions = _probe_directions(d)
-    if math.isinf(eta):
+    if math.isinf(eta) or not finite:
         return EtaVerdict(False, eta, tuple(float(x) for x in directions[0]), 1)
     probes = p + eta * directions
     # the first projection certificate of a full-dimensional polytope, whose

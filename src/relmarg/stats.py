@@ -35,16 +35,18 @@ expanded statistics, weights them.  The hard-rule filter of
 structure: no other code in the package decides a formula.
 
 ``subset_patterns`` gathers every size-k subset's bit pattern over the
-local atoms from the same truth tables.  ``maxent.shrink_distribution``
-reads those of a world space as worlds of a smaller space, and
-``marginal_distribution_a`` reads the Model A marginal without building
-fragments: ``distinct_rows`` counts equal patterns, and each distinct
-pattern is canonicalized once.  ``canonical_patterns`` does
-that for all of them together: one gather through a (permutation, local
-atom) index array gives every relabelled image, and a column-by-column
-reduction keeps the canonical one and counts the automorphisms.
-``data.canonicalize`` is the same call on one pattern: no other code in the
-package searches relabellings.
+local atoms from the same truth tables, one broadcast gather per predicate.
+``maxent.shrink_distribution`` reads those of a world space as worlds of a
+smaller space, and ``marginal_distribution_a`` reads the Model A marginal
+without building fragments: ``distinct_rows`` counts equal patterns, and
+``PATTERN_CLASSES``, a memo of at most ``BLOCK_CELLS`` pattern bytes keyed
+by vocabulary and width, gives each distinct pattern's class.  A pattern is
+canonicalized once per vocabulary and width while the memo holds it.
+``canonical_patterns`` canonicalizes the patterns the memo lacks together:
+one gather through a (permutation, local atom) index array gives every
+relabelled image, and a column-by-column reduction keeps the canonical one
+and counts the automorphisms.  ``data.canonicalize`` is the same call on one
+pattern: no other code in the package searches relabellings.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ class ModelA:
     ways = math.comb
     orders = itertools.combinations
     residue_orders = itertools.combinations_with_replacement
+    residue_count = staticmethod(lambda n, k: math.comb(n + k - 1, k))  # multisets
 
     def __post_init__(self):
         if self.width < 1:
@@ -121,6 +124,7 @@ class ModelB:
     ways = math.perm
     orders = itertools.permutations
     residue_orders = staticmethod(lambda pool, k: itertools.product(pool, repeat=k))
+    residue_count = staticmethod(lambda n, k: n**k)
 
     def bind(self, f: Formula) -> tuple[int, tuple[Var, ...], Formula]:
         """The width (per formula: the prefix length), prefix and matrix of a
@@ -372,15 +376,16 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
 
     No fragment is built: a subset's fragment is its bit pattern over the
     local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, read in
-    blocks by ``subset_patterns``.  Equal
-    patterns are counted together, and each distinct pattern is
-    canonicalized once, all of them by one relabelling gather
-    (``canonical_patterns``).  Blocks hold at most ``BLOCK_CELLS`` cells, so
-    memory does not grow with C(n,k).  A class's mass is its subset count
-    over C(n,k), and classes appear in the order of their first subset.  A
-    width over ``ISO_WIDTH_CAP`` raises ``CapExceededError`` before anything
-    is built, as do truth tables over ``TABLE_CELL_CAP`` (see
-    ``structure_tables``).
+    blocks by ``subset_patterns``.  Equal patterns are counted together.  A
+    pattern's class depends only on the vocabulary, k and the pattern, so
+    ``PATTERN_CLASSES`` remembers it: a pattern is canonicalized once per
+    vocabulary and width while the memo holds it, and the patterns it lacks
+    go to one relabelling gather together (``canonical_patterns``).  Blocks
+    hold at most ``BLOCK_CELLS`` cells, so memory does not grow with
+    C(n,k).  A class's mass is its subset count over C(n,k), and classes
+    appear in the order of their first subset.  A width over
+    ``ISO_WIDTH_CAP`` raises ``CapExceededError`` before anything is built,
+    as do truth tables over ``TABLE_CELL_CAP`` (see ``structure_tables``).
     """
     n = len(example.constants)
     if not 1 <= k <= n:
@@ -395,21 +400,81 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
         for i, count in zip(*distinct_rows(bits, 2)):
             pattern = bits[i].tobytes()
             patterns[pattern] = patterns.get(pattern, 0) + int(count)
-    distinct = np.frombuffer(b"".join(patterns), dtype=bool).reshape(len(patterns), len(local))
-    images, automorphisms = canonical_patterns(distinct, vocabulary, k)
+    classes = PATTERN_CLASSES.lookup(patterns, vocabulary, k, local)
     forms: dict[bytes, CanonicalForm] = {}  # canonical image -> class
     mass: dict[bytes, int] = {}  # canonical image -> subsets
-    for image, autos, count in zip(images, automorphisms, patterns.values()):
-        key = image.tobytes()
-        if key not in forms:
-            atoms = tuple(
-                (p, tuple(a + 1 for a in args)) for (p, args), bit in zip(local, image) if bit
-            )
-            forms[key] = CanonicalForm(k, atoms, int(autos))
-            mass[key] = 0
-        mass[key] += count
+    for pattern, count in patterns.items():
+        key, form = classes[pattern]
+        if key in mass:
+            mass[key] += count
+        else:
+            forms[key], mass[key] = form, count
     total = math.comb(n, k)
     return {forms[key]: Fraction(count, total) for key, count in mass.items()}
+
+
+class PatternClasses:
+    """Bounded memo of the class of each width-k local pattern, per
+    vocabulary signature ``tuple(sorted(vocabulary.items()))`` and width:
+    a pattern's bytes (one per local atom) map to its canonical image's
+    bytes and its ``CanonicalForm``.  The stored pattern bytes stay within
+    ``BLOCK_CELLS``: a batch that would pass it clears the whole memo
+    first, and a batch over it on its own is not stored."""
+
+    def __init__(self):
+        self.classes: dict[tuple, dict[bytes, tuple[bytes, CanonicalForm]]] = {}
+        self.stored = 0  # pattern bytes held
+
+    def clear(self):
+        self.classes.clear()
+        self.stored = 0
+
+    def lookup(
+        self,
+        patterns: Iterable[bytes],
+        vocabulary: Mapping[str, int],
+        k: int,
+        local: Sequence[LocalAtom],
+    ) -> dict[bytes, tuple[bytes, CanonicalForm]]:
+        """The (image bytes, class) of each of ``patterns`` over the
+        ``local`` atoms, ``local_atoms(vocabulary, k)``; the patterns the
+        memo lacks are canonicalized in one batch, and each new class's
+        form is built once."""
+        signature = (tuple(sorted(vocabulary.items())), k)
+        known = self.classes.get(signature, {})
+        out, missing = {}, []
+        for pattern in patterns:
+            entry = known.get(pattern)
+            if entry is None:
+                missing.append(pattern)
+            else:
+                out[pattern] = entry
+        if not missing:
+            return out
+        distinct = np.frombuffer(b"".join(missing), dtype=bool).reshape(len(missing), len(local))
+        images, automorphisms = canonical_patterns(distinct, vocabulary, k)
+        # the forms share one atom tuple per local atom, positions 1..k
+        labelled = [(p, tuple(a + 1 for a in args)) for p, args in local]
+        forms: dict[bytes, CanonicalForm] = {}  # canonical image -> class
+        new = {}
+        for pattern, image, autos in zip(missing, images, automorphisms):
+            key = image.tobytes()
+            form = forms.get(key)
+            if form is None:
+                atoms = tuple(itertools.compress(labelled, image))
+                form = forms[key] = CanonicalForm(k, atoms, int(autos))
+            new[pattern] = key, form
+        size = len(missing) * len(local)
+        if size <= BLOCK_CELLS:
+            if self.stored + size > BLOCK_CELLS:
+                self.clear()
+            self.classes.setdefault(signature, {}).update(new)
+            self.stored += size
+        out.update(new)
+        return out
+
+
+PATTERN_CLASSES = PatternClasses()
 
 
 def subset_patterns(
@@ -420,14 +485,23 @@ def subset_patterns(
     ``structures`` structures: (subsets, structures, atoms) bool blocks of at
     most ``BLOCK_CELLS`` cells, at least one subset each, in
     ``itertools.combinations`` order.  Local atom ``p(a1, ..., ar)`` of the
-    subset at positions ``s`` is the gather ``tables[p][s[a1], ..., s[ar]]``."""
+    subset at positions ``s`` is ``tables[p][s[a1], ..., s[ar]]``; each run
+    of one predicate's atoms is read by one broadcast gather,
+    ``tables[p][s[args_1], ..., s[args_r]]`` with ``args_i`` the i-th
+    arguments of the run, for every subset of a block at once."""
+    runs, start = [], 0
+    for p, atoms in itertools.groupby(local, key=operator.itemgetter(0)):
+        args = np.array([a for _, a in atoms], dtype=np.intp).T  # (arity, atoms)
+        runs.append((tables[p], args, slice(start, start + args.shape[1])))
+        start += args.shape[1]
     subsets = itertools.combinations(range(n), k)
     for block in index_blocks(subsets, k, BLOCK_CELLS // max(structures * len(local), 1)):
-        columns = block.T
-        bits = np.empty((len(block), structures, len(local)), dtype=bool)
-        for j, (p, args) in enumerate(local):
-            bits[:, :, j] = tables[p][tuple(columns[a] for a in args)]
-        yield bits
+        # filled in the axis order of a gather, (subsets, atoms,
+        # structures); an arity-0 table broadcasts over the subsets
+        bits = np.empty((len(block), len(local), structures), dtype=bool)
+        for table, args, columns in runs:
+            bits[:, columns] = table[tuple(block[:, a] for a in args)]
+        yield bits.transpose(0, 2, 1)
 
 
 def local_atoms(vocabulary: Mapping[str, int], k: int) -> list[LocalAtom]:

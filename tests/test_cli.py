@@ -421,6 +421,31 @@ def test_estimate_reaches_a_billion_constants_without_expanding(capsys, files):
     assert report["mean_error"]["rational"] == str(sum(errors) / 6)
 
 
+def test_estimate_over_the_residue_listing_cap_exits_3_before_listing(capsys, files):
+    # a sample of 65 constants has 65^4 residue sequences of 4 positions,
+    # 71,402,500 cells: refused before one is listed or any trial is read
+    constants = [f"c{i}" for i in range(1, 66)]
+    facts = files("ring.facts", "".join(
+        f"e({a}, {b})\n" for a, b in zip(constants, constants[1:] + constants[:1])
+    ))
+    cons = files("est.constraints", "1/2 ; forall W, X, Y, Z: ~e(W,X) | ~e(Y,Z)\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "estimate", "--ground-truth", facts, "--m", "65", "--target-n", "130",
+            "--constraints", cons, "--trials", "2", "--model", "B",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err == (
+        "error: residue groundings of 71402500 cells (17850625 rows of width 4 over 65 "
+        f"constants) exceed the cap of {2**26}\n"
+    )
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # verify
 

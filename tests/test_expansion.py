@@ -384,3 +384,18 @@ def test_expanded_statistic_table_cap(monkeypatch):
     with pytest.raises(CapExceededError) as exc:
         expanded_statistic(f, PATH3, ModelA(2), 5)
     assert exc.value.size == 36 and exc.value.cap == 35
+
+
+@pytest.mark.parametrize("kind, width, listed", [(ModelA(3), 3, 20), (MODEL_B, 2, 16)])
+def test_residue_listing_cap(monkeypatch, kind, width, listed):
+    # 4 residues at level 3: C(4 + 3 - 1, 3) = 20 multisets of width 3, or
+    # 4^2 = 16 sequences of width 2, each residue used at most 3 times
+    cells = listed * width
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", cells)
+    rows, weights = expansion.residue_groundings(kind, width, 4, 3)
+    assert len(rows) == len(weights) == listed
+    assert sum(weights) == kind.count(width, 12)
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", cells - 1)
+    with pytest.raises(CapExceededError) as exc:
+        expansion.residue_groundings(kind, width, 4, 3)
+    assert exc.value.size == cells and exc.value.cap == cells - 1

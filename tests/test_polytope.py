@@ -327,11 +327,16 @@ def test_interiority_margin_refuses_nan_eta():
         interiority_margin(3, 2, 1, math.nan)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_points_and_eta_are_outside():
+    # answered before any product with the point, so 0 * inf makes no NaN
+    # and numpy warns of nothing, at the first query and once facets exist
     poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
-    for point in ([math.inf, 0.5], [math.inf, 0.5], [-math.inf, math.inf]):
-        assert hull_distance(point, poly) == math.inf
-    assert not eta_interior([math.inf, 0.5], 0.1, poly).inside
+    for point in ([math.inf, 0.5], [0.5, 0.5], [math.inf, 0.5], [-math.inf, math.inf]):
+        assert hull_distance(point, poly) == (0.0 if point == [0.5, 0.5] else math.inf)
+    verdict = eta_interior([math.inf, 0.5], 0.1, poly)
+    assert not verdict.inside and verdict.rejected_direction == (1.0, 0.0)
+    assert verdict.probes_checked == 1
     verdict = eta_interior([0.5, 0.5], math.inf, poly)
     assert not verdict.inside and verdict.rejected_direction == (1.0, 0.0)
     assert interiority_margin(3, 2, 1, math.inf) == math.inf

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_logic import closed_formulas
 from test_structures import local_of
@@ -219,10 +219,10 @@ def brute_marginal_a(example, k):
 
 @st.composite
 def marginal_cases(draw):
-    """A structure with predicates of arity 1-3 (some declared without
+    """A structure with predicates of arity 0-3 (some declared without
     atoms), possibly expanded, and a width 1-4 that fits it."""
     n = draw(st.integers(1, 5))
-    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     vocab = {f"p{i}": a for i, a in enumerate(arities)}
     empty = draw(st.sets(st.sampled_from(sorted(vocab))))
     rng = random.Random(draw(st.integers(0, 10_000)))
@@ -241,24 +241,106 @@ def marginal_cases(draw):
     return example, k
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.fixture
+def cold_memo():
+    """An empty pattern-class memo, so that ``marginal_distribution_a``
+    canonicalizes; the returned call empties it again, once per hypothesis
+    example, and the memo is emptied after the test."""
+    stats.PATTERN_CLASSES.clear()
+    yield stats.PATTERN_CLASSES.clear
+    stats.PATTERN_CLASSES.clear()
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(marginal_cases())
-def test_marginal_distribution_matches_per_subset_canonicalize(case):
+def test_marginal_distribution_matches_per_subset_canonicalize(cold_memo, case):
     example, k = case
-    # equal as dicts and in the order the classes first appear
-    assert list(marginal_distribution_a(example, k).items()) == list(
-        brute_marginal_a(example, k).items()
-    )
+    want = list(brute_marginal_a(example, k).items())
+    # equal as dicts and in the order the classes first appear: first from
+    # canonical_patterns on a cold memo, then from the memo alone
+    cold_memo()
+    assert list(marginal_distribution_a(example, k).items()) == want
+    with mock.patch.object(stats, "canonical_patterns", side_effect=AssertionError("cold")):
+        assert list(marginal_distribution_a(example, k).items()) == want
 
 
-def test_marginal_distribution_is_the_same_in_blocks(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(st.lists(marginal_cases(), min_size=2, max_size=4))
+def test_marginal_distribution_is_the_same_on_a_warm_memo(cases):
+    # calls on other structures, vocabularies and widths fill the memo
+    # between a structure's first and second call
+    wants = [list(brute_marginal_a(example, k).items()) for example, k in cases]
+    for _ in range(2):
+        for (example, k), want in zip(cases, wants):
+            assert list(marginal_distribution_a(example, k).items()) == want
+
+
+def test_marginal_distribution_memo_stays_within_its_budget(monkeypatch, cold_memo):
+    # {e/2, r/1} has 2, 6 and 12 local atoms at widths 1, 2 and 3, so a
+    # budget of 40 pattern bytes holds a few patterns: batches evict the
+    # memo, and a batch of 4 new width-3 patterns is not stored at all
+    memo = stats.PATTERN_CLASSES
+    cases = [
+        (_random_structure(random.Random(seed), k + 1), k) for seed in range(6) for k in (1, 2, 3)
+    ]
+    wants = [list(brute_marginal_a(example, k).items()) for example, k in cases]
+    evictions = []
+    clear = memo.clear
+    monkeypatch.setattr(memo, "clear", lambda: (evictions.append(memo.stored), clear()))
+    monkeypatch.setattr(stats, "BLOCK_CELLS", 40)
+    for _ in range(2):
+        for (example, k), want in zip(cases, wants):
+            assert list(marginal_distribution_a(example, k).items()) == want
+            held = sum(map(len, itertools.chain.from_iterable(memo.classes.values())))
+            assert memo.stored == held <= 40
+    assert evictions and max(evictions) <= 40
+
+
+def test_marginal_distribution_is_the_same_in_blocks(monkeypatch, cold_memo):
     # 8 constants, width 3: 56 subsets over 3 + 9 local atoms, in blocks of
     # one subset, of 5 subsets with a short last block, and in one block
     example = expand(_random_structure(random.Random(5), 4), 2)
     want = brute_marginal_a(example, 3)
     for cells in (1, 60, 1 << 20):
         monkeypatch.setattr(stats, "BLOCK_CELLS", cells)
+        cold_memo()
         assert list(marginal_distribution_a(example, 3).items()) == list(want.items())
+
+
+def per_atom_patterns(tables, local, n, k, structures):
+    """Oracle: every size-k subset's bit pattern gathered one local atom at
+    a time, as one (subsets, structures, atoms) array."""
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    bits = np.empty((len(subsets), structures, len(local)), dtype=bool)
+    for j, (p, args) in enumerate(local):
+        bits[:, :, j] = tables[p][tuple(subsets[:, a] for a in args)]
+    return bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=3),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+    st.sampled_from([1, 50, stats.BLOCK_CELLS]),
+    st.data(),
+)
+def test_subset_patterns_match_the_per_atom_gather(arities, n, structures, seed, cells, data):
+    # predicates of arity 0-3 over one or more structures: the per-world
+    # tables of shrink_distribution, or one example's
+    k = data.draw(st.integers(1, n))
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    rng = np.random.default_rng(seed)
+    tables = {p: rng.random((n,) * a + (structures,)) < 0.4 for p, a in vocab.items()}
+    local = stats.local_atoms(vocab, k)
+    want = per_atom_patterns(tables, local, n, k, structures)
+    with mock.patch.object(stats, "BLOCK_CELLS", cells):
+        blocks = list(stats.subset_patterns(tables, local, n, k, structures))
+    assert all(b.shape[1:] == (structures, len(local)) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), want)
 
 
 def _check_canonical_patterns(vocab, k, patterns, cells):
