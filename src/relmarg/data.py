@@ -10,6 +10,7 @@ represented by a lexicographically minimal canonical form.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -22,6 +23,7 @@ ISO_WIDTH_CAP = 8
 
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _ATOM_RE = re.compile(r"([a-z][A-Za-z0-9_]*)\(([^()]*)\)\s*\.?\Z")
+_PRED, _ARGS = operator.attrgetter("pred"), operator.attrgetter("args")
 
 
 @dataclass(frozen=True)
@@ -50,22 +52,21 @@ class GlobalExample:
 
     def __post_init__(self):
         object.__setattr__(self, "constants", tuple(self.constants))
-        object.__setattr__(
-            self,
-            "atoms",
-            frozenset(
-                a if isinstance(a, GroundAtom) else GroundAtom(a[0], tuple(a[1]))
-                for a in self.atoms
-            ),
-        )
+        atoms = self.atoms
+        # a frozenset of ground atoms is kept as it is, without hashing again
+        if type(atoms) is not frozenset or not set(map(type, atoms)) <= {GroundAtom}:
+            atoms = frozenset(
+                a if isinstance(a, GroundAtom) else GroundAtom(a[0], tuple(a[1])) for a in atoms
+            )
+        object.__setattr__(self, "atoms", atoms)
         if self.vocab is not None:
             object.__setattr__(self, "vocab", dict(self.vocab))
         if len(set(self.constants)) != len(self.constants):
             raise DomainError("duplicate constants")
-        if self._atom_error(self.atoms) is not None:
+        if self._atom_error(atoms) is not None:
             # report the first offending atom in sorted order, whichever one
             # the set order met first
-            raise self._atom_error(sorted(self.atoms, key=lambda a: (a.pred, a.args)))
+            raise self._atom_error(sorted(atoms, key=lambda a: (a.pred, a.args)))
 
     def _atom_error(self, atoms: Iterable[GroundAtom]) -> DomainError | VocabularyError | None:
         """The error for the first atom, in the order of ``atoms``, that uses
@@ -85,8 +86,7 @@ class GlobalExample:
 
     def vocabulary(self) -> dict[str, int]:
         vocab = dict(self.vocab or {})
-        for atom in self.atoms:
-            vocab[atom.pred] = len(atom.args)
+        vocab.update(zip(map(_PRED, self.atoms), map(len, map(_ARGS, self.atoms))))
         return vocab
 
     def __str__(self):
@@ -142,9 +142,11 @@ class LocalExample:
         return f"({{{atoms}}}, width {self.width})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
-    """Lexicographically minimal relabelling of a local example's atom set."""
+    """Lexicographically minimal relabelling of a local example's atom set.
+    Its slots make ``sys.getsizeof`` the whole object, which the pattern
+    memo of ``stats`` charges."""
 
     width: int
     atoms: tuple[LocalAtom, ...]

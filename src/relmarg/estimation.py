@@ -5,7 +5,8 @@ observe, a uniformly sampled size-m fragment is available, and the statistic
 at a target domain size is estimated from the fragment's periodic expansion.
 `run_error_experiment` measures the absolute estimation error over repeated
 draws, reading every trial's estimate through `expansion.expanded_statistics`
-(the one reader of expanded statistics), and compares it against the
+(the one reader of expanded statistics) as integer hits, so that each error
+is one fraction over one common denominator, and compares it against the
 closed-form expectation bound
 
     1 - ((m-k+1)/m)^(k-1)  +  sqrt((1 + 2 log 2) / (4 floor(m/k)))
@@ -214,6 +215,9 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
     positions (``sample_positions``), and one ``expanded_statistics`` call
     reads each formula's ``adjusted_estimate`` for every trial off the
     ground truth's tables, so neither a sample nor its expansion is built.
+    With H of N groundings holding in the ground truth and h of T in a
+    trial's expansion, the trial's error is |H*T - h*N| / (N*T), and the
+    mean is the sum of those numerators over N*T*trials.
     """
     truth, m = cfg.ground_truth, cfg.sample_size
     n = len(truth.constants)
@@ -223,12 +227,15 @@ def run_error_experiment(cfg: ExperimentConfig) -> tuple[ErrorReport, ...]:
     rngs = (random.Random(f"{cfg.seed}:{t}") for t in range(cfg.trials))
     positions = np.array([sample_positions(n, m, rng) for rng in rngs], dtype=np.intp)
     level = expansion_level(m, cfg.target_size)
-    estimates = expanded_statistics(cfg.checked, tables, positions, level)
+    hits, totals = expanded_statistics(cfg.checked, tables, positions, level)
     reports = []
-    for f, c, row in zip(cfg.formulas, cfg.checked, estimates):
-        exact = c.statistic(tables, n)
-        trial_errors = tuple(abs(exact - e) for e in row)
-        mean = sum(trial_errors, Fraction(0)) / len(trial_errors)
+    for f, c, row, total in zip(cfg.formulas, cfg.checked, hits, totals):
+        exact, count = c.hits(tables, n), c.count(n)
+        # |exact/count - h/total| over the one denominator count * total
+        gaps = [abs(exact * total - h * count) for h in row]
+        scale = count * total
+        trial_errors = tuple(Fraction(gap, scale) for gap in gaps)
+        mean = Fraction(sum(gaps), scale * len(gaps))
         bound = expected_error_bound(m, c.width)
         k_eff = effective_sample_size(m, c.width)
         reports.append(ErrorReport(f, c.width, trial_errors, mean, bound, k_eff, float(mean) <= bound))

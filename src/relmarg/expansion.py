@@ -15,18 +15,24 @@ representative grounding per residue pattern on the truth tables of the
 first few copies, weighted by the number of groundings it stands for.  The
 model kind lists the patterns and weights: multisets for Model A, sequences
 for Model B.  Its cost does not grow with the level.  It reads the
-expansions of many samples at once, one structure column each, and is the
-one reader of expanded statistics: ``expanded_statistic`` is its
-one-sample case and ``estimation.run_error_experiment`` its batch of trials.
-``expand`` and ``noisy_expand`` materialise an expansion for the CLI
-``expand`` command, the noisy pipeline and the oracles of the verification
-suites and tests, under ``EXPANSION_CAP``.
+expansions of many samples at once, one structure column each, as integer
+hits over integer totals, and is the one reader of expanded statistics:
+``expanded_statistic`` is its one-sample case and
+``estimation.run_error_experiment`` its batch of trials.  ``expand`` and
+``noisy_expand`` materialise an expansion for the CLI ``expand`` command,
+the noisy pipeline and the oracles of the verification suites and tests,
+under ``EXPANSION_CAP``; ``expand`` builds the copies of each predicate's
+atoms with one pattern of repeated arguments from one array of positions.
+``mixture_residual`` solves the mixture decomposition of a Model A
+marginal over one common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -81,6 +87,13 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
 
     New constants extend the base order as c_{n+1} .. c_{l*n}; restricting the
     result to the first n constants gives back the base structure.
+
+    The atoms of one predicate and one pattern of repeated arguments are
+    copied together, over their d distinct argument slots: copy
+    (c_1, ..., c_d) of a base atom puts slot j at position
+    ``residue_j + c_j * n``, so the (base atoms, level^d, d) position array
+    holds exactly the level^d copies that ``_check_size`` charges.  Each
+    argument reads its slot's column, and positions map to names once.
     """
     if level < 1:
         raise DomainError("expansion level must be at least 1")
@@ -92,13 +105,24 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
     n = len(example.constants)
     names = _extended_names(example.constants, level)
     index = {c: i for i, c in enumerate(example.constants)}  # 0-based residues
-    atoms = set()
+    # atoms keyed by predicate and by the first slot of each argument's value
+    groups: dict[tuple[str, tuple[int, ...]], list[tuple[str, ...]]] = {}
     for atom in example.atoms:
-        distinct = sorted(set(atom.args), key=atom.args.index)
-        choices = [[names[index[c] + t * n] for t in range(level)] for c in distinct]
-        for picks in itertools.product(*choices):
-            relabel = dict(zip(distinct, picks))
-            atoms.add(GroundAtom(atom.pred, tuple(relabel[a] for a in atom.args)))
+        args = atom.args
+        groups.setdefault((atom.pred, tuple(map(args.index, args))), []).append(args)
+    atoms = []
+    for (pred, first), group in groups.items():
+        if not first:
+            atoms.append(GroundAtom(pred, ()))
+            continue
+        slots = sorted(set(first))  # the d distinct arguments
+        flat = map(index.__getitem__, itertools.chain.from_iterable(group))
+        base = np.fromiter(flat, dtype=np.intp, count=len(group) * len(first))
+        base = base.reshape(len(group), 1, len(first))[..., slots]
+        copies = np.indices((level,) * len(slots)).reshape(len(slots), -1).T  # (level^d, d)
+        held = (base + copies * n)[..., list(map(slots.index, first))].ravel().tolist()
+        copied = zip(*[map(names.__getitem__, held)] * len(first))
+        atoms.extend(map(GroundAtom, itertools.repeat(pred), copied))
     return GlobalExample(tuple(names), frozenset(atoms), example.vocab)
 
 
@@ -184,10 +208,13 @@ def expanded_statistics(
     tables: Mapping[str, np.ndarray],
     positions: np.ndarray,
     level: int,
-) -> list[list[Fraction]]:
+) -> tuple[list[list[int]], list[int]]:
     """The statistic of each checked formula in the level-``level``
-    expansion of each sample, one list per formula with one exact value per
-    row of the (T, m) ``positions`` into the base ``tables``.
+    expansion of each sample, as integer hits and totals: one list per
+    formula with the hits in the expansion of each row of the (T, m)
+    ``positions`` into the base ``tables``, and each formula's number of
+    groundings over ``m * level`` constants.  Hits over total is the exact
+    statistic.
 
     Each width's ``residue_groundings`` are listed once, and each
     representative is evaluated on ``representative_tables`` of the first
@@ -218,8 +245,7 @@ def expanded_statistics(
                 for t, column in enumerate(held.T, start):
                     sums[t] += sum(itertools.compress(chunk, column))
                 first += len(held)
-    totals = [c.count(m * level) for c in checked]
-    return [[Fraction(h, total) for h in sums] for sums, total in zip(hits, totals)]
+    return hits, [c.count(m * level) for c in checked]
 
 
 def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, level: int) -> Fraction:
@@ -233,7 +259,8 @@ def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, leve
     n = len(example.constants)
     (checked,) = check_formulas((f,), example.vocabulary(), kind, n * level)
     base = structure_tables(example, checked.vocabulary)
-    return expanded_statistics((checked,), base, np.arange(n)[None], level)[0][0]
+    ((hits,),), (total,) = expanded_statistics((checked,), base, np.arange(n)[None], level)
+    return Fraction(hits, total)
 
 
 def required_expansion_level(kind: ModelKind, formulas: Sequence[Formula]) -> int:
@@ -305,14 +332,37 @@ def mixture_residual(
 ) -> dict[CanonicalForm, Fraction]:
     """Solve ``expanded = (1-g) * base + g * residual`` for the residual.
 
-    Exact in rationals; the residual is a probability distribution whenever
-    the mixture decomposition holds, which the verification suites assert.
+    Exact in rationals: values and ``g`` must be ints or ``Fraction``s, and
+    a float raises ``DomainError``.  Every value is scaled to one common
+    denominator D, so with g = p/q each key's residual is the one fraction
+    (q * E - (q - p) * B) / (p * D) of the scaled integers E and B.  The
+    residual is a probability distribution whenever the mixture
+    decomposition holds, which the verification suites assert.
     """
+    if not isinstance(g, numbers.Rational):
+        raise DomainError(f"gamma {g!r} is not an exact rational")
     if g == 0:
         raise DomainError("gamma is zero; the residual is undefined")
-    keep = 1 - g
-    zero = Fraction(0)
-    return {
-        key: (expanded.get(key, zero) - keep * base.get(key, zero)) / g
-        for key in dict.fromkeys([*base, *expanded])
-    }
+    try:
+        scale = math.lcm(*map(_DENOMINATOR, base.values()), *map(_DENOMINATOR, expanded.values()))
+    except (AttributeError, TypeError):
+        key, value = next(
+            (key, value) for values in (base, expanded) for key, value in values.items()
+            if not isinstance(value, numbers.Rational)
+        )
+        raise DomainError(f"value {value!r} of {key} is not an exact rational") from None
+    p, q = int(g.numerator), int(g.denominator)
+    # the scaled numerators, keyed in order of first appearance
+    numerators = {key: (p - q) * _scaled(value, scale) for key, value in base.items()}
+    for key, value in expanded.items():
+        numerators[key] = numerators.get(key, 0) + q * _scaled(value, scale)
+    return {key: Fraction(numerator, p * scale) for key, numerator in numerators.items()}
+
+
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
+def _scaled(value: Fraction | int, scale: int) -> int:
+    """``value * scale``, an integer when ``scale`` is a multiple of the
+    denominator."""
+    return int(value.numerator) * (scale // int(value.denominator))

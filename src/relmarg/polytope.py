@@ -51,6 +51,7 @@ gets Wolfe's distance and builds no facets.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,7 +254,7 @@ def _pivots_and_equalities(
 
 
 def _facets(
-    rows: list[list[int]], scales: Sequence[int], pivots: list[int], start: list[int]
+    rows: Sequence[Sequence[int]], scales: Sequence[int], pivots: list[int], start: list[int]
 ) -> tuple[Constraint, ...] | None:
     """Facets of the integer rows, by the double-description method (Motzkin
     et al. 1953; Fukuda & Prodon 1996) on their projection y onto the pivot
@@ -271,24 +272,33 @@ def _facets(
     at each row, each charged the 64-bit limbs of the row coordinate it
     multiplies, one step for each pair's count test, and one step per ray
     for each pair that passes it and is checked against every ray's zero
-    set.  Past ``FACET_WORK_CAP`` steps no facet is computed.
+    set.  Past ``FACET_WORK_CAP`` steps no facet is computed.  A row is read
+    and projected when the loop reaches it, so a refused run reads no row
+    past the one where it stopped.
     """
     r, n = len(pivots), len(rows)
     if r == 0:
         return ()
-    # a row y gives the constraint (a, b).(y, -1) <= 0
-    ys = [[row[p] for p in pivots] + [-1] for row in rows]
-    rays = _simplex_rays([ys[i] for i in start])
+
+    def project(i: int) -> list[int]:
+        # a row y gives the constraint (a, b).(y, -1) <= 0
+        row = rows[i]
+        return [row[p] for p in pivots] + [-1]
+
+    rays = _simplex_rays([project(i) for i in start])
     masks = [0] * len(rays)
     work = 0
-    # the start rows first, which only mark the zero sets
-    for i in dict.fromkeys(start + list(range(n))):
-        slacks = [sum(a * c for a, c in zip(ray, ys[i])) for ray in rays]
+    # the start rows first, which only mark the zero sets; each row is
+    # projected when the loop reaches it
+    first = set(start)
+    for i in itertools.chain(start, itertools.filterfalse(first.__contains__, range(n))):
+        y = project(i)
+        slacks = [sum(a * c for a, c in zip(ray, y)) for ray in rays]
         out = [k for k, s in enumerate(slacks) if s > 0]
         inside = [k for k, s in enumerate(slacks) if s < 0]
         # one product per coordinate of the row in each slack, as long as
         # that coordinate, and one count test per pair
-        limbs = sum(max(1, -(-c.bit_length() // 64)) for c in ys[i])
+        limbs = sum(max(1, -(-c.bit_length() // 64)) for c in y)
         work += len(rays) * limbs + len(out) * len(inside)
         if work > FACET_WORK_CAP:
             return None

@@ -23,7 +23,8 @@ package goes through them, by exhaustive enumeration, and is returned as a
 ``holds_over`` evaluates a formula over a batch of (grounding, structure)
 pairs at once.  A grounding is a row of constant positions, a structure is a
 column of the per-predicate truth tables, and an atom is a gather from those
-tables.  One example has one column (``structure_tables``); a world space has
+tables.  One example has one column (``structure_tables``, which fills each
+predicate's table by one index assignment); a world space has
 one per world (``worlds.world_tables``), and the expansions of an error
 experiment's samples one per trial (``expansion.representative_tables``).
 ``grounding_truths`` runs it in blocks of groundings; ``count_groundings``
@@ -39,8 +40,9 @@ local atoms from the same truth tables, one broadcast gather per predicate.
 ``maxent.shrink_distribution`` reads those of a world space as worlds of a
 smaller space, and ``marginal_distribution_a`` reads the Model A marginal
 without building fragments: ``distinct_rows`` counts equal patterns, and
-``PATTERN_CLASSES``, a memo of at most ``BLOCK_CELLS`` pattern bytes keyed
-by vocabulary and width, gives each distinct pattern's class.  A pattern is
+``PATTERN_CLASSES``, a memo keyed by vocabulary and width that holds at
+most ``BLOCK_CELLS`` bytes, keys and values counted, gives each distinct
+pattern's class; the patterns of a class share one entry.  A pattern is
 canonicalized once per vocabulary and width while the memo holds it.
 ``canonical_patterns`` canonicalizes the patterns the memo lacks together:
 one gather through a (permutation, local atom) index array gives every
@@ -56,6 +58,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -174,10 +177,15 @@ class CheckedFormula:
         """The groundings over ``n`` constants, as tuples of positions."""
         return self.kind.orders(range(n), self.width)
 
+    def hits(self, tables: Mapping[str, np.ndarray], n: int) -> int:
+        """How many groundings hold in the structure on ``n`` constants
+        whose truth tables are ``tables``."""
+        return int(count_groundings(self, self.rows(n), tables, 1)[0])
+
     def statistic(self, tables: Mapping[str, np.ndarray], n: int) -> Fraction:
         """The fraction of the groundings that hold in the structure on ``n``
         constants whose truth tables are ``tables``."""
-        return Fraction(int(count_groundings(self, self.rows(n), tables, 1)[0]), self.count(n))
+        return Fraction(self.hits(tables, n), self.count(n))
 
 
 def check_formulas(
@@ -225,16 +233,27 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
     """Truth tables of one structure for the predicates in ``vocabulary``:
     ``tables[p][i, j, ..., 0]`` is whether ``p`` holds of the constants at
     positions i, j, ...  Raises ``CapExceededError`` when the tables would
-    have more than ``TABLE_CELL_CAP`` cells."""
+    have more than ``TABLE_CELL_CAP`` cells.
+
+    Each predicate's table is filled by one fancy-index assignment: the
+    argument positions of all its atoms are read in one flat pass."""
     n = len(example.constants)
     cells = sum(n**arity for arity in vocabulary.values())
     check_cells(cells, f"truth tables of {cells} cells over {n} constants")
     position = {c: i for i, c in enumerate(example.constants)}
-    tables = {p: np.zeros((n,) * arity + (1,), dtype=bool) for p, arity in vocabulary.items()}
+    args: dict[str, list[tuple[str, ...]]] = {p: [] for p in vocabulary}
     for atom in example.atoms:
-        table = tables.get(atom.pred)
-        if table is not None:
-            table[tuple(position[c] for c in atom.args) + (0,)] = True
+        held = args.get(atom.pred)
+        if held is not None:
+            held.append(atom.args)
+    tables = {}
+    for p, arity in vocabulary.items():
+        held = args[p]
+        table = tables[p] = np.zeros((n,) * arity + (1,), dtype=bool)
+        if held:
+            flat = map(position.__getitem__, itertools.chain.from_iterable(held))
+            at = np.fromiter(flat, dtype=np.intp, count=len(held) * arity)
+            table[tuple(at.reshape(len(held), arity).T) + (0,)] = True
     return tables
 
 
@@ -413,20 +432,57 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     return {forms[key]: Fraction(count, total) for key, count in mass.items()}
 
 
+class _Signature:
+    """The memo of one vocabulary and width: each pattern's class entry,
+    one entry per class shared by its patterns (``classes``, keyed by the
+    canonical image), and the local atoms with positions 1..k that every
+    class's form shares.
+
+    ``charge`` is the bytes the record holds: the size of its two dicts as
+    they are, and per stored pattern and class the ``sys.getsizeof`` of its
+    objects, worked out once per record.  A class is charged a form that
+    holds every local atom, the most it can hold."""
+
+    __slots__ = ("labelled", "patterns", "classes", "fixed", "per_pattern", "per_class", "held")
+
+    def __init__(self, labelled: list[LocalAtom], k: int):
+        self.labelled = labelled
+        self.patterns: dict[bytes, tuple[bytes, CanonicalForm]] = {}
+        self.classes: dict[bytes, tuple[bytes, CanonicalForm]] = {}  # image -> entry
+        pattern = bytes(len(labelled))  # a pattern or an image
+        self.per_pattern = sys.getsizeof(pattern)
+        form = CanonicalForm(k, tuple(labelled), math.factorial(k))
+        objects = ((pattern, form), pattern, form, form.atoms, form.automorphisms)
+        self.per_class = sum(map(sys.getsizeof, objects))
+        held = [self, labelled, *labelled, *(args for _, args in labelled)]
+        self.fixed = sum(map(sys.getsizeof, held))
+        self.held = 0  # what the memo charges for the record
+
+    def charge(self, patterns: dict, classes: dict) -> int:
+        """The bytes the record holds with ``patterns`` and ``classes``."""
+        tables = sys.getsizeof(patterns) + sys.getsizeof(classes)
+        entries = len(patterns) * self.per_pattern + len(classes) * self.per_class
+        return self.fixed + tables + entries
+
+
 class PatternClasses:
     """Bounded memo of the class of each width-k local pattern, per
     vocabulary signature ``tuple(sorted(vocabulary.items()))`` and width:
-    a pattern's bytes (one per local atom) map to its canonical image's
-    bytes and its ``CanonicalForm``.  The stored pattern bytes stay within
-    ``BLOCK_CELLS``: a batch that would pass it clears the whole memo
-    first, and a batch over it on its own is not stored."""
+    a pattern's bytes (one per local atom) map to its class's entry, its
+    canonical image's bytes and its ``CanonicalForm``.  A signature shares
+    one entry per class, and its forms share one atom tuple per local atom.
+
+    ``stored`` is the bytes its records charge.  After each lookup it is
+    within ``BLOCK_CELLS``: a batch that does not fit on its own is not
+    stored, and one that fits only on its own clears the memo and is
+    stored alone."""
 
     def __init__(self):
-        self.classes: dict[tuple, dict[bytes, tuple[bytes, CanonicalForm]]] = {}
-        self.stored = 0  # pattern bytes held
+        self.signatures: dict[tuple, _Signature] = {}
+        self.stored = 0  # bytes held
 
     def clear(self):
-        self.classes.clear()
+        self.signatures.clear()
         self.stored = 0
 
     def lookup(
@@ -438,13 +494,15 @@ class PatternClasses:
     ) -> dict[bytes, tuple[bytes, CanonicalForm]]:
         """The (image bytes, class) of each of ``patterns`` over the
         ``local`` atoms, ``local_atoms(vocabulary, k)``; the patterns the
-        memo lacks are canonicalized in one batch, and each new class's
-        form is built once."""
+        memo lacks are canonicalized in one batch, and each class's form
+        is built once while the memo holds it."""
         signature = (tuple(sorted(vocabulary.items())), k)
-        known = self.classes.get(signature, {})
+        memo = self.signatures.get(signature)
+        if memo is None:
+            memo = _Signature([(p, tuple(a + 1 for a in args)) for p, args in local], k)
         out, missing = {}, []
         for pattern in patterns:
-            entry = known.get(pattern)
+            entry = memo.patterns.get(pattern)
             if entry is None:
                 missing.append(pattern)
             else:
@@ -453,25 +511,35 @@ class PatternClasses:
             return out
         distinct = np.frombuffer(b"".join(missing), dtype=bool).reshape(len(missing), len(local))
         images, automorphisms = canonical_patterns(distinct, vocabulary, k)
-        # the forms share one atom tuple per local atom, positions 1..k
-        labelled = [(p, tuple(a + 1 for a in args)) for p, args in local]
-        forms: dict[bytes, CanonicalForm] = {}  # canonical image -> class
-        new = {}
+        new, fresh = {}, {}  # pattern -> entry, and the classes the memo lacks
         for pattern, image, autos in zip(missing, images, automorphisms):
             key = image.tobytes()
-            form = forms.get(key)
-            if form is None:
-                atoms = tuple(itertools.compress(labelled, image))
-                form = forms[key] = CanonicalForm(k, atoms, int(autos))
-            new[pattern] = key, form
-        size = len(missing) * len(local)
-        if size <= BLOCK_CELLS:
-            if self.stored + size > BLOCK_CELLS:
-                self.clear()
-            self.classes.setdefault(signature, {}).update(new)
-            self.stored += size
+            entry = memo.classes.get(key) or fresh.get(key)
+            if entry is None:
+                atoms = tuple(itertools.compress(memo.labelled, image))
+                entry = fresh[key] = key, CanonicalForm(k, atoms, int(autos))
+            new[pattern] = entry
         out.update(new)
+        self._store(signature, memo, new, fresh)
         return out
+
+    def _store(self, signature: tuple, memo: _Signature, new: dict, fresh: dict):
+        """Keep the ``new`` pattern entries and the ``fresh`` classes of
+        ``memo`` within the budget."""
+        alone = {entry[0]: entry for entry in new.values()}  # the batch's classes
+        if memo.charge(new, alone) > BLOCK_CELLS:
+            return
+        memo.patterns.update(new)
+        memo.classes.update(fresh)
+        self.signatures[signature] = memo
+        held = memo.charge(memo.patterns, memo.classes)
+        self.stored += held - memo.held
+        memo.held = held
+        if self.stored > BLOCK_CELLS:
+            self.clear()
+            memo.patterns, memo.classes = new, alone
+            memo.held = self.stored = memo.charge(new, alone)
+            self.signatures[signature] = memo
 
 
 PATTERN_CLASSES = PatternClasses()

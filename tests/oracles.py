@@ -11,7 +11,9 @@ tree.  For polytopes there is a facet enumeration over every vertex subset
 in Fractions, and the eta-interiority probe loop that asks
 ``hull_distance`` about every probe.  ``maxent.shrink_distribution``
 gathers every subset's bit pattern from truth tables; its reference walks
-each world's atoms subset by subset.
+each world's atoms subset by subset.  ``expansion.expand``,
+``stats.structure_tables`` and the atom checks of ``GlobalExample`` work
+on whole index arrays and sets; their references go atom by atom.
 """
 
 import itertools
@@ -22,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from relmarg.data import CanonicalForm, GlobalExample, GroundAtom, LocalExample
-from relmarg.errors import DomainError
+from relmarg.errors import DomainError, VocabularyError
+from relmarg.expansion import _extended_names
 from relmarg.logic import And, Const, Eq, Exists, Not, Or, PredAtom, Var
 from relmarg.polytope import ETA_PROBES, MEMBERSHIP_TOL, EtaVerdict, hull_distance
 from relmarg.worlds import enumerate_worlds
@@ -59,6 +62,60 @@ def holds(f, atoms, domain, env=None) -> bool:
 def evaluate(f, example) -> bool:
     """Whether the closed formula ``f`` holds in the ``GlobalExample``."""
     return holds(f, example.atoms, example.constants)
+
+
+def expand(example, level):
+    """``expansion.expand`` atom by atom: each base atom's distinct
+    constants take every combination of copies, c_{r+1+t*n} for copy t of
+    the constant at position r."""
+    if level < 1:
+        raise DomainError("expansion level must be at least 1")
+    if not example.constants:
+        raise DomainError("cannot expand an empty constant set")
+    if level == 1:
+        return example
+    n = len(example.constants)
+    names = _extended_names(example.constants, level)
+    index = {c: i for i, c in enumerate(example.constants)}
+    atoms = set()
+    for atom in example.atoms:
+        distinct = sorted(set(atom.args), key=atom.args.index)
+        choices = [[names[index[c] + t * n] for t in range(level)] for c in distinct]
+        for picks in itertools.product(*choices):
+            relabel = dict(zip(distinct, picks))
+            atoms.add(GroundAtom(atom.pred, tuple(relabel[a] for a in atom.args)))
+    return GlobalExample(tuple(names), frozenset(atoms), example.vocab)
+
+
+def structure_tables(example, vocabulary):
+    """``stats.structure_tables`` one numpy cell per ground atom."""
+    n = len(example.constants)
+    position = {c: i for i, c in enumerate(example.constants)}
+    tables = {p: np.zeros((n,) * arity + (1,), dtype=bool) for p, arity in vocabulary.items()}
+    for atom in example.atoms:
+        table = tables.get(atom.pred)
+        if table is not None:
+            table[tuple(position[c] for c in atom.args) + (0,)] = True
+    return tables
+
+
+def atom_error(constants, atoms, vocab=None):
+    """The error ``GlobalExample(constants, atoms, vocab)`` raises for its
+    atoms, or None: the first atom in (predicate, arguments) order that
+    uses a constant outside ``constants`` or a second arity, a declared
+    arity coming first."""
+    atoms = [a if isinstance(a, GroundAtom) else GroundAtom(a[0], tuple(a[1])) for a in atoms]
+    arity = dict(vocab or {})
+    for atom in sorted(set(atoms), key=lambda a: (a.pred, a.args)):
+        for arg in atom.args:
+            if arg not in constants:
+                return DomainError(f"atom {atom} uses constant {arg!r} outside the constant set")
+        seen = arity.setdefault(atom.pred, len(atom.args))
+        if seen != len(atom.args):
+            return VocabularyError(
+                f"predicate {atom.pred!r} used with arities {seen} and {len(atom.args)}"
+            )
+    return None
 
 
 def canonicalize(local: LocalExample) -> CanonicalForm:

@@ -15,6 +15,7 @@ from test_stats import A_POOL, B_POOL
 from relmarg import expansion, stats
 from relmarg.errors import CapExceededError, DomainError
 from relmarg.estimation import (
+    ErrorReport,
     ExperimentConfig,
     adjusted_estimate,
     disjoint_sample_estimator,
@@ -354,6 +355,47 @@ def test_experiment_trials_are_the_same_in_blocks(monkeypatch, kind_name):
     with pytest.raises(CapExceededError) as exc:
         run_error_experiment(replace(cfg, sample_size=8, target_size=16))
     assert exc.value.size == 272 and exc.value.cap == 271
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_experiment_reports_match_a_fraction_reference(data):
+    # each report recomputed in Fractions: the ground truth's statistic,
+    # each trial's adjusted estimate on the sample its own RNG draws, their
+    # absolute differences and the mean of those
+    n = data.draw(st.integers(2, 8))
+    density = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rng = random.Random(data.draw(st.integers(0, 99)))
+    truth = random_structure(n, {"r": 1, "e": 2}, density, rng)
+    m = data.draw(st.integers(1, n))
+    if data.draw(st.booleans()):
+        kind, pool = ModelA(data.draw(st.integers(1, min(m, 3)))), A_POOL
+    else:
+        kind = MODEL_B
+        pool = [t for t in B_POOL if len(strip_foralls(parse_formula(t))[0]) <= m]
+    texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    cfg = ExperimentConfig(
+        ground_truth=truth,
+        sample_size=m,
+        target_size=data.draw(st.integers(1, 3 * n)),
+        formulas=tuple(parse_formula(t) for t in texts),
+        kind=kind,
+        trials=data.draw(st.integers(1, 6)),
+        seed=data.draw(st.integers(0, 99)),
+    )
+    reports = run_error_experiment(cfg)
+    samples = [
+        sample_subexample(truth, m, random.Random(f"{cfg.seed}:{t}")) for t in range(cfg.trials)
+    ]
+    for report, f, c in zip(reports, cfg.formulas, cfg.checked):
+        exact = statistic(f, truth, kind)
+        errors = tuple(abs(exact - adjusted_estimate(s, f, kind, cfg.target_size)) for s in samples)
+        mean = sum(errors, Fraction(0)) / cfg.trials
+        bound = expected_error_bound(m, c.width)
+        assert report == ErrorReport(
+            f, c.width, errors, mean, bound, effective_sample_size(m, c.width), float(mean) <= bound
+        )
+        assert all(type(e) is Fraction for e in report.trial_errors)
 
 
 def test_experiment_multi_formula_widths():

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,65 @@ def test_expansion_copies_each_congruence_slot():
         ("e", ("c2", "c2")),
         ("e", ("c3", "c3")),
     }
+
+
+@st.composite
+def expansion_cases(draw):
+    """A structure over predicates of arities 0-3, some declared without
+    atoms, on constants whose names may collide with the fresh ones, and a
+    level of 1-4."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    bare = draw(st.sets(st.sampled_from(sorted(vocab))))
+    consts = draw(st.lists(st.sampled_from(["c1", "c2", "c3", "c5", "a", "b"]),
+                           min_size=1, max_size=4, unique=True))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    atoms = [
+        (p, args)
+        for p in sorted(set(vocab) - bare)
+        for args in itertools.product(consts, repeat=vocab[p])
+        if rng.random() < density
+    ]
+    declared = vocab if bare or draw(st.booleans()) else None
+    return GlobalExample(consts, atoms, declared), draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases())
+def test_expand_matches_the_per_atom_oracle(case):
+    example, level = case
+    got, want = expand(example, level), oracles.expand(example, level)
+    assert got.constants == want.constants
+    assert got.atoms == want.atoms
+    assert got.vocab == want.vocab and got.vocabulary() == want.vocabulary()
+
+
+@pytest.mark.parametrize(
+    "atoms, constants, level, count, peak",
+    [
+        # level^1 copies of an atom with one distinct argument in six slots,
+        # not level^6 = 10^12 candidates to mask
+        ([("r", ("a",) * 6)], 2, 100, 100, 1e6),
+        # 50 self-loops and one atom with a repeated argument: 15,000 copies,
+        # where a (level^arity)-candidate array takes over 30 MB
+        ([*(("e", (f"c{i}", f"c{i}")) for i in range(50)), ("t", ("c0", "c1", "c0"))],
+         50, 100, 15_000, 12e6),
+    ],
+)
+def test_expansion_of_repeated_arguments_builds_only_their_copies(
+    atoms, constants, level, count, peak
+):
+    names = ["a", "b"] if constants == 2 else [f"c{i}" for i in range(constants)]
+    example = GlobalExample(names, atoms)
+    tracemalloc.start()
+    try:
+        got = expand(example, level)
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got.atoms) == count and used < peak
+    assert got == oracles.expand(example, level)
 
 
 def test_expansion_level_validation():
@@ -164,6 +225,39 @@ def test_mixture_residual_rejects_degenerate_weight():
     base = marginal_distribution_a(PATH3, 2)
     with pytest.raises(DomainError):
         mixture_residual(base, base, Fraction(0))
+
+
+exact_values = st.integers(-50, 50) | st.fractions(max_denominator=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 12), exact_values, max_size=8),
+    st.dictionaries(st.integers(0, 12), exact_values, max_size=8),
+    (st.integers(-3, 3) | st.fractions(max_denominator=40)).filter(bool),
+)
+def test_mixture_residual_matches_a_fraction_reference(base, expanded, g):
+    # keys in order of first appearance, each residual the exact solution
+    want = {
+        key: (Fraction(expanded.get(key, 0)) - (1 - Fraction(g)) * Fraction(base.get(key, 0)))
+        / Fraction(g)
+        for key in dict.fromkeys([*base, *expanded])
+    }
+    got = mixture_residual(base, expanded, g)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@pytest.mark.parametrize("side", ["base", "expanded"])
+def test_mixture_residual_rejects_a_float_value_by_its_key(side):
+    values = {"base": {"a": Fraction(1, 2), "b": 1}, "expanded": {"a": Fraction(1, 3), "c": 0}}
+    values[side]["bad"] = 0.25
+    with pytest.raises(DomainError) as exc:
+        mixture_residual(values["base"], values["expanded"], Fraction(1, 5))
+    assert str(exc.value) == "value 0.25 of bad is not an exact rational"
+    with pytest.raises(DomainError) as exc:
+        mixture_residual({"a": 1}, {"a": 1}, 0.2)
+    assert str(exc.value) == "gamma 0.2 is not an exact rational"
 
 
 def test_expansion_shift_bound_randomized():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -622,6 +623,41 @@ def test_points_in_general_position_stay_past_the_work_cap(monkeypatch):
     for point in points:
         assert hull_distance(point, poly) == wolfe_distance(point, poly)
     assert len(wolfe_calls) == len(points)
+
+
+class RecordingRows(Sequence):
+    """Rows that record the index of every row read."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return self.rows[i]
+
+
+def test_a_refused_facet_search_reads_no_row_past_where_it_stopped():
+    # the double description reads the start rows, then each other row once
+    # and in order when it reaches it: a run past the cap stops early and
+    # leaves the later rows unread
+    rng = random.Random(8)
+    poly = _poly([[Fraction(rng.randint(0, 1000), 1000) for _ in range(8)] for _ in range(300)])
+    rows, pivots, _, start = poly._affine_hull
+    recording = RecordingRows(rows)
+    assert polytope._facets(recording, poly.norms, pivots, start) is None
+    order = start + [i for i in range(len(rows)) if i not in start]
+    simplex, reached = recording.read[:len(start)], recording.read[len(start):]
+    assert simplex == start
+    assert reached == order[:len(reached)] and len(start) < len(reached) < len(rows)
+    # a run that finishes reads every row once after the simplex
+    poly = _poly([[0, 0], [1, 0], [0, 1], [1, 1], [Fraction(1, 2), Fraction(1, 3)]])
+    rows, pivots, _, start = poly._affine_hull
+    recording = RecordingRows(rows)
+    assert len(polytope._facets(recording, poly.norms, pivots, start)) == 4
+    assert recording.read == start + start + [i for i in range(len(rows)) if i not in start]
 
 
 def _sixteen_vertices_at_rank_12():

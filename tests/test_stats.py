@@ -1,8 +1,10 @@
 """Fragment and substitution statistics against independent counting oracles."""
 
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -278,24 +280,131 @@ def test_marginal_distribution_is_the_same_on_a_warm_memo(cases):
 
 
 def test_marginal_distribution_memo_stays_within_its_budget(monkeypatch, cold_memo):
-    # {e/2, r/1} has 2, 6 and 12 local atoms at widths 1, 2 and 3, so a
-    # budget of 40 pattern bytes holds a few patterns: batches evict the
-    # memo, and a batch of 4 new width-3 patterns is not stored at all
+    # a budget of 4,000 bytes holds the record of one width and a few of
+    # its patterns and classes: batches evict the memo, and most batches of
+    # new width-3 patterns are not stored at all
     memo = stats.PATTERN_CLASSES
     cases = [
         (_random_structure(random.Random(seed), k + 1), k) for seed in range(6) for k in (1, 2, 3)
     ]
     wants = [list(brute_marginal_a(example, k).items()) for example, k in cases]
-    evictions = []
+    evictions, stored = [], []
     clear = memo.clear
     monkeypatch.setattr(memo, "clear", lambda: (evictions.append(memo.stored), clear()))
-    monkeypatch.setattr(stats, "BLOCK_CELLS", 40)
+    monkeypatch.setattr(stats, "BLOCK_CELLS", 4000)
     for _ in range(2):
         for (example, k), want in zip(cases, wants):
             assert list(marginal_distribution_a(example, k).items()) == want
-            held = sum(map(len, itertools.chain.from_iterable(memo.classes.values())))
-            assert memo.stored == held <= 40
-    assert evictions and max(evictions) <= 40
+            records = memo.signatures.values()
+            for r in records:
+                assert r.held == r.charge(r.patterns, r.classes)
+                # the patterns of a class share its one stored entry
+                assert all(r.classes[entry[0]] is entry for entry in r.patterns.values())
+                assert r.classes.keys() == {entry[0] for entry in r.patterns.values()}
+            assert memo.stored == sum(r.held for r in records) <= 4000
+            stored.append(memo.stored)
+    assert evictions and min(stored) > 0
+    # a batch too large to be stored on its own leaves a warm memo as it is
+    vocabulary = {"e": 2, "r": 1}
+    local = stats.local_atoms(vocabulary, 3)
+    rows = [bytes(row) for row in itertools.product([0, 1], repeat=len(local))]
+    memo.lookup(rows[:1], vocabulary, 3, local)
+    warm, held, count = dict(memo.signatures), memo.stored, len(evictions)
+    assert 0 < held and rows[0] in warm[(tuple(sorted(vocabulary.items())), 3)].patterns
+    got = memo.lookup(rows[1:200], vocabulary, 3, local)
+    assert len(got) == 199 and memo.signatures == warm and memo.stored == held
+    assert len(evictions) == count
+
+
+def test_pattern_memo_keeps_a_class_it_shares_across_an_eviction(monkeypatch, cold_memo):
+    # over {e/2} at width 2, pattern b = {e(2,1)} is a relabelling of
+    # a = {e(1,2)}, and c = {e(1,1)} is a class of its own.  With a stored,
+    # the batch (b, c) passes a budget that holds it alone: the memo is
+    # cleared and keeps b with a's class entry, and c with its own
+    memo = stats.PATTERN_CLASSES
+    vocabulary = {"e": 2}
+    local = stats.local_atoms(vocabulary, 2)
+    a, b, c = bytes([0, 1, 0, 0]), bytes([0, 0, 1, 0]), bytes([1, 0, 0, 0])
+    first = memo.lookup([a], vocabulary, 2, local)[a]
+    other = stats.PatternClasses()
+    other.lookup([b, c], vocabulary, 2, local)
+    budget = other.stored
+    evictions = []
+    clear = memo.clear
+    monkeypatch.setattr(memo, "clear", lambda: (evictions.append(memo.stored), clear()))
+    monkeypatch.setattr(stats, "BLOCK_CELLS", budget)
+    got = memo.lookup([b, c], vocabulary, 2, local)
+    assert got[b] is first and got[c][0] != first[0] and len(evictions) == 1
+    (record,) = memo.signatures.values()
+    assert record.patterns == {b: first, c: got[c]}
+    assert record.classes == {first[0]: first, got[c][0]: got[c]}
+    assert memo.stored == record.held == budget
+
+
+@pytest.mark.parametrize("density", [0.5, 0.9])
+def test_pattern_memo_holds_no_more_memory_than_it_charges(cold_memo, density):
+    # 52,428 random width-4 patterns over {e/2, r/1} (20 local atoms), in
+    # batches of about 1,000: a memo that charged pattern bytes alone held
+    # 17.7 MiB of them under its 1 MiB budget.  Each fill is measured as
+    # the traced memory that clearing the memo frees.  Dense patterns make
+    # classes whose forms hold nearly every local atom, so the charge per
+    # class is nearly what a class holds and the dict tables must be counted.
+    vocabulary = {"e": 2, "r": 1}
+    local = stats.local_atoms(vocabulary, 4)
+    rows = np.random.default_rng(4).random((52_428, len(local))) < density
+    batches = np.array_split(rows, 52)
+    memo = stats.PATTERN_CLASSES
+
+    def fill(count):
+        for block in batches[:count]:
+            memo.lookup([row.tobytes() for row in block], vocabulary, 4, local)
+
+    tracemalloc.start()
+    try:
+        for count in (1, 5, 52):
+            cold_memo()
+            gc.collect()
+            fill(count)
+            gc.collect()
+            filled, charged = tracemalloc.get_traced_memory()[0], memo.stored
+            cold_memo()
+            gc.collect()
+            held = filled - tracemalloc.get_traced_memory()[0]
+            assert 0 < held <= charged <= stats.BLOCK_CELLS
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.data(),
+)
+def test_structure_tables_match_the_per_atom_oracle(n, arities, seed, density, data):
+    # tables for some of the structure's predicates, for predicates it
+    # declares without atoms, and for one it does not have
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    bare = data.draw(st.sets(st.sampled_from(sorted(vocab))))
+    rng = random.Random(seed)
+    consts = [f"c{i}" for i in range(n)]
+    atoms = [
+        (p, args)
+        for p in sorted(set(vocab) - bare)
+        for args in itertools.product(consts, repeat=vocab[p])
+        if rng.random() < density
+    ]
+    example = GlobalExample(consts, atoms, vocab)
+    asked = {p: vocab[p] for p in data.draw(st.sets(st.sampled_from(sorted(vocab))))}
+    if data.draw(st.booleans()):
+        asked["absent"] = data.draw(st.integers(0, 3))
+    got, want = stats.structure_tables(example, asked), oracles.structure_tables(example, asked)
+    assert list(got) == list(want)
+    for p in want:
+        assert got[p].dtype == want[p].dtype and got[p].shape == want[p].shape
+        assert np.array_equal(got[p], want[p])
 
 
 def test_marginal_distribution_is_the_same_in_blocks(monkeypatch, cold_memo):

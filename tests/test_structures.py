@@ -64,6 +64,36 @@ def test_atom_errors_name_the_first_offending_atom_in_sorted_order():
     assert str(exc.value) == "predicate 'p' used with arities 3 and 1"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_atom_checks_raise_what_the_sorted_scan_finds(data):
+    # unknown constants, two arities for one predicate, arities against a
+    # declared vocabulary, and atoms given as GroundAtoms or as tuples in
+    # any container: the same exception type and message as the per-atom
+    # scan in (predicate, arguments) order, or no error when it finds none
+    constants = data.draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=3))
+    container = data.draw(st.sampled_from([list, tuple, set, frozenset, iter]))
+    hashable = container in (set, frozenset)
+    name = st.sampled_from([*constants, "zz", "yy"])
+    raw = data.draw(st.lists(
+        st.tuples(st.sampled_from("pqr"), st.lists(name, max_size=3).map(tuple), st.booleans()),
+        max_size=6,
+    ))
+    atoms = [
+        GroundAtom(p, args) if ground else (p, args if hashable else list(args))
+        for p, args, ground in raw
+    ]
+    vocab = data.draw(st.none() | st.dictionaries(st.sampled_from("pqrs"), st.integers(0, 3)))
+    want = oracles.atom_error(constants, atoms, vocab)
+    if want is None:
+        example = GlobalExample(constants, container(atoms), vocab)
+        assert example.atoms == frozenset(GroundAtom(p, args) for p, args, _ in raw)
+    else:
+        with pytest.raises((DomainError, VocabularyError)) as exc:
+            GlobalExample(constants, container(atoms), vocab)
+        assert type(exc.value) is type(want) and str(exc.value) == str(want)
+
+
 def test_vocabulary_collects_arities():
     ex = GlobalExample(["a", "b"], [("e", ("a", "b")), ("r", ("a",))])
     assert ex.vocabulary() == {"e": 2, "r": 1}
