@@ -144,9 +144,7 @@ class LocalExample:
 
 @dataclass(frozen=True, slots=True)
 class CanonicalForm:
-    """Lexicographically minimal relabelling of a local example's atom set.
-    Its slots make ``sys.getsizeof`` the whole object, which the pattern
-    memo of ``stats`` charges."""
+    """Lexicographically minimal relabelling of a local example's atom set."""
 
     width: int
     atoms: tuple[LocalAtom, ...]

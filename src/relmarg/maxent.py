@@ -26,6 +26,7 @@ target world with one gather (``stats.subset_patterns``), and both it and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,12 +77,18 @@ class ExplicitDistribution:
             raise DomainError(
                 f"{len(self.probs)} probabilities for {len(self.space)} worlds"
             )
-        weights, denom = _weights(self.probs)
-        if (weights < 0).any():
-            raise DomainError("negative probability")
+        weights, denom = self.weights
+        # written so that a NaN fails both checks
+        if not (weights >= 0).all():
+            raise DomainError("negative or NaN probability")
         total = _ratio(weights.sum(), denom)
-        if abs(total - 1) > (0 if weights.dtype == object else 1e-9):
+        if not abs(total - 1) <= (0 if weights.dtype == object else 1e-9):
             raise DomainError(f"probabilities sum to {total}, not 1")
+
+    @functools.cached_property
+    def weights(self) -> tuple[np.ndarray, int]:
+        """``_weights`` of the probabilities, computed once."""
+        return _weights(self.probs)
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(p) for p in self.probs], dtype=float)
@@ -400,7 +407,7 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     if not 1 <= m <= n:
         raise DomainError(f"target size {m} outside 1..{n}")
     target = enumerate_worlds(src.constants[:m], src.vocabulary)
-    weights, denom = _weights(dist.probs)
+    weights, denom = dist.weights
     live = np.flatnonzero(weights)
     local = stats.local_atoms(src.vocabulary, m)
     place = 1 << np.arange(len(local), dtype=np.int64)
@@ -424,7 +431,7 @@ def distribution_statistic(dist: ExplicitDistribution, f: Formula, kind: ModelKi
     """
     counts = dist.space.count_matrix((f,), kind)[:, 0]
     norm = int(dist.space.normalizers((f,), kind)[0])
-    weights, denom = _weights(dist.probs)
+    weights, denom = dist.weights
     return _ratio(weights @ counts, denom * norm)
 
 
@@ -447,6 +454,8 @@ def _ratio(numerator, denominator: int):
 
 
 def total_variation(a: ExplicitDistribution, b: ExplicitDistribution) -> float:
-    if a.space is not b.space and not np.array_equal(a.space.worlds, b.space.worlds):
+    if a.space is not b.space and not (
+        a.space.atoms == b.space.atoms and np.array_equal(a.space.worlds, b.space.worlds)
+    ):
         raise DomainError("distributions live on different world spaces")
     return 0.5 * float(np.abs(a.as_floats() - b.as_floats()).sum())

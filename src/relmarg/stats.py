@@ -40,15 +40,16 @@ local atoms from the same truth tables, one broadcast gather per predicate.
 ``maxent.shrink_distribution`` reads those of a world space as worlds of a
 smaller space, and ``marginal_distribution_a`` reads the Model A marginal
 without building fragments: ``distinct_rows`` counts equal patterns, and
-``PATTERN_CLASSES``, a memo keyed by vocabulary and width that holds at
-most ``BLOCK_CELLS`` bytes, keys and values counted, gives each distinct
-pattern's class; the patterns of a class share one entry.  A pattern is
-canonicalized once per vocabulary and width while the memo holds it.
-``canonical_patterns`` canonicalizes the patterns the memo lacks together:
-one gather through a (permutation, local atom) index array gives every
-relabelled image, and a column-by-column reduction keeps the canonical one
-and counts the automorphisms.  ``data.canonicalize`` is the same call on one
-pattern: no other code in the package searches relabellings.
+the class of each is read from one table per vocabulary and width that
+holds the class of every pattern (``_class_table``; up to
+``CLASS_TABLE_ATOMS`` = 12 local atoms, at most 4,096 patterns and 660
+KiB a table, ``CLASS_TABLES`` = 4 tables kept).  Past that limit a call's
+patterns are canonicalized together.  ``canonical_patterns`` canonicalizes
+a batch: one gather through a (permutation, local atom) index array gives
+every relabelled image, and a column-by-column reduction keeps the
+canonical one and counts the automorphisms.  ``data.canonicalize`` is the
+same call on one pattern: no other code in the package searches
+relabellings.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ import itertools
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -366,9 +366,12 @@ def statistic(f: Formula, example: GlobalExample, kind: ModelKind) -> Fraction:
     return checked.statistic(structure_tables(example, checked.vocabulary), n)
 
 
-def distinct_rows(rows: np.ndarray, radix: int | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(
+    rows: np.ndarray, radix: int | Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First index and multiplicity of each distinct row of ``rows``, in
-    order of first appearance.
+    order of first appearance, and the index of each row's distinct row in
+    that order.
 
     Entries of column j are integers in ``0..radix[j]-1`` (an int radix
     serves every column).  Each row is keyed by one mixed-radix integer, so
@@ -377,13 +380,32 @@ def distinct_rows(rows: np.ndarray, radix: int | Sequence[int]) -> tuple[np.ndar
     """
     radices = [radix] * rows.shape[1] if isinstance(radix, int) else [int(r) for r in radix]
     if math.prod(radices) <= np.iinfo(np.int64).max:
-        place = np.array([math.prod(radices[:j]) for j in range(len(radices))], dtype=np.int64)
-        key = rows.astype(np.int64, copy=False) @ place
-        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        place = list(itertools.accumulate(radices, operator.mul, initial=1))[:-1]
+        key = rows.astype(np.int64, copy=False) @ np.array(place, dtype=np.int64)
+        _, first, inverse, counts = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
     else:
-        _, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+        _, first, inverse, counts = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
     order = np.argsort(first)
-    return first[order], counts[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # numpy 2.0.0 shapes the axis=0 inverse (rows, 1); later versions, (rows,)
+    return first[order], counts[order], rank[inverse.reshape(-1)]
+
+
+# Local atoms up to which a vocabulary and width get a class table: the
+# table holds all 2^M patterns over M local atoms, so each atom more doubles
+# it.  At 12 atoms, 4,096 patterns, the widest table (12 unary predicates
+# at width 1, every pattern a class of its own) holds at most 660 KiB (642
+# KiB under tracemalloc, Python 3.11); every vocabulary and width that the
+# estimation workloads and verify suites use, {e/2, r/1} at width 3 the
+# widest, has at most 12.  CLASS_TABLES tables are kept, as many as those
+# use, so a full cache holds at most 2.6 MiB.
+CLASS_TABLE_ATOMS = 12
+CLASS_TABLES = 4
 
 
 def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalForm, Fraction]:
@@ -394,17 +416,18 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     ``class_size`` labellings.
 
     No fragment is built: a subset's fragment is its bit pattern over the
-    local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, read in
-    blocks by ``subset_patterns``.  Equal patterns are counted together.  A
-    pattern's class depends only on the vocabulary, k and the pattern, so
-    ``PATTERN_CLASSES`` remembers it: a pattern is canonicalized once per
-    vocabulary and width while the memo holds it, and the patterns it lacks
-    go to one relabelling gather together (``canonical_patterns``).  Blocks
-    hold at most ``BLOCK_CELLS`` cells, so memory does not grow with
-    C(n,k).  A class's mass is its subset count over C(n,k), and classes
-    appear in the order of their first subset.  A width over
-    ``ISO_WIDTH_CAP`` raises ``CapExceededError`` before anything is built,
-    as do truth tables over ``TABLE_CELL_CAP`` (see ``structure_tables``).
+    M local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, read
+    in blocks of at most ``BLOCK_CELLS`` cells by ``subset_patterns``, and
+    the distinct patterns of each block are counted together.  A pattern's
+    class depends only on the vocabulary, k and the pattern: up to
+    ``CLASS_TABLE_ATOMS`` local atoms it is read from the class table of the
+    vocabulary and width (``_class_table``, built once while the cache keeps
+    it) at the pattern's bits as an integer; past that the call's patterns
+    are canonicalized together (``_pattern_classes``).  A class's mass is
+    its subset count over C(n,k), and classes appear in the order of their
+    first subset.  A width over ``ISO_WIDTH_CAP`` raises
+    ``CapExceededError`` before anything is built, as do truth tables over
+    ``TABLE_CELL_CAP`` (see ``structure_tables``).
     """
     n = len(example.constants)
     if not 1 <= k <= n:
@@ -413,136 +436,57 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     vocabulary = example.vocabulary()
     tables = structure_tables(example, vocabulary)
     local = local_atoms(vocabulary, k)
-    patterns: dict[bytes, int] = {}  # one byte per local atom -> subsets
+    rows, counts = [], []  # the distinct patterns of each block, and their subsets
     for block in subset_patterns(tables, local, n, k, 1):
-        bits = block[:, 0]
-        for i, count in zip(*distinct_rows(bits, 2)):
-            pattern = bits[i].tobytes()
-            patterns[pattern] = patterns.get(pattern, 0) + int(count)
-    classes = PATTERN_CLASSES.lookup(patterns, vocabulary, k, local)
-    forms: dict[bytes, CanonicalForm] = {}  # canonical image -> class
-    mass: dict[bytes, int] = {}  # canonical image -> subsets
-    for pattern, count in patterns.items():
-        key, form = classes[pattern]
-        if key in mass:
-            mass[key] += count
-        else:
-            forms[key], mass[key] = form, count
+        first, count, _ = distinct_rows(block[:, 0], 2)
+        rows.append(block[first, 0])
+        counts.extend(count.tolist())
+    patterns = np.concatenate(rows)
+    if len(local) <= CLASS_TABLE_ATOMS:
+        table, forms = _class_table(tuple(sorted(vocabulary.items())), k)
+        classes = table[patterns @ (1 << np.arange(len(local), dtype=np.int64))]
+    else:
+        classes, forms = _pattern_classes(patterns, vocabulary, k, local)
+    # a class first appears at the first row of its first subset's pattern
+    mass: dict[int, int] = {}  # class -> subsets
+    for c, count in zip(classes.tolist(), counts):
+        mass[c] = mass.get(c, 0) + count
     total = math.comb(n, k)
-    return {forms[key]: Fraction(count, total) for key, count in mass.items()}
+    return {forms[c]: Fraction(count, total) for c, count in mass.items()}
 
 
-class _Signature:
-    """The memo of one vocabulary and width: each pattern's class entry,
-    one entry per class shared by its patterns (``classes``, keyed by the
-    canonical image), and the local atoms with positions 1..k that every
-    class's form shares.
-
-    ``charge`` is the bytes the record holds: the size of its two dicts as
-    they are, and per stored pattern and class the ``sys.getsizeof`` of its
-    objects, worked out once per record.  A class is charged a form that
-    holds every local atom, the most it can hold."""
-
-    __slots__ = ("labelled", "patterns", "classes", "fixed", "per_pattern", "per_class", "held")
-
-    def __init__(self, labelled: list[LocalAtom], k: int):
-        self.labelled = labelled
-        self.patterns: dict[bytes, tuple[bytes, CanonicalForm]] = {}
-        self.classes: dict[bytes, tuple[bytes, CanonicalForm]] = {}  # image -> entry
-        pattern = bytes(len(labelled))  # a pattern or an image
-        self.per_pattern = sys.getsizeof(pattern)
-        form = CanonicalForm(k, tuple(labelled), math.factorial(k))
-        objects = ((pattern, form), pattern, form, form.atoms, form.automorphisms)
-        self.per_class = sum(map(sys.getsizeof, objects))
-        held = [self, labelled, *labelled, *(args for _, args in labelled)]
-        self.fixed = sum(map(sys.getsizeof, held))
-        self.held = 0  # what the memo charges for the record
-
-    def charge(self, patterns: dict, classes: dict) -> int:
-        """The bytes the record holds with ``patterns`` and ``classes``."""
-        tables = sys.getsizeof(patterns) + sys.getsizeof(classes)
-        entries = len(patterns) * self.per_pattern + len(classes) * self.per_class
-        return self.fixed + tables + entries
+def _pattern_classes(
+    patterns: np.ndarray, vocabulary: Mapping[str, int], k: int, local: Sequence[LocalAtom]
+) -> tuple[np.ndarray, tuple[CanonicalForm, ...]]:
+    """The class index of each row of the (P, M) bool ``patterns`` over the
+    ``local`` atoms, ``local_atoms(vocabulary, k)``, and one form per class
+    in the order of its first row, by one ``canonical_patterns`` call.  The
+    forms share the local atoms, labelled 1..k."""
+    images, automorphisms = canonical_patterns(patterns, vocabulary, k)
+    first, _, classes = distinct_rows(images, 2)
+    labelled = [(p, tuple(a + 1 for a in args)) for p, args in local]
+    forms = tuple(
+        CanonicalForm(k, tuple(itertools.compress(labelled, images[i])), int(automorphisms[i]))
+        for i in first.tolist()
+    )
+    return classes, forms
 
 
-class PatternClasses:
-    """Bounded memo of the class of each width-k local pattern, per
-    vocabulary signature ``tuple(sorted(vocabulary.items()))`` and width:
-    a pattern's bytes (one per local atom) map to its class's entry, its
-    canonical image's bytes and its ``CanonicalForm``.  A signature shares
-    one entry per class, and its forms share one atom tuple per local atom.
-
-    ``stored`` is the bytes its records charge.  After each lookup it is
-    within ``BLOCK_CELLS``: a batch that does not fit on its own is not
-    stored, and one that fits only on its own clears the memo and is
-    stored alone."""
-
-    def __init__(self):
-        self.signatures: dict[tuple, _Signature] = {}
-        self.stored = 0  # bytes held
-
-    def clear(self):
-        self.signatures.clear()
-        self.stored = 0
-
-    def lookup(
-        self,
-        patterns: Iterable[bytes],
-        vocabulary: Mapping[str, int],
-        k: int,
-        local: Sequence[LocalAtom],
-    ) -> dict[bytes, tuple[bytes, CanonicalForm]]:
-        """The (image bytes, class) of each of ``patterns`` over the
-        ``local`` atoms, ``local_atoms(vocabulary, k)``; the patterns the
-        memo lacks are canonicalized in one batch, and each class's form
-        is built once while the memo holds it."""
-        signature = (tuple(sorted(vocabulary.items())), k)
-        memo = self.signatures.get(signature)
-        if memo is None:
-            memo = _Signature([(p, tuple(a + 1 for a in args)) for p, args in local], k)
-        out, missing = {}, []
-        for pattern in patterns:
-            entry = memo.patterns.get(pattern)
-            if entry is None:
-                missing.append(pattern)
-            else:
-                out[pattern] = entry
-        if not missing:
-            return out
-        distinct = np.frombuffer(b"".join(missing), dtype=bool).reshape(len(missing), len(local))
-        images, automorphisms = canonical_patterns(distinct, vocabulary, k)
-        new, fresh = {}, {}  # pattern -> entry, and the classes the memo lacks
-        for pattern, image, autos in zip(missing, images, automorphisms):
-            key = image.tobytes()
-            entry = memo.classes.get(key) or fresh.get(key)
-            if entry is None:
-                atoms = tuple(itertools.compress(memo.labelled, image))
-                entry = fresh[key] = key, CanonicalForm(k, atoms, int(autos))
-            new[pattern] = entry
-        out.update(new)
-        self._store(signature, memo, new, fresh)
-        return out
-
-    def _store(self, signature: tuple, memo: _Signature, new: dict, fresh: dict):
-        """Keep the ``new`` pattern entries and the ``fresh`` classes of
-        ``memo`` within the budget."""
-        alone = {entry[0]: entry for entry in new.values()}  # the batch's classes
-        if memo.charge(new, alone) > BLOCK_CELLS:
-            return
-        memo.patterns.update(new)
-        memo.classes.update(fresh)
-        self.signatures[signature] = memo
-        held = memo.charge(memo.patterns, memo.classes)
-        self.stored += held - memo.held
-        memo.held = held
-        if self.stored > BLOCK_CELLS:
-            self.clear()
-            memo.patterns, memo.classes = new, alone
-            memo.held = self.stored = memo.charge(new, alone)
-            self.signatures[signature] = memo
-
-
-PATTERN_CLASSES = PatternClasses()
+@functools.lru_cache(maxsize=CLASS_TABLES)
+def _class_table(
+    signature: tuple[tuple[str, int], ...], k: int
+) -> tuple[np.ndarray, tuple[CanonicalForm, ...]]:
+    """``_pattern_classes`` of every pattern over the local atoms of the
+    vocabulary ``dict(signature)`` at width k, row i the pattern whose bit j
+    is local atom j: a class index per pattern (read-only) and the forms.
+    Only for at most ``CLASS_TABLE_ATOMS`` local atoms."""
+    vocabulary = dict(signature)
+    local = local_atoms(vocabulary, k)
+    ids = np.arange(1 << len(local), dtype=np.int64)
+    patterns = (ids[:, None] >> np.arange(len(local)) & 1).astype(bool)
+    classes, forms = _pattern_classes(patterns, vocabulary, k, local)
+    classes.flags.writeable = False
+    return classes, forms
 
 
 def subset_patterns(

@@ -351,6 +351,21 @@ def test_explicit_distribution_validation():
         ExplicitDistribution(SPACE_R3, tuple(bad))
 
 
+@pytest.mark.parametrize("at", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_explicit_distribution_refuses_nan_and_inf(at, value):
+    # a NaN compares false both ways, so it must fail both the sign check
+    # and the sum check wherever it sits; inf fails the sum check
+    space = enumerate_worlds(["a", "b"], {"r": 1})
+    probs = [0.25, 0.25, 0.25, 0.25]
+    probs[at] = value
+    with pytest.raises(DomainError):
+        ExplicitDistribution(space, tuple(probs))
+    probs[(at + 1) % 4] = math.nan
+    with pytest.raises(DomainError):
+        ExplicitDistribution(space, tuple(probs))
+
+
 def test_shrink_preserves_subset_statistics_exactly():
     rng = random.Random(17)
     probs = [Fraction(rng.randint(0, 5)) for _ in SPACE_R3.worlds]
@@ -455,6 +470,20 @@ def test_total_variation_requires_shared_space():
     with pytest.raises(DomainError):
         total_variation(d1, d2)
     assert total_variation(d1, d1) == 0.0
+
+
+def test_total_variation_compares_the_atoms_of_two_spaces():
+    # two spaces with the same bit patterns over different atoms
+    a = enumerate_worlds(["a", "b"], {"r": 1})
+    b = enumerate_worlds(["x", "y"], {"s": 1})
+    assert np.array_equal(a.worlds, b.worlds)
+    d1 = ExplicitDistribution(a, (0.25, 0.25, 0.25, 0.25))
+    d2 = ExplicitDistribution(b, (0.25, 0.25, 0.25, 0.25))
+    with pytest.raises(DomainError, match="different world spaces"):
+        total_variation(d1, d2)
+    # a space built again over the same atoms is the same space
+    d3 = ExplicitDistribution(enumerate_worlds(["a", "b"], {"r": 1}), (0.5, 0.5, 0.0, 0.0))
+    assert total_variation(d1, d3) == 0.5
 
 
 def test_distribution_statistic_is_mixture_of_world_statistics():

@@ -245,12 +245,17 @@ def marginal_cases(draw):
 
 @pytest.fixture
 def cold_memo():
-    """An empty pattern-class memo, so that ``marginal_distribution_a``
+    """An empty class-table cache, so that ``marginal_distribution_a``
     canonicalizes; the returned call empties it again, once per hypothesis
-    example, and the memo is emptied after the test."""
-    stats.PATTERN_CLASSES.clear()
-    yield stats.PATTERN_CLASSES.clear
-    stats.PATTERN_CLASSES.clear()
+    example, and the cache is emptied after the test."""
+    stats._class_table.cache_clear()
+    yield stats._class_table.cache_clear
+    stats._class_table.cache_clear()
+
+
+def tabled(example, k):
+    """Whether the marginal of ``example`` at width ``k`` reads a class table."""
+    return len(stats.local_atoms(example.vocabulary(), k)) <= stats.CLASS_TABLE_ATOMS
 
 
 @settings(
@@ -261,17 +266,33 @@ def test_marginal_distribution_matches_per_subset_canonicalize(cold_memo, case):
     example, k = case
     want = list(brute_marginal_a(example, k).items())
     # equal as dicts and in the order the classes first appear: first from
-    # canonical_patterns on a cold memo, then from the memo alone
+    # canonical_patterns on a cold cache, then, within the table limit,
+    # from the cached table alone
     cold_memo()
     assert list(marginal_distribution_a(example, k).items()) == want
-    with mock.patch.object(stats, "canonical_patterns", side_effect=AssertionError("cold")):
+    if tabled(example, k):
+        with mock.patch.object(stats, "canonical_patterns", side_effect=AssertionError("cold")):
+            assert list(marginal_distribution_a(example, k).items()) == want
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(marginal_cases())
+def test_marginal_distribution_past_the_table_limit_matches(cold_memo, case):
+    # every call canonicalizes its own patterns, and no table is built
+    example, k = case
+    want = list(brute_marginal_a(example, k).items())
+    cold_memo()
+    with mock.patch.object(stats, "CLASS_TABLE_ATOMS", -1):
         assert list(marginal_distribution_a(example, k).items()) == want
+    assert stats._class_table.cache_info().currsize == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(marginal_cases(), min_size=2, max_size=4))
 def test_marginal_distribution_is_the_same_on_a_warm_memo(cases):
-    # calls on other structures, vocabularies and widths fill the memo
+    # calls on other structures, vocabularies and widths fill the cache
     # between a structure's first and second call
     wants = [list(brute_marginal_a(example, k).items()) for example, k in cases]
     for _ in range(2):
@@ -279,100 +300,48 @@ def test_marginal_distribution_is_the_same_on_a_warm_memo(cases):
             assert list(marginal_distribution_a(example, k).items()) == want
 
 
-def test_marginal_distribution_memo_stays_within_its_budget(monkeypatch, cold_memo):
-    # a budget of 4,000 bytes holds the record of one width and a few of
-    # its patterns and classes: batches evict the memo, and most batches of
-    # new width-3 patterns are not stored at all
-    memo = stats.PATTERN_CLASSES
-    cases = [
-        (_random_structure(random.Random(seed), k + 1), k) for seed in range(6) for k in (1, 2, 3)
-    ]
-    wants = [list(brute_marginal_a(example, k).items()) for example, k in cases]
-    evictions, stored = [], []
-    clear = memo.clear
-    monkeypatch.setattr(memo, "clear", lambda: (evictions.append(memo.stored), clear()))
-    monkeypatch.setattr(stats, "BLOCK_CELLS", 4000)
-    for _ in range(2):
-        for (example, k), want in zip(cases, wants):
-            assert list(marginal_distribution_a(example, k).items()) == want
-            records = memo.signatures.values()
-            for r in records:
-                assert r.held == r.charge(r.patterns, r.classes)
-                # the patterns of a class share its one stored entry
-                assert all(r.classes[entry[0]] is entry for entry in r.patterns.values())
-                assert r.classes.keys() == {entry[0] for entry in r.patterns.values()}
-            assert memo.stored == sum(r.held for r in records) <= 4000
-            stored.append(memo.stored)
-    assert evictions and min(stored) > 0
-    # a batch too large to be stored on its own leaves a warm memo as it is
-    vocabulary = {"e": 2, "r": 1}
-    local = stats.local_atoms(vocabulary, 3)
-    rows = [bytes(row) for row in itertools.product([0, 1], repeat=len(local))]
-    memo.lookup(rows[:1], vocabulary, 3, local)
-    warm, held, count = dict(memo.signatures), memo.stored, len(evictions)
-    assert 0 < held and rows[0] in warm[(tuple(sorted(vocabulary.items())), 3)].patterns
-    got = memo.lookup(rows[1:200], vocabulary, 3, local)
-    assert len(got) == 199 and memo.signatures == warm and memo.stored == held
-    assert len(evictions) == count
+def test_class_table_is_built_once_per_vocabulary_and_width(cold_memo):
+    # three structures at each of six vocabularies and widths, twice over:
+    # the cache builds each table once while it keeps it, and never keeps
+    # more than CLASS_TABLES
+    signatures = [({"e": 2}, 2), ({"e": 2, "r": 1}, 1), ({"e": 2, "r": 1}, 2),
+                  ({"e": 2, "r": 1}, 3), ({"r": 1}, 2), ({"q": 0, "r": 1}, 3)]
+    assert len(signatures) > stats.CLASS_TABLES
+    rng = random.Random(3)
+    for vocabulary, k in signatures:
+        builds = stats._class_table.cache_info().misses
+        for _ in range(3):
+            example = random_structure(k + 2, vocabulary, 0.4, rng)
+            assert tabled(example, k)
+            assert list(marginal_distribution_a(example, k).items()) == list(
+                brute_marginal_a(example, k).items()
+            )
+            info = stats._class_table.cache_info()
+            assert info.misses == builds + 1
+            assert info.currsize <= info.maxsize == stats.CLASS_TABLES
+    # the last CLASS_TABLES tables are still kept
+    builds = stats._class_table.cache_info().misses
+    for vocabulary, k in signatures[-stats.CLASS_TABLES:]:
+        stats._class_table(tuple(sorted(vocabulary.items())), k)
+    assert stats._class_table.cache_info().misses == builds
 
 
-def test_pattern_memo_keeps_a_class_it_shares_across_an_eviction(monkeypatch, cold_memo):
-    # over {e/2} at width 2, pattern b = {e(2,1)} is a relabelling of
-    # a = {e(1,2)}, and c = {e(1,1)} is a class of its own.  With a stored,
-    # the batch (b, c) passes a budget that holds it alone: the memo is
-    # cleared and keeps b with a's class entry, and c with its own
-    memo = stats.PATTERN_CLASSES
-    vocabulary = {"e": 2}
-    local = stats.local_atoms(vocabulary, 2)
-    a, b, c = bytes([0, 1, 0, 0]), bytes([0, 0, 1, 0]), bytes([1, 0, 0, 0])
-    first = memo.lookup([a], vocabulary, 2, local)[a]
-    other = stats.PatternClasses()
-    other.lookup([b, c], vocabulary, 2, local)
-    budget = other.stored
-    evictions = []
-    clear = memo.clear
-    monkeypatch.setattr(memo, "clear", lambda: (evictions.append(memo.stored), clear()))
-    monkeypatch.setattr(stats, "BLOCK_CELLS", budget)
-    got = memo.lookup([b, c], vocabulary, 2, local)
-    assert got[b] is first and got[c][0] != first[0] and len(evictions) == 1
-    (record,) = memo.signatures.values()
-    assert record.patterns == {b: first, c: got[c]}
-    assert record.classes == {first[0]: first, got[c][0]: got[c]}
-    assert memo.stored == record.held == budget
-
-
-@pytest.mark.parametrize("density", [0.5, 0.9])
-def test_pattern_memo_holds_no_more_memory_than_it_charges(cold_memo, density):
-    # 52,428 random width-4 patterns over {e/2, r/1} (20 local atoms), in
-    # batches of about 1,000: a memo that charged pattern bytes alone held
-    # 17.7 MiB of them under its 1 MiB budget.  Each fill is measured as
-    # the traced memory that clearing the memo frees.  Dense patterns make
-    # classes whose forms hold nearly every local atom, so the charge per
-    # class is nearly what a class holds and the dict tables must be counted.
-    vocabulary = {"e": 2, "r": 1}
-    local = stats.local_atoms(vocabulary, 4)
-    rows = np.random.default_rng(4).random((52_428, len(local))) < density
-    batches = np.array_split(rows, 52)
-    memo = stats.PATTERN_CLASSES
-
-    def fill(count):
-        for block in batches[:count]:
-            memo.lookup([row.tobytes() for row in block], vocabulary, 4, local)
-
+def test_class_table_at_the_limit_holds_what_its_comment_states(cold_memo):
+    # 12 unary predicates at width 1: 4,096 patterns, each a class of its
+    # own whose form holds its atoms, the most memory a table within
+    # CLASS_TABLE_ATOMS holds; the cache's comment states 660 KiB
+    signature = tuple((f"p{i:02d}", 1) for i in range(stats.CLASS_TABLE_ATOMS))
+    gc.collect()
     tracemalloc.start()
     try:
-        for count in (1, 5, 52):
-            cold_memo()
-            gc.collect()
-            fill(count)
-            gc.collect()
-            filled, charged = tracemalloc.get_traced_memory()[0], memo.stored
-            cold_memo()
-            gc.collect()
-            held = filled - tracemalloc.get_traced_memory()[0]
-            assert 0 < held <= charged <= stats.BLOCK_CELLS
+        before = tracemalloc.get_traced_memory()[0]
+        classes, forms = stats._class_table(signature, 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert len(classes) == len(forms) == 4096 and not classes.flags.writeable
+    assert 0 < held <= 660 * 1024
 
 
 @settings(max_examples=150, deadline=None)
@@ -554,11 +523,13 @@ def test_marginal_distribution_width_checks_come_first(monkeypatch):
 def test_distinct_rows_keyed_matches_whole_row_comparison(seed, columns, radix):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, radix, size=(rng.integers(1, 40), columns))
-    first, counts = stats.distinct_rows(rows, radix)
+    first, counts, inverse = stats.distinct_rows(rows, radix)
     # a radix too large for an int64 key falls back to np.unique(axis=0)
-    assert [first.tolist(), counts.tolist()] == [
+    assert [first.tolist(), counts.tolist(), inverse.tolist()] == [
         a.tolist() for a in stats.distinct_rows(rows, [2**40] * columns)
     ]
+    # each row's distinct row, in the order of first appearance
+    assert np.array_equal(rows[first][inverse], rows)
     # first appearances in order, with their multiplicities
     seen = {}
     for i, row in enumerate(map(tuple, rows.tolist())):
