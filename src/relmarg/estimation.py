@@ -14,11 +14,12 @@ closed-form expectation bound
 whose first term is the expansion distortion and whose second is the sampling
 term; floor(m/k) plays the role of an effective sample size.
 
-`disjoint_sample_estimator` is the index-set sampling process used to prove
-the sampling term: index sets drawn from an abstract universe, their union
-mapped injectively into the observed constants, one indicator per set.  It
-matches the direct subset estimator in distribution, which the test suite
-checks exhaustively on tiny structures.
+`index_set_rows` is the index-set sampling process used to prove the
+sampling term: index sets drawn from an abstract universe, their union
+mapped injectively into the observed constants, one draw as one array of
+positions.  `disjoint_sample_estimator` is its evaluation, one indicator
+per set; it matches the direct subset estimator in distribution, which the
+test suite checks exhaustively on tiny structures.
 """
 
 from __future__ import annotations
@@ -99,6 +100,19 @@ def expected_error_bound(m: int, k: int) -> float:
     return distortion + sampling
 
 
+def index_set_rows(n: int, k: int, universe: int, rng: random.Random) -> np.ndarray:
+    """One draw of the index-set process, as a (floor(n/k), k) array of
+    positions into the ``n`` observed constants: floor(n/k) index sets of
+    size k are sampled from {0..universe-1}, and their union is mapped into
+    the positions by a uniform injective function."""
+    index_sets = [rng.sample(range(universe), k) for _ in range(n // k)]
+    union = sorted(set(itertools.chain.from_iterable(index_sets)))
+    # sampling positions draws exactly what sampling the constants would
+    g = np.zeros(universe, dtype=np.intp)
+    g[union] = rng.sample(range(n), len(union))
+    return g[np.array(index_sets, dtype=np.intp).reshape(n // k, k)]
+
+
 def disjoint_sample_estimator(
     example: GlobalExample,
     f: Formula,
@@ -106,31 +120,23 @@ def disjoint_sample_estimator(
     rng: random.Random,
     universe_size: int | None = None,
 ) -> Fraction:
-    """One draw of the index-set estimator.
-
-    floor(n/k) index sets of size k are sampled from {1..universe_size}
-    (defaulting to n = |constants|, the case where the observed structure is
-    the whole universe), their union is mapped into the constants by a
-    uniform injective function, and the returned value is the mean of one
-    satisfaction indicator per set: fragment satisfaction for subset
-    statistics, substitution satisfaction for the injective-grounding kind,
-    whose index sets are ordered.
+    """One draw of the index-set estimator: the mean of one satisfaction
+    indicator per row of ``index_set_rows`` over the constants of
+    ``example``, with the universe size defaulting to n = |constants| (the
+    case where the observed structure is the whole universe).  The
+    indicator is fragment satisfaction for subset statistics, substitution
+    satisfaction for the injective-grounding kind, whose index sets are
+    ordered.
     """
     n = len(example.constants)
     (checked,) = check_formulas((f,), example.vocabulary(), kind, n)
     universe = n if universe_size is None else universe_size
     if universe < n:
         raise DomainError(f"universe size {universe} below |constants| = {n}")
-    k = checked.width
-    q = n // k
-    index_sets = [tuple(rng.sample(range(universe), k)) for _ in range(q)]
-    union = sorted(set(itertools.chain.from_iterable(index_sets)))
-    # sampling positions draws exactly what sampling the constants would
-    g = dict(zip(union, rng.sample(range(n), len(union))))
-    rows = [[g[i] for i in idx] for idx in index_sets]
+    rows = index_set_rows(n, checked.width, universe, rng)
     tables = structure_tables(example, checked.vocabulary)
     hits = count_groundings(checked, rows, tables, 1)[0]
-    return Fraction(int(hits), q)
+    return Fraction(int(hits), len(rows))
 
 
 def random_structure(

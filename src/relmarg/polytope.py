@@ -42,10 +42,11 @@ on a full-dimensional polytope, a probe that every facet keeps
 ``INSIDE_SLACK`` inside is inside.  ``hull_distance`` decides every other
 probe, so the verdicts are those of probing with ``hull_distance`` alone.
 
-A polytope builds its facets at its second hull query, not its first: for
-one query the H-representation costs more than the one Wolfe run it would
-save.  ``realizability_check`` makes one query on a fresh polytope, so it
-gets Wolfe's distance and builds no facets.
+``hull_distance`` builds a polytope's facets at its first query, so that
+every query of a polytope asked many questions reads them.  For one query
+the H-representation costs more than the one Wolfe run it would save, so
+``realizability_check``, which asks one question of a fresh polytope, calls
+Wolfe's loop directly and builds no facets.
 """
 
 from __future__ import annotations
@@ -178,16 +179,6 @@ class MarginalPolytope:
         rows[k:] /= lengths[:, None]
         offsets[k:] /= lengths
         return _UnitConstraints(rows, offsets, k)
-
-    def _facets_for_query(self) -> bool:
-        """Whether ``hull_distance`` reads the facets: once they are known,
-        and from the polytope's second query on.  The first query leaves a
-        mark in the instance dict, where ``cached_property`` keeps its
-        values too."""
-        if "h_representation" in self.__dict__ or "_queried" in self.__dict__:
-            return True
-        self.__dict__["_queried"] = True
-        return False
 
     def rank(self) -> int:
         """Exact affine rank of the vertex set (dim iff full-dimensional)."""
@@ -377,18 +368,15 @@ def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:
     when the nearest point is the projection onto the affine hull (exactly
     0.0 inside a full-dimensional polytope) or onto a single facet within
     it.  Both come from one product of the stacked constraint rows with the
-    point.  They read the facets, which are built at the polytope's second
-    query unless they are known already: a single query, as
-    ``realizability_check`` makes, does not pay for the facets.  Any
-    other point, a first query, and every point of a polytope without
-    facets go to Wolfe's nearest-point loop, which grows its corral's Gram
-    matrix by one row and column per vertex.
+    point.  They read the facets, which the polytope's first query builds.
+    Any other point, and every point of a polytope without facets, goes to
+    Wolfe's nearest-point loop, which grows its corral's Gram matrix by one
+    row and column per vertex.
     """
     p, finite = _as_point(point, polytope)
     if not finite:
         return math.inf
-    certify = polytope.dim and polytope._facets_for_query()
-    distance = _certified_distance(p, polytope) if certify else None
+    distance = _certified_distance(p, polytope) if polytope.dim else None
     return _wolfe_distance(p, polytope) if distance is None else distance
 
 
@@ -596,11 +584,13 @@ def realizability_check(
     theta: Sequence, formulas: Sequence[Formula], space: WorldSpace, kind: ModelKind
 ) -> RealizabilityVerdict:
     """Whether the target vector is a mixture of world statistics, with the
-    hull distance as diagnosis.  The polytope is fresh, so ``hull_distance``
-    answers its one query by Wolfe's loop over the float vertices and builds
-    neither the ``Fraction`` view nor the facets: over the 88 calls of the
-    seed-1 perfbench ``fit`` list, the affine hulls and facets took 43-52 ms
-    and the Wolfe runs 10-12 ms (ten runs on a 2-core host, Python 3.11)."""
+    hull distance as diagnosis.  The polytope is fresh and gets one query,
+    so the distance is Wolfe's loop (inf for an infinite ``theta``), not
+    ``hull_distance``, which would build the facets: over the 88 calls of
+    the seed-1 perfbench ``fit`` list, the affine hulls and facets took
+    43-52 ms and the Wolfe runs 10-12 ms (ten runs on a 2-core host,
+    Python 3.11)."""
     polytope = polytope_vertices(formulas, space, kind)
-    distance = hull_distance(theta, polytope)
+    p, finite = _as_point(theta, polytope)
+    distance = _wolfe_distance(p, polytope) if finite else math.inf
     return RealizabilityVerdict(distance < MEMBERSHIP_TOL, distance, polytope)

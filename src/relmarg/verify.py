@@ -52,19 +52,22 @@ from .polytope import (
 )
 from .estimation import (
     ExperimentConfig,
-    disjoint_sample_estimator,
     effective_sample_size,
+    index_set_rows,
     random_structure,
     run_error_experiment,
-    sample_subexample,
+    sample_positions,
 )
 from .stats import (
     MODEL_B,
     MarginalConstraint,
     ModelA,
+    check_formulas,
     formula_width,
+    grounding_truths,
     marginal_distribution_a,
     statistic,
+    structure_tables,
 )
 from .worlds import enumerate_worlds
 
@@ -647,20 +650,20 @@ def _suite_estimation_bounds() -> list[CheckResult]:
     ]
     trials = 1200
     for label, total, n, kind, text, vocab, density in tail_cases:
-        f = parse_formula(text)
-        k = formula_width(kind, f)
         big = random_structure(total, vocab, density, random.Random(131))
-        exact = statistic(f, big, kind)
-        q = n // k
+        (checked,) = check_formulas((parse_formula(text),), big.vocabulary(), kind, total)
+        tables = structure_tables(big, checked.vocabulary)
+        exact = Fraction(checked.hits(tables, total), checked.count(total))
+        q = n // checked.width
         rng = random.Random(7000)
-        deviations = {0.1: 0, 0.2: 0}
+        # each draw: the sample's positions, then its index-set rows in them
+        rows = []
         for _ in range(trials):
-            sub = sample_subexample(big, n, rng)
-            est = disjoint_sample_estimator(sub, f, kind, rng, universe_size=total)
-            err = abs(est - exact)
-            for eps in deviations:
-                if err >= eps:
-                    deviations[eps] += 1
+            sample = np.array(sample_positions(total, n, rng), dtype=np.intp)
+            rows.append(sample[index_set_rows(n, checked.width, total, rng)])
+        held = np.concatenate(list(grounding_truths(checked, np.concatenate(rows), tables, 1)))
+        errors = [abs(Fraction(int(h), q) - exact) for h in held.reshape(trials, q).sum(axis=1)]
+        deviations = {eps: sum(err >= eps for err in errors) for eps in (0.1, 0.2)}
         for eps, hits in deviations.items():
             bound = 2.0 * math.exp(-2.0 * q * eps * eps)
             freq = hits / trials

@@ -1,18 +1,20 @@
 """Sampling estimators, their error bounds, and experiment plumbing."""
 
+import collections
 import itertools
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stats import A_POOL, B_POOL
 
-from relmarg import expansion, stats
+from relmarg import estimation, expansion, stats, verify
 from relmarg.errors import CapExceededError, DomainError
 from relmarg.estimation import (
     ErrorReport,
@@ -22,8 +24,10 @@ from relmarg.estimation import (
     effective_sample_size,
     expansion_level,
     expected_error_bound,
+    index_set_rows,
     random_structure,
     run_error_experiment,
+    sample_positions,
     sample_subexample,
 )
 from relmarg.data import fragment
@@ -212,6 +216,65 @@ def test_disjoint_sample_estimator_substitutions_match_replayed_oracle(
     )
     want = _replayed_estimate(truth, f, kind, random.Random(seed), n + extra)
     assert got == want
+
+
+@pytest.mark.parametrize(("n", "k", "universe"), [(7, 2, 9), (6, 3, 6), (5, 1, 40), (1, 2, 5)])
+def test_index_set_rows_are_injective_positions(n, k, universe):
+    rows = index_set_rows(n, k, universe, random.Random(n * k + universe))
+    assert rows.shape == (n // k, k) and rows.dtype == np.intp
+    # distinct index sets may share indices, and a shared index is mapped to
+    # one position: within a row the positions are distinct
+    assert all(0 <= i < n for i in rows.flat)
+    assert all(len(set(row)) == k for row in rows.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(
+        [(t, ModelA(k)) for t in A_POOL for k in (1, 2)] + [(t, MODEL_B) for t in B_POOL]
+    ),
+    st.data(),
+)
+def test_index_set_rows_in_a_sample_match_the_estimator_on_its_fragment(seed, case, data):
+    # the tail checks' path: positions of the sample, then index-set rows in
+    # them, read off the full structure's tables
+    text, kind = case
+    f = parse_formula(text)
+    k = stats.formula_width(kind, f)
+    total = data.draw(st.integers(k, 12))
+    n = data.draw(st.integers(k, total))
+    big = random_structure(total, {"r": 1, "e": 2}, 0.4, random.Random(seed))
+    (checked,) = stats.check_formulas((f,), big.vocabulary(), kind, total)
+    tables = stats.structure_tables(big, checked.vocabulary)
+    rng = random.Random(seed)
+    sample = np.array(sample_positions(total, n, rng), dtype=np.intp)
+    hits = stats.count_groundings(checked, sample[index_set_rows(n, k, total, rng)], tables, 1)[0]
+    rng2 = random.Random(seed)
+    sub = sample_subexample(big, n, rng2)
+    est = disjoint_sample_estimator(sub, f, kind, rng2, universe_size=total)
+    assert int(hits) == (n // k) * est
+
+
+def test_estimation_bounds_tail_checks_read_the_truth_tables_once_per_case(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("sample_subexample", "disjoint_sample_estimator"):
+        wrapper = counted(name, getattr(estimation, name))
+        monkeypatch.setattr(estimation, name, wrapper)
+        # verify imports neither; if it ever does, those calls are counted too
+        monkeypatch.setattr(verify, name, wrapper, raising=False)
+    monkeypatch.setattr(verify, "structure_tables", counted("structure_tables", verify.structure_tables))
+    assert verify.run_suite("estimation-bounds").passed
+    # three tail cases, one set of tables each; no fragment is sampled
+    assert calls == {"structure_tables": 3}
 
 
 # ---------------------------------------------------------------------------

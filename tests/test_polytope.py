@@ -314,7 +314,7 @@ def test_eta_interior_refuses_nan(point, eta):
 
 def test_hull_distance_and_realizability_check_refuse_a_nan_point():
     poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
-    for _ in range(2):  # a first query goes to Wolfe, a second to the facets
+    for _ in range(2):  # before the facets are built and once they exist
         with pytest.raises(DomainError, match="NaN coordinate"):
             hull_distance([0.5, math.nan], poly)
         hull_distance([0.5, 0.5], poly)
@@ -331,7 +331,8 @@ def test_interiority_margin_refuses_nan_eta():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_points_and_eta_are_outside():
     # answered before any product with the point, so 0 * inf makes no NaN
-    # and numpy warns of nothing, at the first query and once facets exist
+    # and numpy warns of nothing, before the facets are built and once they
+    # exist; realizability_check answers inf without a Wolfe run
     poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
     for point in ([math.inf, 0.5], [0.5, 0.5], [math.inf, 0.5], [-math.inf, math.inf]):
         assert hull_distance(point, poly) == (0.0 if point == [0.5, 0.5] else math.inf)
@@ -341,6 +342,10 @@ def test_infinite_points_and_eta_are_outside():
     verdict = eta_interior([0.5, 0.5], math.inf, poly)
     assert not verdict.inside and verdict.rejected_direction == (1.0, 0.0)
     assert interiority_margin(3, 2, 1, math.inf) == math.inf
+    space = enumerate_worlds(["a", "b"], {"r": 1})
+    for theta in (math.inf, -math.inf):
+        verdict = realizability_check([theta], [parse_formula("exists X: r(X)")], space, ModelA(1))
+        assert not verdict.realizable and verdict.distance == math.inf
 
 
 def test_polytope_vertices_refuses_an_empty_world_space():
@@ -867,9 +872,8 @@ def test_hull_distance_past_the_work_cap_is_the_wolfe_loop(monkeypatch):
         assert hull_distance(point, poly) == polytope._wolfe_distance(point, poly)
 
 
-def test_hull_distance_builds_facets_at_the_second_query():
+def test_hull_distance_builds_facets_at_the_first_query():
     poly = _poly([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert hull_distance([0.5, 0.5], poly) == polytope._wolfe_distance(np.array([0.5, 0.5]), poly)
     assert "h_representation" not in poly.__dict__
     # the centre of the square: certificate 1, exactly 0.0
     assert hull_distance([0.5, 0.5], poly) == 0.0
