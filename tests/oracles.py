@@ -14,6 +14,8 @@ gathers every subset's bit pattern from truth tables; its reference walks
 each world's atoms subset by subset.  ``expansion.expand``,
 ``stats.structure_tables`` and the atom checks of ``GlobalExample`` work
 on whole index arrays and sets; their references go atom by atom.
+``stats.distinct_rows`` keys each row by one integer; its reference
+compares whole rows.
 """
 
 import itertools
@@ -155,6 +157,20 @@ def shrink_probabilities(dist, m):
             world = GlobalExample(target_constants, fragment, src.vocabulary)
             out[target.world_index(target.encode(world))] += p / subsets
     return target, out
+
+
+def distinct_rows(rows):
+    """First index and multiplicity of each distinct row, in order of first
+    appearance, and each row's distinct row in that order, from
+    ``np.unique(axis=0)``, which compares whole rows and keys nothing."""
+    _, first, inverse, counts = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # numpy 2.0.0 shapes the axis=0 inverse (rows, 1); later versions, (rows,)
+    return first[order], counts[order], rank[inverse.reshape(-1)]
 
 
 def apply_substitution(f, theta):

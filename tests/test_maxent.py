@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stats import A_POOL, B_POOL
 
-from relmarg import stats
+from relmarg import maxent, stats
 from relmarg.data import GlobalExample
 from relmarg.errors import DomainError, NotRealizableError
 from relmarg.logic import parse_formula
@@ -81,7 +81,6 @@ def test_dual_is_concave_along_random_segments():
 def test_solver_frozen_reference_instances():
     cons = _constraints([("exists X: r(X)", Fraction(2, 3))])
     model = solve_maxent(cons, SPACE_R3, ModelA(2))
-    assert model.realizable
     assert model.grad_norm < 1e-9
     assert abs(model.achieved_marginals[0] - 2 / 3) < 1e-8
     # Z = 1 + 3e^{2w} + 4e^{3w} and a mean count of 2 give e^{3w} = 1/2
@@ -176,12 +175,13 @@ def test_solver_fits_a_twenty_atom_space():
 # ---------------------------------------------------------------------------
 # unrealizable targets
 
-def test_boundary_target_raises_when_weights_escape():
+def test_boundary_target_raises_when_weights_escape(monkeypatch):
     # theta = 1 forces the point mass on the all-true world; with a low cap
     # the Newton steps overrun it and the diagnosis recognizes a boundary target
+    monkeypatch.setattr(maxent, "WEIGHT_CAP", 20.0)
     cons = _constraints([("forall X: r(X)", Fraction(1))])
     with pytest.raises(NotRealizableError) as exc:
-        solve_maxent(cons, SPACE_R3, MODEL_B, weight_cap=20.0)
+        solve_maxent(cons, SPACE_R3, MODEL_B)
     assert exc.value.boundary
     assert exc.value.distance == pytest.approx(0.0, abs=1e-9)
     assert exc.value.theta == (1.0,)
@@ -192,7 +192,6 @@ def test_boundary_target_below_cap_converges_to_extreme_weights():
     # the returned weights are the numeric stand-in for the limit model
     cons = _constraints([("forall X: r(X)", Fraction(1))])
     model = solve_maxent(cons, SPACE_R3, MODEL_B)
-    assert model.realizable
     assert model.weights[0] > 20
     assert model.achieved_marginals[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -210,10 +209,12 @@ def test_infeasible_target_raises_with_distance():
     assert exc.value.distance > 0.01
 
 
-def test_weight_cap_controls_escape():
+def test_weight_cap_controls_escape(monkeypatch):
+    monkeypatch.setattr(maxent, "WEIGHT_CAP", 10.0)
     cons = _constraints([("forall X: r(X)", Fraction(1))])
-    with pytest.raises(NotRealizableError):
-        solve_maxent(cons, SPACE_R3, MODEL_B, weight_cap=10.0)
+    with pytest.raises(NotRealizableError) as exc:
+        solve_maxent(cons, SPACE_R3, MODEL_B)
+    assert "weights exceeded the cap 10.0" in str(exc.value)
 
 
 @pytest.mark.parametrize("kind", [ModelA(1), MODEL_B])
@@ -222,7 +223,6 @@ def test_zero_target_keeps_the_last_iterate_under_the_cap(kind):
     # exactly zero; once it is below tol the iterate under the cap is the fit
     cons = _constraints([("forall X: r(X)" if kind == MODEL_B else "exists X: r(X)", 0)])
     model = solve_maxent(cons, SPACE_R3, kind)
-    assert model.realizable
     assert model.grad_norm < 1e-9
     assert -50.0 <= model.weights[0] < -20
     assert model.achieved_marginals[0] == pytest.approx(0.0, abs=1e-12)

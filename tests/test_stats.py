@@ -524,7 +524,7 @@ def test_distinct_rows_keyed_matches_whole_row_comparison(seed, columns, radix):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, radix, size=(rng.integers(1, 40), columns))
     first, counts, inverse = stats.distinct_rows(rows, radix)
-    # a radix too large for an int64 key falls back to np.unique(axis=0)
+    # radices whose product overflows int64 re-rank the key between columns
     assert [first.tolist(), counts.tolist(), inverse.tolist()] == [
         a.tolist() for a in stats.distinct_rows(rows, [2**40] * columns)
     ]
@@ -537,6 +537,49 @@ def test_distinct_rows_keyed_matches_whole_row_comparison(seed, columns, radix):
     assert [first.tolist(), counts.tolist()] == [
         [i for i, _ in seen.values()], [c for _, c in seen.values()]
     ]
+
+
+@pytest.mark.parametrize("rows, step", [(0, 3), (1, 3), (7, 3), (9, 3), (5, 0)])
+def test_index_blocks_slice_arrays_as_they_read_streams(rows, step):
+    array = np.arange(2 * rows, dtype=np.intp).reshape(rows, 2)
+    sliced = list(stats.index_blocks(array, 2, step))
+    streamed = list(stats.index_blocks(map(tuple, array.tolist()), 2, step))
+    assert [b.tolist() for b in sliced] == [b.tolist() for b in streamed]
+    assert all(len(b) == max(1, step) for b in sliced[:-1])
+
+
+@st.composite
+def radix_rows(draw):
+    """Int rows and their per-column radices: no columns, up to three
+    radix-1 columns, and widths whose key is re-ranked once (36 columns of
+    radix 7, 70 of radix 2) or two or more times (150 of radix 2, 79 of
+    radix 8).  Half the cases draw every entry; the other half join three
+    runs of columns, each from a pool of three, so that rows repeat and
+    many pairs differ only in some runs."""
+    columns, radix = draw(st.sampled_from(
+        [(0, 2), (3, 1), (5, 3), (36, 7), (70, 2), (150, 2), (79, 8)]
+    ))
+    ones = draw(st.sets(st.integers(0, columns - 1), max_size=3)) if columns else set()
+    radices = [1 if j in ones else radix for j in range(columns)]
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        return rng.integers(0, radices, size=(n, columns)), radices
+    cuts = sorted(rng.integers(0, columns + 1, size=2).tolist())
+    runs = [
+        rng.integers(0, radices[lo:hi], size=(3, hi - lo))[rng.integers(0, 3, size=n)]
+        for lo, hi in zip([0, *cuts], [*cuts, columns])
+    ]
+    return np.concatenate(runs, axis=1), radices
+
+
+@settings(max_examples=80, deadline=None)
+@given(radix_rows())
+def test_distinct_rows_equals_whole_row_comparison(case):
+    rows, radices = case
+    got = stats.distinct_rows(rows, radices)
+    want = oracles.distinct_rows(rows)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 # ---------------------------------------------------------------------------
