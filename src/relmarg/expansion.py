@@ -12,12 +12,14 @@ of the polytope.
 A statistic of an expansion needs no expansion: permuting the copies of a
 residue class is an automorphism, so ``expanded_statistics`` evaluates one
 representative grounding per residue pattern on the truth tables of the
-first few copies, weighted by the number of groundings it stands for.  The
-model kind lists the patterns and weights: multisets for Model A, sequences
-for Model B.  Its cost does not grow with the level.  It reads the
-expansions of many samples at once, one structure column each, as integer
-hits over integer totals, and is the one reader of expanded statistics:
-``expanded_statistic`` is its one-sample case and
+first few copies.  The model kind orders the patterns, multisets for Model A
+and sequences for Model B, and ``residue_groundings`` lists them as one
+array of rows.  A row's shape, its sorted copy indices, fixes how many
+groundings it stands for, so a weight is computed once per shape and the
+rows that hold are counted per shape.  Its cost does not grow with the
+level.  It reads the expansions of many samples at once, one structure
+column each, as integer hits over integer totals, and is the one reader of
+expanded statistics: ``expanded_statistic`` is its one-sample case and
 ``estimation.run_error_experiment`` its batch of trials.  ``expand`` and
 ``noisy_expand`` materialise an expansion for the CLI ``expand`` command,
 the noisy pipeline and the oracles of the verification suites and tests,
@@ -131,10 +133,11 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
 
 def residue_groundings(
     kind: ModelKind, width: int, n: int, level: int
-) -> tuple[list[tuple[int, ...]], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """One representative per class of interchangeable groundings of the
-    level-``level`` expansion of ``n`` constants, and the number of groundings
-    each stands for.
+    level-``level`` expansion of ``n`` constants, as an (R, ``width``)
+    position array; the shape of each row, an index into the shapes; and
+    the number of groundings a row of each shape stands for.
 
     Position ``r + t*n`` of the expansion is copy t of residue r.  Permuting
     the copies of a residue is an automorphism of the expansion, so a Model A
@@ -142,31 +145,35 @@ def residue_groundings(
     substitution with its residue sequence (its matrix is quantifier-free and
     injectivity gives equal residues distinct copies): ``kind.residue_orders``.
     The representative gives the i-th argument of residue r copy i, so it
-    lies in the first ``min(level, width)`` copies, and stands for prod_r
-    ``kind.ways(level, c_r)`` groundings, c_r arguments having residue r.  By
-    Vandermonde the counts sum to the groundings over ``n * level``
-    constants.  Counts are Python ints: at large levels they overflow int64.
-    A listing of more than ``TABLE_CELL_CAP`` cells, ``kind.residue_count``
-    rows of ``width`` positions, raises ``CapExceededError`` before any row
-    is listed.
+    lies in the first ``min(level, width)`` copies.  A row's shape is its
+    sorted copies, which fix how many residues it uses c times, so every row
+    of a shape stands for the same prod_r ``kind.ways(level, c_r)``
+    groundings, c_r arguments having residue r; rows that use a residue more
+    than ``level`` times stand for none and are dropped.  By Vandermonde the
+    weights of the rows sum to the groundings over ``n * level`` constants.
+    Weights are Python ints: at large levels they overflow int64.  A listing
+    of more than ``TABLE_CELL_CAP`` cells, ``kind.residue_count`` rows of
+    ``width`` positions, raises ``CapExceededError`` before any row is
+    listed.
     """
     listed = kind.residue_count(n, width)
     stats.check_cells(
         listed * width, f"residue groundings of {listed * width} cells "
         f"({listed} rows of width {width} over {n} constants)"
     )
-    rows, weights = [], []
-    for residues in kind.residue_orders(range(n), width):
-        copies: dict[int, int] = {}
-        row = []
-        for r in residues:
-            row.append(r + copies.get(r, 0) * n)
-            copies[r] = copies.get(r, 0) + 1
-        weight = math.prod(kind.ways(level, c) for c in copies.values())
-        if weight:  # no residue used more than ``level`` times
-            rows.append(tuple(row))
-            weights.append(weight)
-    return rows, weights
+    flat = itertools.chain.from_iterable(kind.residue_orders(range(n), width))
+    residues = np.fromiter(flat, dtype=np.intp, count=listed * width).reshape(listed, width)
+    copies = np.zeros_like(residues)  # earlier arguments with the same residue
+    for i, j in itertools.combinations(range(width), 2):
+        copies[:, j] += residues[:, i] == residues[:, j]
+    kept = (copies < level).all(axis=1)
+    residues, copies = residues[kept], copies[kept]
+    first, _, shape = stats.distinct_rows(np.sort(copies, axis=1), width)
+    # a shape's weight from its first row: residue x used r.count(x) times
+    weights = [
+        math.prod(kind.ways(level, r.count(x)) for x in set(r)) for r in residues[first].tolist()
+    ]
+    return residues + copies * n, shape, weights
 
 
 def representative_tables(
@@ -218,11 +225,14 @@ def expanded_statistics(
 
     Each width's ``residue_groundings`` are listed once, and each
     representative is evaluated on ``representative_tables`` of the first
-    ``min(level, widest width)`` copies; the weights of the rows that hold
-    sum to the hits.  One sample's tables or one width's residue listing
-    over ``TABLE_CELL_CAP`` cells raise ``CapExceededError``; otherwise
-    samples go in blocks whose tables fit the cap together, so a formula is
-    evaluated once per block.
+    ``min(level, widest width)`` copies.  The rows that hold are counted per
+    sample and row shape in int64, one matrix product of a block's truths
+    and the shapes' one-hot columns per block of rows, and each sample's
+    counts meet the Python-int shape weights once, at the end, so the hits
+    are exact at any level.  One sample's tables or one width's residue
+    listing over ``TABLE_CELL_CAP`` cells raise ``CapExceededError``;
+    otherwise samples go in blocks whose tables fit the cap together, so a
+    formula is evaluated once per block.
     """
     structures, m = positions.shape
     copies = min(level, max(c.width for c in checked))
@@ -230,21 +240,22 @@ def expanded_statistics(
     cells = sum(size ** (t.ndim - 1) for t in tables.values())
     stats.check_cells(cells, f"truth tables of {cells} cells over {size} constants")
     step = stats.TABLE_CELL_CAP // max(cells, 1)
-    residues = {
-        key: residue_groundings(*key, m, level) for key in {(c.kind, c.width) for c in checked}
-    }
-    hits = [[0] * structures for _ in checked]
+    residues = {key: residue_groundings(*key, m, level) for key in {(c.kind, c.width) for c in checked}}
+    # rows that hold, per sample and shape
+    counts = [np.zeros((structures, len(residues[c.kind, c.width][2])), np.int64) for c in checked]
     for start in range(0, structures, step):
         block = positions[start:start + step]
         grown = representative_tables(tables, block, copies)
-        for sums, c in zip(hits, checked):
-            rows, weights = residues[c.kind, c.width]
+        for held_rows, c in zip(counts, checked):
+            rows, shape, weights = residues[c.kind, c.width]
             first = 0
             for held in grounding_truths(c, rows, grown, len(block)):
-                chunk = weights[first:first + len(held)]
-                for t, column in enumerate(held.T, start):
-                    sums[t] += sum(itertools.compress(chunk, column))
+                one_hot = shape[first:first + len(held), None] == np.arange(len(weights))
+                held_rows[start:start + len(block)] += np.matmul(held.T, one_hot, dtype=np.int64)
                 first += len(held)
+    # each sample's held rows per shape meet the Python-int shape weights once
+    exact = [np.array(residues[c.kind, c.width][2], dtype=object) for c in checked]
+    hits = [(h.astype(object) @ w).tolist() for h, w in zip(counts, exact)]
     return hits, [c.count(m * level) for c in checked]
 
 

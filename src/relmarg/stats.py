@@ -30,7 +30,8 @@ experiment's samples one per trial (``expansion.representative_tables``).
 ``grounding_truths`` runs it in blocks of groundings; ``count_groundings``
 counts them for ``statistic``, ``WorldSpace.count_matrix`` and the index-set
 estimator, and ``expansion.expanded_statistics``, the one reader of
-expanded statistics, weights them.  The hard-rule filter of
+expanded statistics, counts them per row shape and weights each shape's
+count once.  The hard-rule filter of
 ``enumerate_worlds`` calls it at a rule's one grounding, and
 ``logic.holds`` (behind ``logic.evaluate``) at one grounding of one
 structure: no other code in the package decides a formula.

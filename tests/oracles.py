@@ -14,6 +14,9 @@ gathers every subset's bit pattern from truth tables; its reference walks
 each world's atoms subset by subset.  ``expansion.expand``,
 ``stats.structure_tables`` and the atom checks of ``GlobalExample`` work
 on whole index arrays and sets; their references go atom by atom.
+``expansion.residue_groundings`` lists an expansion's residue rows as one
+array with one weight per row shape; its reference lists them one row at a
+time, each with its own weight.
 ``stats.distinct_rows`` keys each row by one integer; its reference
 compares whole rows.
 """
@@ -87,6 +90,25 @@ def expand(example, level):
             relabel = dict(zip(distinct, picks))
             atoms.add(GroundAtom(atom.pred, tuple(relabel[a] for a in atom.args)))
     return GlobalExample(tuple(names), frozenset(atoms), example.vocab)
+
+
+def residue_groundings(kind, width, n, level):
+    """``expansion.residue_groundings`` one row at a time, as (row, weight)
+    pairs: in each residue tuple of ``kind.residue_orders`` the i-th
+    argument with residue r is copy i of r, counted in a dict, and the row
+    weighs prod_r ``kind.ways(level, c_r)``; rows of weight 0 are left
+    out."""
+    out = []
+    for residues in kind.residue_orders(range(n), width):
+        copies = {}
+        row = []
+        for r in residues:
+            row.append(r + copies.get(r, 0) * n)
+            copies[r] = copies.get(r, 0) + 1
+        weight = math.prod(kind.ways(level, c) for c in copies.values())
+        if weight:
+            out.append((tuple(row), weight))
+    return out
 
 
 def structure_tables(example, vocabulary):

@@ -384,7 +384,9 @@ def test_experiment_trials_are_the_same_in_blocks(monkeypatch, kind_name):
     # and grown to level 3, two copies of 4 residues serve width 2, so one
     # trial's tables have 8 + 8^2 = 72 cells: a cap of 3 trials' cells
     # splits 8 trials into blocks of 3, 3 and 2, and a cap under 2 trials'
-    # into 8 blocks
+    # into 8 blocks.  At 1 and 7 evaluation cells the residue rows split
+    # too, inside each block of trials, while rows of two shapes (distinct
+    # residues, or one residue twice) are live
     truth = random_structure(10, {"r": 1, "e": 2}, 0.4, random.Random(8))
     if kind_name == "subset":
         kind, texts = ModelA(2), A_POOL[:4]
@@ -407,11 +409,14 @@ def test_experiment_trials_are_the_same_in_blocks(monkeypatch, kind_name):
         return representative_tables(tables, positions, copies)
 
     monkeypatch.setattr(expansion, "representative_tables", recording)
-    for cap, sizes in [(3 * 72, [3, 3, 2]), (120, [1] * 8), (stats.TABLE_CELL_CAP, [8])]:
-        monkeypatch.setattr(stats, "TABLE_CELL_CAP", cap)
-        blocks.clear()
-        assert run_error_experiment(cfg) == want
-        assert blocks == sizes
+    caps = [(3 * 72, [3, 3, 2]), (120, [1] * 8), (stats.TABLE_CELL_CAP, [8])]
+    for cells in (1, 7, stats.BLOCK_CELLS):
+        monkeypatch.setattr(stats, "BLOCK_CELLS", cells)
+        for cap, sizes in caps:
+            monkeypatch.setattr(stats, "TABLE_CELL_CAP", cap)
+            blocks.clear()
+            assert run_error_experiment(cfg) == want
+            assert blocks == sizes
     # a sample of 8 grown to level 2 has 16 + 16^2 = 272 cells per trial: one
     # trial over the cap is refused, as a single expansion's tables are
     monkeypatch.setattr(stats, "TABLE_CELL_CAP", 271)

@@ -480,15 +480,35 @@ def test_expanded_statistic_table_cap(monkeypatch):
     assert exc.value.size == 36 and exc.value.cap == 35
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.builds(ModelA, st.integers(1, 4)), st.just(MODEL_B)),
+    st.integers(1, 4),
+    st.integers(1, 7),
+    st.integers(1, 5),
+)
+def test_residue_rows_and_shape_weights_equal_the_row_by_row_listing(kind, width, n, level):
+    rows, shape, weights = expansion.residue_groundings(kind, width, n, level)
+    pairs = sorted(zip(map(tuple, rows.tolist()), (weights[s] for s in shape)))
+    assert pairs == sorted(oracles.residue_groundings(kind, width, n, level))
+    if level == 1:
+        assert rows.tolist() == list(map(list, stats.CheckedFormula(kind, width, (), None, {}).rows(n)))
+        assert set(weights) <= {1}
+    if width <= n * level:
+        assert sum(weights[s] for s in shape) == kind.count(width, n * level)
+    else:
+        assert not len(rows)
+
+
 @pytest.mark.parametrize("kind, width, listed", [(ModelA(3), 3, 20), (MODEL_B, 2, 16)])
 def test_residue_listing_cap(monkeypatch, kind, width, listed):
     # 4 residues at level 3: C(4 + 3 - 1, 3) = 20 multisets of width 3, or
     # 4^2 = 16 sequences of width 2, each residue used at most 3 times
     cells = listed * width
     monkeypatch.setattr(stats, "TABLE_CELL_CAP", cells)
-    rows, weights = expansion.residue_groundings(kind, width, 4, 3)
-    assert len(rows) == len(weights) == listed
-    assert sum(weights) == kind.count(width, 12)
+    rows, shape, weights = expansion.residue_groundings(kind, width, 4, 3)
+    assert rows.shape == (listed, width) and len(shape) == listed
+    assert sum(weights[s] for s in shape) == kind.count(width, 12)
     monkeypatch.setattr(stats, "TABLE_CELL_CAP", cells - 1)
     with pytest.raises(CapExceededError) as exc:
         expansion.residue_groundings(kind, width, 4, 3)
