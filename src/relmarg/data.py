@@ -149,6 +149,19 @@ class CanonicalForm:
     width: int
     atoms: tuple[LocalAtom, ...]
     automorphisms: int
+    # the hash of the compared fields, computed once: forms key the marginal
+    # dicts that the mixture decomposition reads two to four times a form
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.width, self.atoms, self.automorphisms)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: an unpickled form hashes again
+        return CanonicalForm, (self.width, self.atoms, self.automorphisms)
 
     @property
     def class_size(self) -> int:

@@ -148,8 +148,9 @@ def residue_groundings(
     lies in the first ``min(level, width)`` copies.  A row's shape is its
     sorted copies, which fix how many residues it uses c times, so every row
     of a shape stands for the same prod_r ``kind.ways(level, c_r)``
-    groundings, c_r arguments having residue r; rows that use a residue more
-    than ``level`` times stand for none and are dropped.  By Vandermonde the
+    groundings, c_r arguments having residue r, read off any one of its
+    rows; rows that use a residue more than ``level`` times stand for none
+    and are dropped.  Shapes are numbered in the order of one key per row.  By Vandermonde the
     weights of the rows sum to the groundings over ``n * level`` constants.
     Weights are Python ints: at large levels they overflow int64.  A listing
     of more than ``TABLE_CELL_CAP`` cells, ``kind.residue_count`` rows of
@@ -168,10 +169,16 @@ def residue_groundings(
         copies[:, j] += residues[:, i] == residues[:, j]
     kept = (copies < level).all(axis=1)
     residues, copies = residues[kept], copies[kept]
-    first, _, shape = stats.distinct_rows(np.sort(copies, axis=1), width)
-    # a shape's weight from its first row: residue x used r.count(x) times
+    # sorted copies rise from 0 in steps of 0 or 1, so a shape is keyed by
+    # its steps as binary digits (Python ints past 63 steps)
+    steps = np.diff(np.sort(copies, axis=1), axis=1)
+    digits = np.array([1 << j for j in range(width - 1)], dtype=np.int64 if width <= 64 else object)
+    keys, shape = np.unique(steps @ digits, return_inverse=True)
+    row = np.empty(len(keys), dtype=np.intp)
+    row[shape] = np.arange(len(shape))  # any one row of each shape
+    # a shape's weight from one of its rows: residue x used r.count(x) times
     weights = [
-        math.prod(kind.ways(level, r.count(x)) for x in set(r)) for r in residues[first].tolist()
+        math.prod(kind.ways(level, r.count(x)) for x in set(r)) for r in residues[row].tolist()
     ]
     return residues + copies * n, shape, weights
 

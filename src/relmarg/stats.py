@@ -16,7 +16,10 @@ in what a grounding is.  ``ModelA``, ``ModelB`` and the ``CheckedFormula``
 record of each formula (``check_formulas``) are the only code that knows
 which variables a grounding binds, which body it decides, its width, and
 how many and which groundings n constants have; ``holds_over`` is the only
-code that decides whether a formula holds at one.  Every statistic in the
+code that decides whether a formula holds at one.  Under Model A it decides
+each local pattern once: a formula holds on a k-subset exactly when it
+holds on the subset's fragment, so its truth at a grounding is read off a
+table of its truths over every local pattern.  Every statistic in the
 package goes through them, by exhaustive enumeration, and is returned as a
 ``fractions.Fraction``; convert at the boundary if floats are wanted.
 
@@ -27,28 +30,37 @@ tables.  One example has one column (``structure_tables``, which fills each
 predicate's table by one index assignment); a world space has
 one per world (``worlds.world_tables``), and the expansions of an error
 experiment's samples one per trial (``expansion.representative_tables``).
-``grounding_truths`` runs it in blocks of groundings; ``count_groundings``
-counts them for ``statistic``, ``WorldSpace.count_matrix`` and the index-set
-estimator, and ``expansion.expanded_statistics``, the one reader of
-expanded statistics, counts them per row shape and weights each shape's
-count once.  The hard-rule filter of
-``enumerate_worlds`` calls it at a rule's one grounding, and
-``logic.holds`` (behind ``logic.evaluate``) at one grounding of one
-structure: no other code in the package decides a formula.
+``grounding_truths`` decides a formula at blocks of groundings;
+``count_groundings`` counts them for ``statistic``,
+``WorldSpace.count_matrix`` and the index-set estimator, and
+``expansion.expanded_statistics``, the one reader of expanded statistics,
+counts them per row shape and weights each shape's count once.  A Model A
+formula over at most ``CLASS_TABLE_ATOMS`` local atoms, which the
+assignment loop would read more often than a pattern has atoms, gets a
+``PatternTable``: one ``holds_over`` call over its 2^M width-k local worlds
+gives its truth on every pattern, and each block of groundings gathers its
+patterns, folds each into an int16 key and reads the truths at the keys
+(``_pattern_table``, at most 8 KiB a table, ``PATTERN_TABLES`` = 64
+kept).  Other formulas go through ``holds_over`` at every grounding.  The
+hard-rule filter of ``enumerate_worlds`` calls it at a rule's one
+grounding, and ``logic.holds`` (behind ``logic.evaluate``) at one grounding
+of one structure: no other code in the package decides a formula.
 
-``subset_patterns`` gathers every size-k subset's bit pattern over the
-local atoms from the same truth tables, one broadcast gather per predicate.
-``maxent.shrink_distribution`` reads those of a world space as worlds of a
-smaller space, and ``marginal_distribution_a`` reads the Model A marginal
-without building fragments: ``distinct_rows`` counts equal patterns, and
-the class of each is read from one table per vocabulary and width that
-holds the class of every pattern (``_class_table``; up to
-``CLASS_TABLE_ATOMS`` = 12 local atoms, at most 4,096 patterns and 660
-KiB a table, ``CLASS_TABLES`` = 4 tables kept).  Past that limit a call's
-patterns are canonicalized together.  ``canonical_patterns`` canonicalizes
-a batch: one gather through a (permutation, local atom) index array gives
-every relabelled image, and a column-by-column reduction keeps the
-canonical one and counts the automorphisms.  ``data.canonicalize`` is the
+``gather_patterns`` reads the bit patterns of a block of position rows over
+local atoms from the same truth tables, one gather per predicate;
+``grounding_truths`` and ``subset_patterns``, which reads every size-k
+subset's, share it.  ``maxent.shrink_distribution`` reads the subsets'
+patterns of a world space as worlds of a smaller space, and
+``marginal_distribution_a`` reads the Model A marginal without building
+fragments: each subset's class is read from one table per vocabulary and
+width that holds the class of every pattern, and ``np.bincount`` counts the
+classes (``_class_table``; up to ``CLASS_TABLE_ATOMS`` = 12 local atoms, at
+most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` = 4 tables
+kept).  Past that limit ``distinct_rows`` counts a call's equal patterns
+and the distinct ones are canonicalized together.  ``canonical_patterns``
+canonicalizes a batch: one gather through a (permutation, local atom) index
+array gives every relabelled image, and a column-by-column reduction keeps
+the canonical one and counts the automorphisms.  ``data.canonicalize`` is the
 same call on one pattern: no other code in the package searches
 relabellings.
 """
@@ -62,7 +74,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,6 +130,12 @@ class ModelA:
     def widest(self, widths: Sequence[int]) -> int:
         return self.width  # every grounding has the kind's width
 
+    def pattern_table(self, checked: "CheckedFormula") -> PatternTable | None:
+        """A subset's atoms are its local pattern's, so a formula holds at a
+        grounding exactly when it holds on the grounding's local pattern:
+        ``_pattern_table`` of the checked formula."""
+        return _pattern_table(checked.body, tuple(sorted(checked.vocabulary.items())), self.width)
+
 
 @dataclass(frozen=True)
 class ModelB:
@@ -152,6 +170,12 @@ class ModelB:
         if not widths:
             raise DomainError("no formulas to derive a level from")
         return max(widths)
+
+    def pattern_table(self, checked: "CheckedFormula") -> None:
+        """None: a substitution decides a quantifier-free matrix, which the
+        assignment loop reads once per atom, and a pattern key would read
+        every local atom."""
+        return None
 
 
 MODEL_B = ModelB()
@@ -339,8 +363,23 @@ def grounding_truths(
     structures: int,
 ) -> Iterator[np.ndarray]:
     """Whether a checked formula holds at each grounding row in each
-    structure, as consecutive (rows, ``structures``) bool blocks of at most
-    ``BLOCK_CELLS`` cells; ``count_groundings`` sums them."""
+    structure, as consecutive (rows, ``structures``) bool blocks;
+    ``count_groundings`` sums them.
+
+    With a ``pattern_table`` from the kind (Model A rows list distinct
+    positions, a subset's), a block's rows gather their bit patterns over
+    the formula's M local atoms (``gather_patterns``), each pattern is
+    folded into an int16 key and the truths are read off the table at the
+    keys: blocks of at most ``BLOCK_CELLS`` (grounding, structure, local
+    atom) cells.  Otherwise ``holds_over`` runs its assignment loop on
+    blocks of at most ``BLOCK_CELLS`` (grounding, structure) cells."""
+    table = checked.kind.pattern_table(checked)
+    if table is not None:
+        cells = structures * len(table.place)
+        for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(cells, 1)):
+            bits = gather_patterns(tables, table.runs, block, len(table.place), structures)
+            yield table.truth[np.einsum("gas,a->gs", bits, table.place)]
+        return
     for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(structures, 1)):
         columns = list(block.T)
         env = {v.name: c for v, c in zip(checked.bound, columns)}
@@ -413,11 +452,11 @@ def distinct_rows(
 # Local atoms up to which a vocabulary and width get a class table: the
 # table holds all 2^M patterns over M local atoms, so each atom more doubles
 # it.  At 12 atoms, 4,096 patterns, the widest table (12 unary predicates
-# at width 1, every pattern a class of its own) holds at most 660 KiB (642
-# KiB under tracemalloc, Python 3.11); every vocabulary and width that the
-# estimation workloads and verify suites use, {e/2, r/1} at width 3 the
-# widest, has at most 12.  CLASS_TABLES tables are kept, as many as those
-# use, so a full cache holds at most 2.6 MiB.
+# at width 1, every pattern a class of its own) holds at most 840 KiB (818
+# KiB under tracemalloc, Python 3.11, each form keeping its hash); every
+# vocabulary and width that the estimation workloads and verify suites use,
+# {e/2, r/1} at width 3 the widest, has at most 12.  CLASS_TABLES tables
+# are kept, as many as those use, so a full cache holds at most 3.3 MiB.
 CLASS_TABLE_ATOMS = 12
 CLASS_TABLES = 4
 
@@ -431,12 +470,13 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
 
     No fragment is built: a subset's fragment is its bit pattern over the
     M local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, read
-    in blocks of at most ``BLOCK_CELLS`` cells by ``subset_patterns``, and
-    the distinct patterns of each block are counted together.  A pattern's
-    class depends only on the vocabulary, k and the pattern: up to
-    ``CLASS_TABLE_ATOMS`` local atoms it is read from the class table of the
-    vocabulary and width (``_class_table``, built once while the cache keeps
-    it) at the pattern's bits as an integer; past that the call's patterns
+    in blocks of at most ``BLOCK_CELLS`` cells by ``subset_patterns``.  A
+    pattern's class depends only on the vocabulary, k and the pattern: up
+    to ``CLASS_TABLE_ATOMS`` local atoms each subset's class is read from
+    the class table of the vocabulary and width (``_class_table``, built
+    once while the cache keeps it) at the pattern's bits as an int16 key,
+    and ``np.bincount`` counts the classes of each block; past that the
+    distinct patterns of each block are counted together and the call's
     are canonicalized together (``_pattern_classes``).  A class's mass is
     its subset count over C(n,k), and classes appear in the order of their
     first subset.  A width over ``ISO_WIDTH_CAP`` raises
@@ -450,22 +490,31 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     vocabulary = example.vocabulary()
     tables = structure_tables(example, vocabulary)
     local = local_atoms(vocabulary, k)
+    total = math.comb(n, k)
+    if len(local) <= CLASS_TABLE_ATOMS:
+        table, forms = _class_table(tuple(sorted(vocabulary.items())), k)
+        place = (1 << np.arange(len(local))).astype(np.int16)
+        subsets = np.zeros(len(forms), dtype=np.int64)
+        first = np.full(len(forms), total)  # each class's first subset
+        start = 0
+        for block in subset_patterns(tables, local, n, k, 1):
+            classes = table[np.einsum("gsa,a->g", block, place)]
+            subsets += np.bincount(classes, minlength=len(forms))
+            np.minimum.at(first, classes, np.arange(start, start + len(classes)))
+            start += len(classes)
+        seen = np.flatnonzero(subsets)
+        seen = seen[np.argsort(first[seen])]
+        return {forms[c]: Fraction(int(subsets[c]), total) for c in seen.tolist()}
     rows, counts = [], []  # the distinct patterns of each block, and their subsets
     for block in subset_patterns(tables, local, n, k, 1):
         first, count, _ = distinct_rows(block[:, 0], 2)
         rows.append(block[first, 0])
         counts.extend(count.tolist())
-    patterns = np.concatenate(rows)
-    if len(local) <= CLASS_TABLE_ATOMS:
-        table, forms = _class_table(tuple(sorted(vocabulary.items())), k)
-        classes = table[patterns @ (1 << np.arange(len(local), dtype=np.int64))]
-    else:
-        classes, forms = _pattern_classes(patterns, vocabulary, k, local)
+    classes, forms = _pattern_classes(np.concatenate(rows), vocabulary, k, local)
     # a class first appears at the first row of its first subset's pattern
     mass: dict[int, int] = {}  # class -> subsets
     for c, count in zip(classes.tolist(), counts):
         mass[c] = mass.get(c, 0) + count
-    total = math.comb(n, k)
     return {forms[c]: Fraction(count, total) for c, count in mass.items()}
 
 
@@ -503,6 +552,70 @@ def _class_table(
     return classes, forms
 
 
+class PatternTable(NamedTuple):
+    """A Model A formula decided on every local pattern over its own
+    vocabulary at one width: ``truth[key]`` is whether it holds on the
+    pattern whose bit j, ``place[j]`` in the int16 ``key``, is local atom j
+    of ``runs`` (``pattern_runs``)."""
+
+    truth: np.ndarray
+    runs: list[tuple[str, np.ndarray, slice]]
+    place: np.ndarray
+
+
+# Pattern tables kept, one per formula, own vocabulary and width: a table
+# holds at most 2^CLASS_TABLE_ATOMS = 4,096 truths and its runs, at most 8
+# KiB (6.5 KiB under tracemalloc, Python 3.11, at 12 local atoms), so a full
+# cache holds at most 512 KiB beside the formulas of its keys.  The verify
+# suites use 41 formulas and widths (tables and None), the benchmark
+# workloads at most 33 each, and a kept table serves every later call.
+PATTERN_TABLES = 64
+
+
+@functools.lru_cache(maxsize=PATTERN_TABLES)
+def _pattern_table(
+    body: Formula, signature: tuple[tuple[str, int], ...], k: int
+) -> PatternTable | None:
+    """The ``PatternTable`` of the closed formula ``body`` over the
+    vocabulary ``dict(signature)`` at width k, or None when its M local
+    atoms are more than ``CLASS_TABLE_ATOMS`` or at least the table reads of
+    the assignment loop, in which a pattern key would read no fewer atoms
+    (``_table_reads``; so width-1 formulas keep the loop).  The truths come
+    from one ``holds_over`` call over the 2^M width-k local worlds, world i
+    the pattern whose bit j is local atom j: its tables are read off the
+    bits, as ``worlds.world_tables`` reads them, and quantifiers range over
+    the k positions."""
+    vocabulary = dict(signature)
+    local = local_atoms(vocabulary, k)
+    if len(local) > CLASS_TABLE_ATOMS or len(local) >= _table_reads(body, k):
+        return None
+    ids = np.arange(1 << len(local))
+    bits = (ids >> np.arange(len(local))[:, None] & 1).astype(bool)  # (M, 2^M)
+    runs = pattern_runs(local)
+    tables = {
+        p: bits[columns].reshape((k,) * args.shape[0] + (len(ids),)) for p, args, columns in runs
+    }
+    domain = [np.array([i]) for i in range(k)]
+    truth = np.array(holds_over(body, tables, (1, len(ids)), domain, {})[0])
+    truth.flags.writeable = False
+    return PatternTable(truth, runs, (1 << np.arange(len(local))).astype(np.int16))
+
+
+def _table_reads(f: Formula, k: int) -> int:
+    """Table reads of ``holds_over``'s assignment loop per grounding of the
+    formula ``f`` at width k: one per atom occurrence and assignment of the
+    variables of the quantifiers around it."""
+    if isinstance(f, PredAtom):
+        return 1
+    if isinstance(f, Eq):
+        return 0
+    if isinstance(f, Not):
+        return _table_reads(f.sub, k)
+    if isinstance(f, (And, Or)):
+        return sum(_table_reads(p, k) for p in f.parts)
+    return k ** len(f.vars) * _table_reads(f.body, k)
+
+
 def subset_patterns(
     tables: Mapping[str, np.ndarray], local: Sequence[LocalAtom], n: int, k: int, structures: int
 ) -> Iterator[np.ndarray]:
@@ -510,24 +623,53 @@ def subset_patterns(
     ``local`` atoms (``local_atoms`` of width ``k``) in each of
     ``structures`` structures: (subsets, structures, atoms) bool blocks of at
     most ``BLOCK_CELLS`` cells, at least one subset each, in
-    ``itertools.combinations`` order.  Local atom ``p(a1, ..., ar)`` of the
-    subset at positions ``s`` is ``tables[p][s[a1], ..., s[ar]]``; each run
-    of one predicate's atoms is read by one broadcast gather,
-    ``tables[p][s[args_1], ..., s[args_r]]`` with ``args_i`` the i-th
-    arguments of the run, for every subset of a block at once."""
-    runs, start = [], 0
-    for p, atoms in itertools.groupby(local, key=operator.itemgetter(0)):
-        args = np.array([a for _, a in atoms], dtype=np.intp).T  # (arity, atoms)
-        runs.append((tables[p], args, slice(start, start + args.shape[1])))
-        start += args.shape[1]
+    ``itertools.combinations`` order, each read by ``gather_patterns``."""
+    runs = pattern_runs(local)
     subsets = itertools.combinations(range(n), k)
     for block in index_blocks(subsets, k, BLOCK_CELLS // max(structures * len(local), 1)):
-        # filled in the axis order of a gather, (subsets, atoms,
-        # structures); an arity-0 table broadcasts over the subsets
-        bits = np.empty((len(block), len(local), structures), dtype=bool)
-        for table, args, columns in runs:
-            bits[:, columns] = table[tuple(block[:, a] for a in args)]
-        yield bits.transpose(0, 2, 1)
+        yield gather_patterns(tables, runs, block, len(local), structures).transpose(0, 2, 1)
+
+
+def pattern_runs(local: Sequence[LocalAtom]) -> list[tuple[str, np.ndarray, slice]]:
+    """Each predicate's run of consecutive ``local`` atoms: its name, the
+    (arity, atoms) array of their arguments and the run's columns."""
+    runs, start = [], 0
+    for p, atoms in itertools.groupby(local, key=operator.itemgetter(0)):
+        args = np.array([a for _, a in atoms], dtype=np.intp).T
+        runs.append((p, args, slice(start, start + args.shape[1])))
+        start += args.shape[1]
+    return runs
+
+
+def gather_patterns(
+    tables: Mapping[str, np.ndarray],
+    runs: Sequence[tuple[str, np.ndarray, slice]],
+    block: np.ndarray,
+    atoms: int,
+    structures: int,
+) -> np.ndarray:
+    """The bit pattern of each row of positions in ``block`` over the
+    ``atoms`` local atoms of ``runs`` (``pattern_runs``) in each structure,
+    as a (rows, atoms, structures) bool array.  Local atom ``p(a1, ...,
+    ar)`` of the row ``s`` is ``tables[p][s[a1], ..., s[ar]]``; each run is
+    read by one gather for every row at once, ``np.take`` of the rows of
+    the (cells, structures) table at the row-major flat positions
+    ``s[args_1] * n^(r-1) + ... + s[args_r]``, with ``args_i`` the i-th
+    arguments of the run.  A predicate without a table is false
+    everywhere, as in ``holds_over``, and an arity-0 table is read whole."""
+    bits = np.empty((len(block), atoms, structures), dtype=bool)
+    for p, args, columns in runs:
+        table = tables.get(p)
+        if table is None:
+            bits[:, columns] = False
+            continue
+        if len(args):
+            n = table.shape[0]
+            at = sum(block[:, a] * n ** (len(args) - 1 - i) for i, a in enumerate(args))
+            table = np.take(table.reshape(n ** len(args), structures), at, axis=0)
+        # an arity-0 table, one truth per structure, broadcasts over the rows
+        bits[:, columns] = table
+    return bits
 
 
 def local_atoms(vocabulary: Mapping[str, int], k: int) -> list[LocalAtom]:

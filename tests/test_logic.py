@@ -279,18 +279,20 @@ def test_unsatisfied_rules_filters():
 # ---------------------------------------------------------------------------
 # randomized cross-checks
 
-def _vocab_atoms(terms):
+R_E = (Predicate("r", 1), Predicate("e", 2))
+
+
+def _vocab_atoms(terms, predicates=R_E):
     terms = st.sampled_from(terms)
     return st.one_of(
-        st.builds(PredAtom, st.just(Predicate("r", 1)), st.tuples(terms)),
-        st.builds(PredAtom, st.just(Predicate("e", 2)), st.tuples(terms, terms)),
+        *(st.builds(PredAtom, st.just(p), st.tuples(*[terms] * p.arity)) for p in predicates),
         st.builds(Eq, terms, terms),
     )
 
 
-def _matrices(terms):
+def _matrices(terms, predicates=R_E):
     return st.recursive(
-        _vocab_atoms(terms),
+        _vocab_atoms(terms, predicates),
         lambda sub: st.one_of(
             st.builds(Not, sub),
             st.builds(lambda a, b: And((a, b)), sub, sub),
@@ -301,21 +303,24 @@ def _matrices(terms):
 
 
 @st.composite
-def closed_formulas(draw, constants=("a", "b"), quantifiers=(Forall, Exists), prenex=False):
-    """A formula over r/1, e/2, equality, the variables X and Y and
-    ``constants``, with quantifiers from ``quantifiers``.  A quantifier-free
-    matrix is closed by one quantifier over its free variables or by one
-    quantifier per variable (``Q1 X: Q2 Y: m``); unless ``prenex``, Y may
-    instead be bound in an inner scope (``Q1 X: m1 | (Q2 Y: m2)``, or with
-    ``&``)."""
+def closed_formulas(
+    draw, constants=("a", "b"), quantifiers=(Forall, Exists), prenex=False, predicates=R_E
+):
+    """A formula over ``predicates`` (r/1 and e/2 unless given), equality,
+    the variables X and Y and ``constants``, with quantifiers from
+    ``quantifiers``.  A quantifier-free matrix is closed by one quantifier
+    over its free variables or by one quantifier per variable (``Q1 X: Q2
+    Y: m``); unless ``prenex``, Y may instead be bound in an inner scope
+    (``Q1 X: m1 | (Q2 Y: m2)``, or with ``&``)."""
     x, y = Var("X"), Var("Y")
     consts = [Const(c) for c in constants]
     quant = st.sampled_from(quantifiers)
     if not prenex and draw(st.booleans()):
-        scope = draw(quant)((y,), draw(_matrices([x, y] + consts)))
-        joined = draw(st.sampled_from((And, Or)))((draw(_matrices([x] + consts)), scope))
+        scope = draw(quant)((y,), draw(_matrices([x, y] + consts, predicates)))
+        outer = draw(_matrices([x] + consts, predicates))
+        joined = draw(st.sampled_from((And, Or)))((outer, scope))
         return draw(quant)((x,), joined) if free_vars(joined) else joined
-    matrix = draw(_matrices([x, y] + consts))
+    matrix = draw(_matrices([x, y] + consts, predicates))
     opened = sorted(free_vars(matrix), key=lambda v: v.name)
     if not opened:
         return matrix

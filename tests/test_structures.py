@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import oracles
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relmarg.data import (
+    CanonicalForm,
     GlobalExample,
     GroundAtom,
     LocalExample,
@@ -163,6 +168,26 @@ def test_class_sizes_sum_to_labelings():
                 atoms.append(("e", pair))
         cf = canonicalize(local_of(GlobalExample(["x", "y"], atoms)))
         assert math.factorial(2) % cf.class_size == 0
+
+
+def test_canonical_form_keeps_its_hash_out_of_equality_and_repr():
+    form = canonicalize(local_of(GlobalExample(["x", "y"], [("e", ("x", "y")), ("r", ("y",))])))
+    twin = CanonicalForm(form.width, form.atoms, form.automorphisms)
+    assert form == twin and hash(form) == hash(twin) == hash((2, form.atoms, 1))
+    assert form != CanonicalForm(form.width, form.atoms, 2)
+    assert repr(form) == f"CanonicalForm(width=2, atoms={form.atoms!r}, automorphisms=1)"
+    # another process hashes strings under another seed, so a form pickled
+    # there hashes again here
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import pickle, sys; from relmarg.data import CanonicalForm; "
+        "sys.stdout.buffer.write(pickle.dumps(CanonicalForm(2, (('e', (1, 2)),), 1)))"
+    )
+    sent = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True, check=True,
+    ).stdout
+    assert hash(pickle.loads(sent)) == hash((2, (("e", (1, 2)),), 1))
 
 
 def test_canonicalize_width_cap():
