@@ -150,12 +150,12 @@ def residue_groundings(
     of a shape stands for the same prod_r ``kind.ways(level, c_r)``
     groundings, c_r arguments having residue r, read off any one of its
     rows; rows that use a residue more than ``level`` times stand for none
-    and are dropped.  Shapes are numbered in the order of one key per row.  By Vandermonde the
-    weights of the rows sum to the groundings over ``n * level`` constants.
-    Weights are Python ints: at large levels they overflow int64.  A listing
-    of more than ``TABLE_CELL_CAP`` cells, ``kind.residue_count`` rows of
-    ``width`` positions, raises ``CapExceededError`` before any row is
-    listed.
+    and are dropped.  Shapes are numbered in the order of one key per row.
+    By Vandermonde the weights of the rows sum to the groundings over ``n *
+    level`` constants.  Weights are Python ints: at large levels they
+    overflow int64.  A listing of more than ``TABLE_CELL_CAP`` cells,
+    ``kind.residue_count`` rows of ``width`` positions, raises
+    ``CapExceededError`` before any row is listed.
     """
     listed = kind.residue_count(n, width)
     stats.check_cells(
