@@ -559,7 +559,7 @@ class PatternTable(NamedTuple):
     of ``runs`` (``pattern_runs``)."""
 
     truth: np.ndarray
-    runs: list[tuple[str, np.ndarray, slice]]
+    runs: tuple[tuple[str, np.ndarray, slice], ...]
     place: np.ndarray
 
 
@@ -597,8 +597,11 @@ def _pattern_table(
     }
     domain = [np.array([i]) for i in range(k)]
     truth = np.array(holds_over(body, tables, (1, len(ids)), domain, {})[0])
-    truth.flags.writeable = False
-    return PatternTable(truth, runs, (1 << np.arange(len(local))).astype(np.int16))
+    place = (1 << np.arange(len(local))).astype(np.int16)
+    # every call shares the cached arrays, so none may write them
+    for array in (truth, place, *(args for _, args, _ in runs)):
+        array.flags.writeable = False
+    return PatternTable(truth, tuple(runs), place)
 
 
 def _table_reads(f: Formula, k: int) -> int:
