@@ -10,7 +10,6 @@ represented by a lexicographically minimal canonical form.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -23,7 +22,6 @@ ISO_WIDTH_CAP = 8
 
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _ATOM_RE = re.compile(r"([a-z][A-Za-z0-9_]*)\(([^()]*)\)\s*\.?\Z")
-_PRED, _ARGS = operator.attrgetter("pred"), operator.attrgetter("args")
 
 
 @dataclass(frozen=True)
@@ -63,31 +61,40 @@ class GlobalExample:
             object.__setattr__(self, "vocab", dict(self.vocab))
         if len(set(self.constants)) != len(self.constants):
             raise DomainError("duplicate constants")
-        if self._atom_error(atoms) is not None:
+        arity, error = self._signature(atoms)
+        if error is not None:
             # report the first offending atom in sorted order, whichever one
             # the set order met first
-            raise self._atom_error(sorted(atoms, key=lambda a: (a.pred, a.args)))
+            raise self._signature(sorted(atoms, key=lambda a: (a.pred, a.args)))[1]
+        # not a field, so neither compared, hashed nor printed
+        object.__setattr__(self, "_arity", arity)
 
-    def _atom_error(self, atoms: Iterable[GroundAtom]) -> DomainError | VocabularyError | None:
-        """The error for the first atom, in the order of ``atoms``, that uses
-        a constant outside the constant set or a second arity."""
+    def _signature(
+        self, atoms: Iterable[GroundAtom]
+    ) -> tuple[dict[str, int], DomainError | VocabularyError | None]:
+        """Each predicate's arity, the declared ones first and then the
+        others in the order of ``atoms``, and the error for the first atom
+        that uses a constant outside the constant set or a second arity."""
         cset = set(self.constants)
         arity: dict[str, int] = dict(self.vocab or {})
         for atom in atoms:
             for arg in atom.args:
                 if arg not in cset:
-                    return DomainError(f"atom {atom} uses constant {arg!r} outside the constant set")
+                    return arity, DomainError(
+                        f"atom {atom} uses constant {arg!r} outside the constant set"
+                    )
             seen = arity.setdefault(atom.pred, len(atom.args))
             if seen != len(atom.args):
-                return VocabularyError(
+                return arity, VocabularyError(
                     f"predicate {atom.pred!r} used with arities {seen} and {len(atom.args)}"
                 )
-        return None
+        return arity, None
 
     def vocabulary(self) -> dict[str, int]:
-        vocab = dict(self.vocab or {})
-        vocab.update(zip(map(_PRED, self.atoms), map(len, map(_ARGS, self.atoms))))
-        return vocab
+        """Each predicate's arity: the declared ones first, then the others
+        in atom iteration order.  A copy of the map built once at
+        construction, so the caller may change it."""
+        return dict(self._arity)
 
     def __str__(self):
         atoms = ", ".join(str(a) for a in sorted(self.atoms, key=lambda a: (a.pred, a.args)))

@@ -189,7 +189,9 @@ def representative_tables(
     """Truth tables of the first ``copies`` copies of T expansions, one
     structure column each, read off the base ``tables``: row t of the
     (T, m) ``positions`` lists the base constants of expansion t, and
-    expanded position ``r + c*m`` is copy c of ``positions[t, r]``.
+    expanded position ``r + c*m`` is copy c of ``positions[t, r]``.  A
+    predicate of arity a gets shape ``(m * copies,) * a + (T,)``, so an
+    arity-0 one gets its base truth once per structure, shape (T,).
 
     As ``expand`` builds it, an atom holds at expanded positions iff the base
     atom holds at their residues and arguments with equal residue are the
@@ -208,7 +210,9 @@ def representative_tables(
             at.reshape((1,) * a + (size,) + (1,) * (arity - 1 - a) + (structures,))
             for a in range(arity)
         )
-        held = table[args + (0,)]
+        # the base structure axis read once per structure, so that an arity-0
+        # truth has one entry per structure too
+        held = table[args + (np.zeros(structures, dtype=np.intp),)]
         if arity > 1:
             grid, copy_grid = np.ix_(*[residue] * arity), np.ix_(*[copy] * arity)
             for i, j in itertools.combinations(range(arity), 2):

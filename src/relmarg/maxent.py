@@ -39,7 +39,7 @@ from .errors import CapExceededError, DomainError, InfeasibleError, NotRealizabl
 from .logic import Formula
 from .polytope import realizability_check
 from . import stats
-from .stats import MarginalConstraint, ModelKind, statistic
+from .stats import MarginalConstraint, ModelKind
 from .worlds import WorldSpace, enumerate_worlds, world_tables
 
 PRIMAL_WORLD_CAP = 1 << 16
@@ -346,7 +346,12 @@ def log_likelihood_duality_check(
             f"({len(train.constants)} vs {len(space.constants)} constants)"
         )
     formulas = tuple(formulas)
-    theta = tuple(statistic(f, train, kind) for f in formulas)
+    # the training world's row of the count matrix, which the solver reads
+    # too, gives its statistics and its log-likelihood terms
+    counts = space.count_matrix(formulas, kind)
+    row = counts[space.world_index(space.encode(train))]
+    norms = space.normalizers(formulas, kind)
+    theta = tuple(Fraction(int(c), int(n)) for c, n in zip(row, norms))
     constraints = tuple(MarginalConstraint(f, t) for f, t in zip(formulas, theta))
     try:
         model = solve_maxent(constraints, space, kind)
@@ -362,12 +367,12 @@ def log_likelihood_duality_check(
             exc.boundary,
             str(exc),
         )
-    counts, norms, theta_f = _features(constraints, space, kind)
-    train_counts = counts[space.world_index(space.encode(train))]
+    counts, row = counts.astype(float), row.astype(float)
+    theta_f = np.array([float(t) for t in theta])
     lse, p = _distribution(counts, model.weights)
-    ll = float(train_counts @ model.weights) - lse
-    ll_grad = train_counts - counts.T @ p
-    dual_value = float(model.weights @ (theta_f * norms)) - lse
+    ll = float(row @ model.weights) - lse
+    ll_grad = row - counts.T @ p
+    dual_value = float(model.weights @ (theta_f * norms.astype(float))) - lse
     return DualityReport(
         theta,
         tuple(float(x) for x in model.weights),

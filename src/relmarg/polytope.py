@@ -8,9 +8,12 @@ statistic vectors are the rows divided by the normalizers.
 Each polytope has an exact H-representation, computed once from its count
 rows: the affine hull as integer equalities and the facets as primitive
 integer pairs (a, b) with a.x <= b.  ``rank`` reads the exact affine rank
-off it.  The facets come from the double-description method in Python
-integers, whose work grows with the rays it holds, not with the number of
-vertex subsets.
+off it.  One fraction-free elimination, ``_reduce``, does the integer
+linear algebra: on the differences from the first row it gives the affine
+hull, and on the projections of rank + 1 independent rows the rays of the
+simplex they bound.  From that simplex the facets come from the
+double-description method in Python integers, whose work grows with the
+rays it holds, not with the number of vertex subsets.
 
 ``hull_distance`` answers most queries from these constraints by two
 projection certificates.  Project the point p onto the affine hull, giving
@@ -56,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,29 +194,27 @@ def _primitive(values: list[int]) -> list[int]:
     return [x // g for x in values] if g > 1 else values
 
 
-def _pivots_and_equalities(
-    rows: list[list[int]], scales: Sequence[int]
-) -> tuple[list[int], tuple[Constraint, ...], list[int]]:
-    """Pivot coordinates and equalities of the affine hull of integer rows,
-    and the indices of the rows that span it: the first row and each row
-    that adds a basis vector.
+def _reduce(
+    rows: Iterable[list[int]], stop: int | None = None
+) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over integer rows, in order:
+    the reduced basis of their span as (pivot, vector) pairs sorted by
+    pivot, and the indices of the rows that added a vector.  The scan ends
+    at the first row it meets with ``stop`` vectors in the basis, so a lazy
+    ``rows`` is read at most one row further.
 
-    Fraction-free elimination on the differences from the first row keeps a
-    basis of the difference space in reduced form: each basis row is zero at
-    every other row's pivot and positive at its own.  The projection onto
-    the pivot coordinates is then injective on the affine hull, and each
-    other coordinate f gives one equality, the null vector that is 1 at f
-    and 0 at the other non-pivots, scaled to integers and mapped back to
-    statistic coordinates, coordinate j over ``scales[j]``.
+    Each row is reduced to zero at every pivot so far; if anything is left,
+    it becomes primitive and positive at its first nonzero coordinate, its
+    pivot, and every earlier vector is reduced to zero there.  So each
+    vector is primitive, zero before its pivot and at every other pivot, and
+    positive at its own: the basis is the span's unique reduced echelon
+    form, whatever the order of the rows.
     """
-    d = len(scales)
     basis: list[tuple[int, list[int]]] = []
-    origin = rows[0] if rows else [0] * d
-    start = [0]
-    for i, row in enumerate(rows[1:], 1):
-        if len(basis) == d:
+    added = []
+    for i, x in enumerate(rows):
+        if len(basis) == stop:
             break
-        x = [a - b for a, b in zip(row, origin)]
         for pivot, b in basis:
             if x[pivot]:
                 x = [b[pivot] * xi - x[pivot] * bi for xi, bi in zip(x, b)]
@@ -226,8 +227,29 @@ def _pivots_and_equalities(
             for p, b in basis
         ]
         basis.append((lead, x))
-        start.append(i)
-    basis.sort()
+        added.append(i)
+    return sorted(basis), added
+
+
+def _pivots_and_equalities(
+    rows: list[list[int]], scales: Sequence[int]
+) -> tuple[list[int], tuple[Constraint, ...], list[int]]:
+    """Pivot coordinates and equalities of the affine hull of integer rows,
+    and the indices of the rows that span it: the first row and each row
+    that adds a basis vector.
+
+    ``_reduce``, the elimination that also gives the facet search its
+    starting simplex (``_simplex_rays``), runs over the differences from
+    the first row, stopped at rank d, and gives the reduced basis of the
+    difference space.  The projection onto
+    the pivot coordinates is then injective on the affine hull, and each
+    other coordinate f gives one equality, the null vector that is 1 at f
+    and 0 at the other non-pivots, scaled to integers and mapped back to
+    statistic coordinates, coordinate j over ``scales[j]``.
+    """
+    d = len(scales)
+    origin = rows[0] if rows else [0] * d
+    basis, added = _reduce(([a - b for a, b in zip(row, origin)] for row in rows[1:]), d)
     pivots = [p for p, _ in basis]
     equalities = []
     for f in range(d):
@@ -241,7 +263,7 @@ def _pivots_and_equalities(
         offset = sum(ai * oi for ai, oi in zip(a, origin))
         *a, offset = _primitive([ai * s for ai, s in zip(a, scales)] + [offset])
         equalities.append((tuple(a), offset))
-    return pivots, tuple(equalities), start
+    return pivots, tuple(equalities), [0] + [i + 1 for i in added]
 
 
 def _facets(
@@ -324,24 +346,14 @@ def _facets(
 def _simplex_rays(ys: list[list[int]]) -> list[list[int]]:
     """The extreme rays of the cone of x with ys[j].x <= 0 for the r + 1
     independent rows ys: ray k solves ys[j].x = -[j == k], so it is tight at
-    every row but row k.  Fraction-free Gauss-Jordan elimination on
-    [ys | -I] leaves each row j as d_j x_j = its right-hand side."""
+    every row but row k.  ``_reduce``, the elimination that also gives the
+    affine hull, leaves the rows [ys[j] | -e_j] as [D | R] with D diagonal,
+    so ray k is R[p][k] / D[p][p] at coordinate p, scaled by the pivots' lcm
+    to integers."""
     m = len(ys)
-    rows = [y + [-int(j == k) for k in range(m)] for j, y in enumerate(ys)]
-    for c in range(m):
-        pivot = next(j for j in range(c, m) if rows[j][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        top = rows[c]
-        rows = [
-            _primitive([top[c] * x - row[c] * t for x, t in zip(row, top)])
-            if j != c and row[c] else row
-            for j, row in enumerate(rows)
-        ]
-    scale = math.lcm(*(row[j] for j, row in enumerate(rows)))
-    return [
-        _primitive([row[m + k] * (scale // row[j]) for j, row in enumerate(rows)])
-        for k in range(m)
-    ]
+    basis, _ = _reduce([y + [-int(j == k) for k in range(m)] for j, y in enumerate(ys)])
+    scale = math.lcm(*(b[p] for p, b in basis))
+    return [_primitive([b[m + k] * (scale // b[p]) for p, b in basis]) for k in range(m)]
 
 
 def polytope_vertices(

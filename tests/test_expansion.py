@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from relmarg.expansion import (
     gamma,
     mixture_residual,
     noisy_expand,
+    representative_tables,
     required_expansion_level,
 )
 from relmarg.logic import parse_formula
@@ -449,6 +451,32 @@ def test_expanded_statistic_is_the_same_in_blocks(monkeypatch):
         monkeypatch.setattr(stats, "BLOCK_CELLS", cells)
         got = [expanded_statistic(parse_formula(t), base, kind, 3) for t, kind in cases]
         assert got == want
+
+
+@pytest.mark.parametrize("q_holds", [True, False])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_representative_tables_are_the_tables_of_each_expansion(q_holds, level):
+    # three samples of a 4-constant base, each with its own constant order:
+    # column t of every table, q/0 included, is the table of sample t's
+    # expansion on its first m * copies constants
+    vocab = {"q": 0, "r": 1, "e": 2}
+    atoms = [("r", ("c1",)), ("e", ("c1", "c3")), ("e", ("c2", "c2")), ("e", ("c4", "c1"))]
+    base = GlobalExample(["c1", "c2", "c3", "c4"], atoms + [("q", ())] * q_holds, vocab)
+    positions = np.array([[0, 1, 2], [3, 0, 2], [2, 3, 1]])
+    copies = min(level, 2)
+    size = positions.shape[1] * copies
+    tables = representative_tables(stats.structure_tables(base, vocab), positions, copies)
+    assert tables["q"].shape == (len(positions),)
+    for t, row in enumerate(positions):
+        constants = [base.constants[i] for i in row]
+        held = [a for a in base.atoms if set(a.args) <= set(constants)]
+        sample = GlobalExample(constants, held, vocab)
+        want = stats.structure_tables(expand(sample, level), vocab)
+        for p, arity in vocab.items():
+            assert tables[p].shape == (size,) * arity + (len(positions),)
+            cut = want[p][(slice(size),) * arity + (0,)]
+            assert np.array_equal(tables[p][..., t], cut)
+    assert tables["q"].tolist() == [q_holds] * len(positions)
 
 
 def test_expanded_statistic_needs_no_expansion():

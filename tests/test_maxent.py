@@ -336,6 +336,22 @@ def test_duality_check_validates_constants():
                                      ModelA(1), SPACE_R3)
 
 
+@pytest.mark.parametrize("kind", [ModelA(1), ModelA(2), MODEL_B])
+def test_duality_check_reads_theta_off_the_training_world(kind):
+    # theta is the training world's exact statistic vector, and a training
+    # world that the hard rules exclude is refused before any fit, whether
+    # or not its statistics are realizable
+    train = GlobalExample(["a", "b", "c"], [("r", ("a",))], {"r": 1})
+    formulas = [parse_formula(t) for t in ("forall X: r(X)", "forall X, Y: r(X) | r(Y)")]
+    report = log_likelihood_duality_check(train, formulas, kind, SPACE_R3)
+    assert report.theta == tuple(statistic(f, train, kind) for f in formulas)
+    assert all(type(t) is Fraction for t in report.theta)
+    nonempty = enumerate_worlds(["a", "b", "c"], {"r": 1}, [parse_formula("exists X: r(X)")])
+    empty = GlobalExample(["a", "b", "c"], [], {"r": 1})
+    with pytest.raises(DomainError, match="not a world of this space"):
+        log_likelihood_duality_check(empty, formulas, kind, nonempty)
+
+
 # ---------------------------------------------------------------------------
 # explicit distributions and shrinking
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relmarg import polytope
@@ -424,6 +424,64 @@ def test_rank_of_degenerate_vertex_sets():
     assert flat.rank() == 1 < flat.dim
     point = _poly([(Fraction(1, 2), Fraction(1, 2))])
     assert point.rank() == 0
+
+
+@st.composite
+def integer_rows(draw):
+    """0-8 integer rows of 1-6 columns, with entries small or up to 2^70 in
+    size, some rows repeating an earlier one or combining two."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-2, 2) | st.integers(-(2**70), 2**70)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        how = draw(st.sampled_from(["new", "repeat", "combination"])) if rows else "new"
+        if how == "new":
+            rows.append([draw(entry) for _ in range(n)])
+        elif how == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            (s, a), (t, b) = [(draw(st.integers(-3, 3)), draw(st.sampled_from(rows))) for _ in "ab"]
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows(), st.integers(0, 6))
+def test_reduce_gives_the_reduced_echelon_basis_of_the_rows(rows, stop):
+    basis, added = polytope._reduce(rows)
+    rank = oracles.span_rank(rows)
+    assert len(basis) == len(added) == rank
+    pivots = [p for p, _ in basis]
+    assert pivots == sorted(set(pivots))
+    for p, b in basis:
+        assert math.gcd(*b) == 1 and b[p] > 0 and not any(b[:p])
+        assert all(b[q] == 0 for q in pivots if q != p)
+    # the basis spans the rows, and so do the rows that added a vector
+    assert oracles.span_rank(rows + [b for _, b in basis]) == rank
+    assert oracles.span_rank([rows[i] for i in added]) == rank
+    # a stopped scan keeps the first vectors it finds and reads at most one
+    # row past the one that filled the basis
+    read = []
+    stopped, first = polytope._reduce((read.append(i) or row for i, row in enumerate(rows)), stop)
+    assert first == added[:stop] and len(stopped) == len(first)
+    if stop <= rank:
+        assert len(read) == min(len(rows), first[-1] + 2 if first else 1)
+    else:
+        assert len(read) == len(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-2, 2) | st.integers(-(2**70), 2**70), min_size=m, max_size=m),
+    min_size=m, max_size=m)))
+def test_simplex_rays_are_tight_at_every_row_but_their_own(ys):
+    assume(oracles.span_rank(ys) == len(ys))
+    rays = polytope._simplex_rays(ys)
+    for k, ray in enumerate(rays):
+        assert math.gcd(*ray) == 1
+        for j, y in enumerate(ys):
+            slack = sum(a * b for a, b in zip(y, ray))
+            assert slack < 0 if j == k else slack == 0
 
 
 @st.composite

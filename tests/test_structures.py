@@ -104,6 +104,38 @@ def test_vocabulary_collects_arities():
     assert ex.vocabulary() == {"e": 2, "r": 1}
 
 
+@st.composite
+def declared_structures(draw):
+    """A structure on 1-4 constants over predicates of arity 0-3, some of
+    them declared (with or without atoms) and some only used."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    declared = draw(st.sets(st.sampled_from(sorted(vocab))))
+    consts = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    atoms = [(p, args) for p, arity in vocab.items()
+             for args in itertools.product(consts, repeat=arity) if rng.random() < density]
+    return GlobalExample(consts, atoms, {p: vocab[p] for p in sorted(declared)} or None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(declared_structures())
+def test_vocabulary_is_the_signature_walk_as_a_fresh_copy(ex):
+    # declared predicates first, then the others in atom iteration order
+    want = dict(ex.vocab or {})
+    want.update((a.pred, len(a.args)) for a in ex.atoms)
+    got = ex.vocabulary()
+    assert list(got.items()) == list(want.items())
+    got["zzz"] = 7
+    got.update({p: a + 1 for p, a in want.items()})
+    assert list(ex.vocabulary().items()) == list(want.items())
+    # the cached map is no field: equality, hashing and printing ignore it
+    twin = GlobalExample(ex.constants, ex.atoms)
+    assert twin == ex and hash(twin) == hash(ex) and "_arity" not in repr(ex)
+    assert pickle.loads(pickle.dumps(ex)).vocabulary() == want
+
+
 def test_fragment_restricts_atoms_and_keeps_vocabulary():
     ex = GlobalExample(
         ["a", "b", "c"],
