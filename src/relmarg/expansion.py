@@ -14,10 +14,11 @@ residue class is an automorphism, so ``expanded_statistics`` evaluates one
 representative grounding per residue pattern on the truth tables of the
 first few copies.  The model kind orders the patterns, multisets for Model A
 and sequences for Model B, and ``residue_groundings`` lists them as one
-array of rows.  A row's shape, its sorted copy indices, fixes how many
-groundings it stands for, so a weight is computed once per shape and the
-rows that hold are counted per shape.  Its cost does not grow with the
-level.  It reads the expansions of many samples at once, one structure
+array of rows, kept read-only for later calls when it has at most
+``stats.LISTING_CELLS`` positions.  A row's shape, its sorted copy
+indices, fixes how many groundings it stands for, so a weight is computed
+once per shape and the rows that hold are counted per shape.  Its cost
+does not grow with the level.  It reads the expansions of many samples at once, one structure
 column each, as integer hits over integer totals, and is the one reader of
 expanded statistics: ``expanded_statistic`` is its one-sample case and
 ``estimation.run_error_experiment`` its batch of trials.  ``expand`` and
@@ -31,6 +32,7 @@ marginal over one common denominator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -133,7 +135,7 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
 
 def residue_groundings(
     kind: ModelKind, width: int, n: int, level: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """One representative per class of interchangeable groundings of the
     level-``level`` expansion of ``n`` constants, as an (R, ``width``)
     position array; the shape of each row, an index into the shapes; and
@@ -152,16 +154,33 @@ def residue_groundings(
     rows; rows that use a residue more than ``level`` times stand for none
     and are dropped.  Shapes are numbered in the order of one key per row.
     By Vandermonde the weights of the rows sum to the groundings over ``n *
-    level`` constants.  Weights are Python ints: at large levels they
-    overflow int64.  A listing of more than ``TABLE_CELL_CAP`` cells,
-    ``kind.residue_count`` rows of ``width`` positions, raises
-    ``CapExceededError`` before any row is listed.
+    level`` constants.  Weights are a tuple of Python ints: at large levels
+    they overflow int64.
+
+    A listing of more than ``TABLE_CELL_CAP`` cells, ``kind.residue_count``
+    rows of ``width`` positions, raises ``CapExceededError`` before any row
+    is listed, on every call.  Past that check, a listing of at most
+    ``stats.LISTING_CELLS`` cells is kept (``stats.LISTINGS`` of them) and
+    every call of the same kind, width, n and level shares it, so both
+    arrays are read-only; a longer one is built afresh on each call.
     """
     listed = kind.residue_count(n, width)
     stats.check_cells(
         listed * width, f"residue groundings of {listed * width} cells "
         f"({listed} rows of width {width} over {n} constants)"
     )
+    if listed * width > stats.LISTING_CELLS:
+        return _residue_listing.__wrapped__(kind, width, n, level)
+    return _residue_listing(kind, width, n, level)
+
+
+@functools.lru_cache(maxsize=stats.LISTINGS)
+def _residue_listing(
+    kind: ModelKind, width: int, n: int, level: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """``residue_groundings`` after its cap check.  The rows come from the
+    kind's ``itertools`` order through one ``np.fromiter``."""
+    listed = kind.residue_count(n, width)
     flat = itertools.chain.from_iterable(kind.residue_orders(range(n), width))
     residues = np.fromiter(flat, dtype=np.intp, count=listed * width).reshape(listed, width)
     copies = np.zeros_like(residues)  # earlier arguments with the same residue
@@ -177,10 +196,13 @@ def residue_groundings(
     row = np.empty(len(keys), dtype=np.intp)
     row[shape] = np.arange(len(shape))  # any one row of each shape
     # a shape's weight from one of its rows: residue x used r.count(x) times
-    weights = [
+    weights = tuple(
         math.prod(kind.ways(level, r.count(x)) for x in set(r)) for r in residues[row].tolist()
-    ]
-    return residues + copies * n, shape, weights
+    )
+    rows = residues + copies * n
+    # a kept listing is shared by every call, so no caller may write it
+    rows.flags.writeable = shape.flags.writeable = False
+    return rows, shape, weights
 
 
 def representative_tables(

@@ -410,13 +410,14 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     weights, denom = dist.weights
     live = np.flatnonzero(weights)
     local = stats.local_atoms(src.vocabulary, m)
+    runs = stats.pattern_runs(local)
     place = 1 << np.arange(len(local), dtype=np.int64)
     mass = np.zeros(len(target), dtype=weights.dtype)
     step = max(1, stats.BLOCK_CELLS // max(len(local), 1))
     for start in range(0, len(live), step):
         chunk = live[start:start + step]
         tables = world_tables(src.worlds[chunk], n, src.vocabulary, src.vocabulary)
-        for bits in stats.subset_patterns(tables, local, n, m, len(chunk)):
+        for bits in stats.subset_patterns(tables, runs, n, m, len(chunk)):
             # one value per index: numpy 2.4's add.at misreads broadcast values
             np.add.at(mass, (bits @ place).ravel(), np.tile(weights[chunk], len(bits)))
     total = denom * math.comb(n, m)

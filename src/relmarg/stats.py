@@ -46,6 +46,16 @@ hard-rule filter of ``enumerate_worlds`` calls it at a rule's one
 grounding, and ``logic.holds`` (behind ``logic.evaluate``) at one grounding
 of one structure: no other code in the package decides a formula.
 
+The groundings of n constants are listed by ``grounding_rows`` in the
+kind's ``itertools`` order.  A listing of at most ``LISTING_CELLS`` = 2^14
+positions is built once and kept as one read-only position array per order,
+width and n (at most 130 KiB each, ``LISTINGS`` = 32 kept), which
+``CheckedFormula.rows`` (behind ``statistic``, the ground truths of error
+experiments and ``WorldSpace.count_matrix``) and ``subset_patterns`` share;
+a longer one is streamed to ``index_blocks`` block by block, so memory does
+not grow with C(n, k) or P(n, v).  ``expansion.residue_groundings`` keeps
+its residue listings under the same limit.
+
 ``gather_patterns`` reads the bit patterns of a block of position rows over
 local atoms from the same truth tables, one gather per predicate;
 ``grounding_truths`` and ``subset_patterns``, which reads every size-k
@@ -54,10 +64,12 @@ patterns of a world space as worlds of a smaller space, and
 ``marginal_distribution_a`` reads the Model A marginal without building
 fragments: each subset's class is read from one table per vocabulary and
 width that holds the class of every pattern, and ``np.bincount`` counts the
-classes (``_class_table``; up to ``CLASS_TABLE_ATOMS`` = 12 local atoms, at
-most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` = 4 tables
-kept).  Past that limit ``distinct_rows`` counts a call's equal patterns
-and the distinct ones are canonicalized together.  ``canonical_patterns``
+classes (``_class_table``, which also keeps the local atoms, their runs and
+their place values, so a call builds none of them; up to
+``CLASS_TABLE_ATOMS`` = 12 local atoms, at most 4,096 patterns and 840 KiB
+a table, ``CLASS_TABLES`` = 4 tables kept).  Past that limit
+``distinct_rows`` counts a call's equal patterns and the distinct ones are
+canonicalized together.  ``canonical_patterns``
 canonicalizes a batch: one gather through a (permutation, local atom) index
 array gives every relabelled image, and a column-by-column reduction keeps
 the canonical one and counts the automorphisms.  ``data.canonicalize`` is the
@@ -198,9 +210,11 @@ class CheckedFormula:
         """Groundings over ``n`` constants; raises when there are none."""
         return self.kind.count(self.width, n)
 
-    def rows(self, n: int) -> Iterator[tuple[int, ...]]:
-        """The groundings over ``n`` constants, as tuples of positions."""
-        return self.kind.orders(range(n), self.width)
+    def rows(self, n: int) -> np.ndarray | Iterator[tuple[int, ...]]:
+        """The groundings over ``n`` constants, in the kind's order:
+        ``grounding_rows``, a shared read-only (rows, width) position array
+        within ``LISTING_CELLS`` cells and a stream of tuples past it."""
+        return grounding_rows(self.kind, self.width, n)
 
     def hits(self, tables: Mapping[str, np.ndarray], n: int) -> int:
         """How many groundings hold in the structure on ``n`` constants
@@ -252,6 +266,40 @@ def check_formula(f: Formula, vocabulary: Mapping[str, int]) -> dict[str, int]:
 # of one structure
 BLOCK_CELLS = 1 << 20
 TABLE_CELL_CAP = 1 << 26
+
+# Row listings of at most LISTING_CELLS positions are kept, LISTINGS of each
+# kind.  A grounding or subset listing (``grounding_rows``) holds 8 bytes a
+# position, at most 130 KiB (128.6 KiB under tracemalloc, Python 3.11); an
+# expansion's residue listing (``expansion.residue_groundings``) holds 8
+# bytes a position and 8 a row, its shape index, so at most 260 KiB at
+# width 1 (257.7 KiB), beside one Python-int weight per shape.  Full
+# caches hold at most 12.2 MiB beside those weights.  The benchmark
+# workloads use at most 21 grounding and 8 residue listings, each within
+# the limit.  A longer listing is built afresh on every call, and a
+# grounding listing is then streamed, so memory does not grow with it.
+LISTING_CELLS = 1 << 14
+LISTINGS = 32
+
+
+def grounding_rows(kind: ModelKind, width: int, n: int) -> np.ndarray | Iterator[tuple[int, ...]]:
+    """The ``kind.orders`` of ``width`` of the positions 0..n-1, the
+    groundings of a width-``width`` formula over ``n`` constants (for Model
+    A, the size-``width`` subsets).  Within ``LISTING_CELLS`` cells they are
+    one read-only (rows, width) intp array that every call of the same
+    order, width and n shares; past it, a stream of tuples that
+    ``index_blocks`` reads one block at a time."""
+    if kind.ways(n, width) * width > LISTING_CELLS:
+        return kind.orders(range(n), width)
+    return _listing(kind.orders, width, n)
+
+
+@functools.lru_cache(maxsize=LISTINGS)
+def _listing(orders, width: int, n: int) -> np.ndarray:
+    """``orders(range(n), width)`` as one read-only (rows, width) array."""
+    flat = itertools.chain.from_iterable(orders(range(n), width))
+    rows = np.fromiter(flat, dtype=np.intp).reshape(-1, width)
+    rows.flags.writeable = False
+    return rows
 
 
 def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> dict[str, np.ndarray]:
@@ -388,8 +436,11 @@ def grounding_truths(
 
 def index_blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
     """``rows`` of ``width`` positions as int arrays of at most ``step`` (at
-    least one) rows each.  An array of rows is sliced; any other iterable is
-    read one block at a time, so a stream of rows is never held whole."""
+    least one) rows each.  An array of rows, such as a kept listing of
+    ``grounding_rows`` or ``expansion.residue_groundings``, is sliced into
+    views (read-only when it is); any other iterable, such as a listing
+    past ``LISTING_CELLS``, is read one block at a time through
+    ``np.fromiter``, so a stream of rows is never held whole."""
     step = max(1, step)
     if isinstance(rows, np.ndarray):
         for start in range(0, len(rows), step):
@@ -452,8 +503,9 @@ def distinct_rows(
 # Local atoms up to which a vocabulary and width get a class table: the
 # table holds all 2^M patterns over M local atoms, so each atom more doubles
 # it.  At 12 atoms, 4,096 patterns, the widest table (12 unary predicates
-# at width 1, every pattern a class of its own) holds at most 840 KiB (818
-# KiB under tracemalloc, Python 3.11, each form keeping its hash); every
+# at width 1, every pattern a class of its own) holds at most 840 KiB (823
+# KiB under tracemalloc, Python 3.11, each form keeping its hash, with the
+# local atoms, their runs and place values); every
 # vocabulary and width that the estimation workloads and verify suites use,
 # {e/2, r/1} at width 3 the widest, has at most 12.  CLASS_TABLES tables
 # are kept, as many as those use, so a full cache holds at most 3.3 MiB.
@@ -474,7 +526,8 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     pattern's class depends only on the vocabulary, k and the pattern: up
     to ``CLASS_TABLE_ATOMS`` local atoms each subset's class is read from
     the class table of the vocabulary and width (``_class_table``, built
-    once while the cache keeps it) at the pattern's bits as an int16 key,
+    once while the cache keeps it, with the local atoms' runs and place
+    values) at the pattern's bits as an int16 key,
     and ``np.bincount`` counts the classes of each block; past that the
     distinct patterns of each block are counted together and the call's
     are canonicalized together (``_pattern_classes``).  A class's mass is
@@ -489,24 +542,24 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     check_iso_width(k)
     vocabulary = example.vocabulary()
     tables = structure_tables(example, vocabulary)
-    local = local_atoms(vocabulary, k)
     total = math.comb(n, k)
-    if len(local) <= CLASS_TABLE_ATOMS:
-        table, forms = _class_table(tuple(sorted(vocabulary.items())), k)
-        place = (1 << np.arange(len(local))).astype(np.int16)
+    if sum(k**arity for arity in vocabulary.values()) <= CLASS_TABLE_ATOMS:  # local atoms
+        table = _class_table(tuple(sorted(vocabulary.items())), k)
+        forms = table.forms
         subsets = np.zeros(len(forms), dtype=np.int64)
         first = np.full(len(forms), total)  # each class's first subset
         start = 0
-        for block in subset_patterns(tables, local, n, k, 1):
-            classes = table[np.einsum("gsa,a->g", block, place)]
+        for block in subset_patterns(tables, table.runs, n, k, 1):
+            classes = table.classes[np.einsum("gsa,a->g", block, table.place)]
             subsets += np.bincount(classes, minlength=len(forms))
             np.minimum.at(first, classes, np.arange(start, start + len(classes)))
             start += len(classes)
         seen = np.flatnonzero(subsets)
         seen = seen[np.argsort(first[seen])]
         return {forms[c]: Fraction(int(subsets[c]), total) for c in seen.tolist()}
+    local = local_atoms(vocabulary, k)
     rows, counts = [], []  # the distinct patterns of each block, and their subsets
-    for block in subset_patterns(tables, local, n, k, 1):
+    for block in subset_patterns(tables, pattern_runs(local), n, k, 1):
         first, count, _ = distinct_rows(block[:, 0], 2)
         rows.append(block[first, 0])
         counts.extend(count.tolist())
@@ -535,21 +588,37 @@ def _pattern_classes(
     return classes, forms
 
 
+class ClassTable(NamedTuple):
+    """The classes of every local pattern of one vocabulary at one width:
+    ``forms[classes[key]]`` is the canonical form of the pattern whose bit
+    j, ``place[j]`` in the int16 ``key``, is local atom j of ``local``
+    (``local_atoms``), read by the ``runs`` (``pattern_runs``)."""
+
+    classes: np.ndarray
+    forms: tuple[CanonicalForm, ...]
+    local: tuple[LocalAtom, ...]
+    runs: tuple[tuple[str, np.ndarray, slice], ...]
+    place: np.ndarray
+
+
 @functools.lru_cache(maxsize=CLASS_TABLES)
-def _class_table(
-    signature: tuple[tuple[str, int], ...], k: int
-) -> tuple[np.ndarray, tuple[CanonicalForm, ...]]:
-    """``_pattern_classes`` of every pattern over the local atoms of the
-    vocabulary ``dict(signature)`` at width k, row i the pattern whose bit j
-    is local atom j: a class index per pattern (read-only) and the forms.
-    Only for at most ``CLASS_TABLE_ATOMS`` local atoms."""
+def _class_table(signature: tuple[tuple[str, int], ...], k: int) -> ClassTable:
+    """The ``ClassTable`` of the vocabulary ``dict(signature)`` at width k:
+    ``_pattern_classes`` of every pattern over its local atoms, row i the
+    pattern whose bit j is local atom j, with the atoms, their runs and
+    their place values, so that a marginal builds none of them.  Only for
+    at most ``CLASS_TABLE_ATOMS`` local atoms."""
     vocabulary = dict(signature)
     local = local_atoms(vocabulary, k)
     ids = np.arange(1 << len(local), dtype=np.int64)
     patterns = (ids[:, None] >> np.arange(len(local)) & 1).astype(bool)
     classes, forms = _pattern_classes(patterns, vocabulary, k, local)
-    classes.flags.writeable = False
-    return classes, forms
+    runs = pattern_runs(local)
+    place = (1 << np.arange(len(local))).astype(np.int16)
+    # every call shares the cached arrays, so none may write them
+    for array in (classes, place, *(args for _, args, _ in runs)):
+        array.flags.writeable = False
+    return ClassTable(classes, forms, tuple(local), tuple(runs), place)
 
 
 class PatternTable(NamedTuple):
@@ -620,17 +689,24 @@ def _table_reads(f: Formula, k: int) -> int:
 
 
 def subset_patterns(
-    tables: Mapping[str, np.ndarray], local: Sequence[LocalAtom], n: int, k: int, structures: int
+    tables: Mapping[str, np.ndarray],
+    runs: Sequence[tuple[str, np.ndarray, slice]],
+    n: int,
+    k: int,
+    structures: int,
 ) -> Iterator[np.ndarray]:
     """Bit patterns of every size-``k`` subset of ``n`` positions over the
-    ``local`` atoms (``local_atoms`` of width ``k``) in each of
-    ``structures`` structures: (subsets, structures, atoms) bool blocks of at
-    most ``BLOCK_CELLS`` cells, at least one subset each, in
-    ``itertools.combinations`` order, each read by ``gather_patterns``."""
-    runs = pattern_runs(local)
-    subsets = itertools.combinations(range(n), k)
-    for block in index_blocks(subsets, k, BLOCK_CELLS // max(structures * len(local), 1)):
-        yield gather_patterns(tables, runs, block, len(local), structures).transpose(0, 2, 1)
+    local atoms of ``runs`` (``pattern_runs`` of ``local_atoms`` of width
+    ``k``, which the caller keeps) in each of ``structures`` structures:
+    (subsets, structures, atoms) bool blocks of at most ``BLOCK_CELLS``
+    cells, at least one subset each, in ``itertools.combinations`` order,
+    each read by ``gather_patterns``.  The subsets are the Model A
+    groundings of ``grounding_rows``, the same kept listing within
+    ``LISTING_CELLS`` cells."""
+    atoms = runs[-1][2].stop if runs else 0  # the last run's columns end there
+    subsets = grounding_rows(ModelA(k), k, n)
+    for block in index_blocks(subsets, k, BLOCK_CELLS // max(structures * atoms, 1)):
+        yield gather_patterns(tables, runs, block, atoms, structures).transpose(0, 2, 1)
 
 
 def pattern_runs(local: Sequence[LocalAtom]) -> list[tuple[str, np.ndarray, slice]]:

@@ -9,9 +9,9 @@ from importlib import resources
 
 import pytest
 
-from relmarg import cli
+from relmarg import cli, expansion, stats
 from relmarg.cli import build_parser, main
-from relmarg.data import parse_facts
+from relmarg.data import format_facts, parse_facts
 from relmarg.errors import (
     CapExceededError,
     DomainError,
@@ -19,6 +19,7 @@ from relmarg.errors import (
     NotRealizableError,
     ToolkitError,
 )
+from relmarg.estimation import random_structure
 from relmarg.expansion import expand
 from relmarg.logic import parse_formula
 from relmarg.stats import MODEL_B, ModelA, statistic
@@ -449,6 +450,31 @@ def test_estimate_over_the_residue_listing_cap_exits_3_before_listing(capsys, fi
         f"constants) exceed the cap of {2**26}\n"
     )
     assert peak < 10 * 2**20
+
+
+def test_repeated_estimates_print_the_same_bytes(capsys, files):
+    # the first call of each model fills the grounding and residue listing
+    # caches, and the second reads them
+    truth = random_structure(12, {"r": 1, "e": 2}, 0.3, random.Random(5))
+    facts = files("truth.facts", format_facts(truth))
+    wide = files(
+        "a.constraints", "0 ; exists X, Y, Z: e(X,Y) & e(Y,Z)\n0 ; forall X, Y: ~r(X) | ~e(X,Y)\n"
+    )
+    transitive = files("b.constraints", "0 ; forall X, Y, Z: ~e(X,Y) | ~e(Y,Z) | e(X,Z)\n")
+    for model in (("--constraints", wide, "--k", "3", "--model", "A"),
+                  ("--constraints", transitive, "--model", "B")):
+        argv = ("estimate", "--ground-truth", facts, "--m", "6", "--target-n", "18",
+                "--trials", "8", "--seed", "3", *model)
+        stats._listing.cache_clear()
+        expansion._residue_listing.cache_clear()
+        first = run_cli(capsys, *argv)
+        kept = stats._listing.cache_info(), expansion._residue_listing.cache_info()
+        second = run_cli(capsys, *argv)
+        read = stats._listing.cache_info(), expansion._residue_listing.cache_info()
+        assert first[0] == 0 and first[2] == "" and json.loads(first[1])["reports"]
+        assert second == first
+        for now, then in zip(read, kept):
+            assert now.hits > then.hits and now.misses == then.misses
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from test_logic import closed_formulas
 from test_structures import local_of
 
-from relmarg import stats
+from relmarg import expansion, stats
 from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
-from relmarg.estimation import ExperimentConfig, random_structure
+from relmarg.estimation import ExperimentConfig, random_structure, run_error_experiment
 from relmarg.expansion import expand, expanded_statistic, representative_tables, residue_groundings
 from relmarg.logic import Forall, Or, PredAtom, Predicate, Var, parse_formula, strip_foralls
 from relmarg.stats import (
@@ -175,12 +175,12 @@ def test_checked_formula_records_what_a_grounding_is():
     # Model A binds nothing and decides the whole formula on each subset
     (a,) = stats.check_formulas([f], {"r": 1, "e": 2}, ModelA(2))
     assert (a.width, a.bound, a.body, a.vocabulary) == (2, (), f, {"e": 2, "r": 1})
-    assert a.count(4) == 6 and list(a.rows(3)) == [(0, 1), (0, 2), (1, 2)]
+    assert a.count(4) == 6 and a.rows(3).tolist() == [[0, 1], [0, 2], [1, 2]]
     # Model B binds the prefix and decides the matrix on each substitution
     (b,) = stats.check_formulas([f], {}, MODEL_B)
     assert (b.width, [v.name for v in b.bound]) == (2, ["X", "Y"])
     assert b.body == parse_formula("e(X,Y) | r(Y)")
-    assert b.count(3) == 6 and list(b.rows(2)) == [(0, 1), (1, 0)]
+    assert b.count(3) == 6 and b.rows(2).tolist() == [[0, 1], [1, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +457,29 @@ def test_class_table_at_the_limit_holds_what_its_comment_states(cold_memo):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        classes, forms = stats._class_table(signature, 1)
+        classes, forms, *_ = stats._class_table(signature, 1)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(classes) == len(forms) == 4096 and not classes.flags.writeable
     assert 0 < held <= 840 * 1024
+
+
+def test_a_kept_class_table_leaves_a_marginal_nothing_to_build(cold_memo):
+    # the table keeps the local atoms, their runs and their place values,
+    # all read-only, so a second marginal neither lists atoms nor groups them
+    example = random_structure(6, {"r": 1, "e": 2}, 0.4, random.Random(4))
+    want = list(marginal_distribution_a(example, 3).items())
+    table = stats._class_table((("e", 2), ("r", 1)), 3)
+    assert table.local == tuple(stats.local_atoms({"e": 2, "r": 1}, 3))
+    assert [p for p, _, _ in table.runs] == ["e", "r"] and table.place.dtype == np.int16
+    for array in (table.classes, table.place, *(args for _, args, _ in table.runs)):
+        assert not array.flags.writeable
+    built = AssertionError("built")
+    with mock.patch.object(stats, "local_atoms", side_effect=built), \
+            mock.patch.object(stats, "pattern_runs", side_effect=built):
+        assert list(marginal_distribution_a(example, 3).items()) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -538,7 +554,7 @@ def test_subset_patterns_match_the_per_atom_gather(arities, n, structures, seed,
     local = stats.local_atoms(vocab, k)
     want = per_atom_patterns(tables, local, n, k, structures)
     with mock.patch.object(stats, "BLOCK_CELLS", cells):
-        blocks = list(stats.subset_patterns(tables, local, n, k, structures))
+        blocks = list(stats.subset_patterns(tables, stats.pattern_runs(local), n, k, structures))
     assert all(b.shape[1:] == (structures, len(local)) for b in blocks)
     assert np.array_equal(np.concatenate(blocks), want)
 
@@ -668,6 +684,139 @@ def test_index_blocks_slice_arrays_as_they_read_streams(rows, step):
     streamed = list(stats.index_blocks(map(tuple, array.tolist()), 2, step))
     assert [b.tolist() for b in sliced] == [b.tolist() for b in streamed]
     assert all(len(b) == max(1, step) for b in sliced[:-1])
+
+
+# ---------------------------------------------------------------------------
+# kept row listings
+
+@pytest.fixture
+def cold_listings():
+    """Empty grounding and residue listing caches; the returned call empties
+    them again, and they are emptied after the test."""
+    def clear():
+        stats._listing.cache_clear()
+        expansion._residue_listing.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.one_of(st.builds(ModelA, st.integers(1, 4)), st.just(MODEL_B)),
+    st.integers(0, 9),
+    st.integers(1, 4),
+    st.integers(1, 5),
+)
+def test_kept_listings_equal_the_itertools_listings(cold_listings, kind, n, width, level):
+    # the first call lists the rows, the second reads the same read-only
+    # array; with no listing kept, the stream and a fresh residue listing
+    # are the same rows
+    cold_listings()
+    want = [list(row) for row in kind.orders(range(n), width)]
+    rows = stats.grounding_rows(kind, width, n)
+    assert stats.grounding_rows(kind, width, n) is rows and not rows.flags.writeable
+    assert rows.shape == (len(want), width) and rows.tolist() == want
+    listing = expansion.residue_groundings(kind, width, n, level)
+    residues, shape, weights = listing
+    pairs = list(zip(map(tuple, residues.tolist()), (weights[s] for s in shape)))
+    assert pairs == oracles.residue_groundings(kind, width, n, level)
+    assert isinstance(weights, tuple)
+    assert not residues.flags.writeable and not shape.flags.writeable
+    kept = kind.residue_count(n, width) * width <= stats.LISTING_CELLS
+    again = expansion.residue_groundings(kind, width, n, level)
+    assert [a is b for a, b in zip(again, listing)] == [kept] * 3
+    with mock.patch.object(stats, "LISTING_CELLS", 0):
+        assert [list(row) for row in stats.grounding_rows(kind, width, n)] == want
+        fresh = expansion.residue_groundings(kind, width, n, level)
+    assert fresh[0] is not residues or n == 0  # an empty listing has no cells to stream
+    assert np.array_equal(fresh[0], residues) and np.array_equal(fresh[1], shape)
+    assert fresh[2] == weights
+
+
+def _kept_listings():
+    """The grounding and residue listings kept."""
+    return stats._listing.cache_info().currsize, expansion._residue_listing.cache_info().currsize
+
+
+def _every_result(truth, space_constants):
+    """``statistic``, ``count_matrix`` of a fresh world space,
+    ``marginal_distribution_a`` and ``run_error_experiment`` under both
+    models, at widths 1-3."""
+    texts = {
+        ModelA(2): ["forall X, Y: ~e(X,Y) | e(Y,X)", "exists X, Y: r(X) & e(X,Y)"],
+        ModelA(3): ["exists X, Y, Z: e(X,Y) & e(Y,Z)"],
+        MODEL_B: ["forall X: r(X)", "forall X, Y, Z: ~e(X,Y) | ~e(Y,Z) | e(X,Z)"],
+    }
+    out = []
+    for kind, fs in texts.items():
+        fs = tuple(map(parse_formula, fs))
+        out.append([statistic(f, truth, kind) for f in fs])
+        space = enumerate_worlds(space_constants, {"r": 1, "e": 2})
+        out.append(space.count_matrix(fs, kind).tolist())
+        out.append(run_error_experiment(ExperimentConfig(truth, 5, 15, fs, kind, trials=6, seed=2)))
+    out.extend(list(marginal_distribution_a(truth, k).items()) for k in (1, 2, 3))
+    return out
+
+
+def test_results_are_the_same_cold_warm_and_streamed(cold_listings):
+    # a 7-constant ground truth and a 3-constant world space: the caches
+    # cleared, then warm, then every listing streamed or built afresh
+    truth = random_structure(7, {"r": 1, "e": 2}, 0.4, random.Random(13))
+    cold = _every_result(truth, ("a", "b", "c"))
+    kept = _kept_listings()
+    assert kept[0] > 0 and kept[1] > 0
+    assert _every_result(truth, ("a", "b", "c")) == cold
+    assert _kept_listings() == kept
+    cold_listings()
+    with mock.patch.object(stats, "LISTING_CELLS", 0):
+        assert _every_result(truth, ("a", "b", "c")) == cold
+    assert _kept_listings() == (0, 0)
+
+
+def test_a_kept_residue_listing_is_still_refused_over_the_cap(cold_listings, monkeypatch):
+    # 4^2 = 16 residue sequences of width 2, 32 cells: kept under the
+    # default cap, then refused under 31 before the kept listing is read
+    rows, _, _ = expansion.residue_groundings(MODEL_B, 2, 4, 3)
+    assert expansion.residue_groundings(MODEL_B, 2, 4, 3)[0] is rows
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", 31)
+    with mock.patch.object(expansion, "_residue_listing", side_effect=AssertionError("read")):
+        with pytest.raises(CapExceededError) as exc:
+            expansion.residue_groundings(MODEL_B, 2, 4, 3)
+    assert exc.value.size == 32 and exc.value.cap == 31
+    assert expansion._residue_listing.cache_info().currsize == 1
+
+
+def test_listings_at_the_limit_hold_what_their_comment_states(cold_listings):
+    # width 1 holds the most per position: LISTING_CELLS subsets of one
+    # position, and as many residue rows, each with its shape index; the
+    # comment beside LISTING_CELLS states 130 KiB and 260 KiB
+    cells = stats.LISTING_CELLS
+    calls = [
+        (lambda: stats.grounding_rows(ModelA(1), 1, cells), 130),
+        (lambda: expansion.residue_groundings(MODEL_B, 1, cells, 1), 260),
+    ]
+    for call, kib in calls:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            listing = call()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 < held <= kib * 1024
+        del listing
+    assert _kept_listings() == (1, 1)
+    assert stats._listing.cache_info().maxsize == stats.LISTINGS
+    assert expansion._residue_listing.cache_info().maxsize == stats.LISTINGS
+    # a listing one position longer is streamed, and none is kept
+    assert not isinstance(stats.grounding_rows(ModelA(1), 1, cells + 1), np.ndarray)
+    assert stats._listing.cache_info().currsize == 1
 
 
 @st.composite
