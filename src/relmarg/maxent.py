@@ -20,7 +20,8 @@ entropy objective, plus an exact projection onto the constraint plane) is
 kept around to cross-check the dual route.
 
 ``shrink_distribution`` reads every size-m subset of every world as a
-target world with one gather (``stats.subset_patterns``), and both it and
+target world at its key over the width-m ``stats.PatternLayout`` (the one
+key reader, ``stats.pattern_keys``), and both it and
 ``distribution_statistic`` sum exact probabilities as integer numerators.
 """
 
@@ -395,12 +396,13 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     first m constants.  Exact when the input probabilities are exact; all
     width-<=m marginal statistics are preserved.
 
-    ``stats.subset_patterns`` reads each m-subset's bit pattern in every
-    world of nonzero probability off ``worlds.world_tables``, in blocks of
-    at most ``stats.BLOCK_CELLS`` cells.  The target's atoms are
-    ``stats.local_atoms`` of width m read at its constants
-    (``enumerate_worlds``) and it has no hard rules, so a packed pattern is
-    its target world's index, where the world's probability goes.
+    Each m-subset's key in every world of nonzero probability
+    (``stats.pattern_keys`` over ``worlds.world_tables``, in blocks of at
+    most ``stats.BLOCK_CELLS`` cells) is read over the width-m layout
+    (``stats.pattern_layout``), whose atom order the target's worlds follow
+    at its constants (``enumerate_worlds``).  The target has no hard rules,
+    so a key is its target world's index, where the world's probability
+    goes.
     """
     src = dist.space
     n = len(src.constants)
@@ -409,17 +411,16 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     target = enumerate_worlds(src.constants[:m], src.vocabulary)
     weights, denom = dist.weights
     live = np.flatnonzero(weights)
-    local = stats.local_atoms(src.vocabulary, m)
-    runs = stats.pattern_runs(local)
-    place = 1 << np.arange(len(local), dtype=np.int64)
+    layout = stats.pattern_layout(src.vocabulary, m)
     mass = np.zeros(len(target), dtype=weights.dtype)
-    step = max(1, stats.BLOCK_CELLS // max(len(local), 1))
+    step = max(1, stats.BLOCK_CELLS // max(len(layout.local), 1))
     for start in range(0, len(live), step):
         chunk = live[start:start + step]
         tables = world_tables(src.worlds[chunk], n, src.vocabulary, src.vocabulary)
-        for bits in stats.subset_patterns(tables, runs, n, m, len(chunk)):
+        subsets = stats.grounding_rows(stats.ModelA(m), m, n)  # a stream is read once
+        for keys in stats.pattern_keys(tables, layout, subsets, m, len(chunk)):
             # one value per index: numpy 2.4's add.at misreads broadcast values
-            np.add.at(mass, (bits @ place).ravel(), np.tile(weights[chunk], len(bits)))
+            np.add.at(mass, keys.ravel(), np.tile(weights[chunk], len(keys)))
     total = denom * math.comb(n, m)
     return ExplicitDistribution(target, tuple(_ratio(x, total) for x in mass.tolist()))
 

@@ -38,41 +38,47 @@ counts them per row shape and weights each shape's count once.  A Model A
 formula over at most ``CLASS_TABLE_ATOMS`` local atoms, which the
 assignment loop would read more often than a pattern has atoms, gets a
 ``PatternTable``: one ``holds_over`` call over its 2^M width-k local worlds
-gives its truth on every pattern, and each block of groundings gathers its
-patterns, folds each into an int16 key and reads the truths at the keys
-(``_pattern_table``, at most 8 KiB a table, ``PATTERN_TABLES`` = 64
-kept).  Other formulas go through ``holds_over`` at every grounding.  The
-hard-rule filter of ``enumerate_worlds`` calls it at a rule's one
-grounding, and ``logic.holds`` (behind ``logic.evaluate``) at one grounding
-of one structure: no other code in the package decides a formula.
+gives its truth on every pattern, and the truths are read at the
+groundings' pattern keys (``_pattern_table``, at most 8 KiB a table,
+``PATTERN_TABLES`` = 64 kept).  Other formulas go through ``holds_over`` at
+every grounding.  The hard-rule filter of ``enumerate_worlds`` calls it at
+a rule's one grounding, and ``logic.holds`` (behind ``logic.evaluate``) at
+one grounding of one structure: no other code in the package decides a
+formula.
 
 The groundings of n constants are listed by ``grounding_rows`` in the
 kind's ``itertools`` order.  A listing of at most ``LISTING_CELLS`` = 2^14
 positions is built once and kept as one read-only position array per order,
 width and n (at most 130 KiB each, ``LISTINGS`` = 32 kept), which
 ``CheckedFormula.rows`` (behind ``statistic``, the ground truths of error
-experiments and ``WorldSpace.count_matrix``) and ``subset_patterns`` share;
+experiments and ``WorldSpace.count_matrix``) and the subset readers share;
 a longer one is streamed to ``index_blocks`` block by block, so memory does
 not grow with C(n, k) or P(n, v).  ``expansion.residue_groundings`` keeps
 its residue listings under the same limit.
 
-``gather_patterns`` reads the bit patterns of a block of position rows over
-local atoms from the same truth tables, one gather per predicate;
-``grounding_truths`` and ``subset_patterns``, which reads every size-k
-subset's, share it.  ``maxent.shrink_distribution`` reads the subsets'
-patterns of a world space as worlds of a smaller space, and
-``marginal_distribution_a`` reads the Model A marginal without building
-fragments: each subset's class is read from one table per vocabulary and
-width that holds the class of every pattern, and ``np.bincount`` counts the
-classes (``_class_table``, which also keeps the local atoms, their runs and
-their place values, so a call builds none of them; up to
-``CLASS_TABLE_ATOMS`` = 12 local atoms, at most 4,096 patterns and 840 KiB
-a table, ``CLASS_TABLES`` = 4 tables kept).  Past that limit
-``distinct_rows`` counts a call's equal patterns and the distinct ones are
-canonicalized together.  ``canonical_patterns``
-canonicalizes a batch: one gather through a (permutation, local atom) index
-array gives every relabelled image, and a column-by-column reduction keeps
-the canonical one and counts the automorphisms.  ``data.canonicalize`` is the
+A Model A formula's truth, a subset's class and a shrunk world are each
+read as a bit pattern over one order of the width-k local atoms, and
+``PatternLayout`` is the one owner of that order: ``pattern_layout`` builds
+the local atoms, each predicate's run (argument arrays and columns) and the
+place values of a key (int16 when every key fits it, int64 when every key
+fits that), all read-only.  ``gather_patterns`` reads the bits of a block of
+position rows over a layout from the same truth tables, one gather per
+predicate, and ``pattern_keys``, the one reader of pattern keys, folds them
+into keys in blocks of at most ``BLOCK_CELLS`` cells.  ``grounding_truths``
+reads a pattern table's truths at the keys, ``maxent.shrink_distribution``
+reads the keys of a world space's m-subsets as world indexes of the space of
+m constants, and ``marginal_distribution_a`` reads the Model A marginal
+without building fragments: each subset's class is read at its key from one
+table per vocabulary and width that holds the class of every pattern, and
+``np.bincount`` counts the classes (``_class_table``, which keeps its
+layout, so a call builds none; up to ``CLASS_TABLE_ATOMS`` = 12 local atoms,
+at most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` = 4 tables
+kept).  Past that limit the bits are gathered, ``distinct_rows`` counts a
+call's equal patterns and the distinct ones are canonicalized together.
+``canonical_patterns`` canonicalizes a batch: one gather through a
+(permutation, local atom) index array, read off the layout's runs, gives
+every relabelled image, and a column-by-column reduction keeps the
+canonical one and counts the automorphisms.  ``data.canonicalize`` is the
 same call on one pattern: no other code in the package searches
 relabellings.
 """
@@ -415,18 +421,15 @@ def grounding_truths(
     ``count_groundings`` sums them.
 
     With a ``pattern_table`` from the kind (Model A rows list distinct
-    positions, a subset's), a block's rows gather their bit patterns over
-    the formula's M local atoms (``gather_patterns``), each pattern is
-    folded into an int16 key and the truths are read off the table at the
-    keys: blocks of at most ``BLOCK_CELLS`` (grounding, structure, local
-    atom) cells.  Otherwise ``holds_over`` runs its assignment loop on
-    blocks of at most ``BLOCK_CELLS`` (grounding, structure) cells."""
+    positions, a subset's), the truths are read off the table at the rows'
+    pattern keys over the formula's local atoms (``pattern_keys``): blocks
+    of at most ``BLOCK_CELLS`` (grounding, structure, local atom) cells.
+    Otherwise ``holds_over`` runs its assignment loop on blocks of at most
+    ``BLOCK_CELLS`` (grounding, structure) cells."""
     table = checked.kind.pattern_table(checked)
     if table is not None:
-        cells = structures * len(table.place)
-        for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(cells, 1)):
-            bits = gather_patterns(tables, table.runs, block, len(table.place), structures)
-            yield table.truth[np.einsum("gas,a->gs", bits, table.place)]
+        for keys in pattern_keys(tables, table.layout, rows, checked.width, structures):
+            yield table.truth[keys]
         return
     for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(structures, 1)):
         columns = list(block.T)
@@ -503,11 +506,10 @@ def distinct_rows(
 # Local atoms up to which a vocabulary and width get a class table: the
 # table holds all 2^M patterns over M local atoms, so each atom more doubles
 # it.  At 12 atoms, 4,096 patterns, the widest table (12 unary predicates
-# at width 1, every pattern a class of its own) holds at most 840 KiB (823
-# KiB under tracemalloc, Python 3.11, each form keeping its hash, with the
-# local atoms, their runs and place values); every
-# vocabulary and width that the estimation workloads and verify suites use,
-# {e/2, r/1} at width 3 the widest, has at most 12.  CLASS_TABLES tables
+# at width 1, every pattern a class of its own) holds at most 840 KiB (825
+# KiB under tracemalloc, Python 3.11, each form keeping its hash, with its
+# layout); every vocabulary and width that the estimation workloads and
+# verify suites use, {e/2, r/1} at width 3 the widest, has at most 12.  CLASS_TABLES tables
 # are kept, as many as those use, so a full cache holds at most 3.3 MiB.
 CLASS_TABLE_ATOMS = 12
 CLASS_TABLES = 4
@@ -522,17 +524,17 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
 
     No fragment is built: a subset's fragment is its bit pattern over the
     M local atoms ``p(a1, ..., ar)`` with positions ``ai`` in 0..k-1, read
-    in blocks of at most ``BLOCK_CELLS`` cells by ``subset_patterns``.  A
-    pattern's class depends only on the vocabulary, k and the pattern: up
-    to ``CLASS_TABLE_ATOMS`` local atoms each subset's class is read from
-    the class table of the vocabulary and width (``_class_table``, built
-    once while the cache keeps it, with the local atoms' runs and place
-    values) at the pattern's bits as an int16 key,
-    and ``np.bincount`` counts the classes of each block; past that the
-    distinct patterns of each block are counted together and the call's
-    are canonicalized together (``_pattern_classes``).  A class's mass is
-    its subset count over C(n,k), and classes appear in the order of their
-    first subset.  A width over ``ISO_WIDTH_CAP`` raises
+    in blocks of at most ``BLOCK_CELLS`` cells.  A pattern's class depends
+    only on the vocabulary, k and the pattern: up to ``CLASS_TABLE_ATOMS``
+    local atoms each subset's class is read from the class table of the
+    vocabulary and width (``_class_table``, built once while the cache
+    keeps it, with its layout) at the subset's ``pattern_keys`` key, and
+    ``np.bincount`` counts the classes of each block; past that the bits
+    are gathered over a layout built for the call (``gather_patterns``),
+    the distinct patterns of each block are counted together and the
+    call's are canonicalized together (``_pattern_classes``).  A class's
+    mass is its subset count over C(n,k), and classes appear in the order
+    of their first subset.  A width over ``ISO_WIDTH_CAP`` raises
     ``CapExceededError`` before anything is built, as do truth tables over
     ``TABLE_CELL_CAP`` (see ``structure_tables``).
     """
@@ -543,27 +545,29 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     vocabulary = example.vocabulary()
     tables = structure_tables(example, vocabulary)
     total = math.comb(n, k)
+    subsets = grounding_rows(ModelA(k), k, n)
     if sum(k**arity for arity in vocabulary.values()) <= CLASS_TABLE_ATOMS:  # local atoms
         table = _class_table(tuple(sorted(vocabulary.items())), k)
         forms = table.forms
-        subsets = np.zeros(len(forms), dtype=np.int64)
+        counts = np.zeros(len(forms), dtype=np.int64)
         first = np.full(len(forms), total)  # each class's first subset
         start = 0
-        for block in subset_patterns(tables, table.runs, n, k, 1):
-            classes = table.classes[np.einsum("gsa,a->g", block, table.place)]
-            subsets += np.bincount(classes, minlength=len(forms))
+        for keys in pattern_keys(tables, table.layout, subsets, k, 1):
+            classes = table.classes[keys[:, 0]]
+            counts += np.bincount(classes, minlength=len(forms))
             np.minimum.at(first, classes, np.arange(start, start + len(classes)))
             start += len(classes)
-        seen = np.flatnonzero(subsets)
+        seen = np.flatnonzero(counts)
         seen = seen[np.argsort(first[seen])]
-        return {forms[c]: Fraction(int(subsets[c]), total) for c in seen.tolist()}
-    local = local_atoms(vocabulary, k)
+        return {forms[c]: Fraction(int(counts[c]), total) for c in seen.tolist()}
+    layout = pattern_layout(vocabulary, k)
     rows, counts = [], []  # the distinct patterns of each block, and their subsets
-    for block in subset_patterns(tables, pattern_runs(local), n, k, 1):
-        first, count, _ = distinct_rows(block[:, 0], 2)
-        rows.append(block[first, 0])
+    for block in index_blocks(subsets, k, BLOCK_CELLS // max(len(layout.local), 1)):
+        bits = gather_patterns(tables, layout, block, 1)[:, :, 0]
+        first, count, _ = distinct_rows(bits, 2)
+        rows.append(bits[first])
         counts.extend(count.tolist())
-    classes, forms = _pattern_classes(np.concatenate(rows), vocabulary, k, local)
+    classes, forms = _pattern_classes(np.concatenate(rows), vocabulary, k, layout.local)
     # a class first appears at the first row of its first subset's pattern
     mass: dict[int, int] = {}  # class -> subsets
     for c, count in zip(classes.tolist(), counts):
@@ -590,53 +594,45 @@ def _pattern_classes(
 
 class ClassTable(NamedTuple):
     """The classes of every local pattern of one vocabulary at one width:
-    ``forms[classes[key]]`` is the canonical form of the pattern whose bit
-    j, ``place[j]`` in the int16 ``key``, is local atom j of ``local``
-    (``local_atoms``), read by the ``runs`` (``pattern_runs``)."""
+    ``forms[classes[key]]`` is the canonical form of the pattern whose
+    ``pattern_keys`` key over ``layout`` is ``key``."""
 
     classes: np.ndarray
     forms: tuple[CanonicalForm, ...]
-    local: tuple[LocalAtom, ...]
-    runs: tuple[tuple[str, np.ndarray, slice], ...]
-    place: np.ndarray
+    layout: PatternLayout
 
 
 @functools.lru_cache(maxsize=CLASS_TABLES)
 def _class_table(signature: tuple[tuple[str, int], ...], k: int) -> ClassTable:
     """The ``ClassTable`` of the vocabulary ``dict(signature)`` at width k:
     ``_pattern_classes`` of every pattern over its local atoms, row i the
-    pattern whose bit j is local atom j, with the atoms, their runs and
-    their place values, so that a marginal builds none of them.  Only for
-    at most ``CLASS_TABLE_ATOMS`` local atoms."""
+    pattern whose bit j is local atom j, with the layout, so that a
+    marginal builds none.  Only for at most ``CLASS_TABLE_ATOMS`` local
+    atoms."""
     vocabulary = dict(signature)
-    local = local_atoms(vocabulary, k)
-    ids = np.arange(1 << len(local), dtype=np.int64)
-    patterns = (ids[:, None] >> np.arange(len(local)) & 1).astype(bool)
-    classes, forms = _pattern_classes(patterns, vocabulary, k, local)
-    runs = pattern_runs(local)
-    place = (1 << np.arange(len(local))).astype(np.int16)
-    # every call shares the cached arrays, so none may write them
-    for array in (classes, place, *(args for _, args, _ in runs)):
-        array.flags.writeable = False
-    return ClassTable(classes, forms, tuple(local), tuple(runs), place)
+    layout = pattern_layout(vocabulary, k)
+    ids = np.arange(1 << len(layout.local), dtype=np.int64)
+    patterns = (ids[:, None] >> np.arange(len(layout.local)) & 1).astype(bool)
+    classes, forms = _pattern_classes(patterns, vocabulary, k, layout.local)
+    # every call shares the cached array, so none may write it
+    classes.flags.writeable = False
+    return ClassTable(classes, forms, layout)
 
 
 class PatternTable(NamedTuple):
     """A Model A formula decided on every local pattern over its own
     vocabulary at one width: ``truth[key]`` is whether it holds on the
-    pattern whose bit j, ``place[j]`` in the int16 ``key``, is local atom j
-    of ``runs`` (``pattern_runs``)."""
+    pattern whose ``pattern_keys`` key over ``layout`` is ``key``."""
 
     truth: np.ndarray
-    runs: tuple[tuple[str, np.ndarray, slice], ...]
-    place: np.ndarray
+    layout: PatternLayout
 
 
 # Pattern tables kept, one per formula, own vocabulary and width: a table
-# holds at most 2^CLASS_TABLE_ATOMS = 4,096 truths and its runs, at most 8
-# KiB (6.5 KiB under tracemalloc, Python 3.11, at 12 local atoms), so a full
-# cache holds at most 512 KiB beside the formulas of its keys.  The verify
-# suites use 41 formulas and widths (tables and None), the benchmark
+# holds at most 2^CLASS_TABLE_ATOMS = 4,096 truths and its layout, at most
+# 8 KiB (7.8 KiB under tracemalloc, Python 3.11, at 12 local atoms), so a
+# full cache holds at most 512 KiB beside the formulas of its keys.  The
+# verify suites use 41 formulas and widths (tables and None), the benchmark
 # workloads at most 33 each, and a kept table serves every later call.
 PATTERN_TABLES = 64
 
@@ -651,26 +647,21 @@ def _pattern_table(
     the assignment loop, in which a pattern key would read no fewer atoms
     (``_table_reads``; so width-1 formulas keep the loop).  The truths come
     from one ``holds_over`` call over the 2^M width-k local worlds, world i
-    the pattern whose bit j is local atom j: its tables are read off the
-    bits, as ``worlds.world_tables`` reads them, and quantifiers range over
-    the k positions."""
+    the pattern whose key is i: ``worlds.world_tables`` decodes their
+    tables, and quantifiers range over the k positions."""
+    # worlds imports this module, so the decode is imported at call time
+    from .worlds import world_tables
+
     vocabulary = dict(signature)
-    local = local_atoms(vocabulary, k)
-    if len(local) > CLASS_TABLE_ATOMS or len(local) >= _table_reads(body, k):
+    atoms = sum(k**arity for arity in vocabulary.values())  # local atoms
+    if atoms > CLASS_TABLE_ATOMS or atoms >= _table_reads(body, k):
         return None
-    ids = np.arange(1 << len(local))
-    bits = (ids >> np.arange(len(local))[:, None] & 1).astype(bool)  # (M, 2^M)
-    runs = pattern_runs(local)
-    tables = {
-        p: bits[columns].reshape((k,) * args.shape[0] + (len(ids),)) for p, args, columns in runs
-    }
+    tables = world_tables(np.arange(1 << atoms), k, vocabulary, vocabulary)
     domain = [np.array([i]) for i in range(k)]
-    truth = np.array(holds_over(body, tables, (1, len(ids)), domain, {})[0])
-    place = (1 << np.arange(len(local))).astype(np.int16)
-    # every call shares the cached arrays, so none may write them
-    for array in (truth, place, *(args for _, args, _ in runs)):
-        array.flags.writeable = False
-    return PatternTable(truth, tuple(runs), place)
+    truth = np.array(holds_over(body, tables, (1, 1 << atoms), domain, {})[0])
+    # every call shares the cached array, so none may write it
+    truth.flags.writeable = False
+    return PatternTable(truth, pattern_layout(vocabulary, k))
 
 
 def _table_reads(f: Formula, k: int) -> int:
@@ -688,56 +679,78 @@ def _table_reads(f: Formula, k: int) -> int:
     return k ** len(f.vars) * _table_reads(f.body, k)
 
 
-def subset_patterns(
-    tables: Mapping[str, np.ndarray],
-    runs: Sequence[tuple[str, np.ndarray, slice]],
-    n: int,
-    k: int,
-    structures: int,
-) -> Iterator[np.ndarray]:
-    """Bit patterns of every size-``k`` subset of ``n`` positions over the
-    local atoms of ``runs`` (``pattern_runs`` of ``local_atoms`` of width
-    ``k``, which the caller keeps) in each of ``structures`` structures:
-    (subsets, structures, atoms) bool blocks of at most ``BLOCK_CELLS``
-    cells, at least one subset each, in ``itertools.combinations`` order,
-    each read by ``gather_patterns``.  The subsets are the Model A
-    groundings of ``grounding_rows``, the same kept listing within
-    ``LISTING_CELLS`` cells."""
-    atoms = runs[-1][2].stop if runs else 0  # the last run's columns end there
-    subsets = grounding_rows(ModelA(k), k, n)
-    for block in index_blocks(subsets, k, BLOCK_CELLS // max(structures * atoms, 1)):
-        yield gather_patterns(tables, runs, block, atoms, structures).transpose(0, 2, 1)
+class PatternLayout(NamedTuple):
+    """The order of the width-k local atoms of one vocabulary, which a bit
+    pattern, its key and a world of k constants all follow: bit j of a
+    pattern, ``place[j]`` in its key, is ``local[j]``, and each predicate's
+    consecutive atoms form one run ``(name, args, columns)``, with ``args``
+    the (arity, atoms) array of their arguments and ``columns`` their slice
+    of the pattern.  ``place`` is int16 when every key fits it, int64 when
+    every key fits that, and None past that; all arrays are read-only."""
+
+    local: tuple[LocalAtom, ...]
+    runs: tuple[tuple[str, np.ndarray, slice], ...]
+    place: np.ndarray | None
 
 
-def pattern_runs(local: Sequence[LocalAtom]) -> list[tuple[str, np.ndarray, slice]]:
-    """Each predicate's run of consecutive ``local`` atoms: its name, the
-    (arity, atoms) array of their arguments and the run's columns."""
+def pattern_layout(vocabulary: Mapping[str, int], k: int) -> PatternLayout:
+    """The ``PatternLayout`` of ``vocabulary`` at width ``k``, over
+    ``local_atoms(vocabulary, k)``."""
+    local = local_atoms(vocabulary, k)
     runs, start = [], 0
     for p, atoms in itertools.groupby(local, key=operator.itemgetter(0)):
         args = np.array([a for _, a in atoms], dtype=np.intp).T
+        args.flags.writeable = False
         runs.append((p, args, slice(start, start + args.shape[1])))
         start += args.shape[1]
-    return runs
+    # a key is at most 2^M - 1, which a signed integer of M + 1 bits holds
+    dtype = next((t for t in (np.int16, np.int64) if len(local) < np.iinfo(t).bits), None)
+    place = None
+    if dtype is not None:
+        place = (1 << np.arange(len(local), dtype=np.int64)).astype(dtype)
+        place.flags.writeable = False
+    return PatternLayout(tuple(local), tuple(runs), place)
+
+
+def pattern_keys(
+    tables: Mapping[str, np.ndarray],
+    layout: PatternLayout,
+    rows: Iterable[Sequence[int]],
+    width: int,
+    structures: int,
+) -> Iterator[np.ndarray]:
+    """The key of the bit pattern of each row of ``width`` positions in
+    ``rows`` (an array or a stream, as ``index_blocks`` reads them) over
+    the local atoms of ``layout`` in each structure: the sum of the
+    ``place`` values of its set bits, as consecutive (rows, ``structures``)
+    blocks of ``place``'s dtype.  Each block is one ``gather_patterns`` of
+    at most ``BLOCK_CELLS`` (row, structure, local atom) cells, at least one
+    row.  The keys of a world space's k-subsets are the indexes of their
+    fragments, relabelled onto the first k constants, in the space of k
+    constants; ``layout.place`` must not be None."""
+    cells = structures * len(layout.local)
+    for block in index_blocks(rows, width, BLOCK_CELLS // max(cells, 1)):
+        bits = gather_patterns(tables, layout, block, structures)
+        yield np.einsum("gas,a->gs", bits, layout.place)
 
 
 def gather_patterns(
     tables: Mapping[str, np.ndarray],
-    runs: Sequence[tuple[str, np.ndarray, slice]],
+    layout: PatternLayout,
     block: np.ndarray,
-    atoms: int,
     structures: int,
 ) -> np.ndarray:
-    """The bit pattern of each row of positions in ``block`` over the
-    ``atoms`` local atoms of ``runs`` (``pattern_runs``) in each structure,
-    as a (rows, atoms, structures) bool array.  Local atom ``p(a1, ...,
-    ar)`` of the row ``s`` is ``tables[p][s[a1], ..., s[ar]]``; each run is
-    read by one gather for every row at once, ``np.take`` of the rows of
-    the (cells, structures) table at the row-major flat positions
-    ``s[args_1] * n^(r-1) + ... + s[args_r]``, with ``args_i`` the i-th
-    arguments of the run.  A predicate without a table is false
-    everywhere, as in ``holds_over``, and an arity-0 table is read whole."""
-    bits = np.empty((len(block), atoms, structures), dtype=bool)
-    for p, args, columns in runs:
+    """The bit pattern of each row of positions in ``block`` over the local
+    atoms of ``layout`` in each structure, as a (rows, atoms, structures)
+    bool array.  Local atom ``p(a1, ..., ar)`` of the row ``s`` is
+    ``tables[p][s[a1], ..., s[ar]]``; each run is read by one gather for
+    every row at once, ``np.take`` of the rows of the (cells, structures)
+    table at the row-major flat positions ``s[args_1] * n^(r-1) + ... +
+    s[args_r]``, with ``args_i`` the i-th arguments of the run.  A
+    predicate without a table is false everywhere, as in ``holds_over``,
+    and an arity-0 table is read whole."""
+    bits = np.empty((len(block), len(layout.local), structures), dtype=bool)
+    for p, args, columns in layout.runs:
         table = tables.get(p)
         if table is None:
             bits[:, columns] = False
@@ -788,9 +801,10 @@ def canonical_patterns(
     m = patterns.shape[1]
     best = np.zeros_like(patterns)
     hits = np.zeros(len(patterns), dtype=np.int64)
+    layout = pattern_layout(vocabulary, k)
     perms = itertools.permutations(range(k))
     while chunk := list(itertools.islice(perms, max(1, BLOCK_CELLS // max(m, 1)))):
-        gather = _relabel_gather(vocabulary, k, np.array(chunk, dtype=np.intp))
+        gather = _relabel_gather(layout, k, np.array(chunk, dtype=np.intp))
         step = max(1, BLOCK_CELLS // (len(chunk) * max(m, 1)))
         for start in range(0, len(patterns), step):
             block = slice(start, start + step)
@@ -804,20 +818,16 @@ def canonical_patterns(
     return best, hits
 
 
-def _relabel_gather(vocabulary: Mapping[str, int], k: int, perms: np.ndarray) -> np.ndarray:
-    """(len(perms), M) array whose row i holds, for each local atom in the
-    order of ``canonical_patterns``, the index of its image when positions
-    are relabelled by ``perms[i]``."""
-    parts, offset = [np.empty((len(perms), 0), dtype=np.intp)], 0
-    for p in sorted(vocabulary):
-        arity = vocabulary[p]
-        args = np.indices((k,) * arity).reshape(arity, k**arity)
-        index = np.full((len(perms), k**arity), offset, dtype=np.intp)
-        for i in range(arity):
-            index += perms[:, args[i]] * k ** (arity - 1 - i)
-        parts.append(index)
-        offset += k**arity
-    return np.concatenate(parts, axis=1)
+def _relabel_gather(layout: PatternLayout, k: int, perms: np.ndarray) -> np.ndarray:
+    """(len(perms), M) array whose row i holds, for each local atom of the
+    width-k ``layout``, the index of its image when positions are
+    relabelled by ``perms[i]``: within its predicate's run, the row-major
+    place of the relabelled arguments."""
+    gather = np.empty((len(perms), len(layout.local)), dtype=np.intp)
+    for _, args, columns in layout.runs:
+        places = (perms[:, a] * k ** (len(args) - 1 - i) for i, a in enumerate(args))
+        gather[:, columns] = columns.start + sum(places)
+    return gather
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ def world_tables(
     ``named``: ``tables[p][i, j, ..., w]`` is bit ``offset(p) + (i, j, ...)``
     of world w.  Atoms are in the order of ``stats.local_atoms(vocabulary,
     n)``, sorted predicates with argument tuples in product order, which is
-    row-major, so each predicate's bits reshape into its table directly."""
+    row-major, so each predicate's bits reshape into its table directly.
+    With ``n`` = k these are the local atoms of a ``stats.PatternLayout`` of
+    width k, so world i is the local pattern whose key is i."""
     # atom bit k is bit k % 8 of byte k // 8 of the little-endian pattern
     n_bytes = (sum(n**arity for arity in vocabulary.values()) + 7) // 8
     octets = worlds.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)

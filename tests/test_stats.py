@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import oracles
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_logic import closed_formulas
 from test_structures import local_of
@@ -22,6 +22,7 @@ from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
 from relmarg.estimation import ExperimentConfig, random_structure, run_error_experiment
 from relmarg.expansion import expand, expanded_statistic, representative_tables, residue_groundings
 from relmarg.logic import Forall, Or, PredAtom, Predicate, Var, parse_formula, strip_foralls
+from relmarg.maxent import ExplicitDistribution, shrink_distribution
 from relmarg.stats import (
     MODEL_B,
     MarginalConstraint,
@@ -228,7 +229,7 @@ def test_grounding_truths_equal_the_assignment_loop(f, case):
     (checked,) = stats.check_formulas((f,), TABLED, ModelA(k))
     want = stats.holds_over(f, tables, (len(rows), structures), list(rows.T), {})
     table = checked.kind.pattern_table(checked)
-    cells = 1 if table is None else len(table.place)  # per grounding and structure
+    cells = 1 if table is None else len(table.layout.place)  # per grounding and structure
     for block_cells in (1, 7, 1 << 20):
         with mock.patch.object(stats, "BLOCK_CELLS", block_cells):
             blocks = list(stats.grounding_truths(checked, rows, tables, structures))
@@ -457,29 +458,40 @@ def test_class_table_at_the_limit_holds_what_its_comment_states(cold_memo):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        classes, forms, *_ = stats._class_table(signature, 1)
+        table = stats._class_table(signature, 1)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    classes, forms = table.classes, table.forms
     assert len(classes) == len(forms) == 4096 and not classes.flags.writeable
     assert 0 < held <= 840 * 1024
 
 
 def test_a_kept_class_table_leaves_a_marginal_nothing_to_build(cold_memo):
-    # the table keeps the local atoms, their runs and their place values,
-    # all read-only, so a second marginal neither lists atoms nor groups them
+    # the table keeps its layout, the local atoms, their runs and their
+    # place values, all read-only, so a second marginal builds no layout;
+    # nor does a formula's second pattern-table read
     example = random_structure(6, {"r": 1, "e": 2}, 0.4, random.Random(4))
     want = list(marginal_distribution_a(example, 3).items())
     table = stats._class_table((("e", 2), ("r", 1)), 3)
-    assert table.local == tuple(stats.local_atoms({"e": 2, "r": 1}, 3))
-    assert [p for p, _, _ in table.runs] == ["e", "r"] and table.place.dtype == np.int16
-    for array in (table.classes, table.place, *(args for _, args, _ in table.runs)):
+    layout = table.layout
+    assert layout.local == tuple(stats.local_atoms({"e": 2, "r": 1}, 3))
+    assert [p for p, _, _ in layout.runs] == ["e", "r"] and layout.place.dtype == np.int16
+    for array in (table.classes, layout.place, *(args for _, args, _ in layout.runs)):
         assert not array.flags.writeable
+    (checked,) = stats.check_formulas(
+        (parse_formula("forall X, Y: ~r(X) | ~e(X,Y)"),), {"r": 1, "e": 2}, ModelA(3)
+    )
+    assert checked.kind.pattern_table(checked).layout.local == layout.local
+    tables = stats.structure_tables(example, checked.vocabulary)
+    truths = np.concatenate(list(stats.grounding_truths(checked, checked.rows(6), tables, 1)))
     built = AssertionError("built")
-    with mock.patch.object(stats, "local_atoms", side_effect=built), \
-            mock.patch.object(stats, "pattern_runs", side_effect=built):
+    with mock.patch.object(stats, "pattern_layout", side_effect=built), \
+            mock.patch.object(stats, "local_atoms", side_effect=built):
         assert list(marginal_distribution_a(example, 3).items()) == want
+        again = stats.grounding_truths(checked, checked.rows(6), tables, 1)
+        assert np.array_equal(np.concatenate(list(again)), truths)
 
 
 @settings(max_examples=150, deadline=None)
@@ -544,19 +556,52 @@ def per_atom_patterns(tables, local, n, k, structures):
     st.sampled_from([1, 50, stats.BLOCK_CELLS]),
     st.data(),
 )
-def test_subset_patterns_match_the_per_atom_gather(arities, n, structures, seed, cells, data):
+def test_pattern_keys_match_the_per_atom_gather(arities, n, structures, seed, cells, data):
     # predicates of arity 0-3 over one or more structures: the per-world
-    # tables of shrink_distribution, or one example's
+    # tables of shrink_distribution, or one example's; keys wherever the
+    # layout has place values, past 15 local atoms in int64
     k = data.draw(st.integers(1, n))
     vocab = {f"p{i}": a for i, a in enumerate(arities)}
     rng = np.random.default_rng(seed)
     tables = {p: rng.random((n,) * a + (structures,)) < 0.4 for p, a in vocab.items()}
-    local = stats.local_atoms(vocab, k)
-    want = per_atom_patterns(tables, local, n, k, structures)
+    layout = stats.pattern_layout(vocab, k)
+    want = per_atom_patterns(tables, layout.local, n, k, structures)
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    got = stats.gather_patterns(tables, layout, subsets, structures)
+    assert np.array_equal(got.transpose(0, 2, 1), want)
+    m = len(layout.local)
+    if m > 63:
+        assert layout.place is None
+        return
     with mock.patch.object(stats, "BLOCK_CELLS", cells):
-        blocks = list(stats.subset_patterns(tables, stats.pattern_runs(local), n, k, structures))
-    assert all(b.shape[1:] == (structures, len(local)) for b in blocks)
-    assert np.array_equal(np.concatenate(blocks), want)
+        blocks = list(stats.pattern_keys(tables, layout, subsets, k, structures))
+    assert all(b.shape[1:] == (structures,) for b in blocks)
+    assert all(len(b) == 1 or len(b) * structures * max(m, 1) <= cells for b in blocks)
+    keys = np.concatenate(blocks)
+    assert keys.dtype == (np.int16 if m < 16 else np.int64)
+    fold = [[sum(1 << int(j) for j in np.flatnonzero(bits)) for bits in row] for row in want]
+    assert keys.tolist() == fold
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(0, 2), max_size=3), st.data())
+def test_a_subset_key_is_its_world_index(k, arities, data):
+    # one bit order: the key of the subset of all k constants, read off the
+    # world tables through the layout, is the world's own index, and the
+    # shrink of a point mass on the world is the atom walk's
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    layout = stats.pattern_layout(vocab, k)
+    assume(len(layout.local) <= 12)
+    space = enumerate_worlds([f"c{i + 1}" for i in range(k)], vocab)
+    tables = world_tables(space.worlds, k, vocab, vocab)
+    (block,) = stats.pattern_keys(tables, layout, np.arange(k)[None], k, len(space))
+    assert block[0].tolist() == space.worlds.tolist()
+    w = data.draw(st.integers(0, len(space) - 1))
+    m = data.draw(st.integers(1, k))
+    point = ExplicitDistribution(space, tuple(Fraction(int(i == w)) for i in range(len(space))))
+    target, want = oracles.shrink_probabilities(point, m)
+    small = shrink_distribution(point, m)
+    assert small.space.atoms == target.atoms and list(small.probs) == want
 
 
 def _check_canonical_patterns(vocab, k, patterns, cells):
