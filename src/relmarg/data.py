@@ -1,17 +1,25 @@
 """Relational structures: global examples, fragments, local examples.
 
 A global example is a finite relational structure (A, C): a set of ground
-atoms A over an ordered constant set C.  A fragment keeps the atoms whose
-constants all lie inside a chosen subset.  Local examples are fragments
-re-labelled onto the canonical constants 1..k; their isomorphism classes are
-represented by a lexicographically minimal canonical form.
+atoms A over an ordered constant set C.  It is held as C and, per predicate,
+one sorted, repeat-free, read-only array of the constant positions of its
+atoms, the form that truth tables, expansions and fragments read; the atom
+set is a view built on demand.  Only the constructor (reading the atoms it
+is given, in one checking pass) and that view handle ``GroundAtom``s: the
+facts parser, fragments, expansions, random structures and world spaces
+build the arrays directly.  A fragment keeps the atoms whose constants all
+lie inside a chosen subset.  Local examples are fragments re-labelled onto
+the canonical constants 1..k; their isomorphism classes are represented by
+a lexicographically minimal canonical form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -19,6 +27,7 @@ import numpy as np
 from .errors import CapExceededError, DomainError, FactsSyntaxError, VocabularyError
 
 ISO_WIDTH_CAP = 8
+_INT64_MAX = np.iinfo(np.int64).max
 
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _ATOM_RE = re.compile(r"([a-z][A-Za-z0-9_]*)\(([^()]*)\)\s*\.?\Z")
@@ -33,6 +42,25 @@ class GroundAtom:
         return f"{self.pred}({','.join(self.args)})"
 
 
+class _AtomView:
+    """The ``atoms`` field of a ``GlobalExample``, a data descriptor.  The
+    dataclass ``__init__`` hands it the given atoms, which ``__post_init__``
+    reads into position arrays; the first read builds the frozenset of
+    ground atoms from the arrays and keeps it.  Read on the class, it is the
+    field's default, the empty set."""
+
+    def __get__(self, example, owner=None):
+        if example is None:
+            return frozenset()
+        kept = example.__dict__
+        if "_atoms" not in kept:
+            kept["_atoms"] = frozenset(itertools.starmap(GroundAtom, _named_atoms(example)))
+        return kept["_atoms"]
+
+    def __set__(self, example, atoms):
+        example.__dict__["_given"] = atoms
+
+
 @dataclass(frozen=True)
 class GlobalExample:
     """Ground atoms over an ordered constant set, plus an optional declared vocabulary.
@@ -40,81 +68,191 @@ class GlobalExample:
     The declared vocabulary lets atom-free predicates exist (an empty structure
     over a unary predicate is a legal model); it is merged with the vocabulary
     inferred from the atoms.
+
+    A structure is held as its constants and ``positions``: a read-only
+    map from each predicate of its vocabulary (the declared ones first,
+    then the others by name) to one sorted, repeat-free, read-only (atoms,
+    arity) array of constant positions, read from the given atoms in one
+    checking pass.  ``atoms`` is a view of the arrays, built on its first
+    read.  Equality and hashing compare the constants and the arrays of the
+    predicates that have atoms, which is comparing the constants and the
+    atom sets, without building the view.
     """
 
     constants: tuple[str, ...]
-    atoms: frozenset[GroundAtom] = frozenset()
+    atoms: frozenset[GroundAtom] = _AtomView()
     # excluded from equality and hashing: the declared vocabulary widens the
     # signature but never changes which atoms hold
     vocab: Mapping[str, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constants", tuple(self.constants))
-        atoms = self.atoms
-        # a frozenset of ground atoms is kept as it is, without hashing again
-        if type(atoms) is not frozenset or not set(map(type, atoms)) <= {GroundAtom}:
-            atoms = frozenset(
-                a if isinstance(a, GroundAtom) else GroundAtom(a[0], tuple(a[1])) for a in atoms
-            )
-        object.__setattr__(self, "atoms", atoms)
         if self.vocab is not None:
             object.__setattr__(self, "vocab", dict(self.vocab))
         if len(set(self.constants)) != len(self.constants):
             raise DomainError("duplicate constants")
-        arity, error = self._signature(atoms)
-        if error is not None:
-            # report the first offending atom in sorted order, whichever one
-            # the set order met first
-            raise self._signature(sorted(atoms, key=lambda a: (a.pred, a.args)))[1]
-        # not a field, so neither compared, hashed nor printed
-        object.__setattr__(self, "_arity", arity)
+        positions = _read_atoms(self.constants, self.__dict__.pop("_given"), self.vocab or {})
+        object.__setattr__(self, "positions", MappingProxyType(positions))
 
-    def _signature(
-        self, atoms: Iterable[GroundAtom]
-    ) -> tuple[dict[str, int], DomainError | VocabularyError | None]:
-        """Each predicate's arity, the declared ones first and then the
-        others in the order of ``atoms``, and the error for the first atom
-        that uses a constant outside the constant set or a second arity."""
-        cset = set(self.constants)
-        arity: dict[str, int] = dict(self.vocab or {})
-        for atom in atoms:
-            for arg in atom.args:
-                if arg not in cset:
-                    return arity, DomainError(
-                        f"atom {atom} uses constant {arg!r} outside the constant set"
-                    )
-            seen = arity.setdefault(atom.pred, len(atom.args))
-            if seen != len(atom.args):
-                return arity, VocabularyError(
-                    f"predicate {atom.pred!r} used with arities {seen} and {len(atom.args)}"
-                )
-        return arity, None
+    @classmethod
+    def _from_positions(
+        cls,
+        constants: tuple[str, ...],
+        positions: dict[str, np.ndarray],
+        vocab: Mapping[str, int] | None = None,
+    ) -> GlobalExample:
+        """The structure over the distinct ``constants`` whose position
+        arrays are ``positions``, in vocabulary order, each sorted and
+        repeat-free (``canonical_rows``) and in range; nothing is checked
+        and no atom is built.  The arrays become read-only."""
+        example = object.__new__(cls)
+        for rows in positions.values():
+            rows.flags.writeable = False
+        vocab = None if vocab is None else dict(vocab)
+        positions = MappingProxyType(positions)
+        example.__dict__.update(constants=constants, vocab=vocab, positions=positions)
+        return example
+
+    def __reduce__(self):
+        return type(self)._from_positions, (self.constants, dict(self.positions), self.vocab)
+
+    def _key(self) -> tuple:
+        """The constants and each predicate that has atoms with its arity
+        and the bytes of its array, by name."""
+        held = [(p, rows) for p, rows in self.positions.items() if len(rows)]
+        return self.constants, tuple(sorted((p, rows.shape[1], rows.tobytes()) for p, rows in held))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def vocabulary(self) -> dict[str, int]:
         """Each predicate's arity: the declared ones first, then the others
-        in atom iteration order.  A copy of the map built once at
-        construction, so the caller may change it."""
-        return dict(self._arity)
+        by name.  A fresh map, so the caller may change it."""
+        return {p: rows.shape[1] for p, rows in self.positions.items()}
 
     def __str__(self):
-        atoms = ", ".join(str(a) for a in sorted(self.atoms, key=lambda a: (a.pred, a.args)))
-        return f"({{{atoms}}}, {{{', '.join(self.constants)}}})"
+        return f"({{{', '.join(_facts(self))}}}, {{{', '.join(self.constants)}}})"
+
+
+def _read_atoms(
+    constants: tuple[str, ...], atoms: Iterable, declared: Mapping[str, int]
+) -> dict[str, np.ndarray]:
+    """The position arrays of ``atoms`` (``GroundAtom``s or (predicate,
+    arguments) pairs) over ``constants``, one per predicate, the
+    ``declared`` ones first and then the others by name.  Raises the error
+    of ``_atom_error`` when an atom uses a constant outside ``constants`` or
+    a second arity."""
+    args: dict[str, list[tuple]] = {}
+    for atom in atoms:
+        if isinstance(atom, GroundAtom):
+            args.setdefault(atom.pred, []).append(atom.args)
+        else:
+            args.setdefault(atom[0], []).append(tuple(atom[1]))
+    position = {c: i for i, c in enumerate(constants)}
+    out = {}
+    for p in [*declared, *sorted(args.keys() - declared.keys())]:
+        held = args.get(p, [])
+        arity = declared[p] if p in declared else len(held[0])
+        try:
+            if set(map(len, held)) - {arity}:
+                raise KeyError(p)
+            flat = map(position.__getitem__, itertools.chain.from_iterable(held))
+            rows = np.fromiter(flat, dtype=np.intp, count=len(held) * arity)
+        except KeyError:
+            raise _atom_error(constants, args, declared) from None
+        out[p] = canonical_rows(rows.reshape(len(held), arity), len(constants))
+    return out
+
+
+def _atom_error(
+    constants: tuple[str, ...], args: Mapping[str, list[tuple]], declared: Mapping[str, int]
+) -> DomainError | VocabularyError:
+    """The error for the first atom in (predicate, arguments) order, of the
+    predicates' argument lists ``args``, that uses a constant outside
+    ``constants`` or a second arity, a declared arity coming first; there
+    must be one."""
+    known = set(constants)
+    arity = dict(declared)
+    for pred, held in sorted((p, a) for p, rows in args.items() for a in rows):
+        for arg in held:
+            if arg not in known:
+                atom = GroundAtom(pred, held)
+                return DomainError(f"atom {atom} uses constant {arg!r} outside the constant set")
+        seen = arity.setdefault(pred, len(held))
+        if seen != len(held):
+            return VocabularyError(f"predicate {pred!r} used with arities {seen} and {len(held)}")
+    raise AssertionError("no offending atom")
+
+
+def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """The row-major index of each row of ``rows``, positions in 0..n-1:
+    int64 when n**arity fits it, Python ints (dtype object) past that."""
+    arity = rows.shape[1]
+    place = [n**i for i in range(arity - 1, -1, -1)]
+    if n**arity <= _INT64_MAX:
+        return rows @ np.array(place, dtype=np.int64)
+    return rows.astype(object) @ np.array(place, dtype=object)
+
+
+def canonical_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """``rows`` of positions in 0..n-1 in row-major order without repeats,
+    read-only: the form of a ``GlobalExample``'s position arrays."""
+    if len(rows) > 1:
+        rows = rows[np.unique(row_keys(rows, n), return_index=True)[1]]
+    rows.flags.writeable = False
+    return rows
+
+
+def position_grid(n: int, arity: int) -> np.ndarray:
+    """Every row of ``arity`` positions in 0..n-1 in ``itertools.product``
+    order, which is row-major, as one (n**arity, arity) array."""
+    return np.indices((n,) * arity, dtype=np.intp).reshape(arity, n**arity).T
+
+
+def _named_atoms(example: GlobalExample) -> list[tuple[str, tuple[str, ...]]]:
+    """Each atom of ``example`` as its predicate and argument names, read
+    off its arrays."""
+    names = example.constants
+    return [
+        (p, tuple(map(names.__getitem__, row)))
+        for p, rows in example.positions.items()
+        for row in rows.tolist()
+    ]
+
+
+def _facts(example: GlobalExample) -> list[str]:
+    """Each atom of ``example`` as text, in (predicate, arguments) order."""
+    return [f"{p}({','.join(args)})" for p, args in sorted(_named_atoms(example))]
 
 
 def fragment(example: GlobalExample, subset: Iterable[str]) -> GlobalExample:
     """The substructure induced by ``subset``: atoms whose constants all lie in it.
 
     The returned constant set is ``subset`` in the order of ``example``.
+    Each position array keeps the rows whose positions all lie in the
+    subset, renumbered in order, so they stay sorted.
     """
     chosen = set(subset)
     unknown = chosen - set(example.constants)
     if unknown:
         raise DomainError(f"unknown constant(s): {', '.join(sorted(unknown))}")
-    kept = tuple(c for c in example.constants if c in chosen)
-    atoms = frozenset(a for a in example.atoms if all(arg in chosen for arg in a.args))
+    inside = [c in chosen for c in example.constants]
+    kept = tuple(itertools.compress(example.constants, inside))
+    # each position's place in the fragment, -1 outside it
+    place = np.full(len(inside), -1, dtype=np.intp)
+    place[np.flatnonzero(inside)] = np.arange(len(kept))
+    positions = {}
+    for p, rows in example.positions.items():
+        moved = place[rows]
+        positions[p] = moved[(moved >= 0).all(axis=1)]
     # the substructure keeps the full signature, including predicates whose
     # atoms were all dropped
-    return GlobalExample(kept, atoms, example.vocabulary())
+    return GlobalExample._from_positions(kept, positions, example.vocabulary())
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +331,17 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
     Minimizes the sorted atom tuple over all k! relabellings; the number of
     relabellings attaining the minimum equals the automorphism group size.
     This is ``stats.canonical_patterns`` on one pattern: the atoms are
-    encoded over the local atoms in its order (``stats.local_atoms``), and
-    the canonical image is decoded back to atoms.
+    encoded over the local atoms of their ``stats.pattern_layout``, and the
+    canonical image is decoded back to atoms.
     """
     # stats imports this module, so the kernel is imported at call time
     from . import stats
 
     check_iso_width(local.width)
-    vocabulary = {p: len(args) for p, args in local.atoms}
-    order = [
-        (p, tuple(a + 1 for a in args)) for p, args in stats.local_atoms(vocabulary, local.width)
-    ]
+    layout = stats.pattern_layout({p: len(args) for p, args in local.atoms}, local.width)
+    order = [(p, tuple(a + 1 for a in args)) for p, args in layout.local]
     pattern = np.array([[atom in local.atoms for atom in order]], dtype=bool)
-    images, automorphisms = stats.canonical_patterns(pattern, vocabulary, local.width)
+    images, automorphisms = stats.canonical_patterns(pattern, layout, local.width)
     atoms = tuple(atom for atom, bit in zip(order, images[0]) if bit)
     return CanonicalForm(local.width, atoms, int(automorphisms[0]))
 
@@ -215,18 +351,16 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
 
 def parse_facts(text: str, source: str = "<facts>") -> GlobalExample:
     """Parse a facts file: one ground atom per line, ``@constants`` directive,
-    ``#`` comments, optional trailing periods."""
-    constants: list[str] = []
-    seen = set()
+    ``#`` comments, optional trailing periods.  Each atom is read as a row
+    of constant positions, so no ``GroundAtom`` is built."""
+    position: dict[str, int] = {}  # the constants, in order of appearance
 
     def intern(name: str, lineno: int):
         if not _NAME_RE.match(name):
             raise FactsSyntaxError(f"bad constant name {name!r}", lineno, source)
-        if name not in seen:
-            seen.add(name)
-            constants.append(name)
+        position.setdefault(name, len(position))
 
-    atoms = []
+    rows: dict[str, list[tuple[int, ...]]] = {}
     arity: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -253,14 +387,15 @@ def parse_facts(text: str, source: str = "<facts>") -> GlobalExample:
             )
         for arg in args:
             intern(arg, lineno)
-        atoms.append(GroundAtom(pred, args))
-    return GlobalExample(tuple(constants), frozenset(atoms))
+        rows.setdefault(pred, []).append(tuple(map(position.__getitem__, args)))
+    # position tuples sort in row-major order
+    positions = {p: np.array(sorted(set(rows[p])), dtype=np.intp) for p in sorted(rows)}
+    return GlobalExample._from_positions(tuple(position), positions)
 
 
 def format_facts(example: GlobalExample) -> str:
     """Render to the facts format; the directive pins the constant order."""
-    lines = [f"@constants {', '.join(example.constants)}"]
-    lines.extend(str(a) for a in sorted(example.atoms, key=lambda a: (a.pred, a.args)))
+    lines = [f"@constants {', '.join(example.constants)}", *_facts(example)]
     return "\n".join(lines) + "\n"
 
 

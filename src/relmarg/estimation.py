@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import GlobalExample, GroundAtom, fragment
+from .data import GlobalExample, fragment, position_grid
 from .errors import DomainError
 from .expansion import expanded_statistic, expanded_statistics
 from .logic import Formula
@@ -152,12 +152,12 @@ def random_structure(
     if not 0.0 <= density <= 1.0:
         raise DomainError(f"density {density} outside [0, 1]")
     constants = tuple(f"c{i}" for i in range(1, n + 1))
-    atoms = []
+    drawn = {}
     for pred in sorted(vocabulary):
-        for args in itertools.product(constants, repeat=vocabulary[pred]):
-            if rng.random() < density:
-                atoms.append(GroundAtom(pred, args))
-    return GlobalExample(constants, atoms, dict(vocabulary))
+        # one draw per possible atom, in product order, which is sorted
+        grid = position_grid(n, vocabulary[pred])
+        drawn[pred] = grid[np.array([rng.random() for _ in range(len(grid))]) < density]
+    return GlobalExample._from_positions(constants, {p: drawn[p] for p in vocabulary}, vocabulary)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ expanded statistics: ``expanded_statistic`` is its one-sample case and
 ``estimation.run_error_experiment`` its batch of trials.  ``expand`` and
 ``noisy_expand`` materialise an expansion for the CLI ``expand`` command,
 the noisy pipeline and the oracles of the verification suites and tests,
-under ``EXPANSION_CAP``; ``expand`` builds the copies of each predicate's
-atoms with one pattern of repeated arguments from one array of positions.
+under ``EXPANSION_CAP``, as position arrays: ``expand`` copies each
+predicate's rows with one pattern of repeated arguments by position
+arithmetic, and ``noisy_expand`` finds the absent noise slots by a search
+of the sorted rows, so neither names an atom.
 ``mixture_residual`` solves the mixture decomposition of a Model A
 marginal over one common denominator.
 """
@@ -44,7 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import stats
-from .data import CanonicalForm, GlobalExample, GroundAtom
+from .data import CanonicalForm, GlobalExample, canonical_rows, position_grid, row_keys
 from .errors import CapExceededError, DomainError
 from .logic import Formula
 from .stats import (
@@ -71,12 +73,30 @@ def _extended_names(constants: tuple[str, ...], level: int) -> list[str]:
     return names
 
 
-def _check_size(example: GlobalExample, level: int, noise_slots: int = 0):
+def _repeat_patterns(rows: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The (atoms, arity) position array ``rows`` split by pattern of
+    repeated arguments: for each pattern met, the index of the first
+    argument with each argument's value (``args.index``) and its rows."""
+    members: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(rows.tolist()):
+        members.setdefault(tuple(map(row.index, row)), []).append(i)
+    return [(first, rows[i]) for first, i in members.items()]
+
+
+def _check_size(
+    example: GlobalExample,
+    level: int,
+    patterns: Mapping[str, list[tuple[tuple[int, ...], np.ndarray]]],
+    noise_slots: int = 0,
+):
     """Raise ``CapExceededError`` before building an expansion with more than
-    ``EXPANSION_CAP`` constants, atoms (each atom has level^(distinct
-    arguments) copies) and noise slots together."""
+    ``EXPANSION_CAP`` constants, atoms (each atom of the ``_repeat_patterns``
+    of a predicate has level^(distinct arguments) copies) and noise slots
+    together."""
     size = level * len(example.constants) + noise_slots
-    size += sum(level ** len(set(atom.args)) for atom in example.atoms)
+    size += sum(
+        len(rows) * level ** len(set(first)) for split in patterns.values() for first, rows in split
+    )
     if size > EXPANSION_CAP:
         raise CapExceededError(
             f"a level-{level} expansion of {len(example.constants)} constants would "
@@ -92,12 +112,12 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
     New constants extend the base order as c_{n+1} .. c_{l*n}; restricting the
     result to the first n constants gives back the base structure.
 
-    The atoms of one predicate and one pattern of repeated arguments are
-    copied together, over their d distinct argument slots: copy
-    (c_1, ..., c_d) of a base atom puts slot j at position
+    Each predicate's atoms with one pattern of repeated arguments are copied
+    together, over their d distinct argument slots, by position arithmetic
+    alone: copy (c_1, ..., c_d) of a base atom puts slot j at position
     ``residue_j + c_j * n``, so the (base atoms, level^d, d) position array
     holds exactly the level^d copies that ``_check_size`` charges.  Each
-    argument reads its slot's column, and positions map to names once.
+    argument reads its slot's column.  No atom is named or checked again.
     """
     if level < 1:
         raise DomainError("expansion level must be at least 1")
@@ -105,29 +125,21 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
         raise DomainError("cannot expand an empty constant set")
     if level == 1:
         return example
-    _check_size(example, level)
+    patterns = {p: _repeat_patterns(rows) for p, rows in example.positions.items()}
+    _check_size(example, level, patterns)
     n = len(example.constants)
+    positions = {}
+    for p, split in patterns.items():
+        copied = []
+        for first, rows in split:
+            slots = sorted(set(first))  # the d distinct arguments
+            copies = position_grid(level, len(slots)) * n  # (level^d, d)
+            held = (rows[:, None, slots] + copies)[..., list(map(slots.index, first))]
+            copied.append(held.reshape(len(rows) * len(copies), len(first)))
+        rows = np.concatenate(copied) if copied else example.positions[p]
+        positions[p] = canonical_rows(rows, n * level)
     names = _extended_names(example.constants, level)
-    index = {c: i for i, c in enumerate(example.constants)}  # 0-based residues
-    # atoms keyed by predicate and by the first slot of each argument's value
-    groups: dict[tuple[str, tuple[int, ...]], list[tuple[str, ...]]] = {}
-    for atom in example.atoms:
-        args = atom.args
-        groups.setdefault((atom.pred, tuple(map(args.index, args))), []).append(args)
-    atoms = []
-    for (pred, first), group in groups.items():
-        if not first:
-            atoms.append(GroundAtom(pred, ()))
-            continue
-        slots = sorted(set(first))  # the d distinct arguments
-        flat = map(index.__getitem__, itertools.chain.from_iterable(group))
-        base = np.fromiter(flat, dtype=np.intp, count=len(group) * len(first))
-        base = base.reshape(len(group), 1, len(first))[..., slots]
-        copies = np.indices((level,) * len(slots)).reshape(len(slots), -1).T  # (level^d, d)
-        held = (base + copies * n)[..., list(map(slots.index, first))].ravel().tolist()
-        copied = zip(*[map(names.__getitem__, held)] * len(first))
-        atoms.extend(map(GroundAtom, itertools.repeat(pred), copied))
-    return GlobalExample(tuple(names), frozenset(atoms), example.vocab)
+    return GlobalExample._from_positions(tuple(names), positions, example.vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +341,35 @@ def noisy_expand(
 
     Every width-k local example is reachable only at level >= k (see
     :func:`required_expansion_level`); callers choose the level.
+
+    The slots of a predicate are position rows ``r + t*n``, residue r in
+    order and copies t in ``itertools.product`` order, predicates by name;
+    ``rng.random()`` is drawn once per slot absent from the expansion, in
+    that order, and the drawn atoms join the position arrays.
     """
     if not 0 <= eps <= 1:
         raise DomainError(f"noise probability {eps} outside [0, 1]")
     n = len(example.constants)
     vocab = example.vocabulary()
-    _check_size(example, level, sum(n * level**arity for arity in vocab.values()))
+    patterns = {p: _repeat_patterns(rows) for p, rows in example.positions.items()}
+    _check_size(example, level, patterns, sum(n * level**arity for arity in vocab.values()))
     expanded = expand(example, level)
-    atoms = set(expanded.atoms)
+    size = n * level
+    positions = dict(expanded.positions)
     for pred in sorted(vocab):
         arity = vocab[pred]
-        for residue in range(n):
-            cls = [expanded.constants[residue + t * n] for t in range(level)]
-            for args in itertools.product(cls, repeat=arity):
-                atom = GroundAtom(pred, args)
-                if atom not in expanded.atoms and rng.random() < eps:
-                    atoms.add(atom)
-    return GlobalExample(expanded.constants, frozenset(atoms), example.vocab)
+        slots = np.arange(n)[:, None, None] + position_grid(level, arity) * n
+        slots = slots.reshape(n * level**arity, arity)
+        held = positions[pred]
+        # sorted rows have sorted keys: a slot is held when a key lies between
+        # its two insertion points
+        keys, held_keys = row_keys(slots, size), row_keys(held, size)
+        first, after = np.searchsorted(held_keys, keys), np.searchsorted(held_keys, keys, "right")
+        absent = slots[first == after]
+        drawn = np.array([rng.random() for _ in range(len(absent))]) < eps
+        if drawn.any():
+            positions[pred] = canonical_rows(np.concatenate([held, absent[drawn]]), size)
+    return GlobalExample._from_positions(expanded.constants, positions, example.vocab)
 
 
 # ---------------------------------------------------------------------------

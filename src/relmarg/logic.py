@@ -17,10 +17,11 @@ identifiers are constants or predicate names.  ``a -> b`` desugars to
 implication or inequality nodes.  Equality is decided by name identity
 (unique-names assumption).
 
-This module decides no formula itself: ``holds``, and through it
-``evaluate`` and ``unsatisfied_rules``, build one structure's truth tables
-and call ``stats.holds_over``, the evaluator behind every statistic, count
-matrix and hard-rule filter.
+This module decides no formula itself: ``holds`` (on a set of ground
+atoms) and ``evaluate`` (on a structure's position arrays, and through it
+``unsatisfied_rules``) build one structure's truth tables and call
+``stats.holds_over``, the evaluator behind every statistic, count matrix
+and hard-rule filter.
 """
 
 from __future__ import annotations
@@ -466,24 +467,42 @@ def holds(
         dom, env.values(), sorted(constants_of(f)), (c for a in kept for c in a.args)
     )))
     tables = stats.structure_tables(GlobalExample(names, kept), vocabulary)
+    return _holds_at(f, tables, names, dom, env)
+
+
+def _holds_at(
+    f: Formula, tables: Mapping[str, np.ndarray], names: tuple[str, ...], domain, env
+) -> bool:
+    """``stats.holds_over`` at one grounding of the one structure whose
+    truth ``tables`` are over the constants ``names``: quantifiers range
+    over the constants in ``domain``, constants are bound by name and the
+    free variables by ``env`` (variable name -> constant name)."""
+    from . import stats
+
     position = {c: np.array([i]) for i, c in enumerate(names)}
     bound = {**position, **{v: position[c] for v, c in env.items()}}
-    return bool(stats.holds_over(f, tables, (1, 1), [position[c] for c in dom], bound)[0, 0])
+    return bool(stats.holds_over(f, tables, (1, 1), [position[c] for c in domain], bound)[0, 0])
 
 
 def evaluate(f: Formula, example) -> bool:
     """Whether the closed formula ``f`` holds in ``example`` (a GlobalExample).
 
     Quantifiers range over ``example.constants``; equality is name identity.
+    The formula is decided on the example's truth tables
+    (``stats.structure_tables``), so no ground atom is built.
     """
+    from . import stats
+
     if free_vars(f):
         names = sorted(v.name for v in free_vars(f))
         raise DomainError(f"formula is not closed (free: {', '.join(names)})")
     unknown = constants_of(f) - set(example.constants)
     if unknown:
         raise DomainError(f"unknown constant(s): {', '.join(sorted(unknown))}")
-    merge_vocabulary(vocabulary_of(f), example.vocabulary())
-    return holds(f, example.atoms, example.constants)
+    vocabulary = vocabulary_of(f)
+    merge_vocabulary(vocabulary, example.vocabulary())
+    tables = stats.structure_tables(example, vocabulary)
+    return _holds_at(f, tables, example.constants, example.constants, {})
 
 
 def unsatisfied_rules(rules: Iterable[Formula], example) -> list[Formula]:

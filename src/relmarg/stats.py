@@ -27,9 +27,9 @@ package goes through them, by exhaustive enumeration, and is returned as a
 pairs at once.  A grounding is a row of constant positions, a structure is a
 column of the per-predicate truth tables, and an atom is a gather from those
 tables.  One example has one column (``structure_tables``, which fills each
-predicate's table by one index assignment); a world space has
-one per world (``worlds.world_tables``), and the expansions of an error
-experiment's samples one per trial (``expansion.representative_tables``).
+predicate's table by one scatter of the example's position array); a world
+space has one per world (``worlds.world_tables``), and the expansions of an
+error experiment's samples one per trial (``expansion.representative_tables``).
 ``grounding_truths`` decides a formula at blocks of groundings;
 ``count_groundings`` counts them for ``statistic``,
 ``WorldSpace.count_matrix`` and the index-set estimator, and
@@ -73,12 +73,13 @@ table per vocabulary and width that holds the class of every pattern, and
 ``np.bincount`` counts the classes (``_class_table``, which keeps its
 layout, so a call builds none; up to ``CLASS_TABLE_ATOMS`` = 12 local atoms,
 at most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` = 4 tables
-kept).  Past that limit the bits are gathered, ``distinct_rows`` counts a
-call's equal patterns and the distinct ones are canonicalized together.
-``canonical_patterns`` canonicalizes a batch: one gather through a
-(permutation, local atom) index array, read off the layout's runs, gives
-every relabelled image, and a column-by-column reduction keeps the
-canonical one and counts the automorphisms.  ``data.canonicalize`` is the
+kept).  Past that limit the bits are gathered over one layout built for
+the call, ``distinct_rows`` counts a call's equal patterns and the distinct
+ones are canonicalized together.  ``canonical_patterns`` canonicalizes a
+batch over the caller's layout: one gather through a (permutation, local
+atom) index array, read off the layout's runs, gives every relabelled
+image, and a column-by-column reduction keeps the canonical one and counts
+the automorphisms.  ``data.canonicalize`` is the
 same call on one pattern: no other code in the package searches
 relabellings.
 """
@@ -314,25 +315,18 @@ def structure_tables(example: GlobalExample, vocabulary: Mapping[str, int]) -> d
     positions i, j, ...  Raises ``CapExceededError`` when the tables would
     have more than ``TABLE_CELL_CAP`` cells.
 
-    Each predicate's table is filled by one fancy-index assignment: the
-    argument positions of all its atoms are read in one flat pass."""
+    Each predicate's table is filled by one scatter of the structure's
+    position array of it."""
     n = len(example.constants)
     cells = sum(n**arity for arity in vocabulary.values())
     check_cells(cells, f"truth tables of {cells} cells over {n} constants")
-    position = {c: i for i, c in enumerate(example.constants)}
-    args: dict[str, list[tuple[str, ...]]] = {p: [] for p in vocabulary}
-    for atom in example.atoms:
-        held = args.get(atom.pred)
-        if held is not None:
-            held.append(atom.args)
+    positions = example.positions
     tables = {}
     for p, arity in vocabulary.items():
-        held = args[p]
         table = tables[p] = np.zeros((n,) * arity + (1,), dtype=bool)
-        if held:
-            flat = map(position.__getitem__, itertools.chain.from_iterable(held))
-            at = np.fromiter(flat, dtype=np.intp, count=len(held) * arity)
-            table[tuple(at.reshape(len(held), arity).T) + (0,)] = True
+        rows = positions.get(p)
+        if rows is not None and len(rows):
+            table[(*rows.T, 0)] = True
     return tables
 
 
@@ -567,7 +561,7 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
         first, count, _ = distinct_rows(bits, 2)
         rows.append(bits[first])
         counts.extend(count.tolist())
-    classes, forms = _pattern_classes(np.concatenate(rows), vocabulary, k, layout.local)
+    classes, forms = _pattern_classes(np.concatenate(rows), layout, k)
     # a class first appears at the first row of its first subset's pattern
     mass: dict[int, int] = {}  # class -> subsets
     for c, count in zip(classes.tolist(), counts):
@@ -576,15 +570,15 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
 
 
 def _pattern_classes(
-    patterns: np.ndarray, vocabulary: Mapping[str, int], k: int, local: Sequence[LocalAtom]
+    patterns: np.ndarray, layout: PatternLayout, k: int
 ) -> tuple[np.ndarray, tuple[CanonicalForm, ...]]:
     """The class index of each row of the (P, M) bool ``patterns`` over the
-    ``local`` atoms, ``local_atoms(vocabulary, k)``, and one form per class
-    in the order of its first row, by one ``canonical_patterns`` call.  The
-    forms share the local atoms, labelled 1..k."""
-    images, automorphisms = canonical_patterns(patterns, vocabulary, k)
+    local atoms of the width-k ``layout``, and one form per class in the
+    order of its first row, by one ``canonical_patterns`` call.  The forms
+    share the local atoms, labelled 1..k."""
+    images, automorphisms = canonical_patterns(patterns, layout, k)
     first, _, classes = distinct_rows(images, 2)
-    labelled = [(p, tuple(a + 1 for a in args)) for p, args in local]
+    labelled = [(p, tuple(a + 1 for a in args)) for p, args in layout.local]
     forms = tuple(
         CanonicalForm(k, tuple(itertools.compress(labelled, images[i])), int(automorphisms[i]))
         for i in first.tolist()
@@ -609,11 +603,10 @@ def _class_table(signature: tuple[tuple[str, int], ...], k: int) -> ClassTable:
     pattern whose bit j is local atom j, with the layout, so that a
     marginal builds none.  Only for at most ``CLASS_TABLE_ATOMS`` local
     atoms."""
-    vocabulary = dict(signature)
-    layout = pattern_layout(vocabulary, k)
+    layout = pattern_layout(dict(signature), k)
     ids = np.arange(1 << len(layout.local), dtype=np.int64)
     patterns = (ids[:, None] >> np.arange(len(layout.local)) & 1).astype(bool)
-    classes, forms = _pattern_classes(patterns, vocabulary, k, layout.local)
+    classes, forms = _pattern_classes(patterns, layout, k)
     # every call shares the cached array, so none may write it
     classes.flags.writeable = False
     return ClassTable(classes, forms, layout)
@@ -776,14 +769,14 @@ def local_atoms(vocabulary: Mapping[str, int], k: int) -> list[LocalAtom]:
 
 
 def canonical_patterns(
-    patterns: np.ndarray, vocabulary: Mapping[str, int], k: int
+    patterns: np.ndarray, layout: PatternLayout, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical image and automorphism count of each width-``k`` local
     example in ``patterns``: of its images under the k! relabellings, the
     one whose sorted atom tuple is least, and how many relabellings reach it.
 
-    Column j of the (P, M) bool ``patterns`` is the j-th of the
-    ``local_atoms``, whose order is the order of the atom tuples.
+    Column j of the (P, M) bool ``patterns`` is the j-th local atom of the
+    width-``k`` ``layout``, whose order is the order of the atom tuples.
     Of two atom sets of one size, the sorted tuple that is smaller is the
     one holding the first atom where they differ, so the least sorted image
     is the lexicographically greatest image pattern,
@@ -801,7 +794,6 @@ def canonical_patterns(
     m = patterns.shape[1]
     best = np.zeros_like(patterns)
     hits = np.zeros(len(patterns), dtype=np.int64)
-    layout = pattern_layout(vocabulary, k)
     perms = itertools.permutations(range(k))
     while chunk := list(itertools.islice(perms, max(1, BLOCK_CELLS // max(m, 1)))):
         gather = _relabel_gather(layout, k, np.array(chunk, dtype=np.intp))

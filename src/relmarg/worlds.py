@@ -22,7 +22,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import GlobalExample, GroundAtom
+from .data import GlobalExample, GroundAtom, position_grid
 from .errors import CapExceededError, DomainError
 from .logic import Formula, constants_of, free_vars, merge_vocabulary, vocabulary_of
 from .stats import (
@@ -87,7 +87,15 @@ class WorldSpace:
         return frozenset(a for i, a in enumerate(self.atoms) if bits >> i & 1)
 
     def world_example(self, bits: int) -> GlobalExample:
-        return GlobalExample(self.constants, self.world_atoms(bits), self.vocabulary)
+        """The world ``bits`` as a structure, its position arrays read off
+        the bits of each predicate's run of atoms."""
+        n, offset, drawn = len(self.constants), 0, {}
+        for p in sorted(self.vocabulary):
+            grid = position_grid(n, self.vocabulary[p])
+            drawn[p] = grid[[i for i in range(len(grid)) if bits >> offset + i & 1]]
+            offset += len(grid)
+        positions = {p: drawn[p] for p in self.vocabulary}
+        return GlobalExample._from_positions(self.constants, positions, self.vocabulary)
 
     def encode(self, world: GlobalExample) -> int:
         """Bit pattern of a GlobalExample over this space's constants and atoms."""
@@ -121,11 +129,18 @@ class WorldSpace:
         truth tables (named atoms by worlds, one byte each) or the matrix
         (worlds by formulas, eight bytes each) would take more than
         ``WORLD_TABLE_BYTE_CAP`` bytes.  Matrices are cached; a new one that
-        would take the cache past that cap replaces all the cached ones."""
+        would take the cache past that cap replaces all the cached ones.
+        A cached matrix of the same kind that holds every requested formula
+        answers from its columns, and the cache does not change."""
         key = (tuple(formulas), kind)
         cached = self._counts.get(key)
         if cached is not None:
             return cached
+        for (held, held_kind), matrix in self._counts.items():
+            if held_kind == kind:
+                column = {f: j for j, f in enumerate(held)}
+                if all(f in column for f in formulas):
+                    return matrix[:, [column[f] for f in formulas]]
         n, w = len(self.constants), len(self.worlds)
         checked = check_formulas(formulas, self.vocabulary, kind, n)
         named = {p for c in checked for p in c.vocabulary}

@@ -11,9 +11,14 @@ tree.  For polytopes there is a facet enumeration over every vertex subset
 in Fractions, and the eta-interiority probe loop that asks
 ``hull_distance`` about every probe.  ``maxent.shrink_distribution``
 gathers every subset's bit pattern from truth tables; its reference walks
-each world's atoms subset by subset.  ``expansion.expand``,
-``stats.structure_tables`` and the atom checks of ``GlobalExample`` work
-on whole index arrays and sets; their references go atom by atom.
+each world's atoms subset by subset.  A ``GlobalExample`` holds
+one position array per predicate, and ``expansion.expand``,
+``expansion.noisy_expand``, ``data.fragment``,
+``estimation.random_structure``, ``stats.structure_tables`` and the atom
+checks of its constructor work on those arrays; their references go atom
+by atom, build each structure from ``GroundAtom``s, and
+``same_structure`` compares an array-built structure with an atom-built
+one on everything a caller can read.
 ``expansion.residue_groundings`` lists an expansion's residue rows as one
 array with one weight per row shape; its reference lists them one row at a
 time, each with its own weight.
@@ -28,7 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from relmarg.data import CanonicalForm, GlobalExample, GroundAtom, LocalExample
+from relmarg import stats
+from relmarg.data import CanonicalForm, GlobalExample, GroundAtom, LocalExample, format_facts
 from relmarg.errors import DomainError, VocabularyError
 from relmarg.expansion import _extended_names
 from relmarg.logic import And, Const, Eq, Exists, Not, Or, PredAtom, Var
@@ -90,6 +96,65 @@ def expand(example, level):
             relabel = dict(zip(distinct, picks))
             atoms.add(GroundAtom(atom.pred, tuple(relabel[a] for a in atom.args)))
     return GlobalExample(tuple(names), frozenset(atoms), example.vocab)
+
+
+def noisy_expand(example, level, eps, rng):
+    """``expansion.noisy_expand`` atom by atom: the per-atom expansion,
+    then, predicates by name, residues in order and copies in product
+    order, one ``rng.random() < eps`` draw for each ground atom over
+    pairwise-congruent constants that the expansion lacks."""
+    if not 0 <= eps <= 1:
+        raise DomainError(f"noise probability {eps} outside [0, 1]")
+    expanded = expand(example, level)
+    n = len(example.constants)
+    vocab = example.vocabulary()
+    atoms = set(expanded.atoms)
+    for pred in sorted(vocab):
+        for residue in range(n):
+            copies = [expanded.constants[residue + t * n] for t in range(level)]
+            for args in itertools.product(copies, repeat=vocab[pred]):
+                atom = GroundAtom(pred, args)
+                if atom not in expanded.atoms and rng.random() < eps:
+                    atoms.add(atom)
+    return GlobalExample(expanded.constants, frozenset(atoms), example.vocab)
+
+
+def fragment(example, subset):
+    """``data.fragment`` atom by atom: the atoms whose constants all lie in
+    ``subset``, over the subset in the example's order, with the example's
+    whole vocabulary declared."""
+    chosen = set(subset)
+    kept = tuple(c for c in example.constants if c in chosen)
+    atoms = frozenset(a for a in example.atoms if all(arg in chosen for arg in a.args))
+    return GlobalExample(kept, atoms, example.vocabulary())
+
+
+def random_structure(n, vocabulary, density, rng):
+    """``estimation.random_structure`` atom by atom: one ``rng.random() <
+    density`` draw per ground atom over c1..cn, predicates by name and
+    arguments in product order."""
+    constants = tuple(f"c{i}" for i in range(1, n + 1))
+    atoms = [
+        GroundAtom(pred, args)
+        for pred in sorted(vocabulary)
+        for args in itertools.product(constants, repeat=vocabulary[pred])
+        if rng.random() < density
+    ]
+    return GlobalExample(constants, atoms, dict(vocabulary))
+
+
+def same_structure(got, want):
+    """Assert that the structures ``got`` and ``want`` agree on equality,
+    hashing, atoms, printing, the facts format, the vocabulary in order and
+    the truth tables of every predicate of the vocabulary."""
+    assert got == want and want == got and hash(got) == hash(want)
+    assert got.constants == want.constants and got.atoms == want.atoms
+    assert str(got) == str(want) and format_facts(got) == format_facts(want)
+    assert list(got.vocabulary().items()) == list(want.vocabulary().items())
+    vocabulary = want.vocabulary()
+    tables = stats.structure_tables(got, vocabulary)
+    for p, table in structure_tables(want, vocabulary).items():
+        assert tables[p].shape == table.shape and np.array_equal(tables[p], table)
 
 
 def residue_groundings(kind, width, n, level):

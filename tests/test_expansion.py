@@ -103,9 +103,22 @@ def expansion_cases(draw):
 def test_expand_matches_the_per_atom_oracle(case):
     example, level = case
     got, want = expand(example, level), oracles.expand(example, level)
-    assert got.constants == want.constants
-    assert got.atoms == want.atoms
-    assert got.vocab == want.vocab and got.vocabulary() == want.vocabulary()
+    oracles.same_structure(got, want)
+    assert got.vocab == want.vocab
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases(), st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 10_000))
+def test_noisy_expand_matches_the_per_atom_oracle(case, eps, seed):
+    # the same structure from the same draws, and the generator left in the
+    # same state: one draw per absent slot, in the oracle's order
+    example, level = case
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    got = noisy_expand(example, level, eps, rng)
+    want = oracles.noisy_expand(example, level, eps, oracle_rng)
+    oracles.same_structure(got, want)
+    assert got.vocab == want.vocab
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 @pytest.mark.parametrize(

@@ -611,8 +611,9 @@ def _check_canonical_patterns(vocab, k, patterns, cells):
         (p, args) for p in sorted(vocab)
         for args in itertools.product(range(1, k + 1), repeat=vocab[p])
     ]
+    layout = stats.pattern_layout(vocab, k)
     with mock.patch.object(stats, "BLOCK_CELLS", cells):
-        images, automorphisms = stats.canonical_patterns(patterns, vocab, k)
+        images, automorphisms = stats.canonical_patterns(patterns, layout, k)
     assert images.shape == patterns.shape and len(automorphisms) == len(patterns)
     for pattern, image, autos in zip(patterns, images, automorphisms):
         cf = oracles.canonicalize(LocalExample(k, [a for a, bit in zip(local, pattern) if bit]))
@@ -669,7 +670,8 @@ def test_canonical_patterns_over_many_local_atoms(vocab, k, cells):
     rng = np.random.default_rng(k * 100 + m)
     patterns = np.vstack([np.zeros(m, bool), np.ones(m, bool), rng.random((6, m)) < 0.3])
     _check_canonical_patterns(vocab, k, patterns, cells)
-    images, automorphisms = stats.canonical_patterns(patterns[:2], vocab, k)
+    layout = stats.pattern_layout(vocab, k)
+    images, automorphisms = stats.canonical_patterns(patterns[:2], layout, k)
     assert (images == patterns[:2]).all()
     assert list(automorphisms) == [math.factorial(k)] * 2
 

@@ -24,6 +24,8 @@ from relmarg.data import (
     parse_facts,
 )
 from relmarg.errors import CapExceededError, DomainError, FactsSyntaxError, VocabularyError
+from relmarg.estimation import random_structure
+from relmarg.worlds import enumerate_worlds
 
 
 def local_of(example: GlobalExample) -> LocalExample:
@@ -122,18 +124,46 @@ def declared_structures(draw):
 @settings(max_examples=200, deadline=None)
 @given(declared_structures())
 def test_vocabulary_is_the_signature_walk_as_a_fresh_copy(ex):
-    # declared predicates first, then the others in atom iteration order
+    # declared predicates first, then the others by name, whatever order
+    # the atoms were given or iterate in
     want = dict(ex.vocab or {})
-    want.update((a.pred, len(a.args)) for a in ex.atoms)
+    want.update(sorted((a.pred, len(a.args)) for a in ex.atoms if a.pred not in want))
     got = ex.vocabulary()
     assert list(got.items()) == list(want.items())
     got["zzz"] = 7
     got.update({p: a + 1 for p, a in want.items()})
     assert list(ex.vocabulary().items()) == list(want.items())
-    # the cached map is no field: equality, hashing and printing ignore it
+    # the position arrays are no field, and equality, hashing and printing
+    # ignore the declared predicates without atoms
     twin = GlobalExample(ex.constants, ex.atoms)
-    assert twin == ex and hash(twin) == hash(ex) and "_arity" not in repr(ex)
-    assert pickle.loads(pickle.dumps(ex)).vocabulary() == want
+    assert twin == ex and hash(twin) == hash(ex) and "positions" not in repr(ex)
+    again = pickle.loads(pickle.dumps(ex))
+    assert again.vocabulary() == want and again == ex
+    assert not any(rows.flags.writeable for rows in again.positions.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(declared_structures(), st.data())
+def test_array_built_structures_agree_with_atom_built_ones(ex, data):
+    # the parser, fragments, world spaces and the random generator build
+    # position arrays directly; each agrees with the structure built from
+    # the same ground atoms
+    if all(a.args for a in ex.atoms):  # the facts format has no arity-0 atoms
+        oracles.same_structure(parse_facts(format_facts(ex)), GlobalExample(ex.constants, ex.atoms))
+    subset = data.draw(st.sets(st.sampled_from(ex.constants)))
+    oracles.same_structure(fragment(ex, subset), oracles.fragment(ex, subset))
+    vocab = ex.vocabulary()
+    if sum(len(ex.constants) ** a for a in vocab.values()) <= 12:
+        space = enumerate_worlds(ex.constants, vocab)
+        bits = space.encode(ex)
+        atom_built = GlobalExample(space.constants, space.world_atoms(bits), space.vocabulary)
+        oracles.same_structure(space.world_example(bits), atom_built)
+    seed, density = data.draw(st.integers(0, 10_000)), data.draw(st.sampled_from([0.0, 0.4, 1.0]))
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    n = len(ex.constants)
+    got = random_structure(n, vocab, density, rng)
+    oracles.same_structure(got, oracles.random_structure(n, vocab, density, oracle_rng))
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_fragment_restricts_atoms_and_keeps_vocabulary():

@@ -316,6 +316,28 @@ def test_count_matrix_is_cached():
     assert space.count_matrix(formulas, MODEL_B) is first
 
 
+def test_count_matrix_answers_from_the_columns_of_a_cached_matrix():
+    # formulas that a cached matrix of the same kind holds, alone, reordered
+    # or repeated, are read off its columns: the counts of a fresh space, and
+    # the cache keeps the same entries with the same counts
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+    f, g, h = map(parse_formula, [
+        "exists X: r(X)", "forall X, Y: e(X,Y) | r(Y)", "exists X, Y: X != Y & e(X,Y)"
+    ])
+    space.count_matrix((f, g, h), ModelA(2))
+    kept = {key: counts.copy() for key, counts in space._counts.items()}
+    for formulas in [(f,), (h, f), (g, g, h)]:
+        counts = space.count_matrix(formulas, ModelA(2))
+        fresh = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+        assert np.array_equal(counts, fresh.count_matrix(formulas, ModelA(2)))
+        assert space._counts.keys() == kept.keys()
+        assert all(np.array_equal(space._counts[key], c) for key, c in kept.items())
+    # another kind, or a formula the matrix lacks, is counted afresh
+    space.count_matrix((f,), ModelA(3))
+    space.count_matrix((f, parse_formula("forall X: r(X)")), ModelA(2))
+    assert len(space._counts) == 3
+
+
 def test_count_matrix_cache_stays_under_the_byte_cap(monkeypatch):
     # 3 constants, {r/1, e/2}: 2^12 worlds, 8 * 2^12 bytes per formula column
     column = 8 * 2**12
