@@ -341,7 +341,7 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
     layout = stats.pattern_layout({p: len(args) for p, args in local.atoms}, local.width)
     order = [(p, tuple(a + 1 for a in args)) for p, args in layout.local]
     pattern = np.array([[atom in local.atoms for atom in order]], dtype=bool)
-    images, automorphisms = stats.canonical_patterns(pattern, layout, local.width)
+    images, automorphisms = stats.canonical_patterns(pattern, layout)
     atoms = tuple(atom for atom, bit in zip(order, images[0]) if bit)
     return CanonicalForm(local.width, atoms, int(automorphisms[0]))
 
@@ -350,9 +350,10 @@ def canonicalize(local: LocalExample) -> CanonicalForm:
 # facts files
 
 def parse_facts(text: str, source: str = "<facts>") -> GlobalExample:
-    """Parse a facts file: one ground atom per line, ``@constants`` directive,
-    ``#`` comments, optional trailing periods.  Each atom is read as a row
-    of constant positions, so no ``GroundAtom`` is built."""
+    """Parse a facts file: one ground atom per line (``p()`` for an arity-0
+    one), ``@constants`` directive, ``#`` comments, optional trailing
+    periods.  Each atom is read as a row of constant positions, so no
+    ``GroundAtom`` is built."""
     position: dict[str, int] = {}  # the constants, in order of appearance
 
     def intern(name: str, lineno: int):
@@ -375,8 +376,9 @@ def parse_facts(text: str, source: str = "<facts>") -> GlobalExample:
         if m is None:
             raise FactsSyntaxError(f"cannot parse {line!r} as a ground atom", lineno, source)
         pred, arg_text = m.group(1), m.group(2)
-        args = tuple(a.strip() for a in arg_text.split(","))
-        if not args or any(not a for a in args):
+        # ``p()`` is an arity-0 atom
+        args = tuple(a.strip() for a in arg_text.split(",")) if arg_text.strip() else ()
+        if any(not a for a in args):
             raise FactsSyntaxError(f"bad argument list in {line!r}", lineno, source)
         first = arity.setdefault(pred, len(args))
         if first != len(args):

@@ -16,10 +16,11 @@ first few copies.  The model kind orders the patterns, multisets for Model A
 and sequences for Model B, and ``residue_groundings`` lists them as one
 array of rows, kept read-only for later calls when it has at most
 ``stats.LISTING_CELLS`` positions.  A row's shape, its sorted copy
-indices, fixes how many groundings it stands for, so a weight is computed
-once per shape and the rows that hold are counted per shape.  Its cost
-does not grow with the level.  It reads the expansions of many samples at once, one structure
-column each, as integer hits over integer totals, and is the one reader of
+indices, fixes how many groundings it stands for; ``stats.distinct_rows``
+numbers the shapes, so a weight is computed once per shape and the rows
+that hold are counted per shape.  Its cost does not grow with the level.
+It reads the expansions of many samples at once, one structure column
+each, as integer hits over integer totals, and is the one reader of
 expanded statistics: ``expanded_statistic`` is its one-sample case and
 ``estimation.run_error_experiment`` its batch of trials.  ``expand`` and
 ``noisy_expand`` materialise an expansion for the CLI ``expand`` command,
@@ -162,9 +163,10 @@ def residue_groundings(
     lies in the first ``min(level, width)`` copies.  A row's shape is its
     sorted copies, which fix how many residues it uses c times, so every row
     of a shape stands for the same prod_r ``kind.ways(level, c_r)``
-    groundings, c_r arguments having residue r, read off any one of its
-    rows; rows that use a residue more than ``level`` times stand for none
-    and are dropped.  Shapes are numbered in the order of one key per row.
+    groundings, c_r arguments having residue r, read off its first row;
+    rows that use a residue more than ``level`` times stand for none and
+    are dropped.  Shapes are numbered in the order of their first rows
+    (``stats.distinct_rows``).
     By Vandermonde the weights of the rows sum to the groundings over ``n *
     level`` constants.  Weights are a tuple of Python ints: at large levels
     they overflow int64.
@@ -200,14 +202,10 @@ def _residue_listing(
         copies[:, j] += residues[:, i] == residues[:, j]
     kept = (copies < level).all(axis=1)
     residues, copies = residues[kept], copies[kept]
-    # sorted copies rise from 0 in steps of 0 or 1, so a shape is keyed by
-    # its steps as binary digits (Python ints past 63 steps)
+    # sorted copies rise from 0 in steps of 0 or 1, so a shape is its steps
     steps = np.diff(np.sort(copies, axis=1), axis=1)
-    digits = np.array([1 << j for j in range(width - 1)], dtype=np.int64 if width <= 64 else object)
-    keys, shape = np.unique(steps @ digits, return_inverse=True)
-    row = np.empty(len(keys), dtype=np.intp)
-    row[shape] = np.arange(len(shape))  # any one row of each shape
-    # a shape's weight from one of its rows: residue x used r.count(x) times
+    row, _, shape = stats.distinct_rows(steps, 2)
+    # a shape's weight from its first row: residue x used r.count(x) times
     weights = tuple(
         math.prod(kind.ways(level, r.count(x)) for x in set(r)) for r in residues[row].tolist()
     )

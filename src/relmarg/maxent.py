@@ -20,8 +20,9 @@ entropy objective, plus an exact projection onto the constraint plane) is
 kept around to cross-check the dual route.
 
 ``shrink_distribution`` reads every size-m subset of every world as a
-target world at its key over the width-m ``stats.PatternLayout`` (the one
-key reader, ``stats.pattern_keys``), and both it and
+target world at its key over the target space's layout, the width-m
+``stats.PatternLayout`` that its worlds follow (the one key reader,
+``stats.pattern_keys``), and both it and
 ``distribution_statistic`` sum exact probabilities as integer numerators.
 """
 
@@ -398,11 +399,10 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
 
     Each m-subset's key in every world of nonzero probability
     (``stats.pattern_keys`` over ``worlds.world_tables``, in blocks of at
-    most ``stats.BLOCK_CELLS`` cells) is read over the width-m layout
-    (``stats.pattern_layout``), whose atom order the target's worlds follow
-    at its constants (``enumerate_worlds``).  The target has no hard rules,
-    so a key is its target world's index, where the world's probability
-    goes.
+    most ``stats.BLOCK_CELLS`` cells) is read over the target space's
+    layout, whose atom order its worlds follow.  The target has no hard
+    rules, so a key is its target world's index, where the world's
+    probability goes.
     """
     src = dist.space
     n = len(src.constants)
@@ -411,14 +411,14 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     target = enumerate_worlds(src.constants[:m], src.vocabulary)
     weights, denom = dist.weights
     live = np.flatnonzero(weights)
-    layout = stats.pattern_layout(src.vocabulary, m)
+    layout = target.layout
     mass = np.zeros(len(target), dtype=weights.dtype)
     step = max(1, stats.BLOCK_CELLS // max(len(layout.local), 1))
     for start in range(0, len(live), step):
         chunk = live[start:start + step]
-        tables = world_tables(src.worlds[chunk], n, src.vocabulary, src.vocabulary)
+        tables = world_tables(src.worlds[chunk], src.layout, src.vocabulary)
         subsets = stats.grounding_rows(stats.ModelA(m), m, n)  # a stream is read once
-        for keys in stats.pattern_keys(tables, layout, subsets, m, len(chunk)):
+        for keys in stats.pattern_keys(tables, layout, subsets, len(chunk)):
             # one value per index: numpy 2.4's add.at misreads broadcast values
             np.add.at(mass, keys.ravel(), np.tile(weights[chunk], len(keys)))
     total = denom * math.comb(n, m)

@@ -16,12 +16,14 @@ in what a grounding is.  ``ModelA``, ``ModelB`` and the ``CheckedFormula``
 record of each formula (``check_formulas``) are the only code that knows
 which variables a grounding binds, which body it decides, its width, and
 how many and which groundings n constants have; ``holds_over`` is the only
-code that decides whether a formula holds at one.  Under Model A it decides
-each local pattern once: a formula holds on a k-subset exactly when it
-holds on the subset's fragment, so its truth at a grounding is read off a
-table of its truths over every local pattern.  Every statistic in the
-package goes through them, by exhaustive enumeration, and is returned as a
-``fractions.Fraction``; convert at the boundary if floats are wanted.
+code that decides whether a formula holds at one.  It may decide each
+local pattern once: every grounding row of either kind lists distinct
+positions, so a formula holds at a row exactly when it holds on the row's
+local pattern (for Model A, the subset's fragment), and its truth at a
+grounding is read off a table of its truths over every local pattern.
+Every statistic in the package goes through them, by exhaustive
+enumeration, and is returned as a ``fractions.Fraction``; convert at the
+boundary if floats are wanted.
 
 ``holds_over`` evaluates a formula over a batch of (grounding, structure)
 pairs at once.  A grounding is a row of constant positions, a structure is a
@@ -34,17 +36,17 @@ error experiment's samples one per trial (``expansion.representative_tables``).
 ``count_groundings`` counts them for ``statistic``,
 ``WorldSpace.count_matrix`` and the index-set estimator, and
 ``expansion.expanded_statistics``, the one reader of expanded statistics,
-counts them per row shape and weights each shape's count once.  A Model A
-formula over at most ``CLASS_TABLE_ATOMS`` local atoms, which the
-assignment loop would read more often than a pattern has atoms, gets a
-``PatternTable``: one ``holds_over`` call over its 2^M width-k local worlds
-gives its truth on every pattern, and the truths are read at the
-groundings' pattern keys (``_pattern_table``, at most 8 KiB a table,
-``PATTERN_TABLES`` = 64 kept).  Other formulas go through ``holds_over`` at
-every grounding.  The hard-rule filter of ``enumerate_worlds`` calls it at
-a rule's one grounding, and ``logic.holds`` (behind ``logic.evaluate``) at
-one grounding of one structure: no other code in the package decides a
-formula.
+counts them per row shape and weights each shape's count once.  A checked
+formula of either kind over at most ``CLASS_TABLE_ATOMS`` local atoms,
+which the assignment loop would read more often than a pattern has atoms,
+gets a ``PatternTable``: one ``holds_over`` call over its 2^M width-k local
+worlds, its bound variables at the positions 0..k-1, gives its truth on
+every pattern, and the truths are read at the groundings' pattern keys
+(``_pattern_table``, at most 8 KiB a table, ``PATTERN_TABLES`` = 64 kept).
+Other formulas go through ``holds_over`` at every grounding.  The
+hard-rule filter of ``enumerate_worlds`` calls it at a rule's one
+grounding, and ``logic.holds`` (behind ``logic.evaluate``) at one grounding
+of one structure: no other code in the package decides a formula.
 
 The groundings of n constants are listed by ``grounding_rows`` in the
 kind's ``itertools`` order.  A listing of at most ``LISTING_CELLS`` = 2^14
@@ -56,20 +58,24 @@ a longer one is streamed to ``index_blocks`` block by block, so memory does
 not grow with C(n, k) or P(n, v).  ``expansion.residue_groundings`` keeps
 its residue listings under the same limit.
 
-A Model A formula's truth, a subset's class and a shrunk world are each
+A formula's truth, a subset's class, a world and a shrunk world are each
 read as a bit pattern over one order of the width-k local atoms, and
 ``PatternLayout`` is the one owner of that order: ``pattern_layout`` builds
-the local atoms, each predicate's run (argument arrays and columns) and the
-place values of a key (int16 when every key fits it, int64 when every key
-fits that), all read-only.  ``gather_patterns`` reads the bits of a block of
-position rows over a layout from the same truth tables, one gather per
-predicate, and ``pattern_keys``, the one reader of pattern keys, folds them
-into keys in blocks of at most ``BLOCK_CELLS`` cells.  ``grounding_truths``
-reads a pattern table's truths at the keys, ``maxent.shrink_distribution``
-reads the keys of a world space's m-subsets as world indexes of the space of
-m constants, and ``marginal_distribution_a`` reads the Model A marginal
-without building fragments: each subset's class is read at its key from one
-table per vocabulary and width that holds the class of every pattern, and
+the width k, the local atoms, each predicate's run (argument arrays and
+columns) and the place values of a key (int16 when every key fits it,
+int64 when every key fits that), all read-only, and no reader of a layout
+takes its width apart from it.  A world space keeps the width-n layout of
+its vocabulary (``WorldSpace.layout``), so a world's bits are its key.
+``gather_patterns`` reads the bits of a block of position rows over a
+layout from the same truth tables, one gather per predicate, and
+``pattern_keys``, the one reader of pattern keys, folds them into keys in
+blocks of at most ``BLOCK_CELLS`` cells.  ``grounding_truths`` reads a
+pattern table's truths at the keys, ``WorldSpace.encode`` reads a
+structure's key, ``maxent.shrink_distribution`` reads the keys of a world
+space's m-subsets as world indexes of the space of m constants, and
+``marginal_distribution_a`` reads the Model A marginal without building
+fragments: each subset's class is read at its key from one table per
+vocabulary and width that holds the class of every pattern, and
 ``np.bincount`` counts the classes (``_class_table``, which keeps its
 layout, so a call builds none; up to ``CLASS_TABLE_ATOMS`` = 12 local atoms,
 at most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` = 4 tables
@@ -97,7 +103,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import CanonicalForm, GlobalExample, LocalAtom, check_iso_width
+from .data import CanonicalForm, GlobalExample, LocalAtom, check_iso_width, position_grid
 from .errors import CapExceededError, DomainError, FormulaSyntaxError
 from .logic import (
     And,
@@ -149,12 +155,6 @@ class ModelA:
     def widest(self, widths: Sequence[int]) -> int:
         return self.width  # every grounding has the kind's width
 
-    def pattern_table(self, checked: "CheckedFormula") -> PatternTable | None:
-        """A subset's atoms are its local pattern's, so a formula holds at a
-        grounding exactly when it holds on the grounding's local pattern:
-        ``_pattern_table`` of the checked formula."""
-        return _pattern_table(checked.body, tuple(sorted(checked.vocabulary.items())), self.width)
-
 
 @dataclass(frozen=True)
 class ModelB:
@@ -189,12 +189,6 @@ class ModelB:
         if not widths:
             raise DomainError("no formulas to derive a level from")
         return max(widths)
-
-    def pattern_table(self, checked: "CheckedFormula") -> None:
-        """None: a substitution decides a quantifier-free matrix, which the
-        assignment loop reads once per atom, and a pattern key would read
-        every local atom."""
-        return None
 
 
 MODEL_B = ModelB()
@@ -414,15 +408,16 @@ def grounding_truths(
     structure, as consecutive (rows, ``structures``) bool blocks;
     ``count_groundings`` sums them.
 
-    With a ``pattern_table`` from the kind (Model A rows list distinct
-    positions, a subset's), the truths are read off the table at the rows'
-    pattern keys over the formula's local atoms (``pattern_keys``): blocks
-    of at most ``BLOCK_CELLS`` (grounding, structure, local atom) cells.
-    Otherwise ``holds_over`` runs its assignment loop on blocks of at most
+    With a ``_pattern_table`` (every row of either kind lists distinct
+    positions: a subset, an injective substitution, a residue or index-set
+    row), the truths are read off the table at the rows' pattern keys over
+    the formula's local atoms (``pattern_keys``): blocks of at most
+    ``BLOCK_CELLS`` (grounding, structure, local atom) cells.  Otherwise
+    ``holds_over`` runs its assignment loop on blocks of at most
     ``BLOCK_CELLS`` (grounding, structure) cells."""
-    table = checked.kind.pattern_table(checked)
+    table = _pattern_table(checked)
     if table is not None:
-        for keys in pattern_keys(tables, table.layout, rows, checked.width, structures):
+        for keys in pattern_keys(tables, table.layout, rows, structures):
             yield table.truth[keys]
         return
     for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(structures, 1)):
@@ -546,7 +541,7 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
         counts = np.zeros(len(forms), dtype=np.int64)
         first = np.full(len(forms), total)  # each class's first subset
         start = 0
-        for keys in pattern_keys(tables, table.layout, subsets, k, 1):
+        for keys in pattern_keys(tables, table.layout, subsets, 1):
             classes = table.classes[keys[:, 0]]
             counts += np.bincount(classes, minlength=len(forms))
             np.minimum.at(first, classes, np.arange(start, start + len(classes)))
@@ -561,7 +556,7 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
         first, count, _ = distinct_rows(bits, 2)
         rows.append(bits[first])
         counts.extend(count.tolist())
-    classes, forms = _pattern_classes(np.concatenate(rows), layout, k)
+    classes, forms = _pattern_classes(np.concatenate(rows), layout)
     # a class first appears at the first row of its first subset's pattern
     mass: dict[int, int] = {}  # class -> subsets
     for c, count in zip(classes.tolist(), counts):
@@ -570,15 +565,16 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
 
 
 def _pattern_classes(
-    patterns: np.ndarray, layout: PatternLayout, k: int
+    patterns: np.ndarray, layout: PatternLayout
 ) -> tuple[np.ndarray, tuple[CanonicalForm, ...]]:
     """The class index of each row of the (P, M) bool ``patterns`` over the
-    local atoms of the width-k ``layout``, and one form per class in the
-    order of its first row, by one ``canonical_patterns`` call.  The forms
-    share the local atoms, labelled 1..k."""
-    images, automorphisms = canonical_patterns(patterns, layout, k)
+    local atoms of ``layout``, and one form per class in the order of its
+    first row, by one ``canonical_patterns`` call.  The forms share the
+    local atoms, labelled 1..k at the layout's width k."""
+    images, automorphisms = canonical_patterns(patterns, layout)
     first, _, classes = distinct_rows(images, 2)
     labelled = [(p, tuple(a + 1 for a in args)) for p, args in layout.local]
+    k = layout.width
     forms = tuple(
         CanonicalForm(k, tuple(itertools.compress(labelled, images[i])), int(automorphisms[i]))
         for i in first.tolist()
@@ -606,55 +602,58 @@ def _class_table(signature: tuple[tuple[str, int], ...], k: int) -> ClassTable:
     layout = pattern_layout(dict(signature), k)
     ids = np.arange(1 << len(layout.local), dtype=np.int64)
     patterns = (ids[:, None] >> np.arange(len(layout.local)) & 1).astype(bool)
-    classes, forms = _pattern_classes(patterns, layout, k)
+    classes, forms = _pattern_classes(patterns, layout)
     # every call shares the cached array, so none may write it
     classes.flags.writeable = False
     return ClassTable(classes, forms, layout)
 
 
 class PatternTable(NamedTuple):
-    """A Model A formula decided on every local pattern over its own
-    vocabulary at one width: ``truth[key]`` is whether it holds on the
+    """A checked formula decided on every local pattern over its own
+    vocabulary at its width: ``truth[key]`` is whether it holds on the
     pattern whose ``pattern_keys`` key over ``layout`` is ``key``."""
 
     truth: np.ndarray
     layout: PatternLayout
 
 
-# Pattern tables kept, one per formula, own vocabulary and width: a table
-# holds at most 2^CLASS_TABLE_ATOMS = 4,096 truths and its layout, at most
-# 8 KiB (7.8 KiB under tracemalloc, Python 3.11, at 12 local atoms), so a
-# full cache holds at most 512 KiB beside the formulas of its keys.  The
-# verify suites use 41 formulas and widths (tables and None), the benchmark
-# workloads at most 33 each, and a kept table serves every later call.
+# Pattern tables kept, one per checked formula: a table holds at most
+# 2^CLASS_TABLE_ATOMS = 4,096 truths and its layout, at most 8 KiB (7.8 KiB
+# under tracemalloc, Python 3.11, at 12 local atoms), so a full cache holds
+# at most 512 KiB beside the formulas of its keys.  The verify suites use 54
+# checked formulas of both kinds (tables and None), the benchmark workloads
+# at most 41 each, and a kept table serves every later call.
 PATTERN_TABLES = 64
 
 
 @functools.lru_cache(maxsize=PATTERN_TABLES)
-def _pattern_table(
-    body: Formula, signature: tuple[tuple[str, int], ...], k: int
-) -> PatternTable | None:
-    """The ``PatternTable`` of the closed formula ``body`` over the
-    vocabulary ``dict(signature)`` at width k, or None when its M local
-    atoms are more than ``CLASS_TABLE_ATOMS`` or at least the table reads of
-    the assignment loop, in which a pattern key would read no fewer atoms
-    (``_table_reads``; so width-1 formulas keep the loop).  The truths come
-    from one ``holds_over`` call over the 2^M width-k local worlds, world i
-    the pattern whose key is i: ``worlds.world_tables`` decodes their
-    tables, and quantifiers range over the k positions."""
+def _pattern_table(checked: CheckedFormula) -> PatternTable | None:
+    """The ``PatternTable`` of a checked formula of width k over its own
+    vocabulary, or None when its M local atoms are more than
+    ``CLASS_TABLE_ATOMS`` or at least the table reads of the assignment
+    loop, in which a pattern key would read no fewer atoms
+    (``_table_reads``).  The truths come from one
+    ``holds_over`` call over the 2^M width-k local worlds, world i the
+    pattern whose key is i: ``worlds.world_tables`` decodes their tables
+    over the layout the table keeps, the ``bound`` variables are bound to
+    the positions 0..k-1, and quantifiers range over them.  Its truth at a
+    grounding row is its truth on the row's pattern when the row lists
+    distinct positions, as every row of either kind does."""
     # worlds imports this module, so the decode is imported at call time
     from .worlds import world_tables
 
-    vocabulary = dict(signature)
-    atoms = sum(k**arity for arity in vocabulary.values())  # local atoms
+    k, body = checked.width, checked.body
+    atoms = sum(k**arity for arity in checked.vocabulary.values())  # local atoms
     if atoms > CLASS_TABLE_ATOMS or atoms >= _table_reads(body, k):
         return None
-    tables = world_tables(np.arange(1 << atoms), k, vocabulary, vocabulary)
+    layout = pattern_layout(checked.vocabulary, k)
+    tables = world_tables(np.arange(1 << atoms), layout, checked.vocabulary)
     domain = [np.array([i]) for i in range(k)]
-    truth = np.array(holds_over(body, tables, (1, 1 << atoms), domain, {})[0])
+    env = {v.name: at for v, at in zip(checked.bound, domain)}
+    truth = np.array(holds_over(body, tables, (1, 1 << atoms), domain, env)[0])
     # every call shares the cached array, so none may write it
     truth.flags.writeable = False
-    return PatternTable(truth, pattern_layout(vocabulary, k))
+    return PatternTable(truth, layout)
 
 
 def _table_reads(f: Formula, k: int) -> int:
@@ -673,14 +672,17 @@ def _table_reads(f: Formula, k: int) -> int:
 
 
 class PatternLayout(NamedTuple):
-    """The order of the width-k local atoms of one vocabulary, which a bit
-    pattern, its key and a world of k constants all follow: bit j of a
-    pattern, ``place[j]`` in its key, is ``local[j]``, and each predicate's
-    consecutive atoms form one run ``(name, args, columns)``, with ``args``
-    the (arity, atoms) array of their arguments and ``columns`` their slice
-    of the pattern.  ``place`` is int16 when every key fits it, int64 when
-    every key fits that, and None past that; all arrays are read-only."""
+    """The order of the local atoms of one vocabulary at ``width`` k, which
+    a bit pattern, its key and a world of k constants all follow: bit j of
+    a pattern, ``place[j]`` in its key, is ``local[j]``, and each
+    predicate's consecutive atoms form one run ``(name, args, columns)``,
+    with ``args`` the (arity, atoms) array of their arguments and
+    ``columns`` their slice of the pattern; a predicate of arity at least 1
+    has an empty run at width 0.  ``place`` is int16 when every key fits
+    it, int64 when every key fits that, and None past that; all arrays are
+    read-only."""
 
+    width: int
     local: tuple[LocalAtom, ...]
     runs: tuple[tuple[str, np.ndarray, slice], ...]
     place: np.ndarray | None
@@ -691,8 +693,8 @@ def pattern_layout(vocabulary: Mapping[str, int], k: int) -> PatternLayout:
     ``local_atoms(vocabulary, k)``."""
     local = local_atoms(vocabulary, k)
     runs, start = [], 0
-    for p, atoms in itertools.groupby(local, key=operator.itemgetter(0)):
-        args = np.array([a for _, a in atoms], dtype=np.intp).T
+    for p in sorted(vocabulary):
+        args = position_grid(k, vocabulary[p]).T
         args.flags.writeable = False
         runs.append((p, args, slice(start, start + args.shape[1])))
         start += args.shape[1]
@@ -702,18 +704,17 @@ def pattern_layout(vocabulary: Mapping[str, int], k: int) -> PatternLayout:
     if dtype is not None:
         place = (1 << np.arange(len(local), dtype=np.int64)).astype(dtype)
         place.flags.writeable = False
-    return PatternLayout(tuple(local), tuple(runs), place)
+    return PatternLayout(k, tuple(local), tuple(runs), place)
 
 
 def pattern_keys(
     tables: Mapping[str, np.ndarray],
     layout: PatternLayout,
     rows: Iterable[Sequence[int]],
-    width: int,
     structures: int,
 ) -> Iterator[np.ndarray]:
-    """The key of the bit pattern of each row of ``width`` positions in
-    ``rows`` (an array or a stream, as ``index_blocks`` reads them) over
+    """The key of the bit pattern of each row of ``layout.width`` positions
+    in ``rows`` (an array or a stream, as ``index_blocks`` reads them) over
     the local atoms of ``layout`` in each structure: the sum of the
     ``place`` values of its set bits, as consecutive (rows, ``structures``)
     blocks of ``place``'s dtype.  Each block is one ``gather_patterns`` of
@@ -722,7 +723,7 @@ def pattern_keys(
     fragments, relabelled onto the first k constants, in the space of k
     constants; ``layout.place`` must not be None."""
     cells = structures * len(layout.local)
-    for block in index_blocks(rows, width, BLOCK_CELLS // max(cells, 1)):
+    for block in index_blocks(rows, layout.width, BLOCK_CELLS // max(cells, 1)):
         bits = gather_patterns(tables, layout, block, structures)
         yield np.einsum("gas,a->gs", bits, layout.place)
 
@@ -769,14 +770,15 @@ def local_atoms(vocabulary: Mapping[str, int], k: int) -> list[LocalAtom]:
 
 
 def canonical_patterns(
-    patterns: np.ndarray, layout: PatternLayout, k: int
+    patterns: np.ndarray, layout: PatternLayout
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical image and automorphism count of each width-``k`` local
-    example in ``patterns``: of its images under the k! relabellings, the
-    one whose sorted atom tuple is least, and how many relabellings reach it.
+    """Canonical image and automorphism count of each local example in
+    ``patterns``: of its images under the k! relabellings of the layout's
+    width k, the one whose sorted atom tuple is least, and how many
+    relabellings reach it.
 
-    Column j of the (P, M) bool ``patterns`` is the j-th local atom of the
-    width-``k`` ``layout``, whose order is the order of the atom tuples.
+    Column j of the (P, M) bool ``patterns`` is the j-th local atom of
+    ``layout``, whose order is the order of the atom tuples.
     Of two atom sets of one size, the sorted tuple that is smaller is the
     one holding the first atom where they differ, so the least sorted image
     is the lexicographically greatest image pattern,
@@ -794,9 +796,9 @@ def canonical_patterns(
     m = patterns.shape[1]
     best = np.zeros_like(patterns)
     hits = np.zeros(len(patterns), dtype=np.int64)
-    perms = itertools.permutations(range(k))
+    perms = itertools.permutations(range(layout.width))
     while chunk := list(itertools.islice(perms, max(1, BLOCK_CELLS // max(m, 1)))):
-        gather = _relabel_gather(layout, k, np.array(chunk, dtype=np.intp))
+        gather = _relabel_gather(layout, np.array(chunk, dtype=np.intp))
         step = max(1, BLOCK_CELLS // (len(chunk) * max(m, 1)))
         for start in range(0, len(patterns), step):
             block = slice(start, start + step)
@@ -810,14 +812,14 @@ def canonical_patterns(
     return best, hits
 
 
-def _relabel_gather(layout: PatternLayout, k: int, perms: np.ndarray) -> np.ndarray:
-    """(len(perms), M) array whose row i holds, for each local atom of the
-    width-k ``layout``, the index of its image when positions are
-    relabelled by ``perms[i]``: within its predicate's run, the row-major
-    place of the relabelled arguments."""
+def _relabel_gather(layout: PatternLayout, perms: np.ndarray) -> np.ndarray:
+    """(len(perms), M) array whose row i holds, for each local atom of
+    ``layout``, the index of its image when positions are relabelled by
+    ``perms[i]``: within its predicate's run, the row-major place of the
+    relabelled arguments."""
     gather = np.empty((len(perms), len(layout.local)), dtype=np.intp)
     for _, args, columns in layout.runs:
-        places = (perms[:, a] * k ** (len(args) - 1 - i) for i, a in enumerate(args))
+        places = (perms[:, a] * layout.width ** (len(args) - 1 - i) for i, a in enumerate(args))
         gather[:, columns] = columns.start + sum(places)
     return gather
 

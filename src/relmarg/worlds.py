@@ -1,18 +1,22 @@
 """Exhaustive possible-world spaces over a fixed domain and vocabulary.
 
 A world is a subset of the ground atoms, encoded as an integer bit pattern
-over a dense, deterministic atom order.  A world space enumerates every
-pattern satisfying the hard rules, in ascending pattern order, and caches the
-per-world statistic counts that the max-entropy solver and the polytope code
-share.  The atom count is capped because everything downstream is exponential
-in it by design.
+over the atom order of the space's layout, the width-n ``stats.PatternLayout``
+of its vocabulary read at its n constants, so a world's bits are its pattern
+key.  A world space enumerates every pattern satisfying the hard rules, in
+ascending pattern order, and caches the per-world statistic counts that the
+max-entropy solver and the polytope code share.  The atom count is capped
+because everything downstream is exponential in it by design.
 
 Nothing here walks one world at a time.  ``world_tables`` reads each
-predicate's truth table off the bit patterns, one column per world, and the
-evaluator that also serves single examples (``stats.holds_over``) decides a
-formula over every world at once: the hard-rule filter evaluates each rule at
-its one grounding, and ``count_matrix`` counts each formula's true groundings
-with ``stats.count_groundings``.
+predicate's truth table off its run's columns of the bit patterns, one
+column per world, and the evaluator that also serves single examples
+(``stats.holds_over``) decides a formula over every world at once: the
+hard-rule filter evaluates each rule at its one grounding, and
+``count_matrix`` counts each formula's true groundings with
+``stats.count_groundings``.  ``world_example`` reads a world's position
+arrays off its runs' set bits, and ``encode`` reads a structure's key over
+the layout with ``stats.pattern_keys``.
 """
 
 from __future__ import annotations
@@ -22,17 +26,20 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import GlobalExample, GroundAtom, position_grid
+from .data import GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
 from .logic import Formula, constants_of, free_vars, merge_vocabulary, vocabulary_of
 from .stats import (
     TABLE_CELL_CAP,
     ModelKind,
+    PatternLayout,
     check_cells,
     check_formulas,
     count_groundings,
     holds_over,
-    local_atoms,
+    pattern_keys,
+    pattern_layout,
+    structure_tables,
 )
 
 DEFAULT_ATOM_CAP = 24
@@ -44,40 +51,40 @@ WORLD_TABLE_BYTE_CAP = 8 * TABLE_CELL_CAP
 
 
 def world_tables(
-    worlds: np.ndarray, n: int, vocabulary: Mapping[str, int], named: Container[str]
+    worlds: np.ndarray, layout: PatternLayout, named: Container[str]
 ) -> dict[str, np.ndarray]:
-    """Truth tables over an array of bit patterns, for the predicates in
-    ``named``: ``tables[p][i, j, ..., w]`` is bit ``offset(p) + (i, j, ...)``
-    of world w.  Atoms are in the order of ``stats.local_atoms(vocabulary,
-    n)``, sorted predicates with argument tuples in product order, which is
-    row-major, so each predicate's bits reshape into its table directly.
-    With ``n`` = k these are the local atoms of a ``stats.PatternLayout`` of
-    width k, so world i is the local pattern whose key is i."""
+    """Truth tables over an array of bit patterns over ``layout``, for the
+    predicates in ``named``: ``tables[p][i, j, ..., w]`` is the bit of
+    local atom ``p(i, j, ...)`` in world w.  A run's arguments are in
+    product order, which is row-major, so its columns reshape into its
+    table directly.  Over a width-k layout, world i is the local pattern
+    whose key is i."""
     # atom bit k is bit k % 8 of byte k // 8 of the little-endian pattern
-    n_bytes = (sum(n**arity for arity in vocabulary.values()) + 7) // 8
     octets = worlds.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    octets = np.ascontiguousarray(octets.T[:n_bytes])
+    octets = np.ascontiguousarray(octets.T[:(len(layout.local) + 7) // 8])
     tables = {}
-    offset = 0
-    for pred in sorted(vocabulary):
-        size = n ** vocabulary[pred]
+    for pred, args, columns in layout.runs:
         if pred in named:
-            table = np.empty((size, len(worlds)), dtype=bool)
-            for i, k in enumerate(range(offset, offset + size)):
+            table = np.empty((args.shape[1], len(worlds)), dtype=bool)
+            for i, k in enumerate(range(columns.start, columns.stop)):
                 np.not_equal(octets[k // 8] & (1 << k % 8), 0, out=table[i])
-            tables[pred] = table.reshape((n,) * vocabulary[pred] + (len(worlds),))
-        offset += size
+            tables[pred] = table.reshape((layout.width,) * len(args) + (len(worlds),))
     return tables
 
 
 @dataclass
 class WorldSpace:
+    """The worlds over ``constants`` that satisfy ``hard_rules``: int64 bit
+    patterns, ascending, over ``layout``, the width-n ``PatternLayout`` of
+    the vocabulary, so bit j of a world is ``atoms[j]``, local atom j read
+    at the constants, and a world's bits are its key."""
+
     constants: tuple[str, ...]
     vocabulary: dict[str, int]
     hard_rules: tuple[Formula, ...]
     atoms: tuple[GroundAtom, ...]
-    worlds: np.ndarray  # int64 bit patterns, ascending
-    _index: dict[GroundAtom, int] = field(repr=False, default_factory=dict)
+    worlds: np.ndarray
+    layout: PatternLayout = field(repr=False)
     _counts: dict = field(repr=False, default_factory=dict)
 
     def __len__(self):
@@ -87,27 +94,28 @@ class WorldSpace:
         return frozenset(a for i, a in enumerate(self.atoms) if bits >> i & 1)
 
     def world_example(self, bits: int) -> GlobalExample:
-        """The world ``bits`` as a structure, its position arrays read off
-        the bits of each predicate's run of atoms."""
-        n, offset, drawn = len(self.constants), 0, {}
-        for p in sorted(self.vocabulary):
-            grid = position_grid(n, self.vocabulary[p])
-            drawn[p] = grid[[i for i in range(len(grid)) if bits >> offset + i & 1]]
-            offset += len(grid)
+        """The world ``bits`` as a structure, each predicate's position
+        array read off the set bits of its run's columns."""
+        drawn = {
+            p: args.T[[j for j in range(args.shape[1]) if bits >> columns.start + j & 1]]
+            for p, args, columns in self.layout.runs
+        }
         positions = {p: drawn[p] for p in self.vocabulary}
         return GlobalExample._from_positions(self.constants, positions, self.vocabulary)
 
     def encode(self, world: GlobalExample) -> int:
-        """Bit pattern of a GlobalExample over this space's constants and atoms."""
+        """Bit pattern of a GlobalExample over this space's constants and
+        atoms: the ``stats.pattern_keys`` key, over the layout, of the row
+        of the world's positions of the constants in its truth tables."""
         if set(world.constants) != set(self.constants):
             raise DomainError("world is over a different constant set")
-        bits = 0
-        for atom in world.atoms:
-            i = self._index.get(atom)
-            if i is None:
+        for p, rows in world.positions.items():
+            if len(rows) and self.vocabulary.get(p) != rows.shape[1]:
+                atom = GroundAtom(p, tuple(world.constants[i] for i in rows[0]))
                 raise DomainError(f"atom {atom} does not exist in this world space")
-            bits |= 1 << i
-        return bits
+        tables = structure_tables(world, self.vocabulary)
+        row = np.array([list(map(world.constants.index, self.constants))], dtype=np.intp)
+        return int(next(pattern_keys(tables, self.layout, row, 1))[0, 0])
 
     def world_index(self, bits: int) -> int:
         i = int(np.searchsorted(self.worlds, bits))
@@ -154,7 +162,7 @@ class WorldSpace:
             f"counts of {w} worlds by {len(formulas)} formulas in {matrix_bytes} bytes",
             WORLD_TABLE_BYTE_CAP,
         )
-        tables = world_tables(self.worlds, n, self.vocabulary, named)
+        tables = world_tables(self.worlds, self.layout, named)
         out = np.zeros((w, len(formulas)), dtype=np.int64)
         for j, c in enumerate(checked):
             out[:, j] = count_groundings(c, c.rows(n), tables, w)
@@ -185,19 +193,18 @@ def enumerate_worlds(
 ) -> WorldSpace:
     """Build the world space over ``constants`` filtered by ``hard_rules``.
 
-    Worlds are int bit patterns over the atom order of
-    ``stats.local_atoms(vocabulary, n)`` read at the constants: predicates
-    sorted by name, argument tuples in product order over the constant order.
+    Worlds are int bit patterns over the atom order of the space's layout,
+    ``stats.pattern_layout(vocabulary, n)``, read at the constants:
+    predicates sorted by name, argument tuples in product order over the
+    constant order.
     """
     constants = tuple(constants)
     if len(set(constants)) != len(constants):
         raise DomainError("duplicate constants")
-    vocabulary = dict(vocabulary)
-    n_atoms = check_atom_cap(len(constants), vocabulary)
-    atoms = [
-        GroundAtom(p, tuple(constants[i] for i in args))
-        for p, args in local_atoms(vocabulary, len(constants))
-    ]
+    vocabulary, n = dict(vocabulary), len(constants)
+    n_atoms = check_atom_cap(n, vocabulary)
+    layout = pattern_layout(vocabulary, n)
+    atoms = tuple(GroundAtom(p, tuple(constants[i] for i in args)) for p, args in layout.local)
     hard_rules = tuple(hard_rules)
     cset = set(constants)
     for rule in hard_rules:
@@ -209,12 +216,10 @@ def enumerate_worlds(
         merge_vocabulary(vocabulary_of(rule), vocabulary)
     # a hard rule is evaluated at its one grounding: every constant's
     # position is in the domain, and the rule's constants are bound by name
-    n = len(constants)
     positions = [np.array([i]) for i in range(n)]
     worlds = np.arange(1 << n_atoms, dtype=np.int64)
     for rule in hard_rules:
-        tables = world_tables(worlds, n, vocabulary, vocabulary_of(rule))
+        tables = world_tables(worlds, layout, vocabulary_of(rule))
         env = dict(zip(constants, positions))
         worlds = worlds[holds_over(rule, tables, (1, len(worlds)), positions, env)[0]]
-    index = {a: i for i, a in enumerate(atoms)}
-    return WorldSpace(constants, vocabulary, hard_rules, tuple(atoms), worlds, index)
+    return WorldSpace(constants, vocabulary, hard_rules, atoms, worlds, layout)

@@ -23,7 +23,9 @@ one on everything a caller can read.
 array with one weight per row shape; its reference lists them one row at a
 time, each with its own weight.
 ``stats.distinct_rows`` keys each row by one integer; its reference
-compares whole rows.
+compares whole rows.  ``worlds.world_tables`` reads each predicate's
+table off its run's columns of a ``stats.PatternLayout``; its reference
+decodes one atom bit at a time over the atom order of a world space.
 """
 
 import itertools
@@ -155,6 +157,23 @@ def same_structure(got, want):
     tables = stats.structure_tables(got, vocabulary)
     for p, table in structure_tables(want, vocabulary).items():
         assert tables[p].shape == table.shape and np.array_equal(tables[p], table)
+
+
+def world_tables(worlds, n, vocabulary, named):
+    """Truth tables of the bit patterns ``worlds`` over the atoms of a world
+    space on ``n`` constants, one atom bit at a time: atom bits go through
+    the predicates by name and each one's argument positions in
+    ``itertools.product`` order, and ``tables[p][i, j, ..., w]`` is the bit
+    of ``p(i, j, ...)`` in world w, for the predicates in ``named``."""
+    order = [(p, args) for p in sorted(vocabulary)
+             for args in itertools.product(range(n), repeat=vocabulary[p])]
+    tables = {p: np.zeros((n,) * a + (len(worlds),), dtype=bool)
+              for p, a in vocabulary.items() if p in named}
+    for bit, (p, args) in enumerate(order):
+        if p in tables:
+            for w, bits in enumerate(worlds.tolist()):
+                tables[p][args + (w,)] = bool(bits >> bit & 1)
+    return tables
 
 
 def residue_groundings(kind, width, n, level):

@@ -13,7 +13,7 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from test_logic import closed_formulas
+from test_logic import _matrices, closed_formulas
 from test_structures import local_of
 
 from relmarg import expansion, stats
@@ -21,7 +21,16 @@ from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
 from relmarg.estimation import ExperimentConfig, random_structure, run_error_experiment
 from relmarg.expansion import expand, expanded_statistic, representative_tables, residue_groundings
-from relmarg.logic import Forall, Or, PredAtom, Predicate, Var, parse_formula, strip_foralls
+from relmarg.logic import (
+    Forall,
+    Or,
+    PredAtom,
+    Predicate,
+    Var,
+    parse_formula,
+    strip_foralls,
+    vars_of,
+)
 from relmarg.maxent import ExplicitDistribution, shrink_distribution
 from relmarg.stats import (
     MODEL_B,
@@ -193,42 +202,69 @@ TABLED = {"q": 0, "r": 1, "e": 2}
 
 
 @st.composite
-def grounding_cases(draw):
+def grounding_cases(draw, width=None):
     """A width k, the truth tables of the predicates of TABLED in S
-    structures, S and Model A grounding rows into them: one structure on 1-5
-    constants and its k-subsets; none, some or all of the 128 worlds on 2
-    constants (as hard rules leave them) and their k-subsets; or the
-    expansions of 1-3 samples and their residue rows into
-    ``representative_tables``."""
-    source = draw(st.sampled_from(["structure", "worlds", "expansions"]))
+    structures, S and grounding rows into them: Model A subsets of a width k
+    drawn here or, given ``width``, injective Model B substitutions of that
+    width (1-3).  One structure on 1-5 constants and its groundings; none,
+    some or all of the 128 worlds on 2 constants (as hard rules leave them)
+    and their groundings; or the expansions of 1-3 samples and their residue
+    rows into ``representative_tables``."""
+    kind = None if width is None else MODEL_B
+    orders = itertools.combinations if kind is None else itertools.permutations
+    least = width or 1  # constants that a grounding needs
+    sources = ["structure", "expansions"] + ["worlds"] * (least <= 2)
+    source = draw(st.sampled_from(sources))
     if source == "worlds":
         worlds = enumerate_worlds(("a", "b"), TABLED).worlds[: draw(st.sampled_from([0, 5, 128]))]
-        k = draw(st.integers(1, 2))
-        tables = world_tables(worlds, 2, TABLED, TABLED)
-        return k, tables, len(worlds), np.array(list(itertools.combinations(range(2), k)))
+        k = width or draw(st.integers(1, 2))
+        tables = world_tables(worlds, stats.pattern_layout(TABLED, 2), TABLED)
+        return k, tables, len(worlds), np.array(list(orders(range(2), k)))
     rng = random.Random(draw(st.integers(0, 10_000)))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(least, 5))
     base = stats.structure_tables(random_structure(n, TABLED, 0.5, rng), TABLED)
     if source == "structure":
-        k = draw(st.integers(1, n))
-        return k, base, 1, np.array(list(itertools.combinations(range(n), k)))
-    m, level = draw(st.integers(1, n)), draw(st.integers(1, 3))
-    k = draw(st.integers(1, min(4, m * level)))
+        k = width or draw(st.integers(1, n))
+        return k, base, 1, np.array(list(orders(range(n), k)))
+    m = draw(st.integers(1, n))
+    level = draw(st.integers(-(-least // m), 3))
+    k = width or draw(st.integers(1, min(4, m * level)))
     positions = np.array([rng.sample(range(n), m) for _ in range(draw(st.integers(1, 3)))])
-    rows, _, _ = residue_groundings(ModelA(k), k, m, level)
+    rows, _, _ = residue_groundings(kind or ModelA(k), k, m, level)
     return k, representative_tables(base, positions, min(level, k)), len(positions), rows
 
 
-@settings(max_examples=250, deadline=None)
-@given(closed_formulas((), predicates=Q_R_E_S), grounding_cases())
-def test_grounding_truths_equal_the_assignment_loop(f, case):
-    # nested quantifiers, equality, predicates of arity 0-2 and one without
-    # a table, on either side of the pattern-table rule, in blocks of one
-    # cell, of a few cells and of the default
-    k, tables, structures, rows = case
-    (checked,) = stats.check_formulas((f,), TABLED, ModelA(k))
-    want = stats.holds_over(f, tables, (len(rows), structures), list(rows.T), {})
-    table = checked.kind.pattern_table(checked)
+@st.composite
+def b_formulas(draw):
+    """A Model B formula over Q_R_E_S, or over its predicates of arity 0 and
+    1 alone, whose few local atoms get more tables: a quantifier-free matrix
+    over one to three of X, Y, Z and equality under a universal prefix that
+    binds its variables, and perhaps more, in any order."""
+    xyz = [Var(v) for v in "XYZ"]
+    predicates = draw(st.sampled_from([Q_R_E_S, tuple(p for p in Q_R_E_S if p.arity < 2)]))
+    matrix = draw(_matrices(xyz[:draw(st.integers(1, 3))], predicates))
+    bound = [v for v in xyz if v in vars_of(matrix) or draw(st.booleans())] or xyz[:1]
+    return Forall(tuple(draw(st.permutations(bound))), matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grounding_truths_equal_the_assignment_loop(data):
+    # Model A formulas with nested quantifiers and Model B matrices under
+    # any prefix order, with equality, predicates of arity 0-2 and one
+    # without a table, on either side of the pattern-table rule, in blocks
+    # of one cell, of a few cells and of the default
+    if data.draw(st.booleans(), label="Model B"):
+        (checked,) = stats.check_formulas((data.draw(b_formulas()),), TABLED, MODEL_B)
+        _, tables, structures, rows = data.draw(grounding_cases(checked.width))
+    else:
+        f = data.draw(closed_formulas((), predicates=Q_R_E_S))
+        k, tables, structures, rows = data.draw(grounding_cases())
+        (checked,) = stats.check_formulas((f,), TABLED, ModelA(k))
+    columns = list(rows.T)
+    env = {v.name: c for v, c in zip(checked.bound, columns)}
+    want = stats.holds_over(checked.body, tables, (len(rows), structures), columns, env)
+    table = stats._pattern_table(checked)
     cells = 1 if table is None else len(table.layout.place)  # per grounding and structure
     for block_cells in (1, 7, 1 << 20):
         with mock.patch.object(stats, "BLOCK_CELLS", block_cells):
@@ -253,12 +289,43 @@ def test_grounding_truths_equal_the_assignment_loop(f, case):
 )
 def test_pattern_table_is_read_when_the_loop_reads_more(text, k, tabled):
     (checked,) = stats.check_formulas((parse_formula(text),), {}, ModelA(k))
-    assert (checked.kind.pattern_table(checked) is not None) is tabled
+    assert (stats._pattern_table(checked) is not None) is tabled
 
 
 def test_model_b_keeps_the_assignment_loop():
-    (checked,) = stats.check_formulas((parse_formula("forall X, Y: ~e(X,Y) | e(Y,X)"),), {}, MODEL_B)
-    assert checked.kind.pattern_table(checked) is None
+    # a Model B matrix is held to the rule of Model A formulas: with at
+    # least as many local atoms as the loop's atom reads, it keeps the loop
+    for text in (
+        "forall X, Y: ~e(X,Y) | e(Y,X)",  # 4 local atoms, 2 reads
+        "forall X, Y, Z: ~e(X,Y) | ~e(Y,Z) | e(X,Z)",  # 9 local atoms, 3 reads
+    ):
+        (checked,) = stats.check_formulas((parse_formula(text),), {}, MODEL_B)
+        assert stats._pattern_table(checked) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "forall X: (r(X) | s(X)) & (~r(X) | ~s(X))",  # 2 local atoms, 4 reads
+        "forall Y, X: r(X) & (~r(X) | ~r(Y) | X = Y)",  # 2 local atoms, 3 reads
+    ],
+)
+def test_model_b_matrices_read_a_pattern_table_when_the_loop_reads_more(text):
+    # the prefix, in its own order, binds the positions 0..v-1: the table
+    # decides each substitution as the per-substitution oracle does
+    (checked,) = stats.check_formulas((parse_formula(text),), {}, MODEL_B)
+    assert stats._pattern_table(checked) is not None
+    example = random_structure(5, checked.vocabulary, 0.5, random.Random(2))
+    tables = stats.structure_tables(example, checked.vocabulary)
+    rows = checked.rows(5)
+    got = np.concatenate(list(stats.grounding_truths(checked, rows, tables, 1)))[:, 0]
+    names = [v.name for v in checked.bound]
+    want = [
+        oracles.holds(checked.body, example.atoms, example.constants,
+                      {v: example.constants[i] for v, i in zip(names, row)})
+        for row in rows.tolist()
+    ]
+    assert got.tolist() == want and any(want) and not all(want)
 
 
 def test_pattern_tables_stop_past_twelve_local_atoms():
@@ -273,7 +340,7 @@ def test_pattern_tables_stop_past_twelve_local_atoms():
     for f, atoms, tabled in ((at12, 12, True), (at13, 13, False)):
         (checked,) = stats.check_formulas((f,), TABLED, ModelA(3))
         assert len(stats.local_atoms(checked.vocabulary, 3)) == atoms
-        table = checked.kind.pattern_table(checked)
+        table = stats._pattern_table(checked)
         assert (table is not None) is tabled
         tables = stats.structure_tables(example, checked.vocabulary)
         want = stats.holds_over(f, tables, (len(rows), 1), list(rows.T), {})
@@ -281,7 +348,7 @@ def test_pattern_tables_stop_past_twelve_local_atoms():
         assert np.array_equal(np.concatenate(blocks), want)
     # the cached truths are shared by every call, so none may write them
     (checked,) = stats.check_formulas((at12,), TABLED, ModelA(3))
-    truth = checked.kind.pattern_table(checked).truth
+    truth = stats._pattern_table(checked).truth
     assert truth.shape == (4096,) and not truth.flags.writeable
     with pytest.raises(ValueError):
         truth[0] = not truth[0]
@@ -297,7 +364,7 @@ def test_pattern_table_at_the_limit_holds_what_its_comment_states():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = checked.kind.pattern_table(checked)
+        table = stats._pattern_table(checked)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -483,7 +550,7 @@ def test_a_kept_class_table_leaves_a_marginal_nothing_to_build(cold_memo):
     (checked,) = stats.check_formulas(
         (parse_formula("forall X, Y: ~r(X) | ~e(X,Y)"),), {"r": 1, "e": 2}, ModelA(3)
     )
-    assert checked.kind.pattern_table(checked).layout.local == layout.local
+    assert stats._pattern_table(checked).layout.local == layout.local
     tables = stats.structure_tables(example, checked.vocabulary)
     truths = np.concatenate(list(stats.grounding_truths(checked, checked.rows(6), tables, 1)))
     built = AssertionError("built")
@@ -574,7 +641,7 @@ def test_pattern_keys_match_the_per_atom_gather(arities, n, structures, seed, ce
         assert layout.place is None
         return
     with mock.patch.object(stats, "BLOCK_CELLS", cells):
-        blocks = list(stats.pattern_keys(tables, layout, subsets, k, structures))
+        blocks = list(stats.pattern_keys(tables, layout, subsets, structures))
     assert all(b.shape[1:] == (structures,) for b in blocks)
     assert all(len(b) == 1 or len(b) * structures * max(m, 1) <= cells for b in blocks)
     keys = np.concatenate(blocks)
@@ -593,8 +660,8 @@ def test_a_subset_key_is_its_world_index(k, arities, data):
     layout = stats.pattern_layout(vocab, k)
     assume(len(layout.local) <= 12)
     space = enumerate_worlds([f"c{i + 1}" for i in range(k)], vocab)
-    tables = world_tables(space.worlds, k, vocab, vocab)
-    (block,) = stats.pattern_keys(tables, layout, np.arange(k)[None], k, len(space))
+    tables = world_tables(space.worlds, space.layout, vocab)
+    (block,) = stats.pattern_keys(tables, layout, np.arange(k)[None], len(space))
     assert block[0].tolist() == space.worlds.tolist()
     w = data.draw(st.integers(0, len(space) - 1))
     m = data.draw(st.integers(1, k))
@@ -613,7 +680,7 @@ def _check_canonical_patterns(vocab, k, patterns, cells):
     ]
     layout = stats.pattern_layout(vocab, k)
     with mock.patch.object(stats, "BLOCK_CELLS", cells):
-        images, automorphisms = stats.canonical_patterns(patterns, layout, k)
+        images, automorphisms = stats.canonical_patterns(patterns, layout)
     assert images.shape == patterns.shape and len(automorphisms) == len(patterns)
     for pattern, image, autos in zip(patterns, images, automorphisms):
         cf = oracles.canonicalize(LocalExample(k, [a for a, bit in zip(local, pattern) if bit]))
@@ -671,7 +738,7 @@ def test_canonical_patterns_over_many_local_atoms(vocab, k, cells):
     patterns = np.vstack([np.zeros(m, bool), np.ones(m, bool), rng.random((6, m)) < 0.3])
     _check_canonical_patterns(vocab, k, patterns, cells)
     layout = stats.pattern_layout(vocab, k)
-    images, automorphisms = stats.canonical_patterns(patterns[:2], layout, k)
+    images, automorphisms = stats.canonical_patterns(patterns[:2], layout)
     assert (images == patterns[:2]).all()
     assert list(automorphisms) == [math.factorial(k)] * 2
 

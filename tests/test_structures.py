@@ -148,8 +148,7 @@ def test_array_built_structures_agree_with_atom_built_ones(ex, data):
     # the parser, fragments, world spaces and the random generator build
     # position arrays directly; each agrees with the structure built from
     # the same ground atoms
-    if all(a.args for a in ex.atoms):  # the facts format has no arity-0 atoms
-        oracles.same_structure(parse_facts(format_facts(ex)), GlobalExample(ex.constants, ex.atoms))
+    oracles.same_structure(parse_facts(format_facts(ex)), GlobalExample(ex.constants, ex.atoms))
     subset = data.draw(st.sets(st.sampled_from(ex.constants)))
     oracles.same_structure(fragment(ex, subset), oracles.fragment(ex, subset))
     vocab = ex.vocabulary()
@@ -290,6 +289,16 @@ def test_parse_facts_rejects_arity_conflicts():
         parse_facts("e(a,b)\ne(a)\n")
 
 
+def test_parse_facts_reads_arity_zero_atoms():
+    ex = parse_facts("@constants c1, c2\nq()\nq( ).\nr(c1)\n")
+    assert ex.atoms == frozenset({GroundAtom("q", ()), GroundAtom("r", ("c1",))})
+    assert ex.vocabulary() == {"q": 0, "r": 1}
+    assert format_facts(ex) == "@constants c1, c2\nq()\nr(c1)\n"
+    for text in ("q()\nq(a)\n", "q(a)\nq()\n", "q(,)\n", "q(a,)\n"):
+        with pytest.raises(FactsSyntaxError):
+            parse_facts(text)
+
+
 def test_format_parse_facts_round_trip():
     ex = GlobalExample(
         ["alice", "bob", "eve"],
@@ -304,7 +313,7 @@ def test_format_parse_facts_round_trip():
 def random_examples(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     consts = [f"c{i}" for i in range(n)]
-    atoms = []
+    atoms = [("q", ())] if draw(st.booleans()) else []
     for c in consts:
         if draw(st.booleans()):
             atoms.append(("r", (c,)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_logic import closed_formulas
 from test_stats import A_POOL, B_POOL
@@ -14,7 +14,7 @@ from test_stats import A_POOL, B_POOL
 from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
 from relmarg import stats, worlds
-from relmarg.logic import Forall, parse_formula, strip_foralls
+from relmarg.logic import Forall, Predicate, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 from relmarg.worlds import DEFAULT_ATOM_CAP, enumerate_worlds
 
@@ -90,6 +90,56 @@ def test_encode_rejects_foreign_input():
         space.encode(GlobalExample(["a", "c"], [("r", ("a",))], {"r": 1}))
     with pytest.raises(DomainError):
         space.encode(GlobalExample(["a", "b"], [("e", ("a", "b"))]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.sets(st.sampled_from(["u0", "u1"])),
+    st.data(),
+)
+def test_worlds_round_trip_through_the_layout(n, arities, declared, data):
+    # a world's bits are its key over the space's layout: encoding the
+    # structure of every world gives back its bits, whatever order the
+    # structure lists its constants in and whatever atom-free predicates it
+    # declares; a space over no constants still gives every predicate its
+    # empty table and position array
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    assume(sum(n**a for a in vocab.values()) <= 8)
+    constants = [f"c{i}" for i in range(n)]
+    predicates = tuple(Predicate(p, a) for p, a in vocab.items())
+    rule = closed_formulas(tuple(constants), predicates=predicates)
+    rules = data.draw(st.lists(rule, max_size=1))
+    space = enumerate_worlds(constants, vocab, rules)
+    assert [(a.pred, a.args) for a in space.atoms] == [
+        (p, tuple(constants[i] for i in args)) for p, args in stats.local_atoms(vocab, n)
+    ]
+    named = data.draw(st.sets(st.sampled_from(sorted(vocab) + ["u0"])))
+    want = oracles.world_tables(space.worlds, n, vocab, named)
+    got = worlds.world_tables(space.worlds, space.layout, named)
+    assert got.keys() == want.keys()
+    assert all(got[p].shape == want[p].shape and np.array_equal(got[p], want[p]) for p in want)
+    shuffled = data.draw(st.permutations(constants))
+    extra = {p: 1 for p in sorted(declared)}
+    for bits in space.worlds.tolist():
+        example = space.world_example(bits)
+        oracles.same_structure(example, GlobalExample(constants, space.world_atoms(bits), vocab))
+        assert space.encode(example) == bits
+        assert space.encode(GlobalExample(shuffled, example.atoms, {**vocab, **extra})) == bits
+    # a foreign constant, a foreign predicate and an arity clash
+    atoms = list(space.atoms[-1:])
+    foreign = [
+        GlobalExample(constants + ["zz"], atoms),
+        GlobalExample(constants, atoms + [("zz", ())]),
+    ]
+    if vocab and (n or vocab[min(vocab)]):
+        p = min(vocab)
+        clash = vocab[p] + 1 if n else 0  # over no constants only arity 0
+        foreign.append(GlobalExample(constants, [(p, tuple(constants[:1]) * clash)]))
+    for world in foreign:
+        with pytest.raises(DomainError):
+            space.encode(world)
 
 
 def test_world_index_reports_filtered_patterns():
