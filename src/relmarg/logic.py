@@ -62,49 +62,79 @@ class Predicate:
     arity: int
 
 
+class _Node:
+    """A formula node keeps the hash of its fields, computed once from its
+    children's kept hashes, so that a cache keyed on formulas (the pattern
+    tables, the count matrices) does not walk a whole tree on every lookup.
+    The kept hash is no dataclass field, so ``==`` and ``repr`` see only the
+    fields.  Each node class names ``__hash__`` in its own body, which a
+    frozen dataclass keeps in place of the one it would generate."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: a loaded node hashes again
+        return type(self), self._fields()
+
+
 @dataclass(frozen=True)
-class PredAtom:
+class PredAtom(_Node):
     pred: Predicate
     args: tuple[Term, ...]
+    __hash__ = _Node.__hash__
 
     def __post_init__(self):
         if len(self.args) != self.pred.arity:
             raise DomainError(
                 f"atom {self.pred.name} expects {self.pred.arity} arguments, got {len(self.args)}"
             )
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Term
     right: Term
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     sub: "Formula"
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     parts: tuple["Formula", ...]
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     parts: tuple["Formula", ...]
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
     vars: tuple[Var, ...]
     body: "Formula"
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     vars: tuple[Var, ...]
     body: "Formula"
+    __hash__ = _Node.__hash__
 
 
 Formula = PredAtom | Eq | Not | And | Or | Forall | Exists

@@ -21,8 +21,9 @@ kept around to cross-check the dual route.
 
 ``shrink_distribution`` reads every size-m subset of every world as a
 target world at its key over the target space's layout, the width-m
-``stats.PatternLayout`` that its worlds follow (the one key reader,
-``stats.pattern_keys``), and both it and
+``stats.PatternLayout`` that its worlds follow, read off the world's bits
+by ``worlds.world_keys``, the reader behind ``WorldSpace.count_matrix``;
+both it and
 ``distribution_statistic`` sum exact probabilities as integer numerators.
 """
 
@@ -42,7 +43,7 @@ from .logic import Formula
 from .polytope import realizability_check
 from . import stats
 from .stats import MarginalConstraint, ModelKind
-from .worlds import WorldSpace, enumerate_worlds, world_tables
+from .worlds import WorldSpace, enumerate_worlds, world_keys
 
 PRIMAL_WORLD_CAP = 1 << 16
 TOL = 1e-9  # gradient max-norm at which a fit is done
@@ -397,10 +398,10 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     first m constants.  Exact when the input probabilities are exact; all
     width-<=m marginal statistics are preserved.
 
-    Each m-subset's key in every world of nonzero probability
-    (``stats.pattern_keys`` over ``worlds.world_tables``, in blocks of at
-    most ``stats.BLOCK_CELLS`` cells) is read over the target space's
-    layout, whose atom order its worlds follow.  The target has no hard
+    Each m-subset's key in every world of nonzero probability is read off
+    the world's bits (``worlds.world_keys``, in blocks of at most
+    ``stats.BLOCK_CELLS`` cells) over the target space's layout, whose atom
+    order its worlds follow.  The target has no hard
     rules, so a key is its target world's index, where the world's
     probability goes.
     """
@@ -416,9 +417,8 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     step = max(1, stats.BLOCK_CELLS // max(len(layout.local), 1))
     for start in range(0, len(live), step):
         chunk = live[start:start + step]
-        tables = world_tables(src.worlds[chunk], src.layout, src.vocabulary)
         subsets = stats.grounding_rows(stats.ModelA(m), m, n)  # a stream is read once
-        for keys in stats.pattern_keys(tables, layout, subsets, len(chunk)):
+        for keys in world_keys(src.worlds[chunk], src.layout, layout, subsets):
             # one value per index: numpy 2.4's add.at misreads broadcast values
             np.add.at(mass, keys.ravel(), np.tile(weights[chunk], len(keys)))
     total = denom * math.comb(n, m)

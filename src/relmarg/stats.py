@@ -30,23 +30,28 @@ pairs at once.  A grounding is a row of constant positions, a structure is a
 column of the per-predicate truth tables, and an atom is a gather from those
 tables.  One example has one column (``structure_tables``, which fills each
 predicate's table by one scatter of the example's position array); a world
-space has one per world (``worlds.world_tables``), and the expansions of an
-error experiment's samples one per trial (``expansion.representative_tables``).
+space has one per world (``worlds.world_tables``, decoded only for this
+evaluator: the hard-rule filter, pattern tables and count-matrix groups
+past ``CLASS_TABLE_ATOMS``), and the expansions of an error experiment's
+samples one per trial (``expansion.representative_tables``).
 ``grounding_truths`` decides a formula at blocks of groundings;
-``count_groundings`` counts them for ``statistic``,
-``WorldSpace.count_matrix`` and the index-set estimator, and
-``expansion.expanded_statistics``, the one reader of expanded statistics,
-counts them per row shape and weights each shape's count once.  A checked
-formula of either kind over at most ``CLASS_TABLE_ATOMS`` local atoms,
-which the assignment loop would read more often than a pattern has atoms,
-gets a ``PatternTable``: one ``holds_over`` call over its 2^M width-k local
-worlds, its bound variables at the positions 0..k-1, gives its truth on
-every pattern, and the truths are read at the groundings' pattern keys
-(``_pattern_table``, at most 8 KiB a table, ``PATTERN_TABLES`` = 64 kept).
-Other formulas go through ``holds_over`` at every grounding.  The
-hard-rule filter of ``enumerate_worlds`` calls it at a rule's one
-grounding, and ``logic.holds`` (behind ``logic.evaluate``) at one grounding
-of one structure: no other code in the package decides a formula.
+``count_groundings`` counts them for ``statistic``, a world space's
+groups past ``CLASS_TABLE_ATOMS`` local atoms and the index-set estimator,
+and ``expansion.expanded_statistics``, the one reader of expanded
+statistics, counts them per row shape and weights each shape's count once.
+A checked formula of either kind over at most ``CLASS_TABLE_ATOMS`` local
+atoms, which the assignment loop would read more often than a pattern has
+atoms, gets a ``PatternTable``: one ``holds_over`` call over its 2^M
+width-k local worlds, its bound variables at the positions 0..k-1, gives
+its truth on every pattern, and the truths are read at the groundings'
+pattern keys (``_pattern_table``, at most 8 KiB a table, ``PATTERN_TABLES``
+= 128 kept).  Other formulas go through ``holds_over`` at every grounding.
+``WorldSpace.count_matrix`` reads every formula of a group within the limit
+off a table over the group's layout, which the same cache keeps.  The
+hard-rule filter of ``enumerate_worlds`` calls ``holds_over`` at a rule's
+one grounding, and ``logic.holds`` (behind ``logic.evaluate``) at one
+grounding of one structure: no other code in the package decides a
+formula.
 
 The groundings of n constants are listed by ``grounding_rows`` in the
 kind's ``itertools`` order.  A listing of at most ``LISTING_CELLS`` = 2^14
@@ -63,24 +68,27 @@ read as a bit pattern over one order of the width-k local atoms, and
 ``PatternLayout`` is the one owner of that order: ``pattern_layout`` builds
 the width k, the local atoms, each predicate's run (argument arrays and
 columns) and the place values of a key (int16 when every key fits it,
-int64 when every key fits that), all read-only, and no reader of a layout
+int64 when every key fits that), all read-only, once per vocabulary and
+width while its cache keeps it (``LAYOUTS``), and no reader of a layout
 takes its width apart from it.  A world space keeps the width-n layout of
 its vocabulary (``WorldSpace.layout``), so a world's bits are its key.
 ``gather_patterns`` reads the bits of a block of position rows over a
-layout from the same truth tables, one gather per predicate, and
-``pattern_keys``, the one reader of pattern keys, folds them into keys in
-blocks of at most ``BLOCK_CELLS`` cells.  ``grounding_truths`` reads a
-pattern table's truths at the keys, ``WorldSpace.encode`` reads a
-structure's key, ``maxent.shrink_distribution`` reads the keys of a world
-space's m-subsets as world indexes of the space of m constants, and
+layout from truth tables, one gather per predicate, and ``pattern_keys``,
+the one reader of pattern keys off truth tables, folds them into keys in
+blocks of at most ``BLOCK_CELLS`` cells.  A world space reads its keys off
+its worlds' bits instead (``worlds.world_keys``): its ``count_matrix``
+and ``maxent.shrink_distribution``, which reads the keys of a world
+space's m-subsets as world indexes of the space of m constants.
+``grounding_truths`` reads a pattern table's truths at the keys,
+``WorldSpace.encode`` reads a structure's key, and
 ``marginal_distribution_a`` reads the Model A marginal without building
 fragments: each subset's class is read at its key from one table per
 vocabulary and width that holds the class of every pattern, and
-``np.bincount`` counts the classes (``_class_table``, which keeps its
-layout, so a call builds none; up to ``CLASS_TABLE_ATOMS`` = 12 local atoms,
-at most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` = 4 tables
-kept).  Past that limit the bits are gathered over one layout built for
-the call, ``distinct_rows`` counts a call's equal patterns and the distinct
+``np.bincount`` counts the classes (``_class_table``, which holds the
+shared layout, so a call builds none; up to ``CLASS_TABLE_ATOMS`` = 12
+local atoms, at most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` =
+4 tables kept).  Past that limit the bits are gathered over the shared
+layout, ``distinct_rows`` counts a call's equal patterns and the distinct
 ones are canonicalized together.  ``canonical_patterns`` canonicalizes a
 batch over the caller's layout: one gather through a (permutation, local
 atom) index array, read off the layout's runs, gives every relabelled
@@ -519,7 +527,7 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     vocabulary and width (``_class_table``, built once while the cache
     keeps it, with its layout) at the subset's ``pattern_keys`` key, and
     ``np.bincount`` counts the classes of each block; past that the bits
-    are gathered over a layout built for the call (``gather_patterns``),
+    are gathered over the shared layout (``gather_patterns``),
     the distinct patterns of each block are counted together and the
     call's are canonicalized together (``_pattern_classes``).  A class's
     mass is its subset count over C(n,k), and classes appear in the order
@@ -596,10 +604,10 @@ class ClassTable(NamedTuple):
 def _class_table(signature: tuple[tuple[str, int], ...], k: int) -> ClassTable:
     """The ``ClassTable`` of the vocabulary ``dict(signature)`` at width k:
     ``_pattern_classes`` of every pattern over its local atoms, row i the
-    pattern whose bit j is local atom j, with the layout, so that a
+    pattern whose bit j is local atom j, with the shared layout, so that a
     marginal builds none.  Only for at most ``CLASS_TABLE_ATOMS`` local
     atoms."""
-    layout = pattern_layout(dict(signature), k)
+    layout = _layout(signature, k)
     ids = np.arange(1 << len(layout.local), dtype=np.int64)
     patterns = (ids[:, None] >> np.arange(len(layout.local)) & 1).astype(bool)
     classes, forms = _pattern_classes(patterns, layout)
@@ -609,48 +617,57 @@ def _class_table(signature: tuple[tuple[str, int], ...], k: int) -> ClassTable:
 
 
 class PatternTable(NamedTuple):
-    """A checked formula decided on every local pattern over its own
-    vocabulary at its width: ``truth[key]`` is whether it holds on the
-    pattern whose ``pattern_keys`` key over ``layout`` is ``key``."""
+    """A checked formula decided on every local pattern over a layout at
+    its width: ``truth[key]`` is whether it holds on the pattern whose
+    ``pattern_keys`` key over ``layout`` is ``key``."""
 
     truth: np.ndarray
     layout: PatternLayout
 
 
-# Pattern tables kept, one per checked formula: a table holds at most
-# 2^CLASS_TABLE_ATOMS = 4,096 truths and its layout, at most 8 KiB (7.8 KiB
-# under tracemalloc, Python 3.11, at 12 local atoms), so a full cache holds
-# at most 512 KiB beside the formulas of its keys.  The verify suites use 54
-# checked formulas of both kinds (tables and None), the benchmark workloads
-# at most 41 each, and a kept table serves every later call.
-PATTERN_TABLES = 64
+# Pattern tables kept, one per checked formula and layout: a table holds at
+# most 2^CLASS_TABLE_ATOMS = 4,096 truths, at most 8 KiB beside its shared
+# layout (4.6 KiB under tracemalloc, Python 3.11, at 12 local atoms, with
+# the cache entries of both keys that reach it), so a full cache holds at
+# most 1 MiB beside the formulas of its keys.  Distinct keys, tables and
+# None, over one job list at seed 1: fit 80, geometry 56, estimate 16, and
+# the verify suites 84; a kept table serves every later call.
+PATTERN_TABLES = 128
 
 
 @functools.lru_cache(maxsize=PATTERN_TABLES)
-def _pattern_table(checked: CheckedFormula) -> PatternTable | None:
-    """The ``PatternTable`` of a checked formula of width k over its own
+def _pattern_table(
+    checked: CheckedFormula, layout: PatternLayout | None = None
+) -> PatternTable | None:
+    """The ``PatternTable`` of a checked formula of width k over ``layout``,
+    a width-k layout (predicates of the layout that the formula does not
+    name are read and ignored, those it names outside the layout are false
+    everywhere).  Without a layout, the table over the formula's own
     vocabulary, or None when its M local atoms are more than
     ``CLASS_TABLE_ATOMS`` or at least the table reads of the assignment
     loop, in which a pattern key would read no fewer atoms
-    (``_table_reads``).  The truths come from one
-    ``holds_over`` call over the 2^M width-k local worlds, world i the
-    pattern whose key is i: ``worlds.world_tables`` decodes their tables
-    over the layout the table keeps, the ``bound`` variables are bound to
-    the positions 0..k-1, and quantifiers range over them.  Its truth at a
-    grounding row is its truth on the row's pattern when the row lists
-    distinct positions, as every row of either kind does."""
+    (``_table_reads``); the per-formula readers of truth tables ask this.
+    The truths come from one ``holds_over`` call over the 2^M width-k
+    local worlds, world i the pattern whose key is i:
+    ``worlds.world_tables`` decodes their tables over the layout, the
+    ``bound`` variables are bound to the positions 0..k-1, and quantifiers
+    range over them.  Its truth at a grounding row is its truth on the
+    row's pattern when the row lists distinct positions, as every row of
+    either kind does."""
     # worlds imports this module, so the decode is imported at call time
     from .worlds import world_tables
 
     k, body = checked.width, checked.body
-    atoms = sum(k**arity for arity in checked.vocabulary.values())  # local atoms
-    if atoms > CLASS_TABLE_ATOMS or atoms >= _table_reads(body, k):
-        return None
-    layout = pattern_layout(checked.vocabulary, k)
-    tables = world_tables(np.arange(1 << atoms), layout, checked.vocabulary)
+    if layout is None:
+        atoms = sum(k**arity for arity in checked.vocabulary.values())  # local atoms
+        if atoms > CLASS_TABLE_ATOMS or atoms >= _table_reads(body, k):
+            return None
+        return _pattern_table(checked, pattern_layout(checked.vocabulary, k))
+    worlds = np.arange(1 << len(layout.local))
+    tables = world_tables(worlds, layout, checked.vocabulary)
     domain = [np.array([i]) for i in range(k)]
     env = {v.name: at for v, at in zip(checked.bound, domain)}
-    truth = np.array(holds_over(body, tables, (1, 1 << atoms), domain, env)[0])
+    truth = np.array(holds_over(body, tables, (1, len(worlds)), domain, env)[0])
     # every call shares the cached array, so none may write it
     truth.flags.writeable = False
     return PatternTable(truth, layout)
@@ -671,7 +688,8 @@ def _table_reads(f: Formula, k: int) -> int:
     return k ** len(f.vars) * _table_reads(f.body, k)
 
 
-class PatternLayout(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class PatternLayout:
     """The order of the local atoms of one vocabulary at ``width`` k, which
     a bit pattern, its key and a world of k constants all follow: bit j of
     a pattern, ``place[j]`` in its key, is ``local[j]``, and each
@@ -680,7 +698,9 @@ class PatternLayout(NamedTuple):
     ``columns`` their slice of the pattern; a predicate of arity at least 1
     has an empty run at width 0.  ``place`` is int16 when every key fits
     it, int64 when every key fits that, and None past that; all arrays are
-    read-only."""
+    read-only.  A layout is compared and hashed as its own identity, so a
+    cache such as the pattern tables' can key on it; ``pattern_layout``
+    shares one per vocabulary and width."""
 
     width: int
     local: tuple[LocalAtom, ...]
@@ -688,13 +708,31 @@ class PatternLayout(NamedTuple):
     place: np.ndarray | None
 
 
+# Layouts kept, one per vocabulary and width.  A layout holds its local
+# atoms, one argument array a predicate and its place values: at most 16
+# KiB for a world space's, which has at most 24 atoms (15.4 KiB under
+# tracemalloc, Python 3.11, for 24 unary predicates at width 1); a marginal
+# or canonical form past CLASS_TABLE_ATOMS local atoms keeps one of its
+# width, under 0.7 KiB an atom.  Distinct layouts over one job list at seed
+# 1: fit 22, geometry 11, estimate 4, and the verify suites 18.
+LAYOUTS = 64
+
+
 def pattern_layout(vocabulary: Mapping[str, int], k: int) -> PatternLayout:
     """The ``PatternLayout`` of ``vocabulary`` at width ``k``, over
-    ``local_atoms(vocabulary, k)``."""
+    ``local_atoms(vocabulary, k)``: one read-only object that every call
+    with the same predicates and arities, in any key order, shares while
+    the cache of ``LAYOUTS`` keeps it."""
+    return _layout(tuple(sorted(vocabulary.items())), k)
+
+
+@functools.lru_cache(maxsize=LAYOUTS)
+def _layout(signature: tuple[tuple[str, int], ...], k: int) -> PatternLayout:
+    vocabulary = dict(signature)
     local = local_atoms(vocabulary, k)
     runs, start = [], 0
-    for p in sorted(vocabulary):
-        args = position_grid(k, vocabulary[p]).T
+    for p, arity in signature:
+        args = position_grid(k, arity).T
         args.flags.writeable = False
         runs.append((p, args, slice(start, start + args.shape[1])))
         start += args.shape[1]

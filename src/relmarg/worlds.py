@@ -8,35 +8,45 @@ ascending pattern order, and caches the per-world statistic counts that the
 max-entropy solver and the polytope code share.  The atom count is capped
 because everything downstream is exponential in it by design.
 
-Nothing here walks one world at a time.  ``world_tables`` reads each
-predicate's truth table off its run's columns of the bit patterns, one
-column per world, and the evaluator that also serves single examples
-(``stats.holds_over``) decides a formula over every world at once: the
-hard-rule filter evaluates each rule at its one grounding, and
-``count_matrix`` counts each formula's true groundings with
-``stats.count_groundings``.  ``world_example`` reads a world's position
-arrays off its runs' set bits, and ``encode`` reads a structure's key over
-the layout with ``stats.pattern_keys``.
+Nothing here walks one world at a time.  ``world_keys`` reads the pattern
+key of every grounding row in every world straight off the worlds' bits:
+``count_matrix`` groups its formulas by width, reads each group's keys
+once over the layout of the space's predicates that the group names, and
+sums each formula's ``stats._pattern_table`` truths at them; so does
+``maxent.shrink_distribution`` for its m-subsets.  ``world_tables``
+decodes worlds into truth tables for ``stats.holds_over`` alone, the
+evaluator that also serves single examples and decides a formula over
+every world at once: the hard-rule filter evaluates each rule at its one
+grounding, a pattern table decides its formula on its 2^M local worlds,
+and a group of more than ``stats.CLASS_TABLE_ATOMS`` local atoms is
+counted by ``stats.count_groundings``.  ``world_example`` reads a world's
+position arrays off its runs' set bits, and ``encode`` reads a
+structure's key over the layout with ``stats.pattern_keys``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import stats
 from .data import GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
 from .logic import Formula, constants_of, free_vars, merge_vocabulary, vocabulary_of
 from .stats import (
+    CLASS_TABLE_ATOMS,
     TABLE_CELL_CAP,
     ModelKind,
     PatternLayout,
+    _pattern_table,
     check_cells,
     check_formulas,
     count_groundings,
+    grounding_rows,
     holds_over,
+    index_blocks,
     pattern_keys,
     pattern_layout,
     structure_tables,
@@ -48,17 +58,19 @@ DEFAULT_ATOM_CAP = 24
 # tables of every space enumerate_worlds admits, at most DEFAULT_ATOM_CAP
 # one-byte atoms by 2^DEFAULT_ATOM_CAP worlds, fit.
 WORLD_TABLE_BYTE_CAP = 8 * TABLE_CELL_CAP
+# the mask of bit i of a byte
+_BITS = (1 << np.arange(8)).astype(np.uint8)
 
 
 def world_tables(
     worlds: np.ndarray, layout: PatternLayout, named: Container[str]
 ) -> dict[str, np.ndarray]:
     """Truth tables over an array of bit patterns over ``layout``, for the
-    predicates in ``named``: ``tables[p][i, j, ..., w]`` is the bit of
-    local atom ``p(i, j, ...)`` in world w.  A run's arguments are in
-    product order, which is row-major, so its columns reshape into its
-    table directly.  Over a width-k layout, world i is the local pattern
-    whose key is i."""
+    predicates in ``named``, as ``stats.holds_over`` reads them:
+    ``tables[p][i, j, ..., w]`` is the bit of local atom ``p(i, j, ...)``
+    in world w.  A run's arguments are in product order, which is
+    row-major, so its columns reshape into its table directly.  Over a
+    width-k layout, world i is the local pattern whose key is i."""
     # atom bit k is bit k % 8 of byte k // 8 of the little-endian pattern
     octets = worlds.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
     octets = np.ascontiguousarray(octets.T[:(len(layout.local) + 7) // 8])
@@ -70,6 +82,46 @@ def world_tables(
                 np.not_equal(octets[k // 8] & (1 << k % 8), 0, out=table[i])
             tables[pred] = table.reshape((layout.width,) * len(args) + (len(worlds),))
     return tables
+
+
+def world_keys(
+    worlds: np.ndarray,
+    space: PatternLayout,
+    layout: PatternLayout,
+    rows: Iterable[Sequence[int]],
+) -> Iterator[np.ndarray]:
+    """The key over ``layout`` of the pattern of each row of
+    ``layout.width`` positions in ``rows`` (an array or a stream, as
+    ``stats.index_blocks`` reads them) in each of the bit patterns
+    ``worlds`` over ``space``, as consecutive (rows, worlds) intp blocks:
+    what ``stats.pattern_keys`` reads over the ``world_tables`` of the
+    worlds, read off their bits.  The predicates of ``layout`` must be
+    predicates of ``space``, and ``layout.place`` must not be None.
+
+    Local atom ``p(a1, ..., ar)`` of the row s is the space's atom ``p(s[a1],
+    ..., s[ar])``, the bit at the start of p's run plus the row-major place
+    ``s[a1] * n^(r-1) + ... + s[ar]``, over the space's width n.  A block
+    reads one byte a (row, local atom, world) cell, the world's byte that
+    holds the atom's bit, masks the bit and folds the bits into keys; it
+    has at most ``stats.BLOCK_CELLS`` cells and at least one row."""
+    # atom bit b is bit b % 8 of byte b // 8 of the little-endian pattern;
+    # octets[b // 8, w] is that byte of world w
+    octets = worlds.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    octets = np.ascontiguousarray(octets.T[:(len(space.local) + 7) // 8])
+    start = {p: columns.start for p, _, columns in space.runs}
+    n, cells = space.width, len(worlds) * len(layout.local)
+    for block in index_blocks(rows, layout.width, stats.BLOCK_CELLS // max(cells, 1)):
+        at = np.empty((len(block), len(layout.local)), dtype=np.intp)
+        for p, args, columns in layout.runs:
+            place = 0
+            for a in args:
+                place = place * n + block[:, a]
+            at[:, columns] = start[p] + place
+        byte, bit = np.divmod(at, 8)
+        bits = octets[byte]
+        bits &= _BITS[bit][..., None]
+        # the fold is fastest in place's dtype, an index read in intp's
+        yield np.einsum("raw,a->rw", bits != 0, layout.place).astype(np.intp)
 
 
 @dataclass
@@ -139,7 +191,16 @@ class WorldSpace:
         ``WORLD_TABLE_BYTE_CAP`` bytes.  Matrices are cached; a new one that
         would take the cache past that cap replaces all the cached ones.
         A cached matrix of the same kind that holds every requested formula
-        answers from its columns, and the cache does not change."""
+        answers from its columns, and the cache does not change.
+
+        The formulas are grouped by width, which with the kind fixes their
+        groundings.  A group's layout is the space's predicates that it
+        names, at its width; up to ``stats.CLASS_TABLE_ATOMS`` local atoms,
+        ``world_keys`` reads the key of every grounding in every world once,
+        and each formula's column sums its pattern table over that layout
+        at the keys.  A wider group decodes its predicates' truth tables
+        (``world_tables``) and counts each formula with
+        ``stats.count_groundings``."""
         key = (tuple(formulas), kind)
         cached = self._counts.get(key)
         if cached is not None:
@@ -162,10 +223,23 @@ class WorldSpace:
             f"counts of {w} worlds by {len(formulas)} formulas in {matrix_bytes} bytes",
             WORLD_TABLE_BYTE_CAP,
         )
-        tables = world_tables(self.worlds, self.layout, named)
         out = np.zeros((w, len(formulas)), dtype=np.int64)
+        groups: dict[int, list[int]] = {}  # width -> columns
         for j, c in enumerate(checked):
-            out[:, j] = count_groundings(c, c.rows(n), tables, w)
+            groups.setdefault(c.width, []).append(j)
+        for k, columns in groups.items():
+            own = {p for j in columns for p in checked[j].vocabulary}
+            layout = pattern_layout({p: a for p, a in self.vocabulary.items() if p in own}, k)
+            if len(layout.local) > CLASS_TABLE_ATOMS:
+                tables = world_tables(self.worlds, self.layout, own)
+                for j in columns:
+                    out[:, j] = count_groundings(checked[j], checked[j].rows(n), tables, w)
+                continue
+            truths = [_pattern_table(checked[j], layout).truth for j in columns]
+            rows = grounding_rows(kind, k, n)
+            for keys in world_keys(self.worlds, self.layout, layout, rows):
+                for j, truth in zip(columns, truths):
+                    out[:, j] += truth[keys].sum(axis=0)
         if out.nbytes + sum(c.nbytes for c in self._counts.values()) > WORLD_TABLE_BYTE_CAP:
             self._counts.clear()
         self._counts[key] = out

@@ -1,6 +1,10 @@
 """Parser, printer, and evaluator tests, cross-checked against the
 tree-walking oracle in ``oracles``."""
 
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import oracles
@@ -402,6 +406,36 @@ def test_holds_matches_the_tree_walker(f, data):
     domain = data.draw(st.lists(st.sampled_from(NAMES), unique=True))
     env = {v.name: data.draw(st.sampled_from(NAMES)) for v in sorted(free_vars(f), key=str)}
     assert holds(f, atoms, domain, env) is oracles.holds(f, atoms, domain, env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(open_formulas(), closed_formulas(), shadowing_formulas()))
+def test_formulas_keep_their_hash_through_pickle_and_text(f):
+    # a node keeps the hash of its fields, which equal trees share; the
+    # kept hash is no field, so equality and repr see only the tree
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
+    parsed = parse_formula(format_formula(f))
+    reparsed = parse_formula(format_formula(parsed))
+    assert reparsed == parsed and hash(reparsed) == hash(parsed)
+    assert "_hash" not in repr(f)
+
+
+def test_a_formula_pickled_under_another_hash_seed_hashes_again():
+    # string hashes differ between processes, so a loaded node hashes anew
+    text = "forall X, Y: ~e(X,Y) | (r(X) & X != Y) | (exists Z: e(Y,Z))"
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import pickle, sys; from relmarg.logic import parse_formula; "
+        f"sys.stdout.buffer.write(pickle.dumps(parse_formula({text!r})))"
+    )
+    sent = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True, check=True,
+    ).stdout
+    loaded, here = pickle.loads(sent), parse_formula(text)
+    assert loaded == here and hash(loaded) == hash(here)
+    assert {loaded: 1}[here] == 1
 
 
 @settings(max_examples=300, deadline=None)

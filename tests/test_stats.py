@@ -1,5 +1,6 @@
 """Fragment and substitution statistics against independent counting oracles."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -356,9 +357,12 @@ def test_pattern_tables_stop_past_twelve_local_atoms():
 
 def test_pattern_table_at_the_limit_holds_what_its_comment_states():
     # 12 local atoms, 4,096 truths, the most a table holds; the comment
-    # beside PATTERN_TABLES states 8 KiB a table
+    # beside PATTERN_TABLES states 8 KiB a table beside its layout, which
+    # the layout cache holds and every table of the vocabulary and width
+    # shares, so the layout is built before the measurement
     f = parse_formula("forall X, Y: ~r(X) | ~e(X,Y)")
     (checked,) = stats.check_formulas((f,), {}, ModelA(3))
+    layout = stats.pattern_layout({"r": 1, "e": 2}, 3)
     stats._pattern_table.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -370,7 +374,39 @@ def test_pattern_table_at_the_limit_holds_what_its_comment_states():
     finally:
         tracemalloc.stop()
     assert len(table.truth) == 4096 and 0 < held <= 8 * 1024
+    assert table.layout is layout
     assert stats._pattern_table.cache_info().maxsize == stats.PATTERN_TABLES
+
+
+def test_pattern_layout_is_one_read_only_object_per_vocabulary_and_width():
+    # any key order names the same layout, which world spaces, class tables
+    # and pattern tables of that vocabulary and width all hold
+    layout = stats.pattern_layout({"r": 1, "e": 2}, 3)
+    assert stats.pattern_layout({"e": 2, "r": 1}, 3) is layout
+    assert stats.pattern_layout({"e": 2, "r": 1}, 2) is not layout
+    assert stats.pattern_layout({"e": 2, "r": 1, "q": 0}, 3) is not layout
+    assert enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2}).layout is layout
+    assert stats._class_table((("e", 2), ("r", 1)), 3).layout is layout
+    (checked,) = stats.check_formulas(
+        (parse_formula("exists X: r(X) & (forall Y: e(X,Y) | e(Y,X))"),), {}, ModelA(3)
+    )
+    assert stats._pattern_table(checked).layout is layout
+    # a count matrix's group may read a table over a layout past the
+    # formula's own vocabulary
+    (checked,) = stats.check_formulas(
+        (parse_formula("forall X, Y: ~e(X,Y) | e(Y,X)"),), {}, ModelA(2)
+    )
+    own, wider = stats.pattern_layout({"e": 2}, 2), stats.pattern_layout({"e": 2, "r": 1}, 2)
+    assert stats._pattern_table(checked).layout is own
+    assert stats._pattern_table(checked, wider).layout is wider
+    for array in (layout.place, *(args for _, args, _ in layout.runs)):
+        assert not array.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.width = 2
+    # a layout is its own identity, so it keys a cache without its arrays
+    assert {layout: 1}[stats.pattern_layout({"e": 2, "r": 1}, 3)] == 1
+    assert stats._layout.__wrapped__((("e", 2), ("r", 1)), 3) != layout
+    assert stats._layout.cache_info().maxsize == stats.LAYOUTS
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,20 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_logic import closed_formulas
+from test_logic import _matrices, closed_formulas
 from test_stats import A_POOL, B_POOL
 
 from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
 from relmarg import stats, worlds
-from relmarg.logic import Forall, Predicate, parse_formula, strip_foralls
+from relmarg.logic import Forall, Predicate, Var, parse_formula, strip_foralls
 from relmarg.stats import MODEL_B, ModelA, statistic
 from relmarg.worlds import DEFAULT_ATOM_CAP, enumerate_worlds
 
@@ -250,24 +251,84 @@ def per_world_counts(space, formulas, kind):
     return rows
 
 
+# e/2 over four constants: a width-4 group has 16 local atoms, past
+# CLASS_TABLE_ATOMS; the hard rule keeps the 64 symmetric irreflexive graphs
+WIDE_SHAPE = (tuple("abcd"), {"e": 2})
+WIDE_RULE = parse_formula("forall X, Y: ~e(X,Y) | X != Y & e(Y,X)")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_count_matrix_matches_per_world_holds(data):
-    constants, vocab = data.draw(st.sampled_from(ORACLE_SHAPES))
-    rules = data.draw(st.lists(closed_formulas(), max_size=1))
-    space = enumerate_worlds(constants, vocab, rules)
+    # Model A formulas of one width, and Model B sets whose prefixes may
+    # have two lengths, so two groups in one call; with or without a hard
+    # rule; each group read off the world bits or, past the group limit
+    # (drawn low here, or reached by the wide space), through truth tables
+    x, y = Var("X"), Var("Y")
+    constants, vocab = data.draw(st.sampled_from(ORACLE_SHAPES + [WIDE_SHAPE]))
     n = len(constants)
-    if data.draw(st.booleans()):
-        kind = ModelA(data.draw(st.integers(1, min(n, 3))))
+    if constants == WIDE_SHAPE[0]:
+        rules = [WIDE_RULE]
+        kind = ModelA(data.draw(st.sampled_from([2, 4])))
         formulas = data.draw(st.lists(closed_formulas(()), min_size=1, max_size=3))
     else:
-        kind = MODEL_B
-        formulas = data.draw(
-            st.lists(closed_formulas((), (Forall,), prenex=True), min_size=1, max_size=3)
-        )
-    counts = space.count_matrix(formulas, kind)
+        rules = data.draw(st.lists(closed_formulas(), max_size=1))
+        if data.draw(st.booleans()):
+            kind = ModelA(data.draw(st.integers(1, min(n, 3))))
+            formulas = data.draw(st.lists(closed_formulas(()), min_size=1, max_size=3))
+        else:
+            kind = MODEL_B
+            formulas = data.draw(
+                st.lists(closed_formulas((), (Forall,), prenex=True), min_size=1, max_size=3)
+            )
+            if data.draw(st.booleans(), label="two widths"):
+                formulas += [
+                    Forall((x,), data.draw(_matrices([x]))),
+                    Forall((x, y), data.draw(_matrices([x, y]))),
+                ]
+    space = enumerate_worlds(constants, vocab, rules)
+    limit = data.draw(st.sampled_from([stats.CLASS_TABLE_ATOMS, 0, 2, 4]), label="group limit")
+    with mock.patch.object(worlds, "CLASS_TABLE_ATOMS", limit):
+        counts = space.count_matrix(formulas, kind)
     assert counts.shape == (len(space), len(formulas))
     assert counts.tolist() == per_world_counts(space, formulas, kind)
+
+
+def _joined(blocks, structures):
+    """Consecutive (rows, structures) key blocks as one array."""
+    return np.concatenate(blocks) if blocks else np.zeros((0, structures), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_world_keys_equal_the_keys_of_the_world_tables(data):
+    # a layout of some of a space's predicates (arities 0-2) at a width up
+    # to the space's, some of its worlds in any order, and rows of either
+    # kind, kept as an array or streamed, in blocks of one cell, of a few
+    # cells and of the default: the keys read off the bits are the keys of
+    # the decoded truth tables
+    n = data.draw(st.integers(1, 4))
+    arities = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    assume(sum(n**a for a in arities) <= 12)
+    vocab = {f"p{i}": a for i, a in enumerate(arities)}
+    space = enumerate_worlds([f"c{i}" for i in range(n)], vocab)
+    named = data.draw(st.sets(st.sampled_from(sorted(vocab))))
+    k = data.draw(st.integers(1, n))
+    layout = stats.pattern_layout({p: vocab[p] for p in named}, k)
+    picked = space.worlds[data.draw(st.lists(st.integers(0, len(space) - 1), max_size=40))]
+    orders = data.draw(st.sampled_from([itertools.combinations, itertools.permutations]))
+    rows = np.array(list(orders(range(n), k)), dtype=np.intp).reshape(-1, k)
+    tables = worlds.world_tables(picked, space.layout, named)
+    want = _joined(list(stats.pattern_keys(tables, layout, rows, len(picked))), len(picked))
+    streamed = data.draw(st.booleans(), label="streamed")
+    cells = len(picked) * len(layout.local)
+    for block_cells in (1, 7, 1 << 20):
+        listing = map(tuple, rows.tolist()) if streamed else rows
+        with mock.patch.object(stats, "BLOCK_CELLS", block_cells):
+            blocks = list(worlds.world_keys(picked, space.layout, layout, listing))
+        assert all(b.shape[1:] == (len(picked),) and b.dtype == np.intp for b in blocks)
+        assert all(len(b) == 1 or len(b) * cells <= block_cells for b in blocks)
+        assert np.array_equal(_joined(blocks, len(picked)), want)
 
 
 @settings(max_examples=100, deadline=None)
