@@ -97,9 +97,7 @@ def _csv_table(header, rows) -> str:
 def _target_space(domain, vocab, formulas, hard=()):
     """World space over ``domain``: constant names, or a size N for c1..cN,
     whose atom cap is checked before any constant is named."""
-    merged = merge_vocabulary(vocab, *(vocabulary_of(f) for f in formulas))
-    for rule in hard:
-        merged = merge_vocabulary(merged, vocabulary_of(rule))
+    merged = merge_vocabulary(vocab, *map(vocabulary_of, (*formulas, *hard)))
     if isinstance(domain, int):
         check_atom_cap(domain, merged)
         domain = [f"c{i}" for i in range(1, domain + 1)]

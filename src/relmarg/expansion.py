@@ -27,8 +27,9 @@ expanded statistics: ``expanded_statistic`` is its one-sample case and
 the noisy pipeline and the oracles of the verification suites and tests,
 under ``EXPANSION_CAP``, as position arrays: ``expand`` copies each
 predicate's rows with one pattern of repeated arguments by position
-arithmetic, and ``noisy_expand`` finds the absent noise slots by a search
-of the sorted rows, so neither names an atom.
+arithmetic, and ``noisy_expand`` reads which noise slots are absent off
+the base structure's atoms with all arguments equal, so neither names an
+atom or searches the expanded rows.
 ``mixture_residual`` solves the mixture decomposition of a Model A
 marginal over one common denominator.
 """
@@ -47,7 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import stats
-from .data import CanonicalForm, GlobalExample, canonical_rows, position_grid, row_keys
+from .data import CanonicalForm, GlobalExample, canonical_rows, position_grid
 from .errors import CapExceededError, DomainError
 from .logic import Formula
 from .stats import (
@@ -84,16 +85,13 @@ def _repeat_patterns(rows: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray
     return [(first, rows[i]) for first, i in members.items()]
 
 
-def _check_size(
-    example: GlobalExample,
-    level: int,
-    patterns: Mapping[str, list[tuple[tuple[int, ...], np.ndarray]]],
-    noise_slots: int = 0,
-):
-    """Raise ``CapExceededError`` before building an expansion with more than
-    ``EXPANSION_CAP`` constants, atoms (each atom of the ``_repeat_patterns``
-    of a predicate has level^(distinct arguments) copies) and noise slots
-    together."""
+def _checked_patterns(example: GlobalExample, level: int, noise_slots: int = 0) -> dict:
+    """The ``_repeat_patterns`` of each predicate of ``example``, once the
+    level-``level`` expansion and ``noise_slots`` are known to fit: raise
+    ``CapExceededError`` before building an expansion with more than
+    ``EXPANSION_CAP`` constants, atoms (each atom of a pattern has
+    level^(distinct arguments) copies) and noise slots together."""
+    patterns = {p: _repeat_patterns(rows) for p, rows in example.positions.items()}
     size = level * len(example.constants) + noise_slots
     size += sum(
         len(rows) * level ** len(set(first)) for split in patterns.values() for first, rows in split
@@ -105,6 +103,15 @@ def _check_size(
             size,
             EXPANSION_CAP,
         )
+    return patterns
+
+
+def _check_level(example: GlobalExample, level: int):
+    """Raise ``DomainError`` unless ``example`` has an expansion at ``level``."""
+    if level < 1:
+        raise DomainError("expansion level must be at least 1")
+    if not example.constants:
+        raise DomainError("cannot expand an empty constant set")
 
 
 def expand(example: GlobalExample, level: int) -> GlobalExample:
@@ -117,17 +124,17 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
     together, over their d distinct argument slots, by position arithmetic
     alone: copy (c_1, ..., c_d) of a base atom puts slot j at position
     ``residue_j + c_j * n``, so the (base atoms, level^d, d) position array
-    holds exactly the level^d copies that ``_check_size`` charges.  Each
+    holds exactly the level^d copies that ``_checked_patterns`` charges.  Each
     argument reads its slot's column.  No atom is named or checked again.
     """
-    if level < 1:
-        raise DomainError("expansion level must be at least 1")
-    if not example.constants:
-        raise DomainError("cannot expand an empty constant set")
+    _check_level(example, level)
     if level == 1:
         return example
-    patterns = {p: _repeat_patterns(rows) for p, rows in example.positions.items()}
-    _check_size(example, level, patterns)
+    return _copies(example, level, _checked_patterns(example, level))
+
+
+def _copies(example: GlobalExample, level: int, patterns: dict) -> GlobalExample:
+    """``expand`` at a level of at least 2 from ``_checked_patterns``."""
     n = len(example.constants)
     positions = {}
     for p, split in patterns.items():
@@ -306,10 +313,7 @@ def expanded_statistic(f: Formula, example: GlobalExample, kind: ModelKind, leve
     """``statistic(f, expand(example, level), kind)``, without building the
     expansion: the one-sample case of ``expanded_statistics``, whose cost
     does not grow with ``level``, so no ``EXPANSION_CAP`` applies."""
-    if level < 1:
-        raise DomainError("expansion level must be at least 1")
-    if not example.constants:
-        raise DomainError("cannot expand an empty constant set")
+    _check_level(example, level)
     n = len(example.constants)
     (checked,) = check_formulas((f,), example.vocabulary(), kind, n * level)
     base = structure_tables(example, checked.vocabulary)
@@ -347,26 +351,28 @@ def noisy_expand(
     """
     if not 0 <= eps <= 1:
         raise DomainError(f"noise probability {eps} outside [0, 1]")
+    _check_level(example, level)
     n = len(example.constants)
     vocab = example.vocabulary()
-    patterns = {p: _repeat_patterns(rows) for p, rows in example.positions.items()}
-    _check_size(example, level, patterns, sum(n * level**arity for arity in vocab.values()))
-    expanded = expand(example, level)
-    size = n * level
+    patterns = _checked_patterns(example, level, sum(n * level**arity for arity in vocab.values()))
+    expanded = example if level == 1 else _copies(example, level, patterns)
     positions = dict(expanded.positions)
-    for pred in sorted(vocab):
-        arity = vocab[pred]
-        slots = np.arange(n)[:, None, None] + position_grid(level, arity) * n
-        slots = slots.reshape(n * level**arity, arity)
-        held = positions[pred]
-        # sorted rows have sorted keys: a slot is held when a key lies between
-        # its two insertion points
-        keys, held_keys = row_keys(slots, size), row_keys(held, size)
-        first, after = np.searchsorted(held_keys, keys), np.searchsorted(held_keys, keys, "right")
-        absent = slots[first == after]
+    for pred, arity in sorted(vocab.items()):
+        copies = position_grid(level, arity)
+        slots = (np.arange(n)[:, None, None] + copies * n).reshape(n * len(copies), arity)
+        # the expansion holds slot (r, t) exactly when the base holds p(r, ...,
+        # r) and every copy in t is the same, as an atom's copies copy each of
+        # its distinct arguments once; an arity-0 predicate's n slots are all
+        # held when the base holds p()
+        rows = example.positions[pred]
+        diagonal = np.full(n, arity == 0 and len(rows) > 0)
+        diagonal[rows[(rows == rows[:, :1]).all(axis=1), :1]] = True
+        held = diagonal[:, None] & (copies == copies[:, :1]).all(axis=1)
+        absent = slots[~held.ravel()]
         drawn = np.array([rng.random() for _ in range(len(absent))]) < eps
         if drawn.any():
-            positions[pred] = canonical_rows(np.concatenate([held, absent[drawn]]), size)
+            grown = np.concatenate([positions[pred], absent[drawn]])
+            positions[pred] = canonical_rows(grown, n * level)
     return GlobalExample._from_positions(expanded.constants, positions, example.vocab)
 
 

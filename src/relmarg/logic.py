@@ -17,6 +17,13 @@ identifiers are constants or predicate names.  ``a -> b`` desugars to
 implication or inequality nodes.  Equality is decided by name identity
 (unique-names assumption).
 
+Each formula node keeps the ``Signature`` of its tree once it is read:
+its free variables, variables, constants, predicates, quantifier count and
+the quantifier depth of each atom, from one walk.  ``vars_of``,
+``free_vars``, ``constants_of``, ``vocabulary_of`` and ``quantifier_free``
+read it, as do the formula checks of ``stats`` and ``worlds``, so a formula
+checked again is not walked again.
+
 This module decides no formula itself: ``holds`` (on a set of ground
 atoms) and ``evaluate`` (on a structure's position arrays, and through it
 ``unsatisfied_rules``) build one structure's truth tables and call
@@ -26,10 +33,11 @@ and hard-rule filter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -66,12 +74,21 @@ class _Node:
     """A formula node keeps the hash of its fields, computed once from its
     children's kept hashes, so that a cache keyed on formulas (the pattern
     tables, the count matrices) does not walk a whole tree on every lookup.
-    The kept hash is no dataclass field, so ``==`` and ``repr`` see only the
-    fields.  Each node class names ``__hash__`` in its own body, which a
-    frozen dataclass keeps in place of the one it would generate."""
+    It also keeps its ``signature`` once it is read, so that checking a
+    formula again walks nothing; a subformula keeps none unless it is asked
+    itself.  Neither is a dataclass field, so ``==``, ``repr`` and pickling
+    see only the fields.  Each node class names ``__hash__`` in its own
+    body, which a frozen dataclass keeps in place of the one it would
+    generate."""
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self._fields()))
+
+    @functools.cached_property
+    def signature(self) -> Signature:
+        """The free variables, variables, constants, predicates, quantifier
+        count and atom depths of this formula (``Signature``)."""
+        return _signature(self)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -381,62 +398,75 @@ for _node in (PredAtom, Eq, Not, And, Or, Forall, Exists):
 # ---------------------------------------------------------------------------
 # structural queries
 
-def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.sub)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from _walk(p)
-    elif isinstance(f, (Forall, Exists)):
-        yield from _walk(f.body)
+class Signature(NamedTuple):
+    """What the structural queries read off a formula, from one walk of its
+    tree: its ``free`` variables, all its ``variables`` and its
+    ``constants`` (names), each in order of first occurrence; its distinct
+    ``predicates`` in pre-order of first occurrence; its number of
+    ``quantifiers``; and the ``depths`` of its predicate atoms in pre-order,
+    the number of variables that the quantifiers around each one bind."""
+
+    free: tuple[Var, ...]
+    variables: tuple[Var, ...]
+    constants: tuple[str, ...]
+    predicates: tuple[Predicate, ...]
+    quantifiers: int
+    depths: tuple[int, ...]
+
+
+def _signature(f: Formula) -> Signature:
+    """The ``Signature`` of ``f``, from one pre-order walk that reads no
+    subformula's signature."""
+    free, variables, constants, predicates, depths = {}, {}, {}, {}, []
+    quantifiers = 0
+    stack = [(f, ())]  # a node and the variables bound around it
+    while stack:
+        g, bound = stack.pop()
+        node = type(g)  # dispatch on the exact node class: this walk is hot
+        if node is Not:
+            stack.append((g.sub, bound))
+        elif node is And or node is Or:
+            stack.extend((p, bound) for p in reversed(g.parts))
+        elif node is Forall or node is Exists:
+            quantifiers += 1
+            variables.update(dict.fromkeys(g.vars))
+            stack.append((g.body, bound + g.vars))
+        else:
+            if node is PredAtom:
+                predicates[g.pred] = None
+                depths.append(len(bound))
+            for t in g.args if node is PredAtom else (g.left, g.right):
+                if type(t) is Const:
+                    constants[t.name] = None
+                else:
+                    variables[t] = None
+                    if t not in bound:
+                        free[t] = None
+    found = map(tuple, (free, variables, constants, predicates))
+    return Signature(*found, quantifiers, tuple(depths))
 
 
 def vars_of(f: Formula) -> frozenset[Var]:
     """All variables occurring in ``f``, bound or free."""
-    out = set()
-    for g in _walk(f):
-        if isinstance(g, PredAtom):
-            out.update(t for t in g.args if isinstance(t, Var))
-        elif isinstance(g, Eq):
-            out.update(t for t in (g.left, g.right) if isinstance(t, Var))
-        elif isinstance(g, (Forall, Exists)):
-            out.update(g.vars)
-    return frozenset(out)
+    return frozenset(f.signature.variables)
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
-    if isinstance(f, PredAtom):
-        return frozenset(t for t in f.args if isinstance(t, Var))
-    if isinstance(f, Eq):
-        return frozenset(t for t in (f.left, f.right) if isinstance(t, Var))
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or)):
-        return frozenset().union(*(free_vars(p) for p in f.parts))
-    return free_vars(f.body) - frozenset(f.vars)
+    return frozenset(f.signature.free)
 
 
 def constants_of(f: Formula) -> frozenset[str]:
-    out = set()
-    for g in _walk(f):
-        if isinstance(g, PredAtom):
-            out.update(t.name for t in g.args if isinstance(t, Const))
-        elif isinstance(g, Eq):
-            out.update(t.name for t in (g.left, g.right) if isinstance(t, Const))
-    return frozenset(out)
+    return frozenset(f.signature.constants)
 
 
 def vocabulary_of(f: Formula) -> dict[str, int]:
-    """Predicate name -> arity used in ``f``; raises on inconsistent use."""
+    """Predicate name -> arity used in ``f``, in order of first occurrence;
+    raises on inconsistent use."""
     vocab: dict[str, int] = {}
-    for g in _walk(f):
-        if isinstance(g, PredAtom):
-            seen = vocab.setdefault(g.pred.name, g.pred.arity)
-            if seen != g.pred.arity:
-                raise VocabularyError(
-                    f"predicate {g.pred.name!r} used with arities {seen} and {g.pred.arity}"
-                )
+    for p in f.signature.predicates:
+        seen = vocab.setdefault(p.name, p.arity)
+        if seen != p.arity:
+            raise VocabularyError(f"predicate {p.name!r} used with arities {seen} and {p.arity}")
     return vocab
 
 
@@ -453,7 +483,7 @@ def merge_vocabulary(*vocabs: Mapping[str, int]) -> dict[str, int]:
 
 
 def quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, (Forall, Exists)) for g in _walk(f))
+    return not f.signature.quantifiers
 
 
 def strip_foralls(f: Formula) -> tuple[tuple[Var, ...], Formula]:
@@ -494,7 +524,7 @@ def holds(
     dom = tuple(domain)
     env = {} if env is None else env
     names = tuple(dict.fromkeys(itertools.chain(
-        dom, env.values(), sorted(constants_of(f)), (c for a in kept for c in a.args)
+        dom, env.values(), sorted(f.signature.constants), (c for a in kept for c in a.args)
     )))
     tables = stats.structure_tables(GlobalExample(names, kept), vocabulary)
     return _holds_at(f, tables, names, dom, env)
@@ -523,10 +553,11 @@ def evaluate(f: Formula, example) -> bool:
     """
     from . import stats
 
-    if free_vars(f):
-        names = sorted(v.name for v in free_vars(f))
+    signature = f.signature
+    if signature.free:
+        names = sorted(v.name for v in signature.free)
         raise DomainError(f"formula is not closed (free: {', '.join(names)})")
-    unknown = constants_of(f) - set(example.constants)
+    unknown = set(signature.constants) - set(example.constants)
     if unknown:
         raise DomainError(f"unknown constant(s): {', '.join(sorted(unknown))}")
     vocabulary = vocabulary_of(f)

@@ -15,7 +15,8 @@ Both are the fraction of a formula's groundings that hold; they differ only
 in what a grounding is.  ``ModelA``, ``ModelB`` and the ``CheckedFormula``
 record of each formula (``check_formulas``) are the only code that knows
 which variables a grounding binds, which body it decides, its width, and
-how many and which groundings n constants have; ``holds_over`` is the only
+how many and which groundings n constants have, and they check a formula
+on its kept ``logic.Signature``; ``holds_over`` is the only
 code that decides whether a formula holds at one.  It may decide each
 local pattern once: every grounding row of either kind lists distinct
 positions, so a formula holds at a row exactly when it holds on the row's
@@ -39,13 +40,14 @@ samples one per trial (``expansion.representative_tables``).
 groups past ``CLASS_TABLE_ATOMS`` local atoms and the index-set estimator,
 and ``expansion.expanded_statistics``, the one reader of expanded
 statistics, counts them per row shape and weights each shape's count once.
-A checked formula of either kind over at most ``CLASS_TABLE_ATOMS`` local
-atoms, which the assignment loop would read more often than a pattern has
-atoms, gets a ``PatternTable``: one ``holds_over`` call over its 2^M
-width-k local worlds, its bound variables at the positions 0..k-1, gives
-its truth on every pattern, and the truths are read at the groundings'
-pattern keys (``_pattern_table``, at most 8 KiB a table, ``PATTERN_TABLES``
-= 128 kept).  Other formulas go through ``holds_over`` at every grounding.
+A checked formula of either kind over at most ``CLASS_TABLE_ATOMS``
+local atoms, which the assignment loop would read more often than a
+pattern has atoms (reads counted off its atoms' depths), gets a
+``PatternTable``: one ``holds_over`` call over its 2^M width-k local
+worlds, its bound variables at the positions 0..k-1, gives its truth on
+every pattern, and the truths are read at the groundings' pattern keys
+(``_pattern_table``, at most 8 KiB a table, ``PATTERN_TABLES`` = 128
+kept).  Other formulas go through ``holds_over`` at every grounding.
 ``WorldSpace.count_matrix`` reads every formula of a group within the limit
 off a table over the group's layout, which the same cache keeps.  The
 hard-rule filter of ``enumerate_worlds`` calls ``holds_over`` at a rule's
@@ -74,8 +76,8 @@ takes its width apart from it.  A world space keeps the width-n layout of
 its vocabulary (``WorldSpace.layout``), so a world's bits are its key.
 ``gather_patterns`` reads the bits of a block of position rows over a
 layout from truth tables, one gather per predicate, and ``pattern_keys``,
-the one reader of pattern keys off truth tables, folds them into keys in
-blocks of at most ``BLOCK_CELLS`` cells.  A world space reads its keys off
+the one reader of pattern keys off truth tables, folds them into intp keys
+in blocks of at most ``BLOCK_CELLS`` cells.  A world space reads its keys off
 its worlds' bits instead (``worlds.world_keys``): its ``count_matrix``
 and ``maxent.shrink_distribution``, which reads the keys of a world
 space's m-subsets as world indexes of the space of m constants.
@@ -117,19 +119,15 @@ from .logic import (
     And,
     Eq,
     Exists,
+    Forall,
     Formula,
     Not,
     Or,
     PredAtom,
     Var,
-    constants_of,
     format_formula,
-    free_vars,
     merge_vocabulary,
     parse_formula,
-    quantifier_free,
-    strip_foralls,
-    vars_of,
     vocabulary_of,
 )
 
@@ -179,8 +177,13 @@ class ModelB:
         """The width (per formula: the prefix length), prefix and matrix of a
         universal prefix over every variable, each bound once, and a
         quantifier-free matrix."""
-        vs, matrix = strip_foralls(f)
-        if not vs or not quantifier_free(matrix) or vars_of(matrix) - set(vs):
+        vs, matrix, prefix = (), f, 0
+        while isinstance(matrix, Forall):
+            vs, matrix, prefix = vs + matrix.vars, matrix.body, prefix + 1
+        # the matrix is quantifier-free when the prefix holds every
+        # quantifier, and then its variables outside the prefix are free
+        signature = f.signature
+        if not vs or signature.quantifiers > prefix or signature.free:
             need = "a universally quantified formula with a quantifier-free matrix"
         elif len(set(vs)) < len(vs):
             need = "a universal prefix that binds each variable once"
@@ -207,13 +210,14 @@ ModelKind = ModelA | ModelB
 class CheckedFormula:
     """A formula checked under ``kind``: each grounding binds ``bound`` to
     ``width`` constant positions and decides ``body``.  ``vocabulary`` is
-    the formula's own."""
+    the formula's own, and ``formula`` the formula as checked."""
 
     kind: ModelKind
     width: int
     bound: tuple[Var, ...]
     body: Formula
     vocabulary: Mapping[str, int] = field(compare=False)
+    formula: Formula = field(compare=False)
 
     def count(self, n: int) -> int:
         """Groundings over ``n`` constants; raises when there are none."""
@@ -245,7 +249,7 @@ def check_formulas(
     vocabularies = [check_formula(f, vocabulary) for f in formulas]
     out = []
     for f, own in zip(formulas, vocabularies):
-        out.append(CheckedFormula(kind, *kind.bind(f), own))
+        out.append(CheckedFormula(kind, *kind.bind(f), own, f))
         if n is not None:
             out[-1].count(n)
     return tuple(out)
@@ -259,9 +263,10 @@ def formula_width(kind: ModelKind, f: Formula) -> int:
 def check_formula(f: Formula, vocabulary: Mapping[str, int]) -> dict[str, int]:
     """Raise unless ``f`` is closed, constant-free and fits ``vocabulary``;
     return its own vocabulary."""
-    if free_vars(f):
+    signature = f.signature
+    if signature.free:
         raise DomainError(f"formula is not closed: {format_formula(f)}")
-    if constants_of(f):
+    if signature.constants:
         raise DomainError(f"formula must be constant-free: {format_formula(f)}")
     own = vocabulary_of(f)
     merge_vocabulary(own, vocabulary)
@@ -660,7 +665,8 @@ def _pattern_table(
     k, body = checked.width, checked.body
     if layout is None:
         atoms = sum(k**arity for arity in checked.vocabulary.values())  # local atoms
-        if atoms > CLASS_TABLE_ATOMS or atoms >= _table_reads(body, k):
+        reads = _table_reads(checked.formula, k, len(checked.bound))
+        if atoms > CLASS_TABLE_ATOMS or atoms >= reads:
             return None
         return _pattern_table(checked, pattern_layout(checked.vocabulary, k))
     worlds = np.arange(1 << len(layout.local))
@@ -673,19 +679,13 @@ def _pattern_table(
     return PatternTable(truth, layout)
 
 
-def _table_reads(f: Formula, k: int) -> int:
+def _table_reads(f: Formula, k: int, bound: int = 0) -> int:
     """Table reads of ``holds_over``'s assignment loop per grounding of the
-    formula ``f`` at width k: one per atom occurrence and assignment of the
-    variables of the quantifiers around it."""
-    if isinstance(f, PredAtom):
-        return 1
-    if isinstance(f, Eq):
-        return 0
-    if isinstance(f, Not):
-        return _table_reads(f.sub, k)
-    if isinstance(f, (And, Or)):
-        return sum(_table_reads(p, k) for p in f.parts)
-    return k ** len(f.vars) * _table_reads(f.body, k)
+    formula ``f`` at width k, whose grounding binds the ``bound`` variables
+    of its universal prefix: one per atom occurrence and assignment of the
+    other variables of the quantifiers around it, read off the atoms'
+    depths (``f.signature``)."""
+    return sum(k ** (depth - bound) for depth in f.signature.depths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -754,16 +754,19 @@ def pattern_keys(
     """The key of the bit pattern of each row of ``layout.width`` positions
     in ``rows`` (an array or a stream, as ``index_blocks`` reads them) over
     the local atoms of ``layout`` in each structure: the sum of the
-    ``place`` values of its set bits, as consecutive (rows, ``structures``)
-    blocks of ``place``'s dtype.  Each block is one ``gather_patterns`` of
-    at most ``BLOCK_CELLS`` (row, structure, local atom) cells, at least one
-    row.  The keys of a world space's k-subsets are the indexes of their
-    fragments, relabelled onto the first k constants, in the space of k
-    constants; ``layout.place`` must not be None."""
+    ``place`` values of its set bits, folded in ``place``'s dtype, as
+    consecutive (rows, ``structures``) intp blocks, which index a table
+    faster than a narrower dtype does.  Each block is one
+    ``gather_patterns`` of at most ``BLOCK_CELLS`` (row, structure, local
+    atom) cells, at least one row.  The keys of a world space's k-subsets
+    are the indexes of their fragments, relabelled onto the first k
+    constants, in the space of k constants; ``layout.place`` must not be
+    None."""
     cells = structures * len(layout.local)
     for block in index_blocks(rows, layout.width, BLOCK_CELLS // max(cells, 1)):
         bits = gather_patterns(tables, layout, block, structures)
-        yield np.einsum("gas,a->gs", bits, layout.place)
+        # the fold is fastest in place's dtype, an index read in intp's
+        yield np.einsum("gas,a->gs", bits, layout.place).astype(np.intp)
 
 
 def gather_patterns(

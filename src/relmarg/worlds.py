@@ -34,7 +34,7 @@ import numpy as np
 from . import stats
 from .data import GlobalExample, GroundAtom
 from .errors import CapExceededError, DomainError
-from .logic import Formula, constants_of, free_vars, merge_vocabulary, vocabulary_of
+from .logic import Formula, merge_vocabulary, vocabulary_of
 from .stats import (
     CLASS_TABLE_ATOMS,
     TABLE_CELL_CAP,
@@ -282,9 +282,10 @@ def enumerate_worlds(
     hard_rules = tuple(hard_rules)
     cset = set(constants)
     for rule in hard_rules:
-        if free_vars(rule):
+        signature = rule.signature
+        if signature.free:
             raise DomainError("hard rules must be closed formulas")
-        unknown = constants_of(rule) - cset
+        unknown = set(signature.constants) - cset
         if unknown:
             raise DomainError(f"hard rule uses unknown constant(s): {', '.join(sorted(unknown))}")
         merge_vocabulary(vocabulary_of(rule), vocabulary)

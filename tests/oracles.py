@@ -1,5 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
+Each formula keeps one signature (``logic.Signature``) that one walk of
+its tree builds, and the package reads its variables, constants,
+predicates and table reads off it; the walkers here compute each of them
+by a walk of its own.
 The package decides formulas only in ``stats.holds_over`` and canonical
 forms only in ``stats.canonical_patterns``; ``logic.holds``,
 ``logic.evaluate`` and ``data.canonicalize`` are calls of those kernels.
@@ -39,7 +43,7 @@ from relmarg import stats
 from relmarg.data import CanonicalForm, GlobalExample, GroundAtom, LocalExample, format_facts
 from relmarg.errors import DomainError, VocabularyError
 from relmarg.expansion import _extended_names
-from relmarg.logic import And, Const, Eq, Exists, Not, Or, PredAtom, Var
+from relmarg.logic import And, Const, Eq, Exists, Forall, Not, Or, PredAtom, Var
 from relmarg.polytope import ETA_PROBES, MEMBERSHIP_TOL, EtaVerdict, hull_distance
 from relmarg.worlds import enumerate_worlds
 
@@ -75,6 +79,85 @@ def holds(f, atoms, domain, env=None) -> bool:
 def evaluate(f, example) -> bool:
     """Whether the closed formula ``f`` holds in the ``GlobalExample``."""
     return holds(f, example.atoms, example.constants)
+
+
+def _walk(f):
+    yield f
+    if isinstance(f, Not):
+        yield from _walk(f.sub)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from _walk(p)
+    elif isinstance(f, (Forall, Exists)):
+        yield from _walk(f.body)
+
+
+def vars_of(f):
+    """All variables occurring in ``f``, bound or free."""
+    out = set()
+    for g in _walk(f):
+        if isinstance(g, PredAtom):
+            out.update(t for t in g.args if isinstance(t, Var))
+        elif isinstance(g, Eq):
+            out.update(t for t in (g.left, g.right) if isinstance(t, Var))
+        elif isinstance(g, (Forall, Exists)):
+            out.update(g.vars)
+    return frozenset(out)
+
+
+def free_vars(f):
+    if isinstance(f, PredAtom):
+        return frozenset(t for t in f.args if isinstance(t, Var))
+    if isinstance(f, Eq):
+        return frozenset(t for t in (f.left, f.right) if isinstance(t, Var))
+    if isinstance(f, Not):
+        return free_vars(f.sub)
+    if isinstance(f, (And, Or)):
+        return frozenset().union(*(free_vars(p) for p in f.parts))
+    return free_vars(f.body) - frozenset(f.vars)
+
+
+def constants_of(f):
+    out = set()
+    for g in _walk(f):
+        if isinstance(g, PredAtom):
+            out.update(t.name for t in g.args if isinstance(t, Const))
+        elif isinstance(g, Eq):
+            out.update(t.name for t in (g.left, g.right) if isinstance(t, Const))
+    return frozenset(out)
+
+
+def vocabulary_of(f):
+    """Predicate name -> arity in pre-order of first use; raises on
+    inconsistent use."""
+    vocab = {}
+    for g in _walk(f):
+        if isinstance(g, PredAtom):
+            seen = vocab.setdefault(g.pred.name, g.pred.arity)
+            if seen != g.pred.arity:
+                raise VocabularyError(
+                    f"predicate {g.pred.name!r} used with arities {seen} and {g.pred.arity}"
+                )
+    return vocab
+
+
+def quantifier_free(f):
+    return not any(isinstance(g, (Forall, Exists)) for g in _walk(f))
+
+
+def table_reads(f, k):
+    """Table reads of ``stats.holds_over``'s assignment loop per grounding
+    of ``f`` at width k: one per atom occurrence and assignment of the
+    variables of the quantifiers around it."""
+    if isinstance(f, PredAtom):
+        return 1
+    if isinstance(f, Eq):
+        return 0
+    if isinstance(f, Not):
+        return table_reads(f.sub, k)
+    if isinstance(f, (And, Or)):
+        return sum(table_reads(p, k) for p in f.parts)
+    return k ** len(f.vars) * table_reads(f.body, k)
 
 
 def expand(example, level):

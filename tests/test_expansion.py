@@ -533,7 +533,7 @@ def test_residue_rows_and_shape_weights_equal_the_row_by_row_listing(kind, width
     pairs = sorted(zip(map(tuple, rows.tolist()), (weights[s] for s in shape)))
     assert pairs == sorted(oracles.residue_groundings(kind, width, n, level))
     if level == 1:
-        assert rows.tolist() == list(map(list, stats.CheckedFormula(kind, width, (), None, {}).rows(n)))
+        assert rows.tolist() == list(map(list, stats.CheckedFormula(kind, width, (), None, {}, None).rows(n)))
         assert set(weights) <= {1}
     if width <= n * level:
         assert sum(weights[s] for s in shape) == kind.count(width, n * level)

@@ -37,6 +37,7 @@ from relmarg.logic import (
     vars_of,
     vocabulary_of,
 )
+from relmarg.stats import MODEL_B, _table_reads
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +389,71 @@ def shadowing_formulas(draw):
     scope = draw(st.sampled_from((Forall, Exists)))(tuple(bound), draw(_matrices(terms)))
     parts = draw(st.permutations([draw(_matrices(terms)), scope]))
     return draw(st.sampled_from((And, Or)))(tuple(parts))
+
+
+@st.composite
+def built_formulas(draw):
+    """A formula built node by node, which the parser would refuse: r of
+    arity 1 and 2 in one tree, a prefix that binds X twice, or a quantifier
+    that binds nothing."""
+    x, y = Var("X"), Var("Y")
+    predicates = (Predicate("r", 1), Predicate("r", 2), Predicate("e", 2))
+    matrix = draw(_matrices([x, y, Const("a")], predicates))
+    return draw(st.sampled_from((
+        matrix,
+        Forall((x, y), matrix),
+        Forall((x,), Forall((x, y), matrix)),
+        Forall((x, y), Or((matrix, Exists((), matrix)))),
+        Exists((x,), And((matrix, Forall((y,), matrix)))),
+    )))
+
+
+SIGNED = st.one_of(
+    open_formulas(), closed_formulas(), closed_formulas(quantifiers=(Forall,), prenex=True),
+    shadowing_formulas(), built_formulas(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGNED, st.booleans())
+def test_signature_readers_equal_the_tree_walkers(f, pickled):
+    # a kept signature is no field: a loaded formula builds its own
+    if pickled:
+        signed = f.signature
+        f = pickle.loads(pickle.dumps(f))
+        assert f.signature == signed
+    assert vars_of(f) == oracles.vars_of(f)
+    assert free_vars(f) == oracles.free_vars(f)
+    assert constants_of(f) == oracles.constants_of(f)
+    assert quantifier_free(f) is oracles.quantifier_free(f)
+    try:
+        want = oracles.vocabulary_of(f)
+    except VocabularyError as clash:
+        with pytest.raises(VocabularyError) as got:
+            vocabulary_of(f)
+        assert str(got.value) == str(clash)
+    else:
+        assert list(vocabulary_of(f).items()) == list(want.items())
+    vs, matrix = strip_foralls(f)
+    for k in range(1, 5):
+        assert _table_reads(f, k) == oracles.table_reads(f, k)
+        if oracles.quantifier_free(matrix):
+            # a Model B grounding binds the prefix, so its matrix is read once
+            assert _table_reads(f, k, len(vs)) == oracles.table_reads(matrix, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGNED)
+def test_model_b_binds_what_the_tree_walkers_admit(f):
+    vs, matrix = strip_foralls(f)
+    if not vs or not oracles.quantifier_free(matrix) or oracles.vars_of(matrix) - set(vs):
+        with pytest.raises(DomainError, match="quantifier-free matrix"):
+            MODEL_B.bind(f)
+    elif len(set(vs)) < len(vs):
+        with pytest.raises(DomainError, match="binds each variable once"):
+            MODEL_B.bind(f)
+    else:
+        assert MODEL_B.bind(f) == (len(vs), vs, matrix)
 
 
 def test_holds_restores_a_binding_that_a_quantifier_shadows():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from test_logic import _matrices, closed_formulas
 from test_structures import local_of
 
-from relmarg import expansion, stats
+from relmarg import expansion, logic, stats
 from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
 from relmarg.estimation import ExperimentConfig, random_structure, run_error_experiment
@@ -192,6 +192,34 @@ def test_checked_formula_records_what_a_grounding_is():
     assert (b.width, [v.name for v in b.bound]) == (2, ["X", "Y"])
     assert b.body == parse_formula("e(X,Y) | r(Y)")
     assert b.count(3) == 6 and b.rows(2).tolist() == [[0, 1], [1, 0]]
+    assert a.formula is f and b.formula is f
+
+
+def test_checking_and_counting_again_walk_each_formula_once(monkeypatch):
+    # each formula keeps the signature of its first walk; no reader walks a
+    # subformula, so every walk is of one of the formulas given, and a cold
+    # pattern-table cache makes each statistic weigh its table reads
+    walks = []
+    build = logic._signature
+    monkeypatch.setattr(logic, "_signature", lambda f: walks.append(f) or build(f))
+    stats._pattern_table.cache_clear()
+    example = GlobalExample(["a", "b", "c"], [("r", ("a",)), ("e", ("a", "b"))])
+    cases = (
+        (ModelA(2), ("exists X, Y: X != Y & e(X,Y)", "forall X: r(X) | (exists Y: e(X,Y))")),
+        (MODEL_B, ("forall X, Y: ~e(X,Y) | r(X)", "forall X: r(X)")),
+    )
+    given = []
+    for kind, texts in cases:
+        formulas = [parse_formula(text) for text in texts]
+        given += formulas
+        for _ in range(3):
+            space = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+            stats.check_formulas(formulas, space.vocabulary, kind, 3)
+            space.normalizers(formulas, kind)
+            space.count_matrix(formulas, kind)
+            for f in formulas:
+                statistic(f, example, kind)
+    assert list(map(id, walks)) == list(map(id, given))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +709,9 @@ def test_pattern_keys_match_the_per_atom_gather(arities, n, structures, seed, ce
     assert all(b.shape[1:] == (structures,) for b in blocks)
     assert all(len(b) == 1 or len(b) * structures * max(m, 1) <= cells for b in blocks)
     keys = np.concatenate(blocks)
-    assert keys.dtype == (np.int16 if m < 16 else np.int64)
+    # the fold runs in the place dtype, and the keys index tables as intp
+    assert layout.place.dtype == (np.int16 if m < 16 else np.int64)
+    assert keys.dtype == np.intp
     fold = [[sum(1 << int(j) for j in np.flatnonzero(bits)) for bits in row] for row in want]
     assert keys.tolist() == fold
 
