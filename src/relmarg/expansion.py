@@ -48,7 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import stats
-from .data import CanonicalForm, GlobalExample, canonical_rows, position_grid
+from .data import CanonicalForm, GlobalExample, canonical_rows, position_grid, row_keys
 from .errors import CapExceededError, DomainError
 from .logic import Formula
 from .stats import (
@@ -134,7 +134,9 @@ def expand(example: GlobalExample, level: int) -> GlobalExample:
 
 
 def _copies(example: GlobalExample, level: int, patterns: dict) -> GlobalExample:
-    """``expand`` at a level of at least 2 from ``_checked_patterns``."""
+    """``expand`` at a level of at least 2 from ``_checked_patterns``.
+    Copies of distinct base rows are distinct, as a copy's residues give
+    back its base row, so each predicate's copies are only sorted."""
     n = len(example.constants)
     positions = {}
     for p, split in patterns.items():
@@ -145,7 +147,7 @@ def _copies(example: GlobalExample, level: int, patterns: dict) -> GlobalExample
             held = (rows[:, None, slots] + copies)[..., list(map(slots.index, first))]
             copied.append(held.reshape(len(rows) * len(copies), len(first)))
         rows = np.concatenate(copied) if copied else example.positions[p]
-        positions[p] = canonical_rows(rows, n * level)
+        positions[p] = rows[np.argsort(row_keys(rows, n * level))]
     names = _extended_names(example.constants, level)
     return GlobalExample._from_positions(tuple(names), positions, example.vocab)
 

@@ -18,8 +18,9 @@ implication or inequality nodes.  Equality is decided by name identity
 (unique-names assumption).
 
 Each formula node keeps the ``Signature`` of its tree once it is read:
-its free variables, variables, constants, predicates, quantifier count and
-the quantifier depth of each atom, from one walk.  ``vars_of``,
+its free variables, variables, constants, predicates, quantifier count,
+the quantifier depth of each atom and the deepest nesting of quantified
+variables, from one walk.  ``vars_of``,
 ``free_vars``, ``constants_of``, ``vocabulary_of`` and ``quantifier_free``
 read it, as do the formula checks of ``stats`` and ``worlds``, so a formula
 checked again is not walked again.
@@ -162,48 +163,37 @@ _KEYWORDS = ("forall", "exists")
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
+# whitespace is the one unnamed group; any other character is "bad"
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
+    r"\s+"
     r"|(?P<arrow>->)"
     r"|(?P<neq>!=)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<sym>[(),:~&|=])"
+    r"|(?P<bad>.)"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | arrow | neq | sym | eof
+class _Token(NamedTuple):
+    kind: str  # ident | arrow | neq | sym | bad | eof
     value: str
-    line: int
-    col: int
+    at: int  # offset in the text
 
 
-def _tokenize(text: str, source: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line, line_start = 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1, source
-            )
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        line += value.count("\n")
-        if "\n" in value:
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` from one regex pass, whitespace dropped, and
+    an ``eof`` token at its end; a character that starts no token is a
+    ``bad`` token, which ``_Parser.parse`` raises on before parsing."""
+    matches = _TOKEN_RE.finditer(text)
+    tokens = [_Token(m.lastgroup, m.group(), m.start()) for m in matches if m.lastgroup]
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source: str):
-        self.tokens = tokens
+    def __init__(self, text: str, source: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.source = source
         self.seen_arity: dict[str, int] = {}
@@ -218,8 +208,11 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise FormulaSyntaxError(message, tok.line, tok.col, self.source)
+        """Raise at the line and column of ``tok``, the next token unless
+        given."""
+        at = (tok or self.peek()).at
+        line, col = self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at)
+        raise FormulaSyntaxError(message, line, col, self.source)
 
     def expect(self, value: str) -> _Token:
         tok = self.peek()
@@ -229,6 +222,9 @@ class _Parser:
         return self.next()
 
     def parse(self) -> Formula:
+        for tok in self.tokens:
+            if tok.kind == "bad":
+                self.fail(f"unexpected character {tok.value!r}", tok)
         f = self.formula()
         if self.peek().kind != "eof":
             self.fail(f"unexpected trailing input {self.peek().value!r}")
@@ -347,7 +343,7 @@ def parse_formula(text: str, source: str = "<formula>") -> Formula:
     (``stats.check_formula``, ``merge_vocabulary``).  Errors carry line and
     column numbers.
     """
-    return _Parser(_tokenize(text, source), source).parse()
+    return _Parser(text, source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +399,10 @@ class Signature(NamedTuple):
     tree: its ``free`` variables, all its ``variables`` and its
     ``constants`` (names), each in order of first occurrence; its distinct
     ``predicates`` in pre-order of first occurrence; its number of
-    ``quantifiers``; and the ``depths`` of its predicate atoms in pre-order,
-    the number of variables that the quantifiers around each one bind."""
+    ``quantifiers``; the ``depths`` of its predicate atoms in pre-order,
+    the number of variables that the quantifiers around each one bind; and
+    its ``nesting``, the most variables that a quantifier and those around
+    it bind."""
 
     free: tuple[Var, ...]
     variables: tuple[Var, ...]
@@ -412,13 +410,14 @@ class Signature(NamedTuple):
     predicates: tuple[Predicate, ...]
     quantifiers: int
     depths: tuple[int, ...]
+    nesting: int
 
 
 def _signature(f: Formula) -> Signature:
     """The ``Signature`` of ``f``, from one pre-order walk that reads no
     subformula's signature."""
     free, variables, constants, predicates, depths = {}, {}, {}, {}, []
-    quantifiers = 0
+    quantifiers = nesting = 0
     stack = [(f, ())]  # a node and the variables bound around it
     while stack:
         g, bound = stack.pop()
@@ -431,6 +430,7 @@ def _signature(f: Formula) -> Signature:
             quantifiers += 1
             variables.update(dict.fromkeys(g.vars))
             stack.append((g.body, bound + g.vars))
+            nesting = max(nesting, len(bound + g.vars))
         else:
             if node is PredAtom:
                 predicates[g.pred] = None
@@ -443,7 +443,7 @@ def _signature(f: Formula) -> Signature:
                     if t not in bound:
                         free[t] = None
     found = map(tuple, (free, variables, constants, predicates))
-    return Signature(*found, quantifiers, tuple(depths))
+    return Signature(*found, quantifiers, tuple(depths), nesting)
 
 
 def vars_of(f: Formula) -> frozenset[Var]:
@@ -514,7 +514,8 @@ def holds(
     constants are the names in ``domain``, ``env``, ``f`` and the atoms of
     ``f``'s predicates; constants are bound by name, as in the hard-rule
     filter of ``enumerate_worlds``.  Truth tables over
-    ``stats.TABLE_CELL_CAP`` cells raise ``CapExceededError``.
+    ``stats.TABLE_CELL_CAP`` cells and quantifier work over
+    ``stats.QUANTIFIER_READ_CAP`` table reads raise ``CapExceededError``.
     """
     # stats imports this module, so the kernel is imported at call time
     from . import stats
@@ -535,13 +536,16 @@ def _holds_at(
 ) -> bool:
     """``stats.holds_over`` at one grounding of the one structure whose
     truth ``tables`` are over the constants ``names``: quantifiers range
-    over the constants in ``domain``, constants are bound by name and the
-    free variables by ``env`` (variable name -> constant name)."""
+    over the constants in ``domain``, one (D, 1) position array, constants
+    are bound by name and the free variables by ``env`` (variable name ->
+    constant name)."""
     from . import stats
 
     position = {c: np.array([i]) for i, c in enumerate(names)}
     bound = {**position, **{v: position[c] for v, c in env.items()}}
-    return bool(stats.holds_over(f, tables, (1, 1), [position[c] for c in domain], bound)[0, 0])
+    at = np.array([position[c] for c in domain], dtype=np.intp).reshape(-1, 1)
+    cells = stats._axis_cells(f, len(at))
+    return bool(stats.holds_over(f, tables, (1, 1), at, bound, cells)[0, 0])
 
 
 def evaluate(f: Formula, example) -> bool:

@@ -415,9 +415,9 @@ def shrink_distribution(dist: ExplicitDistribution, m: int) -> ExplicitDistribut
     layout = target.layout
     mass = np.zeros(len(target), dtype=weights.dtype)
     step = max(1, stats.BLOCK_CELLS // max(len(layout.local), 1))
+    subsets = stats.grounding_rows(stats.ModelA(m), m, n)
     for start in range(0, len(live), step):
         chunk = live[start:start + step]
-        subsets = stats.grounding_rows(stats.ModelA(m), m, n)  # a stream is read once
         for keys in world_keys(src.worlds[chunk], src.layout, layout, subsets):
             # one value per index: numpy 2.4's add.at misreads broadcast values
             np.add.at(mass, keys.ravel(), np.tile(weights[chunk], len(keys)))

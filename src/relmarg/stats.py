@@ -29,8 +29,14 @@ boundary if floats are wanted.
 ``holds_over`` evaluates a formula over a batch of (grounding, structure)
 pairs at once.  A grounding is a row of constant positions, a structure is a
 column of the per-predicate truth tables, and an atom is a gather from those
-tables.  One example has one column (``structure_tables``, which fills each
-predicate's table by one scatter of the example's position array); a world
+tables.  A quantifier adds one broadcast axis per variable over the
+domain, so its body is evaluated once for every assignment and any/all
+reduce the axes.  Its work, one table read per atom and assignment of the
+variables around it (``_axis_cells``), is charged for every grounding and
+structure before anything is evaluated, and past ``QUANTIFIER_READ_CAP``
+raises ``CapExceededError`` (``check_reads``).  One example has one
+column (``structure_tables``, which fills each predicate's table by one
+scatter of the example's position array); a world
 space has one per world (``worlds.world_tables``, decoded only for this
 evaluator: the hard-rule filter, pattern tables and count-matrix groups
 past ``CLASS_TABLE_ATOMS``), and the expansions of an error experiment's
@@ -41,8 +47,8 @@ groups past ``CLASS_TABLE_ATOMS`` local atoms and the index-set estimator,
 and ``expansion.expanded_statistics``, the one reader of expanded
 statistics, counts them per row shape and weights each shape's count once.
 A checked formula of either kind over at most ``CLASS_TABLE_ATOMS``
-local atoms, which the assignment loop would read more often than a
-pattern has atoms (reads counted off its atoms' depths), gets a
+local atoms, whose evaluation would read more atoms than a pattern has
+(reads counted off its atoms' depths), gets a
 ``PatternTable``: one ``holds_over`` call over its 2^M width-k local
 worlds, its bound variables at the positions 0..k-1, gives its truth on
 every pattern, and the truths are read at the groundings' pattern keys
@@ -61,8 +67,9 @@ positions is built once and kept as one read-only position array per order,
 width and n (at most 130 KiB each, ``LISTINGS`` = 32 kept), which
 ``CheckedFormula.rows`` (behind ``statistic``, the ground truths of error
 experiments and ``WorldSpace.count_matrix``) and the subset readers share;
-a longer one is streamed to ``index_blocks`` block by block, so memory does
-not grow with C(n, k) or P(n, v).  ``expansion.residue_groundings`` keeps
+a longer one is a ``RowStream``, which knows its length and which
+``index_blocks`` reads block by block, so memory does not grow with C(n, k)
+or P(n, v).  ``expansion.residue_groundings`` keeps
 its residue listings under the same limit.
 
 A formula's truth, a subset's class, a world and a shrunk world are each
@@ -91,7 +98,8 @@ shared layout, so a call builds none; up to ``CLASS_TABLE_ATOMS`` = 12
 local atoms, at most 4,096 patterns and 840 KiB a table, ``CLASS_TABLES`` =
 4 tables kept).  Past that limit the bits are gathered over the shared
 layout, ``distinct_rows`` counts a call's equal patterns and the distinct
-ones are canonicalized together.  ``canonical_patterns`` canonicalizes a
+ones are canonicalized together, once their k! relabellings each are
+charged against ``TABLE_CELL_CAP``.  ``canonical_patterns`` canonicalizes a
 batch over the caller's layout: one gather through a (permutation, local
 atom) index array, read off the layout's runs, gives every relabelled
 image, and a column-by-column reduction keeps the canonical one and counts
@@ -223,10 +231,10 @@ class CheckedFormula:
         """Groundings over ``n`` constants; raises when there are none."""
         return self.kind.count(self.width, n)
 
-    def rows(self, n: int) -> np.ndarray | Iterator[tuple[int, ...]]:
+    def rows(self, n: int) -> np.ndarray | RowStream:
         """The groundings over ``n`` constants, in the kind's order:
         ``grounding_rows``, a shared read-only (rows, width) position array
-        within ``LISTING_CELLS`` cells and a stream of tuples past it."""
+        within ``LISTING_CELLS`` cells and a ``RowStream`` past it."""
         return grounding_rows(self.kind, self.width, n)
 
     def hits(self, tables: Mapping[str, np.ndarray], n: int) -> int:
@@ -280,6 +288,10 @@ def check_formula(f: Formula, vocabulary: Mapping[str, int]) -> dict[str, int]:
 # of one structure
 BLOCK_CELLS = 1 << 20
 TABLE_CELL_CAP = 1 << 26
+# table reads (``_axis_cells``) that one evaluation over quantifier axes may
+# charge: the width-7 statistic of four binary atoms charges 3.95e8 on 10
+# constants and 6.7e12 on 30
+QUANTIFIER_READ_CAP = 1 << 34
 
 # Row listings of at most LISTING_CELLS positions are kept, LISTINGS of each
 # kind.  A grounding or subset listing (``grounding_rows``) holds 8 bytes a
@@ -295,16 +307,34 @@ LISTING_CELLS = 1 << 14
 LISTINGS = 32
 
 
-def grounding_rows(kind: ModelKind, width: int, n: int) -> np.ndarray | Iterator[tuple[int, ...]]:
+def grounding_rows(kind: ModelKind, width: int, n: int) -> np.ndarray | RowStream:
     """The ``kind.orders`` of ``width`` of the positions 0..n-1, the
     groundings of a width-``width`` formula over ``n`` constants (for Model
     A, the size-``width`` subsets).  Within ``LISTING_CELLS`` cells they are
     one read-only (rows, width) intp array that every call of the same
-    order, width and n shares; past it, a stream of tuples that
+    order, width and n shares; past it, a ``RowStream`` of tuples that
     ``index_blocks`` reads one block at a time."""
     if kind.ways(n, width) * width > LISTING_CELLS:
-        return kind.orders(range(n), width)
+        return RowStream(kind, width, n)
     return _listing(kind.orders, width, n)
+
+
+@dataclass(frozen=True)
+class RowStream:
+    """The groundings of a listing past ``LISTING_CELLS``, never held
+    whole: each iteration yields ``kind.orders(range(n), width)`` afresh,
+    and its length is their number, which the work of a formula over them
+    is charged by (``grounding_truths``)."""
+
+    kind: ModelKind
+    width: int
+    n: int
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return self.kind.orders(range(self.n), self.width)
+
+    def __len__(self) -> int:
+        return self.kind.ways(self.n, self.width)
 
 
 @functools.lru_cache(maxsize=LISTINGS)
@@ -345,58 +375,86 @@ def check_cells(size: int, what: str, cap: int | None = None):
         raise CapExceededError(f"{what} exceed the cap of {cap}", size, cap)
 
 
+def check_reads(reads: int):
+    """Raise ``CapExceededError`` when an evaluation over quantifier axes
+    would make more than ``QUANTIFIER_READ_CAP`` table reads."""
+    check_cells(reads, f"{reads} table reads over quantifier axes", QUANTIFIER_READ_CAP)
+
+
 def holds_over(
     f: Formula,
     tables: Mapping[str, np.ndarray],
     shape: tuple[int, int],
-    domain: Sequence[np.ndarray],
+    domain: np.ndarray,
     env: dict[str, np.ndarray],
+    cells: int,
 ) -> np.ndarray:
     """Whether ``f`` holds at each of G groundings in each of S structures,
     as a bool array of ``shape`` = (G, S).
 
     ``env`` binds free variables (and constants, by name) to position arrays
-    of length G, and quantifiers range over the position arrays in
-    ``domain``.  An atom gathers ``tables[p]`` (shape ``(n,)*arity + (S,)``)
-    at its argument positions; a predicate without a table is false
-    everywhere.  Equality compares positions, the connectives are ``~ & |``,
-    and a quantifier reduces its body from all-false (exists) or all-true
-    (forall).
+    of length G or 1, and quantifiers range over ``domain``, a (D, G) or
+    (D, 1) position array whose column g is grounding g's domain.  Each
+    quantified variable binds a leading axis of its own over the D domain
+    positions, the body is evaluated once over every assignment, and any
+    (exists) or all (forall) reduces the quantifier's axes; over an empty
+    domain exists is false and forall true.  An atom gathers ``tables[p]``
+    (shape ``(n,)*arity + (S,)``) at its argument positions, which
+    broadcast, so the structure axis stays last; a predicate without a
+    table is false everywhere.  Equality compares positions, and the
+    connectives are ``~ & |``.
+
+    ``cells`` is the work of one (grounding, structure), ``_axis_cells``:
+    the call charges it for every pair before it evaluates anything
+    (``check_reads``), and it takes the structures in slices of at most
+    ``BLOCK_CELLS`` cells.
     """
-    return np.broadcast_to(_holds(f, tables, shape, domain, env), shape)
+    groundings, structures = shape
+    check_reads(cells * groundings * structures)
+    step = max(1, BLOCK_CELLS // max(cells * groundings, 1))
+    out = np.empty(shape, dtype=bool)
+    for start in range(0, structures, step):
+        part = {p: table[..., start:start + step] for p, table in tables.items()}
+        out[:, start:start + step] = _holds(f, part, domain, env, 0)
+    return out
 
 
-def _holds(g, tables, shape, domain, env) -> np.ndarray:
+def _holds(g, tables, domain, env, depth) -> np.ndarray:
+    """``g`` inside ``depth`` quantified variables: an array whose last two
+    axes are (grounding, structure), after the axes of those variables,
+    the innermost quantifier's first; leading axes that it does not read
+    may be missing, and any axis may have size 1."""
     if isinstance(g, PredAtom):
         table = tables.get(g.pred.name)
         if table is None:
-            return np.zeros(shape, dtype=bool)
+            return np.False_
         return table[tuple(env[t.name] for t in g.args)]
     if isinstance(g, Eq):
-        return (env[g.left.name] == env[g.right.name])[:, None]
+        return (env[g.left.name] == env[g.right.name])[..., None]
     if isinstance(g, Not):
-        return ~_holds(g.sub, tables, shape, domain, env)
+        return ~_holds(g.sub, tables, domain, env, depth)
     if isinstance(g, (And, Or)):
-        parts = (_holds(p, tables, shape, domain, env) for p in g.parts)
+        parts = (_holds(p, tables, domain, env, depth) for p in g.parts)
         return functools.reduce(operator.and_ if isinstance(g, And) else operator.or_, parts)
-    names = [v.name for v in g.vars]
     exists = isinstance(g, Exists)
-    out = np.full(shape, not exists)
-    # the body binds into a copy: a quantified variable may also be free
-    # outside this scope, where its binding must survive
+    size, m = len(domain), len(g.vars)
+    if not size:
+        return np.bool_(not exists)
+    # variable i binds axis i, before the axes of the variables bound
+    # around this quantifier; the body binds into a copy, because a
+    # quantified variable may also be free outside this scope
     inner = dict(env)
-    for combo in itertools.product(domain, repeat=len(names)):
-        inner.update(zip(names, combo))
-        if exists:
-            out |= _holds(g.body, tables, shape, domain, inner)
-        else:
-            out &= _holds(g.body, tables, shape, domain, inner)
-    return out
+    for i, v in enumerate(g.vars):
+        axes = (1,) * i + (size,) + (1,) * (m - 1 - i + depth)
+        inner[v.name] = domain.reshape(axes + domain.shape[1:])
+    body = _holds(g.body, tables, domain, inner, depth + m)
+    axes = tuple(range(body.ndim - depth - 2))  # the quantifier's axes that the body reads
+    return body.any(axis=axes) if exists else body.all(axis=axes)
 
 
 def count_groundings(
     checked: CheckedFormula,
-    rows: Iterable[Sequence[int]],
+    rows: np.ndarray | RowStream,
     tables: Mapping[str, np.ndarray],
     structures: int,
 ) -> np.ndarray:
@@ -413,7 +471,7 @@ def count_groundings(
 
 def grounding_truths(
     checked: CheckedFormula,
-    rows: Iterable[Sequence[int]],
+    rows: np.ndarray | RowStream,
     tables: Mapping[str, np.ndarray],
     structures: int,
 ) -> Iterator[np.ndarray]:
@@ -426,17 +484,20 @@ def grounding_truths(
     row), the truths are read off the table at the rows' pattern keys over
     the formula's local atoms (``pattern_keys``): blocks of at most
     ``BLOCK_CELLS`` (grounding, structure, local atom) cells.  Otherwise
-    ``holds_over`` runs its assignment loop on blocks of at most
-    ``BLOCK_CELLS`` (grounding, structure) cells."""
+    the work of every row in every structure is charged first
+    (``check_reads``), and ``holds_over`` decides blocks of rows whose
+    ``_axis_cells`` come to at most ``BLOCK_CELLS``, each row its own
+    domain and, for Model B, its prefix's binding."""
     table = _pattern_table(checked)
     if table is not None:
         for keys in pattern_keys(tables, table.layout, rows, structures):
             yield table.truth[keys]
         return
-    for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(structures, 1)):
-        columns = list(block.T)
-        env = {v.name: c for v, c in zip(checked.bound, columns)}
-        yield holds_over(checked.body, tables, (len(block), structures), columns, env)
+    cells = _axis_cells(checked.formula, checked.width, len(checked.bound))
+    check_reads(cells * len(rows) * structures)
+    for block in index_blocks(rows, checked.width, BLOCK_CELLS // max(cells * structures, 1)):
+        env = {v.name: c for v, c in zip(checked.bound, block.T)}
+        yield holds_over(checked.body, tables, (len(block), structures), block.T, env, cells)
 
 
 def index_blocks(rows: Iterable[Sequence[int]], width: int, step: int) -> Iterator[np.ndarray]:
@@ -533,12 +594,16 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
     keeps it, with its layout) at the subset's ``pattern_keys`` key, and
     ``np.bincount`` counts the classes of each block; past that the bits
     are gathered over the shared layout (``gather_patterns``),
-    the distinct patterns of each block are counted together and the
-    call's are canonicalized together (``_pattern_classes``).  A class's
-    mass is its subset count over C(n,k), and classes appear in the order
-    of their first subset.  A width over ``ISO_WIDTH_CAP`` raises
+    the distinct patterns of each block are counted together, those of
+    the blocks so far are merged whenever more have come since the last
+    merge than the cap below admits (``_merge_patterns``), and the distinct
+    patterns of the call are canonicalized together (``_pattern_classes``).
+    A class's mass is its subset count over C(n,k), and classes appear in
+    the order of their first subset.  A width over ``ISO_WIDTH_CAP`` raises
     ``CapExceededError`` before anything is built, as do truth tables over
-    ``TABLE_CELL_CAP`` (see ``structure_tables``).
+    ``TABLE_CELL_CAP`` (see ``structure_tables``) and, at a merge and before
+    any pattern is canonicalized, distinct patterns whose k! relabellings
+    each come to more than ``TABLE_CELL_CAP``.
     """
     n = len(example.constants)
     if not 1 <= k <= n:
@@ -563,18 +628,42 @@ def marginal_distribution_a(example: GlobalExample, k: int) -> dict[CanonicalFor
         seen = seen[np.argsort(first[seen])]
         return {forms[c]: Fraction(int(counts[c]), total) for c in seen.tolist()}
     layout = pattern_layout(vocabulary, k)
+    most = TABLE_CELL_CAP // math.factorial(k)  # the distinct patterns that the cap admits
     rows, counts = [], []  # the distinct patterns of each block, and their subsets
+    fresh = 0  # patterns since the last merge
     for block in index_blocks(subsets, k, BLOCK_CELLS // max(len(layout.local), 1)):
         bits = gather_patterns(tables, layout, block, 1)[:, :, 0]
         first, count, _ = distinct_rows(bits, 2)
         rows.append(bits[first])
-        counts.extend(count.tolist())
-    classes, forms = _pattern_classes(np.concatenate(rows), layout)
+        counts.append(count)
+        fresh += len(first)
+        if fresh > most:  # so that memory stays bounded and the cap stops early
+            rows, counts = _merge_patterns(rows, counts, k)
+            fresh = 0
+    (rows,), (counts,) = _merge_patterns(rows, counts, k)
+    classes, forms = _pattern_classes(rows, layout)
     # a class first appears at the first row of its first subset's pattern
     mass: dict[int, int] = {}  # class -> subsets
-    for c, count in zip(classes.tolist(), counts):
+    for c, count in zip(classes.tolist(), counts.tolist()):
         mass[c] = mass.get(c, 0) + count
     return {forms[c]: Fraction(count, total) for c, count in mass.items()}
+
+
+def _merge_patterns(
+    rows: list[np.ndarray], counts: list[np.ndarray], k: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The blocks of (P, M) bool patterns ``rows`` and their subset
+    ``counts`` as one block of their distinct patterns, in order of first
+    appearance, each with its summed count.  Raises ``CapExceededError``
+    when the k! relabellings of each distinct pattern come to more than
+    ``TABLE_CELL_CAP``."""
+    rows, counts = np.concatenate(rows), np.concatenate(counts)
+    first, _, inverse = distinct_rows(rows, 2)
+    relabellings = len(first) * math.factorial(k)
+    check_cells(relabellings, f"{relabellings} relabellings of {len(first)} distinct patterns")
+    total = np.zeros(len(first), dtype=np.int64)
+    np.add.at(total, inverse, counts)
+    return [rows[first]], [total]
 
 
 def _pattern_classes(
@@ -649,16 +738,16 @@ def _pattern_table(
     name are read and ignored, those it names outside the layout are false
     everywhere).  Without a layout, the table over the formula's own
     vocabulary, or None when its M local atoms are more than
-    ``CLASS_TABLE_ATOMS`` or at least the table reads of the assignment
-    loop, in which a pattern key would read no fewer atoms
+    ``CLASS_TABLE_ATOMS`` or at least the table reads of ``holds_over`` at
+    a grounding, in which a pattern key would read no fewer atoms
     (``_table_reads``); the per-formula readers of truth tables ask this.
     The truths come from one ``holds_over`` call over the 2^M width-k
     local worlds, world i the pattern whose key is i:
     ``worlds.world_tables`` decodes their tables over the layout, the
     ``bound`` variables are bound to the positions 0..k-1, and quantifiers
-    range over them.  Its truth at a grounding row is its truth on the
-    row's pattern when the row lists distinct positions, as every row of
-    either kind does."""
+    range over them, the domain ``np.arange(k)[:, None]``.  Its truth at a
+    grounding row is its truth on the row's pattern when the row lists
+    distinct positions, as every row of either kind does."""
     # worlds imports this module, so the decode is imported at call time
     from .worlds import world_tables
 
@@ -671,21 +760,31 @@ def _pattern_table(
         return _pattern_table(checked, pattern_layout(checked.vocabulary, k))
     worlds = np.arange(1 << len(layout.local))
     tables = world_tables(worlds, layout, checked.vocabulary)
-    domain = [np.array([i]) for i in range(k)]
+    domain = np.arange(k)[:, None]
     env = {v.name: at for v, at in zip(checked.bound, domain)}
-    truth = np.array(holds_over(body, tables, (1, len(worlds)), domain, env)[0])
+    cells = _axis_cells(checked.formula, k, len(checked.bound))
+    truth = holds_over(body, tables, (1, len(worlds)), domain, env, cells)[0]
     # every call shares the cached array, so none may write it
     truth.flags.writeable = False
     return PatternTable(truth, layout)
 
 
 def _table_reads(f: Formula, k: int, bound: int = 0) -> int:
-    """Table reads of ``holds_over``'s assignment loop per grounding of the
-    formula ``f`` at width k, whose grounding binds the ``bound`` variables
-    of its universal prefix: one per atom occurrence and assignment of the
-    other variables of the quantifiers around it, read off the atoms'
-    depths (``f.signature``)."""
+    """Table reads of ``holds_over`` per grounding of the formula ``f`` at
+    width k, whose grounding binds the ``bound`` variables of its universal
+    prefix: one per atom occurrence and assignment of the other variables
+    of the quantifiers around it, read off the atoms' depths
+    (``f.signature``)."""
     return sum(k ** (depth - bound) for depth in f.signature.depths)
+
+
+def _axis_cells(f: Formula, size: int, bound: int = 0) -> int:
+    """The work of ``holds_over`` per (grounding, structure) on the formula
+    ``f`` over a domain of ``size`` positions, whose grounding binds the
+    ``bound`` variables of its universal prefix: its table reads, and no
+    fewer than the size^q cells of its q deepest axes, which an equality
+    below every atom reads (``f.signature.nesting``)."""
+    return max(_table_reads(f, size, bound), size ** (f.signature.nesting - bound))
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ from .stats import (
     TABLE_CELL_CAP,
     ModelKind,
     PatternLayout,
+    _axis_cells,
     _pattern_table,
     check_cells,
     check_formulas,
@@ -291,10 +292,11 @@ def enumerate_worlds(
         merge_vocabulary(vocabulary_of(rule), vocabulary)
     # a hard rule is evaluated at its one grounding: every constant's
     # position is in the domain, and the rule's constants are bound by name
-    positions = [np.array([i]) for i in range(n)]
+    domain = np.arange(n)[:, None]
+    env = dict(zip(constants, domain))
     worlds = np.arange(1 << n_atoms, dtype=np.int64)
     for rule in hard_rules:
         tables = world_tables(worlds, layout, vocabulary_of(rule))
-        env = dict(zip(constants, positions))
-        worlds = worlds[holds_over(rule, tables, (1, len(worlds)), positions, env)[0]]
+        held = holds_over(rule, tables, (1, len(worlds)), domain, env, _axis_cells(rule, n))
+        worlds = worlds[held[0]]
     return WorldSpace(constants, vocabulary, hard_rules, atoms, worlds, layout)

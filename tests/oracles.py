@@ -9,7 +9,10 @@ forms only in ``stats.canonical_patterns``; ``logic.holds``,
 ``logic.evaluate`` and ``data.canonicalize`` are calls of those kernels.
 A test that checks a kernel against one of them would check it against
 itself, so tests that need an independent answer use these instead: a tree
-walker that grounds each quantifier by explicit enumeration, a canonicaliser
+walker that grounds each quantifier by explicit enumeration, an
+assignment loop over the truth tables of ``stats.holds_over`` (each
+quantifier's variables take every ``itertools.product`` of the domain in
+turn), a canonicaliser
 that tries every relabelling, and a substitution that rewrites the formula
 tree.  For polytopes there is a facet enumeration over every vertex subset
 in Fractions, and the eta-interiority probe loop that asks
@@ -32,6 +35,7 @@ table off its run's columns of a ``stats.PatternLayout``; its reference
 decodes one atom bit at a time over the atom order of a world space.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -74,6 +78,42 @@ def holds(f, atoms, domain, env=None) -> bool:
         holds(f.body, atoms, domain, {**env, **dict(zip(names, combo))})
         for combo in itertools.product(domain, repeat=len(names))
     )
+
+
+def holds_over(f, tables, shape, domain, env):
+    """``stats.holds_over`` by an assignment loop: quantifiers range over
+    ``domain``, a list of position arrays of length G (or 1), one per
+    domain element, and a quantifier's variables take every
+    ``itertools.product`` of them in turn, its body decided once per
+    assignment on the (G, S) ``shape`` and folded from all-false (exists)
+    or all-true (forall)."""
+    return np.broadcast_to(_holds_over(f, tables, shape, domain, env), shape)
+
+
+def _holds_over(g, tables, shape, domain, env):
+    if isinstance(g, PredAtom):
+        table = tables.get(g.pred.name)
+        if table is None:
+            return np.zeros(shape, dtype=bool)
+        return table[tuple(env[t.name] for t in g.args)]
+    if isinstance(g, Eq):
+        return (env[g.left.name] == env[g.right.name])[:, None]
+    if isinstance(g, Not):
+        return ~_holds_over(g.sub, tables, shape, domain, env)
+    if isinstance(g, (And, Or)):
+        parts = (_holds_over(p, tables, shape, domain, env) for p in g.parts)
+        return functools.reduce(operator.and_ if isinstance(g, And) else operator.or_, parts)
+    names = [v.name for v in g.vars]
+    exists = isinstance(g, Exists)
+    out = np.full(shape, not exists)
+    inner = dict(env)
+    for combo in itertools.product(domain, repeat=len(names)):
+        inner.update(zip(names, combo))
+        if exists:
+            out |= _holds_over(g.body, tables, shape, domain, inner)
+        else:
+            out &= _holds_over(g.body, tables, shape, domain, inner)
+    return out
 
 
 def evaluate(f, example) -> bool:
@@ -145,10 +185,22 @@ def quantifier_free(f):
     return not any(isinstance(g, (Forall, Exists)) for g in _walk(f))
 
 
+def nesting(f):
+    """The most variables that a quantifier of ``f`` and those around it
+    bind."""
+    if isinstance(f, (PredAtom, Eq)):
+        return 0
+    if isinstance(f, Not):
+        return nesting(f.sub)
+    if isinstance(f, (And, Or)):
+        return max(map(nesting, f.parts), default=0)
+    return len(f.vars) + nesting(f.body)
+
+
 def table_reads(f, k):
-    """Table reads of ``stats.holds_over``'s assignment loop per grounding
-    of ``f`` at width k: one per atom occurrence and assignment of the
-    variables of the quantifiers around it."""
+    """Table reads per grounding of ``f`` at width k: one per atom
+    occurrence and assignment of the variables of the quantifiers around
+    it."""
     if isinstance(f, PredAtom):
         return 1
     if isinstance(f, Eq):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
@@ -351,6 +352,22 @@ def test_polytope_over_the_atom_cap_exits_3_before_naming_constants(capsys, file
     assert code == 3 and out == ""
     assert err == "error: 1000000 ground atoms exceed the enumeration cap of 24\n"
     assert peak < 10 * 2**20
+
+
+def test_stats_past_the_quantifier_cap_exits_3_before_evaluating(capsys, files):
+    # 2,035,800 subsets of 30 constants, each charged 4 * 7^7 table reads
+    # over the seven quantifier axes: about 65 hours by an assignment loop
+    facts = files("e30.facts", format_facts(random_structure(30, {"e": 2}, 0.3, random.Random(1))))
+    wide = files("w7.formulas", "exists X, Y, Z, U, V, W, Q: e(X,Y) & e(Z,U) & e(V,W) & e(Q,X)\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "stats", "--facts", facts, "--formulas", wide, "--model", "A", "--width", "7",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert err == (
+        "error: 6706275357600 table reads over quantifier axes exceed the cap of 17179869184\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,7 @@ def test_signature_readers_equal_the_tree_walkers(f, pickled):
         assert str(got.value) == str(clash)
     else:
         assert list(vocabulary_of(f).items()) == list(want.items())
+    assert f.signature.nesting == oracles.nesting(f)
     vs, matrix = strip_foralls(f)
     for k in range(1, 5):
         assert _table_reads(f, k) == oracles.table_reads(f, k)

@@ -14,11 +14,11 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from test_logic import _matrices, closed_formulas
+from test_logic import _matrices, closed_formulas, shadowing_formulas
 from test_structures import local_of
 
 from relmarg import expansion, logic, stats
-from relmarg.data import ISO_WIDTH_CAP, GlobalExample, LocalExample, fragment
+from relmarg.data import ISO_WIDTH_CAP, GlobalExample, GroundAtom, LocalExample, fragment
 from relmarg.errors import CapExceededError, DomainError, FormulaSyntaxError
 from relmarg.estimation import ExperimentConfig, random_structure, run_error_experiment
 from relmarg.expansion import expand, expanded_statistic, representative_tables, residue_groundings
@@ -28,6 +28,7 @@ from relmarg.logic import (
     PredAtom,
     Predicate,
     Var,
+    free_vars,
     parse_formula,
     strip_foralls,
     vars_of,
@@ -292,15 +293,71 @@ def test_grounding_truths_equal_the_assignment_loop(data):
         (checked,) = stats.check_formulas((f,), TABLED, ModelA(k))
     columns = list(rows.T)
     env = {v.name: c for v, c in zip(checked.bound, columns)}
-    want = stats.holds_over(checked.body, tables, (len(rows), structures), columns, env)
+    want = oracles.holds_over(checked.body, tables, (len(rows), structures), columns, env)
     table = stats._pattern_table(checked)
-    cells = 1 if table is None else len(table.layout.place)  # per grounding and structure
+    # per grounding and structure: the local atoms of a key, or the work
+    # over the quantifier axes
+    if table is None:
+        cells = stats._axis_cells(checked.formula, checked.width, len(checked.bound))
+    else:
+        cells = len(table.layout.place)
     for block_cells in (1, 7, 1 << 20):
         with mock.patch.object(stats, "BLOCK_CELLS", block_cells):
             blocks = list(stats.grounding_truths(checked, rows, tables, structures))
         assert all(b.dtype == bool and b.shape[1:] == (structures,) for b in blocks)
         assert all(len(b) == 1 or len(b) * structures * cells <= block_cells for b in blocks)
         assert np.array_equal(np.concatenate(blocks), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(closed_formulas(), shadowing_formulas()), st.data())
+def test_axis_evaluation_matches_the_tree_walker(f, data):
+    # quantifiers nested and under connectives range over one k-subset per
+    # row (a (k, G) domain) or one for every row ((k, 1)), k = 0 the empty
+    # domain; free variables are bound per row and the constants a and b
+    # by name, in S structures on n constants, r or e perhaps without a
+    # table, in slices of one cell, of a few cells and of the default
+    n = data.draw(st.integers(2, 4))
+    rows, structures = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    names = ("a", "b", "c", "d")[:n]
+    vocabulary = data.draw(st.sampled_from([{"r": 1, "e": 2}, {"r": 1}, {"e": 2}]))
+    tables = {}
+    for p, arity in vocabulary.items():
+        shape = (n,) * arity + (structures,)
+        size = math.prod(shape)
+        bits = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        tables[p] = np.array(bits).reshape(shape)
+    atoms = [
+        {GroundAtom(p, tuple(names[i] for i in at[:-1])) for p, t in tables.items()
+         for at in np.argwhere(t).tolist() if at[-1] == s}
+        for s in range(structures)
+    ]
+    k = data.draw(st.integers(0, n))
+    columns = rows if data.draw(st.booleans()) else 1
+    subsets = [data.draw(st.permutations(range(n)))[:k] for _ in range(columns)]
+    domain = np.array(subsets, dtype=np.intp).reshape(columns, k).T
+    free = {v.name: data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
+            for v in free_vars(f)}
+    want = [
+        [oracles.holds(f, atoms[s], [names[i] for i in domain[:, min(g, columns - 1)]],
+                       {v: names[at[g]] for v, at in free.items()})
+         for s in range(structures)]
+        for g in range(rows)
+    ]
+    env = {**{c: np.array([i]) for i, c in enumerate(names)},
+           **{v: np.array(at) for v, at in free.items()}}
+    cells = stats._axis_cells(f, k)
+    for block_cells in (1, 7, stats.BLOCK_CELLS):
+        with mock.patch.object(stats, "BLOCK_CELLS", block_cells):
+            got = stats.holds_over(f, tables, (rows, structures), domain, env, cells)
+        assert got.dtype == bool and got.tolist() == want
+
+
+def test_a_quantifier_over_an_empty_domain_has_no_assignment():
+    # the bodies read no axis of X, so only the size of the domain tells
+    # that exists finds no witness and forall no counterexample
+    for text, want in (("exists X: ~e(Y,Y)", False), ("forall X: e(Y,Y)", True)):
+        assert logic.holds(parse_formula(text), frozenset(), [], {"Y": "a"}) is want
 
 
 @pytest.mark.parametrize(
@@ -323,7 +380,8 @@ def test_pattern_table_is_read_when_the_loop_reads_more(text, k, tabled):
 
 def test_model_b_keeps_the_assignment_loop():
     # a Model B matrix is held to the rule of Model A formulas: with at
-    # least as many local atoms as the loop's atom reads, it keeps the loop
+    # least as many local atoms as its evaluation reads atoms, it is
+    # evaluated at every grounding
     for text in (
         "forall X, Y: ~e(X,Y) | e(Y,X)",  # 4 local atoms, 2 reads
         "forall X, Y, Z: ~e(X,Y) | ~e(Y,Z) | e(X,Z)",  # 9 local atoms, 3 reads
@@ -359,9 +417,10 @@ def test_model_b_matrices_read_a_pattern_table_when_the_loop_reads_more(text):
 
 def test_pattern_tables_stop_past_twelve_local_atoms():
     # {e/2, r/1} at width 3 has 12 local atoms; with q/0, 13, one past
-    # CLASS_TABLE_ATOMS: the second formula keeps the loop, and both count
-    # what the loop counts.  The parser has no arity-0 atom, so the second
-    # formula is built from the syntax tree.
+    # CLASS_TABLE_ATOMS: the second formula is evaluated at every grounding,
+    # and both count what the assignment loop of the oracle counts.  The
+    # parser has no arity-0 atom, so the second formula is built from the
+    # syntax tree.
     at12 = parse_formula("forall X, Y: ~r(X) | ~e(X,Y)")
     at13 = Forall(at12.vars, Or(at12.body.parts + (PredAtom(Predicate("q", 0), ()),)))
     example = random_structure(7, TABLED, 0.4, random.Random(8))
@@ -372,7 +431,7 @@ def test_pattern_tables_stop_past_twelve_local_atoms():
         table = stats._pattern_table(checked)
         assert (table is not None) is tabled
         tables = stats.structure_tables(example, checked.vocabulary)
-        want = stats.holds_over(f, tables, (len(rows), 1), list(rows.T), {})
+        want = oracles.holds_over(f, tables, (len(rows), 1), list(rows.T), {})
         blocks = list(stats.grounding_truths(checked, rows, tables, 1))
         assert np.array_equal(np.concatenate(blocks), want)
     # the cached truths are shared by every call, so none may write them
@@ -668,6 +727,26 @@ def test_marginal_distribution_is_the_same_in_blocks(monkeypatch, cold_memo):
         assert list(marginal_distribution_a(example, 3).items()) == list(want.items())
 
 
+def test_marginal_distribution_merges_patterns_across_blocks(monkeypatch):
+    # past the class tables, in blocks of 5 subsets, whose patterns are
+    # merged whenever more have come than TABLE_CELL_CAP admits at 3!
+    # relabellings each: the marginal is the one subset by subset, and a
+    # cap that admits one pattern fewer stops it
+    example = expand(_random_structure(random.Random(5), 4), 2)
+    want = list(brute_marginal_a(example, 3).items())
+    tables = stats.structure_tables(example, example.vocabulary())
+    subsets = np.array(list(itertools.combinations(range(8), 3)))
+    bits = stats.gather_patterns(tables, stats.pattern_layout(example.vocabulary(), 3), subsets, 1)
+    patterns = len(np.unique(bits[:, :, 0], axis=0))
+    monkeypatch.setattr(stats, "CLASS_TABLE_ATOMS", -1)
+    monkeypatch.setattr(stats, "BLOCK_CELLS", 60)
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", 6 * patterns)
+    assert list(marginal_distribution_a(example, 3).items()) == want
+    monkeypatch.setattr(stats, "TABLE_CELL_CAP", 6 * patterns - 1)
+    with pytest.raises(CapExceededError, match=f"of {patterns} distinct patterns"):
+        marginal_distribution_a(example, 3)
+
+
 def per_atom_patterns(tables, local, n, k, structures):
     """Oracle: every size-k subset's bit pattern gathered one local atom at
     a time, as one (subsets, structures, atoms) array."""
@@ -816,6 +895,23 @@ def test_marginal_distribution_of_an_empty_vocabulary():
         ((form, mass),) = marginal_distribution_a(bare, k).items()
         assert (form.atoms, form.automorphisms, form.class_size) == ((), math.factorial(k), 1)
         assert mass == 1
+
+
+def test_canonicalisation_past_its_cap_stops_before_any_relabelling(monkeypatch):
+    # width 7 over {e/2} has 49 local atoms, past the class tables: the
+    # 77,520 subsets of 20 constants have 77,003 distinct patterns, and
+    # 13,315 at 5,040 relabellings each fill TABLE_CELL_CAP, so the first
+    # block of 21,399 subsets, with 21,234 patterns, is merged and stops
+    def refuse(*args):
+        raise AssertionError("canonicalized past the cap")
+
+    monkeypatch.setattr(stats, "canonical_patterns", refuse)
+    example = random_structure(20, {"e": 2}, 0.3, random.Random(1))
+    with pytest.raises(CapExceededError) as exc:
+        marginal_distribution_a(example, 7)
+    assert str(exc.value) == (
+        "107019360 relabellings of 21234 distinct patterns exceed the cap of 67108864"
+    )
 
 
 def test_marginal_distribution_width_checks_come_first(monkeypatch):
