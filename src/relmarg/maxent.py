@@ -15,6 +15,15 @@ dual has one weight per constraint, so ``solve_maxent`` runs plain damped
 Newton on it from w = 0.  Weights that run away signal a target on or outside
 the marginal polytope; the raised error carries the hull diagnosis.
 
+A world enters the model only through its count row s(world).  So the
+solver, ``dual_objective``, ``model_distribution`` and
+``log_likelihood_duality_check`` read the distinct count rows that the
+world space keeps (``WorldSpace.distinct_rows``, which the polytope reads
+too), each weighted by its multiplicity m_v, the number of worlds with
+row v: log Z(w) = logsumexp_v(s_v . w + log m_v), and a world's
+probability is its row's probability over its row's multiplicity.  The
+Newton loop's work grows with the distinct rows, not with the worlds.
+
 A deliberately independent primal oracle (mirror ascent on the penalized
 entropy objective, plus an exact projection onto the constraint plane) is
 kept around to cross-check the dual route.
@@ -43,7 +52,7 @@ from .logic import Formula
 from .polytope import realizability_check
 from . import stats
 from .stats import MarginalConstraint, ModelKind
-from .worlds import WorldSpace, enumerate_worlds, world_keys
+from .worlds import DistinctRows, WorldSpace, enumerate_worlds, world_keys
 
 PRIMAL_WORLD_CAP = 1 << 16
 TOL = 1e-9  # gradient max-norm at which a fit is done
@@ -102,19 +111,31 @@ class ExplicitDistribution:
         return float(-(nz * np.log(nz)).sum())
 
 
-def _features(constraints, space, kind):
+def _features(constraints, space, kind) -> tuple[DistinctRows, np.ndarray, np.ndarray]:
+    """The space's distinct count rows of the constraints' formulas, their
+    normalizers and the targets, both as floats."""
     if len(space) == 0:
         raise DomainError("empty world space (hard rules unsatisfiable)")
     formulas = tuple(c.formula for c in constraints)
-    counts = space.count_matrix(formulas, kind).astype(float)
+    distinct = space.distinct_rows(formulas, kind)
     norms = space.normalizers(formulas, kind).astype(float)
     theta = np.array([float(c.theta) for c in constraints], dtype=float)
-    return counts, norms, theta
+    return distinct, norms, theta
 
 
-def _distribution(counts: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log partition function and world probabilities of the model at ``w``."""
-    scores = counts @ w
+def _rows(distinct: DistinctRows) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct count rows as floats and the log of each row's
+    multiplicity, as ``_distribution`` reads them."""
+    return distinct.rows.astype(float), np.log(distinct.multiplicity)
+
+
+def _distribution(
+    rows: np.ndarray, log_mult: np.ndarray, w: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Log partition function of the model at ``w`` and the probability of
+    each distinct count row, the total of its worlds'."""
+    scores = rows @ w
+    scores += log_mult
     shift = scores.max()
     weights = np.exp(scores - shift)
     total = weights.sum()
@@ -125,11 +146,12 @@ def dual_objective(
     w: Sequence[float], constraints: Sequence[MarginalConstraint], space: WorldSpace, kind: ModelKind
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the concave dual at ``w``."""
-    counts, norms, theta = _features(constraints, space, kind)
+    distinct, norms, theta = _features(constraints, space, kind)
+    rows, log_mult = _rows(distinct)
     w = np.asarray(w, dtype=float)
     target = theta * norms
-    lse, p = _distribution(counts, w)
-    return float(w @ target) - lse, target - counts.T @ p
+    lse, q = _distribution(rows, log_mult, w)
+    return float(w @ target) - lse, target - rows.T @ q
 
 
 def solve_maxent(
@@ -138,7 +160,8 @@ def solve_maxent(
     kind: ModelKind,
     max_iter: int = 20000,
 ) -> MaxEntModel:
-    """Fit weights by damped Newton on the dual, starting from w = 0.
+    """Fit weights by damped Newton on the dual, starting from w = 0, over
+    the space's distinct count rows weighted by their multiplicities.
 
     The dual's Hessian is minus the feature covariance, so the Newton
     direction (a least-squares solve, which tolerates dependent features)
@@ -158,23 +181,27 @@ def solve_maxent(
     constraints = tuple(constraints)
     if not constraints:
         raise DomainError("no constraints to fit")
-    counts, norms, theta = _features(constraints, space, kind)
+    distinct, norms, theta = _features(constraints, space, kind)
+    rows, log_mult = _rows(distinct)
+    rows_t = np.ascontiguousarray(rows.T)
     target = theta * norms
 
     w = np.zeros(len(constraints))
-    lse, p = _distribution(counts, w)
-    mean = counts.T @ p
+    lse, q = _distribution(rows, log_mult, w)
+    mean = rows_t @ q
     grad = target - mean
     iterations = 0
     while iterations < max_iter and grad.any():
-        cov = (counts * p[:, None]).T @ counts - np.outer(mean, mean)
+        cov = (rows_t * q) @ rows - mean[:, None] * mean
         direction = np.linalg.lstsq(cov, grad, rcond=None)[0]
-        norm = np.linalg.norm(grad)
+        # squared norms order as the norms do
+        norm_sq = grad @ grad
         polishing = np.abs(grad).max() < TOL
         for _ in range(1 if polishing else 60):
-            trial_lse, trial_p = _distribution(counts, w + direction)
-            trial_mean = counts.T @ trial_p
-            if np.linalg.norm(target - trial_mean) < norm:
+            trial_lse, trial_q = _distribution(rows, log_mult, w + direction)
+            trial_mean = rows_t @ trial_q
+            miss = target - trial_mean
+            if miss @ miss < norm_sq:
                 break
             direction = direction / 2.0
         else:
@@ -185,7 +212,7 @@ def solve_maxent(
             _raise_not_realizable(constraints, space, kind)
         iterations += 1
         w = w + direction
-        lse, p, mean = trial_lse, trial_p, trial_mean
+        lse, q, mean = trial_lse, trial_q, trial_mean
         grad = target - mean
     grad_norm = float(np.abs(grad).max())
     if grad_norm >= TOL:
@@ -228,9 +255,12 @@ def _raise_not_realizable(constraints, space, kind, stalled=False):
 
 
 def model_distribution(model: MaxEntModel) -> ExplicitDistribution:
-    counts = model.space.count_matrix(model.formulas, model.kind)
-    _, p = _distribution(counts.astype(float), model.weights)
-    return ExplicitDistribution(model.space, tuple(float(x) for x in p))
+    """The model's probability of each world: its count row's probability
+    over the row's multiplicity."""
+    distinct = model.space.distinct_rows(model.formulas, model.kind)
+    _, q = _distribution(*_rows(distinct), model.weights)
+    p = (q / distinct.multiplicity)[distinct.inverse]
+    return ExplicitDistribution(model.space, tuple(p.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +286,9 @@ def primal_solve_oracle(
             len(space),
             PRIMAL_WORLD_CAP,
         )
-    counts, norms, theta = _features(constraints, space, kind)
+    _, norms, theta = _features(constraints, space, kind)
+    # over worlds, not distinct rows, so that it checks the row solver
+    counts = space.count_matrix(tuple(c.formula for c in constraints), kind)
     a = (counts / norms).T  # h x W, rows are normalized statistics
     n_worlds = a.shape[1]
     if n_worlds == 1:
@@ -349,10 +381,10 @@ def log_likelihood_duality_check(
             f"({len(train.constants)} vs {len(space.constants)} constants)"
         )
     formulas = tuple(formulas)
-    # the training world's row of the count matrix, which the solver reads
-    # too, gives its statistics and its log-likelihood terms
-    counts = space.count_matrix(formulas, kind)
-    row = counts[space.world_index(space.encode(train))]
+    # the training world's distinct count row, which the solver reads too,
+    # gives its statistics and its log-likelihood terms
+    distinct = space.distinct_rows(formulas, kind)
+    row = distinct.rows[distinct.inverse[space.world_index(space.encode(train))]]
     norms = space.normalizers(formulas, kind)
     theta = tuple(Fraction(int(c), int(n)) for c, n in zip(row, norms))
     constraints = tuple(MarginalConstraint(f, t) for f, t in zip(formulas, theta))
@@ -370,11 +402,12 @@ def log_likelihood_duality_check(
             exc.boundary,
             str(exc),
         )
-    counts, row = counts.astype(float), row.astype(float)
+    rows, log_mult = _rows(distinct)
+    row = row.astype(float)
     theta_f = np.array([float(t) for t in theta])
-    lse, p = _distribution(counts, model.weights)
+    lse, q = _distribution(rows, log_mult, model.weights)
     ll = float(row @ model.weights) - lse
-    ll_grad = row - counts.T @ p
+    ll_grad = row - rows.T @ q
     dual_value = float(model.weights @ (theta_f * norms.astype(float))) - lse
     return DualityReport(
         theta,

@@ -66,7 +66,7 @@ import numpy as np
 from .errors import DomainError
 from .expansion import expansion_diff_bound
 from .logic import Formula
-from .stats import ModelKind, distinct_rows
+from .stats import ModelKind
 from .worlds import WorldSpace
 
 MEMBERSHIP_TOL = 1e-8
@@ -360,17 +360,18 @@ def polytope_vertices(
     formulas: Sequence[Formula], space: WorldSpace, kind: ModelKind
 ) -> MarginalPolytope:
     """Candidate vertex set: the distinct count rows over the space, in order
-    of first appearance, each with the first world that has it.
+    of first appearance, each with the first world that has it, as the space
+    keeps them (``WorldSpace.distinct_rows``), so a fit over the same
+    formulas reads the same rows.
 
     Rows inside the hull are kept; membership tests do not care.
     """
     formulas = tuple(formulas)
     if len(space) == 0:
         raise DomainError("empty world space (hard rules unsatisfiable)")
-    counts = space.count_matrix(formulas, kind)
+    distinct = space.distinct_rows(formulas, kind)
     norms = tuple(int(n) for n in space.normalizers(formulas, kind))
-    first = distinct_rows(counts, [n + 1 for n in norms])[0]
-    return MarginalPolytope(counts[first], norms, tuple(int(space.worlds[i]) for i in first))
+    return MarginalPolytope(distinct.rows, norms, tuple(space.worlds[distinct.first].tolist()))
 
 
 def hull_distance(point: Sequence[float], polytope: MarginalPolytope) -> float:

@@ -537,12 +537,14 @@ def distinct_rows(
     that order.
 
     Entries of column j are integers in ``0..radix[j]-1`` (an int radix
-    serves every column).  Each row is keyed by one int64, so ``np.unique``
-    sorts a single column.  The columns are folded into a mixed-radix key
-    one run at a time, one matrix product a run; before a column that would
-    overflow int64, the partial key is re-ranked to ``0..V-1`` over its V
-    distinct values (``np.unique``'s inverse) and folding goes on from
-    there.  So a radix times the row count must fit int64.
+    serves every column).  Each row is keyed by one int64.  The columns are
+    folded into a mixed-radix key one run at a time, one matrix product a
+    run; before a column that would overflow int64, the partial key is
+    re-ranked to ``0..V-1`` over its V distinct values (``np.unique``'s
+    inverse) and folding goes on from there.  So a radix times the row
+    count must fit int64.  Keys from a key space no larger than the row
+    count are counted (``_counted_keys``); others are sorted by
+    ``np.unique``.
     """
     radices = [radix] * rows.shape[1] if isinstance(radix, int) else [int(r) for r in radix]
     rows = rows.astype(np.int64, copy=False)
@@ -556,14 +558,30 @@ def distinct_rows(
         place.append(size)
         size *= r
     part = rows[:, start:] @ np.array(place, dtype=np.int64)
-    _, first, inverse, counts = np.unique(
-        part if key is None else key + part,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
+    key = part if key is None else key + part
+    if size <= len(key):
+        first, counts, inverse = _counted_keys(key, size)
+    else:
+        _, first, inverse, counts = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], counts[order], rank[inverse]
+
+
+def _counted_keys(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique``'s first index, count and inverse of keys in
+    ``0..size-1``, in key order, read off (size,) tables: one
+    ``np.bincount`` and one ``np.minimum.at``, no sort."""
+    counts = np.bincount(key, minlength=size)
+    first = np.full(size, len(key), dtype=np.intp)
+    np.minimum.at(first, key, np.arange(len(key)))
+    present = np.flatnonzero(counts)
+    slot = np.empty(size, dtype=np.intp)
+    slot[present] = np.arange(len(present))
+    return first[present], counts[present], slot[key]
 
 
 # Local atoms up to which a vocabulary and width get a class table: the

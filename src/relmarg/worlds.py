@@ -4,9 +4,12 @@ A world is a subset of the ground atoms, encoded as an integer bit pattern
 over the atom order of the space's layout, the width-n ``stats.PatternLayout``
 of its vocabulary read at its n constants, so a world's bits are its pattern
 key.  A world space enumerates every pattern satisfying the hard rules, in
-ascending pattern order, and caches the per-world statistic counts that the
-max-entropy solver and the polytope code share.  The atom count is capped
-because everything downstream is exponential in it by design.
+ascending pattern order, and caches the per-world statistic counts and
+their distinct rows, each with its first world and its multiplicity
+(``WorldSpace.distinct_rows``).  The max-entropy solver and the polytope
+code share the distinct rows, so the fit's work grows with them, not with
+the worlds.  The atom count is capped because everything downstream is
+exponential in it by design.
 
 Nothing here walks one world at a time.  ``world_keys`` reads the pattern
 key of every grounding row in every world straight off the worlds' bits:
@@ -27,7 +30,7 @@ structure's key over the layout with ``stats.pattern_keys``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .stats import (
     check_cells,
     check_formulas,
     count_groundings,
+    distinct_rows,
     grounding_rows,
     holds_over,
     index_blocks,
@@ -54,10 +58,10 @@ from .stats import (
 )
 
 DEFAULT_ATOM_CAP = 24
-# bytes that the truth tables, and apart from them the count matrix, of one
-# world space may take: a matrix of TABLE_CELL_CAP int64 counts.  The truth
-# tables of every space enumerate_worlds admits, at most DEFAULT_ATOM_CAP
-# one-byte atoms by 2^DEFAULT_ATOM_CAP worlds, fit.
+# bytes that the truth tables, and apart from them the count matrices and
+# distinct rows kept, of one world space may take: TABLE_CELL_CAP int64
+# counts.  The truth tables of every space enumerate_worlds admits, at most
+# DEFAULT_ATOM_CAP one-byte atoms by 2^DEFAULT_ATOM_CAP worlds, fit.
 WORLD_TABLE_BYTE_CAP = 8 * TABLE_CELL_CAP
 # the mask of bit i of a byte
 _BITS = (1 << np.arange(8)).astype(np.uint8)
@@ -125,6 +129,21 @@ def world_keys(
         yield np.einsum("raw,a->rw", bits != 0, layout.place).astype(np.intp)
 
 
+class DistinctRows(NamedTuple):
+    """The distinct rows of a count matrix, in order of first appearance,
+    read-only: ``rows[inverse]`` is the matrix, ``first[v]`` is the first
+    world with row v and ``multiplicity[v]`` the number of worlds with it."""
+
+    rows: np.ndarray
+    first: np.ndarray
+    multiplicity: np.ndarray
+    inverse: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self)
+
+
 @dataclass
 class WorldSpace:
     """The worlds over ``constants`` that satisfy ``hard_rules``: int64 bit
@@ -139,6 +158,7 @@ class WorldSpace:
     worlds: np.ndarray
     layout: PatternLayout = field(repr=False)
     _counts: dict = field(repr=False, default_factory=dict)
+    _rows: dict = field(repr=False, default_factory=dict)
 
     def __len__(self):
         return len(self.worlds)
@@ -189,8 +209,9 @@ class WorldSpace:
         formula.  Raises ``CapExceededError`` before allocating when the
         truth tables (named atoms by worlds, one byte each) or the matrix
         (worlds by formulas, eight bytes each) would take more than
-        ``WORLD_TABLE_BYTE_CAP`` bytes.  Matrices are cached; a new one that
-        would take the cache past that cap replaces all the cached ones.
+        ``WORLD_TABLE_BYTE_CAP`` bytes.  Matrices are cached beside the
+        distinct rows (``distinct_rows``); a new one that would take the two
+        past that cap empties both first (``_keep``).
         A cached matrix of the same kind that holds every requested formula
         answers from its columns, and the cache does not change.
 
@@ -241,10 +262,36 @@ class WorldSpace:
             for keys in world_keys(self.worlds, self.layout, layout, rows):
                 for j, truth in zip(columns, truths):
                     out[:, j] += truth[keys].sum(axis=0)
-        if out.nbytes + sum(c.nbytes for c in self._counts.values()) > WORLD_TABLE_BYTE_CAP:
-            self._counts.clear()
-        self._counts[key] = out
+        self._keep(self._counts, key, out)
         return out
+
+    def distinct_rows(self, formulas: Sequence[Formula], kind: ModelKind) -> DistinctRows:
+        """The ``DistinctRows`` of ``count_matrix(formulas, kind)``, which the
+        max-entropy solver and the polytope read: a model sees a world only
+        through its row.  Kept beside the count matrices, in the same cache
+        (``_keep``); a request that the matrix answers from a wider matrix's
+        columns gets the distinct rows of those columns."""
+        key = (tuple(formulas), kind)
+        kept = self._rows.get(key)
+        if kept is not None:
+            return kept
+        counts = self.count_matrix(formulas, kind)
+        first, multiplicity, inverse = distinct_rows(counts, self.normalizers(formulas, kind) + 1)
+        out = DistinctRows(counts[first], first, multiplicity, inverse)
+        for a in out:
+            a.flags.writeable = False
+        self._keep(self._rows, key, out)
+        return out
+
+    def _keep(self, cache: dict, key, value) -> None:
+        """Keep ``value`` in ``cache`` (``_counts`` or ``_rows``); one that
+        would take the bytes of both past ``WORLD_TABLE_BYTE_CAP`` empties
+        both first."""
+        held = sum(v.nbytes for c in (self._counts, self._rows) for v in c.values())
+        if value.nbytes + held > WORLD_TABLE_BYTE_CAP:
+            self._counts.clear()
+            self._rows.clear()
+        cache[key] = value
 
 
 def check_atom_cap(n: int, vocabulary: Mapping[str, int]) -> int:

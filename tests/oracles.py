@@ -33,6 +33,9 @@ time, each with its own weight.
 compares whole rows.  ``worlds.world_tables`` reads each predicate's
 table off its run's columns of a ``stats.PatternLayout``; its reference
 decodes one atom bit at a time over the atom order of a world space.
+``maxent.solve_maxent`` runs its Newton loop over a world space's distinct
+count rows, weighted by their multiplicities; its reference runs the same
+loop over every world's row of the count matrix.
 """
 
 import functools
@@ -43,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from relmarg import stats
+from relmarg import maxent, stats
 from relmarg.data import CanonicalForm, GlobalExample, GroundAtom, LocalExample, format_facts
 from relmarg.errors import DomainError, VocabularyError
 from relmarg.expansion import _extended_names
@@ -412,6 +415,55 @@ def distinct_rows(rows):
     rank[order] = np.arange(len(order))
     # numpy 2.0.0 shapes the axis=0 inverse (rows, 1); later versions, (rows,)
     return first[order], counts[order], rank[inverse.reshape(-1)]
+
+
+def solve_maxent(constraints, space, kind, max_iter=20000):
+    """``maxent.solve_maxent`` over worlds: the same damped Newton loop, with
+    the same tolerance, cap, halvings and diagnosis, on the count matrix,
+    one row per world.  Returns the weights, the log partition function,
+    the achieved marginals and the probability of each world."""
+    constraints = tuple(constraints)
+    formulas = tuple(c.formula for c in constraints)
+    counts = space.count_matrix(formulas, kind).astype(float)
+    norms = space.normalizers(formulas, kind).astype(float)
+    target = np.array([float(c.theta) for c in constraints]) * norms
+
+    def distribution(w):
+        scores = counts @ w
+        shift = scores.max()
+        weights = np.exp(scores - shift)
+        total = weights.sum()
+        return float(shift + np.log(total)), weights / total
+
+    w = np.zeros(len(constraints))
+    lse, p = distribution(w)
+    mean = counts.T @ p
+    grad = target - mean
+    iterations = 0
+    while iterations < max_iter and grad.any():
+        cov = (counts * p[:, None]).T @ counts - np.outer(mean, mean)
+        direction = np.linalg.lstsq(cov, grad, rcond=None)[0]
+        norm = np.linalg.norm(grad)
+        polishing = np.abs(grad).max() < maxent.TOL
+        for _ in range(1 if polishing else 60):
+            trial_lse, trial_p = distribution(w + direction)
+            trial_mean = counts.T @ trial_p
+            if np.linalg.norm(target - trial_mean) < norm:
+                break
+            direction = direction / 2.0
+        else:
+            break
+        if float(np.abs(w + direction).max()) > maxent.WEIGHT_CAP:
+            if polishing:
+                break
+            maxent._raise_not_realizable(constraints, space, kind)
+        iterations += 1
+        w = w + direction
+        lse, p, mean = trial_lse, trial_p, trial_mean
+        grad = target - mean
+    if float(np.abs(grad).max()) >= maxent.TOL:
+        maxent._raise_not_realizable(constraints, space, kind, stalled=True)
+    return w, lse, mean / norms, p
 
 
 def apply_substitution(f, theta):

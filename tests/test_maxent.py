@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_stats import A_POOL, B_POOL
 
@@ -170,6 +170,11 @@ def test_solver_fits_a_twenty_atom_space():
     ])
     model = solve_maxent(cons, space, ModelA(2))
     assert model.achieved_marginals == pytest.approx((0.5, 1 / 3), abs=1e-9)
+    # the Newton loop reads 49 distinct count rows, one for every 18,847
+    # worlds on average
+    distinct = space.distinct_rows(model.formulas, ModelA(2))
+    assert len(distinct.rows) == 49
+    assert int(distinct.multiplicity.sum()) == 31 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +241,26 @@ VERDICT_SPACES = [
 ]
 
 
-@st.composite
-def verdict_cases(draw):
-    """A space of at most 2^8 worlds, 1-3 formulas over its vocabulary, and a
-    target: a full-support mixture of world statistics, a lattice point, or
-    one world's statistics."""
-    space = draw(st.sampled_from(VERDICT_SPACES))
+def _kind_and_formulas(draw, space):
+    """Model A at a width of 1-3 or Model B, and 1-3 formulas of the pools
+    over the space's vocabulary."""
     n = len(space.constants)
     if draw(st.booleans()):
         kind, pool = ModelA(draw(st.integers(1, min(n, 3)))), A_POOL
     else:
         kind, pool = MODEL_B, [t for t in B_POOL if n >= 3 or "Z" not in t]
     pool = [t for t in pool if set(re.findall(r"(\w+)\(", t)) <= set(space.vocabulary)]
-    formulas = [parse_formula(t) for t in
-                draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))]
+    return kind, [parse_formula(t) for t in
+                  draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))]
+
+
+@st.composite
+def verdict_cases(draw):
+    """A space of at most 2^8 worlds, 1-3 formulas over its vocabulary, and a
+    target: a full-support mixture of world statistics, a lattice point, or
+    one world's statistics."""
+    space = draw(st.sampled_from(VERDICT_SPACES))
+    kind, formulas = _kind_and_formulas(draw, space)
     counts = space.count_matrix(formulas, kind)
     norms = space.normalizers(formulas, kind)
     shape = draw(st.sampled_from(["mixture", "lattice", "vertex"]))
@@ -287,6 +298,73 @@ def test_solver_verdicts_follow_the_polytope(case):
     assert model.grad_norm < 1e-9
     if shape == "mixture":
         assert model.iterations <= 100
+
+
+# ---------------------------------------------------------------------------
+# the fit over distinct rows against the fit over worlds
+
+ROW_SPACES = VERDICT_SPACES + [
+    enumerate_worlds(["a", "b"], {"e": 2}, [parse_formula("forall X, Y: ~e(X,Y) | e(Y,X)")]),
+    enumerate_worlds(
+        ["a", "b"], {"r": 1, "e": 2}, [parse_formula("forall X: r(X) | (exists Y: e(X,Y))")]
+    ),
+    enumerate_worlds([f"c{i}" for i in range(8)], {"r": 1}, [parse_formula("exists X: r(X)")]),
+]
+
+
+@st.composite
+def row_fit_cases(draw):
+    """A space of at most 2^8 worlds, with or without a hard rule, 1-3
+    formulas under Model A (widths 1-3) or Model B, and targets: the
+    marginals of a model with random weights in [-2, 2] on the statistics
+    (the counts over their normalizers), or a lattice point outside the
+    polytope.  Weights on the statistics keep the world probabilities
+    within a factor e^6 of each other, so the targets stay away from the
+    boundary, where weights that meet the tolerance are ill-conditioned."""
+    space = draw(st.sampled_from(ROW_SPACES))
+    kind, formulas = _kind_and_formulas(draw, space)
+    counts = space.count_matrix(formulas, kind).astype(float)
+    norms = space.normalizers(formulas, kind)
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(-2, 2), min_size=len(formulas),
+                                   max_size=len(formulas))))
+        scores = counts @ (w / norms)
+        p = np.exp(scores - scores.max())
+        theta = [Fraction(min(max(float(t), 0.0), 1.0)) for t in (counts.T @ (p / p.sum())) / norms]
+    else:
+        theta = [Fraction(draw(st.integers(0, 12)), 12) for _ in formulas]
+        assume(realizability_check(theta, formulas, space, kind).distance > 1e-6)
+    return space, kind, tuple(MarginalConstraint(f, t) for f, t in zip(formulas, theta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_fit_cases())
+def test_the_fit_over_rows_matches_the_fit_over_worlds(case):
+    space, kind, cons = case
+    try:
+        weights, log_partition, achieved, probs = oracles.solve_maxent(cons, space, kind)
+    except NotRealizableError as want:
+        with pytest.raises(NotRealizableError) as got:
+            solve_maxent(cons, space, kind)
+        assert got.value.boundary == want.boundary
+        assert got.value.distance == want.distance
+        return
+    model = solve_maxent(cons, space, kind)
+    # weights, and with them log Z, are unique up to directions along which
+    # every world's counts agree (a column that the hard rules fix, or equal
+    # columns): along those, lstsq's rank cut-off reads rounding-level
+    # covariances differently over rows and over worlds.  So the log
+    # probabilities of the worlds agree, and the weights agree when the
+    # counts leave no such direction.
+    counts = space.count_matrix(model.formulas, kind)
+    log_p = counts @ model.weights - model.log_partition
+    assert np.abs(log_p - (counts @ weights - log_partition)).max() <= 1e-9
+    if np.linalg.matrix_rank(counts - counts[0]) == len(cons):
+        assert np.abs(model.weights - weights).max() <= 1e-9
+    assert np.abs(np.array(model.achieved_marginals) - achieved).max() <= 1e-9
+    dist = np.array(model_distribution(model).probs)
+    assert np.abs(dist - probs).max() <= 1e-12
+    assert abs(dist.sum() - 1) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -935,9 +935,14 @@ def test_marginal_distribution_width_checks_come_first(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5))
 def test_distinct_rows_keyed_matches_whole_row_comparison(seed, columns, radix):
+    # key spaces of 2 to 625 keys over 1 to 39 rows: both sides of the
+    # counted path's limit, a key space no larger than the rows
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, radix, size=(rng.integers(1, 40), columns))
     first, counts, inverse = stats.distinct_rows(rows, radix)
+    assert [first.tolist(), counts.tolist(), inverse.tolist()] == [
+        a.tolist() for a in oracles.distinct_rows(rows)
+    ]
     # radices whose product overflows int64 re-rank the key between columns
     assert [first.tolist(), counts.tolist(), inverse.tolist()] == [
         a.tolist() for a in stats.distinct_rows(rows, [2**40] * columns)
@@ -1095,6 +1100,19 @@ def test_listings_at_the_limit_hold_what_their_comment_states(cold_listings):
     assert stats._listing.cache_info().currsize == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 300), st.integers(0, 300))
+def test_counted_keys_match_sorted_keys(seed, size, n):
+    # the two paths of distinct_rows on one key array, on both sides of the
+    # counted path's limit
+    keys = np.random.default_rng(seed).integers(0, size, size=n)
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    got = stats._counted_keys(keys, size)
+    assert [a.tolist() for a in got] == [first.tolist(), counts.tolist(), inverse.tolist()]
+
+
 @st.composite
 def radix_rows(draw):
     """Int rows and their per-column radices: no columns, up to three
@@ -1102,7 +1120,8 @@ def radix_rows(draw):
     radix 7, 70 of radix 2) or two or more times (150 of radix 2, 79 of
     radix 8).  Half the cases draw every entry; the other half join three
     runs of columns, each from a pool of three, so that rows repeat and
-    many pairs differ only in some runs."""
+    many pairs differ only in some runs.  Key spaces of 1 and of 3^5 keys
+    over up to 300 rows are counted or sorted (``distinct_rows``)."""
     columns, radix = draw(st.sampled_from(
         [(0, 2), (3, 1), (5, 3), (36, 7), (70, 2), (150, 2), (79, 8)]
     ))

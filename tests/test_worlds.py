@@ -16,6 +16,7 @@ from relmarg.data import GlobalExample
 from relmarg.errors import CapExceededError, DomainError, VocabularyError
 from relmarg import stats, worlds
 from relmarg.logic import Forall, Predicate, Var, parse_formula, strip_foralls
+from relmarg.polytope import polytope_vertices
 from relmarg.stats import MODEL_B, ModelA, statistic
 from relmarg.worlds import DEFAULT_ATOM_CAP, enumerate_worlds
 
@@ -471,6 +472,52 @@ def test_count_matrix_cache_stays_under_the_byte_cap(monkeypatch):
         assert np.array_equal(counts, fresh.count_matrix(formulas, kind))
     # a new matrix empties the cache only when it would not fit beside it
     assert hits == [False, False, True, False, False, True, False, False]
+
+
+def test_distinct_rows_are_those_of_the_count_matrix():
+    # the rows of the requested columns, also when a wider cached matrix
+    # answers the count matrix from its columns; the polytope holds the same
+    # arrays, and none of them can be written
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+    f, g = map(parse_formula, ["exists X: r(X)", "forall X, Y: e(X,Y) | r(Y)"])
+    space.count_matrix((f, g), ModelA(2))
+    for formulas in [(g,), (g, f), (f, g)]:
+        distinct = space.distinct_rows(formulas, ModelA(2))
+        counts = space.count_matrix(formulas, ModelA(2))
+        first, multiplicity, inverse = oracles.distinct_rows(counts)
+        assert np.array_equal(distinct.first, first)
+        assert np.array_equal(distinct.multiplicity, multiplicity)
+        assert np.array_equal(distinct.inverse, inverse)
+        assert np.array_equal(distinct.rows, counts[first])
+        assert space.distinct_rows(formulas, ModelA(2)) is distinct
+        assert not any(a.flags.writeable for a in distinct)
+        poly = polytope_vertices(formulas, space, ModelA(2))
+        assert poly.counts is distinct.rows
+        assert poly.generators == tuple(int(space.worlds[i]) for i in first)
+
+
+def test_distinct_rows_are_dropped_with_the_count_matrices(monkeypatch):
+    # 3 constants, {r/1, e/2}: 2^12 worlds; a count column and the inverse
+    # of a space's distinct rows take 8 * 2^12 bytes each
+    column = 8 * 2**12
+    monkeypatch.setattr(worlds, "WORLD_TABLE_BYTE_CAP", 3 * column)
+    space = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2})
+    one = (parse_formula("forall X: r(X)"),)
+    both = one + (parse_formula("forall X, Y: e(X,Y) | r(Y)"),)
+    kept = space.distinct_rows(one, ModelA(2))
+    assert list(space._counts) == list(space._rows) == [(one, ModelA(2))]
+    assert column < kept.nbytes < 2 * column
+    # two more columns would take the cache past the cap: the kept rows go
+    # with the kept matrices
+    space.count_matrix(both, ModelA(2))
+    assert list(space._counts) == [(both, ModelA(2))]
+    assert not space._rows
+    # rows answered from the wider matrix's columns would take it past the
+    # cap again, and a fresh space has the same rows
+    again = space.distinct_rows(one, ModelA(2))
+    assert list(space._rows) == [(one, ModelA(2))] and not space._counts
+    fresh = enumerate_worlds(["a", "b", "c"], {"r": 1, "e": 2}).distinct_rows(one, ModelA(2))
+    assert all(np.array_equal(a, b) for a, b in zip(again, fresh))
 
 
 def test_statistics_sum_identity_over_space():
